@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race chaos obs-smoke flight-smoke index-smoke bench bench-extend bench-regression serve-bench bin
+.PHONY: check vet build test race chaos fuzz benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-regression serve-bench bin
 
 check: vet build test race
 
@@ -44,6 +44,26 @@ chaos:
 	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) SEEDEX_CHAOS_SNAPSHOT=$(CHAOS_SNAPSHOT) \
 		$(GO) test -race -run 'Chaos|Integrity|Corrupted|Adversarial|Wire|Sanity|Validate|Corruption|Rollback' \
 		./internal/driver/... ./internal/server/... ./internal/core/... ./internal/bwamem/... ./internal/refstore/... ./internal/fmindex/...
+
+# Bounded-time fuzzing: every fuzz target in the tree (discovered with
+# go test -list, so a new target is covered without editing this file),
+# FUZZTIME each. A failure leaves its reproducer under the package's
+# testdata/fuzz/.
+FUZZTIME ?= 10s
+fuzz:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$target ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
+
+# The repository benchmark (BENCHMARK.json) is a Go module of its own, so
+# go test ./... never sees it: this runs its tests, including the smoke
+# test that builds and drives the real daemon through the surface the
+# benchmark freezes.
+benchmark-test:
+	$(GO) test -C benchmark .
 
 # Observability smoke: boot seedex-serve with tracing and pprof enabled,
 # drive traffic, then assert the Prometheus scrape and both trace export

@@ -117,6 +117,9 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"-ref", refPath, "-reads", readsPath, "-seeder", "bogus"}, &out, &stderr); err == nil {
 		t.Fatal("unknown seeder must error")
 	}
+	if err := run([]string{"-ref", refPath, "-reads", readsPath, "-band", "-3"}, &out, &stderr); err == nil || !strings.Contains(err.Error(), "band -3") {
+		t.Fatalf("negative -band must error naming the band, got %v", err)
+	}
 }
 
 func TestCLIIndexRoundTrip(t *testing.T) {

@@ -55,9 +55,12 @@ func TestBenchExtendJSON(t *testing.T) {
 	}
 	var hist struct {
 		Runs []struct {
-			PR      string `json:"pr"`
-			ReadLen int    `json:"read_len"`
-			Kernels []struct {
+			PR         string `json:"pr"`
+			ReadLen    int    `json:"read_len"`
+			GoMaxProcs int    `json:"gomaxprocs"`
+			NumCPU     int    `json:"num_cpu"`
+			GoVersion  string `json:"go_version"`
+			Kernels    []struct {
 				Kernel      string  `json:"kernel"`
 				NsPerOp     float64 `json:"ns_per_op"`
 				CellsPerSec float64 `json:"cells_per_sec"`
@@ -86,10 +89,15 @@ func TestBenchExtendJSON(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"full/seed", "full/workspace", "banded/seed",
-		"banded/workspace", "checked/pooled", "checked/workspace"} {
+		"banded/workspace", "checked/pooled", "checked/workspace",
+		"banded/batch", "full/batch", "checked/batch/paper", "checked/batch/strict"} {
 		if !seen[want] {
 			t.Fatalf("kernel %q missing from report (have %v)", want, seen)
 		}
+	}
+	if rep.GoMaxProcs <= 0 || rep.NumCPU <= 0 || rep.GoVersion == "" {
+		t.Fatalf("run entry lacks its environment stamp: gomaxprocs=%d num_cpu=%d go_version=%q",
+			rep.GoMaxProcs, rep.NumCPU, rep.GoVersion)
 	}
 
 	// Append-only: a second run with a new label grows the history.

@@ -174,6 +174,12 @@ func TestServeChaosFlag(t *testing.T) {
 	if err := run([]string{"-chaos", "0.1", "-mode", "paper"}, &stderr, nil); err == nil {
 		t.Fatal("-chaos with paper mode accepted")
 	}
+	// A band below 1 is rejected on both engine paths before the listener binds.
+	for _, args := range [][]string{{"-band", "0"}, {"-band", "-5", "-chaos", "0.1"}} {
+		if err := run(args, &stderr, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%v: want a band range error, got %v", args, err)
+		}
+	}
 }
 
 // TestServeMapFlow boots with a tiny on-disk reference and exercises

@@ -95,6 +95,10 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		return fmt.Errorf("unknown -route-policy %q (valid: %s)", *routePolicy, strings.Join(server.RoutingPolicies(), ", "))
 	}
 
+	if err := core.ValidateBand(*band); err != nil {
+		return err
+	}
+
 	// Every shard gets its own extension engine, built eagerly so flag
 	// errors surface before the listener binds and so the exit summary can
 	// walk the per-shard engines. Under -chaos each shard's fault draws

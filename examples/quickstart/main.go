@@ -38,7 +38,9 @@ func main() {
 			fmt.Printf("  E-score check: score_maxE=%d (live crossing: %v)\n", rep.ScoreMaxE, rep.ELive)
 		}
 		if rep.EditRan {
-			fmt.Printf("  edit-distance check: score_ed=%d\n", rep.ScoreEd)
+			// Strict mode evaluates the below-band region bound in closed
+			// form (h0 - go - (w+1)*ge + n*match); no edit sweep runs.
+			fmt.Printf("  edit-distance check: below-band bound=%d (closed form, no sweep)\n", rep.ScoreEd)
 		}
 		verdict := "optimality PROVEN — no path outside the band can score higher"
 		if !rep.Pass {

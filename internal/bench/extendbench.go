@@ -36,7 +36,10 @@ func Workload100(refLen, nReads int, seed int64) (*Workload, error) {
 // ExtendKernelResult is one kernel's measurement over the workload.
 type ExtendKernelResult struct {
 	// Kernel names the code path: full/seed, full/workspace, banded/seed,
-	// banded/workspace, checked/pooled, checked/workspace.
+	// banded/workspace, checked/pooled, checked/workspace (scalar strict
+	// checks), banded/batch, full/batch, and checked/batch/paper,
+	// checked/batch/strict (core.Checker.CheckBatch — packed speculation
+	// plus per-job checks, no reruns: the path the server runs).
 	Kernel string `json:"kernel"`
 	// NsPerOp is wall time per extension.
 	NsPerOp float64 `json:"ns_per_op"`
@@ -50,10 +53,15 @@ type ExtendKernelResult struct {
 // BENCH_extend.json so future changes have a trajectory to compare
 // against.
 type ExtendBenchReport struct {
-	ReadLen  int                  `json:"read_len"`
-	Problems int                  `json:"problems"`
-	Band     int                  `json:"band"`
-	Kernels  []ExtendKernelResult `json:"kernels"`
+	ReadLen  int `json:"read_len"`
+	Problems int `json:"problems"`
+	Band     int `json:"band"`
+	// GoMaxProcs, NumCPU and GoVersion pin what the run measured under
+	// (absent from entries recorded before PR 12).
+	GoMaxProcs int                  `json:"gomaxprocs,omitempty"`
+	NumCPU     int                  `json:"num_cpu,omitempty"`
+	GoVersion  string               `json:"go_version,omitempty"`
+	Kernels    []ExtendKernelResult `json:"kernels"`
 	// SpeedupFull is the full-band workspace kernel's cells/s over the
 	// seed (reference) kernel.
 	SpeedupFull float64 `json:"speedup_full_ws_vs_seed"`
@@ -171,9 +179,9 @@ func ReadExtendHistory(path string) (ExtendHistory, error) {
 // String renders a human-readable summary table.
 func (r ExtendBenchReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %12s %14s %10s\n", "kernel", "ns/op", "cells/s", "allocs/op")
+	fmt.Fprintf(&b, "%-22s %12s %14s %10s\n", "kernel", "ns/op", "cells/s", "allocs/op")
 	for _, k := range r.Kernels {
-		fmt.Fprintf(&b, "%-18s %12.0f %14.3e %10.2f\n", k.Kernel, k.NsPerOp, k.CellsPerSec, k.AllocsPerOp)
+		fmt.Fprintf(&b, "%-22s %12.0f %14.3e %10.2f\n", k.Kernel, k.NsPerOp, k.CellsPerSec, k.AllocsPerOp)
 	}
 	fmt.Fprintf(&b, "full-band workspace vs seed kernel: %.2fx cells/s\n", r.SpeedupFull)
 	fmt.Fprintf(&b, "banded    workspace vs seed kernel: %.2fx cells/s\n", r.SpeedupBanded)
@@ -279,7 +287,13 @@ func ExtendBench(w *Workload, band, rounds int) ExtendBenchReport {
 	}
 	probs := w.Problems
 	sc := w.Scoring
-	rep := ExtendBenchReport{Problems: len(probs), Band: band}
+	rep := ExtendBenchReport{
+		Problems:   len(probs),
+		Band:       band,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+	}
 	if len(w.Reads) > 0 {
 		rep.ReadLen = len(w.Reads[0].Seq)
 	}
@@ -337,6 +351,30 @@ func ExtendBench(w *Workload, band, rounds int) ExtendBenchReport {
 			return cells
 		}),
 	)
+	// The checked batch path per mode: what one served job costs before
+	// its (possible) host rerun.
+	reqs := make([]core.Request, extendBatchSize)
+	var resps []core.Response
+	for _, mode := range []struct {
+		name string
+		mode core.Mode
+	}{{"paper", core.ModePaper}, {"strict", core.ModeStrict}} {
+		mcfg := ccfg
+		mcfg.Mode = mode.mode
+		bchk := core.NewChecker(mcfg)
+		rep.Kernels = append(rep.Kernels,
+			measureBatch("checked/batch/"+mode.name, probs, rounds, func(jobs []align.Job) int64 {
+				for i, j := range jobs {
+					reqs[i] = core.Request{Q: j.Q, T: j.T, H0: j.H0}
+				}
+				resps, _ = bchk.CheckBatch(reqs[:len(jobs)], resps)
+				var cells int64
+				for i := range resps {
+					cells += resps[i].Res.Cells
+				}
+				return cells
+			}))
+	}
 	byName := map[string]ExtendKernelResult{}
 	for _, k := range rep.Kernels {
 		byName[k.Kernel] = k

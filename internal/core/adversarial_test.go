@@ -72,6 +72,52 @@ func FuzzRerunOracle(f *testing.F) {
 	})
 }
 
+// fuzzBand folds a raw fuzz int into the band range 1..max. Go's % keeps
+// the dividend's sign, so the naive raw%max+1 maps negative raws to
+// bands <= 0, where the below-band region is empty and nothing is
+// exercised.
+func fuzzBand(raw, max int) int { return (raw%max+max)%max + 1 }
+
+// corruptedCase draws a near-copy query/target pair from rng and a seed
+// score shifted by h0delta, clamped to [0, 1<<20).
+func corruptedCase(rng *rand.Rand, h0delta int) (q, tgt []byte, h0 int) {
+	tlen := 20 + rng.Intn(120)
+	tgt = make([]byte, tlen)
+	for i := range tgt {
+		tgt[i] = byte(rng.Intn(4))
+	}
+	q = append([]byte(nil), tgt[:tlen-rng.Intn(tlen/4+1)]...)
+	for k := 0; k < len(q)/10+1; k++ {
+		q[rng.Intn(len(q))] = byte(rng.Intn(4))
+	}
+	h0 = 20 + rng.Intn(80) + h0delta
+	if h0 < 0 {
+		h0 = 0
+	}
+	h0 %= 1 << 20
+	return q, tgt, h0
+}
+
+// assertNeverCertifiesWrong: a strict Pass at this band certifies exactly
+// the full-band oracle, and a failing verdict reruns into it.
+func assertNeverCertifiesWrong(t *testing.T, band int, q, tgt []byte, h0 int) {
+	t.Helper()
+	if band < 1 {
+		t.Fatalf("band %d: harness must normalise bands to >= 1", band)
+	}
+	chk := advChecker(band)
+	res, rep := chk.Check(q, tgt, h0)
+	want := align.Extend(q, tgt, h0, chk.Config.Scoring)
+	if rep.Pass {
+		if !sameResult(res, want) {
+			t.Fatalf("band %d h0 %d: Pass (%v) certified %+v != oracle %+v",
+				band, h0, rep.Outcome, res, want)
+		}
+	} else if got := chk.Rerun(q, tgt, h0); got != want {
+		t.Fatalf("band %d h0 %d: rerun %+v != oracle %+v", band, h0, got, want)
+	}
+}
+
 // FuzzCheckNeverCertifiesWrongScore: with the narrow-band starting score
 // corrupted up or down (the check thresholds S1/S2 scale with h0, so a
 // corrupted h0 skews every bound), a ModeStrict Pass still implies the
@@ -84,38 +130,28 @@ func FuzzCheckNeverCertifiesWrongScore(f *testing.F) {
 	f.Add(int64(3), 8, -40)      // corrupted down
 	f.Add(int64(4), 1, 100000)   // absurdly up: S2 unreachable
 	f.Add(int64(5), 16, -100000) // absurdly down, clamped to 0
+	f.Add(int64(6), -242, 0)     // negative raw band: must still fold into 1..24
 	f.Fuzz(func(t *testing.T, seed int64, band int, h0delta int) {
-		band = band%24 + 1
-		rng := rand.New(rand.NewSource(seed))
-		tlen := 20 + rng.Intn(120)
-		tgt := make([]byte, tlen)
-		for i := range tgt {
-			tgt[i] = byte(rng.Intn(4))
-		}
-		q := append([]byte(nil), tgt[:tlen-rng.Intn(tlen/4+1)]...)
-		for k := 0; k < len(q)/10+1; k++ {
-			q[rng.Intn(len(q))] = byte(rng.Intn(4))
-		}
-		h0 := 20 + rng.Intn(80) + h0delta
-		if h0 < 0 {
-			h0 = 0
-		}
-		if h0 > 1<<20 {
-			h0 %= 1 << 20
-		}
-		chk := advChecker(band)
-		res, rep := chk.Check(q, tgt, h0)
-		want := align.Extend(q, tgt, h0, chk.Config.Scoring)
-		if rep.Pass {
-			if res.Local != want.Local || res.LocalT != want.LocalT || res.LocalQ != want.LocalQ ||
-				res.Global != want.Global || res.GlobalT != want.GlobalT {
-				t.Fatalf("band %d h0 %d: Pass (%v) certified %+v != oracle %+v",
-					band, h0, rep.Outcome, res, want)
-			}
-		} else if got := chk.Rerun(q, tgt, h0); got != want {
-			t.Fatalf("band %d h0 %d: rerun %+v != oracle %+v", band, h0, got, want)
-		}
+		q, tgt, h0 := corruptedCase(rand.New(rand.NewSource(seed)), h0delta)
+		assertNeverCertifiesWrong(t, fuzzBand(band, 24), q, tgt, h0)
 	})
+}
+
+func TestFuzzBandRange(t *testing.T) {
+	seen := map[int]bool{}
+	for raw := -100; raw <= 100; raw++ {
+		b := fuzzBand(raw, 24)
+		if b < 1 || b > 24 {
+			t.Fatalf("fuzzBand(%d) = %d, want 1..24", raw, b)
+		}
+		seen[b] = true
+	}
+	if b := fuzzBand(-242, 24); b != 23 {
+		t.Fatalf("fuzzBand(-242, 24) = %d, want 23", b)
+	}
+	if len(seen) != 24 {
+		t.Fatalf("fuzzBand reaches %d bands, want all 24", len(seen))
+	}
 }
 
 // TestAdversarialCorpus runs a broad deterministic corpus through both
@@ -125,35 +161,20 @@ func FuzzCheckNeverCertifiesWrongScore(f *testing.F) {
 func TestAdversarialCorpus(t *testing.T) {
 	deltas := []int{-100000, -500, -40, -1, 0, 1, 40, 500, 100000}
 	for _, band := range []int{1, 2, 5, 12, 24} {
+		// Same audit as the fuzz harness: a band only exercises the
+		// checks where the below-band region has cells (tlen > band).
+		exercised := 0
 		for _, delta := range deltas {
 			for seed := int64(0); seed < 8; seed++ {
-				rng := rand.New(rand.NewSource(seed*1000 + int64(band)))
-				tlen := 20 + rng.Intn(120)
-				tgt := make([]byte, tlen)
-				for i := range tgt {
-					tgt[i] = byte(rng.Intn(4))
-				}
-				q := append([]byte(nil), tgt[:tlen-rng.Intn(tlen/4+1)]...)
-				for k := 0; k < len(q)/10+1; k++ {
-					q[rng.Intn(len(q))] = byte(rng.Intn(4))
-				}
-				h0 := 20 + rng.Intn(80) + delta
-				if h0 < 0 {
-					h0 = 0
-				}
-				chk := advChecker(band)
-				res, rep := chk.Check(q, tgt, h0)
-				want := align.Extend(q, tgt, h0, chk.Config.Scoring)
-				if rep.Pass {
-					if res.Local != want.Local || res.Global != want.Global ||
-						res.LocalT != want.LocalT || res.LocalQ != want.LocalQ || res.GlobalT != want.GlobalT {
-						t.Fatalf("band=%d delta=%d seed=%d: certified %+v != oracle %+v (%v)",
-							band, delta, seed, res, want, rep.Outcome)
-					}
-				} else if got := chk.Rerun(q, tgt, h0); got != want {
-					t.Fatalf("band=%d delta=%d seed=%d: rerun %+v != oracle %+v", band, delta, seed, got, want)
+				q, tgt, h0 := corruptedCase(rand.New(rand.NewSource(seed*1000+int64(band))), delta)
+				assertNeverCertifiesWrong(t, band, q, tgt, h0)
+				if len(tgt) > band {
+					exercised++
 				}
 			}
+		}
+		if exercised == 0 {
+			t.Fatalf("band %d: no corpus case has a non-empty below-band region", band)
 		}
 	}
 	// Garbage bytes and degenerate shapes through the rerun path.

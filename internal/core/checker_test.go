@@ -217,6 +217,12 @@ func TestCheckerZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("ExtendBatchInto allocates %.1f allocs/op, want 0", n)
 	}
+	// The path the server runs: strict CheckBatch (checks, no reruns).
+	if n := testing.AllocsPerRun(100, func() {
+		dst, _ = chk.CheckBatch(reqs, dst)
+	}); n != 0 {
+		t.Fatalf("strict CheckBatch allocates %.1f allocs/op, want 0", n)
+	}
 }
 
 // TestSessionExtenders: every extender flavour must satisfy

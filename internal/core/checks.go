@@ -27,8 +27,9 @@
 // a continuation-aware region bound (covering paths that dip below the
 // band and re-enter it) and a global-endpoint guard, and guarantees that
 // the full extension result — local and global scores *and* positions —
-// is bit-identical to a full-band run. See DESIGN.md for the analysis of
-// why the extra conditions are needed for the stronger guarantee.
+// is bit-identical to a full-band run. See DESIGN.md §4 for why the extra
+// conditions are needed, and why strict mode's region bound is a closed
+// form (belowBound) that needs no sweep.
 package core
 
 import (
@@ -65,9 +66,9 @@ const (
 	ModePaper Mode = iota
 	// ModeStrict additionally covers band-re-entering paths and the
 	// global (right-edge) endpoint, guaranteeing the full result is
-	// bit-identical to a full-band run. The edit machine is seeded with
-	// the exact column-0 arrival bounds and the captured boundary
-	// E-scores.
+	// bit-identical to a full-band run. The region bound is that of an
+	// edit machine seeded with the exact column-0 arrival bounds and the
+	// captured boundary E-scores, evaluated in closed form (belowBound).
 	ModeStrict
 )
 
@@ -180,8 +181,8 @@ type Report struct {
 	ScoreMaxE int  // E-score check bound (0 if no live crossing)
 	ELive     bool // a live boundary crossing existed
 	ERan      bool // workflow reached the E-score check
-	EditRan   bool // workflow reached the edit-distance check
-	ScoreEd   int  // edit machine score (valid only when EditRan)
+	EditRan   bool // workflow reached the edit-distance check (ModeStrict: its closed form, no sweep)
+	ScoreEd   int  // bound that check compared (valid only when EditRan): score_ed in ModePaper, belowBound in ModeStrict
 	// ThresholdOnlyPass is true when thresholding alone proved optimality
 	// (the "Thresholding" series of Figure 14).
 	ThresholdOnlyPass bool
@@ -228,7 +229,7 @@ func check(ems *editmachine.Workspace, query, target []byte, h0 int, res align.E
 	case res.Local > rep.Th.S2:
 		rep.Outcome, rep.Pass, rep.ThresholdOnlyPass = PassS2, true, true
 		if cfg.Mode == ModeStrict {
-			return strictGlobal(ems, query, target, h0, res, bd, cfg, rep, nil)
+			return strictGlobal(n, m, h0, res, cfg, rep)
 		}
 		return rep
 	}
@@ -243,9 +244,7 @@ func check(ems *editmachine.Workspace, query, target []byte, h0 int, res align.E
 	}
 
 	rep.EditRan = true
-	rx := editmachine.RelaxedFor(sc)
-	switch cfg.Mode {
-	case ModePaper:
+	if cfg.Mode == ModePaper {
 		sw := editmachine.SweepCornerWS(ems, query, target, w, rep.Th.S1, editmachine.CanonicalRelaxed)
 		if !sw.Empty {
 			rep.ScoreEd = sw.Score
@@ -256,51 +255,47 @@ func check(ems *editmachine.Workspace, query, target []byte, h0 int, res align.E
 		}
 		rep.Outcome, rep.Pass = PassChecks, true
 		return rep
-	default: // ModeStrict
-		sw := editmachine.SweepExactWS(ems, query, target, w, h0, bd.E, sc, rx)
-		if !sw.Empty {
-			rep.ScoreEd = sw.Score
-			// The continuation-aware bound also covers paths that dip
-			// below the band and re-enter it before ending.
-			if sw.ScorePlusCont >= res.Local {
-				rep.Outcome = FailEdit
-				return rep
-			}
-		}
-		rep.Outcome, rep.Pass = PassChecks, true
-		return strictGlobal(ems, query, target, h0, res, bd, cfg, rep, &sw)
 	}
+	// ModeStrict: the continuation-aware region bound, which also covers
+	// paths that dip below the band and re-enter it before ending.
+	if below, ok := belowBound(n, m, w, h0, sc); ok {
+		rep.ScoreEd = below
+		if below >= res.Local {
+			rep.Outcome = FailEdit
+			return rep
+		}
+	}
+	rep.Outcome, rep.Pass = PassChecks, true
+	return strictGlobal(n, m, h0, res, cfg, rep)
+}
+
+// belowBound is strict mode's bound on every affine path that ever visits
+// the below-band region of an n x m extension, all-match continuation
+// included: h0 - go - (w+1)*ge + n*match. It is the closed form of
+// editmachine.SweepExact's ScorePlusCont, whose maximum always sits on
+// the first region cell (w+1, 0) (proof in DESIGN.md §4). ok is false
+// when the region has no cells (the sweep's Empty).
+func belowBound(n, m, w, h0 int, sc align.Scoring) (bound int, ok bool) {
+	if w < 0 || m <= w {
+		return 0, false
+	}
+	return h0 - sc.GapOpen - (w+1)*sc.GapExtend + n*sc.Match, true
 }
 
 // strictGlobal verifies the global (right-edge) endpoint in ModeStrict:
 // every path that ever leaves the band must be provably unable to beat the
 // banded global score at the right edge.
-func strictGlobal(ems *editmachine.Workspace, query, target []byte, h0 int, res align.ExtendResult, bd align.BandBoundary, cfg Config, rep Report, sweep *editmachine.RegionResult) Report {
-	n := len(query)
+func strictGlobal(n, m, h0 int, res align.ExtendResult, cfg Config, rep Report) Report {
 	sc := cfg.Scoring
 	w := cfg.Band
 
 	// Below-band side: continuation-aware region bound.
-	below := 0
-	if sweep == nil {
-		sw := editmachine.SweepExactWS(ems, query, target, w, h0, bd.E, sc, editmachine.RelaxedFor(sc))
-		sweep = &sw
-	}
-	if !sweep.Empty && sweep.ScorePlusCont > 0 {
-		below = sweep.ScorePlusCont
-	}
+	bound, _ := belowBound(n, m, w, h0, sc)
 	// Above-band side: any path crossing the upper boundary spent at
 	// least a (w+1)-insertion gap and can match at most the remaining
 	// query: h0 - go - (w+1)*ge + (n-w-1)*m.
-	above := 0
 	if n > w {
-		if v := h0 - sc.GapOpen - (w+1)*sc.GapExtend + (n-w-1)*sc.Match; v > 0 {
-			above = v
-		}
-	}
-	bound := below
-	if above > bound {
-		bound = above
+		bound = intMax(bound, h0-sc.GapOpen-(w+1)*sc.GapExtend+(n-w-1)*sc.Match)
 	}
 	if bound > 0 && bound >= res.Global {
 		rep.Outcome, rep.Pass = FailGlobal, false

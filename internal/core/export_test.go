@@ -1,0 +1,13 @@
+package core
+
+// Internals shared with the external test package (closedform_test.go),
+// which has to live outside package core to harvest real extension
+// problems through internal/bwamem without an import cycle.
+var (
+	RealisticCase   = realisticCase
+	AdversarialCase = adversarialCase
+	AdversarialSeqs = adversarialSeqs
+	CorruptedCase   = corruptedCase
+	FuzzBand        = fuzzBand
+	BelowBound      = belowBound
+)

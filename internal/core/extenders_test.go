@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -42,6 +43,34 @@ func TestNamedExtender(t *testing.T) {
 	for _, want := range append(ExtenderNames(), `"bogus"`) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+func TestNamedExtenderBandRange(t *testing.T) {
+	for _, tc := range []struct {
+		band int
+		ok   bool
+	}{
+		{-242, false}, {-1, false}, {0, false},
+		{1, true}, {20, true}, {41, true}, {1000, true},
+	} {
+		for _, name := range ExtenderNames() {
+			ext, err := NamedExtender(name, tc.band)
+			if tc.ok {
+				if err != nil || ext == nil {
+					t.Fatalf("NamedExtender(%q, %d): %v", name, tc.band, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Fatalf("NamedExtender(%q, %d) accepted an out-of-range band", name, tc.band)
+			}
+			for _, want := range []string{fmt.Sprint(tc.band), "valid: 1 or more"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("band error %q does not name %q", err, want)
+				}
+			}
 		}
 	}
 }

@@ -78,8 +78,9 @@ type RegionResult struct {
 	Score int
 	// ScorePlusCont is max over region cells of score + (qlen−j)·Match:
 	// an upper bound on any path that visits the region and then
-	// continues anywhere (used by the strict checking mode to also cover
-	// paths that re-enter the band).
+	// continues anywhere, paths that re-enter the band included. Under
+	// SweepExact it is a constant of the problem shape, which the strict
+	// checking mode evaluates in closed form (core.belowBound).
 	ScorePlusCont int
 	// RightEdge is the maximum relaxed score among region cells with the
 	// query fully consumed (j == qlen); negInf if none exist.
@@ -104,7 +105,7 @@ func SweepCorner(query, target []byte, w, init int, rx Relaxed) RegionResult {
 	return res
 }
 
-// SweepExact runs the strict-mode sweep: column-0 cells are seeded with
+// SweepExact runs the exact-seeded sweep: column-0 cells are seeded with
 // the exact first-column arrival bound h0 − go − i·ge of the affine
 // kernel, and top-boundary cells with the E-scores that actually leak out
 // of the band (boundaryE, as captured by align.ExtendBanded). The result
@@ -112,6 +113,14 @@ func SweepCorner(query, target []byte, w, init int, rx Relaxed) RegionResult {
 // including paths that re-enter the band — which is what the strict
 // checking mode needs for bit-equivalence of both the local and global
 // endpoints.
+//
+// The strict checker does not call it: the one field it needs,
+// ScorePlusCont, is provably the constant h0 − go − (w+1)·ge + qlen·match
+// whenever the region is non-empty (DESIGN.md §4), which core evaluates
+// in closed form. SweepExact remains as the oracle that pins that closed
+// form (core's TestSweepExactClosedForm, FuzzStrictClosedForm,
+// TestStrictVerdictIdentity) and for the edit-machine seeding ablation,
+// which reads Score.
 // It draws scratch from a shared pool; hot callers should hold a Workspace
 // and use SweepExactWS.
 func SweepExact(query, target []byte, w, h0 int, boundaryE []int, sc align.Scoring, rx Relaxed) RegionResult {

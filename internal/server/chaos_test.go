@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -157,4 +158,26 @@ func TestServerChaosEquivalence(t *testing.T) {
 	if eng.Device().Injector().Counters().Total() == 0 {
 		t.Fatal("chaos server run injected nothing")
 	}
+}
+
+// TestDeviceBatchCoalescedRequests: a device-backed worker batch that
+// coalesces jobs of several requests (each numbering its jobs from 0) must
+// still hand every job its own result — the driver matches device
+// responses by tag, so the worker has to keep tags unique per batch.
+func TestDeviceBatchCoalescedRequests(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Extender: chaosEngine(faults.Config{}),
+		// A flush interval far above one request's admission time: the
+		// concurrent requests below land in one 32-job batch.
+		Batch: BatcherConfig{MaxBatch: 32, FlushInterval: 100 * time.Millisecond, Workers: 1},
+	})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			verifyExtend(t, ts.URL, testProblems(8, 110, int64(300+c)))
+		}(c)
+	}
+	wg.Wait()
 }

@@ -639,6 +639,12 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 			// Device-backed engines run the whole workflow (device compute,
 			// integrity checks, overlapped host reruns) behind one call; the
 			// driver records its own device/rerun spans under the batch key.
+			// The driver matches device responses to requests by Tag, which
+			// must be unique within the batch; a job's own Tag is unique only
+			// within its request, and a batch coalesces several requests.
+			for k := range reqs {
+				reqs[k].Tag = k
+			}
 			k0 := time.Now()
 			resp = br.ExtendBatchInto(reqs, resp[:0])
 			kDur := time.Since(k0)
@@ -663,6 +669,7 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 				if r.Rerun && r.Outcome == core.OutcomeUnknown {
 					j.tr.Mark(obs.EvFault)
 				}
+				r.Tag = j.req.Tag
 				j.sh.settleDone()
 				j.out.deliver(j.req.Tag, r)
 			}
