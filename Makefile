@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race chaos fuzz benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-regression serve-bench bin
+.PHONY: check vet build test race chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-regression serve-bench bin
 
 check: vet build test race
 
@@ -25,14 +25,10 @@ bin:
 test:
 	$(GO) test ./...
 
-# The concurrent subsystems get a dedicated race pass: the FPGA driver,
-# the aligner pipeline (including mixed filter-on/off mapping), the
-# pre-alignment filter tier, the shared (atomic) check statistics, the
-# packed kernels' telemetry counters, the generation-swapping reference
-# index store, and the micro-batching alignment service (including the
-# shape-binned collector) with its daemon.
+# The whole tree under the race detector: every package, so a new
+# concurrent subsystem is covered without editing this file.
 race:
-	$(GO) test -race ./internal/align/... ./internal/faults/... ./internal/driver/... ./internal/bwamem/... ./internal/prefilter/... ./internal/core/... ./internal/refstore/... ./internal/server/... ./cmd/seedex-serve/...
+	$(GO) test -race ./...
 
 # Fault-injection equivalence drill: the chaos and integrity tests under
 # the race detector. Pin the fault draws with CHAOS_SEED (default: the
@@ -57,6 +53,12 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
 	done
+
+# Non-test Go lines per internal/* package and for the whole tree (excl.
+# benchmark/): the instrument behind ROADMAP aim 2's "net lines removed is
+# a reported metric". CI prints it on every run.
+loc:
+	@bash scripts/loc.sh
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own, so
 # go test ./... never sees it: this runs its tests, including the smoke

@@ -63,6 +63,23 @@ type BatchExtender interface {
 	ExtendJobs(jobs []Job, dst []ExtendResult) []ExtendResult
 }
 
+// ExtendJobs runs a batch through ext's batch path when it has one and
+// job by job otherwise (same results either way), reusing dst's backing
+// array when it is large enough.
+func ExtendJobs(ext Extender, jobs []Job, dst []ExtendResult) []ExtendResult {
+	if be, ok := ext.(BatchExtender); ok {
+		return be.ExtendJobs(jobs, dst)
+	}
+	if cap(dst) < len(jobs) {
+		dst = make([]ExtendResult, len(jobs))
+	}
+	dst = dst[:len(jobs)]
+	for i := range jobs {
+		dst[i] = ext.Extend(jobs[i].Q, jobs[i].T, jobs[i].H0)
+	}
+	return dst
+}
+
 // SessionExtender is an Extender that can mint per-goroutine sessions: a
 // Session shares the parent's configuration and aggregate statistics but
 // owns its own scratch memory, so long-lived workers (pipeline goroutines,

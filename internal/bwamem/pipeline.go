@@ -53,11 +53,10 @@ func (ie *InstrumentedExtender) Extend(q, t []byte, h0 int) align.ExtendResult {
 }
 
 // ExtendJobs implements align.BatchExtender, forwarding batches to the
-// inner extender (or degrading to a per-job loop when it cannot batch)
-// while accounting each job into the shared counters.
+// inner extender while accounting each job into the shared counters.
 func (ie *InstrumentedExtender) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
 	start := time.Now()
-	dst = extendJobsVia(ie.Inner, jobs, dst)
+	dst = align.ExtendJobs(ie.Inner, jobs, dst)
 	ie.ns.Add(time.Since(start).Nanoseconds())
 	ie.calls.Add(int64(len(jobs)))
 	if ie.KeepJobs {
@@ -71,22 +70,6 @@ func (ie *InstrumentedExtender) ExtendJobs(jobs []align.Job, dst []align.ExtendR
 }
 
 var _ align.BatchExtender = (*InstrumentedExtender)(nil)
-
-// extendJobsVia dispatches a batch to ext's batch path when it has one,
-// or runs the jobs one by one otherwise (same results either way).
-func extendJobsVia(ext align.Extender, jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
-	if be, ok := ext.(align.BatchExtender); ok {
-		return be.ExtendJobs(jobs, dst)
-	}
-	if cap(dst) < len(jobs) {
-		dst = make([]align.ExtendResult, len(jobs))
-	}
-	dst = dst[:len(jobs)]
-	for i := range jobs {
-		dst[i] = ext.Extend(jobs[i].Q, jobs[i].T, jobs[i].H0)
-	}
-	return dst
-}
 
 // Session implements align.SessionExtender: the session extends through a
 // per-goroutine session of the inner extender (when it offers one) while
@@ -124,7 +107,7 @@ func (s *instrumentedSession) Extend(q, t []byte, h0 int) align.ExtendResult {
 // accounting into the parent's shared counters.
 func (s *instrumentedSession) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
 	start := time.Now()
-	dst = extendJobsVia(s.inner, jobs, dst)
+	dst = align.ExtendJobs(s.inner, jobs, dst)
 	ie := s.parent
 	ie.ns.Add(time.Since(start).Nanoseconds())
 	ie.calls.Add(int64(len(jobs)))
@@ -320,7 +303,7 @@ func (te *timedExtenderProbe) Extend(q, t []byte, h0 int) align.ExtendResult {
 // batched path survives the timing wrapper.
 func (te *timedExtenderProbe) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
 	start := time.Now()
-	dst = extendJobsVia(te.inner, jobs, dst)
+	dst = align.ExtendJobs(te.inner, jobs, dst)
 	te.probe.extNs += time.Since(start).Nanoseconds()
 	return dst
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"seedex/internal/align"
 	"seedex/internal/editmachine"
@@ -24,6 +25,10 @@ type Response struct {
 	// OutcomeUnknown marks responses whose verdict was not observable
 	// (device-faulted slots rebuilt by the host, host-only batches).
 	Outcome Outcome
+	// RerunNs is the host time this job's rerun took after its batch's
+	// speculate-and-check interval (see BatchInfo): positive exactly when
+	// the engine reran the job serially, zero otherwise.
+	RerunNs int64
 }
 
 // Checker runs the SeedEx check workflow with caller-owned scratch: one
@@ -51,6 +56,7 @@ type Checker struct {
 	bres  []align.ExtendResult
 	bbds  []align.BandBoundary
 	breps []Report
+	last  BatchInfo
 }
 
 // NewChecker returns a Checker for cfg with pre-created workspaces.
@@ -64,12 +70,6 @@ var _ align.Extender = (*Checker)(nil)
 // shape-binned schedulers (the server micro-batcher, the driver's batch
 // producer) duck-type this accessor to key jobs by align.ShapeBin.
 func (c *Checker) KernelScoring() align.Scoring { return c.Config.Scoring }
-
-// ShapeBin buckets one request for cross-batch shape scheduling: requests
-// sharing a bin pack into dense SWAR lane groups (see align.ShapeBin).
-func (c *Checker) ShapeBin(r Request) int {
-	return align.ShapeBin(len(r.Q), len(r.T), r.H0, c.Config.Scoring)
-}
 
 func (c *Checker) init() {
 	if c.ews == nil {
@@ -142,33 +142,29 @@ func (c *Checker) checkJobs(jobs []align.Job) []Report {
 // ExtendBatchInto is ExtendBatch reusing dst's backing array when it is
 // large enough — the allocation-free form for long-lived workers. The
 // speculative banded extensions of the whole batch run as one packed
-// (SWAR) kernel invocation; failed checks then rerun individually.
+// (SWAR) kernel invocation, timed as the batch's LastBatch interval;
+// failed checks then rerun individually, each timed into its RerunNs.
 func (c *Checker) ExtendBatchInto(reqs []Request, dst []Response) []Response {
-	if cap(dst) < len(reqs) {
-		dst = make([]Response, len(reqs))
-	}
-	dst = dst[:len(reqs)]
-	if cap(c.bjobs) < len(reqs) {
-		c.bjobs = make([]align.Job, len(reqs))
-	}
-	c.bjobs = c.bjobs[:len(reqs)]
-	for i, r := range reqs {
-		c.bjobs[i] = align.Job{Q: r.Q, T: r.T, H0: r.H0}
-	}
-	reps := c.checkJobs(c.bjobs)
+	t0 := time.Now()
+	dst, reps := c.CheckBatch(reqs, dst)
+	c.last = BatchInfo{Start: t0, Dur: time.Since(t0)}
 	for i, r := range reqs {
 		if c.Stats != nil {
 			c.Stats.record(reps[i])
 		}
-		res := c.bres[i]
-		rerun := !reps[i].Pass
-		if rerun {
-			res = c.Rerun(r.Q, r.T, r.H0)
+		if dst[i].Rerun {
+			r0 := time.Now()
+			dst[i].Res = c.Rerun(r.Q, r.T, r.H0)
+			dst[i].RerunNs = max(1, time.Since(r0).Nanoseconds())
 		}
-		dst[i] = Response{Tag: r.Tag, Res: res, Rerun: rerun, Outcome: reps[i].Outcome}
 	}
 	return dst
 }
+
+// LastBatch implements BatchEngine.
+func (c *Checker) LastBatch() BatchInfo { return c.last }
+
+var _ BatchEngine = (*Checker)(nil)
 
 // CheckBatch speculatively extends every request as one packed batch and
 // runs the optimality checks, without host reruns: a failed response

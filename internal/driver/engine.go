@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"time"
 
 	"seedex/internal/align"
 	"seedex/internal/core"
@@ -59,19 +60,17 @@ var (
 )
 
 type engineSession struct {
-	dev     *Device
-	s       *session
-	reqs    []Request
-	out     []Response
-	lastKey int64
+	dev  *Device
+	s    *session
+	reqs []Request
+	out  []Response
+	last core.BatchInfo
 }
 
-// LastBatchKey reports the device batch key of the most recent
-// ExtendBatchInto call on this session. The serving tier duck-types this
-// to stitch its kernel spans to the device-layer trace (the key resolves
-// to a trace id via obs.BatchTraceID). Sessions are per-goroutine, so
-// the read is race-free.
-func (es *engineSession) LastBatchKey() int64 { return es.lastKey }
+// LastBatch implements core.BatchEngine: the whole round trip of the most
+// recent ExtendBatchInto call and its device batch key, through which the
+// serving tier links its kernel spans to the device-layer trace.
+func (es *engineSession) LastBatch() core.BatchInfo { return es.last }
 
 func (es *engineSession) Extend(query, target []byte, h0 int) align.ExtendResult {
 	var one [1]align.ExtendResult
@@ -107,9 +106,8 @@ func (es *engineSession) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) 
 
 // ExtendBatchInto drives one batch of Requests through the device and
 // returns full Responses (rerun flags and check outcomes included) in
-// request order, reusing dst when it is large enough. The alignment
-// service duck-types this method so its workers see verdicts from
-// device-backed engines the same way they do from software checkers.
+// request order, reusing dst when it is large enough. Request Tags must be
+// unique within the batch: validation matches device responses by Tag.
 func (es *engineSession) ExtendBatchInto(reqs []Request, dst []Response) []Response {
 	if cap(dst) < len(reqs) {
 		dst = make([]Response, len(reqs))
@@ -119,9 +117,13 @@ func (es *engineSession) ExtendBatchInto(reqs []Request, dst []Response) []Respo
 		return dst
 	}
 	key := es.dev.seq.Add(1)
-	es.lastKey = key
+	t0 := time.Now()
 	es.s.process(context.Background(), key, reqs, dst)
+	es.last = core.BatchInfo{Start: t0, Dur: time.Since(t0), Key: key}
 	return dst
 }
 
-var _ align.BatchExtender = (*engineSession)(nil)
+var (
+	_ align.BatchExtender = (*engineSession)(nil)
+	_ core.BatchEngine    = (*engineSession)(nil)
+)

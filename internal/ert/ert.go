@@ -11,6 +11,7 @@ package ert
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"seedex/internal/chain"
 )
@@ -24,8 +25,9 @@ type Index struct {
 	k    int
 	root map[uint32][]int32
 	// Steps counts radix-walk steps performed by queries (hardware work
-	// proxy); reset with ResetSteps.
-	Steps int64
+	// proxy); reset with ResetSteps. Atomic: pipeline workers share the
+	// index.
+	Steps atomic.Int64
 }
 
 // Build constructs the index over a sanitized (codes 0..3) reference.
@@ -81,13 +83,14 @@ func (ix *Index) Seeds(q []byte, cfg Config) []chain.Seed {
 	if len(q) < ix.k {
 		return nil
 	}
+	var steps int64
 	for i := 0; i+ix.k <= len(q); i += cfg.Stride {
 		km, ok := ix.kmerAt(q, i)
 		if !ok {
 			continue
 		}
 		hits := ix.root[km]
-		ix.Steps += int64(ix.k) // root walk
+		steps += int64(ix.k) // root walk
 		if len(hits) == 0 || (cfg.MaxOcc > 0 && len(hits) > cfg.MaxOcc) {
 			continue
 		}
@@ -105,7 +108,7 @@ func (ix *Index) Seeds(q []byte, cfg Config) []chain.Seed {
 				qe++
 				re++
 			}
-			ix.Steps += int64((i - qb) + (qe - i - ix.k))
+			steps += int64((i - qb) + (qe - i - ix.k))
 			if qe-qb < cfg.MinSeedLen {
 				continue
 			}
@@ -117,6 +120,7 @@ func (ix *Index) Seeds(q []byte, cfg Config) []chain.Seed {
 			out = append(out, chain.Seed{QBeg: qb, RBeg: rb, Len: qe - qb})
 		}
 	}
+	ix.Steps.Add(steps)
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].RBeg != out[b].RBeg {
 			return out[a].RBeg < out[b].RBeg
@@ -139,4 +143,4 @@ func (ix *Index) kmerAt(q []byte, i int) (uint32, bool) {
 }
 
 // ResetSteps clears the work counter.
-func (ix *Index) ResetSteps() { ix.Steps = 0 }
+func (ix *Index) ResetSteps() { ix.Steps.Store(0) }

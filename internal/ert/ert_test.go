@@ -36,11 +36,11 @@ func TestSeedsFindEmbeddedQuery(t *testing.T) {
 	if !found {
 		t.Fatalf("embedded query not found among %d seeds", len(seeds))
 	}
-	if ix.Steps == 0 {
+	if ix.Steps.Load() == 0 {
 		t.Fatal("no tree-walk work recorded")
 	}
 	ix.ResetSteps()
-	if ix.Steps != 0 {
+	if ix.Steps.Load() != 0 {
 		t.Fatal("reset failed")
 	}
 }

@@ -73,6 +73,19 @@ type stealGroup[T any] struct {
 
 func (g *stealGroup[T]) set(peers []*batcher[T]) { g.peers.Store(&peers) }
 
+// linkPeers publishes the shards' batchers of one pipe to their steal
+// group (nil: a single shard, nothing to link).
+func linkPeers[T any](g *stealGroup[T], shards []*shard, pipe func(*shard) *batcher[T]) {
+	if g == nil {
+		return
+	}
+	peers := make([]*batcher[T], len(shards))
+	for i, sh := range shards {
+		peers[i] = pipe(sh)
+	}
+	g.set(peers)
+}
+
 // batcher coalesces individually submitted jobs into micro-batches: a
 // collector goroutine assembles batches (size- or deadline-triggered) and
 // a worker pool executes them. One batcher instance serves one job type —
@@ -80,7 +93,6 @@ func (g *stealGroup[T]) set(peers []*batcher[T]) { g.peers.Store(&peers) }
 type batcher[T any] struct {
 	cfg BatcherConfig
 	met *Metrics
-	sm  *shardMetrics // owning shard's counters; nil outside sharded servers
 
 	mu     sync.RWMutex // guards closed vs. the in-channel close
 	closed bool
@@ -89,105 +101,67 @@ type batcher[T any] struct {
 	batches chan []T
 	free    chan []T // recycled batch backing arrays
 
-	// binOf, when non-nil, keys each job into one of numBins shape bins
-	// and the collector runs in binned mode (see collectBinned).
-	binOf   func(T) int
-	numBins int
+	// binOf keys each job into a shape bin (see collect); a batcher
+	// without one runs a single bin.
+	binOf func(T) int
 
-	// group and self enable bounded work stealing between peer shards'
-	// batchers. A nil group (single shard, or the plain constructors)
-	// keeps the worker loop identical to the unsharded server.
-	group *stealGroup[T]
-	self  int
+	shardHooks[T]
 
 	collectorDone sync.WaitGroup
 	workersDone   sync.WaitGroup
 	closeOnce     sync.Once
 }
 
+// shardHooks bind a batcher to its shard of a sharded server: dispatches
+// are mirrored into the shard's counters, and with a non-nil steal group
+// the workers drain backlogged peers when their own queue is empty. The
+// zero value is a standalone batcher, whose worker loop is the unsharded
+// server's.
+type shardHooks[T any] struct {
+	sm    *shardMetrics
+	group *stealGroup[T]
+	self  int
+}
+
 // newBatcher starts the collector and worker pool. work is called once per
 // worker and returns that worker's batch processor — the closure owns the
 // worker's session state (extension scratch, mapper) for its lifetime.
-func newBatcher[T any](cfg BatcherConfig, met *Metrics, work func() func([]T)) *batcher[T] {
-	return newShardBatcher(cfg, met, nil, nil, 0, work)
-}
-
-// newShardBatcher is newBatcher bound to one shard of a sharded server:
-// dispatches are mirrored into the shard's counters, and with a non-nil
-// steal group the workers drain backlogged peers when their own queue is
-// empty.
-func newShardBatcher[T any](cfg BatcherConfig, met *Metrics, sm *shardMetrics, group *stealGroup[T], self int, work func() func([]T)) *batcher[T] {
+// With a binOf, collection is shape-aware: binOf keys every job into one of
+// numBins bins, and the collector packs batches bin-first, so jobs of like
+// kernel shape share a batch (and therefore SWAR lane groups) even when
+// they arrived interleaved with other shapes. A nil binOf means one bin.
+func newBatcher[T any](cfg BatcherConfig, met *Metrics, hooks shardHooks[T], numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
 	cfg = cfg.withDefaults()
-	b := &batcher[T]{
-		cfg:     cfg,
-		met:     met,
-		sm:      sm,
-		group:   group,
-		self:    self,
-		in:      make(chan T, cfg.QueueCap),
-		batches: make(chan []T, cfg.Workers),
-		free:    make(chan []T, cfg.Workers*2),
+	if binOf == nil {
+		numBins, binOf = 1, func(T) int { return 0 }
 	}
-	b.start(work)
-	return b
-}
-
-// newBinnedBatcher is newBatcher with shape-aware collection: binOf keys
-// every job into one of numBins bins, and the collector packs batches
-// bin-first, so jobs of like kernel shape share a batch (and therefore
-// SWAR lane groups) even when they arrived interleaved with other shapes.
-// The deadline trigger still bounds every job's wait to one FlushInterval.
-func newBinnedBatcher[T any](cfg BatcherConfig, met *Metrics, numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
-	return newShardBinnedBatcher(cfg, met, nil, nil, 0, numBins, binOf, work)
-}
-
-// newShardBinnedBatcher is newBinnedBatcher with the shard hooks of
-// newShardBatcher.
-func newShardBinnedBatcher[T any](cfg BatcherConfig, met *Metrics, sm *shardMetrics, group *stealGroup[T], self int, numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
-	cfg = cfg.withDefaults()
 	b := &batcher[T]{
-		cfg:     cfg,
-		met:     met,
-		sm:      sm,
-		group:   group,
-		self:    self,
-		in:      make(chan T, cfg.QueueCap),
-		batches: make(chan []T, cfg.Workers),
-		free:    make(chan []T, cfg.Workers*2+numBins),
-		binOf:   binOf,
-		numBins: numBins,
+		cfg:        cfg,
+		met:        met,
+		shardHooks: hooks,
+		in:         make(chan T, cfg.QueueCap),
+		batches:    make(chan []T, cfg.Workers),
+		free:       make(chan []T, cfg.Workers*2+numBins),
+		binOf:      binOf,
 	}
-	b.start(work)
-	return b
-}
-
-func (b *batcher[T]) start(work func() func([]T)) {
 	b.collectorDone.Add(1)
-	if b.binOf != nil {
-		go b.collectBinned()
-	} else {
-		go b.collect()
-	}
+	go b.collect(numBins)
 	for w := 0; w < b.cfg.Workers; w++ {
 		b.workersDone.Add(1)
 		go func() {
 			defer b.workersDone.Done()
 			proc := work()
 			if b.group == nil {
-				// Unsharded (or single-shard) path: identical to the
-				// pre-sharding worker loop.
+				// Unsharded (or single-shard) path: no steal poll.
 				for batch := range b.batches {
-					proc(batch)
-					select {
-					case b.free <- batch[:0]:
-					default:
-					}
+					b.runBatch(proc, batch)
 				}
 				return
 			}
 			b.stealLoop(proc)
 		}()
 	}
+	return b
 }
 
 // stealPoll bounds how long an idle worker waits on its own (empty)
@@ -240,12 +214,11 @@ func (b *batcher[T]) stealLoop(proc func([]T)) {
 	}
 }
 
+// runBatch processes one of b's assembled batches and recycles its
+// backing array into b's free list.
 func (b *batcher[T]) runBatch(proc func([]T), batch []T) {
 	proc(batch)
-	select {
-	case b.free <- batch[:0]:
-	default:
-	}
+	b.putBatch(batch[:0])
 }
 
 // trySteal drains at most one assembled batch from the most backlogged
@@ -330,71 +303,12 @@ func (b *batcher[T]) Close() {
 	})
 }
 
-// collect assembles micro-batches: block for the first job, then fill
-// until the size trigger (MaxBatch), the deadline trigger (FlushInterval
-// after the first job), or queue closure.
-func (b *batcher[T]) collect() {
-	defer b.collectorDone.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for {
-		first, ok := <-b.in
-		if !ok {
-			return
-		}
-		batch := b.getBatch()
-		batch = append(batch, first)
-		open := true
-		if b.cfg.FlushInterval > 0 {
-			timer.Reset(b.cfg.FlushInterval)
-			fired := false
-			for open && !fired && len(batch) < b.cfg.MaxBatch {
-				select {
-				case job, more := <-b.in:
-					if !more {
-						open = false
-						break
-					}
-					batch = append(batch, job)
-				case <-timer.C:
-					fired = true
-				}
-			}
-			if !fired && !timer.Stop() {
-				<-timer.C
-			}
-		} else {
-			// Opportunistic mode: drain whatever is queued, never wait.
-		greedy:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case job, more := <-b.in:
-					if !more {
-						open = false
-						break greedy
-					}
-					batch = append(batch, job)
-				default:
-					break greedy
-				}
-			}
-		}
-		b.dispatch(batch)
-		if !open {
-			return
-		}
-	}
-}
-
-// collectBinned is the shape-aware collector: pending jobs accumulate in
-// per-bin slices keyed by binOf, so every dispatch is as shape-homogeneous
-// as the arrival mix allows. Three triggers flush work:
+// collect assembles micro-batches: pending jobs accumulate in per-bin
+// slices keyed by binOf, so every dispatch is as shape-homogeneous as the
+// arrival mix allows. Three triggers flush work:
 //
 //   - a bin reaching MaxBatch dispatches that bin alone (a perfectly
-//     homogeneous batch);
+//     homogeneous batch) — the size trigger;
 //   - total pending reaching 2x MaxBatch dispatches the fullest bin,
 //     bounding buffered work under a mixed load that fills no single bin
 //     while still letting one busy bin fill completely;
@@ -402,9 +316,9 @@ func (b *batcher[T]) collect() {
 //     flushes everything, concatenated in bin order into MaxBatch-sized
 //     batches — still bin-sorted, so lane groups stay dense.
 //
-// Every job therefore waits at most one FlushInterval, the same bound the
-// plain collector gives.
-func (b *batcher[T]) collectBinned() {
+// Every job therefore waits at most one FlushInterval. With a single bin
+// this is the plain size-or-deadline collector: the bin is the batch.
+func (b *batcher[T]) collect(numBins int) {
 	defer b.collectorDone.Done()
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -412,7 +326,7 @@ func (b *batcher[T]) collectBinned() {
 	}
 	defer timer.Stop()
 
-	bins := make([][]T, b.numBins)
+	bins := make([][]T, numBins)
 	total := 0
 
 	flushBin := func(k int) {
@@ -430,26 +344,29 @@ func (b *batcher[T]) collectBinned() {
 		return best
 	}
 	flushAll := func() {
-		out := b.getBatch()
+		// The first non-empty bin becomes the batch under assembly (a bin
+		// holds fewer than MaxBatch jobs in a MaxBatch-capacity array), so
+		// a flush of one bin copies nothing.
+		var out []T
 		for k := range bins {
-			if bins[k] == nil {
+			if len(bins[k]) == 0 {
+				continue
+			}
+			if out == nil {
+				out, bins[k] = bins[k], nil
 				continue
 			}
 			for _, job := range bins[k] {
-				out = append(out, job)
 				if len(out) == b.cfg.MaxBatch {
 					b.dispatch(out)
 					out = b.getBatch()
 				}
+				out = append(out, job)
 			}
 			b.putBatch(bins[k][:0])
 			bins[k] = nil
 		}
-		if len(out) > 0 {
-			b.dispatch(out)
-		} else {
-			b.putBatch(out)
-		}
+		b.dispatch(out)
 		total = 0
 	}
 	add := func(job T) {
@@ -548,9 +465,8 @@ func (b *batcher[T]) getBatch() []T {
 	}
 }
 
-// putBatch returns an undispatched backing array to the free list (the
-// binned collector recycles emptied bins here; dispatched batches come
-// back through the workers).
+// putBatch returns a backing array to the free list: emptied bins from
+// the collector, processed batches from the workers.
 func (b *batcher[T]) putBatch(batch []T) {
 	select {
 	case b.free <- batch:

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"sync"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,7 +16,7 @@ func TestBatcherBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	var processed atomic.Int64
 	met := &Metrics{}
-	b := newBatcher(BatcherConfig{MaxBatch: 2, FlushInterval: 50 * time.Microsecond, QueueCap: 2, Workers: 1}, met,
+	b := newBatcher(BatcherConfig{MaxBatch: 2, FlushInterval: 50 * time.Microsecond, QueueCap: 2, Workers: 1}, met, shardHooks[int]{}, 1, nil,
 		func() func([]int) {
 			return func(batch []int) {
 				<-release
@@ -62,7 +62,7 @@ func TestBatcherBackpressure(t *testing.T) {
 func TestBatcherSizeTrigger(t *testing.T) {
 	done := make(chan int, 16)
 	met := &Metrics{}
-	b := newBatcher(BatcherConfig{MaxBatch: 8, FlushInterval: time.Hour, QueueCap: 64, Workers: 1}, met,
+	b := newBatcher(BatcherConfig{MaxBatch: 8, FlushInterval: time.Hour, QueueCap: 64, Workers: 1}, met, shardHooks[int]{}, 1, nil,
 		func() func([]int) {
 			return func(batch []int) { done <- len(batch) }
 		})
@@ -86,7 +86,7 @@ func TestBatcherSizeTrigger(t *testing.T) {
 // job flushes immediately with both triggers effectively off.
 func TestBatcherOpportunistic(t *testing.T) {
 	done := make(chan int, 1)
-	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: FlushOpportunistic, QueueCap: 64, Workers: 1}, &Metrics{},
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: FlushOpportunistic, QueueCap: 64, Workers: 1}, &Metrics{}, shardHooks[int]{}, 1, nil,
 		func() func([]int) {
 			return func(batch []int) { done <- len(batch) }
 		})
@@ -127,7 +127,7 @@ func TestFlushSentinel(t *testing.T) {
 // interval, not after MaxBatch.
 func TestBatcherDeadlineTrigger(t *testing.T) {
 	done := make(chan int, 1)
-	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, &Metrics{},
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, &Metrics{}, shardHooks[int]{}, 1, nil,
 		func() func([]int) {
 			return func(batch []int) { done <- len(batch) }
 		})
@@ -150,7 +150,7 @@ func TestBatcherDeadlineTrigger(t *testing.T) {
 // homogeneous batch even when other bins hold pending work.
 func TestBinnedBatcherHomogeneousFlush(t *testing.T) {
 	done := make(chan []int, 4)
-	b := newBinnedBatcher(BatcherConfig{MaxBatch: 8, FlushInterval: time.Hour, QueueCap: 64, Workers: 1}, &Metrics{},
+	b := newBatcher(BatcherConfig{MaxBatch: 8, FlushInterval: time.Hour, QueueCap: 64, Workers: 1}, &Metrics{}, shardHooks[int]{},
 		4, func(j int) int { return j % 4 },
 		func() func([]int) {
 			return func(batch []int) { done <- append([]int(nil), batch...) }
@@ -190,7 +190,7 @@ func TestBinnedBatcherHomogeneousFlush(t *testing.T) {
 // FlushInterval just because its bin is cold.
 func TestBinnedBatcherDeadlineFlushAll(t *testing.T) {
 	done := make(chan []int, 4)
-	b := newBinnedBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, &Metrics{},
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, &Metrics{}, shardHooks[int]{},
 		4, func(j int) int { return j % 4 },
 		func() func([]int) {
 			return func(batch []int) { done <- append([]int(nil), batch...) }
@@ -225,7 +225,7 @@ func TestBinnedBatcherMixedRace(t *testing.T) {
 	const producers, perProducer, bins = 8, 200, 16
 	var got [producers * perProducer]atomic.Int32
 	var processed atomic.Int64
-	b := newBinnedBatcher(BatcherConfig{MaxBatch: 16, FlushInterval: 100 * time.Microsecond, QueueCap: 4096, Workers: 4}, &Metrics{},
+	b := newBatcher(BatcherConfig{MaxBatch: 16, FlushInterval: 100 * time.Microsecond, QueueCap: 4096, Workers: 4}, &Metrics{}, shardHooks[int]{},
 		bins, func(j int) int { return j % bins },
 		func() func([]int) {
 			return func(batch []int) {
@@ -274,7 +274,7 @@ func TestBinnedBatcherMixedRace(t *testing.T) {
 // what it drained.
 func TestBinnedBatcherOpportunistic(t *testing.T) {
 	done := make(chan []int, 4)
-	b := newBinnedBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: FlushOpportunistic, QueueCap: 64, Workers: 1}, &Metrics{},
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: FlushOpportunistic, QueueCap: 64, Workers: 1}, &Metrics{}, shardHooks[int]{},
 		4, func(j int) int { return j % 4 },
 		func() func([]int) {
 			return func(batch []int) { done <- append([]int(nil), batch...) }

@@ -109,17 +109,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/slo", s.handleSLO)
 }
 
-// countFailure tallies the statuses the availability SLO counts as
-// failed serving (client errors like 400/413 are the caller's fault and
-// don't burn the availability budget; 413 still tail-retains).
-func (s *Server) countFailure(status int) {
-	switch status {
-	case http.StatusTooManyRequests, http.StatusInternalServerError,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		s.met.Failed.Add(1)
-	}
-}
-
 // requestID resolves the request's id (client-supplied or minted) and
 // echoes it on the response before anything is written.
 func requestID(w http.ResponseWriter, r *http.Request) (uint64, string) {
@@ -141,61 +130,142 @@ func (s *Server) writeError(w http.ResponseWriter, status int, rid string, forma
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), RequestID: rid})
 }
 
-// admitError maps a Submit error onto its HTTP reply and counters,
-// returning the status it wrote.
-func (s *Server) admitError(w http.ResponseWriter, rid string, err error) int {
+// request is the state the three job endpoints share from arrival to
+// accounting: identity, trace handle, and the status and size the SLO
+// counters and the tracer are told when it is done.
+type request struct {
+	s      *Server
+	w      http.ResponseWriter
+	rid    uint64
+	ridStr string
+	tr     obs.Ref
+	start  time.Time
+	status int   // what the request came to; for a stream, not necessarily the header sent
+	n      int64 // jobs, reads, or stream lines served
+}
+
+func (s *Server) begin(w http.ResponseWriter, r *http.Request) request {
+	s.met.Requests.Add(1)
+	rq := request{s: s, w: w, start: time.Now(), status: http.StatusOK}
+	rq.rid, rq.ridStr = requestID(w, r)
+	rq.tr = s.trace.Sample(rq.rid)
+	return rq
+}
+
+// done accounts the finished request: the statuses the availability SLO
+// counts as failed serving (client errors like 400/413 are the caller's
+// fault and don't burn the availability budget; 413 still tail-retains),
+// then the tracer's verdict.
+func (rq *request) done() {
+	switch rq.status {
+	case http.StatusTooManyRequests, http.StatusInternalServerError,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		rq.s.met.Failed.Add(1)
+	}
+	rq.s.trace.RequestDone(rq.tr, rq.rid, rq.start, time.Since(rq.start), rq.n, int64(rq.status))
+}
+
+// fail answers the request with an error body and records the status.
+func (rq *request) fail(status int, format string, args ...any) {
+	rq.status = status
+	rq.s.writeError(rq.w, status, rq.ridStr, format, args...)
+}
+
+// refuseDraining answers 503 once StartDrain has closed admission.
+func (rq *request) refuseDraining() bool {
+	if !rq.s.draining.Load() {
+		return false
+	}
+	rq.s.met.Draining.Add(1)
+	rq.fail(http.StatusServiceUnavailable, "server is draining")
+	return true
+}
+
+// admitStatus maps a submit error onto its HTTP status and message, and
+// counts it.
+func (s *Server) admitStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.met.Rejected.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, rid, "admission queue full, retry later")
-		return http.StatusTooManyRequests
+		return http.StatusTooManyRequests, "admission queue full, retry later"
 	case errors.Is(err, ErrDraining):
 		s.met.Draining.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, rid, "server is draining")
-		return http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable, "server is draining"
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// Only a stream's flow-controlled submit waits long enough to see
+		// its context end.
+		return http.StatusGatewayTimeout, "deadline exceeded waiting for admission"
 	default:
-		s.writeError(w, http.StatusInternalServerError, rid, "%v", err)
-		return http.StatusInternalServerError
+		return http.StatusInternalServerError, err.Error()
 	}
 }
 
-// decodeBody parses one JSON request body, bounded by MaxBodyBytes so an
+// decodeStatus classifies a body decode error: 413 when MaxBodyBytes cut
+// the body short, 400 otherwise.
+func decodeStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// decode parses one JSON request body, bounded by MaxBodyBytes so an
 // oversized (or oversized-malformed) body is refused with 413 instead of
 // being allocated whole before validation. It writes the error reply
 // itself and reports whether decoding succeeded.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, rid string, v any) (bool, int) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		s.met.BadInput.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, rid, "request body larger than %d bytes", tooBig.Limit)
-			return false, http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, http.StatusBadRequest, rid, "bad request body: %v", err)
-		return false, http.StatusBadRequest
+func (rq *request) decode(r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(rq.w, r.Body, rq.s.cfg.MaxBodyBytes)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true, http.StatusOK
-}
-
-// requestContext applies the request's JSON deadline to its context.
-func requestContext(r *http.Request, deadlineMs int) (context.Context, context.CancelFunc) {
-	if deadlineMs > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(deadlineMs)*time.Millisecond)
+	rq.s.met.BadInput.Add(1)
+	if st := decodeStatus(err); st == http.StatusRequestEntityTooLarge {
+		rq.fail(st, "request body larger than %d bytes", rq.s.cfg.MaxBodyBytes)
+	} else {
+		rq.fail(st, "bad request body: %v", err)
 	}
-	return r.Context(), func() {}
+	return false
 }
 
 // validateJob bounds one extension job's shape.
-func (s *Server) validateJob(j ExtendJob) error {
+func validateJob(j ExtendJob, maxSeqLen int) error {
 	if j.Query == "" || j.Target == "" {
 		return fmt.Errorf("query and target must be non-empty")
 	}
-	if len(j.Query) > s.cfg.MaxSeqLen || len(j.Target) > s.cfg.MaxSeqLen {
-		return fmt.Errorf("sequence longer than %d bp", s.cfg.MaxSeqLen)
+	if len(j.Query) > maxSeqLen || len(j.Target) > maxSeqLen {
+		return fmt.Errorf("sequence longer than %d bp", maxSeqLen)
 	}
 	if j.H0 < 0 {
 		return fmt.Errorf("h0 must be non-negative")
+	}
+	return nil
+}
+
+// validateRead bounds one read's shape and keeps outside bytes that SAM
+// gives meaning to (tabs, newlines, an empty or over-long QNAME) out of
+// the record rendered from it: names must match SAM's [!-?A-~]{1,254},
+// qualities its [!-~]+.
+func validateRead(rd MapRead, maxSeqLen int) error {
+	if rd.Seq == "" || len(rd.Seq) > maxSeqLen {
+		return fmt.Errorf("seq must hold 1..%d bases", maxSeqLen)
+	}
+	if rd.Qual != "" && len(rd.Qual) != len(rd.Seq) {
+		return fmt.Errorf("qual length %d != seq length %d", len(rd.Qual), len(rd.Seq))
+	}
+	if rd.Name == "" || len(rd.Name) > 254 {
+		return fmt.Errorf("name must hold 1..254 characters")
+	}
+	for i := 0; i < len(rd.Name); i++ {
+		if c := rd.Name[i]; c < '!' || c > '~' || c == '@' {
+			return fmt.Errorf("name holds byte %#02x outside SAM's [!-?A-~]", c)
+		}
+	}
+	for i := 0; i < len(rd.Qual); i++ {
+		if c := rd.Qual[i]; c < '!' || c > '~' {
+			return fmt.Errorf("qual holds byte %#02x outside SAM's [!-~]", c)
+		}
 	}
 	return nil
 }
@@ -212,124 +282,152 @@ func wireResult(r core.Response) ExtendResult {
 	}
 }
 
+// batchBody is what stays per endpoint of a JSON batch request: the
+// decoded body knows its size and deadline, validates and converts its
+// items, names its routing key and wraps the results. P is the queued
+// payload of one item, R its result.
+type batchBody[P, R any] interface {
+	shape() (items, deadlineMs int)
+	validate(i, maxSeqLen int) error
+	// routeKey stands for the reference region of the request: all its
+	// items share one routing decision, keyed by the first.
+	routeKey() uint64
+	payload(i int) P
+	reply(res []R) any
+}
+
+func (q *ExtendRequest) shape() (int, int)               { return len(q.Jobs), q.DeadlineMs }
+func (q *ExtendRequest) validate(i, maxSeqLen int) error { return validateJob(q.Jobs[i], maxSeqLen) }
+func (q *ExtendRequest) routeKey() uint64                { return routeKey(q.Jobs[0].Target) }
+
+func (q *ExtendRequest) payload(i int) core.Request {
+	j := q.Jobs[i]
+	return core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0}
+}
+
+func (q *ExtendRequest) reply(res []ExtendResult) any { return ExtendResponse{Results: res} }
+
+func (q *MapRequest) shape() (int, int)               { return len(q.Reads), q.DeadlineMs }
+func (q *MapRequest) validate(i, maxSeqLen int) error { return validateRead(q.Reads[i], maxSeqLen) }
+
+// The read sequence stands in for the region it will map to.
+func (q *MapRequest) routeKey() uint64 { return routeKey(q.Reads[0].Seq) }
+
+func (q *MapRequest) payload(i int) mapRead {
+	rd := q.Reads[i]
+	var qual []byte
+	if rd.Qual != "" {
+		qual = []byte(rd.Qual)
+	}
+	return mapRead{name: rd.Name, seq: genome.Encode(rd.Seq), qual: qual}
+}
+
+func (q *MapRequest) reply(res []MapResult) any { return MapResponse{Results: res} }
+
+// serveBatch is the lifecycle of one JSON batch request on either
+// endpoint: drain check, bounded decode, count and shape validation,
+// deadline context, one routing decision and the submit loop, then wait
+// for the request's own items — which may have coalesced with other
+// requests' into shared batches — and reply. noun names an item ("job",
+// "read") in the error strings.
+func serveBatch[P, R any](rq *request, r *http.Request, noun string, pipe func(*shard) *batcher[job[P, R]], body batchBody[P, R]) {
+	s := rq.s
+	if rq.refuseDraining() || !rq.decode(r, body) {
+		return
+	}
+	n, deadlineMs := body.shape()
+	rq.n = int64(n)
+	if n == 0 || n > s.cfg.MaxJobsPerRequest {
+		s.met.BadInput.Add(1)
+		rq.fail(http.StatusBadRequest, "%ss must hold 1..%d entries", noun, s.cfg.MaxJobsPerRequest)
+		return
+	}
+	for i := 0; i < n; i++ {
+		if err := body.validate(i, s.cfg.MaxSeqLen); err != nil {
+			s.met.BadInput.Add(1)
+			rq.fail(http.StatusBadRequest, "%s %d: %v", noun, i, err)
+			return
+		}
+	}
+	ctx := r.Context()
+	if deadlineMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMs)*time.Millisecond)
+		defer cancel()
+	}
+
+	p := newPending[R](n)
+	// A full shard queue fails individual items over to peers inside
+	// submit.
+	sh := s.router.pick(body.routeKey())
+	for i := 0; i < n; i++ {
+		j := job[P, R]{ctx: ctx, req: body.payload(i), out: p, slot: i, tr: rq.tr, enq: time.Now()}
+		if err := submit(s.router, pipe, sh, j); err != nil {
+			// Refuse the request as a whole: partial results are never
+			// served. Items already in flight still write into p, so wait
+			// them out; abandon closes done itself if they all landed
+			// before it ran.
+			if i > 0 {
+				p.abandon(i, n)
+				<-p.done
+			}
+			status, msg := s.admitStatus(err)
+			rq.fail(status, "%s", msg)
+			return
+		}
+		s.met.Accepted.Add(1)
+	}
+	select {
+	case <-p.done:
+		// Expired items resolve as zero-valued placeholders; when the
+		// deadline and the last delivery race, this arm can win over
+		// ctx.Done(). Never serve those zeros as 200.
+		if e := p.expired.Load(); e > 0 {
+			rq.fail(http.StatusGatewayTimeout, "deadline exceeded: %d of %d %ss expired before compute", e, n, noun)
+			return
+		}
+	case <-ctx.Done():
+		// Items are still in flight: workers may yet write spans, so the
+		// journey buffer must not be recycled for another request.
+		rq.tr.Detach()
+		rq.fail(http.StatusGatewayTimeout, "deadline exceeded with %ss in flight", noun)
+		return
+	}
+	s.met.observeLatency(time.Since(rq.start))
+	writeJSON(rq.w, http.StatusOK, body.reply(p.res))
+}
+
 // handleExtend runs one JSON batch of extension jobs through the
 // micro-batcher. Independent requests coalesce into shared device
 // batches; each request waits only for its own jobs.
 func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	start := time.Now()
-	rid, ridStr := requestID(w, r)
-	tr := s.trace.Sample(rid)
-	status, njobs := http.StatusOK, 0
-	defer func() {
-		s.countFailure(status)
-		s.trace.RequestDone(tr, rid, start, time.Since(start), int64(njobs), int64(status))
-	}()
-	if s.draining.Load() {
-		s.met.Draining.Add(1)
-		status = http.StatusServiceUnavailable
-		s.writeError(w, status, ridStr, "server is draining")
-		return
-	}
-	var req ExtendRequest
-	if ok, st := s.decodeBody(w, r, ridStr, &req); !ok {
-		status = st
-		return
-	}
-	njobs = len(req.Jobs)
-	if len(req.Jobs) == 0 || len(req.Jobs) > s.cfg.MaxJobsPerRequest {
-		s.met.BadInput.Add(1)
-		status = http.StatusBadRequest
-		s.writeError(w, status, ridStr, "jobs must hold 1..%d entries", s.cfg.MaxJobsPerRequest)
-		return
-	}
-	for i, j := range req.Jobs {
-		if err := s.validateJob(j); err != nil {
-			s.met.BadInput.Add(1)
-			status = http.StatusBadRequest
-			s.writeError(w, status, ridStr, "job %d: %v", i, err)
-			return
-		}
-	}
-	ctx, cancel := requestContext(r, req.DeadlineMs)
-	defer cancel()
+	rq := s.begin(w, r)
+	defer rq.done()
+	serveBatch(&rq, r, "job", extPipe, new(ExtendRequest))
+}
 
-	p := newPending(len(req.Jobs))
-	// One routing decision per request: all its jobs share a shard (and so
-	// a flush deadline), keyed by the first job's reference region. A full
-	// shard queue fails individual jobs over to peers inside submitExt.
-	sh := s.router.pick(routeKey(req.Jobs[0].Target))
-	var admit error
-	submitted := 0
-	for i, j := range req.Jobs {
-		job := extJob{
-			ctx: ctx,
-			req: core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0, Tag: i},
-			out: p,
-			tr:  tr,
-			enq: time.Now(),
-		}
-		if err := s.router.submitExt(sh, job); err != nil {
-			admit = err
-			break
-		}
-		s.met.Accepted.Add(1)
-		submitted++
-	}
-	if admit != nil {
-		// Refuse the request as a whole: partial results are never served.
-		// Jobs already in flight still write into p, so wait them out;
-		// abandon closes done itself if they all landed before it ran.
-		if submitted > 0 {
-			p.abandon(submitted, len(req.Jobs))
-			<-p.done
-		}
-		status = s.admitError(w, ridStr, admit)
+// handleMap runs one JSON batch of reads through the mapping pipeline.
+func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
+	rq := s.begin(w, r)
+	defer rq.done()
+	if !s.mapEnabled() {
+		rq.fail(http.StatusNotImplemented, "mapping endpoint disabled: server started without a reference")
 		return
 	}
-	select {
-	case <-p.done:
-		// Expired jobs resolve as zero-valued placeholders; when the
-		// deadline and the last delivery race, this arm can win over
-		// ctx.Done(). Never serve those zeros as 200.
-		if n := p.expired.Load(); n > 0 {
-			status = http.StatusGatewayTimeout
-			s.writeError(w, status, ridStr, "deadline exceeded: %d of %d jobs expired before compute", n, len(req.Jobs))
-			return
-		}
-	case <-ctx.Done():
-		// Jobs are still in flight: workers may yet write spans, so the
-		// journey buffer must not be recycled for another request.
-		tr.Detach()
-		status = http.StatusGatewayTimeout
-		s.writeError(w, status, ridStr, "deadline exceeded with jobs in flight")
-		return
-	}
-	resp := ExtendResponse{Results: make([]ExtendResult, len(p.resp))}
-	for i, r := range p.resp {
-		resp.Results[i] = wireResult(r)
-	}
-	s.met.observeLatency(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	serveBatch(&rq, r, "read", mapPipe, new(MapRequest))
 }
 
 // handleExtendStream is the pipelined NDJSON form: one ExtendJob per
 // input line, one ExtendResult per output line, in input order. The
 // stream window keeps jobs flowing into the micro-batcher while earlier
 // results are still being written, so a single client saturates the
-// batch pipeline without batching client-side.
+// batch pipeline without batching client-side. Once result lines flow the
+// 200 header is on the wire; a failure after that reaches the client on a
+// trailing error line, and the counters and the tracer under its status.
 func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	start := time.Now()
-	rid, ridStr := requestID(w, r)
-	tr := s.trace.Sample(rid)
-	var lines int64
-	defer func() {
-		s.trace.RequestDone(tr, rid, start, time.Since(start), lines, http.StatusOK)
-	}()
-	if s.draining.Load() {
-		s.met.Draining.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, ridStr, "server is draining")
+	rq := s.begin(w, r)
+	defer rq.done()
+	if rq.refuseDraining() {
 		return
 	}
 	ctx := r.Context()
@@ -343,8 +441,15 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 
 	// window holds the pendings of submitted jobs in input order.
 	const streamWindow = 256
-	window := make(chan *pending, streamWindow)
-	errs := make(chan error, 1)
+	window := make(chan *pending[ExtendResult], streamWindow)
+	// The reader's one failure: what to tell the client on the trailing
+	// error line, and the status to account the stream under. Written
+	// before the reader closes window, read after the drain loop saw that.
+	var failStatus int
+	var failMsg string
+	fail := func(status int, format string, args ...any) {
+		failStatus, failMsg = status, fmt.Sprintf(format, args...)
+	}
 	// orphaned: the reader returned with a submitted job it never handed
 	// to the drain loop (context cancelled mid-stream). Set before the
 	// deferred close(window), so the drain loop observes it after range.
@@ -356,38 +461,29 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 			var j ExtendJob
 			if err := dec.Decode(&j); err != nil {
 				if !errors.Is(err, io.EOF) {
-					// Non-EOF decode error: report it after drained results.
-					select {
-					case errs <- fmt.Errorf("line %d: %v", i, err):
-					default:
-					}
+					fail(decodeStatus(err), "line %d: %v", i, err)
 				}
 				return
 			}
-			if err := s.validateJob(j); err != nil {
+			if err := validateJob(j, s.cfg.MaxSeqLen); err != nil {
 				s.met.BadInput.Add(1)
-				select {
-				case errs <- fmt.Errorf("line %d: %v", i, err):
-				default:
-				}
+				fail(http.StatusBadRequest, "line %d: %v", i, err)
 				return
 			}
-			p := newPending(1)
+			p := newPending[ExtendResult](1)
 			job := extJob{
 				ctx: ctx,
 				req: core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0},
 				out: p,
-				tr:  tr,
+				tr:  rq.tr,
 				enq: time.Now(),
 			}
 			// Streamed jobs route individually: a long stream spreads over
 			// the pool under load-based policies, and sticks to its region's
 			// shard under consistent hashing.
 			if err := s.router.submitWaitExt(ctx, routeKey(j.Target), job); err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
+				status, _ := s.admitStatus(err)
+				fail(status, "%v", err)
 				return
 			}
 			s.met.Accepted.Add(1)
@@ -408,130 +504,31 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			// Undrained stream jobs may still record spans: keep the
 			// journey buffer out of the reuse pool.
-			tr.Detach()
+			rq.tr.Detach()
 			return
 		}
 		if p.expired.Load() > 0 {
 			// The job expired in queue: the stream context is gone, and the
 			// placeholder result must not be written as real scores.
-			tr.Detach()
+			rq.tr.Detach()
 			return
 		}
-		if err := enc.Encode(wireResult(p.resp[0])); err != nil {
-			tr.Detach()
+		if err := enc.Encode(p.res[0]); err != nil {
+			rq.tr.Detach()
 			return
 		}
-		lines++
+		rq.n++
 		if len(window) == 0 {
 			out.Flush()
 		}
 	}
 	if orphaned.Load() {
-		tr.Detach()
+		rq.tr.Detach()
 	}
-	select {
-	case err := <-errs:
-		enc.Encode(errorBody{Error: err.Error(), RequestID: ridStr})
-	default:
+	if failMsg != "" {
+		rq.status = failStatus
+		enc.Encode(errorBody{Error: failMsg, RequestID: rq.ridStr})
 	}
-}
-
-// handleMap runs one JSON batch of reads through the mapping pipeline.
-func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	start := time.Now()
-	rid, ridStr := requestID(w, r)
-	tr := s.trace.Sample(rid)
-	status, nreads := http.StatusOK, 0
-	defer func() {
-		s.countFailure(status)
-		s.trace.RequestDone(tr, rid, start, time.Since(start), int64(nreads), int64(status))
-	}()
-	if !s.mapEnabled() {
-		status = http.StatusNotImplemented
-		s.writeError(w, status, ridStr, "mapping endpoint disabled: server started without a reference")
-		return
-	}
-	if s.draining.Load() {
-		s.met.Draining.Add(1)
-		status = http.StatusServiceUnavailable
-		s.writeError(w, status, ridStr, "server is draining")
-		return
-	}
-	var req MapRequest
-	if ok, st := s.decodeBody(w, r, ridStr, &req); !ok {
-		status = st
-		return
-	}
-	nreads = len(req.Reads)
-	if len(req.Reads) == 0 || len(req.Reads) > s.cfg.MaxJobsPerRequest {
-		s.met.BadInput.Add(1)
-		status = http.StatusBadRequest
-		s.writeError(w, status, ridStr, "reads must hold 1..%d entries", s.cfg.MaxJobsPerRequest)
-		return
-	}
-	for i, rd := range req.Reads {
-		if rd.Seq == "" || len(rd.Seq) > s.cfg.MaxSeqLen {
-			s.met.BadInput.Add(1)
-			status = http.StatusBadRequest
-			s.writeError(w, status, ridStr, "read %d: seq must hold 1..%d bases", i, s.cfg.MaxSeqLen)
-			return
-		}
-		if rd.Qual != "" && len(rd.Qual) != len(rd.Seq) {
-			s.met.BadInput.Add(1)
-			status = http.StatusBadRequest
-			s.writeError(w, status, ridStr, "read %d: qual length %d != seq length %d", i, len(rd.Qual), len(rd.Seq))
-			return
-		}
-	}
-	ctx, cancel := requestContext(r, req.DeadlineMs)
-	defer cancel()
-
-	p := newMapPending(len(req.Reads))
-	// Mapping requests route like extension requests: one decision per
-	// request, keyed by the first read (the read sequence stands in for
-	// the region it will map to).
-	sh := s.router.pick(routeKey(req.Reads[0].Seq))
-	var admit error
-	submitted := 0
-	for i, rd := range req.Reads {
-		var qual []byte
-		if rd.Qual != "" {
-			qual = []byte(rd.Qual)
-		}
-		job := mapJob{ctx: ctx, name: rd.Name, seq: genome.Encode(rd.Seq), qual: qual, out: p, tr: tr, i: i, enq: time.Now()}
-		if err := s.router.submitMap(sh, job); err != nil {
-			admit = err
-			break
-		}
-		s.met.Accepted.Add(1)
-		submitted++
-	}
-	if admit != nil {
-		// Mirrors handleExtend: wait out in-flight reads, with abandon
-		// closing done when they all landed before the adjustment.
-		if submitted > 0 {
-			p.abandon(submitted, len(req.Reads))
-			<-p.done
-		}
-		status = s.admitError(w, ridStr, admit)
-		return
-	}
-	select {
-	case <-p.done:
-		if n := p.expired.Load(); n > 0 {
-			status = http.StatusGatewayTimeout
-			s.writeError(w, status, ridStr, "deadline exceeded: %d of %d reads expired before compute", n, len(req.Reads))
-			return
-		}
-	case <-ctx.Done():
-		tr.Detach()
-		status = http.StatusGatewayTimeout
-		s.writeError(w, status, ridStr, "deadline exceeded with reads in flight")
-		return
-	}
-	s.met.observeLatency(time.Since(start))
-	writeJSON(w, http.StatusOK, MapResponse{Results: p.res})
 }
 
 // metricsBody is the /metrics document: the operational counters plus the
@@ -599,7 +596,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // buildMetricsBody assembles the /metrics JSON document (shared with the
 // flight recorder's metrics.json).
 func (s *Server) buildMetricsBody() metricsBody {
-	extDepth, extCap := s.extQueue()
+	extDepth, extCap := queueTotals(s, extPipe)
 	body := metricsBody{
 		MetricsSnapshot: s.met.Snapshot(extDepth, extCap),
 		UptimeSec:       time.Since(s.started).Seconds(),
@@ -643,7 +640,7 @@ func (s *Server) buildMetricsBody() metricsBody {
 		body.Faults = &h
 	}
 	if s.mapEnabled() {
-		depth, capacity := s.mapQueue()
+		depth, capacity := queueTotals(s, mapPipe)
 		body.MapQueue = &queueBody{Depth: depth, Cap: capacity}
 	}
 	if s.cfg.RefStore != nil {

@@ -584,8 +584,42 @@ func TestPrometheusShardedFamilies(t *testing.T) {
 // tracing disabled, with every job head-sampled, with tail sampling
 // checking out a journey per request, and with both modes combined
 // (span recording is atomic stores into preallocated rings and
-// journey buffers).
+// journey buffers). It holds for every kind of engine behind the
+// core.BatchEngine contract: the worker adds nothing to what a bare
+// session of the engine allocates for the same batch, which is zero for
+// the software engines (the device row's allocations are its fpga latency
+// model's).
 func TestExtWorkerZeroAlloc(t *testing.T) {
+	// A device whose modeled latencies scale to zero wall time, so a batch
+	// costs its host work only.
+	dcfg := driver.DefaultConfig()
+	dcfg.TimeScale = 1e-12
+	probs := testProblems(16, 100, 16)
+	reqs := make([]core.Request, len(probs))
+	for i, j := range probs {
+		reqs[i] = core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0, Tag: i}
+	}
+	// ownAllocs is what a bare session of ext allocates per batch.
+	ownAllocs := func(ext align.Extender) float64 {
+		bare := core.EngineSession(ext)
+		dst := bare.ExtendBatchInto(reqs, nil)
+		return testing.AllocsPerRun(50, func() { dst = bare.ExtendBatchInto(reqs, dst[:0]) })
+	}
+	engines := []struct {
+		name string
+		ext  align.Extender
+		own  float64
+	}{
+		{name: "checker", ext: core.New(20)},
+		{name: "fullband", ext: core.FullBand{Scoring: align.DefaultScoring()}},
+		{name: "device", ext: driver.NewEngine(dcfg)},
+	}
+	for i := range engines {
+		engines[i].own = ownAllocs(engines[i].ext)
+		if engines[i].name != "device" && engines[i].own != 0 {
+			t.Fatalf("%s: a bare session allocates %v per batch, want 0", engines[i].name, engines[i].own)
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		tracer *obs.Tracer
@@ -596,36 +630,40 @@ func TestExtWorkerZeroAlloc(t *testing.T) {
 		{"tracing-head-tail", obs.New(obs.Config{SampleEvery: 1, Tail: obs.TailConfig{Enabled: true}})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{
-				Extender: core.New(20),
-				Batch:    BatcherConfig{MaxBatch: 16, Workers: 1},
-				Trace:    tc.tracer,
-			})
-			defer s.Close()
-			worker := s.extWorker(s.shards[0])
-			probs := testProblems(16, 100, 16)
-			// A pending that never completes: remaining stays far above
-			// zero, so deliver never closes done and the batch can be
-			// replayed indefinitely.
-			p := &pending{resp: make([]core.Response, len(probs)), done: make(chan struct{})}
-			p.remaining.Store(1 << 30)
-			ref := tc.tracer.Sample(1)
-			batch := make([]extJob, len(probs))
-			for i, j := range probs {
-				batch[i] = extJob{
-					ctx: context.Background(),
-					req: core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0, Tag: i},
-					out: p,
-					sh:  s.shards[0],
-					tr:  ref,
-					enq: time.Now(),
-				}
-			}
-			for i := 0; i < 3; i++ { // warm up grow-only scratch
-				worker(batch)
-			}
-			if avg := testing.AllocsPerRun(50, func() { worker(batch) }); avg != 0 {
-				t.Fatalf("%s: %v allocs per batch, want 0", tc.name, avg)
+			for _, eng := range engines {
+				t.Run(eng.name, func(t *testing.T) {
+					s := New(Config{
+						Extender: eng.ext,
+						Batch:    BatcherConfig{MaxBatch: 16, Workers: 1},
+						Trace:    tc.tracer,
+					})
+					defer s.Close()
+					worker := s.extWorker(s.shards[0])
+					// A pending that never completes: remaining stays far above
+					// zero, so deliver never closes done and the batch can be
+					// replayed indefinitely.
+					p := &pending[ExtendResult]{res: make([]ExtendResult, len(probs)), done: make(chan struct{})}
+					p.remaining.Store(1 << 30)
+					ref := tc.tracer.Sample(1)
+					batch := make([]extJob, len(probs))
+					for i := range batch {
+						batch[i] = extJob{
+							ctx:  context.Background(),
+							req:  reqs[i],
+							out:  p,
+							slot: i,
+							sh:   s.shards[0],
+							tr:   ref,
+							enq:  time.Now(),
+						}
+					}
+					for i := 0; i < 3; i++ { // warm up grow-only scratch
+						worker(batch)
+					}
+					if avg := testing.AllocsPerRun(50, func() { worker(batch) }); avg != eng.own {
+						t.Fatalf("%v allocs per batch, want the engine's own %v", avg, eng.own)
+					}
+				})
 			}
 		})
 	}
@@ -653,18 +691,19 @@ func BenchmarkExtWorker(b *testing.B) {
 			defer s.Close()
 			worker := s.extWorker(s.shards[0])
 			probs := testProblems(16, 100, 17)
-			p := &pending{resp: make([]core.Response, len(probs)), done: make(chan struct{})}
+			p := &pending[ExtendResult]{res: make([]ExtendResult, len(probs)), done: make(chan struct{})}
 			p.remaining.Store(1 << 30)
 			ref := tc.tracer.Sample(1)
 			batch := make([]extJob, len(probs))
 			for i, j := range probs {
 				batch[i] = extJob{
-					ctx: context.Background(),
-					req: core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0, Tag: i},
-					out: p,
-					sh:  s.shards[0],
-					tr:  ref,
-					enq: time.Now(),
+					ctx:  context.Background(),
+					req:  core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0},
+					out:  p,
+					slot: i,
+					sh:   s.shards[0],
+					tr:   ref,
+					enq:  time.Now(),
 				}
 			}
 			worker(batch)

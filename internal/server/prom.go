@@ -29,11 +29,11 @@ func (s *Server) collectProm(p *obs.Prom) {
 	p.Counter("seedex_batches_total", "Micro-batches dispatched to workers.", float64(m.Batches.Load()))
 
 	// Queues (summed over shards, keeping the pre-sharding meaning).
-	extDepth, extCap := s.extQueue()
+	extDepth, extCap := queueTotals(s, extPipe)
 	p.Gauge("seedex_queue_depth", "Jobs waiting in the admission queue.", float64(extDepth), "queue", "extend")
 	p.Gauge("seedex_queue_cap", "Admission queue capacity.", float64(extCap), "queue", "extend")
 	if s.mapEnabled() {
-		mapDepth, mapCap := s.mapQueue()
+		mapDepth, mapCap := queueTotals(s, mapPipe)
 		p.Gauge("seedex_queue_depth", "Jobs waiting in the admission queue.", float64(mapDepth), "queue", "map")
 		p.Gauge("seedex_queue_cap", "Admission queue capacity.", float64(mapCap), "queue", "map")
 	}

@@ -242,42 +242,18 @@ func (r *router) pick(key uint64) *shard {
 	return sh
 }
 
-// submitExt submits one extension job to the picked shard, failing over
-// on a full queue: peers are tried healthy-first in ascending backlog
-// order before the client sees 429. Draining is global (Close drains all
-// shards), so ErrDraining is surfaced immediately.
-func (r *router) submitExt(sh *shard, job extJob) error {
-	job.sh = sh
-	err := sh.ext.Submit(job)
-	if err == nil {
-		sh.admit()
-		return nil
-	}
-	if !errors.Is(err, ErrQueueFull) || len(r.shards) == 1 {
-		return err
-	}
-	sh.sm.rejected.Add(1)
-	for _, alt := range r.failoverOrder(sh) {
-		job.sh = alt
-		switch aerr := alt.ext.Submit(job); {
-		case aerr == nil:
-			alt.admit()
-			alt.sm.rerouted.Add(1)
-			job.tr.Mark(obs.EvReroute)
-			return nil
-		case errors.Is(aerr, ErrQueueFull):
-			alt.sm.rejected.Add(1)
-		default:
-			return aerr
-		}
-	}
-	return err
-}
+// extPipe and mapPipe select a shard's extension and mapping batcher for
+// submit.
+func extPipe(sh *shard) *batcher[extJob] { return sh.ext }
+func mapPipe(sh *shard) *batcher[mapJob] { return sh.maps }
 
-// submitMap mirrors submitExt for the mapping pipeline.
-func (r *router) submitMap(sh *shard, job mapJob) error {
-	job.sh = sh
-	err := sh.maps.Submit(job)
+// submit offers one job to the picked shard's pipe, failing over on a full
+// queue: peers are tried healthy-first in ascending backlog order before
+// the client sees 429. Draining is global (Close drains all shards), so
+// ErrDraining is surfaced immediately.
+func submit[P, R any](r *router, pipe func(*shard) *batcher[job[P, R]], sh *shard, j job[P, R]) error {
+	j.sh = sh
+	err := pipe(sh).Submit(j)
 	if err == nil {
 		sh.admit()
 		return nil
@@ -287,12 +263,12 @@ func (r *router) submitMap(sh *shard, job mapJob) error {
 	}
 	sh.sm.rejected.Add(1)
 	for _, alt := range r.failoverOrder(sh) {
-		job.sh = alt
-		switch aerr := alt.maps.Submit(job); {
+		j.sh = alt
+		switch aerr := pipe(alt).Submit(j); {
 		case aerr == nil:
 			alt.admit()
 			alt.sm.rerouted.Add(1)
-			job.tr.Mark(obs.EvReroute)
+			j.tr.Mark(obs.EvReroute)
 			return nil
 		case errors.Is(aerr, ErrQueueFull):
 			alt.sm.rejected.Add(1)
@@ -333,7 +309,7 @@ func (r *router) failoverOrder(sh *shard) []*shard {
 	return out
 }
 
-// submitWaitExt is submitExt with flow control for streaming clients: a
+// submitWaitExt is submit with flow control for streaming clients: a
 // cluster-wide full queue blocks the stream reader (bounded by the
 // request context) instead of failing the stream — the backpressure a
 // pipelined producer wants. Each retry re-picks, so the stream drains
@@ -341,7 +317,7 @@ func (r *router) failoverOrder(sh *shard) []*shard {
 func (r *router) submitWaitExt(ctx context.Context, key uint64, job extJob) error {
 	for {
 		sh := r.pick(key)
-		err := r.submitExt(sh, job)
+		err := submit(r, extPipe, sh, job)
 		if err == nil || !errors.Is(err, ErrQueueFull) {
 			return err
 		}

@@ -131,9 +131,9 @@ func gatedShard(id int, group *stealGroup[extJob], gate chan struct{}, processed
 			}
 		}
 	}
-	sh.ext = newShardBatcher(BatcherConfig{
+	sh.ext = newBatcher(BatcherConfig{
 		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 2, Workers: 1,
-	}, nil, sh.sm, group, id, work)
+	}, nil, shardHooks[extJob]{sh.sm, group, id}, 1, nil, work)
 	return sh
 }
 
@@ -154,7 +154,7 @@ func TestRouterFailoverOnFullQueue(t *testing.T) {
 	// Saturate shard 0: one batch in the worker (blocked on gate), queue
 	// full behind it.
 	job := func(tag int) extJob {
-		p := newPending(64)
+		p := newPending[ExtendResult](64)
 		return extJob{ctx: t.Context(), req: core.Request{Q: []byte{0, 1}, T: []byte{0, 1}, H0: 5, Tag: tag}, out: p, enq: time.Now()}
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -164,8 +164,8 @@ func TestRouterFailoverOnFullQueue(t *testing.T) {
 		}
 	}
 
-	if err := rt.submitExt(sh0, job(1)); err != nil {
-		t.Fatalf("submitExt with a free peer returned %v", err)
+	if err := submit(rt, extPipe, sh0, job(1)); err != nil {
+		t.Fatalf("submit with a free peer returned %v", err)
 	}
 	if got := sh1.sm.rerouted.Load(); got != 1 {
 		t.Fatalf("shard 1 rerouted counter = %d, want 1", got)
@@ -191,18 +191,18 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 	processed := make(chan int, 8) // the thief reports what it stole
 
 	victim := &shard{id: 0, sm: &shardMetrics{}}
-	victim.ext = newShardBatcher(BatcherConfig{
+	victim.ext = newBatcher(BatcherConfig{
 		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 4, Workers: 1,
-	}, nil, victim.sm, group, 0, func() func([]extJob) {
+	}, nil, shardHooks[extJob]{victim.sm, group, 0}, 1, nil, func() func([]extJob) {
 		return func(batch []extJob) {
 			entered <- batch[0].req.Tag
 			<-gate
 		}
 	})
 	thief := &shard{id: 1, sm: &shardMetrics{}}
-	thief.ext = newShardBatcher(BatcherConfig{
+	thief.ext = newBatcher(BatcherConfig{
 		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 4, Workers: 1,
-	}, nil, thief.sm, group, 1, func() func([]extJob) {
+	}, nil, shardHooks[extJob]{thief.sm, group, 1}, 1, nil, func() func([]extJob) {
 		return func(batch []extJob) {
 			processed <- batch[0].req.Tag
 		}
@@ -212,7 +212,7 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 	submit := func(tag int) {
 		t.Helper()
 		j := extJob{ctx: t.Context(), req: core.Request{Q: []byte{0, 1}, T: []byte{0, 1}, H0: 5, Tag: tag},
-			out: newPending(4), sh: victim, enq: time.Now()}
+			out: newPending[ExtendResult](4), sh: victim, enq: time.Now()}
 		if err := victim.ext.Submit(j); err != nil {
 			t.Fatalf("submit tag %d: %v", tag, err)
 		}

@@ -18,11 +18,11 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Extender drives /v1/extend and /v1/extend/stream. Required. When it
-	// is a *core.SeedEx (or any extender whose sessions are
-	// *core.Checker), batches run the full speculate-check-rerun workflow
-	// and responses carry the rerun flag; other extenders run their plain
-	// batch path.
+	// Extender drives /v1/extend and /v1/extend/stream. Required. Workers
+	// drive it through the core.BatchEngine contract (core.EngineSession):
+	// checked engines — *core.SeedEx, the driver's Engine — run the full
+	// speculate-check-rerun workflow and their responses carry the rerun
+	// flag; any other extender runs its plain batch path.
 	Extender align.Extender
 	// Aligner, when non-nil, enables /v1/map (full read mapping).
 	Aligner *bwamem.Aligner
@@ -177,87 +177,55 @@ func New(cfg Config) *Server {
 		panic("server: Config.RefStore requires Config.NewAligner")
 	}
 	s := &Server{cfg: cfg, met: &Metrics{}, trace: cfg.Trace, reg: obs.NewRegistry(), mux: http.NewServeMux(), started: time.Now()}
-	if s.cfg.Health == nil && cfg.NewExtender == nil {
-		if h, ok := cfg.Extender.(interface{ Health() faults.Health }); ok {
-			s.cfg.Health = h.Health
-		}
-	}
 	// Steal groups link the per-shard batchers once all exist; with one
 	// shard they stay nil and the worker loops match the unsharded server.
 	var extGroup *stealGroup[extJob]
 	var mapGroup *stealGroup[mapJob]
 	if cfg.Shards > 1 {
 		extGroup = &stealGroup[extJob]{}
-		if cfg.Aligner != nil || cfg.RefStore != nil {
+		if s.mapEnabled() {
 			mapGroup = &stealGroup[mapJob]{}
 		}
 	}
+	// Distinct check-statistics sources merge into one snapshot: shards
+	// sharing an extender share one source.
 	seenStats := make(map[*core.Stats]bool)
+	addStats := func(st *core.Stats) {
+		if st != nil && !seenStats[st] {
+			seenStats[st] = true
+			s.stats = append(s.stats, st)
+		}
+	}
 	for i := 0; i < cfg.Shards; i++ {
 		ext := cfg.Extender
 		if cfg.NewExtender != nil {
 			ext = cfg.NewExtender(i)
 		}
-		sh := &shard{id: i, extender: ext, sm: &shardMetrics{}}
-		if se, ok := ext.(*core.SeedEx); ok {
-			sh.stats = se.Stats
-		} else if cs, ok := ext.(interface{ CheckStats() *core.Stats }); ok {
-			// Device-backed extenders (the FPGA driver engine) expose their
-			// check statistics behind this accessor.
-			sh.stats = cs.CheckStats()
+		sh := &shard{id: i, engine: resolveEngine(ext), sm: &shardMetrics{}}
+		if cfg.Health != nil {
+			sh.health = cfg.Health
 		}
-		if sh.stats != nil && !seenStats[sh.stats] {
-			seenStats[sh.stats] = true
-			s.stats = append(s.stats, sh.stats)
-		}
-		if s.cfg.Health != nil {
-			sh.health = s.cfg.Health
-		} else if h, ok := ext.(interface{ Health() faults.Health }); ok {
-			sh.health = h.Health
-		}
-		extWork := func() func([]extJob) { return s.extWorker(sh) }
-		// Extension batching is shape-binned when the extender's scoring is
-		// discoverable: jobs of like SWAR tier and length class coalesce into
-		// the same micro-batch, so the packed kernels see dense lane groups
-		// even under interleaved mixed-shape traffic (cross-batch scheduling,
-		// paper §V-B).
-		if sp, ok := ext.(interface{ KernelScoring() align.Scoring }); ok {
-			sc := sp.KernelScoring()
-			binOf := func(j extJob) int {
-				return align.ShapeBin(len(j.req.Q), len(j.req.T), j.req.H0, sc)
-			}
-			sh.ext = newShardBinnedBatcher(cfg.Batch, s.met, sh.sm, extGroup, i, align.NumShapeBins, binOf, extWork)
-		} else {
-			sh.ext = newShardBatcher(cfg.Batch, s.met, sh.sm, extGroup, i, extWork)
-		}
-		if cfg.Aligner != nil || cfg.RefStore != nil {
-			sh.maps = newShardBatcher(cfg.MapBatch, s.met, sh.sm, mapGroup, i, func() func([]mapJob) { return s.mapWorker(sh) })
+		addStats(sh.stats)
+		sh.ext = newBatcher(cfg.Batch, s.met, shardHooks[extJob]{sh.sm, extGroup, i}, align.NumShapeBins, sh.binOf,
+			func() func([]extJob) { return s.extWorker(sh) })
+		if s.mapEnabled() {
+			sh.maps = newBatcher(cfg.MapBatch, s.met, shardHooks[mapJob]{sh.sm, mapGroup, i}, 1, nil,
+				func() func([]mapJob) { return s.mapWorker(sh) })
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if extGroup != nil {
-		exts := make([]*batcher[extJob], len(s.shards))
-		for i, sh := range s.shards {
-			exts[i] = sh.ext
-		}
-		extGroup.set(exts)
+	if cfg.Health == nil && cfg.NewExtender == nil {
+		// Every shard shares cfg.Extender, so its health is the server's.
+		s.cfg.Health = s.shards[0].health
 	}
-	if mapGroup != nil {
-		maps := make([]*batcher[mapJob], len(s.shards))
-		for i, sh := range s.shards {
-			maps[i] = sh.maps
-		}
-		mapGroup.set(maps)
-	}
-	// The mapping aligner's stats (prefilter counters) merge into the same
-	// snapshot the extender sources feed, unless it shares one of theirs.
-	if cfg.Aligner != nil && cfg.Aligner.Stats != nil && !seenStats[cfg.Aligner.Stats] {
-		seenStats[cfg.Aligner.Stats] = true
-		s.stats = append(s.stats, cfg.Aligner.Stats)
-	}
-	if cfg.Aligner == nil && cfg.MapStats != nil && !seenStats[cfg.MapStats] {
-		seenStats[cfg.MapStats] = true
-		s.stats = append(s.stats, cfg.MapStats)
+	linkPeers(extGroup, s.shards, extPipe)
+	linkPeers(mapGroup, s.shards, mapPipe)
+	// The mapping aligner's stats (prefilter counters) join the same
+	// snapshot, unless it shares an extender's.
+	if cfg.Aligner != nil {
+		addStats(cfg.Aligner.Stats)
+	} else {
+		addStats(cfg.MapStats)
 	}
 	rt, err := newRouter(s.shards, cfg.RoutePolicy)
 	if err != nil {
@@ -331,22 +299,13 @@ func (s *Server) ShardSnapshots() []ShardSnapshot {
 	return out
 }
 
-// extQueue sums queue depth and capacity across the shards' extension
-// batchers — the aggregate the pre-sharding /metrics reported.
-func (s *Server) extQueue() (depth, capacity int) {
+// queueTotals sums queue depth and capacity across the shards' batchers
+// of one pipe — the aggregate the pre-sharding /metrics reported.
+func queueTotals[T any](s *Server, pipe func(*shard) *batcher[T]) (depth, capacity int) {
 	for _, sh := range s.shards {
-		depth += sh.ext.QueueDepth()
-		capacity += sh.ext.QueueCap()
-	}
-	return depth, capacity
-}
-
-// mapQueue mirrors extQueue for the mapping batchers.
-func (s *Server) mapQueue() (depth, capacity int) {
-	for _, sh := range s.shards {
-		if sh.maps != nil {
-			depth += sh.maps.QueueDepth()
-			capacity += sh.maps.QueueCap()
+		if b := pipe(sh); b != nil {
+			depth += b.QueueDepth()
+			capacity += b.QueueCap()
 		}
 	}
 	return depth, capacity
@@ -420,24 +379,70 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Tracer exposes the span tracer (nil when tracing is disabled).
 func (s *Server) Tracer() *obs.Tracer { return s.trace }
 
-// pending collects one request's extension results as its jobs complete,
-// possibly across several device batches. done closes when the last job
-// lands.
-type pending struct {
-	resp      []core.Response
+// engine is everything a shard needs from its extender, resolved once by
+// resolveEngine so nothing downstream asks what kind of extender it is.
+type engine struct {
+	// session mints one worker's batch engine (per-worker scratch).
+	session func() core.BatchEngine
+	// binOf keys a job by kernel shape when the extender's scoring is
+	// discoverable (nil otherwise): jobs of like SWAR tier and length
+	// class then coalesce into the same micro-batch, so the packed
+	// kernels see dense lane groups even under interleaved mixed-shape
+	// traffic (cross-batch scheduling, paper §V-B).
+	binOf func(extJob) int
+	// tier names the host SWAR tier a job's kernel span reports;
+	// obs.TierUnknown when the sweep does not run on the host tiers.
+	tier func(core.Request) int64
+	// stats and health are the engine's check statistics and
+	// fault-tolerance view; either may be nil (plain software extenders
+	// have no breaker).
+	stats  *core.Stats
+	health func() faults.Health
+}
+
+// resolveEngine is the one place the server inspects an extender's
+// concrete capabilities.
+func resolveEngine(ext align.Extender) engine {
+	e := engine{
+		session: func() core.BatchEngine { return core.EngineSession(ext) },
+		tier:    func(core.Request) int64 { return obs.TierUnknown },
+	}
+	if sp, ok := ext.(interface{ KernelScoring() align.Scoring }); ok {
+		sc := sp.KernelScoring()
+		e.binOf = func(j extJob) int { return align.ShapeBin(len(j.req.Q), len(j.req.T), j.req.H0, sc) }
+	}
+	switch x := ext.(type) {
+	case *core.SeedEx:
+		sc := x.Config.Scoring
+		e.stats = x.Stats
+		e.tier = func(r core.Request) int64 { return int64(align.TierOf(len(r.Q), len(r.T), r.H0, sc)) }
+	case interface{ CheckStats() *core.Stats }:
+		// Device-backed extenders (the FPGA driver engine).
+		e.stats = x.CheckStats()
+	}
+	if h, ok := ext.(interface{ Health() faults.Health }); ok {
+		e.health = h.Health
+	}
+	return e
+}
+
+// pending collects one request's results as its jobs complete, possibly
+// across several batches. done closes when the last job lands.
+type pending[R any] struct {
+	res       []R
 	remaining atomic.Int32
 	expired   atomic.Int32
 	done      chan struct{}
 }
 
-func newPending(n int) *pending {
-	p := &pending{resp: make([]core.Response, n), done: make(chan struct{})}
+func newPending[R any](n int) *pending[R] {
+	p := &pending[R]{res: make([]R, n), done: make(chan struct{})}
 	p.remaining.Store(int32(n))
 	return p
 }
 
-func (p *pending) deliver(i int, r core.Response) {
-	p.resp[i] = r
+func (p *pending[R]) deliver(i int, r R) {
+	p.res[i] = r
 	if p.remaining.Add(-1) == 0 {
 		close(p.done)
 	}
@@ -446,9 +451,10 @@ func (p *pending) deliver(i int, r core.Response) {
 // expire completes slot i without computing it: the job's deadline passed
 // (or its client left) before a worker reached it. The zero-valued result
 // must never be served — handlers check expired after done closes.
-func (p *pending) expire(i int) {
+func (p *pending[R]) expire(i int) {
 	p.expired.Add(1)
-	p.deliver(i, core.Response{Tag: i})
+	var zero R
+	p.deliver(i, zero)
 }
 
 // abandon discounts the never-submitted tail of a partially admitted
@@ -458,125 +464,94 @@ func (p *pending) expire(i int) {
 // remains to do so. The close cannot race deliver: the counter crosses
 // zero exactly once across all atomic adds, and whichever add observes
 // zero owns the close.
-func (p *pending) abandon(submitted, total int) {
+func (p *pending[R]) abandon(submitted, total int) {
 	if p.remaining.Add(int32(submitted-total)) == 0 {
 		close(p.done)
 	}
 }
 
-// extJob is one extension queued for micro-batching. sh is the shard
-// that admitted the job (set by the router on submit): its accounting
-// follows the job even when a peer's worker steals the batch.
-type extJob struct {
-	ctx context.Context
-	req core.Request // Tag carries the job's slot in its pending
-	out *pending
-	sh  *shard
-	tr  obs.Ref // sampled trace handle (zero: not sampled)
-	enq time.Time
-}
-
-// mapJob is one read queued for the mapping pipeline.
-type mapJob struct {
+// job is one unit of work queued for micro-batching: the payload req of
+// its endpoint plus the head every pipeline stage shares. sh is the shard
+// that admitted the job (set on submit): its accounting follows the job
+// even when a peer's worker steals the batch.
+type job[P, R any] struct {
 	ctx  context.Context
-	name string
-	seq  []byte // base codes
-	qual []byte // ASCII qualities or nil
-	out  *mapPending
+	req  P
+	out  *pending[R]
+	slot int // the job's index in out
 	sh   *shard
-	tr   obs.Ref
-	i    int
+	tr   obs.Ref // sampled trace handle (zero: not sampled)
 	enq  time.Time
 }
 
-// mapPending mirrors pending for mapping results.
-type mapPending struct {
-	res       []MapResult
-	remaining atomic.Int32
-	expired   atomic.Int32
-	done      chan struct{}
+// extJob is one extension, mapJob one read for the mapping pipeline.
+type (
+	extJob = job[core.Request, ExtendResult]
+	mapJob = job[mapRead, MapResult]
+)
+
+// mapRead is a mapJob's payload.
+type mapRead struct {
+	name string
+	seq  []byte // base codes
+	qual []byte // ASCII qualities or nil
 }
 
-func newMapPending(n int) *mapPending {
-	p := &mapPending{res: make([]MapResult, n), done: make(chan struct{})}
-	p.remaining.Store(int32(n))
-	return p
+// expireJob completes j without compute: its client is gone (deadline or
+// disconnect), or the pipeline shut down under it. The job still resolves
+// so its request's pending does.
+func expireJob[P, R any](s *Server, j job[P, R]) {
+	s.met.Expired.Add(1)
+	j.sh.settleExpired()
+	j.out.expire(j.slot)
 }
 
-func (p *mapPending) deliver(i int, r MapResult) {
-	p.res[i] = r
-	if p.remaining.Add(-1) == 0 {
-		close(p.done)
+// pickup is the shared head of both batch workers: every job's queue wait
+// is observed, expired jobs resolve without compute, and the rest are
+// returned (appended to live). A batch whose jobs were admitted by another
+// shard arrived by work stealing: the event is flagged and where the batch
+// really ran recorded (v1 = victim shard, v2 = thief shard).
+func pickup[P, R any](s *Server, sh *shard, batch, live []job[P, R], now time.Time) []job[P, R] {
+	for _, j := range batch {
+		wait := now.Sub(j.enq)
+		s.met.QueueWait.observe(wait.Nanoseconds())
+		j.sh.sm.queueWait.observe(wait.Nanoseconds())
+		j.tr.Span(obs.KindQueueWait, j.enq, wait, int64(len(batch)), 0)
+		if j.ctx.Err() != nil {
+			expireJob(s, j)
+			continue
+		}
+		live = append(live, j)
 	}
-}
-
-// expire and abandon mirror pending; see there for the invariants.
-func (p *mapPending) expire(i int, name string) {
-	p.expired.Add(1)
-	p.deliver(i, MapResult{Name: name})
-}
-
-func (p *mapPending) abandon(submitted, total int) {
-	if p.remaining.Add(int32(submitted-total)) == 0 {
-		close(p.done)
+	if len(live) > 0 && live[0].sh.id != sh.id {
+		for _, j := range live {
+			j.tr.Mark(obs.EvSteal)
+			j.tr.Span(obs.KindSteal, now, 0, int64(j.sh.id), int64(sh.id))
+		}
 	}
-}
-
-// batchResponder is the full-verdict batch path: responses carry rerun
-// flags and check outcomes. *core.Checker and the FPGA driver's engine
-// sessions both duck-type it.
-type batchResponder interface {
-	ExtendBatchInto(reqs []core.Request, dst []core.Response) []core.Response
+	return live
 }
 
 // extWorker returns one extension worker's batch processor for sh. The
-// worker owns a per-worker session of the shard's extender (its scratch
-// memory lives as long as the worker), so a batch runs allocation-free
-// through the packed kernels: the speculate-check-rerun workflow for
-// checked engines (software checker or device driver), the plain batch
-// path otherwise. Stolen peer batches run through this worker's session
-// too — the kernels are deterministic, so where a batch runs never shows
-// in its results — while each job's admission accounting stays with the
-// shard that admitted it (j.sh). With tracing enabled, sampled jobs
-// record queue-wait, flush, kernel, check and rerun spans; with it
-// disabled every span site is a single nil compare.
+// worker owns a session of the shard's engine (its scratch memory lives as
+// long as the worker), so a batch runs allocation-free through whatever
+// the engine is — software checker, device driver or plain extender —
+// behind the one core.BatchEngine call. Stolen peer batches run through
+// this worker's session too — the kernels are deterministic, so where a
+// batch runs never shows in its results — while each job's admission
+// accounting stays with the shard that admitted it (j.sh). With tracing
+// enabled, sampled jobs record queue-wait, flush, kernel, check and rerun
+// spans from the engine's timing report; with it disabled every span site
+// is a single nil compare.
 func (s *Server) extWorker(sh *shard) func([]extJob) {
-	ext := sh.extender
-	if se, ok := ext.(align.SessionExtender); ok {
-		ext = se.Session()
-	}
-	chk, _ := ext.(*core.Checker)
-	br, _ := ext.(batchResponder)
-	// Device-backed sessions expose the batch key of their last device
-	// round-trip; kernel spans carry it as a link so a request timeline
-	// stitches to the device-layer trace (obs.BatchTraceID).
-	keyer, _ := ext.(interface{ LastBatchKey() int64 })
+	eng := sh.session()
 	max := s.cfg.Batch.MaxBatch
 	live := make([]extJob, 0, max)
 	reqs := make([]core.Request, 0, max)
-	jobs := make([]align.Job, 0, max)
 	resp := make([]core.Response, max)
-	results := make([]align.ExtendResult, max)
 	return func(batch []extJob) {
 		now := time.Now()
-		live, reqs = live[:0], reqs[:0]
-		for _, j := range batch {
-			wait := now.Sub(j.enq)
-			s.met.QueueWait.observe(wait.Nanoseconds())
-			j.sh.sm.queueWait.observe(wait.Nanoseconds())
-			j.tr.Span(obs.KindQueueWait, j.enq, wait, int64(len(batch)), 0)
-			if j.ctx.Err() != nil {
-				// The client is gone (deadline or disconnect): skip the
-				// compute, but still complete the job so the request's
-				// pending resolves.
-				s.met.Expired.Add(1)
-				j.sh.settleExpired()
-				j.out.expire(j.req.Tag)
-				continue
-			}
-			live = append(live, j)
-			reqs = append(reqs, j.req)
-		}
+		live = pickup(s, sh, batch, live[:0], now)
 		if len(live) == 0 {
 			return
 		}
@@ -589,122 +564,48 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 		}
 		fStart := batch[0].enq
 		fDur := now.Sub(fStart)
-		for _, j := range live {
+		reqs = reqs[:0]
+		for k, j := range live {
 			j.tr.Span(obs.KindFlush, fStart, fDur, int64(len(batch)), sized)
+			// Engines match responses to requests by Tag, which must be
+			// unique within the batch; a batch coalesces several requests,
+			// so the job's position in the batch is the Tag.
+			j.req.Tag = k
+			reqs = append(reqs, j.req)
 		}
-		// A batch whose jobs were admitted by another shard arrived here by
-		// work stealing: flag the event and record where the batch really
-		// ran (v1 = victim shard, v2 = thief shard).
-		if live[0].sh.id != sh.id {
-			for _, j := range live {
-				j.tr.Mark(obs.EvSteal)
-				j.tr.Span(obs.KindSteal, now, 0, int64(j.sh.id), int64(sh.id))
-			}
-		}
-		switch {
-		case chk != nil:
-			// Software checker: split the workflow at its phase boundaries
-			// (packed speculate+check, then per-job stats/rerun policy,
-			// replicating ExtendBatchInto) so kernel, check and rerun each
-			// get their own span.
-			k0 := time.Now()
-			var reps []core.Report
-			resp, reps = chk.CheckBatch(reqs, resp[:0])
-			kDur := time.Since(k0)
-			kEnd := k0.Add(kDur)
-			for k, j := range live {
-				rep := reps[k]
-				if chk.Stats != nil {
-					chk.Stats.Record(rep)
+		resp = eng.ExtendBatchInto(reqs, resp[:0])
+		bi := eng.LastBatch()
+		kEnd := bi.Start.Add(bi.Dur)
+		// Serial host reruns follow the kernel interval back to back.
+		rerunAt := kEnd
+		for k, j := range live {
+			r := resp[k]
+			if j.tr.Sampled() {
+				// The link stitches the request timeline to the device-layer
+				// trace of the batch (obs.BatchTraceID); 0 for host engines.
+				j.tr.SpanLink(obs.KindKernel, bi.Start, bi.Dur, sh.tier(reqs[k]), int64(len(live)), bi.Key)
+				pass := int64(0)
+				if !r.Rerun {
+					pass = 1
 				}
-				if j.tr.Sampled() {
-					tier := align.TierOf(len(reqs[k].Q), len(reqs[k].T), reqs[k].H0, chk.Config.Scoring)
-					j.tr.Span(obs.KindKernel, k0, kDur, int64(tier), int64(len(live)))
-					pass := int64(0)
-					if rep.Pass {
-						pass = 1
-					}
-					j.tr.Span(obs.KindCheck, kEnd, 0, int64(rep.Outcome), pass)
-				}
-				r := resp[k]
-				if r.Rerun {
-					r0 := time.Now()
-					r.Res = chk.Rerun(reqs[k].Q, reqs[k].T, reqs[k].H0)
-					j.tr.Span(obs.KindRerun, r0, time.Since(r0), int64(rep.Outcome), 1)
-				}
-				j.sh.settleDone()
-				j.out.deliver(j.req.Tag, r)
+				j.tr.Span(obs.KindCheck, kEnd, 0, int64(r.Outcome), pass)
 			}
-		case br != nil:
-			// Device-backed engines run the whole workflow (device compute,
-			// integrity checks, overlapped host reruns) behind one call; the
-			// driver records its own device/rerun spans under the batch key.
-			// The driver matches device responses to requests by Tag, which
-			// must be unique within the batch; a job's own Tag is unique only
-			// within its request, and a batch coalesces several requests.
-			for k := range reqs {
-				reqs[k].Tag = k
+			if r.RerunNs > 0 {
+				d := time.Duration(r.RerunNs)
+				j.tr.Span(obs.KindRerun, rerunAt, d, int64(r.Outcome), 1)
+				rerunAt = rerunAt.Add(d)
 			}
-			k0 := time.Now()
-			resp = br.ExtendBatchInto(reqs, resp[:0])
-			kDur := time.Since(k0)
-			kEnd := k0.Add(kDur)
-			var bkey int64
-			if keyer != nil {
-				bkey = keyer.LastBatchKey()
+			// A rerun without a proven outcome means the driver contained
+			// a fault, exhausted retries, or served host-only behind an
+			// open breaker: tail-flag the journey.
+			if r.Rerun && r.Outcome == core.OutcomeUnknown {
+				j.tr.Mark(obs.EvFault)
 			}
-			for k, j := range live {
-				r := resp[k]
-				if j.tr.Sampled() {
-					j.tr.SpanLink(obs.KindKernel, k0, kDur, obs.TierUnknown, int64(len(live)), bkey)
-					pass := int64(0)
-					if !r.Rerun {
-						pass = 1
-					}
-					j.tr.Span(obs.KindCheck, kEnd, 0, int64(r.Outcome), pass)
-				}
-				// A rerun without a proven outcome means the driver contained
-				// a fault, exhausted retries, or served host-only behind an
-				// open breaker: tail-flag the journey.
-				if r.Rerun && r.Outcome == core.OutcomeUnknown {
-					j.tr.Mark(obs.EvFault)
-				}
-				r.Tag = j.req.Tag
-				j.sh.settleDone()
-				j.out.deliver(j.req.Tag, r)
-			}
-		default:
-			jobs = jobs[:0]
-			for _, r := range reqs {
-				jobs = append(jobs, align.Job{Q: r.Q, T: r.T, H0: r.H0})
-			}
-			k0 := time.Now()
-			results = extendJobsVia(ext, jobs, results[:0])
-			kDur := time.Since(k0)
-			for k, j := range live {
-				j.tr.Span(obs.KindKernel, k0, kDur, obs.TierUnknown, int64(len(live)))
-				j.sh.settleDone()
-				j.out.deliver(j.req.Tag, core.Response{Tag: j.req.Tag, Res: results[k], Outcome: core.OutcomeUnknown})
-			}
+			j.sh.settleDone()
+			j.out.deliver(j.slot, wireResult(r))
 		}
 		s.met.Completed.Add(int64(len(live)))
 	}
-}
-
-// extendJobsVia dispatches through the extender's batch path when it has
-// one, degrading to a scalar loop otherwise.
-func extendJobsVia(ext align.Extender, jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
-	if be, ok := ext.(align.BatchExtender); ok {
-		return be.ExtendJobs(jobs, dst)
-	}
-	if cap(dst) < len(jobs) {
-		dst = make([]align.ExtendResult, len(jobs))
-	}
-	dst = dst[:len(jobs)]
-	for i := range jobs {
-		dst[i] = ext.Extend(jobs[i].Q, jobs[i].T, jobs[i].H0)
-	}
-	return dst
 }
 
 // mapWorker returns one mapping worker's batch processor for sh: a
@@ -724,6 +625,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 		m = s.cfg.Aligner.NewMapper()
 	}
 	var genID uint64
+	live := make([]mapJob, 0, s.cfg.MapBatch.MaxBatch)
 	return func(batch []mapJob) {
 		now := time.Now()
 		reloadOverlap := false
@@ -733,9 +635,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 				// The store closed under us (shutdown): resolve the batch
 				// as expired so every pending completes.
 				for _, j := range batch {
-					s.met.Expired.Add(1)
-					j.sh.settleExpired()
-					j.out.expire(j.i, j.name)
+					expireJob(s, j)
 				}
 				return
 			}
@@ -750,28 +650,13 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 				genID = g.ID()
 			}
 		}
-		if len(batch) > 0 && batch[0].sh.id != sh.id {
-			for _, j := range batch {
-				j.tr.Mark(obs.EvSteal)
-				j.tr.Span(obs.KindSteal, now, 0, int64(j.sh.id), int64(sh.id))
-			}
-		}
-		for _, j := range batch {
+		live = pickup(s, sh, batch, live[:0], now)
+		for _, j := range live {
 			if reloadOverlap {
 				j.tr.Mark(obs.EvReloadOverlap)
 			}
-			wait := now.Sub(j.enq)
-			s.met.QueueWait.observe(wait.Nanoseconds())
-			j.sh.sm.queueWait.observe(wait.Nanoseconds())
-			j.tr.Span(obs.KindQueueWait, j.enq, wait, int64(len(batch)), 0)
-			if j.ctx.Err() != nil {
-				s.met.Expired.Add(1)
-				j.sh.settleExpired()
-				j.out.expire(j.i, j.name)
-				continue
-			}
 			k0 := time.Now()
-			rec, al := m.Map(j.name, j.seq, j.qual)
+			rec, al := m.Map(j.req.name, j.req.seq, j.req.qual)
 			kDur := time.Since(k0)
 			// The map kernel span links the index generation it computed
 			// against (negated, so generation links can never collide with
@@ -788,8 +673,8 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 					int64(al.PrefilterRescued), int64(al.RescueRounds))
 			}
 			j.sh.settleDone()
-			j.out.deliver(j.i, MapResult{
-				Name:   j.name,
+			j.out.deliver(j.slot, MapResult{
+				Name:   j.req.name,
 				Mapped: al.Mapped,
 				RName:  rec.RName,
 				Pos:    rec.Pos,

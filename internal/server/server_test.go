@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"seedex/internal/bwamem"
 	"seedex/internal/core"
 	"seedex/internal/genome"
+	"seedex/internal/obs"
 	"seedex/internal/readsim"
 )
 
@@ -186,6 +188,57 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestStreamStatusAccounting pins what the counters and the tracer are told
+// about a failed stream: a 503 while draining, and a stream cut after its
+// 200 header by an admission failure, both count as failed requests and
+// reach the tail sampler with their real status (its keep-on-503 rule).
+func TestStreamStatusAccounting(t *testing.T) {
+	tracer := obs.New(obs.Config{Tail: obs.TailConfig{Enabled: true}})
+	s, ts := newTestServer(t, Config{Trace: tracer})
+	line, _ := json.Marshal(testProblems(1, 50, 3)[0])
+	post := func(rid string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/extend/stream", strings.NewReader(string(line)+"\n"))
+		req.Header.Set("X-Request-Id", rid)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	assertFailed := func(rid string, failed int64) {
+		t.Helper()
+		if got := s.Metrics().Failed.Load(); got != failed {
+			t.Fatalf("requests_failed = %d, want %d", got, failed)
+		}
+		id, _ := obs.RequestID(rid)
+		jd, ok := tracer.Journey(id)
+		if !ok || jd.Status != http.StatusServiceUnavailable || !hasString(jd.Verdict, "status") {
+			t.Fatalf("journey %s: kept=%v status=%d verdict=%v, want kept on status 503", rid, ok, jd.Status, jd.Verdict)
+		}
+	}
+
+	// Admission closes under an open stream: the shard's pipeline is gone
+	// but the server is not draining yet, so the handler is past its drain
+	// check when submit refuses the job.
+	s.shards[0].ext.Close()
+	resp := post("a1")
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"error"`) {
+		t.Fatalf("cut stream: status %d body %q, want 200 with a trailing error line", resp.StatusCode, body)
+	}
+	assertFailed("a1", 1)
+
+	s.StartDrain()
+	resp = post("a2")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stream while draining: status %d, want 503", resp.StatusCode)
+	}
+	assertFailed("a2", 2)
+}
+
 // TestBackpressure429 overloads a deliberately tiny server and checks the
 // refused requests carry 429 + Retry-After while at least one succeeds.
 func TestBackpressure429(t *testing.T) {
@@ -347,9 +400,9 @@ func TestDeadline504(t *testing.T) {
 // — this deadlocked the handler goroutine before.
 func TestAbandonPartialAdmission(t *testing.T) {
 	// The racing order: both submitted jobs land before abandon runs.
-	p := newPending(3)
-	p.deliver(0, core.Response{})
-	p.deliver(1, core.Response{})
+	p := newPending[ExtendResult](3)
+	p.deliver(0, ExtendResult{})
+	p.deliver(1, ExtendResult{})
 	p.abandon(2, 3)
 	select {
 	case <-p.done:
@@ -358,24 +411,24 @@ func TestAbandonPartialAdmission(t *testing.T) {
 	}
 
 	// The usual order: abandon first, the last delivery closes done.
-	p = newPending(3)
+	p = newPending[ExtendResult](3)
 	p.abandon(2, 3)
-	p.deliver(0, core.Response{})
+	p.deliver(0, ExtendResult{})
 	select {
 	case <-p.done:
 		t.Fatal("done closed with a submitted job still in flight")
 	default:
 	}
-	p.deliver(1, core.Response{})
+	p.deliver(1, ExtendResult{})
 	select {
 	case <-p.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("last delivery did not close done")
 	}
 
-	// mapPending mirrors the same arithmetic (expiry counts as delivery).
-	mp := newMapPending(2)
-	mp.expire(0, "r0")
+	// Expiry counts as delivery in the same arithmetic.
+	mp := newPending[MapResult](2)
+	mp.expire(0)
 	mp.abandon(1, 2)
 	select {
 	case <-mp.done:
@@ -435,21 +488,54 @@ func TestBodyTooLarge(t *testing.T) {
 
 // TestBadInput pins the 400 surface.
 func TestBadInput(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSeqLen: 100})
-	cases := []any{
-		ExtendRequest{}, // no jobs
-		ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT"}}},                                   // empty target
-		ExtendRequest{Jobs: []ExtendJob{{Query: strings.Repeat("A", 200), Target: "ACGT"}}}, // too long
-		ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT", Target: "ACGT", H0: -1}}},           // negative h0
+	rng := rand.New(rand.NewSource(12))
+	a, err := bwamem.New("chrT", genome.Simulate(genome.SimConfig{Length: 2_000}, rng), core.New(20))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range cases {
-		resp := postJSON(t, ts.URL+"/v1/extend", c)
+	_, ts := newTestServer(t, Config{MaxSeqLen: 100, Aligner: a})
+	read := func(name, qual string) MapRequest {
+		return MapRequest{Reads: []MapRead{{Name: "ok", Seq: "ACGT"}, {Name: name, Seq: "ACGT", Qual: qual}}}
+	}
+	for i, c := range []struct {
+		path string
+		body any
+		want string // substring of the error message
+	}{
+		{"/v1/extend", ExtendRequest{}, "jobs must hold"},
+		{"/v1/extend", ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT"}}}, "job 0: query and target"},
+		{"/v1/extend", ExtendRequest{Jobs: []ExtendJob{{Query: strings.Repeat("A", 200), Target: "ACGT"}}}, "job 0: sequence longer"},
+		{"/v1/extend", ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT", Target: "ACGT", H0: -1}}}, "job 0: h0"},
+		{"/v1/map", MapRequest{}, "reads must hold"},
+		{"/v1/map", MapRequest{Reads: []MapRead{{Name: "r"}}}, "read 0: seq must hold"},
+		{"/v1/map", MapRequest{Reads: []MapRead{{Name: "r", Seq: "ACGT", Qual: "II"}}}, "read 0: qual length"},
+		// Outside bytes that would reach the SAM line: an empty or over-long
+		// QNAME, field and record separators, '@', non-printables.
+		{"/v1/map", read("", ""), "read 1: name must hold"},
+		{"/v1/map", read(strings.Repeat("n", 255), ""), "read 1: name must hold"},
+		{"/v1/map", read("r\t4\tchrT", ""), "read 1: name holds byte 0x09"},
+		{"/v1/map", read("r\n@SQ\tSN:x", ""), "read 1: name holds byte 0x0a"},
+		{"/v1/map", read("r 1", ""), "read 1: name holds byte 0x20"},
+		{"/v1/map", read("r@1", ""), "read 1: name holds byte 0x40"},
+		{"/v1/map", read("r\x7f", ""), "read 1: name holds byte 0x7f"},
+		{"/v1/map", read("r", "II\tI"), "read 1: qual holds byte 0x09"},
+		{"/v1/map", read("r", "II I"), "read 1: qual holds byte 0x20"},
+	} {
+		resp := postJSON(t, ts.URL+c.path, c.body)
+		var e errorBody
+		json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("case %d: status %d, want 400", i, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, c.want) {
+			t.Fatalf("case %d: status %d error %q, want 400 %q", i, resp.StatusCode, e.Error, c.want)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/extend", "application/json", strings.NewReader("{not json"))
+	// The boundary of the accepted set still maps.
+	resp := postJSON(t, ts.URL+"/v1/map", read("!~?A"+strings.Repeat("n", 250), "!~II"))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("boundary name and quality: status %d, want 200", resp.StatusCode)
+	}
+	resp, err = http.Post(ts.URL+"/v1/extend", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,6 @@
 package server
 
-import (
-	"sync/atomic"
-
-	"seedex/internal/align"
-	"seedex/internal/core"
-	"seedex/internal/faults"
-)
+import "sync/atomic"
 
 // shard is one independently failing serving unit: its own micro-batcher,
 // worker pool, extension engine and (through the engine) circuit breaker.
@@ -15,18 +9,11 @@ import (
 // whole batches across them the way the batch kernels spread problems
 // across SWAR lanes.
 type shard struct {
-	id       int
-	extender align.Extender
-	ext      *batcher[extJob]
-	maps     *batcher[mapJob] // nil without an aligner
-	sm       *shardMetrics
-
-	// stats and health are the shard engine's check statistics and
-	// fault-tolerance view, resolved by the same duck-typing the
-	// unsharded server used; either may be nil (plain software
-	// extenders have no breaker).
-	stats  *core.Stats
-	health func() faults.Health
+	id     int
+	engine // the shard's extender, resolved (see resolveEngine)
+	ext    *batcher[extJob]
+	maps   *batcher[mapJob] // nil without an aligner
+	sm     *shardMetrics
 
 	// inflight counts jobs admitted to this shard and not yet delivered
 	// or expired — the least-loaded policy's signal.
