@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-regression serve-bench bin
+.PHONY: check vet build test race chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression serve-bench bin
 
 check: vet build test race
 
@@ -88,10 +88,18 @@ index-smoke:
 	bash scripts/index_smoke.sh
 
 # Full benchmark pass: every testing.B entry, then a refresh of the
-# extension perf trajectory (BENCH_extend.json).
-bench:
+# extension and map-path perf trajectories (BENCH_extend.json,
+# BENCH_map.json).
+bench: bench-map
 	$(GO) test -bench=. -benchmem .
 	$(GO) run ./cmd/seedex-bench -fig extend
+
+# Per-stage time of a mapped read (seed / extend / rest / total ns per
+# read, allocations per read) on the 150 bp workload: appends a run to
+# BENCH_map.json. Size and label it through MAPFLAGS, e.g.
+# MAPFLAGS='-ref 500000 -reads 2000 -map-pr pr14'.
+bench-map:
+	$(GO) run ./cmd/seedex-bench -fig map $(MAPFLAGS)
 
 # Perf trajectory for the extension hot path alone (writes
 # BENCH_extend.json). Add -cpuprofile/-memprofile through EXTENDFLAGS to

@@ -31,7 +31,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("seedex-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "all", "figure/table to regenerate: 2,3,4,13,14,15,16,17,18,t2,t3,extend,serve or 'all'")
+	fig := fs.String("fig", "all", "figure/table to regenerate: 2,3,4,13,14,15,16,17,18,t2,t3,extend,serve,map or 'all'")
 	refLen := fs.Int("ref", 200_000, "synthetic reference length (bp)")
 	nReads := fs.Int("reads", 1000, "simulated read count")
 	seed := fs.Int64("seed", 1, "workload RNG seed")
@@ -43,6 +43,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	extendPR := fs.String("extend-pr", "dev", "label recorded with the appended -fig extend run (the PR it measures)")
 	extendBaseline := fs.String("extend-baseline", "", "history file to regression-check the -fig extend run against: error when banded/batch cells/s drops more than -extend-tolerance below the baseline's latest same-read-length run")
 	extendTolerance := fs.Float64("extend-tolerance", 0.10, "fractional banded/batch throughput drop tolerated by -extend-baseline")
+	mapJSON := fs.String("map-json", "BENCH_map.json", "output path for the map-path stage benchmark (-fig map)")
+	mapPR := fs.String("map-pr", "dev", "label recorded with the appended -fig map run (the PR it measures)")
 	serveJSON := fs.String("serve-json", "BENCH_serve.json", "output path for the alignment-service benchmark (-fig serve)")
 	serveDur := fs.Duration("serve-dur", time.Second, "measurement window per concurrency point for -fig serve")
 	serveConc := fs.String("serve-conc", "4,16,32,64", "comma-separated client concurrencies for -fig serve")
@@ -207,6 +209,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
+	}
+	if want["map"] { // not part of 'all': it writes a file
+		section("Map path: per-stage time of a mapped read (150 bp workload, strict SeedEx)")
+		fmt.Fprintf(stderr, "building 150 bp workload: %d bp reference, %d reads (seed %d)...\n", *refLen, *nReads, *seed)
+		wmap, err := bench.Workload150(*refLen, *nReads, *seed)
+		if err != nil {
+			return err
+		}
+		rep, err := bench.MapPathBench(wmap, *workers)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, rep)
+		// BENCH_map.json is an append-only history like BENCH_extend.json.
+		runs, err := bench.AppendMapPathRun(*mapJSON, *mapPR, rep)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "wrote %s (%d runs)\n", *mapJSON, runs)
 	}
 	if want["serve"] { // not part of 'all': it writes a file and load-tests for seconds
 		section("Alignment service: micro-batched vs unbatched throughput")

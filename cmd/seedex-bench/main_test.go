@@ -199,6 +199,64 @@ func TestExtendHistoryLegacy(t *testing.T) {
 	}
 }
 
+// TestBenchMapJSON: -fig map appends one labeled run per invocation with
+// the four stage rows, and the stage times account for the total.
+func TestBenchMapJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_map.json")
+	for _, pr := range []string{"first", "second"} {
+		var out, stderr bytes.Buffer
+		err := run([]string{"-fig", "map", "-reads", "40", "-ref", "30000", "-map-json", path, "-map-pr", pr}, &out, &stderr)
+		if err != nil {
+			t.Fatalf("%v (%s)", err, stderr.String())
+		}
+		if !strings.Contains(out.String(), "map/seed") {
+			t.Fatalf("stage table missing: %q", out.String())
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("benchmark JSON not written: %v", err)
+	}
+	var hist struct {
+		Runs []struct {
+			PR        string `json:"pr"`
+			ReadLen   int    `json:"read_len"`
+			Reads     int    `json:"reads"`
+			RefLen    int    `json:"ref_len"`
+			GoVersion string `json:"go_version"`
+			Rows      []struct {
+				Stage     string  `json:"stage"`
+				NsPerRead float64 `json:"ns_per_read"`
+			} `json:"rows"`
+			AllocsPerRead float64 `json:"allocs_per_read"`
+			BytesPerRead  float64 `json:"bytes_per_read"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &hist); err != nil {
+		t.Fatal(err)
+	}
+	if len(hist.Runs) != 2 || hist.Runs[0].PR != "first" || hist.Runs[1].PR != "second" {
+		t.Fatalf("history = %+v, want runs first, second", hist.Runs)
+	}
+	last := hist.Runs[1]
+	if last.ReadLen != 150 || last.Reads != 40 || last.RefLen != 30000 || last.GoVersion == "" {
+		t.Fatalf("run header = %+v", last)
+	}
+	if last.AllocsPerRead <= 0 || last.BytesPerRead <= 0 {
+		t.Fatalf("allocation columns = %v allocs, %v B per read", last.AllocsPerRead, last.BytesPerRead)
+	}
+	var stages []string
+	for _, row := range last.Rows {
+		if row.NsPerRead <= 0 {
+			t.Fatalf("row %s = %v ns/read", row.Stage, row.NsPerRead)
+		}
+		stages = append(stages, row.Stage)
+	}
+	if got := strings.Join(stages, " "); got != "map/seed map/extend map/rest map/total" {
+		t.Fatalf("stages = %q", got)
+	}
+}
+
 func TestBenchBadFlag(t *testing.T) {
 	var out, stderr bytes.Buffer
 	if err := run([]string{"-nope"}, &out, &stderr); err == nil {

@@ -12,26 +12,31 @@ type Matrices struct {
 // intentionally simple (no early termination, no banding tricks) so the
 // optimized kernels can be validated against it.
 func NaiveExtend(query, target []byte, h0 int, sc Scoring) (ExtendResult, *Matrices) {
-	return naiveExtend(query, target, h0, sc, -1)
+	return (*TraceWorkspace)(nil).NaiveExtend(query, target, h0, sc, -1)
 }
 
 // NaiveExtendBanded is the full-matrix oracle for the banded kernel:
 // cells with |i-j| > w are forced dead.
 func NaiveExtendBanded(query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, *Matrices) {
-	return naiveExtend(query, target, h0, sc, w)
+	return (*TraceWorkspace)(nil).NaiveExtend(query, target, h0, sc, w)
 }
 
-func naiveExtend(query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, *Matrices) {
+// TraceWorkspace is a grow-only backing for the matrices of one naive
+// extension at a time: host traceback fills it once or twice per read, so
+// a long-lived worker reuses one instead of allocating three matrices per
+// call. A nil *TraceWorkspace is valid and allocates fresh matrices.
+type TraceWorkspace struct {
+	cells []int   // H, E, F back to back, row-major
+	rows  [][]int // the row headers of all three
+	mx    Matrices
+}
+
+// NaiveExtend is the naive DP (banded to |i-j| <= w when w >= 0) filled
+// into the workspace. The returned matrices are valid until the next call
+// on the same workspace.
+func (ws *TraceWorkspace) NaiveExtend(query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, *Matrices) {
 	n, m := len(query), len(target)
-	mx := &Matrices{Qlen: n, Tlen: m}
-	alloc := func() [][]int {
-		a := make([][]int, m+1)
-		for i := range a {
-			a[i] = make([]int, n+1)
-		}
-		return a
-	}
-	mx.H, mx.E, mx.F = alloc(), alloc(), alloc()
+	mx := ws.matrices(n, m)
 	res := ExtendResult{}
 	if h0 <= 0 || n == 0 {
 		return res, mx
@@ -117,4 +122,28 @@ func naiveExtend(query, target []byte, h0 int, sc Scoring, w int) (ExtendResult,
 		res.Rows = i
 	}
 	return res, mx
+}
+
+// matrices returns zeroed (m+1) x (n+1) H, E and F matrices carved from
+// the workspace's backing (from fresh memory for a nil workspace).
+func (ws *TraceWorkspace) matrices(n, m int) *Matrices {
+	if ws == nil {
+		ws = &TraceWorkspace{}
+	}
+	size := 3 * (m + 1) * (n + 1)
+	if cap(ws.cells) < size {
+		ws.cells = make([]int, size)
+	} else {
+		ws.cells = ws.cells[:size]
+		clear(ws.cells) // the DP writes only live cells; the rest must read 0
+	}
+	if cap(ws.rows) < 3*(m+1) {
+		ws.rows = make([][]int, 3*(m+1))
+	}
+	rows := ws.rows[:3*(m+1)]
+	for r := range rows {
+		rows[r] = ws.cells[r*(n+1) : (r+1)*(n+1) : (r+1)*(n+1)]
+	}
+	ws.mx = Matrices{Qlen: n, Tlen: m, H: rows[:m+1], E: rows[m+1 : 2*(m+1)], F: rows[2*(m+1):]}
+	return &ws.mx
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -124,10 +125,15 @@ func TestFig17(t *testing.T) {
 		t.Fatalf("fig17 rows: %d", len(tab.Rows))
 	}
 	// The fully accelerated configuration must be the fastest.
-	last := tab.Rows[len(tab.Rows)-1]
-	first := tab.Rows[0]
-	if !(last[5] > first[5]) && last[5] == "" {
-		t.Fatalf("speedup column malformed: %v", tab.Rows)
+	speedup := make([]float64, len(tab.Rows))
+	for i, row := range tab.Rows {
+		if speedup[i], err = strconv.ParseFloat(row[5], 64); err != nil {
+			t.Fatalf("row %d speedup column malformed: %v", i, row)
+		}
+	}
+	if all := speedup[3]; all <= 1 || all <= speedup[0] || all < speedup[2] {
+		t.Fatalf("seeding + SeedEx FPGA speedup %.2f must exceed 1, the software baseline (%.2f) and reach SeedEx FPGA alone (%.2f)",
+			all, speedup[0], speedup[2])
 	}
 }
 

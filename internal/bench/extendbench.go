@@ -190,6 +190,21 @@ func (r ExtendBenchReport) String() string {
 	return b.String()
 }
 
+// allocsDuring returns the heap allocations and bytes fn makes on one
+// processor after a collection: the steady-state count via the runtime's
+// malloc counters (bench is a library, so testing.AllocsPerRun is not
+// available).
+func allocsDuring(fn func()) (mallocs, bytes uint64) {
+	prev := runtime.GOMAXPROCS(1)
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	runtime.GOMAXPROCS(prev)
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
 // measureKernel times fn over every problem for the given number of
 // rounds (after one warmup pass) and samples steady-state allocations.
 // fn returns the number of DP cells the call computed.
@@ -208,23 +223,17 @@ func measureKernel(name string, probs []Problem, rounds int, fn func(Problem) in
 	}
 	elapsed := time.Since(start)
 
-	// Steady-state allocation count via the runtime's malloc counter
-	// (bench is a library, so testing.AllocsPerRun is not available).
-	prev := runtime.GOMAXPROCS(1)
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := range probs {
-		fn(probs[i])
-	}
-	runtime.ReadMemStats(&m1)
-	runtime.GOMAXPROCS(prev)
+	mallocs, _ := allocsDuring(func() {
+		for i := range probs {
+			fn(probs[i])
+		}
+	})
 
 	return ExtendKernelResult{
 		Kernel:      name,
 		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
 		CellsPerSec: float64(cells) / elapsed.Seconds(),
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(len(probs)),
+		AllocsPerOp: float64(mallocs) / float64(len(probs)),
 	}
 }
 
@@ -262,19 +271,13 @@ func measureBatch(name string, probs []Problem, rounds int, fn func(jobs []align
 	}
 	elapsed := time.Since(start)
 
-	prev := runtime.GOMAXPROCS(1)
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	sweep()
-	runtime.ReadMemStats(&m1)
-	runtime.GOMAXPROCS(prev)
+	mallocs, _ := allocsDuring(func() { sweep() })
 
 	return ExtendKernelResult{
 		Kernel:      name,
 		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
 		CellsPerSec: float64(cells) / elapsed.Seconds(),
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(len(probs)),
+		AllocsPerOp: float64(mallocs) / float64(len(probs)),
 	}
 }
 

@@ -177,6 +177,9 @@ type Aligner struct {
 	// Stats, when set, receives the prefilter pass/reject/rescue/false-
 	// pass counters (lock-free atomics, shared across workers).
 	Stats *core.Stats
+	// trace is the traceback matrix backing of a per-worker copy (Mapper,
+	// Run's workers); nil on a shared Aligner, which allocates per read.
+	trace *align.TraceWorkspace
 }
 
 // New assembles an aligner over a single reference sequence with an
@@ -750,12 +753,16 @@ func resolveSide(res align.ExtendResult, sideLen, h0, clipPen int) (int, int, in
 }
 
 // buildCigar performs host-side traceback for the winning candidate only
-// (the paper's once-per-read traceback division of labour).
+// (the paper's once-per-read traceback division of labour). Each side's
+// matrices are filled over the subproblem trimmed to its resolved endpoint:
+// a DP cell depends only on cells with smaller indices (and the band test
+// only on the cell's own), so they equal the top-left corner of the whole
+// window's matrices cell for cell, and the path never leaves that corner.
 func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 	var cig align.Cigar
 	cig = cig.Push(align.OpSoft, c.clipL)
 	if c.lQ > 0 {
-		mx := a.traceMatrices(c.lq, c.lt, c.lh0)
+		_, mx := a.trace.NaiveExtend(c.lq[:c.lQ], c.lt[:c.lT], c.lh0, a.Scoring, a.Opts.TraceBand)
 		lc, err := align.Traceback(mx, a.Scoring, c.lT, c.lQ)
 		if err != nil {
 			return nil, err
@@ -764,7 +771,7 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 	}
 	cig = cig.Push(align.OpMatch, c.anchor.Len)
 	if c.rQ > 0 {
-		mx := a.traceMatrices(c.rq, c.rt, c.rh0)
+		_, mx := a.trace.NaiveExtend(c.rq[:c.rQ], c.rt[:c.rT], c.rh0, a.Scoring, a.Opts.TraceBand)
 		rc, err := align.Traceback(mx, a.Scoring, c.rT, c.rQ)
 		if err != nil {
 			return nil, err
@@ -776,15 +783,6 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 		return nil, err
 	}
 	return cig, nil
-}
-
-func (a *Aligner) traceMatrices(q, t []byte, h0 int) *align.Matrices {
-	if a.Opts.TraceBand >= 0 {
-		_, mx := align.NaiveExtendBanded(q, t, h0, a.Scoring, a.Opts.TraceBand)
-		return mx
-	}
-	_, mx := align.NaiveExtend(q, t, h0, a.Scoring)
-	return mx
 }
 
 // mapq is a BWA-flavoured mapping quality: scaled score margin over the

@@ -12,15 +12,17 @@ import (
 // state. A Mapper must not be used concurrently; mint one per worker.
 // Mapping through a Mapper produces exactly the records Run produces.
 type Mapper struct {
-	cp          Aligner // shallow copy; only Extender differs from the parent
+	cp          Aligner // shallow copy with its own Extender session and traceback workspace
 	defaultQual []byte  // grow-only 'I' fill for reads without qualities
 }
 
 // NewMapper returns a mapping session over this aligner. The session
 // shares the parent's index, options and aggregate statistics (the SeedEx
-// extender's atomic counters), but owns its extension scratch.
+// extender's atomic counters), but owns its extension and traceback
+// scratch.
 func (a *Aligner) NewMapper() *Mapper {
 	cp := *a
+	cp.trace = &align.TraceWorkspace{}
 	if se, ok := a.Extender.(align.SessionExtender); ok {
 		cp.Extender = se.Session()
 	}

@@ -223,9 +223,9 @@ type readTimes struct {
 
 // workerState is one worker's private view of the shared aligner: a
 // shallow copy whose seeder and extender are wrapped with timing probes,
-// and whose extender is a per-worker session (own scratch memory) when
-// the configured extender offers one. The shared aligner is never
-// mutated.
+// whose extender is a per-worker session (own scratch memory) when the
+// configured extender offers one, and which owns its traceback workspace.
+// The shared aligner is never mutated.
 type workerState struct {
 	cp    Aligner
 	probe *stageProbe
@@ -238,6 +238,7 @@ func (a *Aligner) newWorkerState() *workerState {
 		ext = se.Session()
 	}
 	cp := *a
+	cp.trace = &align.TraceWorkspace{}
 	cp.Seeder = wrapSeeder(a.Seeder, probe)
 	cp.Extender = &timedExtenderProbe{inner: ext, probe: probe}
 	return &workerState{cp: cp, probe: probe}

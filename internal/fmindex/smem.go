@@ -26,47 +26,93 @@ type SMEMConfig struct {
 func DefaultSMEMConfig() SMEMConfig { return SMEMConfig{MinLen: 19, MaxOcc: 50} }
 
 // SMEMs computes the supermaximal exact matches of q against the index:
-// maximal matches not contained in any other maximal match of the query.
-// For each query position the longest match starting there is found via
-// the suffix array; right-maximality is inherent and left-maximality is
-// the containment filter. This produces the same seed set BWA-MEM's
-// bidirectional SMEM walk generates.
+// maximal matches not contained in any other maximal match of the query —
+// the seed set BWA-MEM's bidirectional SMEM walk generates.
+//
+// Write end(s) for s plus the length of the longest match starting at s
+// (LongestMatch: right-maximal by construction). The SMEMs are the starts
+// whose end(s) exceeds every earlier end — left-maximality is that
+// containment filter — and whose length reaches MinLen. Evaluating end(s)
+// at every base costs three suffix-array binary searches per base to
+// report a handful of seeds, so the sweep skips the starts that cannot
+// emit, resting on three facts (proofs in DESIGN.md §6j):
+//
+//	(a) end(s) is non-decreasing in s: dropping the first base of a
+//	    match leaves a match.
+//	(b) A match shorter than MinLen never suppresses one of at least
+//	    MinLen, since it would have to contain it; so starts whose window
+//	    q[s:s+MinLen) does not occur are skipped with no bookkeeping.
+//	(c) Occurrence of q[a:b) is monotone in a: if q[p:b) is absent, so is
+//	    q[a:b) for every a <= p.
+//
+// Per maximal run of unambiguous bases: the window at s is tested by
+// backward search from its right end; if q[p:s+MinLen) is the first empty
+// interval, no window starting in [s,p] occurs (c) and the sweep resumes
+// at p+1 (b). If the window occurs, one LongestMatch gives the exact
+// length and interval, emitted when its end is a new maximum. The next
+// start follows from a backward search leftwards from q[end]: with
+// q[p:end+1) the first empty interval, every start in (s,p] has
+// end(·) <= end by (c) and >= end by (a), so it is contained — resume at
+// p+1. In non-matching sequence (the whole wrong strand) that is about
+// one LF step per base. A MinLen below 1 behaves as 1.
 func (ix *Index) SMEMs(q []byte, cfg SMEMConfig) []MEM {
+	minLen := max(cfg.MinLen, 1)
 	var mems []MEM
 	bestEnd := -1 // furthest match end seen so far; containment filter
-	i := 0
-	limit := 0 // index of the next ambiguous base at or after i
-	for i < len(q) {
-		if q[i] > 3 { // ambiguous base: no exact match crosses it
-			i++
+	for s := 0; s < len(q); {
+		if q[s] > 3 { // ambiguous base: no exact match crosses it
+			s++
 			continue
 		}
 		// Matches must stop at the next ambiguous base: codes >= 4 never
 		// match, even where the indexed text contains the separator code.
-		if limit <= i {
-			limit = i
-			for limit < len(q) && q[limit] <= 3 {
-				limit++
+		limit := s
+		for limit < len(q) && q[limit] <= 3 {
+			limit++
+		}
+		for s+minLen <= limit {
+			if p := ix.firstAbsent(q, s, s+minLen); p >= s {
+				s = p + 1
+				continue
 			}
-		}
-		l, iv := ix.LongestMatch(q[i:limit])
-		if l == 0 {
-			i++
-			continue
-		}
-		end := i + l
-		if end > bestEnd {
-			bestEnd = end
-			if l >= cfg.MinLen {
+			if longestMatchProbe != nil {
+				longestMatchProbe()
+			}
+			l, iv := ix.LongestMatch(q[s:limit])
+			end := s + l
+			if end > bestEnd {
+				bestEnd = end
 				mems = append(mems, MEM{
-					QBeg:      i,
+					QBeg:      s,
 					Len:       l,
 					Positions: ix.LocateRaw(iv, cfg.MaxOcc),
 					Occ:       iv.Size(),
 				})
 			}
+			if end == limit {
+				break // every later start of the run ends here too
+			}
+			s = ix.firstAbsent(q, s+1, end+1) + 1
 		}
-		i++
+		s = limit
 	}
 	return mems
 }
+
+// firstAbsent backward-searches q[lo:hi) from its right end and returns
+// the largest p in [lo,hi) for which q[p:hi) does not occur in the text,
+// or lo-1 when all of q[lo:hi) occurs. Bases must be codes 0..3.
+func (ix *Index) firstAbsent(q []byte, lo, hi int) int {
+	iv := Interval{0, int32(len(ix.bwt))}
+	for p := hi - 1; p >= lo; p-- {
+		iv = ix.Backward(iv, q[p])
+		if iv.Size() <= 0 {
+			return p
+		}
+	}
+	return lo - 1
+}
+
+// longestMatchProbe, when set, is called before each LongestMatch the
+// sweep issues. Only tests set it (export_test.go), to count them.
+var longestMatchProbe func()

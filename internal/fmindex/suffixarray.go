@@ -12,6 +12,9 @@ import "sort"
 func BuildSA(s []byte) []int32 {
 	n := len(s)
 	sa := make([]int32, n)
+	if n == 0 {
+		return sa
+	}
 	rank := make([]int32, n)
 	tmp := make([]int32, n)
 	for i := range sa {
