@@ -26,7 +26,9 @@ test:
 	$(GO) test ./...
 
 # The whole tree under the race detector: every package, so a new
-# concurrent subsystem is covered without editing this file.
+# concurrent subsystem is covered without editing this file (the pooled
+# map path: bwamem's TestMapBatchConcurrentMappers runs MapBatch on two
+# Mappers of one Aligner at once).
 race:
 	$(GO) test -race ./...
 
@@ -42,8 +44,9 @@ chaos:
 		./internal/driver/... ./internal/server/... ./internal/core/... ./internal/bwamem/... ./internal/refstore/... ./internal/fmindex/...
 
 # Bounded-time fuzzing: every fuzz target in the tree (discovered with
-# go test -list, so a new target is covered without editing this file),
-# FUZZTIME each. A failure leaves its reproducer under the package's
+# go test -list, so a new target is covered without editing this file —
+# the map path's FuzzTraceBandIdentity, FuzzOccAt and FuzzBuildSAIdentity
+# among them), FUZZTIME each. A failure leaves its reproducer under the package's
 # testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
@@ -95,7 +98,8 @@ bench: bench-map
 	$(GO) run ./cmd/seedex-bench -fig extend
 
 # Per-stage time of a mapped read (seed / extend / rest / total ns per
-# read, allocations per read) on the 150 bp workload: appends a run to
+# read, allocations per read) on the 150 bp workload, mapped through
+# Aligner.Run (blocks of reads pooled per worker): appends a run to
 # BENCH_map.json. Size and label it through MAPFLAGS, e.g.
 # MAPFLAGS='-ref 500000 -reads 2000 -map-pr pr14'.
 bench-map:

@@ -33,28 +33,26 @@ type TraceWorkspace struct {
 
 // NaiveExtend is the naive DP (banded to |i-j| <= w when w >= 0) filled
 // into the workspace. The returned matrices are valid until the next call
-// on the same workspace.
+// on the same workspace. A banded fill costs what its band costs: it
+// visits, and on reused memory zeroes, only the band and the one column
+// on either side of it that the recurrence and Traceback can read; cells
+// further out are unspecified unless the workspace is nil.
 func (ws *TraceWorkspace) NaiveExtend(query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, *Matrices) {
 	n, m := len(query), len(target)
-	mx := ws.matrices(n, m)
+	if w < 0 || w > max(n, m) {
+		w = max(n, m) // every cell is in band
+	}
+	mx, dirty := ws.matrices(n, m)
+	if dirty {
+		mx.clearBand(w)
+	}
 	res := ExtendResult{}
 	if h0 <= 0 || n == 0 {
 		return res, mx
 	}
-	banded := w >= 0
-	inBand := func(i, j int) bool {
-		if !banded {
-			return true
-		}
-		d := i - j
-		return d <= w && d >= -w
-	}
 
 	mx.H[0][0] = h0
-	for j := 1; j <= n; j++ {
-		if !inBand(0, j) {
-			continue
-		}
+	for j := 1; j <= min(n, w); j++ {
 		v := h0 - sc.GapOpen - j*sc.GapExtend
 		if v > 0 {
 			mx.H[0][j] = v
@@ -64,53 +62,43 @@ func (ws *TraceWorkspace) NaiveExtend(query, target []byte, h0 int, sc Scoring, 
 		res.Global, res.GlobalT = mx.H[0][n], 0
 	}
 	for i := 1; i <= m; i++ {
-		if inBand(i, 0) {
+		H, E, F := mx.H[i], mx.E[i], mx.F[i]
+		Hup, Eup := mx.H[i-1], mx.E[i-1]
+		if i <= w {
 			v := h0 - sc.GapOpen - i*sc.GapExtend
 			if v > 0 {
-				mx.H[i][0] = v
+				H[0] = v
 			}
 		}
-		for j := 1; j <= n; j++ {
-			if !inBand(i, j) {
-				continue
-			}
+		for j := max(1, i-w); j <= min(n, i+w); j++ {
 			// E channel: vertical gap. E(1,·) = 0 by initialization.
-			if i >= 2 && inBand(i-1, j) {
-				ev := mx.E[i-1][j]
-				if t := mx.H[i-1][j] - sc.GapOpen; t > ev {
+			if i >= 2 {
+				ev := Eup[j]
+				if t := Hup[j] - sc.GapOpen; t > ev {
 					ev = t
 				}
 				ev -= sc.GapExtend
 				if ev > 0 {
-					mx.E[i][j] = ev
+					E[j] = ev
 				}
 			}
 			// F channel: horizontal gap. F(·,1) = 0 by initialization.
-			if j >= 2 && inBand(i, j-1) {
-				fv := mx.F[i][j-1]
-				if t := mx.H[i][j-1] - sc.GapOpen; t > fv {
+			if j >= 2 {
+				fv := F[j-1]
+				if t := H[j-1] - sc.GapOpen; t > fv {
 					fv = t
 				}
 				fv -= sc.GapExtend
 				if fv > 0 {
-					mx.F[i][j] = fv
+					F[j] = fv
 				}
 			}
 			var mv int
-			if inBand(i-1, j-1) && mx.H[i-1][j-1] > 0 {
-				mv = mx.H[i-1][j-1] + sc.Sub(target[i-1], query[j-1])
+			if Hup[j-1] > 0 {
+				mv = Hup[j-1] + sc.Sub(target[i-1], query[j-1])
 			}
-			hv := mv
-			if mx.E[i][j] > hv {
-				hv = mx.E[i][j]
-			}
-			if mx.F[i][j] > hv {
-				hv = mx.F[i][j]
-			}
-			if hv < 0 {
-				hv = 0
-			}
-			mx.H[i][j] = hv
+			hv := max(mv, E[j], F[j], 0)
+			H[j] = hv
 			res.Cells++
 			if hv > res.Local {
 				res.Local, res.LocalT, res.LocalQ = hv, i, j
@@ -124,18 +112,31 @@ func (ws *TraceWorkspace) NaiveExtend(query, target []byte, h0 int, sc Scoring, 
 	return res, mx
 }
 
-// matrices returns zeroed (m+1) x (n+1) H, E and F matrices carved from
-// the workspace's backing (from fresh memory for a nil workspace).
-func (ws *TraceWorkspace) matrices(n, m int) *Matrices {
+// clearBand zeroes, in every row i, the band's columns [i-w, i+w] and the
+// one column on either side of them.
+func (mx *Matrices) clearBand(w int) {
+	for i := 0; i <= mx.Tlen; i++ {
+		if lo, hi := max(i-w-1, 0), min(i+w+1, mx.Qlen); lo <= hi {
+			clear(mx.H[i][lo : hi+1])
+			clear(mx.E[i][lo : hi+1])
+			clear(mx.F[i][lo : hi+1])
+		}
+	}
+}
+
+// matrices returns (m+1) x (n+1) H, E and F matrices carved from the
+// workspace's backing, and whether that memory is reused (dirty) rather
+// than freshly zeroed.
+func (ws *TraceWorkspace) matrices(n, m int) (*Matrices, bool) {
 	if ws == nil {
 		ws = &TraceWorkspace{}
 	}
 	size := 3 * (m + 1) * (n + 1)
-	if cap(ws.cells) < size {
-		ws.cells = make([]int, size)
-	} else {
+	dirty := cap(ws.cells) >= size
+	if dirty {
 		ws.cells = ws.cells[:size]
-		clear(ws.cells) // the DP writes only live cells; the rest must read 0
+	} else {
+		ws.cells = make([]int, size)
 	}
 	if cap(ws.rows) < 3*(m+1) {
 		ws.rows = make([][]int, 3*(m+1))
@@ -145,5 +146,5 @@ func (ws *TraceWorkspace) matrices(n, m int) *Matrices {
 		rows[r] = ws.cells[r*(n+1) : (r+1)*(n+1) : (r+1)*(n+1)]
 	}
 	ws.mx = Matrices{Qlen: n, Tlen: m, H: rows[:m+1], E: rows[m+1 : 2*(m+1)], F: rows[2*(m+1):]}
-	return &ws.mx
+	return &ws.mx, dirty
 }

@@ -79,3 +79,21 @@ func (s Scoring) EstimateBand(qlen, h0, cap int) int {
 	}
 	return w
 }
+
+// PathBand bounds the band of an extension path by what it scored. A path
+// from the seed cell (start score h0) to cell (tlen, qlen) with total gap
+// length g > 0 takes at most min(qlen, tlen) diagonal steps and opens at
+// least one gap, so it scores at most
+//
+//	h0 + min(qlen, tlen)*Match - GapOpen - g*GapExtend;
+//
+// one that scored score therefore has g at most the value returned, and
+// never leaves |i-j| <= g (BWA-MEM's infer_bw). A gapless path stays on
+// the diagonal, hence the floor of 0. Returns -1, no bound, when gaps
+// extend for free.
+func (s Scoring) PathBand(h0, qlen, tlen, score int) int {
+	if s.GapExtend <= 0 {
+		return -1
+	}
+	return max(0, (h0+min(qlen, tlen)*s.Match-s.GapOpen-score)/s.GapExtend)
+}

@@ -12,8 +12,10 @@
 package bwamem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"time"
 
 	"seedex/internal/align"
 	"seedex/internal/chain"
@@ -177,9 +179,11 @@ type Aligner struct {
 	// Stats, when set, receives the prefilter pass/reject/rescue/false-
 	// pass counters (lock-free atomics, shared across workers).
 	Stats *core.Stats
-	// trace is the traceback matrix backing of a per-worker copy (Mapper,
-	// Run's workers); nil on a shared Aligner, which allocates per read.
-	trace *align.TraceWorkspace
+	// trace and scratch are the traceback matrix backing and the batch
+	// working memory of a per-worker copy (Mapper, Run's workers); nil on a
+	// shared Aligner, which allocates per call.
+	trace   *align.TraceWorkspace
+	scratch *mapScratch
 }
 
 // New assembles an aligner over a single reference sequence with an
@@ -247,8 +251,10 @@ type candidate struct {
 	// Left/right extension endpoints for host traceback.
 	lQ, lT, rQ, rT int
 	lq, lt, rq, rt []byte // extension subproblems (left ones reversed)
-	lh0, rh0       int
-	weight         int
+	// Start scores of the two sides: the seed's, and the left side's
+	// resolved score (which a missing right side leaves as the total).
+	lh0, rh0 int
+	weight   int
 	// ord is the chain's position in the unfiltered extension order
 	// (strand-major, then chain rank); the final sort tie-break, so the
 	// candidate ranking is identical whether a chain was extended up
@@ -258,24 +264,46 @@ type candidate struct {
 	rescued bool
 }
 
-// AlignRead aligns one read (base codes; ambiguous bases allowed).
+// AlignRead aligns one read (base codes; ambiguous bases allowed): the
+// map batch of one.
 func (a *Aligner) AlignRead(read []byte) Alignment {
-	cands, ext, tally := a.candidates(read)
-	var al Alignment
-	if len(cands) == 0 {
-		al = Alignment{Extensions: ext}
-	} else {
-		best := cands[0]
-		sub := competingScore(cands, best, len(read))
-		al = a.finish(read, best, sub, ext)
-		tally.countFalsePasses(cands, sub, len(read))
+	als, _ := a.alignBatch([]Read{{Seq: read}})
+	return als[0]
+}
+
+// BatchTimes are the stage boundaries of one map batch, shared by every
+// read in it: plan (seed, chain, prefilter screen) runs Start..Planned,
+// the pooled left extensions Planned..LeftDone, the pooled right
+// extensions LeftDone..RightDone, and resolve (rescue, traceback, SAM)
+// RightDone..End. Mapper.MapBatch stamps End, after the records render.
+type BatchTimes struct {
+	Start, Planned, LeftDone, RightDone, End time.Time
+}
+
+// alignBatch aligns the reads as one batch (see candidatesBatch). The
+// returned slice is the scratch's: valid until the next batch on this
+// aligner view. The times stop at RightDone.
+func (a *Aligner) alignBatch(reads []Read) ([]Alignment, BatchTimes) {
+	s := a.batchScratch()
+	plans, bt := a.candidatesBatch(s, reads, true)
+	s.als = s.als[:0]
+	for i := range plans {
+		p := &plans[i]
+		al := Alignment{Extensions: p.ext}
+		if len(p.cands) > 0 {
+			best := p.cands[0]
+			sub := competingScore(p.cands, best, len(p.read))
+			al = a.finish(p.read, best, sub, p.ext)
+			p.tally.countFalsePasses(p.cands, sub, len(p.read))
+		}
+		al.PrefilterPass = p.tally.pass
+		al.PrefilterReject = p.tally.reject
+		al.PrefilterRescued = p.tally.rescued
+		al.RescueRounds = p.tally.rounds
+		p.tally.record(a.Stats)
+		s.als = append(s.als, al)
 	}
-	al.PrefilterPass = tally.pass
-	al.PrefilterReject = tally.reject
-	al.PrefilterRescued = tally.rescued
-	al.RescueRounds = tally.rounds
-	tally.record(a.Stats)
-	return al
+	return s.als, bt
 }
 
 // filterTally accumulates one read's prefilter activity.
@@ -316,45 +344,120 @@ func (t *filterTally) record(st *core.Stats) {
 	st.PrefilterFalsePass.Add(int64(t.falsePass))
 }
 
-// chainWork is one chain queued for the read-level extension batch: the
-// strand-oriented query it extends against plus its range [lo,hi) in the
-// flattened per-seed candidate slice.
+// chainWork is one chain queued for a batch's extension: the read it
+// came from, the strand-oriented query it extends against, and its range
+// [lo,hi) in the flattened per-seed candidate slice.
 type chainWork struct {
+	read   int
 	q      []byte
 	c      chain.Chain
 	ord    int
 	lo, hi int
 }
 
-// candidates seeds, chains and extends the read on both strands,
-// returning the surviving candidates sorted best-first plus the number
-// of extensions performed. Against a batch-capable extender, extension is
-// two-phase across the WHOLE read — every chain of both strands
-// contributes its seeds to one left-extension batch and one
-// right-extension batch — so the downstream shape bins see the read's
-// full mix of subproblems at once instead of per-chain trickles.
-func (a *Aligner) candidates(read []byte) ([]candidate, int, filterTally) {
-	return a.candidatesFiltered(read, true)
+// readPlan is one read between the phases of a map batch: what plan left
+// for it (its range of the batch's work, the chains the filter rejected)
+// and what extend and resolve made of that.
+type readPlan struct {
+	read     []byte
+	wlo, whi int // this read's chains in the batch's work
+	rej      []rejChain
+	tally    filterTally
+	ext      int         // extensions performed for this read
+	cands    []candidate // surviving candidates, best first
 }
 
-// candidatesFiltered is candidates with the prefilter tier gated: the
-// paired-end path passes allowFilter=false (see AlignPair).
-func (a *Aligner) candidatesFiltered(read []byte, allowFilter bool) ([]candidate, int, filterTally) {
-	var tally filterTally
-	var cands []candidate
-	ext := 0
+// mapScratch is the grow-only working memory of one mapping session: one
+// batch at a time lives in it, and everything a batch returns (plans,
+// candidates, the reversed left windows they point into) stays valid
+// until the session's next batch.
+type mapScratch struct {
+	plans   []readPlan
+	work    []chainWork
+	flat    []candidate  // one per extended seed, grouped by chain
+	cands   []candidate  // the per-chain winners of every read
+	seeds   []chain.Seed // chainSeeds' buffer
+	jobs    []align.Job
+	results []align.ExtendResult
+	rev     []byte // arena of reversed left-extension windows
+	als     []Alignment
+}
+
+// batchScratch returns the session's scratch, or a fresh one on a shared
+// Aligner.
+func (a *Aligner) batchScratch() *mapScratch {
+	if a.scratch != nil {
+		return a.scratch
+	}
+	return &mapScratch{}
+}
+
+// reversed appends b, reversed, to the arena and returns that stretch.
+// Growing the arena leaves earlier stretches on the old backing array,
+// where they stay intact.
+func (s *mapScratch) reversed(b []byte) []byte {
+	lo := len(s.rev)
+	for i := len(b) - 1; i >= 0; i-- {
+		s.rev = append(s.rev, b[i])
+	}
+	return s.rev[lo:len(s.rev):len(s.rev)]
+}
+
+// candidatesBatch takes the reads through the three phases of the map
+// path as one batch in the scratch s. Plan, per read: seed, chain and
+// (when allowFilter — the paired-end path bypasses it, see AlignPair)
+// screen both strands into chains to extend. Extend, once for the batch:
+// every seed of every chain of every read contributes to one
+// left-extension batch and one right-extension batch, so the extender's
+// SWAR lanes (or the FPGA's cores, §V-B: "the FPGA processes all seeds in
+// a chain") fill across reads instead of from one read's two or three
+// jobs. Resolve, per read: its candidates sorted best-first after the
+// cross-contig drop and the prefilter rescue rounds. A read's candidates,
+// extension count and tallies are those of a batch holding it alone.
+func (a *Aligner) candidatesBatch(s *mapScratch, reads []Read, allowFilter bool) ([]readPlan, BatchTimes) {
+	var bt BatchTimes
+	bt.Start = time.Now()
+	s.plans = slices.Grow(s.plans[:0], len(reads))[:len(reads)]
+	s.work, s.rev = s.work[:0], s.rev[:0]
+	for ri, r := range reads {
+		s.plans[ri] = readPlan{read: r.Seq, rej: s.plans[ri].rej[:0]}
+		a.plan(s, ri, allowFilter)
+	}
+	bt.Planned = time.Now()
+	a.extendLeft(s, s.work)
+	bt.LeftDone = time.Now()
+	a.extendRight(s, s.work)
+	s.cands = s.cands[:0]
+	for ri := range s.plans {
+		p := &s.plans[ri]
+		lo := len(s.cands)
+		s.cands = winners(s.work[p.wlo:p.whi], s.flat, s.cands)
+		// Capped: a rescue's append must not run into the next read's.
+		p.cands = s.cands[lo:len(s.cands):len(s.cands)]
+	}
+	bt.RightDone = time.Now()
+	for ri := range s.plans {
+		a.resolve(s, ri)
+	}
+	return s.plans, bt
+}
+
+// plan seeds and chains read ri on both strands and queues the chains to
+// extend on the batch's work; chains the prefilter turns away wait on the
+// read's plan for the rescue rounds.
+func (a *Aligner) plan(s *mapScratch, ri int, allowFilter bool) {
+	p := &s.plans[ri]
+	read := p.read
+	p.wlo = len(s.work)
 	var dualSeeds []chain.Seed
 	ds, isDual := a.Seeder.(DualSeeder)
 	if isDual {
 		dualSeeds = ds.SeedsBoth(read)
 	}
-	be, isBatch := a.Extender.(align.BatchExtender)
 	var fc *filterCtx
 	if allowFilter {
 		fc = a.newFilterCtx(read)
 	}
-	var work []chainWork
-	var rej []rejChain
 	ord := 0
 	for _, rev := range []bool{false, true} {
 		q := read
@@ -363,9 +466,9 @@ func (a *Aligner) candidatesFiltered(read []byte, allowFilter bool) ([]candidate
 		}
 		var seeds []chain.Seed
 		if isDual {
-			for _, s := range dualSeeds {
-				if s.Rev == rev {
-					seeds = append(seeds, s)
+			for _, sd := range dualSeeds {
+				if sd.Rev == rev {
+					seeds = append(seeds, sd)
 				}
 			}
 		} else {
@@ -382,30 +485,23 @@ func (a *Aligner) candidatesFiltered(read []byte, allowFilter bool) ([]candidate
 			ord++
 			if fc != nil {
 				if ub, rejected := fc.screen(q, c); rejected {
-					rej = append(rej, rejChain{q: q, c: c, ord: ord, ub: ub})
-					tally.reject++
+					p.rej = append(p.rej, rejChain{q: q, c: c, ord: ord, ub: ub})
+					p.tally.reject++
 					continue
 				}
-				tally.pass++
+				p.tally.pass++
 			}
-			if isBatch {
-				work = append(work, chainWork{q: q, c: c, ord: ord})
-				continue
-			}
-			cand, n := a.alignChain(q, c)
-			ext += n
-			cand.weight = c.Weight
-			cand.ord = ord
-			cands = append(cands, cand)
+			s.work = append(s.work, chainWork{read: ri, q: q, c: c, ord: ord})
 		}
 	}
-	if len(work) > 0 {
-		batched, n := a.alignChainsBatch(work, be)
-		ext += n
-		cands = append(cands, batched...)
-	}
-	cands = a.dropCrossContig(cands)
-	sortCandidates(cands)
+	p.whi = len(s.work)
+}
+
+// resolve ranks read ri's candidates and runs the prefilter rescue.
+func (a *Aligner) resolve(s *mapScratch, ri int) {
+	p := &s.plans[ri]
+	p.cands = a.dropCrossContig(p.cands)
+	sortCandidates(p.cands)
 
 	// Score-bound rescue, iterated to a fixpoint: a rejected chain whose
 	// certified upper bound could still reach the final Score or SubScore
@@ -413,18 +509,20 @@ func (a *Aligner) candidatesFiltered(read []byte, allowFilter bool) ([]candidate
 	// never depends on what the filter skipped. A rescue can move the
 	// floors — e.g. install a new best at a shifted position, exposing a
 	// previously-safe reject to the SubScore comparison — so the
-	// remaining rejects are re-examined until no bound clears them.
+	// remaining rejects are re-examined until no bound clears them. The
+	// rounds stay per read: they depend on this read's floors.
+	rej := p.rej
 	for len(rej) > 0 {
 		floorBest, floorSub := -1, -1
-		if len(cands) > 0 {
-			floorBest = cands[0].score
-			floorSub = competingScore(cands, cands[0], len(read))
+		if len(p.cands) > 0 {
+			floorBest = p.cands[0].score
+			floorSub = competingScore(p.cands, p.cands[0], len(p.read))
 		}
-		var rescue []rejChain
+		var rescue []chainWork
 		keep := rej[:0]
 		for _, r := range rej {
 			if floorBest < 0 || r.ub >= floorBest || r.ub > floorSub {
-				rescue = append(rescue, r)
+				rescue = append(rescue, chainWork{read: ri, q: r.q, c: r.c, ord: r.ord})
 			} else {
 				keep = append(keep, r)
 			}
@@ -433,33 +531,17 @@ func (a *Aligner) candidatesFiltered(read []byte, allowFilter bool) ([]candidate
 		if len(rescue) == 0 {
 			break
 		}
-		tally.rescued += len(rescue)
-		tally.rounds++
-		var rcands []candidate
-		if isBatch {
-			rwork := make([]chainWork, len(rescue))
-			for i, r := range rescue {
-				rwork[i] = chainWork{q: r.q, c: r.c, ord: r.ord}
-			}
-			var n int
-			rcands, n = a.alignChainsBatch(rwork, be)
-			ext += n
-		} else {
-			for _, r := range rescue {
-				cand, n := a.alignChain(r.q, r.c)
-				ext += n
-				cand.weight = r.c.Weight
-				cand.ord = r.ord
-				rcands = append(rcands, cand)
-			}
-		}
+		p.tally.rescued += len(rescue)
+		p.tally.rounds++
+		a.extendLeft(s, rescue)
+		a.extendRight(s, rescue)
+		rcands := winners(rescue, s.flat, nil)
 		for i := range rcands {
 			rcands[i].rescued = true
 		}
-		cands = append(cands, a.dropCrossContig(rcands)...)
-		sortCandidates(cands)
+		p.cands = append(p.cands, a.dropCrossContig(rcands)...)
+		sortCandidates(p.cands)
 	}
-	return cands, ext, tally
 }
 
 // dropCrossContig removes candidates whose alignment span would leave
@@ -482,17 +564,14 @@ func (a *Aligner) dropCrossContig(cands []candidate) []candidate {
 // unfiltered extension order, breaks every remaining tie), so the ranking
 // does not depend on whether some candidates joined via the rescue pass.
 func sortCandidates(cands []candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+	forwardFirst := func(rev bool) int {
+		if rev {
+			return 1
 		}
-		if cands[i].pos != cands[j].pos {
-			return cands[i].pos < cands[j].pos
-		}
-		if cands[i].rev != cands[j].rev {
-			return !cands[i].rev
-		}
-		return cands[i].ord < cands[j].ord
+		return 0
+	}
+	slices.SortFunc(cands, func(x, y candidate) int {
+		return cmp.Or(y.score-x.score, x.pos-y.pos, forwardFirst(x.rev)-forwardFirst(y.rev), x.ord-y.ord)
 	})
 }
 
@@ -535,18 +614,12 @@ func (a *Aligner) finish(read []byte, best candidate, sub, ext int) Alignment {
 }
 
 // chainSeeds returns the chain's seeds sorted longest-first (position
-// tie-broken) and truncated to MaxSeedsPerChain — the extension order both
-// the sequential and the batched paths share.
-func (a *Aligner) chainSeeds(c chain.Chain) []chain.Seed {
-	seeds := append([]chain.Seed(nil), c.Seeds...)
-	sort.Slice(seeds, func(i, j int) bool {
-		if seeds[i].Len != seeds[j].Len {
-			return seeds[i].Len > seeds[j].Len
-		}
-		if seeds[i].RBeg != seeds[j].RBeg {
-			return seeds[i].RBeg < seeds[j].RBeg
-		}
-		return seeds[i].QBeg < seeds[j].QBeg
+// tie-broken) and truncated to MaxSeedsPerChain — the extension order —
+// in dst's backing array when it is large enough.
+func (a *Aligner) chainSeeds(dst []chain.Seed, c chain.Chain) []chain.Seed {
+	seeds := append(dst[:0], c.Seeds...)
+	slices.SortFunc(seeds, func(x, y chain.Seed) int {
+		return cmp.Or(y.Len-x.Len, x.RBeg-y.RBeg, x.QBeg-y.QBeg)
 	})
 	if a.Opts.MaxSeedsPerChain > 0 && len(seeds) > a.Opts.MaxSeedsPerChain {
 		seeds = seeds[:a.Opts.MaxSeedsPerChain]
@@ -554,126 +627,108 @@ func (a *Aligner) chainSeeds(c chain.Chain) []chain.Seed {
 	return seeds
 }
 
-// alignChain extends every seed of the chain (up to MaxSeedsPerChain,
-// longest first) and keeps the best-scoring result — the all-seeds
-// batching model BWA-MEM2 and the SeedEx FPGA integration use. Returns
-// the winning candidate and the number of extensions performed. This is
-// the sequential path; batch-capable extenders go through
-// alignChainsBatch, which extends all chains of a read at once.
-func (a *Aligner) alignChain(q []byte, c chain.Chain) (candidate, int) {
-	var best candidate
-	total := 0
-	for i, s := range a.chainSeeds(c) {
-		cand, n := a.alignSeed(q, c, s)
-		total += n
-		if i == 0 || cand.score > best.score ||
-			(cand.score == best.score && cand.pos < best.pos) {
-			best = cand
-		}
-	}
-	return best, total
-}
-
-// alignChainsBatch extends every chain of the read (both strands) against
-// a batch-capable extender in two phases: all left extensions of all
-// chains as one batch, then — because each right extension is seeded by
-// its own left side's resolved score — all right extensions as a second
-// batch. Per-chain winners and scores are identical to the sequential
-// path; the read-level batches exist so SWAR lanes (or the FPGA's cores)
-// fill across every seed the read produces, per §V-B's "the FPGA
-// processes all seeds in a chain" integration, and so the shape-binned
-// schedulers downstream see whole mixed sets rather than per-chain
-// trickles. Returns one candidate per chain, in chain order.
-func (a *Aligner) alignChainsBatch(work []chainWork, be align.BatchExtender) ([]candidate, int) {
+// extendLeft starts the extension of every seed of every chain in work
+// (up to MaxSeedsPerChain per chain, longest first — the all-seeds model
+// BWA-MEM2 and the SeedEx FPGA integration use): it lays the per-seed
+// candidates out in s.flat, each chain's range in its work item, and runs
+// all their left extensions as one batch through align.ExtendJobs (the
+// extender's batch path when it has one, job by job otherwise). Each
+// right extension is seeded by its own left side's resolved score, so the
+// right sides are a second batch: extendRight. Every extension counts
+// towards its read's plan. Windows are not copied: left sides are
+// reversed into the scratch arena, right sides alias the query and the
+// reference.
+func (a *Aligner) extendLeft(s *mapScratch, work []chainWork) {
 	sc := a.Scoring
-	var flat []candidate
+	flat := s.flat[:0]
 	for wi := range work {
 		w := &work[wi]
 		w.lo = len(flat)
-		for _, s := range a.chainSeeds(w.c) {
-			flat = append(flat, candidate{rev: w.c.Rev, anchor: s})
+		s.seeds = a.chainSeeds(s.seeds, w.c)
+		for _, sd := range s.seeds {
+			flat = append(flat, candidate{rev: w.c.Rev, anchor: sd})
 		}
 		w.hi = len(flat)
 	}
-	scoreL := make([]int, len(flat))
-	jobs := make([]align.Job, 0, len(flat))
-	total := 0
+	s.flat = flat
 
-	// Phase 1: left extensions of every seed of every chain.
+	jobs := s.jobs[:0]
 	for wi := range work {
 		w := &work[wi]
 		band := sc.EstimateBand(len(w.q), 0, a.Opts.BandCap)
 		for fi := w.lo; fi < w.hi; fi++ {
 			cand := &flat[fi]
-			s := cand.anchor
-			h0 := s.Len * sc.Match
-			scoreL[fi] = h0
-			if s.QBeg > 0 {
-				cand.lq = reversed(w.q[:s.QBeg])
-				lo := s.RBeg - s.QBeg - band
-				if lo < 0 {
-					lo = 0
-				}
-				cand.lt = reversed(a.Ref[lo:s.RBeg])
-				cand.lh0 = h0
-				jobs = append(jobs, align.Job{Q: cand.lq, T: cand.lt, H0: h0})
+			sd := cand.anchor
+			cand.rh0 = sd.Len * sc.Match
+			if sd.QBeg > 0 {
+				cand.lq = s.reversed(w.q[:sd.QBeg])
+				cand.lt = s.reversed(a.Ref[max(sd.RBeg-sd.QBeg-band, 0):sd.RBeg])
+				cand.lh0 = cand.rh0
+				jobs = append(jobs, align.Job{Q: cand.lq, T: cand.lt, H0: cand.lh0})
 			}
 		}
 	}
-	results := be.ExtendJobs(jobs, nil)
+	s.jobs = jobs
+	s.results = align.ExtendJobs(a.Extender, jobs, s.results)
 	ji := 0
-	for fi := range flat {
-		cand := &flat[fi]
-		if s := cand.anchor; s.QBeg > 0 {
-			h0 := s.Len * sc.Match
-			scoreL[fi], cand.clipL, cand.lQ, cand.lT =
-				resolveSide(results[ji], s.QBeg, h0, a.Opts.ClipPenalty)
-			ji++
-			total++
+	for wi := range work {
+		w := &work[wi]
+		for fi := w.lo; fi < w.hi; fi++ {
+			cand := &flat[fi]
+			if sd := cand.anchor; sd.QBeg > 0 {
+				cand.rh0, cand.clipL, cand.lQ, cand.lT =
+					resolveSide(s.results[ji], sd.QBeg, cand.lh0, a.Opts.ClipPenalty)
+				ji++
+				s.plans[w.read].ext++
+			}
 		}
 	}
+}
 
-	// Phase 2: right extensions, seeded by the resolved left scores.
-	jobs = jobs[:0]
+// extendRight finishes what extendLeft started on work: the right
+// extensions, seeded by the resolved left scores, as one batch, then each
+// candidate's total score and reference start.
+func (a *Aligner) extendRight(s *mapScratch, work []chainWork) {
+	sc := a.Scoring
+	flat := s.flat
+	jobs := s.jobs[:0]
 	for wi := range work {
 		w := &work[wi]
 		band := sc.EstimateBand(len(w.q), 0, a.Opts.BandCap)
 		for fi := w.lo; fi < w.hi; fi++ {
 			cand := &flat[fi]
-			s := cand.anchor
-			cand.score = scoreL[fi]
-			if qe := s.QEnd(); qe < len(w.q) {
-				cand.rq = append([]byte(nil), w.q[qe:]...)
-				re := s.REnd()
-				hi := re + (len(w.q) - qe) + band
-				if hi > len(a.Ref) {
-					hi = len(a.Ref)
-				}
-				cand.rt = append([]byte(nil), a.Ref[re:hi]...)
-				cand.rh0 = scoreL[fi]
-				jobs = append(jobs, align.Job{Q: cand.rq, T: cand.rt, H0: scoreL[fi]})
+			sd := cand.anchor
+			if qe := sd.QEnd(); qe < len(w.q) {
+				cand.rq = w.q[qe:]
+				re := sd.REnd()
+				cand.rt = a.Ref[re:min(re+(len(w.q)-qe)+band, len(a.Ref))]
+				jobs = append(jobs, align.Job{Q: cand.rq, T: cand.rt, H0: cand.rh0})
 			}
 		}
 	}
-	results = be.ExtendJobs(jobs, results[:0])
-	ji = 0
+	s.jobs = jobs
+	s.results = align.ExtendJobs(a.Extender, jobs, s.results)
+	ji := 0
 	for wi := range work {
 		w := &work[wi]
 		for fi := w.lo; fi < w.hi; fi++ {
 			cand := &flat[fi]
-			s := cand.anchor
-			if qe := s.QEnd(); qe < len(w.q) {
+			sd := cand.anchor
+			cand.score = cand.rh0
+			if qe := sd.QEnd(); qe < len(w.q) {
 				cand.score, cand.clipR, cand.rQ, cand.rT =
-					resolveSide(results[ji], len(w.q)-qe, scoreL[fi], a.Opts.ClipPenalty)
+					resolveSide(s.results[ji], len(w.q)-qe, cand.rh0, a.Opts.ClipPenalty)
 				ji++
-				total++
+				s.plans[w.read].ext++
 			}
-			cand.pos = s.RBeg - cand.lT
+			cand.pos = sd.RBeg - cand.lT
 		}
 	}
+}
 
-	// Per-chain winner selection, identical to alignChain's rule.
-	out := make([]candidate, 0, len(work))
+// winners appends each chain's best-scoring seed candidate (leftmost on
+// a tie) to dst, in chain order.
+func winners(work []chainWork, flat, dst []candidate) []candidate {
 	for wi := range work {
 		w := &work[wi]
 		if w.lo == w.hi {
@@ -687,52 +742,9 @@ func (a *Aligner) alignChainsBatch(work []chainWork, be align.BatchExtender) ([]
 		}
 		best.weight = w.c.Weight
 		best.ord = w.ord
-		out = append(out, best)
+		dst = append(dst, best)
 	}
-	return out, total
-}
-
-// alignSeed extends one seed left and right, resolving BWA-MEM's
-// clip-vs-global decision on each side.
-func (a *Aligner) alignSeed(q []byte, c chain.Chain, anchor chain.Seed) (candidate, int) {
-	sc := a.Scoring
-	cand := candidate{rev: c.Rev, anchor: anchor}
-	n := 0
-	band := sc.EstimateBand(len(q), 0, a.Opts.BandCap)
-
-	h0 := anchor.Len * sc.Match
-	qb, rb := anchor.QBeg, anchor.RBeg
-	scoreL := h0
-	if qb > 0 {
-		cand.lq = reversed(q[:qb])
-		lo := rb - qb - band
-		if lo < 0 {
-			lo = 0
-		}
-		cand.lt = reversed(a.Ref[lo:rb])
-		cand.lh0 = h0
-		res := a.Extender.Extend(cand.lq, cand.lt, h0)
-		n++
-		scoreL, cand.clipL, cand.lQ, cand.lT = resolveSide(res, qb, h0, a.Opts.ClipPenalty)
-	}
-
-	qe, re := anchor.QEnd(), anchor.REnd()
-	score := scoreL
-	if qe < len(q) {
-		cand.rq = append([]byte(nil), q[qe:]...)
-		hi := re + (len(q) - qe) + band
-		if hi > len(a.Ref) {
-			hi = len(a.Ref)
-		}
-		cand.rt = append([]byte(nil), a.Ref[re:hi]...)
-		cand.rh0 = scoreL
-		res := a.Extender.Extend(cand.rq, cand.rt, scoreL)
-		n++
-		score, cand.clipR, cand.rQ, cand.rT = resolveSide(res, len(q)-qe, scoreL, a.Opts.ClipPenalty)
-	}
-	cand.score = score
-	cand.pos = rb - cand.lT
-	return cand, n
+	return dst
 }
 
 // resolveSide applies BWA-MEM's end decision to one extension side:
@@ -762,8 +774,7 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 	var cig align.Cigar
 	cig = cig.Push(align.OpSoft, c.clipL)
 	if c.lQ > 0 {
-		_, mx := a.trace.NaiveExtend(c.lq[:c.lQ], c.lt[:c.lT], c.lh0, a.Scoring, a.Opts.TraceBand)
-		lc, err := align.Traceback(mx, a.Scoring, c.lT, c.lQ)
+		lc, err := a.traceSide(c.lq[:c.lQ], c.lt[:c.lT], c.lh0, c.rh0)
 		if err != nil {
 			return nil, err
 		}
@@ -771,8 +782,7 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 	}
 	cig = cig.Push(align.OpMatch, c.anchor.Len)
 	if c.rQ > 0 {
-		_, mx := a.trace.NaiveExtend(c.rq[:c.rQ], c.rt[:c.rT], c.rh0, a.Scoring, a.Opts.TraceBand)
-		rc, err := align.Traceback(mx, a.Scoring, c.rT, c.rQ)
+		rc, err := a.traceSide(c.rq[:c.rQ], c.rt[:c.rT], c.rh0, c.score)
 		if err != nil {
 			return nil, err
 		}
@@ -783,6 +793,23 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 		return nil, err
 	}
 	return cig, nil
+}
+
+// traceSide traces one extension side from its endpoint (len(t), len(q)),
+// which the extender scored score from the start score h0, filling the
+// matrices only inside the band that score allows (Scoring.PathBand) when
+// that is narrower than TraceBand. Every path to the endpoint scoring at
+// least score lies in that band, and so does every optimal prefix to a
+// cell on such a path; so wherever Traceback can step, H, E and F hold
+// their TraceBand-fill values, the cells it compares them with hold no
+// more than theirs, and each step resolves the same way: same CIGAR.
+func (a *Aligner) traceSide(q, t []byte, h0, score int) (align.Cigar, error) {
+	w := a.Opts.TraceBand
+	if g := a.Scoring.PathBand(h0, len(q), len(t), score); g >= 0 && (w < 0 || g < w) {
+		w = g
+	}
+	_, mx := a.trace.NaiveExtend(q, t, h0, a.Scoring, w)
+	return align.Traceback(mx, a.Scoring, len(t), len(q))
 }
 
 // mapq is a BWA-flavoured mapping quality: scaled score margin over the

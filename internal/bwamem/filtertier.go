@@ -30,8 +30,8 @@ type rejChain struct {
 
 // filterCtx carries one read's prefilter state: the packed queries (one
 // per strand, built lazily) and the reusable reference-window scratch.
-// One context serves one AlignRead call, so a nil Aligner.Filter can be
-// backed by a throwaway SHD without any cross-goroutine sharing.
+// One context serves one read of one batch, so a nil Aligner.Filter can
+// be backed by a throwaway SHD without any cross-goroutine sharing.
 type filterCtx struct {
 	a     *Aligner
 	f     prefilter.Filter
@@ -41,6 +41,7 @@ type filterCtx struct {
 	qp    [2]prefilter.Packed
 	qok   [2]bool
 	win   prefilter.Packed
+	seeds []chain.Seed // chainSeeds' buffer
 }
 
 // newFilterCtx returns the read's filter context, or nil when the tier
@@ -74,7 +75,8 @@ func (a *Aligner) newFilterCtx(read []byte) *filterCtx {
 // diagonals is granted to the filter as free drift, since a candidate
 // may pass through any of those diagonals without paying gap costs.
 func (fc *filterCtx) screen(q []byte, c chain.Chain) (int, bool) {
-	seeds := fc.a.chainSeeds(c)
+	fc.seeds = fc.a.chainSeeds(fc.seeds, c)
+	seeds := fc.seeds
 	if len(seeds) == 0 {
 		return 0, false
 	}

@@ -55,8 +55,10 @@ func (a *Aligner) AlignPair(p ReadPair, ins InsertStats) (Alignment, Alignment, 
 	// The paired path bypasses the prefilter tier: the joint objective can
 	// promote candidates below the single-end Score/SubScore floors the
 	// rescue pass guards, so filtering here could change pairing choices.
-	c1, e1, _ := a.candidatesFiltered(p.Seq1, false)
-	c2, e2, _ := a.candidatesFiltered(p.Seq2, false)
+	// Both ends go through the map phases as one batch of two.
+	plans, _ := a.candidatesBatch(a.batchScratch(), []Read{{Seq: p.Seq1}, {Seq: p.Seq2}}, false)
+	c1, e1 := plans[0].cands, plans[0].ext
+	c2, e2 := plans[1].cands, plans[1].ext
 	if len(c1) > pairCandLimit {
 		c1 = c1[:pairCandLimit]
 	}

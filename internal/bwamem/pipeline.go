@@ -42,21 +42,12 @@ var _ align.Extender = (*InstrumentedExtender)(nil)
 func (ie *InstrumentedExtender) Extend(q, t []byte, h0 int) align.ExtendResult {
 	start := time.Now()
 	res := ie.Inner.Extend(q, t, h0)
-	ie.ns.Add(time.Since(start).Nanoseconds())
-	ie.calls.Add(1)
-	if ie.KeepJobs {
-		ie.mu.Lock()
-		ie.jobs = append(ie.jobs, ExtJob{QLen: len(q), TLen: len(t)})
-		ie.mu.Unlock()
-	}
+	ie.record(start, []align.Job{{Q: q, T: t}})
 	return res
 }
 
-// ExtendJobs implements align.BatchExtender, forwarding batches to the
-// inner extender while accounting each job into the shared counters.
-func (ie *InstrumentedExtender) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
-	start := time.Now()
-	dst = align.ExtendJobs(ie.Inner, jobs, dst)
+// record accounts one extender call: its wall time and the jobs it ran.
+func (ie *InstrumentedExtender) record(start time.Time, jobs []align.Job) {
 	ie.ns.Add(time.Since(start).Nanoseconds())
 	ie.calls.Add(int64(len(jobs)))
 	if ie.KeepJobs {
@@ -66,6 +57,14 @@ func (ie *InstrumentedExtender) ExtendJobs(jobs []align.Job, dst []align.ExtendR
 		}
 		ie.mu.Unlock()
 	}
+}
+
+// ExtendJobs implements align.BatchExtender, forwarding batches to the
+// inner extender while accounting each job into the shared counters.
+func (ie *InstrumentedExtender) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
+	start := time.Now()
+	dst = align.ExtendJobs(ie.Inner, jobs, dst)
+	ie.record(start, jobs)
 	return dst
 }
 
@@ -92,14 +91,7 @@ type instrumentedSession struct {
 func (s *instrumentedSession) Extend(q, t []byte, h0 int) align.ExtendResult {
 	start := time.Now()
 	res := s.inner.Extend(q, t, h0)
-	ie := s.parent
-	ie.ns.Add(time.Since(start).Nanoseconds())
-	ie.calls.Add(1)
-	if ie.KeepJobs {
-		ie.mu.Lock()
-		ie.jobs = append(ie.jobs, ExtJob{QLen: len(q), TLen: len(t)})
-		ie.mu.Unlock()
-	}
+	s.parent.record(start, []align.Job{{Q: q, T: t}})
 	return res
 }
 
@@ -108,16 +100,7 @@ func (s *instrumentedSession) Extend(q, t []byte, h0 int) align.ExtendResult {
 func (s *instrumentedSession) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
 	start := time.Now()
 	dst = align.ExtendJobs(s.inner, jobs, dst)
-	ie := s.parent
-	ie.ns.Add(time.Since(start).Nanoseconds())
-	ie.calls.Add(int64(len(jobs)))
-	if ie.KeepJobs {
-		ie.mu.Lock()
-		for i := range jobs {
-			ie.jobs = append(ie.jobs, ExtJob{QLen: len(jobs[i].Q), TLen: len(jobs[i].T)})
-		}
-		ie.mu.Unlock()
-	}
+	s.parent.record(start, jobs)
 	return dst
 }
 
@@ -144,12 +127,17 @@ type Stats struct {
 	SeedingNs   int64 // seeding + chaining
 	ExtensionNs int64 // extender calls
 	RestNs      int64 // everything else (candidate resolution, traceback, SAM)
-	TotalNs     int64 // wall-clock across workers (sum of per-read times)
+	TotalNs     int64 // wall-clock across workers (sum of per-block times)
 }
 
+// runBlock is how many reads a Run worker maps as one batch: enough
+// extensions (about two per read) to fill the extender's SWAR batches.
+const runBlock = 16
+
 // Run aligns all reads with the given worker parallelism (0 = GOMAXPROCS),
-// mirroring the producer-consumer threading of Figure 12, and returns SAM
-// records in input order plus the stage-time breakdown.
+// mirroring the producer-consumer threading of Figure 12 — each worker
+// takes the reads in blocks and maps a block as one batch — and returns
+// SAM records in input order plus the stage-time breakdown.
 func (a *Aligner) Run(reads []Read, workers int) ([]sam.Record, Stats) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -159,51 +147,36 @@ func (a *Aligner) Run(reads []Read, workers int) ([]sam.Record, Stats) {
 	stats.Reads = len(reads)
 	var mapped, extensions, seedNs, extNs, restNs, totalNs atomic.Int64
 
-	// One prefilled default-quality buffer shared by every read lacking
-	// qualities; ToSAM copies the slice into the record, so handing out
-	// read-only sub-slices is safe across workers.
-	maxQual := 0
-	for _, r := range reads {
-		if r.Qual == nil && len(r.Seq) > maxQual {
-			maxQual = len(r.Seq)
-		}
-	}
-	defaultQual := make([]byte, maxQual)
-	for k := range defaultQual {
-		defaultQual[k] = 'I'
-	}
-
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker aligner view: private extension session and
-			// timing probes built once, not once per read.
-			st := a.newWorkerState()
+			// Per-worker mapping session whose seeder and extender carry
+			// timing probes, built once, not once per block.
+			m, probe := a.newTimedMapper()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reads) {
+				lo := int(next.Add(runBlock)) - runBlock
+				if lo >= len(reads) {
 					return
 				}
-				r := reads[i]
+				hi := min(lo+runBlock, len(reads))
+				probe.seedNs, probe.extNs = 0, 0
 				t0 := time.Now()
-				al, tm := st.alignTimed(r.Seq)
-				qual := r.Qual
-				if qual == nil {
-					qual = defaultQual[:len(r.Seq)]
-				}
-				recs[i] = ToSAM(r.Name, r.Seq, qual, a.RefName, al)
-				if al.Mapped {
-					mapped.Add(1)
-				}
-				extensions.Add(int64(al.Extensions))
-				seedNs.Add(tm.seedNs)
-				extNs.Add(tm.extNs)
+				blockRecs, als, _ := m.MapBatch(reads[lo:hi])
+				copy(recs[lo:hi], blockRecs)
 				total := time.Since(t0).Nanoseconds()
+				for _, al := range als {
+					if al.Mapped {
+						mapped.Add(1)
+					}
+					extensions.Add(int64(al.Extensions))
+				}
+				seedNs.Add(probe.seedNs)
+				extNs.Add(probe.extNs)
 				totalNs.Add(total)
-				restNs.Add(total - tm.seedNs - tm.extNs)
+				restNs.Add(total - probe.seedNs - probe.extNs)
 			}
 		}()
 	}
@@ -217,42 +190,19 @@ func (a *Aligner) Run(reads []Read, workers int) ([]sam.Record, Stats) {
 	return recs, stats
 }
 
-type readTimes struct {
-	seedNs, extNs int64
-}
-
-// workerState is one worker's private view of the shared aligner: a
-// shallow copy whose seeder and extender are wrapped with timing probes,
-// whose extender is a per-worker session (own scratch memory) when the
-// configured extender offers one, and which owns its traceback workspace.
-// The shared aligner is never mutated.
-type workerState struct {
-	cp    Aligner
-	probe *stageProbe
-}
-
-func (a *Aligner) newWorkerState() *workerState {
+// newTimedMapper is NewMapper with the session's seeder and extender
+// wrapped in timing probes for Run's per-stage attribution. The shared
+// aligner is never mutated.
+func (a *Aligner) newTimedMapper() (*Mapper, *stageProbe) {
 	probe := &stageProbe{}
-	ext := a.Extender
-	if se, ok := ext.(align.SessionExtender); ok {
-		ext = se.Session()
-	}
-	cp := *a
-	cp.trace = &align.TraceWorkspace{}
-	cp.Seeder = wrapSeeder(a.Seeder, probe)
-	cp.Extender = &timedExtenderProbe{inner: ext, probe: probe}
-	return &workerState{cp: cp, probe: probe}
-}
-
-// alignTimed is AlignRead with per-stage attribution.
-func (st *workerState) alignTimed(read []byte) (Alignment, readTimes) {
-	st.probe.seedNs, st.probe.extNs = 0, 0
-	al := st.cp.AlignRead(read)
-	return al, readTimes{seedNs: st.probe.seedNs, extNs: st.probe.extNs}
+	m := a.NewMapper()
+	m.cp.Seeder = wrapSeeder(a.Seeder, probe)
+	m.cp.Extender = &timedExtenderProbe{inner: m.cp.Extender, probe: probe}
+	return m, probe
 }
 
 type stageProbe struct {
-	seedNs, extNs int64 // per-read, single goroutine: no atomics needed
+	seedNs, extNs int64 // per-block, single goroutine: no atomics needed
 }
 
 type timedSeeder struct {
@@ -300,8 +250,8 @@ func (te *timedExtenderProbe) Extend(q, t []byte, h0 int) align.ExtendResult {
 	return res
 }
 
-// ExtendJobs keeps the per-worker extender batch-capable so alignChain's
-// batched path survives the timing wrapper.
+// ExtendJobs keeps the per-worker extender batch-capable through the
+// timing wrapper.
 func (te *timedExtenderProbe) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
 	start := time.Now()
 	dst = align.ExtendJobs(te.inner, jobs, dst)

@@ -175,28 +175,42 @@ func TestMapperEqualsAlignRead(t *testing.T) {
 	}
 }
 
-// TestMapperAllocsPerRead guards the map path's garbage: the traceback
-// matrices (some 400 allocations per read when filled per call) come from
-// the mapper's workspace.
+// TestMapperAllocsPerRead guards the map path's garbage, read by read
+// through Map and sixteen at a time through MapBatch: the traceback
+// matrices, the extension windows, the per-seed candidates and the
+// extender's job and result slices all live in the mapper's grow-only
+// scratch; what is left is what a read hands out (seeds, chains, the
+// reverse complement, the CIGAR, the SAM strings).
 func TestMapperAllocsPerRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ref := genome.Simulate(genome.SimConfig{Length: 100_000, RepeatFraction: 0.05}, rng)
 	cfg := readsim.RealisticConfig(256)
 	cfg.ReadLen = 150
-	reads := readsim.Simulate(ref, cfg, rng)
+	reads := toPipelineReads(readsim.Simulate(ref, cfg, rng))
 	a, err := New("chrSim", ref, core.New(20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := a.NewMapper()
-	perPass := testing.AllocsPerRun(3, func() {
-		for _, r := range reads {
-			m.Map(r.ID, r.Seq, r.Qual)
+	for _, tc := range []struct {
+		name string
+		pass func()
+	}{
+		{"Map", func() {
+			for _, r := range reads {
+				m.Map(r.Name, r.Seq, r.Qual)
+			}
+		}},
+		{"MapBatch of 16", func() {
+			for lo := 0; lo < len(reads); lo += 16 {
+				m.MapBatch(reads[lo : lo+16])
+			}
+		}},
+	} {
+		perRead := testing.AllocsPerRun(3, tc.pass) / float64(len(reads))
+		t.Logf("%s: %.1f allocations per read", tc.name, perRead)
+		if perRead > 30 {
+			t.Fatalf("%s allocates %.1f times per read, want <= 30", tc.name, perRead)
 		}
-	})
-	perRead := perPass / float64(len(reads))
-	t.Logf("%.1f allocations per read", perRead)
-	if perRead > 100 {
-		t.Fatalf("Mapper.Map allocates %.1f times per read, want <= 100", perRead)
 	}
 }

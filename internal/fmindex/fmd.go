@@ -79,11 +79,11 @@ func (f *FMD) BackwardExt(bi BiInterval, a byte) BiInterval {
 	ix := f.ix
 	lo, hi := bi.K, bi.K+bi.S
 
-	// Per-character backward sizes over [lo, hi): sz[y] = count(y·P) for
-	// text chars y in 0..4 (bases + separator).
-	var sz [5]int32
+	// Per-base backward sizes over [lo, hi): sz[y] = count(y·P). The
+	// separator's size is never needed: it sorts after every base.
+	var sz [4]int32
 	var newK int32
-	for y := byte(0); y <= 4; y++ {
+	for y := byte(0); y <= 3; y++ {
 		b := y + 1
 		olo := ix.occAt(b, lo)
 		ohi := ix.occAt(b, hi)

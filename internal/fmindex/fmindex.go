@@ -2,11 +2,12 @@ package fmindex
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
-// occRate is the occurrence-table sampling interval (one checkpoint per
-// occRate BWT positions; intermediate counts are scanned on demand).
+// occRate is the occurrence-table block size: one checkpoint and one
+// 64-bit membership mask per base every occRate BWT positions.
 const occRate = 64
 
 // alphabet size including the sentinel (code 0 internally; bases are
@@ -19,16 +20,28 @@ const sigma = 6
 // separator (the same value genome.N uses, which is also never matched).
 const Separator byte = 4
 
-// Index is an FM index (BWT + sampled occurrence table + full suffix
-// array) over a base-code genome. Ambiguous bases must be sanitized by
+// Index is an FM index (BWT as an occurrence table + full suffix array)
+// over a base-code genome. Ambiguous bases must be sanitized by
 // the caller (Sanitize) before indexing, as BWA does; the separator code
 // 4 is allowed and never matches a pattern base.
 type Index struct {
 	text []byte  // original base codes, 0..3
 	sa   []int32 // suffix array of text (no sentinel entry)
-	bwt  []byte  // BWT over shifted alphabet (0 = sentinel)
 	c    [sigma + 1]int32
-	occ  [][sigma]int32
+	// The BWT over the shifted alphabet (0 = sentinel, 1..4 = bases, 5 =
+	// separator), len(text)+1 rows, held only as its occurrence table:
+	// the four bases' counts and masks per block. The sentinel (one row)
+	// and the separator (whatever is left) are recovered from those.
+	rows     int32
+	sentinel int32 // the row whose BWT symbol is the sentinel
+	occ      []occBlock
+}
+
+// occBlock covers BWT rows [64k, 64k+64): n[a] counts base a in rows
+// [0, 64k), bit r of mask[a] says row 64k+r holds base a.
+type occBlock struct {
+	n    [4]int32
+	mask [4]uint64
 }
 
 // Sanitize replaces ambiguous bases (code >= 4) with a deterministic
@@ -58,46 +71,44 @@ func New(text []byte) (*Index, error) {
 	return ix, nil
 }
 
-// deriveFromSA reconstructs the BWT, cumulative counts and occurrence
-// checkpoints from text+sa (used by New and by index deserialization).
+// deriveFromSA reconstructs the BWT's occurrence table and the
+// cumulative counts from text+sa (used by New and by index
+// deserialization) in one pass over the suffix array.
 func (ix *Index) deriveFromSA() {
 	text := ix.text
 	n := len(text)
 	// BWT with an implicit sentinel: conceptually the suffix array of
-	// text+"$" is [n] ++ sa (the empty suffix sorts first). bwt[0] is the
-	// char before the sentinel (text[n-1]); bwt[i+1] derives from sa[i].
-	ix.bwt = make([]byte, n+1)
-	if n > 0 {
-		ix.bwt[0] = text[n-1] + 1
-	}
-	for i, p := range ix.sa {
-		if p == 0 {
-			ix.bwt[i+1] = 0 // sentinel
-		} else {
-			ix.bwt[i+1] = text[p-1] + 1
+	// text+"$" is [n] ++ sa (the empty suffix sorts first). Row 0 holds
+	// the char before the sentinel (text[n-1]); row i+1 derives from sa[i].
+	ix.rows = int32(n + 1)
+	// One block more than the rows fill when they end on a block boundary:
+	// occAt(b, rows) reads the counts of the block starting there.
+	ix.occ = make([]occBlock, (n+1)/occRate+1)
+	var cnt [sigma]int32
+	for row := 0; row <= n; row++ {
+		if row%occRate == 0 {
+			copy(ix.occ[row/occRate].n[:], cnt[1:5])
+		}
+		var b byte // sentinel
+		switch {
+		case row == 0 && n > 0:
+			b = text[n-1] + 1
+		case row > 0 && ix.sa[row-1] > 0:
+			b = text[ix.sa[row-1]-1] + 1
+		default:
+			ix.sentinel = int32(row)
+		}
+		cnt[b]++
+		if a := b - 1; a < 4 {
+			ix.occ[row/occRate].mask[a] |= 1 << (row % occRate)
 		}
 	}
-	// Cumulative counts.
-	var cnt [sigma]int32
-	for _, b := range ix.bwt {
-		cnt[b]++
+	if (n+1)%occRate == 0 {
+		copy(ix.occ[(n+1)/occRate].n[:], cnt[1:5])
 	}
 	ix.c = [sigma + 1]int32{}
 	for a := 1; a <= sigma; a++ {
 		ix.c[a] = ix.c[a-1] + cnt[a-1]
-	}
-	// Occurrence checkpoints (including the one at len(bwt) when the
-	// length is a checkpoint multiple, which occAt may address).
-	ix.occ = make([][sigma]int32, len(ix.bwt)/occRate+1)
-	var run [sigma]int32
-	for i, b := range ix.bwt {
-		if i%occRate == 0 {
-			ix.occ[i/occRate] = run
-		}
-		run[b]++
-	}
-	if len(ix.bwt)%occRate == 0 {
-		ix.occ[len(ix.bwt)/occRate] = run
 	}
 }
 
@@ -111,16 +122,40 @@ func (ix *Index) Text() []byte { return ix.text }
 // Text it is the persisted half of the index; everything else derives.
 func (ix *Index) SA() []int32 { return ix.sa }
 
-// occAt returns Occ(b, i): occurrences of b in bwt[0:i].
+// occAt returns Occ(b, i): occurrences of BWT symbol b in rows [0, i),
+// 0 <= i <= rows. A base is a checkpoint plus a popcount.
 func (ix *Index) occAt(b byte, i int32) int32 {
-	cp := int(i) / occRate
-	n := ix.occ[cp][b]
-	for k := cp * occRate; k < int(i); k++ {
-		if ix.bwt[k] == b {
-			n++
-		}
+	if a := b - 1; a < 4 {
+		blk := &ix.occ[i/occRate]
+		return blk.n[a] + int32(bits.OnesCount64(blk.mask[a]&(1<<(uint(i)%occRate)-1)))
+	}
+	var sentinel int32
+	if i > ix.sentinel {
+		sentinel = 1
+	}
+	if b == 0 {
+		return sentinel
+	}
+	// The separator: the rows no other symbol claims.
+	n := i - sentinel
+	for base := byte(1); base <= 4; base++ {
+		n -= ix.occAt(base, i)
 	}
 	return n
+}
+
+// bwtAt returns the BWT symbol of a row.
+func (ix *Index) bwtAt(row int32) byte {
+	blk := &ix.occ[row/occRate]
+	for a, m := range blk.mask {
+		if m>>(uint(row)%occRate)&1 != 0 {
+			return byte(a) + 1
+		}
+	}
+	if row == ix.sentinel {
+		return 0
+	}
+	return Separator + 1
 }
 
 // Interval is a half-open SA interval [Lo, Hi) in the sentinel-augmented
@@ -142,7 +177,7 @@ func (ix *Index) Backward(iv Interval, a byte) Interval {
 // Count returns the SA interval of pattern p (codes 0..3) via backward
 // search; a zero-size interval means no occurrences.
 func (ix *Index) Count(p []byte) Interval {
-	iv := Interval{0, int32(len(ix.bwt))}
+	iv := Interval{0, ix.rows}
 	for i := len(p) - 1; i >= 0; i-- {
 		if p[i] > 3 {
 			return Interval{}

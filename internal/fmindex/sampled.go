@@ -36,7 +36,7 @@ func NewSampledSA(ix *Index, rate int) *SampledSA {
 // lf performs one LF-mapping step: from the row of suffix S[p:] to the
 // row of suffix S[p-1:].
 func (s *SampledSA) lf(row int32) int32 {
-	b := s.ix.bwt[row]
+	b := s.ix.bwtAt(row)
 	return s.ix.c[b] + s.ix.occAt(b, row)
 }
 

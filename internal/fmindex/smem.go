@@ -103,7 +103,7 @@ func (ix *Index) SMEMs(q []byte, cfg SMEMConfig) []MEM {
 // the largest p in [lo,hi) for which q[p:hi) does not occur in the text,
 // or lo-1 when all of q[lo:hi) occurs. Bases must be codes 0..3.
 func (ix *Index) firstAbsent(q []byte, lo, hi int) int {
-	iv := Interval{0, int32(len(ix.bwt))}
+	iv := Interval{0, ix.rows}
 	for p := hi - 1; p >= lo; p-- {
 		iv = ix.Backward(iv, q[p])
 		if iv.Size() <= 0 {

@@ -47,6 +47,8 @@ func argNames(k Kind) (string, string) {
 		return "victim", "thief"
 	case KindRescue:
 		return "rescued", "rounds"
+	case KindMapStage:
+		return "stage", "reads"
 	}
 	return "v1", "v2"
 }
@@ -57,6 +59,8 @@ func argValue(k Kind, which int, v int64) string {
 	switch {
 	case k == KindKernel && which == 1:
 		return `"` + TierName(v) + `"`
+	case k == KindMapStage && which == 1:
+		return `"` + MapStageName(v) + `"`
 	case (k == KindCheck || k == KindRerun) && which == 1:
 		return `"` + core.Outcome(v).String() + `"`
 	case k == KindCheck && which == 2, k == KindFlush && which == 2,

@@ -68,12 +68,35 @@ const (
 	// KindRescue is an instant span carrying one read's prefilter rescue
 	// fixpoint activity (v1 = chains rescued, v2 = rescue rounds).
 	KindRescue
+	// KindMapStage covers one stage of a /v1/map batch, shared by every
+	// read in it (v1 = stage, a MapStage* value; v2 = reads in the batch).
+	// The four stages tile the batch's KindKernel span.
+	KindMapStage
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"request", "queue_wait", "batch_flush", "kernel", "check", "host_rerun",
 	"device", "retry_backoff", "prefilter", "index_reload", "steal", "rescue",
+	"map_stage",
+}
+
+// Stage values for KindMapStage spans (v1): the map path's dataflow.
+const (
+	MapStagePlan        = iota // seed, chain, prefilter screen — per read
+	MapStageExtendLeft         // the batch's pooled left extensions
+	MapStageExtendRight        // the batch's pooled right extensions
+	MapStageResolve            // rescue rounds, traceback, SAM — per read
+)
+
+var mapStageNames = [...]string{"plan", "extend_left", "extend_right", "resolve"}
+
+// MapStageName renders a KindMapStage span's v1 for exports.
+func MapStageName(v int64) string {
+	if v >= 0 && int(v) < len(mapStageNames) {
+		return mapStageNames[v]
+	}
+	return "unknown"
 }
 
 // String names the stage for exports.

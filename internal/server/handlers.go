@@ -431,6 +431,11 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
+	// Result lines are written while later job lines are still being read:
+	// without full duplex an HTTP/1 server stops reading the body at the
+	// first flush, and a stream whose tail had not arrived yet ends early.
+	// (Not supported: the body must then have been buffered; carry on.)
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	// Bound the stream like the batch endpoints; hitting the cap surfaces
 	// as a decode error on the trailing error line.
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)

@@ -258,7 +258,10 @@ func TestJourneyReloadStitching(t *testing.T) {
 		t.Fatalf("mid-request reload: status %d body %+v", rresp.StatusCode, rbody)
 	}
 
-	// ...and the released request finishes on generation 2.
+	// ...and the released request finishes on generation 2. The gate holds
+	// a little longer than the reload took, so the pinned kernel span
+	// dominates the timeline on a loaded box too (the assertion at the end).
+	time.Sleep(50 * time.Millisecond)
 	close(gate.release)
 	select {
 	case code := <-done:
@@ -317,6 +320,103 @@ func TestJourneyReloadStitching(t *testing.T) {
 	// dominate the timeline.
 	if a.KernelFrac < 0.5 {
 		t.Fatalf("kernel fraction %g for a kernel-pinned request, want > 0.5", a.KernelFrac)
+	}
+}
+
+// TestJourneyMapStages: a sampled /v1/map request's journey view shows the
+// map path's dataflow at batch granularity. Every read of the request
+// carries its batch's interval as the kernel span (live = reads in the
+// batch) and the four stage spans — plan, extend_left, extend_right,
+// resolve — which tile that interval end to end, and the stage
+// attribution still sums to the request's total.
+func TestJourneyMapStages(t *testing.T) {
+	fx := newRefStoreFixture(t, 32)
+	store, err := refstore.Open(fx.path, refstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	tracer := obs.New(obs.Config{SampleEvery: 1})
+	_, ts := newTestServer(t, Config{
+		RefStore: store,
+		NewAligner: func(ref *bwamem.Reference, ix *fmindex.Index) *bwamem.Aligner {
+			return bwamem.NewWithIndex(ref, ix, core.New(20))
+		},
+		MapBatch: BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Workers: 1},
+		Trace:    tracer,
+	})
+	const rid = "00000000000000ce"
+	resp := postTraced(t, ts.URL+"/v1/map", rid, fx.req)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("map answered %d", resp.StatusCode)
+	}
+
+	var doc struct {
+		Attribution obs.Attribution `json:"attribution"`
+		Spans       []struct {
+			Span  string `json:"span"`
+			Start int64  `json:"start_ns"`
+			Dur   int64  `json:"dur_ns"`
+			Stage string `json:"stage"`
+			Reads int64  `json:"reads"`
+			Live  int64  `json:"live"`
+		} `json:"spans"`
+	}
+	if code := getJSON(t, ts.URL+"/debug/traces?trace="+rid+"&format=journey", &doc); code != http.StatusOK {
+		t.Fatalf("journey trace view answered %d", code)
+	}
+	type interval struct{ start, end int64 }
+	kernels := map[interval]int64{} // batch interval -> its live count
+	stages := map[interval][]interval{}
+	for _, sp := range doc.Spans {
+		if sp.Span == "kernel" {
+			kernels[interval{sp.Start, sp.Start + sp.Dur}] = sp.Live
+		}
+	}
+	if len(kernels) == 0 {
+		t.Fatal("journey has no kernel span")
+	}
+	order := []string{"plan", "extend_left", "extend_right", "resolve"}
+	for _, sp := range doc.Spans {
+		if sp.Span != "map_stage" {
+			continue
+		}
+		for k, live := range kernels {
+			if sp.Start >= k.start && sp.Start+sp.Dur <= k.end && len(stages[k]) < len(order) {
+				if want := order[len(stages[k])]; sp.Stage != want {
+					t.Fatalf("batch %v: stage %d is %q, want %q", k, len(stages[k]), sp.Stage, want)
+				}
+				if sp.Reads != live {
+					t.Fatalf("batch %v: stage %s counts %d reads, kernel span %d", k, sp.Stage, sp.Reads, live)
+				}
+				stages[k] = append(stages[k], interval{sp.Start, sp.Start + sp.Dur})
+				break
+			}
+		}
+	}
+	for k, st := range stages {
+		if len(st) != len(order) {
+			t.Fatalf("batch %v shows %d stages, want %d", k, len(st), len(order))
+		}
+		at := k.start
+		for i, iv := range st {
+			if iv.start != at {
+				t.Fatalf("batch %v: stage %s starts at %d, previous ended at %d", k, order[i], iv.start, at)
+			}
+			at = iv.end
+		}
+		if at != k.end {
+			t.Fatalf("batch %v: stages end at %d", k, at)
+		}
+	}
+	if len(stages) != len(kernels) {
+		t.Fatalf("%d batches with stage spans, %d kernel intervals", len(stages), len(kernels))
+	}
+	a := doc.Attribution
+	if sum := a.AdmissionNs + a.QueueNs + a.BatchWaitNs + a.KernelNs + a.CheckNs + a.RerunNs; sum != a.TotalNs || a.KernelNs <= 0 {
+		t.Fatalf("stage attribution sums to %d ns of %d, kernel %d", sum, a.TotalNs, a.KernelNs)
 	}
 }
 

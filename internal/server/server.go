@@ -609,9 +609,11 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 }
 
 // mapWorker returns one mapping worker's batch processor for sh: a
-// reentrant bwamem.Mapper session applied to each read of the batch (the
-// extensions inside each read still run through the extender's packed
-// batch path).
+// reentrant bwamem.Mapper session that maps the batch's live reads as one
+// pooled batch (MapBatch: the reads' extensions share the extender's
+// packed batches). Sampled jobs record the batch's interval as their
+// kernel span and its four stage intervals — plan, extend left, extend
+// right, resolve — as map_stage spans: timestamps taken once per batch.
 // With a RefStore configured, the worker follows the generation store:
 // each batch acquires a refcounted handle on the current generation
 // (held for the batch, so a concurrent reload cannot unmap the memory
@@ -626,6 +628,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 	}
 	var genID uint64
 	live := make([]mapJob, 0, s.cfg.MapBatch.MaxBatch)
+	reads := make([]bwamem.Read, 0, s.cfg.MapBatch.MaxBatch)
 	return func(batch []mapJob) {
 		now := time.Now()
 		reloadOverlap := false
@@ -651,25 +654,39 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 			}
 		}
 		live = pickup(s, sh, batch, live[:0], now)
+		if len(live) == 0 {
+			return
+		}
+		reads = reads[:0]
 		for _, j := range live {
+			reads = append(reads, bwamem.Read{Name: j.req.name, Seq: j.req.seq, Qual: j.req.qual})
+		}
+		recs, als, bt := m.MapBatch(reads)
+		stages := [...]time.Time{bt.Start, bt.Planned, bt.LeftDone, bt.RightDone, bt.End}
+		for k, j := range live {
+			rec, al := recs[k], als[k]
 			if reloadOverlap {
 				j.tr.Mark(obs.EvReloadOverlap)
 			}
-			k0 := time.Now()
-			rec, al := m.Map(j.req.name, j.req.seq, j.req.qual)
-			kDur := time.Since(k0)
-			// The map kernel span links the index generation it computed
-			// against (negated, so generation links can never collide with
-			// the positive device batch keys the stitcher resolves), and one
-			// timeline shows a request straddling a swap.
-			j.tr.SpanLink(obs.KindKernel, k0, kDur, obs.TierUnknown, 1, -int64(genID))
+			// The batch's spans go to each request in it once: a request's
+			// reads sit side by side in the batch and share its Ref.
+			if j.tr.Sampled() && (k == 0 || live[k-1].tr != j.tr) {
+				// The map kernel span links the index generation it computed
+				// against (negated, so generation links can never collide with
+				// the positive device batch keys the stitcher resolves), and one
+				// timeline shows a request straddling a swap.
+				j.tr.SpanLink(obs.KindKernel, bt.Start, bt.End.Sub(bt.Start), obs.TierUnknown, int64(len(live)), -int64(genID))
+				for st := obs.MapStagePlan; st <= obs.MapStageResolve; st++ {
+					j.tr.Span(obs.KindMapStage, stages[st], stages[st+1].Sub(stages[st]), int64(st), int64(len(live)))
+				}
+			}
 			if al.PrefilterPass+al.PrefilterReject > 0 {
-				j.tr.Span(obs.KindPrefilter, k0.Add(kDur), 0,
+				j.tr.Span(obs.KindPrefilter, bt.End, 0,
 					int64(al.PrefilterPass), int64(al.PrefilterReject))
 			}
 			if al.RescueRounds > 0 {
 				j.tr.Mark(obs.EvRescue)
-				j.tr.Span(obs.KindRescue, k0.Add(kDur), 0,
+				j.tr.Span(obs.KindRescue, bt.End, 0,
 					int64(al.PrefilterRescued), int64(al.RescueRounds))
 			}
 			j.sh.settleDone()
@@ -684,7 +701,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 				Cigar:  al.Cigar.String(),
 				Sam:    rec.String(),
 			})
-			s.met.Completed.Add(1)
 		}
+		s.met.Completed.Add(int64(len(live)))
 	}
 }
