@@ -7,9 +7,9 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression serve-bench bin
+.PHONY: check vet build test race portable chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression serve-bench bin
 
-check: vet build test race
+check: vet build test race portable
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +32,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The build without the native kernel. internal/align picks its packed
+# back end by CPUID on amd64 and has only the pure-Go SWAR ladder
+# elsewhere, so the tree must cross-compile (offline: no cgo, no deps; the
+# non-amd64 stubs are what this catches) and the portable ladder must keep
+# passing the kernel, checker, server and mapper tests on the amd64 host,
+# where the conventional purego tag forces it.
+portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/align
+	$(GO) test -tags purego ./internal/align ./internal/core ./internal/server ./internal/bwamem
+
 # Fault-injection equivalence drill: the chaos and integrity tests under
 # the race detector. Pin the fault draws with CHAOS_SEED (default: the
 # tests' built-in seed matrix) and capture the end-of-run fault counters
@@ -46,7 +57,7 @@ chaos:
 # Bounded-time fuzzing: every fuzz target in the tree (discovered with
 # go test -list, so a new target is covered without editing this file —
 # the map path's FuzzTraceBandIdentity, FuzzOccAt and FuzzBuildSAIdentity
-# among them), FUZZTIME each. A failure leaves its reproducer under the package's
+# and the native kernel's FuzzSweepRow16 among them), FUZZTIME each. A failure leaves its reproducer under the package's
 # testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:

@@ -311,6 +311,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		"version", build.Version, "commit", build.Commit, "go", build.GoVersion(),
 		"extender", *extName, "band", *band, "batch", *maxBatch,
 		"flush", flush.String(), "queue", *queueCap)
+	logger.Info("packed kernel back end chosen by CPUID (none: the portable SWAR tiers)", "kernel_native", align.NativeISA())
 	if *shards > 1 {
 		logger.Info(fmt.Sprintf("%d shards behind the %s routing policy (per-shard engines, breakers and queues)",
 			*shards, *routePolicy))

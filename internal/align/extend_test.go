@@ -47,13 +47,6 @@ func extensionCase(rng *rand.Rand) (q, t []byte, h0 int) {
 	return q, t, h0
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func sameResult(a, b ExtendResult) bool {
 	return a.Local == b.Local && a.LocalT == b.LocalT && a.LocalQ == b.LocalQ &&
 		a.Global == b.Global && a.GlobalT == b.GlobalT

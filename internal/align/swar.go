@@ -3,7 +3,7 @@ package align
 import "slices"
 
 // Inter-sequence batch extension: tiering and lane-packing orchestration
-// for the SWAR kernels (swar8x2.go, swar8.go, swar16.go).
+// for the packed kernels (native16.go, swar8x2.go, swar8.go, swar16.go).
 //
 // A batch is bucketed by shape (sort by tier, then query length, then
 // target length, all descending within the tier) so that the problems
@@ -11,6 +11,10 @@ import "slices"
 // wastes little work on padding. The tier ladder picks the widest lane
 // that provably cannot overflow, per job:
 //
+//	16 × int16 native lanes, where the host has them (native16Live): score
+//	           ceiling h0 + n*Match <= 32767 (and penalties <= 32767),
+//	           both lengths <= native16MaxDim. Everything below is the
+//	           portable path, reached only by what this tier cannot admit.
 //	16 × int8  score ceiling h0 + n*Match <= 127 (and penalties <= 127)
 //	           AND a short-read shape (n <= swar8x2MaxQ, m <= swar8x2MaxT)
 //	           whose doubled column records stay cache-resident
@@ -19,13 +23,16 @@ import "slices"
 //	scalar     the int32 workspace kernel (which itself delegates to the
 //	           int reference kernel when int32 could overflow)
 //
-// Lane-level divergence demotes individual problems back to the scalar
-// path: a job whose DP area is a small fraction of its group leader's
-// would spend most of the lockstep sweep in padding, so it runs scalar
-// instead and the lane is left to the next job. Degenerate jobs (empty
-// query, non-positive h0) never enter a lane group. A 16-lane group left
-// with 8 or fewer survivors runs through the 8-lane kernel instead — the
-// second word would carry only padding.
+// Lane-level divergence demotes individual problems of a SWAR group back
+// to the scalar path: a job whose DP area is a small fraction of its group
+// leader's would spend most of the lockstep sweep in padding, so it runs
+// scalar instead. The lane it empties is not refilled, which is why the
+// native tier carries every job of its group instead: sixteen native lanes
+// sweep the envelope at the same cost however many are filled, so a
+// demotion there only moves work from free padding to the scalar kernel.
+// Degenerate jobs (empty query, non-positive h0) never enter a lane group.
+// A 16-lane SWAR group left with 8 or fewer survivors runs through the
+// 8-lane kernel instead — the second word would carry only padding.
 
 // swarLane couples one lane's problem with its result destination.
 // res is fully overwritten; bd, when non-nil, must be a pre-zeroed
@@ -39,7 +46,8 @@ type swarLane struct {
 
 // Batch tier ladder, in sort-key order (widest first).
 const (
-	tierSWAR8x2 = iota
+	tierNative = iota
+	tierSWAR8x2
 	tierSWAR8
 	tierSWAR16
 	tierScalar
@@ -47,8 +55,27 @@ const (
 	numTiers
 )
 
-// tierLaneWidth, indexed by tier (the scalar tier never forms groups).
-var tierLaneWidth = [numTiers]int{16, 8, 4, 1}
+// tiers is the ladder's one table: each tier's name (telemetry, metrics
+// labels, trace exports) and the lane count of its packed kernel (the
+// scalar tier never forms groups).
+var tiers = [numTiers]struct {
+	name  string
+	lanes int
+}{
+	tierNative:  {"native16", 16},
+	tierSWAR8x2: {"swar8x2", 16},
+	tierSWAR8:   {"swar8", 8},
+	tierSWAR16:  {"swar16", 4},
+	tierScalar:  {"scalar", 1},
+}
+
+// native16Live admits jobs to the native tier. It is the start-up CPUID
+// verdict; tests clear it to drive the portable ladder on any host.
+var native16Live = native16ISA != "none"
+
+// NativeISA names the instruction set of the native packed tier on this
+// host ("avx2"), or "none" where the portable SWAR ladder runs alone.
+func NativeISA() string { return native16ISA }
 
 // scoringFits reports whether every penalty magnitude fits a lane of the
 // given capacity. Negative magnitudes (no Scoring constructor produces
@@ -61,8 +88,9 @@ func scoringFits(sc Scoring, cap int) bool {
 	return sc.Match <= cap && sc.Mismatch <= cap && sc.GapOpen+sc.GapExtend <= cap
 }
 
-// swarScoringTier returns the widest tier the scoring scheme as a whole
-// permits; individual jobs can only narrow it.
+// swarScoringTier returns the widest portable tier the scoring scheme as
+// a whole permits; individual jobs can only narrow it. The native tier has
+// the int16 ceiling, so it is open exactly when this is not tierScalar.
 func swarScoringTier(sc Scoring) int {
 	switch {
 	case scoringFits(sc, swarCap8):
@@ -79,10 +107,14 @@ func swarScoringTier(sc Scoring) int {
 // most Match, and row 0 starts at h0), and E/F never exceed H's bound.
 // Within the int8 ceiling the shape decides the width: short-read
 // problems take the 16-lane two-word kernel, longer ones the 8-lane
-// kernel whose single-word columns stream better.
+// kernel whose single-word columns stream better. Where the native tier
+// is live it takes every job within the int16 ceiling first.
 func jobTier(n, m, h0 int, sc Scoring, scTier int) int {
 	c := int64(h0) + int64(n)*int64(sc.Match)
 	switch {
+	case native16Live && scTier <= tierSWAR16 && c <= swarCap16 &&
+		n <= native16MaxDim && m <= native16MaxDim:
+		return tierNative
 	case scTier == tierSWAR8x2 && c <= swarCap8:
 		if n <= swar8x2MaxQ && m <= swar8x2MaxT {
 			return tierSWAR8x2
@@ -95,11 +127,11 @@ func jobTier(n, m, h0 int, sc Scoring, scTier int) int {
 	}
 }
 
-// Sort-key layout: tier (2 bits) | ^n (20 bits) | ^m (20 bits) | index
-// (22 bits). Jobs too large for the dimension fields go to the scalar
+// Sort-key layout: tier (3 bits) | ^n (20 bits) | ^m (20 bits) | index
+// (21 bits). Jobs too large for the dimension fields go to the scalar
 // tier; batches longer than the index field are processed in chunks.
 const (
-	swarKeyIdxBits = 22
+	swarKeyIdxBits = 21
 	swarKeyDimBits = 20
 	swarKeyIdxMask = 1<<swarKeyIdxBits - 1
 	swarKeyDimMask = 1<<swarKeyDimBits - 1
@@ -113,7 +145,7 @@ const (
 // bds[i].E aliases workspace arena memory, valid until the next batch run
 // on ws. Score fields and boundaries are bit-identical to running
 // ExtendBandedWS per job; only the Rows/Cells accounting differs on the
-// SWAR tiers (full-sweep counts instead of early-terminated ones).
+// packed tiers (full-sweep counts instead of early-terminated ones).
 func ExtendBandedBatchWS(ws *Workspace, jobs []Job, sc Scoring, w int, results []ExtendResult, bds []BandBoundary) {
 	extendBatchWS(ws, jobs, sc, w, results, bds)
 }
@@ -201,7 +233,7 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 			idx++
 			continue
 		}
-		laneWidth := tierLaneWidth[tier]
+		laneWidth := tiers[tier].lanes
 		gEnd := idx + 1
 		for gEnd < idx+laneWidth && gEnd < len(keys) &&
 			int(keys[gEnd]>>(swarKeyIdxBits+2*swarKeyDimBits)) == tier {
@@ -209,7 +241,7 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 		}
 		// The group's sweep envelope is set by its largest query and
 		// target; lanes with a small fraction of that DP area would mostly
-		// sweep padding, so demote them to the scalar path.
+		// sweep padding, so a SWAR group demotes them to the scalar path.
 		nMax, mMax := 0, 0
 		for _, key := range keys[idx:gEnd] {
 			i := int(key & swarKeyIdxMask)
@@ -230,7 +262,7 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 			if bds != nil {
 				bd = bds[i].E
 			}
-			if 4*(n+1)*(m+1) < envelope {
+			if tier != tierNative && 4*(n+1)*(m+1) < envelope {
 				tally.demoted[tier]++
 				results[i], _ = extendCoreWS(ws, jobs[i].Q, jobs[i].T, jobs[i].H0, sc, w, Options{}, bd)
 				continue
@@ -256,6 +288,8 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 			tally.groups[run]++
 			tally.lanes[run] += int64(nl)
 			switch run {
+			case tierNative:
+				extendNative16(ws, lanes[:nl], sc, w)
 			case tierSWAR8x2:
 				extendSWAR8x2(ws, lanes[:nl], sc, w)
 			case tierSWAR8:

@@ -1,9 +1,12 @@
 package align
 
 // FuzzExtendSWAR drives the batch orchestration (and through it the
-// 16-lane two-word, 8-lane and 4-lane SWAR kernels, the tier ladder and
-// lane demotion) against the int reference kernel on fuzzer-chosen
-// sequences, scoring, band and h0 values. The raw byte stream is chopped
+// native 16-lane kernel where the host has it, the 16-lane two-word,
+// 8-lane and 4-lane SWAR kernels, the tier ladder and lane demotion)
+// against the int reference kernel on fuzzer-chosen sequences, scoring,
+// band and h0 values. Every input runs on the live back end and, when
+// that is the native tier, again on the forced portable ladder, so the
+// seed corpus and every fuzzed input cover both. The raw byte stream is chopped
 // into up to 24 jobs so single batches mix shapes and overfill the widest
 // tier (a 16-lane group plus leftovers), including the degenerate ones
 // (empty query, empty target, band wider than the target, h0 at tier
@@ -62,34 +65,43 @@ func FuzzExtendSWAR(f *testing.F) {
 			jobs = []Job{{Q: qraw, T: traw, H0: h0}}
 		}
 
-		ws := NewWorkspace()
-		res := make([]ExtendResult, len(jobs))
-		bds := make([]BandBoundary, len(jobs))
-		if w >= 0 {
-			ExtendBandedBatchWS(ws, jobs, sc, w, res, bds)
-		} else {
-			ExtendBatchFullWS(ws, jobs, sc, res)
-		}
+		want := make([]ExtendResult, len(jobs))
+		wantBd := make([]BandBoundary, len(jobs))
 		for i, jb := range jobs {
-			var want ExtendResult
-			var wantBd BandBoundary
 			if w >= 0 {
-				want, wantBd = ExtendBandedRef(jb.Q, jb.T, jb.H0, sc, w)
+				want[i], wantBd[i] = ExtendBandedRef(jb.Q, jb.T, jb.H0, sc, w)
 			} else {
-				want = ExtendRef(jb.Q, jb.T, jb.H0, sc)
+				want[i] = ExtendRef(jb.Q, jb.T, jb.H0, sc)
 			}
-			if !sameResult(res[i], want) {
-				t.Fatalf("job %d (n=%d m=%d h0=%d w=%d sc=%+v): batch %+v, reference %+v",
-					i, len(jb.Q), len(jb.T), jb.H0, w, sc, res[i], want)
+		}
+		check := func(backend string) {
+			ws := NewWorkspace()
+			res := make([]ExtendResult, len(jobs))
+			bds := make([]BandBoundary, len(jobs))
+			if w >= 0 {
+				ExtendBandedBatchWS(ws, jobs, sc, w, res, bds)
+			} else {
+				ExtendBatchFullWS(ws, jobs, sc, res)
 			}
-			if w >= 0 && jb.H0 > 0 && len(jb.Q) > 0 {
-				for j := range wantBd.E {
-					if bds[i].E[j] != wantBd.E[j] {
-						t.Fatalf("job %d boundary E[%d] (n=%d m=%d h0=%d w=%d sc=%+v): batch %d, reference %d",
-							i, j, len(jb.Q), len(jb.T), jb.H0, w, sc, bds[i].E[j], wantBd.E[j])
+			for i, jb := range jobs {
+				if !sameResult(res[i], want[i]) {
+					t.Fatalf("%s: job %d (n=%d m=%d h0=%d w=%d sc=%+v): batch %+v, reference %+v",
+						backend, i, len(jb.Q), len(jb.T), jb.H0, w, sc, res[i], want[i])
+				}
+				if w >= 0 && jb.H0 > 0 && len(jb.Q) > 0 {
+					for j := range wantBd[i].E {
+						if bds[i].E[j] != wantBd[i].E[j] {
+							t.Fatalf("%s: job %d boundary E[%d] (n=%d m=%d h0=%d w=%d sc=%+v): batch %d, reference %d",
+								backend, i, j, len(jb.Q), len(jb.T), jb.H0, w, sc, bds[i].E[j], wantBd[i].E[j])
+						}
 					}
 				}
 			}
+		}
+		check("live back end")
+		if native16Live {
+			forcePortable(t)
+			check("portable ladder")
 		}
 	})
 }

@@ -214,18 +214,22 @@ func BenchmarkBatchKernels(b *testing.B) {
 	})
 }
 
-// TestBatch16LaneScoreCeiling pins the 16-lane tier's admission
-// boundaries: a job exactly at the int8 score ceiling (h0 + n*Match =
-// 127) still runs in the two-word 16-lane tier, one point past it drops
-// to the 16-bit tier, past the int16 ceiling to scalar, and a shape
-// outside the two-word window (target longer than swar8x2MaxT) runs in
-// the single-word 8-lane tier — in every case with results bit-identical
-// to the scalar reference.
+// TestBatch16LaneScoreCeiling pins the tier table's admission boundaries,
+// in every case with results bit-identical to the scalar reference. The
+// portable ladder (forced, so the expectations hold on any host): a job
+// exactly at the int8 score ceiling (h0 + n*Match = 127) still runs in the
+// two-word 16-lane tier, one point past it drops to the 16-bit tier, past
+// the int16 ceiling to scalar, and a shape outside the two-word window
+// (target longer than swar8x2MaxT) runs in the single-word 8-lane tier.
+// The native tier, where the host has it: everything up to the int16
+// ceiling and up to native16MaxDim in both lengths is in, one past either
+// falls through to the portable ladder.
 func TestBatch16LaneScoreCeiling(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	sc := DefaultScoring()
+	flat := Scoring{Match: 0, Mismatch: 1, GapOpen: 2, GapExtend: 1} // ceiling h0 at any length
 	const n = 24
-	mkJobs := func(h0, m int) []Job {
+	mkJobs := func(h0, n, m int) []Job {
 		jobs := make([]Job, 16)
 		for i := range jobs {
 			q := make([]byte, n)
@@ -242,37 +246,121 @@ func TestBatch16LaneScoreCeiling(t *testing.T) {
 	}
 	atCap8 := swarCap8 - n*sc.Match
 	atCap16 := swarCap16 - n*sc.Match
-	cases := []struct {
-		name string
-		h0   int
-		m    int
-		want int
+	for _, tc := range []struct {
+		name   string
+		native bool
+		sc     Scoring
+		h0     int
+		n, m   int
+		want   int
 	}{
-		{"at-int8-cap", atCap8, 60, tierSWAR8x2},
-		{"over-int8-cap", atCap8 + 1, 60, tierSWAR16},
-		{"at-int16-cap", atCap16, 60, tierSWAR16},
-		{"over-int16-cap", atCap16 + 1, 60, tierScalar},
-		{"target-over-16lane-window", atCap8, swar8x2MaxT + 1, tierSWAR8},
-	}
-	scTier := swarScoringTier(sc)
-	for _, tc := range cases {
+		{"at-int8-cap", false, sc, atCap8, n, 60, tierSWAR8x2},
+		{"over-int8-cap", false, sc, atCap8 + 1, n, 60, tierSWAR16},
+		{"at-int16-cap", false, sc, atCap16, n, 60, tierSWAR16},
+		{"over-int16-cap", false, sc, atCap16 + 1, n, 60, tierScalar},
+		{"target-over-16lane-window", false, sc, atCap8, n, swar8x2MaxT + 1, tierSWAR8},
+		{"native/small", true, sc, 1, n, 60, tierNative},
+		{"native/at-int16-cap", true, sc, atCap16, n, 60, tierNative},
+		{"native/over-int16-cap", true, sc, atCap16 + 1, n, 60, tierScalar},
+		{"native/at-max-query", true, flat, 40, native16MaxDim, 60, tierNative},
+		{"native/over-max-query", true, flat, 40, native16MaxDim + 1, 60, tierSWAR8},
+		{"native/at-max-target", true, flat, 40, n, native16MaxDim, tierNative},
+		{"native/over-max-target", true, flat, 40, n, native16MaxDim + 1, tierSWAR8},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			jobs := mkJobs(tc.h0, tc.m)
+			if !tc.native {
+				forcePortable(t)
+			} else if !native16Live {
+				t.Skip("no native tier on this host or build")
+			}
+			jobs := mkJobs(tc.h0, tc.n, tc.m)
+			scTier := swarScoringTier(tc.sc)
 			for i := range jobs {
-				got := jobTier(len(jobs[i].Q), len(jobs[i].T), jobs[i].H0, sc, scTier)
+				got := jobTier(len(jobs[i].Q), len(jobs[i].T), jobs[i].H0, tc.sc, scTier)
 				if got != tc.want {
 					t.Fatalf("jobTier(n=%d m=%d h0=%d) = %s, want %s",
-						len(jobs[i].Q), len(jobs[i].T), jobs[i].H0, TierNames[got], TierNames[tc.want])
+						len(jobs[i].Q), len(jobs[i].T), jobs[i].H0, TierName(got), TierName(tc.want))
 				}
 			}
 			before := KernelSnapshot()
-			checkBatchMatchesScalar(t, jobs, sc, 21)
-			checkBatchMatchesScalar(t, jobs, sc, -1)
+			checkBatchMatchesScalar(t, jobs, tc.sc, 21)
+			checkBatchMatchesScalar(t, jobs, tc.sc, -1)
 			after := KernelSnapshot()
 			if got := after.Jobs[tc.want] - before.Jobs[tc.want]; got < int64(2*len(jobs)) {
 				t.Fatalf("tier %s job counter advanced by %d, want >= %d",
-					TierNames[tc.want], got, 2*len(jobs))
+					TierName(tc.want), got, 2*len(jobs))
 			}
 		})
+	}
+}
+
+// TestNativeLongLanes sweeps native lanes to the last row and column the
+// tier admits, where the index lanes sit one below the int16 sign bit: a
+// scoring scheme under which nothing decays keeps every in-band cell
+// live, so the right-edge capture fires at rows and columns around 32766.
+func TestNativeLongLanes(t *testing.T) {
+	if !native16Live {
+		t.Skip("no native tier on this host or build")
+	}
+	still := Scoring{Match: 0, Mismatch: 0, GapOpen: 0, GapExtend: 0}
+	rng := rand.New(rand.NewSource(78))
+	jobs := []Job{
+		{Q: randSeq(rng, native16MaxDim), T: randSeq(rng, native16MaxDim), H0: 9},
+		{Q: randSeq(rng, native16MaxDim-3), T: randSeq(rng, native16MaxDim), H0: 7},
+		{Q: randSeq(rng, native16MaxDim), T: randSeq(rng, native16MaxDim-1), H0: swarCap16},
+	}
+	before := KernelSnapshot()
+	checkBatchMatchesScalar(t, jobs, still, 2)
+	if got := KernelSnapshot().Lanes[tierNative] - before.Lanes[tierNative]; got != int64(len(jobs)) {
+		t.Fatalf("native lanes filled: %d, want %d", got, len(jobs))
+	}
+}
+
+// TestBandExtent pins the closed-form Rows/Cells against the row-by-row
+// count the SWAR kernels make.
+func TestBandExtent(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		for m := 0; m <= 12; m++ {
+			for w := -1; w <= 14; w++ {
+				rows, cells := 0, int64(0)
+				for i := 1; i <= m; i++ {
+					lo, hi := 1, n
+					if w >= 0 {
+						lo, hi = max(lo, i-w), min(hi, i+w)
+					}
+					if lo > hi {
+						break
+					}
+					rows, cells = i, cells+int64(hi-lo+1)
+				}
+				if gr, gc := bandExtent(n, m, w); gr != rows || gc != cells {
+					t.Fatalf("bandExtent(n=%d m=%d w=%d) = %d rows %d cells, want %d, %d", n, m, w, gr, gc, rows, cells)
+				}
+			}
+		}
+	}
+}
+
+// TestPortableLadder reruns the batch gates above on the pure-Go SWAR
+// ladder when the native tier is what they exercised the first time, so
+// both back ends pass every one of them on a host that has both.
+func TestPortableLadder(t *testing.T) {
+	if !native16Live {
+		t.Skip("the portable ladder is already the live back end")
+	}
+	forcePortable(t)
+	for _, g := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"BatchMatchesScalarBanded", TestBatchMatchesScalarBanded},
+		{"BatchMatchesScalarFull", TestBatchMatchesScalarFull},
+		{"BatchRandomScoring", TestBatchRandomScoring},
+		{"BatchEdgeCases", TestBatchEdgeCases},
+		{"BatchPartialGroups", TestBatchPartialGroups},
+		{"BatchLaneDemotion", TestBatchLaneDemotion},
+		{"BatchZeroAllocs", TestBatchZeroAllocs},
+	} {
+		t.Run(g.name, g.run)
 	}
 }

@@ -10,7 +10,7 @@ import "sync/atomic"
 // kernelCounters is the live counter set behind KernelSnapshot.
 type kernelCounters struct {
 	batches    atomic.Int64
-	jobs       [numTiers]atomic.Int64 // assigned tier: swar8x2, swar8, swar16, scalar
+	jobs       [numTiers]atomic.Int64 // per assigned tier
 	degenerate atomic.Int64
 	demoted    [numTiers]atomic.Int64 // demotions per assigned tier
 	solo       atomic.Int64
@@ -25,7 +25,7 @@ var ktel kernelCounters
 type KernelTelemetry struct {
 	// Batches counts batch-kernel invocations (chunks).
 	Batches int64 `json:"batches"`
-	// Jobs counts jobs per assigned tier (index TierSWAR8x2/8/16/Scalar).
+	// Jobs counts jobs per assigned tier (index TierNative .. TierScalar).
 	Jobs [numTiers]int64 `json:"jobs_per_tier"`
 	// Degenerate counts jobs that never entered the tier ladder (empty
 	// query or non-positive h0).
@@ -123,6 +123,7 @@ func KernelSnapshot() KernelTelemetry {
 // Tier indices, exported for telemetry consumers; they equal the
 // internal sort-key tiers.
 const (
+	TierNative  = tierNative
 	TierSWAR8x2 = tierSWAR8x2
 	TierSWAR8   = tierSWAR8
 	TierSWAR16  = tierSWAR16
@@ -132,27 +133,28 @@ const (
 	NumTiers = numTiers
 )
 
-// TierNames, indexed by tier.
-var TierNames = [numTiers]string{"swar8x2", "swar8", "swar16", "scalar"}
+// TierName names a tier for metrics labels and trace exports ("unknown"
+// outside the ladder).
+func TierName(tier int) string {
+	if tier < 0 || tier >= numTiers {
+		return "unknown"
+	}
+	return tiers[tier].name
+}
 
 // LaneWidth reports the lane count of a tier's packed kernel (1 for the
-// scalar tier).
+// scalar tier and outside the ladder).
 func LaneWidth(tier int) int {
-	switch tier {
-	case tierSWAR8x2:
-		return 16
-	case tierSWAR8:
-		return 8
-	case tierSWAR16:
-		return 4
-	default:
+	if tier < 0 || tier >= numTiers {
 		return 1
 	}
+	return tiers[tier].lanes
 }
 
 // TierOf reports the batch tier the ladder assigns a job of query length
 // n, target length m and seed score h0 under sc — the lane width the
-// packed kernels select before any divergence demotion.
+// packed kernels select before any divergence demotion: the native tier
+// on hosts that have it, for every job it admits.
 func TierOf(n, m, h0 int, sc Scoring) int {
 	if h0 <= 0 || n == 0 {
 		return tierScalar
@@ -181,6 +183,9 @@ const NumShapeBins = numTiers * (len(shapeLenClasses) + 1)
 // with a coarse length class (the sweep envelope it would impose on its
 // lane group). Jobs sharing a bin pack into dense lane groups with
 // little padding; jobs from different bins would demote each other.
+// Where the native tier is live nearly every job reports it, so the bins
+// collapse to the length classes and a flushed batch fills its lanes from
+// what used to be three tiers' worth of jobs.
 func ShapeBin(n, m, h0 int, sc Scoring) int {
 	tier := TierOf(n, m, h0, sc)
 	d := n

@@ -51,10 +51,15 @@ type swarCol struct {
 // packedScratch holds the lane-packed state of the SWAR kernels: the
 // interleaved column records (one per DP column per lane word — the
 // two-word 16-lane kernel stores word w of column j at cols[2j+w]) and
-// the lane-transposed target codes, strided the same way.
+// the lane-transposed target codes, strided the same way. The native
+// kernel's records (native16.go) live beside them; a process only ever
+// grows the pair its back end uses.
 type packedScratch struct {
 	cols []swarCol
 	tw   []uint64
+
+	cols16 []col16
+	tw16   []vec16
 }
 
 // NewWorkspace returns an empty Workspace; buffers are sized lazily on

@@ -25,9 +25,12 @@ type Response struct {
 	// OutcomeUnknown marks responses whose verdict was not observable
 	// (device-faulted slots rebuilt by the host, host-only batches).
 	Outcome Outcome
-	// RerunNs is the host time this job's rerun took after its batch's
-	// speculate-and-check interval (see BatchInfo): positive exactly when
-	// the engine reran the job serially, zero otherwise.
+	// RerunNs is this job's share of the host rerun time that followed its
+	// batch's speculate-and-check interval (see BatchInfo): positive exactly
+	// when the engine reran the job, zero otherwise. A batch's failed
+	// checks rerun together as one packed full-band batch, so the share is
+	// an equal split of that one interval — the shares of a batch sum to
+	// it exactly, and no single job's rerun has a time of its own.
 	RerunNs int64
 }
 
@@ -50,12 +53,17 @@ type Checker struct {
 	ems *editmachine.Workspace
 
 	// Batch scratch (grow-only): per-job banded results, boundaries and
-	// reports for checkJobs, plus the Job slice ExtendBatchInto builds
-	// from its Requests.
+	// reports for checkJobs, the Job slice ExtendBatchInto builds from its
+	// Requests, and the failed subset of a batch with its positions and
+	// full-band results for rerunFailed.
 	bjobs []align.Job
 	bres  []align.ExtendResult
 	bbds  []align.BandBoundary
 	breps []Report
+	rjobs []align.Job
+	ridx  []int
+	rres  []align.ExtendResult
+	full  fullBandSession // the nil-Fallback rerun extender, on ews
 	last  BatchInfo
 }
 
@@ -88,13 +96,40 @@ func (c *Checker) Check(query, target []byte, h0 int) (align.ExtendResult, Repor
 	return res, rep
 }
 
-// Rerun performs the host full-band extension for a failed check.
-func (c *Checker) Rerun(query, target []byte, h0 int) align.ExtendResult {
+// fallback returns the extender host reruns go through: Fallback when
+// set, else the full-band kernels on the checker's own workspace.
+func (c *Checker) fallback() align.Extender {
 	if c.Fallback != nil {
-		return c.Fallback.Extend(query, target, h0)
+		return c.Fallback
 	}
 	c.init()
-	return align.ExtendWS(c.ews, query, target, h0, c.Config.Scoring)
+	c.full = fullBandSession{sc: c.Config.Scoring, ws: c.ews}
+	return &c.full
+}
+
+// Rerun performs the host full-band extension for one failed check.
+func (c *Checker) Rerun(query, target []byte, h0 int) align.ExtendResult {
+	return c.fallback().Extend(query, target, h0)
+}
+
+// rerunFailed reruns the jobs whose report did not pass, all of them as
+// one batch through the fallback (for the default fallback one packed
+// full-band kernel invocation: the failures of a batch fill lanes together
+// like its speculation did). It returns the failed jobs' positions in
+// ascending order and their results, both aliasing checker scratch.
+func (c *Checker) rerunFailed(jobs []align.Job, reps []Report) ([]int, []align.ExtendResult) {
+	c.rjobs, c.ridx = c.rjobs[:0], c.ridx[:0]
+	for i := range reps {
+		if !reps[i].Pass {
+			c.rjobs = append(c.rjobs, jobs[i])
+			c.ridx = append(c.ridx, i)
+		}
+	}
+	if len(c.ridx) == 0 {
+		return nil, nil
+	}
+	c.rres = align.ExtendJobs(c.fallback(), c.rjobs, c.rres[:0])
+	return c.ridx, c.rres
 }
 
 // Extend implements align.Extender: check, record, rerun on failure.
@@ -142,23 +177,41 @@ func (c *Checker) checkJobs(jobs []align.Job) []Report {
 // ExtendBatchInto is ExtendBatch reusing dst's backing array when it is
 // large enough — the allocation-free form for long-lived workers. The
 // speculative banded extensions of the whole batch run as one packed
-// (SWAR) kernel invocation, timed as the batch's LastBatch interval;
-// failed checks then rerun individually, each timed into its RerunNs.
+// kernel invocation, timed as the batch's LastBatch interval; the failed
+// checks then rerun as one packed full-band batch, whose interval is
+// split evenly over their RerunNs.
 func (c *Checker) ExtendBatchInto(reqs []Request, dst []Response) []Response {
 	t0 := time.Now()
 	dst, reps := c.CheckBatch(reqs, dst)
-	c.last = BatchInfo{Start: t0, Dur: time.Since(t0)}
-	for i, r := range reqs {
-		if c.Stats != nil {
-			c.Stats.record(reps[i])
-		}
-		if dst[i].Rerun {
-			r0 := time.Now()
-			dst[i].Res = c.Rerun(r.Q, r.T, r.H0)
-			dst[i].RerunNs = max(1, time.Since(r0).Nanoseconds())
+	r0 := time.Now()
+	c.last = BatchInfo{Start: t0, Dur: r0.Sub(t0)}
+	c.recordAll(reps)
+	idx, res := c.rerunFailed(c.bjobs, reps)
+	if len(idx) == 0 {
+		return dst
+	}
+	// Every share is at least 1 ns so that RerunNs marks the rerun jobs.
+	n := int64(len(idx))
+	pooled := max(n, time.Since(r0).Nanoseconds())
+	c.last.Rerun = time.Duration(pooled)
+	share, extra := pooled/n, pooled%n
+	for k, i := range idx {
+		dst[i].Res = res[k]
+		dst[i].RerunNs = share
+		if int64(k) < extra {
+			dst[i].RerunNs++
 		}
 	}
 	return dst
+}
+
+func (c *Checker) recordAll(reps []Report) {
+	if c.Stats == nil {
+		return
+	}
+	for i := range reps {
+		c.Stats.record(reps[i])
+	}
 }
 
 // LastBatch implements BatchEngine.
@@ -200,15 +253,11 @@ func (c *Checker) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align
 	}
 	dst = dst[:len(jobs)]
 	reps := c.checkJobs(jobs)
-	for i := range jobs {
-		if c.Stats != nil {
-			c.Stats.record(reps[i])
-		}
-		if reps[i].Pass {
-			dst[i] = c.bres[i]
-		} else {
-			dst[i] = c.Rerun(jobs[i].Q, jobs[i].T, jobs[i].H0)
-		}
+	c.recordAll(reps)
+	copy(dst, c.bres)
+	idx, res := c.rerunFailed(jobs, reps)
+	for k, i := range idx {
+		dst[i] = res[k]
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -241,6 +242,128 @@ func TestSessionExtenders(t *testing.T) {
 			q, tg, h0 := realisticCase(rng)
 			if got, want := sess.Extend(q, tg, h0), p.Extend(q, tg, h0); got != want {
 				t.Fatalf("parent %d iter %d: session %+v != parent %+v", pi, iter, got, want)
+			}
+		}
+	}
+}
+
+// plainFallback is a fallback with no batch path: a bare align.Extender
+// that counts the reruns it is asked for.
+type plainFallback struct {
+	sc    align.Scoring
+	calls int
+}
+
+func (f *plainFallback) Extend(q, t []byte, h0 int) align.ExtendResult {
+	f.calls++
+	return align.Extend(q, t, h0, f.sc)
+}
+
+// TestPooledRerunIdentity: rerunning a batch's failed checks as one pooled
+// full-band batch is the per-job workflow (Check, record, Rerun on
+// failure) in everything but time — the five score fields, the rerun
+// flags and outcomes, and the trail in core.Stats — for both modes, for
+// the default, a batch and a non-batch Fallback, and for batches of only
+// failures, no failures, one failure and a mix. The shares of the pooled
+// interval mark exactly the rerun jobs and add up to it.
+func TestPooledRerunIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	sc := align.DefaultScoring()
+	for _, mode := range []Mode{ModeStrict, ModePaper} {
+		cfg := Config{Band: 8, Scoring: sc, Kind: SemiGlobal, Mode: mode}
+		// Sort generated problems by their per-job verdict.
+		var pass, fail []Request
+		probe := NewChecker(cfg)
+		for iter := 0; len(pass) < 24 || len(fail) < 24; iter++ {
+			q, tg, h0 := realisticCase(rng)
+			if iter%2 == 1 {
+				q, tg, h0 = adversarialCase(rng)
+			}
+			if _, rep := probe.Check(q, tg, h0); rep.Pass {
+				pass = append(pass, Request{Q: q, T: tg, H0: h0})
+			} else {
+				fail = append(fail, Request{Q: q, T: tg, H0: h0})
+			}
+		}
+		var mixed []Request
+		for i := 0; i < 19; i++ {
+			mixed = append(mixed, pass[i], fail[i])
+		}
+		batches := []struct {
+			name string
+			reqs []Request
+		}{
+			{"all-failures", fail[:23]},
+			{"no-failures", pass[:23]},
+			{"one-failure", append(append(append([]Request(nil), pass[:11]...), fail[0]), pass[11:20]...)},
+			{"mixed", mixed},
+		}
+		for _, fb := range []struct {
+			name string
+			mint func() align.Extender
+		}{
+			{"default", func() align.Extender { return nil }},
+			{"batch", func() align.Extender { return FullBand{Scoring: sc} }},
+			{"non-batch", func() align.Extender { return &plainFallback{sc: sc} }},
+		} {
+			for _, b := range batches {
+				name := fmt.Sprintf("mode=%d/%s/%s", mode, fb.name, b.name)
+				reqs := append([]Request(nil), b.reqs...)
+				jobs := make([]align.Job, len(reqs))
+				for i := range reqs {
+					reqs[i].Tag = 3 * i
+					jobs[i] = align.Job{Q: reqs[i].Q, T: reqs[i].T, H0: reqs[i].H0}
+				}
+
+				// The per-job workflow is the statement of what must come out.
+				perJob := &Checker{Config: cfg, Fallback: fb.mint(), Stats: NewStats()}
+				want := make([]align.ExtendResult, len(reqs))
+				reps := make([]Report, len(reqs))
+				failures := 0
+				for i, r := range reqs {
+					want[i], reps[i] = perJob.Check(r.Q, r.T, r.H0)
+					perJob.Stats.record(reps[i])
+					if !reps[i].Pass {
+						want[i] = perJob.Rerun(r.Q, r.T, r.H0)
+						failures++
+					}
+				}
+
+				pooled := &Checker{Config: cfg, Fallback: fb.mint(), Stats: NewStats()}
+				got := pooled.ExtendBatchInto(reqs, nil)
+				var shares int64
+				for i, r := range got {
+					if !sameResult(r.Res, want[i]) {
+						t.Fatalf("%s: request %d: pooled %+v, per-job %+v", name, i, r.Res, want[i])
+					}
+					if r.Tag != reqs[i].Tag || r.Rerun == reps[i].Pass || r.Outcome != reps[i].Outcome {
+						t.Fatalf("%s: request %d: tag %d rerun %v outcome %v, want %d, %v, %v",
+							name, i, r.Tag, r.Rerun, r.Outcome, reqs[i].Tag, !reps[i].Pass, reps[i].Outcome)
+					}
+					if (r.RerunNs > 0) != r.Rerun {
+						t.Fatalf("%s: request %d: rerun=%v with a share of %d ns", name, i, r.Rerun, r.RerunNs)
+					}
+					shares += r.RerunNs
+				}
+				if bi := pooled.LastBatch(); shares != int64(bi.Rerun) || (bi.Rerun > 0) != (failures > 0) {
+					t.Fatalf("%s: shares add up to %d ns, pooled interval %v, %d failures", name, shares, bi.Rerun, failures)
+				}
+				if pooled.Stats.Snapshot() != perJob.Stats.Snapshot() {
+					t.Fatalf("%s: ExtendBatchInto stats %v, per-job %v", name, pooled.Stats.Snapshot(), perJob.Stats.Snapshot())
+				}
+				if f, ok := pooled.Fallback.(*plainFallback); ok && f.calls != failures {
+					t.Fatalf("%s: fallback ran %d times for %d failures", name, f.calls, failures)
+				}
+
+				byJobs := &Checker{Config: cfg, Fallback: fb.mint(), Stats: NewStats()}
+				for i, r := range byJobs.ExtendJobs(jobs, nil) {
+					if !sameResult(r, want[i]) {
+						t.Fatalf("%s: job %d: ExtendJobs %+v, per-job %+v", name, i, r, want[i])
+					}
+				}
+				if byJobs.Stats.Snapshot() != perJob.Stats.Snapshot() {
+					t.Fatalf("%s: ExtendJobs stats %v, per-job %v", name, byJobs.Stats.Snapshot(), perJob.Stats.Snapshot())
+				}
 			}
 		}
 	}

@@ -23,14 +23,17 @@ type BatchEngine interface {
 
 // BatchInfo is the per-batch half of an engine's timing report (the
 // per-job half is Response.RerunNs). Start and Dur bracket the batch's
-// speculate-and-check interval; host reruns an engine performs serially
-// after it are reported in RerunNs. The device driver overlaps its reruns
-// with device time and records them under Key, so its interval is the
-// whole round trip and its RerunNs stay zero. Key is the device batch key
-// (see obs.BatchTraceID), 0 for host engines.
+// speculate-and-check interval; Rerun is the one interval right after it
+// in which the engine reran the batch's failed checks together (zero when
+// none failed), and the rerun jobs' RerunNs are its equal shares. The
+// device driver overlaps its reruns with device time and records them
+// under Key, so its interval is the whole round trip and its Rerun and
+// RerunNs stay zero. Key is the device batch key (see obs.BatchTraceID),
+// 0 for host engines.
 type BatchInfo struct {
 	Start time.Time
 	Dur   time.Duration
+	Rerun time.Duration
 	Key   int64
 }
 

@@ -29,6 +29,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"seedex/internal/align"
 )
 
 // Kind enumerates the pipeline stages a span can cover, mirroring the
@@ -49,7 +51,8 @@ const (
 	KindKernel
 	// KindCheck is an instant span carrying one job's check outcome.
 	KindCheck
-	// KindRerun covers one host full-band rerun.
+	// KindRerun covers the host full-band rerun of a batch's failed checks:
+	// one pooled interval, recorded on every job that was rerun in it.
 	KindRerun
 	// KindDevice covers one device batch attempt (DMA + batch_start ..
 	// batch_done + retrieval).
@@ -107,31 +110,20 @@ func (k Kind) String() string {
 	return "span"
 }
 
-// Tier values for KindKernel spans (v1). They mirror the align package's
-// SWAR tier ladder; TierUnknown marks extenders whose tiering the server
-// cannot see (device engines, third-party extenders).
+// Tier values for KindKernel spans (v1): the align package's tier ladder.
+// TierUnknown marks extenders whose tiering the server cannot see (device
+// engines, third-party extenders).
 const (
-	TierSWAR8x2 = 0
-	TierSWAR8   = 1
-	TierSWAR16  = 2
-	TierScalar  = 3
+	TierNative  = align.TierNative
+	TierSWAR8x2 = align.TierSWAR8x2
+	TierSWAR8   = align.TierSWAR8
+	TierSWAR16  = align.TierSWAR16
+	TierScalar  = align.TierScalar
 	TierUnknown = -1
 )
 
 // TierName renders a KindKernel span's v1 for exports.
-func TierName(v int64) string {
-	switch v {
-	case TierSWAR8x2:
-		return "swar8x2"
-	case TierSWAR8:
-		return "swar8"
-	case TierSWAR16:
-		return "swar16"
-	case TierScalar:
-		return "scalar"
-	}
-	return "unknown"
-}
+func TierName(v int64) string { return align.TierName(int(v)) }
 
 // Config tunes a Tracer.
 type Config struct {

@@ -183,7 +183,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	for _, e := range doc.TraceEvents {
 		if e.Name == "kernel" {
 			switch e.Args["tier"] {
-			case "swar8", "swar16", "scalar":
+			case "native16", "swar8", "swar16", "scalar":
 				sawTier = true
 			}
 		}
@@ -404,13 +404,23 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	// The per-tier kernel families carry one series per SWAR tier (scalar
 	// has no lanes or demotions, so it is skipped), labeled with the tier
 	// names the tracer uses.
-	for _, tier := range []string{"swar8x2", "swar8", "swar16"} {
+	for _, tier := range []string{"native16", "swar8x2", "swar8", "swar16"} {
 		for _, family := range []string{
 			"seedex_kernel_demoted_total", "seedex_kernel_tier_lane_utilization",
 		} {
 			if _, ok := first.samples[family+`{tier="`+tier+`"}`]; !ok {
 				t.Errorf("scrape missing %s{tier=%q}", family, tier)
 			}
+		}
+	}
+	// Exactly one back end is reported live, and it is the one align probed.
+	for _, isa := range []string{"avx2", "none"} {
+		want := 0.0
+		if isa == align.NativeISA() {
+			want = 1
+		}
+		if got, ok := first.samples[`seedex_kernel_native{isa="`+isa+`"}`]; !ok || got != want {
+			t.Errorf("seedex_kernel_native{isa=%q} = %v (present %v), want %v", isa, got, ok, want)
 		}
 	}
 	// Lane utilization is a ratio; a driven server reports it in (0, 1].

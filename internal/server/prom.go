@@ -147,18 +147,22 @@ func (s *Server) collectProm(p *obs.Prom) {
 	// sweep throughput of the packed batch kernels.
 	uptime := time.Since(s.started).Seconds()
 	kt := align.KernelSnapshot()
+	for _, isa := range []string{"avx2", "none"} {
+		p.Gauge("seedex_kernel_native", "Instruction set of the native packed tier on this host, chosen by CPUID at start-up (exactly one series is 1).",
+			boolGauge(isa == align.NativeISA()), "isa", isa)
+	}
 	p.Counter("seedex_kernel_chunks_total", "Batch-kernel invocations (chunks).", float64(kt.Batches))
 	for tier, n := range kt.Jobs {
-		p.Counter("seedex_kernel_jobs_total", "Jobs per assigned SWAR tier.", float64(n),
-			"tier", align.TierNames[tier])
+		p.Counter("seedex_kernel_jobs_total", "Jobs per assigned kernel tier.", float64(n),
+			"tier", align.TierName(tier))
 	}
 	p.Counter("seedex_kernel_degenerate_total", "Jobs that bypassed the tier ladder.", float64(kt.Degenerate))
 	for tier, n := range kt.Demoted {
 		if tier == align.TierScalar {
 			continue // scalar jobs are never demoted; skip the dead series
 		}
-		p.Counter("seedex_kernel_demoted_total", "SWAR-assigned jobs demoted to scalar by envelope divergence, by assigned tier.", float64(n),
-			"tier", align.TierNames[tier])
+		p.Counter("seedex_kernel_demoted_total", "SWAR-assigned jobs demoted to scalar by envelope divergence, by assigned tier (the native tier carries its whole group).", float64(n),
+			"tier", align.TierName(tier))
 	}
 	p.Counter("seedex_kernel_solo_total", "Jobs run scalar because their group filled one lane.", float64(kt.Solo))
 	for tier, n := range kt.Groups {
@@ -166,9 +170,9 @@ func (s *Server) collectProm(p *obs.Prom) {
 			continue
 		}
 		p.Counter("seedex_kernel_groups_total", "Packed lane groups executed, by kernel tier.", float64(n),
-			"tier", align.TierNames[tier])
+			"tier", align.TierName(tier))
 		p.Counter("seedex_kernel_lanes_total", "Lanes filled across packed groups, by kernel tier.", float64(kt.Lanes[tier]),
-			"tier", align.TierNames[tier])
+			"tier", align.TierName(tier))
 	}
 	p.Counter("seedex_kernel_cells_total", "DP cells swept by the batch kernels.", float64(kt.Cells))
 	p.Gauge("seedex_kernel_lane_occupancy", "Mean lanes filled per packed group.", kt.LaneOccupancy())
@@ -178,7 +182,7 @@ func (s *Server) collectProm(p *obs.Prom) {
 			continue
 		}
 		p.Gauge("seedex_kernel_tier_lane_utilization", "Per-tier filled lanes over lane capacity.", kt.TierLaneUtilization(tier),
-			"tier", align.TierNames[tier])
+			"tier", align.TierName(tier))
 	}
 	if uptime > 0 {
 		p.Gauge("seedex_kernel_cells_per_second", "Mean DP cell throughput since start.", float64(kt.Cells)/uptime)

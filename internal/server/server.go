@@ -576,8 +576,6 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 		resp = eng.ExtendBatchInto(reqs, resp[:0])
 		bi := eng.LastBatch()
 		kEnd := bi.Start.Add(bi.Dur)
-		// Serial host reruns follow the kernel interval back to back.
-		rerunAt := kEnd
 		for k, j := range live {
 			r := resp[k]
 			if j.tr.Sampled() {
@@ -591,9 +589,10 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 				j.tr.Span(obs.KindCheck, kEnd, 0, int64(r.Outcome), pass)
 			}
 			if r.RerunNs > 0 {
-				d := time.Duration(r.RerunNs)
-				j.tr.Span(obs.KindRerun, rerunAt, d, int64(r.Outcome), 1)
-				rerunAt = rerunAt.Add(d)
+				// The batch's failed checks reran together right after the
+				// kernel interval: like the kernel span, the one pooled
+				// interval goes to every job that was in it.
+				j.tr.Span(obs.KindRerun, kEnd, bi.Rerun, int64(r.Outcome), 1)
 			}
 			// A rerun without a proven outcome means the driver contained
 			// a fault, exhausted retries, or served host-only behind an
