@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race portable chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression serve-bench bin
+.PHONY: check vet build test race flake portable chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression serve-bench bin
 
 check: vet build test race portable
 
@@ -31,6 +31,12 @@ test:
 # Mappers of one Aligner at once).
 race:
 	$(GO) test -race ./...
+
+# The serving core's tests under the race detector, COUNT times over: the
+# loop that shows a test failing one run in twenty (ROADMAP's soak item).
+COUNT ?= 20
+flake:
+	$(GO) test -race -count=$(COUNT) ./internal/server
 
 # The build without the native kernel. internal/align picks its packed
 # back end by CPUID on amd64 and has only the pure-Go SWAR ladder
@@ -56,9 +62,10 @@ chaos:
 
 # Bounded-time fuzzing: every fuzz target in the tree (discovered with
 # go test -list, so a new target is covered without editing this file —
-# the map path's FuzzTraceBandIdentity, FuzzOccAt and FuzzBuildSAIdentity
-# and the native kernel's FuzzSweepRow16 among them), FUZZTIME each. A failure leaves its reproducer under the package's
-# testdata/fuzz/.
+# the map path's FuzzTraceBandIdentity, FuzzOccAt and FuzzBuildSAIdentity,
+# the native kernel's FuzzSweepRow16 and the wire codec's FuzzWireScan and
+# FuzzWireReply among them), FUZZTIME each. A failure leaves its reproducer
+# under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	@set -e; for pkg in $$($(GO) list ./...); do \

@@ -2,7 +2,7 @@ package align
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // CigarOp is a single CIGAR operation kind.
@@ -27,15 +27,18 @@ type CigarElem struct {
 type Cigar []CigarElem
 
 // String renders the CIGAR in SAM text form ("*" when empty).
-func (c Cigar) String() string {
+func (c Cigar) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends the SAM text form to dst and returns the extended slice.
+func (c Cigar) AppendTo(dst []byte) []byte {
 	if len(c) == 0 {
-		return "*"
+		return append(dst, '*')
 	}
-	var b strings.Builder
 	for _, e := range c {
-		fmt.Fprintf(&b, "%d%c", e.Len, e.Op)
+		dst = strconv.AppendInt(dst, int64(e.Len), 10)
+		dst = append(dst, byte(e.Op))
 	}
-	return b.String()
+	return dst
 }
 
 // Push appends one op run, merging with the previous element when equal.

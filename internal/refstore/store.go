@@ -56,8 +56,9 @@ type Generation struct {
 	load   time.Duration
 	warmup time.Duration
 
-	refs    atomic.Int64 // the store's own hold counts as 1
-	retired atomic.Bool
+	refs     atomic.Int64 // the store's own hold counts as 1
+	retired  atomic.Bool
+	unmapped sync.Once
 }
 
 // ID returns the generation number (1 for the initial open).
@@ -90,8 +91,11 @@ func (g *Generation) Release() {
 	if g == nil {
 		return
 	}
+	// A retired generation's count can touch zero more than once: Acquire
+	// increments before it checks that the generation is still current,
+	// and backs out through here. The mapping goes exactly once.
 	if g.refs.Add(-1) == 0 && g.retired.Load() {
-		g.unmap()
+		g.unmapped.Do(g.unmap)
 	}
 }
 

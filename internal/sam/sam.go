@@ -6,6 +6,7 @@ package sam
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"seedex/internal/align"
@@ -44,28 +45,43 @@ type Record struct {
 }
 
 // String renders the 11 mandatory fields plus AS/XS tags.
-func (r Record) String() string {
-	rname, pos, cigar := "*", 0, "*"
-	if r.Flag&FlagUnmapped == 0 {
-		rname, pos, cigar = r.RName, r.Pos, r.Cigar.String()
+func (r Record) String() string { return string(r.AppendTo(nil)) }
+
+// AppendTo appends the line String renders to dst and returns the extended
+// slice, so a caller rendering many records reuses one buffer.
+func (r Record) AppendTo(dst []byte) []byte {
+	field := func(s string) { dst = append(append(dst, s...), '\t') }
+	num := func(n int) { dst = append(strconv.AppendInt(dst, int64(n), 10), '\t') }
+	orStar := func(s string) string {
+		if s == "" {
+			return "*"
+		}
+		return s
 	}
-	seq, qual := r.Seq, r.Qual
-	if seq == "" {
-		seq = "*"
+	mapped := r.Flag&FlagUnmapped == 0
+	field(r.QName)
+	num(r.Flag)
+	if mapped {
+		field(r.RName)
+		num(r.Pos)
+		num(r.MapQ)
+		dst = append(r.Cigar.AppendTo(dst), '\t')
+	} else {
+		field("*")
+		num(0)
+		num(r.MapQ)
+		field("*")
 	}
-	if qual == "" {
-		qual = "*"
+	field(orStar(r.RNext))
+	num(r.PNext)
+	num(r.TLen)
+	field(orStar(r.Seq))
+	dst = append(dst, orStar(r.Qual)...)
+	if mapped {
+		dst = strconv.AppendInt(append(dst, "\tAS:i:"...), int64(r.Score), 10)
+		dst = strconv.AppendInt(append(dst, "\tXS:i:"...), int64(r.SubScore), 10)
 	}
-	rnext := r.RNext
-	if rnext == "" {
-		rnext = "*"
-	}
-	s := fmt.Sprintf("%s\t%d\t%s\t%d\t%d\t%s\t%s\t%d\t%d\t%s\t%s",
-		r.QName, r.Flag, rname, pos, r.MapQ, cigar, rnext, r.PNext, r.TLen, seq, qual)
-	if r.Flag&FlagUnmapped == 0 {
-		s += fmt.Sprintf("\tAS:i:%d\tXS:i:%d", r.Score, r.SubScore)
-	}
-	return s
+	return dst
 }
 
 // Header renders a minimal SAM header for a single reference.

@@ -1,6 +1,7 @@
 package sam
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -73,5 +74,49 @@ func TestValidateCatchesBadRecords(t *testing.T) {
 	bad = Record{QName: "x", Pos: 5, Seq: "ACGT", Cigar: align.Cigar{{Op: align.OpMatch, Len: 3}}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("cigar/seq length mismatch must fail")
+	}
+}
+
+// sprintfLine is the rendering AppendTo replaced, kept as its oracle.
+func sprintfLine(r Record) string {
+	rname, pos, cigar := "*", 0, "*"
+	if r.Flag&FlagUnmapped == 0 {
+		rname, pos, cigar = r.RName, r.Pos, r.Cigar.String()
+	}
+	seq, qual := r.Seq, r.Qual
+	if seq == "" {
+		seq = "*"
+	}
+	if qual == "" {
+		qual = "*"
+	}
+	rnext := r.RNext
+	if rnext == "" {
+		rnext = "*"
+	}
+	s := fmt.Sprintf("%s\t%d\t%s\t%d\t%d\t%s\t%s\t%d\t%d\t%s\t%s",
+		r.QName, r.Flag, rname, pos, r.MapQ, cigar, rnext, r.PNext, r.TLen, seq, qual)
+	if r.Flag&FlagUnmapped == 0 {
+		s += fmt.Sprintf("\tAS:i:%d\tXS:i:%d", r.Score, r.SubScore)
+	}
+	return s
+}
+
+func TestAppendToMatchesSprintf(t *testing.T) {
+	cigar := align.Cigar{{Op: align.OpSoft, Len: 3}, {Op: align.OpMatch, Len: 100}, {Op: align.OpIns, Len: 2}, {Op: align.OpDel, Len: 1}, {Op: align.OpMatch, Len: 45}}
+	for i, r := range []Record{
+		{},
+		{Flag: FlagUnmapped},
+		{QName: "r", Flag: FlagUnmapped, RName: "ignored", Pos: 7, MapQ: 3, Cigar: cigar, Seq: "ACGT", Qual: "I<>&", Score: 5, SubScore: 6},
+		{QName: "read1", Flag: FlagReverse, RName: "chr1", Pos: 42, MapQ: 60, Cigar: cigar, Seq: "ACGTN", Qual: "IIII!", Score: 90, SubScore: -10},
+		{QName: "p/1", Flag: FlagPaired | FlagRead1 | FlagMateReverse, RName: "chr2", Pos: 1 << 40, Cigar: cigar[:1], RNext: "=", PNext: 1234, TLen: -567, Score: 0},
+		{QName: "", RName: "", Pos: -1, MapQ: -2, PNext: -3, TLen: 4},
+	} {
+		if got, want := r.String(), sprintfLine(r); got != want {
+			t.Errorf("record %d:\n got %q\nwant %q", i, got, want)
+		}
+		if got := string(r.AppendTo([]byte("prefix|"))); got != "prefix|"+sprintfLine(r) {
+			t.Errorf("record %d: AppendTo dropped or rewrote what dst held: %q", i, got)
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"seedex/internal/core"
 	"seedex/internal/faults"
-	"seedex/internal/genome"
 	"seedex/internal/obs"
 	"seedex/internal/refstore"
 )
@@ -200,9 +199,9 @@ func (s *Server) admitStatus(err error) (int, string) {
 	}
 }
 
-// decodeStatus classifies a body decode error: 413 when MaxBodyBytes cut
-// the body short, 400 otherwise.
-func decodeStatus(err error) int {
+// bodyStatus classifies a body read error: 413 when MaxBodyBytes cut the
+// body short, 400 otherwise.
+func bodyStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		return http.StatusRequestEntityTooLarge
@@ -210,18 +209,16 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// decode parses one JSON request body, bounded by MaxBodyBytes so an
-// oversized (or oversized-malformed) body is refused with 413 instead of
-// being allocated whole before validation. It writes the error reply
-// itself and reports whether decoding succeeded.
-func (rq *request) decode(r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(rq.w, r.Body, rq.s.cfg.MaxBodyBytes)
-	err := json.NewDecoder(r.Body).Decode(v)
+// readBody reads the whole request body into wb, bounded by MaxBodyBytes
+// so an oversized body is refused with 413 wherever its first value ends.
+// It writes the error reply itself and reports whether the read succeeded.
+func (rq *request) readBody(r *http.Request, wb *wireBuf) bool {
+	err := wb.readBody(http.MaxBytesReader(rq.w, r.Body, rq.s.cfg.MaxBodyBytes), r.ContentLength)
 	if err == nil {
 		return true
 	}
 	rq.s.met.BadInput.Add(1)
-	if st := decodeStatus(err); st == http.StatusRequestEntityTooLarge {
+	if st := bodyStatus(err); st == http.StatusRequestEntityTooLarge {
 		rq.fail(st, "request body larger than %d bytes", rq.s.cfg.MaxBodyBytes)
 	} else {
 		rq.fail(st, "bad request body: %v", err)
@@ -230,11 +227,11 @@ func (rq *request) decode(r *http.Request, v any) bool {
 }
 
 // validateJob bounds one extension job's shape.
-func validateJob(j ExtendJob, maxSeqLen int) error {
-	if j.Query == "" || j.Target == "" {
+func validateJob(j *core.Request, maxSeqLen int) error {
+	if len(j.Q) == 0 || len(j.T) == 0 {
 		return fmt.Errorf("query and target must be non-empty")
 	}
-	if len(j.Query) > maxSeqLen || len(j.Target) > maxSeqLen {
+	if len(j.Q) > maxSeqLen || len(j.T) > maxSeqLen {
 		return fmt.Errorf("sequence longer than %d bp", maxSeqLen)
 	}
 	if j.H0 < 0 {
@@ -247,23 +244,23 @@ func validateJob(j ExtendJob, maxSeqLen int) error {
 // gives meaning to (tabs, newlines, an empty or over-long QNAME) out of
 // the record rendered from it: names must match SAM's [!-?A-~]{1,254},
 // qualities its [!-~]+.
-func validateRead(rd MapRead, maxSeqLen int) error {
-	if rd.Seq == "" || len(rd.Seq) > maxSeqLen {
+func validateRead(rd *mapRead, maxSeqLen int) error {
+	if len(rd.seq) == 0 || len(rd.seq) > maxSeqLen {
 		return fmt.Errorf("seq must hold 1..%d bases", maxSeqLen)
 	}
-	if rd.Qual != "" && len(rd.Qual) != len(rd.Seq) {
-		return fmt.Errorf("qual length %d != seq length %d", len(rd.Qual), len(rd.Seq))
+	if len(rd.qual) != 0 && len(rd.qual) != len(rd.seq) {
+		return fmt.Errorf("qual length %d != seq length %d", len(rd.qual), len(rd.seq))
 	}
-	if rd.Name == "" || len(rd.Name) > 254 {
+	if len(rd.name) == 0 || len(rd.name) > 254 {
 		return fmt.Errorf("name must hold 1..254 characters")
 	}
-	for i := 0; i < len(rd.Name); i++ {
-		if c := rd.Name[i]; c < '!' || c > '~' || c == '@' {
+	for _, c := range rd.name {
+		if c < '!' || c > '~' || c == '@' {
 			return fmt.Errorf("name holds byte %#02x outside SAM's [!-?A-~]", c)
 		}
 	}
-	for i := 0; i < len(rd.Qual); i++ {
-		if c := rd.Qual[i]; c < '!' || c > '~' {
+	for _, c := range rd.qual {
+		if c < '!' || c > '~' {
 			return fmt.Errorf("qual holds byte %#02x outside SAM's [!-~]", c)
 		}
 	}
@@ -282,71 +279,71 @@ func wireResult(r core.Response) ExtendResult {
 	}
 }
 
-// batchBody is what stays per endpoint of a JSON batch request: the
-// decoded body knows its size and deadline, validates and converts its
-// items, names its routing key and wraps the results. P is the queued
-// payload of one item, R its result.
-type batchBody[P, R any] interface {
-	shape() (items, deadlineMs int)
-	validate(i, maxSeqLen int) error
-	// routeKey stands for the reference region of the request: all its
-	// items share one routing decision, keyed by the first.
-	routeKey() uint64
-	payload(i int) P
-	reply(res []R) any
+// batchBody is what stays per endpoint of a JSON batch request: how its
+// body scans into items, how one item is checked, and how its results
+// render. P is the queued payload of one item, R its result; noun names an
+// item ("job", "read") in the error strings.
+type batchBody[P, R any] struct {
+	noun string
+	pipe func(*shard) *batcher[job[P, R]]
+	// scan parses wb.body into items that alias wb, and leaves in
+	// wb.routeRegion what the request's routing key hashes: all its items
+	// share one routing decision, keyed by the first.
+	scan        func(wb *wireBuf) (items []P, deadlineMs int, err error)
+	validate    func(item *P, maxSeqLen int) error
+	appendReply func(dst []byte, res []R) []byte
 }
 
-func (q *ExtendRequest) shape() (int, int)               { return len(q.Jobs), q.DeadlineMs }
-func (q *ExtendRequest) validate(i, maxSeqLen int) error { return validateJob(q.Jobs[i], maxSeqLen) }
-func (q *ExtendRequest) routeKey() uint64                { return routeKey(q.Jobs[0].Target) }
-
-func (q *ExtendRequest) payload(i int) core.Request {
-	j := q.Jobs[i]
-	return core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0}
-}
-
-func (q *ExtendRequest) reply(res []ExtendResult) any { return ExtendResponse{Results: res} }
-
-func (q *MapRequest) shape() (int, int)               { return len(q.Reads), q.DeadlineMs }
-func (q *MapRequest) validate(i, maxSeqLen int) error { return validateRead(q.Reads[i], maxSeqLen) }
-
-// The read sequence stands in for the region it will map to.
-func (q *MapRequest) routeKey() uint64 { return routeKey(q.Reads[0].Seq) }
-
-func (q *MapRequest) payload(i int) mapRead {
-	rd := q.Reads[i]
-	var qual []byte
-	if rd.Qual != "" {
-		qual = []byte(rd.Qual)
-	}
-	return mapRead{name: rd.Name, seq: genome.Encode(rd.Seq), qual: qual}
-}
-
-func (q *MapRequest) reply(res []MapResult) any { return MapResponse{Results: res} }
+// The extend endpoint routes by job 0's target; the map endpoint by read
+// 0's sequence, which stands in for the region it will map to.
+var (
+	extendBody = batchBody[core.Request, ExtendResult]{"job", extPipe, (*wireBuf).scanExtend, validateJob, appendExtendReply}
+	mapBody    = batchBody[mapRead, MapResult]{"read", mapPipe, (*wireBuf).scanMap, validateRead, appendMapReply}
+)
 
 // serveBatch is the lifecycle of one JSON batch request on either
-// endpoint: drain check, bounded decode, count and shape validation,
+// endpoint: drain check, bounded read and scan, count and shape validation,
 // deadline context, one routing decision and the submit loop, then wait
 // for the request's own items — which may have coalesced with other
-// requests' into shared batches — and reply. noun names an item ("job",
-// "read") in the error strings.
-func serveBatch[P, R any](rq *request, r *http.Request, noun string, pipe func(*shard) *batcher[job[P, R]], body batchBody[P, R]) {
-	s := rq.s
-	if rq.refuseDraining() || !rq.decode(r, body) {
-		return
+// requests' into shared batches — and reply. The queued items alias the
+// request's pooled wireBuf, so it is recycled only on the paths where none
+// of them can still be in flight. A request that got as far as a result
+// returns the wireBuf with the reply rendered in out, for finish to send;
+// every other path has answered already and returns nil.
+func serveBatch[P, R any](rq *request, r *http.Request, body *batchBody[P, R]) *wireBuf {
+	s, noun := rq.s, body.noun
+	if rq.refuseDraining() {
+		return nil
 	}
-	n, deadlineMs := body.shape()
+	wb := getWire()
+	if !rq.readBody(r, wb) {
+		putWire(wb)
+		return nil
+	}
+	// reject refuses the body; nothing aliases wb yet.
+	reject := func(format string, args ...any) {
+		putWire(wb)
+		s.met.BadInput.Add(1)
+		rq.fail(http.StatusBadRequest, format, args...)
+	}
+	scanStart := time.Now()
+	items, deadlineMs, err := body.scan(wb)
+	s.met.DecodeNs.Add(time.Since(scanStart).Nanoseconds())
+	s.met.CodecRequests.Add(1)
+	if err != nil {
+		reject("bad request body: %v", err)
+		return nil
+	}
+	n := len(items)
 	rq.n = int64(n)
 	if n == 0 || n > s.cfg.MaxJobsPerRequest {
-		s.met.BadInput.Add(1)
-		rq.fail(http.StatusBadRequest, "%ss must hold 1..%d entries", noun, s.cfg.MaxJobsPerRequest)
-		return
+		reject("%ss must hold 1..%d entries", noun, s.cfg.MaxJobsPerRequest)
+		return nil
 	}
-	for i := 0; i < n; i++ {
-		if err := body.validate(i, s.cfg.MaxSeqLen); err != nil {
-			s.met.BadInput.Add(1)
-			rq.fail(http.StatusBadRequest, "%s %d: %v", noun, i, err)
-			return
+	for i := range items {
+		if err := body.validate(&items[i], s.cfg.MaxSeqLen); err != nil {
+			reject("%s %d: %v", noun, i, err)
+			return nil
 		}
 	}
 	ctx := r.Context()
@@ -359,21 +356,21 @@ func serveBatch[P, R any](rq *request, r *http.Request, noun string, pipe func(*
 	p := newPending[R](n)
 	// A full shard queue fails individual items over to peers inside
 	// submit.
-	sh := s.router.pick(body.routeKey())
+	sh := s.router.pick(routeKey(wb.routeRegion))
 	for i := 0; i < n; i++ {
-		j := job[P, R]{ctx: ctx, req: body.payload(i), out: p, slot: i, tr: rq.tr, enq: time.Now()}
-		if err := submit(s.router, pipe, sh, j); err != nil {
+		j := job[P, R]{ctx: ctx, req: items[i], out: p, slot: i, tr: rq.tr, enq: time.Now()}
+		if err := submit(s.router, body.pipe, sh, j); err != nil {
 			// Refuse the request as a whole: partial results are never
 			// served. Items already in flight still write into p, so wait
 			// them out; abandon closes done itself if they all landed
-			// before it ran.
+			// before it ran. The wireBuf is left to the GC.
 			if i > 0 {
 				p.abandon(i, n)
 				<-p.done
 			}
 			status, msg := s.admitStatus(err)
 			rq.fail(status, "%s", msg)
-			return
+			return nil
 		}
 		s.met.Accepted.Add(1)
 	}
@@ -383,18 +380,39 @@ func serveBatch[P, R any](rq *request, r *http.Request, noun string, pipe func(*
 		// deadline and the last delivery race, this arm can win over
 		// ctx.Done(). Never serve those zeros as 200.
 		if e := p.expired.Load(); e > 0 {
+			putWire(wb)
 			rq.fail(http.StatusGatewayTimeout, "deadline exceeded: %d of %d %ss expired before compute", e, n, noun)
-			return
+			return nil
 		}
 	case <-ctx.Done():
-		// Items are still in flight: workers may yet write spans, so the
-		// journey buffer must not be recycled for another request.
+		// Items are still in flight: workers may yet write spans and read
+		// their sequences, so neither the journey buffer nor the wireBuf
+		// may be recycled for another request.
 		rq.tr.Detach()
 		rq.fail(http.StatusGatewayTimeout, "deadline exceeded with %ss in flight", noun)
+		return nil
+	}
+	ready := time.Now()
+	s.met.observeLatency(ready.Sub(rq.start))
+	wb.out = body.appendReply(wb.out[:0], p.res)
+	s.met.EncodeNs.Add(time.Since(ready).Nanoseconds())
+	return wb
+}
+
+// finish accounts the request, then sends the reply serveBatch rendered, if
+// it got that far. In that order: the declared length hands the client the
+// whole reply the moment it is written, and the trace a client asks for
+// next must already be recorded.
+func (rq *request) finish(wb *wireBuf) {
+	rq.done()
+	if wb == nil {
 		return
 	}
-	s.met.observeLatency(time.Since(rq.start))
-	writeJSON(rq.w, http.StatusOK, body.reply(p.res))
+	h := rq.w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(wb.out)))
+	rq.w.Write(wb.out)
+	putWire(wb)
 }
 
 // handleExtend runs one JSON batch of extension jobs through the
@@ -402,19 +420,18 @@ func serveBatch[P, R any](rq *request, r *http.Request, noun string, pipe func(*
 // batches; each request waits only for its own jobs.
 func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 	rq := s.begin(w, r)
-	defer rq.done()
-	serveBatch(&rq, r, "job", extPipe, new(ExtendRequest))
+	rq.finish(serveBatch(&rq, r, &extendBody))
 }
 
 // handleMap runs one JSON batch of reads through the mapping pipeline.
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	rq := s.begin(w, r)
-	defer rq.done()
 	if !s.mapEnabled() {
 		rq.fail(http.StatusNotImplemented, "mapping endpoint disabled: server started without a reference")
+		rq.done()
 		return
 	}
-	serveBatch(&rq, r, "read", mapPipe, new(MapRequest))
+	rq.finish(serveBatch(&rq, r, &mapBody))
 }
 
 // handleExtendStream is the pipelined NDJSON form: one ExtendJob per
@@ -442,7 +459,6 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	out := bufio.NewWriter(w)
 	defer out.Flush()
-	enc := json.NewEncoder(out)
 
 	// window holds the pendings of submitted jobs in input order.
 	const streamWindow = 256
@@ -461,32 +477,32 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 	var orphaned atomic.Bool
 	go func() {
 		defer close(window)
-		dec := json.NewDecoder(r.Body)
+		br := bufio.NewReader(r.Body)
+		var frame []byte
 		for i := 0; ; i++ {
-			var j ExtendJob
-			if err := dec.Decode(&j); err != nil {
-				if !errors.Is(err, io.EOF) {
-					fail(decodeStatus(err), "line %d: %v", i, err)
+			var err error
+			if frame, err = frameValue(br, frame[:0]); err != nil {
+				if err != io.EOF {
+					fail(bodyStatus(err), "line %d: %v", i, err)
 				}
 				return
 			}
-			if err := validateJob(j, s.cfg.MaxSeqLen); err != nil {
+			req, target, err := scanLine(frame)
+			if err != nil {
+				fail(http.StatusBadRequest, "line %d: %v", i, err)
+				return
+			}
+			if err := validateJob(&req, s.cfg.MaxSeqLen); err != nil {
 				s.met.BadInput.Add(1)
 				fail(http.StatusBadRequest, "line %d: %v", i, err)
 				return
 			}
 			p := newPending[ExtendResult](1)
-			job := extJob{
-				ctx: ctx,
-				req: core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0},
-				out: p,
-				tr:  rq.tr,
-				enq: time.Now(),
-			}
+			job := extJob{ctx: ctx, req: req, out: p, tr: rq.tr, enq: time.Now()}
 			// Streamed jobs route individually: a long stream spreads over
 			// the pool under load-based policies, and sticks to its region's
 			// shard under consistent hashing.
-			if err := s.router.submitWaitExt(ctx, routeKey(j.Target), job); err != nil {
+			if err := s.router.submitWaitExt(ctx, routeKey(target), job); err != nil {
 				status, _ := s.admitStatus(err)
 				fail(status, "%v", err)
 				return
@@ -503,6 +519,7 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
+	var line []byte
 	for p := range window {
 		select {
 		case <-p.done:
@@ -518,7 +535,8 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 			rq.tr.Detach()
 			return
 		}
-		if err := enc.Encode(p.res[0]); err != nil {
+		line = append(appendExtendResult(line[:0], &p.res[0]), '\n')
+		if _, err := out.Write(line); err != nil {
 			rq.tr.Detach()
 			return
 		}
@@ -532,7 +550,7 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 	}
 	if failMsg != "" {
 		rq.status = failStatus
-		enc.Encode(errorBody{Error: failMsg, RequestID: rq.ridStr})
+		json.NewEncoder(out).Encode(errorBody{Error: failMsg, RequestID: rq.ridStr})
 	}
 }
 

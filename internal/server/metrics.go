@@ -164,6 +164,12 @@ type Metrics struct {
 	Occupancy hist         // jobs per dispatched batch
 	QueueWait hist         // ns from admission to dispatch
 	Latency   hist         // ns from request start to response ready
+
+	// Wire codec busy time on the batch endpoints: scanning a body that was
+	// read whole, rendering a reply before it is written.
+	DecodeNs      atomic.Int64
+	EncodeNs      atomic.Int64
+	CodecRequests atomic.Int64 // bodies scanned
 }
 
 // MetricsSnapshot is the JSON shape of /metrics (expvar-style: one flat
@@ -193,6 +199,10 @@ type MetricsSnapshot struct {
 	LatencyP90Us   float64       `json:"latency_p90_us"`
 	LatencyP99Us   float64       `json:"latency_p99_us"`
 	LatencyMeanUs  float64       `json:"latency_mean_us"`
+
+	DecodeNs      int64 `json:"decode_ns"`
+	EncodeNs      int64 `json:"encode_ns"`
+	CodecRequests int64 `json:"codec_requests"`
 }
 
 // Snapshot reads every counter into the JSON shape. Queue depth/cap are
@@ -227,6 +237,10 @@ func (m *Metrics) Snapshot(queueDepth, queueCap int) MetricsSnapshot {
 		LatencyP90Us:   latQ.P90,
 		LatencyP99Us:   latQ.P99,
 		LatencyMeanUs:  lat.Mean() / 1e3,
+
+		DecodeNs:      m.DecodeNs.Load(),
+		EncodeNs:      m.EncodeNs.Load(),
+		CodecRequests: m.CodecRequests.Load(),
 	}
 }
 

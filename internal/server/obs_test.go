@@ -389,6 +389,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		"seedex_prefilter_rescued_total", "seedex_prefilter_false_pass_total",
 		"seedex_request_latency_seconds", "seedex_queue_wait_seconds", "seedex_batch_occupancy",
 		"seedex_request_latency_quantile_seconds",
+		"seedex_codec_seconds_total", "seedex_codec_requests_total",
 		"seedex_kernel_jobs_total", "seedex_kernel_lane_occupancy",
 		"seedex_kernel_lane_utilization", "seedex_kernel_tier_lane_utilization",
 		"seedex_kernel_demoted_total",
@@ -429,6 +430,15 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 	if _, ok := first.samples[`seedex_request_latency_quantile_seconds{quantile="0.99"}`]; !ok {
 		t.Error("scrape missing p99 latency quantile")
+	}
+	// The wire codec reports busy time per stage over the bodies it scanned.
+	for _, stage := range []string{"decode", "encode"} {
+		if v := first.samples[`seedex_codec_seconds_total{stage="`+stage+`"}`]; v <= 0 {
+			t.Errorf("seedex_codec_seconds_total{stage=%q} = %v after a served request, want > 0", stage, v)
+		}
+	}
+	if n := first.samples["seedex_codec_requests_total"]; n != 1 {
+		t.Errorf("seedex_codec_requests_total = %v after one request, want 1", n)
 	}
 
 	// Counters never decrease across scrapes.

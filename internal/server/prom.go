@@ -47,6 +47,12 @@ func (s *Server) collectProm(p *obs.Prom) {
 	p.Quantiles("seedex_request_latency_quantile_seconds", "Interpolated request latency quantiles.",
 		map[float64]float64{0.5: latQ.P50, 0.9: latQ.P90, 0.99: latQ.P99})
 
+	// What the wire codec costs: busy seconds per stage over the bodies
+	// scanned (no socket time in either).
+	p.Counter("seedex_codec_seconds_total", "Wire codec busy time on the batch endpoints.", float64(m.DecodeNs.Load())/1e9, "stage", "decode")
+	p.Counter("seedex_codec_seconds_total", "Wire codec busy time on the batch endpoints.", float64(m.EncodeNs.Load())/1e9, "stage", "encode")
+	p.Counter("seedex_codec_requests_total", "Request bodies scanned by the wire codec.", float64(m.CodecRequests.Load()))
+
 	qw := m.QueueWait.snapshot()
 	p.Histogram("seedex_queue_wait_seconds", "Per-job wait from admission to batch dispatch.",
 		obs.Pow2Buckets(qw.Counts[:], 1e-9), float64(qw.Sum)/1e9, qw.N)

@@ -176,7 +176,7 @@ func mix64(h uint64) uint64 {
 // consistent-hash policy keys affinity on. Bounded at 64 bases so the key
 // cost stays flat for long targets; the length folds in to separate
 // regions sharing a prefix.
-func routeKey(region string) uint64 {
+func routeKey[S string | []byte](region S) uint64 {
 	h := uint64(fnvOffset64)
 	n := len(region)
 	if n > 64 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -119,12 +120,17 @@ func TestUnknownRoutePolicyPanics(t *testing.T) {
 
 // --- Router + shard integration ---------------------------------------------
 
-// gatedShard builds one shard whose single worker blocks on gate, so
-// tests can pin work in the queue deterministically.
-func gatedShard(id int, group *stealGroup[extJob], gate chan struct{}, processed chan extJob) *shard {
+// gatedShard builds one shard whose single worker announces the batch it
+// picked up on entered (to a test that listens) and then blocks on gate, so tests can pin work in
+// the queue deterministically.
+func gatedShard(id int, group *stealGroup[extJob], entered chan<- int, gate chan struct{}, processed chan extJob) *shard {
 	sh := &shard{id: id, sm: &shardMetrics{}}
 	work := func() func([]extJob) {
 		return func(batch []extJob) {
+			select {
+			case entered <- id: // nil (never ready) when the test does not listen
+			default:
+			}
 			<-gate
 			for _, j := range batch {
 				processed <- j
@@ -142,25 +148,42 @@ func gatedShard(id int, group *stealGroup[extJob], gate chan struct{}, processed
 // surfacing 429.
 func TestRouterFailoverOnFullQueue(t *testing.T) {
 	gate := make(chan struct{})
+	entered := make(chan int, 1)
 	processed := make(chan extJob, 64)
-	sh0 := gatedShard(0, nil, gate, processed) // no steal group: keep its backlog put
-	sh1 := gatedShard(1, nil, gate, processed)
+	sh0 := gatedShard(0, nil, entered, gate, processed) // no steal group: keep its backlog put
+	sh1 := gatedShard(1, nil, nil, gate, processed)
 	defer func() { close(gate); sh0.ext.Close(); sh1.ext.Close() }()
 	rt, err := newRouter([]*shard{sh0, sh1}, "least-loaded")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Saturate shard 0: one batch in the worker (blocked on gate), queue
-	// full behind it.
 	job := func(tag int) extJob {
 		p := newPending[ExtendResult](64)
 		return extJob{ctx: t.Context(), req: core.Request{Q: []byte{0, 1}, T: []byte{0, 1}, H0: 5, Tag: tag}, out: p, enq: time.Now()}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for sh0.ext.Submit(job(0)) == nil {
-		if time.Now().After(deadline) {
+	// Saturate shard 0. Pin its worker on a first batch, then fill what is
+	// left behind it: one batch in the dispatch channel, one in the
+	// collector's hands, and the admission queue. A refusal while the
+	// collector is still lifting jobs out of the queue says nothing (the
+	// probe below would then be admitted on shard 0); only once that many
+	// jobs are in, with the worker holding still, is the queue full to stay.
+	if err := sh0.ext.Submit(job(0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shard 0's worker never picked up its first batch")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for behind := cap(sh0.ext.batches) + 1 + cap(sh0.ext.in); behind > 0; {
+		if sh0.ext.Submit(job(0)) == nil {
+			behind--
+		} else if time.Now().After(deadline) {
 			t.Fatal("shard 0 queue never filled")
+		} else {
+			runtime.Gosched()
 		}
 	}
 

@@ -492,7 +492,7 @@ type (
 
 // mapRead is a mapJob's payload.
 type mapRead struct {
-	name string
+	name []byte
 	seq  []byte // base codes
 	qual []byte // ASCII qualities or nil
 }
@@ -628,6 +628,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 	var genID uint64
 	live := make([]mapJob, 0, s.cfg.MapBatch.MaxBatch)
 	reads := make([]bwamem.Read, 0, s.cfg.MapBatch.MaxBatch)
+	var text []byte // one rendered CIGAR or SAM line at a time
 	return func(batch []mapJob) {
 		now := time.Now()
 		reloadOverlap := false
@@ -658,7 +659,9 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 		}
 		reads = reads[:0]
 		for _, j := range live {
-			reads = append(reads, bwamem.Read{Name: j.req.name, Seq: j.req.seq, Qual: j.req.qual})
+			// The name outlives the request's buffer in the result and the
+			// SAM record: this is its one copy.
+			reads = append(reads, bwamem.Read{Name: string(j.req.name), Seq: j.req.seq, Qual: j.req.qual})
 		}
 		recs, als, bt := m.MapBatch(reads)
 		stages := [...]time.Time{bt.Start, bt.Planned, bt.LeftDone, bt.RightDone, bt.End}
@@ -688,17 +691,22 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 				j.tr.Span(obs.KindRescue, bt.End, 0,
 					int64(al.PrefilterRescued), int64(al.RescueRounds))
 			}
+			// One buffer, one rendering at a time: each is copied out before
+			// the next overwrites it.
+			text = al.Cigar.AppendTo(text[:0])
+			cigar := string(text)
+			text = rec.AppendTo(text[:0])
 			j.sh.settleDone()
 			j.out.deliver(j.slot, MapResult{
-				Name:   j.req.name,
+				Name:   rec.QName,
 				Mapped: al.Mapped,
 				RName:  rec.RName,
 				Pos:    rec.Pos,
 				Rev:    al.Rev,
 				MapQ:   al.MapQ,
 				Score:  al.Score,
-				Cigar:  al.Cigar.String(),
-				Sam:    rec.String(),
+				Cigar:  cigar,
+				Sam:    string(text),
 			})
 		}
 		s.met.Completed.Add(int64(len(live)))

@@ -562,7 +562,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"jobs_accepted", "jobs_completed", "batches", "batch_occupancy_mean", "latency_p50_us", "queue_cap", "checks", "config"} {
+	for _, key := range []string{"jobs_accepted", "jobs_completed", "batches", "batch_occupancy_mean", "latency_p50_us", "queue_cap", "decode_ns", "encode_ns", "codec_requests", "checks", "config"} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("metrics missing %q: %v", key, m)
 		}
