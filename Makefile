@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race flake portable chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression serve-bench bin
+.PHONY: check vet build test race flake portable chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression bin
 
 check: vet build test race portable
 
@@ -129,19 +129,13 @@ bench-map:
 bench-extend:
 	$(GO) run ./cmd/seedex-bench -fig extend $(EXTENDFLAGS)
 
-# Bench-regression smoke (the CI advisory check, runnable locally): a
-# short measurement of the packed banded batch kernel on the 100 bp
-# workload, compared against the committed BENCH_extend.json history.
-# Exits non-zero when banded/batch cells/s drops >10% below the latest
-# committed same-read-length run. Writes the smoke run to a scratch file
-# so the committed trajectory stays untouched.
+# A/B on the repository benchmark (the CI advisory check, runnable
+# locally): BASE in a detached worktree against this tree, PAIRS
+# alternated end-to-end passes a side (SECONDS measured per run; empty =
+# run_seconds of BENCHMARK.json), then `benchmark compare` with the
+# bounds BENCHMARK.json declares. Both sides run on this machine, so the
+# verdict does not depend on where a committed baseline was measured.
+BASE ?= origin/main
+PAIRS ?= 3
 bench-regression:
-	$(GO) run ./cmd/seedex-bench -fig extend -reads 600 -extend-rounds 2 \
-		-extend-readlen 100 -extend-json bench-regression-smoke.json \
-		-extend-pr smoke -extend-baseline BENCH_extend.json -extend-tolerance 0.10
-
-# Alignment-service load test: micro-batched vs unbatched throughput over
-# the 150 bp workload (writes BENCH_serve.json). Override knobs through
-# SERVEFLAGS, e.g. SERVEFLAGS='-serve-dur 500ms -serve-conc 8,32'.
-serve-bench:
-	$(GO) run ./cmd/seedex-bench -fig serve $(SERVEFLAGS)
+	bash scripts/bench_regression.sh $(BASE) $(PAIRS) $(SECONDS)

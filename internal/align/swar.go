@@ -3,7 +3,7 @@ package align
 import "slices"
 
 // Inter-sequence batch extension: tiering and lane-packing orchestration
-// for the packed kernels (native16.go, swar8x2.go, swar8.go, swar16.go).
+// for the packed kernels (native16.go, swar8.go, swar16.go).
 //
 // A batch is bucketed by shape (sort by tier, then query length, then
 // target length, all descending within the tier) so that the problems
@@ -15,10 +15,7 @@ import "slices"
 //	           ceiling h0 + n*Match <= 32767 (and penalties <= 32767),
 //	           both lengths <= native16MaxDim. Everything below is the
 //	           portable path, reached only by what this tier cannot admit.
-//	16 × int8  score ceiling h0 + n*Match <= 127 (and penalties <= 127)
-//	           AND a short-read shape (n <= swar8x2MaxQ, m <= swar8x2MaxT)
-//	           whose doubled column records stay cache-resident
-//	8 × int8   score ceiling <= 127, any shape
+//	8 × int8   score ceiling h0 + n*Match <= 127 (and penalties <= 127)
 //	4 × int16  score ceiling <= 32767 (and penalties <= 32767)
 //	scalar     the int32 workspace kernel (which itself delegates to the
 //	           int reference kernel when int32 could overflow)
@@ -31,8 +28,6 @@ import "slices"
 // sweep the envelope at the same cost however many are filled, so a
 // demotion there only moves work from free padding to the scalar kernel.
 // Degenerate jobs (empty query, non-positive h0) never enter a lane group.
-// A 16-lane SWAR group left with 8 or fewer survivors runs through the
-// 8-lane kernel instead — the second word would carry only padding.
 
 // swarLane couples one lane's problem with its result destination.
 // res is fully overwritten; bd, when non-nil, must be a pre-zeroed
@@ -47,7 +42,6 @@ type swarLane struct {
 // Batch tier ladder, in sort-key order (widest first).
 const (
 	tierNative = iota
-	tierSWAR8x2
 	tierSWAR8
 	tierSWAR16
 	tierScalar
@@ -62,11 +56,10 @@ var tiers = [numTiers]struct {
 	name  string
 	lanes int
 }{
-	tierNative:  {"native16", 16},
-	tierSWAR8x2: {"swar8x2", 16},
-	tierSWAR8:   {"swar8", 8},
-	tierSWAR16:  {"swar16", 4},
-	tierScalar:  {"scalar", 1},
+	tierNative: {"native16", 16},
+	tierSWAR8:  {"swar8", 8},
+	tierSWAR16: {"swar16", 4},
+	tierScalar: {"scalar", 1},
 }
 
 // native16Live admits jobs to the native tier. It is the start-up CPUID
@@ -94,7 +87,7 @@ func scoringFits(sc Scoring, cap int) bool {
 func swarScoringTier(sc Scoring) int {
 	switch {
 	case scoringFits(sc, swarCap8):
-		return tierSWAR8x2
+		return tierSWAR8
 	case scoringFits(sc, swarCap16):
 		return tierSWAR16
 	default:
@@ -105,20 +98,15 @@ func swarScoringTier(sc Scoring) int {
 // jobTier picks a job's lane tier from its score ceiling: h0 + n*Match
 // bounds every H value the DP can produce (each diagonal step gains at
 // most Match, and row 0 starts at h0), and E/F never exceed H's bound.
-// Within the int8 ceiling the shape decides the width: short-read
-// problems take the 16-lane two-word kernel, longer ones the 8-lane
-// kernel whose single-word columns stream better. Where the native tier
-// is live it takes every job within the int16 ceiling first.
+// Where the native tier is live it takes every job within the int16
+// ceiling first.
 func jobTier(n, m, h0 int, sc Scoring, scTier int) int {
 	c := int64(h0) + int64(n)*int64(sc.Match)
 	switch {
 	case native16Live && scTier <= tierSWAR16 && c <= swarCap16 &&
 		n <= native16MaxDim && m <= native16MaxDim:
 		return tierNative
-	case scTier == tierSWAR8x2 && c <= swarCap8:
-		if n <= swar8x2MaxQ && m <= swar8x2MaxT {
-			return tierSWAR8x2
-		}
+	case scTier == tierSWAR8 && c <= swarCap8:
 		return tierSWAR8
 	case scTier <= tierSWAR16 && c <= swarCap16:
 		return tierSWAR16
@@ -279,19 +267,11 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 			l := &lanes[0]
 			*l.res, _ = extendCoreWS(ws, l.q, l.t, l.h0, sc, w, Options{}, l.bd)
 		default:
-			run := tier
-			if tier == tierSWAR8x2 && nl <= 8 {
-				// Too few survivors to fill the second word; the 8-lane
-				// kernel covers them with half the per-column traffic.
-				run = tierSWAR8
-			}
-			tally.groups[run]++
-			tally.lanes[run] += int64(nl)
-			switch run {
+			tally.groups[tier]++
+			tally.lanes[tier] += int64(nl)
+			switch tier {
 			case tierNative:
 				extendNative16(ws, lanes[:nl], sc, w)
-			case tierSWAR8x2:
-				extendSWAR8x2(ws, lanes[:nl], sc, w)
 			case tierSWAR8:
 				extendSWAR8(ws, lanes[:nl], sc, w)
 			default:

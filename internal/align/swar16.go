@@ -72,7 +72,7 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 		effW = nMax + mMax + 1
 	}
 
-	ws.preparePacked(nMax, mMax, 1)
+	ws.preparePacked(nMax, mMax)
 	cols, tw := ws.pk.cols, ws.pk.tw
 
 	for j := 1; j <= nMax; j++ {

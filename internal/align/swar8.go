@@ -113,7 +113,7 @@ func extendSWAR8(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 		effW = nMax + mMax + 1 // band that never clips: identical to full width
 	}
 
-	ws.preparePacked(nMax, mMax, 1)
+	ws.preparePacked(nMax, mMax)
 	cols, tw := ws.pk.cols, ws.pk.tw
 
 	// Lane-transpose the sequences into the striped column records (E

@@ -1,8 +1,8 @@
 package align
 
 // FuzzExtendSWAR drives the batch orchestration (and through it the
-// native 16-lane kernel where the host has it, the 16-lane two-word,
-// 8-lane and 4-lane SWAR kernels, the tier ladder and lane demotion)
+// native 16-lane kernel where the host has it, the 8-lane and 4-lane
+// SWAR kernels, the tier ladder and lane demotion)
 // against the int reference kernel on fuzzer-chosen sequences, scoring,
 // band and h0 values. Every input runs on the live back end and, when
 // that is the native tier, again on the forced portable ladder, so the

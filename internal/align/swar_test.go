@@ -218,9 +218,8 @@ func BenchmarkBatchKernels(b *testing.B) {
 // in every case with results bit-identical to the scalar reference. The
 // portable ladder (forced, so the expectations hold on any host): a job
 // exactly at the int8 score ceiling (h0 + n*Match = 127) still runs in the
-// two-word 16-lane tier, one point past it drops to the 16-bit tier, past
-// the int16 ceiling to scalar, and a shape outside the two-word window
-// (target longer than swar8x2MaxT) runs in the single-word 8-lane tier.
+// 8-lane int8 tier whatever its shape, one point past it drops to the
+// 16-bit tier, past the int16 ceiling to scalar.
 // The native tier, where the host has it: everything up to the int16
 // ceiling and up to native16MaxDim in both lengths is in, one past either
 // falls through to the portable ladder.
@@ -254,11 +253,11 @@ func TestBatch16LaneScoreCeiling(t *testing.T) {
 		n, m   int
 		want   int
 	}{
-		{"at-int8-cap", false, sc, atCap8, n, 60, tierSWAR8x2},
+		{"at-int8-cap", false, sc, atCap8, n, 60, tierSWAR8},
 		{"over-int8-cap", false, sc, atCap8 + 1, n, 60, tierSWAR16},
 		{"at-int16-cap", false, sc, atCap16, n, 60, tierSWAR16},
 		{"over-int16-cap", false, sc, atCap16 + 1, n, 60, tierScalar},
-		{"target-over-16lane-window", false, sc, atCap8, n, swar8x2MaxT + 1, tierSWAR8},
+		{"at-int8-cap-long-target", false, sc, atCap8, n, 600, tierSWAR8},
 		{"native/small", true, sc, 1, n, 60, tierNative},
 		{"native/at-int16-cap", true, sc, atCap16, n, 60, tierNative},
 		{"native/over-int16-cap", true, sc, atCap16 + 1, n, 60, tierScalar},

@@ -36,10 +36,8 @@ type KernelTelemetry struct {
 	Demoted [numTiers]int64 `json:"demoted_per_tier"`
 	// Solo counts jobs run scalar because their group filled one lane.
 	Solo int64 `json:"solo"`
-	// Groups counts packed lane groups per executed kernel tier; Lanes the
-	// lanes filled across them. A group assigned the 16-lane tier but run
-	// through the 8-lane kernel (too few survivors to pay for two words)
-	// counts under the kernel that actually ran.
+	// Groups counts packed lane groups per kernel tier; Lanes the lanes
+	// filled across them.
 	Groups [numTiers]int64 `json:"groups_per_tier"`
 	Lanes  [numTiers]int64 `json:"lanes_per_tier"`
 	// Cells counts DP cells swept by the batch kernels.
@@ -123,11 +121,10 @@ func KernelSnapshot() KernelTelemetry {
 // Tier indices, exported for telemetry consumers; they equal the
 // internal sort-key tiers.
 const (
-	TierNative  = tierNative
-	TierSWAR8x2 = tierSWAR8x2
-	TierSWAR8   = tierSWAR8
-	TierSWAR16  = tierSWAR16
-	TierScalar  = tierScalar
+	TierNative = tierNative
+	TierSWAR8  = tierSWAR8
+	TierSWAR16 = tierSWAR16
+	TierScalar = tierScalar
 
 	// NumTiers is the tier-ladder length (for telemetry arrays).
 	NumTiers = numTiers
@@ -185,7 +182,7 @@ const NumShapeBins = numTiers * (len(shapeLenClasses) + 1)
 // little padding; jobs from different bins would demote each other.
 // Where the native tier is live nearly every job reports it, so the bins
 // collapse to the length classes and a flushed batch fills its lanes from
-// what used to be three tiers' worth of jobs.
+// jobs the portable ladder would split across tiers.
 func ShapeBin(n, m, h0 int, sc Scoring) int {
 	tier := TierOf(n, m, h0, sc)
 	d := n

@@ -49,9 +49,8 @@ type swarCol struct {
 }
 
 // packedScratch holds the lane-packed state of the SWAR kernels: the
-// interleaved column records (one per DP column per lane word — the
-// two-word 16-lane kernel stores word w of column j at cols[2j+w]) and
-// the lane-transposed target codes, strided the same way. The native
+// interleaved column records (one per DP column) and the
+// lane-transposed target codes (one word per target row). The native
 // kernel's records (native16.go) live beside them; a process only ever
 // grows the pair its back end uses.
 type packedScratch struct {
@@ -98,21 +97,18 @@ func (ws *Workspace) prepare(query []byte, match, mis int32) {
 }
 
 // preparePacked sizes the packed scratch for a lane group whose longest
-// query is nMax and longest target is mMax, using `words` uint64 lane
-// words per column (1 for the 8- and 4-lane kernels, 2 for the 16-lane
-// kernel). Nothing is cleared: each kernel's transpose and row-0 setup
-// fully initializes every record it will read.
-func (ws *Workspace) preparePacked(nMax, mMax, words int) {
-	nw := words * (nMax + 1)
-	if cap(ws.pk.cols) < nw {
-		ws.pk.cols = make([]swarCol, nw)
+// query is nMax and longest target is mMax. Nothing is cleared: each
+// kernel's transpose and row-0 setup fully initializes every record it
+// will read.
+func (ws *Workspace) preparePacked(nMax, mMax int) {
+	if cap(ws.pk.cols) < nMax+1 {
+		ws.pk.cols = make([]swarCol, nMax+1)
 	}
-	ws.pk.cols = ws.pk.cols[:nw]
-	mw := words * (mMax + 1)
-	if cap(ws.pk.tw) < mw {
-		ws.pk.tw = make([]uint64, mw)
+	ws.pk.cols = ws.pk.cols[:nMax+1]
+	if cap(ws.pk.tw) < mMax+1 {
+		ws.pk.tw = make([]uint64, mMax+1)
 	}
-	ws.pk.tw = ws.pk.tw[:mw]
+	ws.pk.tw = ws.pk.tw[:mMax+1]
 }
 
 // boundaryArena returns a zeroed arena of total ints, carved by the batch

@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,6 +150,32 @@ func TestStaticTables(t *testing.T) {
 	} {
 		if tab.String() == "" {
 			t.Fatalf("%s renders empty", name)
+		}
+	}
+}
+
+// This package measures kernels and pipelines in-process; the daemon is
+// load-tested by benchmark/ alone. No non-test file here may import the
+// serving stack, so a second load harness cannot grow back unnoticed.
+func TestNoServingStackImports(t *testing.T) {
+	served := []string{"seedex/internal/server", "seedex/internal/obs",
+		"seedex/internal/refstore", "seedex/internal/driver", "seedex/internal/faults"}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); slices.Contains(served, path) {
+				t.Errorf("%s imports %s; load tests of the daemon belong in benchmark/", name, path)
+			}
 		}
 	}
 }

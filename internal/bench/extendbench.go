@@ -87,16 +87,6 @@ func (r ExtendBenchReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// Kernel returns the named kernel row, or nil when the report lacks it.
-func (r *ExtendBenchReport) Kernel(name string) *ExtendKernelResult {
-	for i := range r.Kernels {
-		if r.Kernels[i].Kernel == name {
-			return &r.Kernels[i]
-		}
-	}
-	return nil
-}
-
 // ExtendRun is one recorded run in the BENCH_extend.json history: the
 // report plus the PR (or other label) that produced it.
 type ExtendRun struct {
@@ -110,25 +100,6 @@ type ExtendRun struct {
 // their workload's read length).
 type ExtendHistory struct {
 	Runs []ExtendRun `json:"runs"`
-}
-
-// Latest returns the newest run, or nil for an empty history.
-func (h *ExtendHistory) Latest() *ExtendRun {
-	if len(h.Runs) == 0 {
-		return nil
-	}
-	return &h.Runs[len(h.Runs)-1]
-}
-
-// LatestFor returns the newest run measured at the given read length
-// (runs at different read lengths are not comparable), or nil.
-func (h *ExtendHistory) LatestFor(readLen int) *ExtendRun {
-	for i := len(h.Runs) - 1; i >= 0; i-- {
-		if h.Runs[i].ReadLen == readLen {
-			return &h.Runs[i]
-		}
-	}
-	return nil
 }
 
 // JSON renders the history for BENCH_extend.json.

@@ -115,7 +115,6 @@ func (k Kind) String() string {
 // engines, third-party extenders).
 const (
 	TierNative  = align.TierNative
-	TierSWAR8x2 = align.TierSWAR8x2
 	TierSWAR8   = align.TierSWAR8
 	TierSWAR16  = align.TierSWAR16
 	TierScalar  = align.TierScalar

@@ -49,6 +49,10 @@ func TestStoreOpenAndAcquire(t *testing.T) {
 	if mmapSupported && g.MappedBytes() == 0 {
 		t.Fatal("mmap platform loaded without a mapping")
 	}
+	if mmapSupported && (g.MappedBytes() != g.Info().FileBytes || !g.Info().ZeroCopy) {
+		t.Fatalf("mapping must cover the file and serve the suffix array zero-copy: mapped=%d file=%d zero_copy=%v",
+			g.MappedBytes(), g.Info().FileBytes, g.Info().ZeroCopy)
+	}
 	st := s.Status()
 	if st.Generation != 1 || st.DegradedReload || st.Contigs != 2 {
 		t.Fatalf("status: %+v", st)

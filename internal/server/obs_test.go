@@ -405,7 +405,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	// The per-tier kernel families carry one series per SWAR tier (scalar
 	// has no lanes or demotions, so it is skipped), labeled with the tier
 	// names the tracer uses.
-	for _, tier := range []string{"native16", "swar8x2", "swar8", "swar16"} {
+	for _, tier := range []string{"native16", "swar8", "swar16"} {
 		for _, family := range []string{
 			"seedex_kernel_demoted_total", "seedex_kernel_tier_lane_utilization",
 		} {

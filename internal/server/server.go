@@ -372,13 +372,6 @@ func (s *Server) checksSnapshot() (core.StatsSnapshot, bool) {
 	return out, true
 }
 
-// Registry exposes the Prometheus collector registry, so embedders can
-// register additional collectors before the first scrape.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Tracer exposes the span tracer (nil when tracing is disabled).
-func (s *Server) Tracer() *obs.Tracer { return s.trace }
-
 // engine is everything a shard needs from its extender, resolved once by
 // resolveEngine so nothing downstream asks what kind of extender it is.
 type engine struct {
