@@ -135,7 +135,8 @@ bench-extend:
 # run_seconds of BENCHMARK.json), then `benchmark compare` with the
 # bounds BENCHMARK.json declares. Both sides run on this machine, so the
 # verdict does not depend on where a committed baseline was measured.
+# WORKLOAD=map_reads runs that workload alone on both sides.
 BASE ?= origin/main
 PAIRS ?= 3
 bench-regression:
-	bash scripts/bench_regression.sh $(BASE) $(PAIRS) $(SECONDS)
+	bash scripts/bench_regression.sh $(BASE) $(PAIRS) '$(SECONDS)' $(WORKLOAD)

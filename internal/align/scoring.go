@@ -97,3 +97,20 @@ func (s Scoring) PathBand(h0, qlen, tlen, score int) int {
 	}
 	return max(0, (h0+min(qlen, tlen)*s.Match-s.GapOpen-score)/s.GapExtend)
 }
+
+// Gapless certifies, without a matrix, that a path which scored score
+// from the start score h0 to cell (tlen, qlen) is the diagonal. With
+// tlen == qlen a path that contains a gap contains an insertion and a
+// deletion — two opens, two extensions, and at most qlen-1 diagonal steps
+// — so it scores at most
+//
+//	h0 + (qlen-1)*Match - 2*GapOpen - 2*GapExtend;
+//
+// a score above that ceiling is the diagonal's alone, every E and F along
+// it is strictly below H, and Traceback returns qlen M (DESIGN.md §6k).
+// This holds wherever PathBand returns 0 for an endpoint on the diagonal,
+// and with the default scoring as far as a deficit h0+qlen-score of 14:
+// two mismatches.
+func (s Scoring) Gapless(h0, qlen, tlen, score int) bool {
+	return qlen == tlen && score > h0+(qlen-1)*s.Match-2*(s.GapOpen+s.GapExtend)
+}

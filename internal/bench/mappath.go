@@ -47,6 +47,11 @@ type MapPathReport struct {
 	// single-worker Run pass (SAM records included), per read.
 	AllocsPerRead float64 `json:"allocs_per_read"`
 	BytesPerRead  float64 `json:"bytes_per_read"`
+	// TraceSides is how many extension sides one pass traced on the host,
+	// TraceFills how many of them filled DP matrices (bwamem.Stats): counts
+	// that repeat exactly per workload (absent from entries older than PR 27).
+	TraceSides int64 `json:"trace_sides,omitempty"`
+	TraceFills int64 `json:"trace_fills,omitempty"`
 }
 
 // mapPathHistory is the BENCH_map.json schema: an append-only array of
@@ -89,8 +94,10 @@ func (r MapPathReport) String() string {
 		fmt.Fprintf(&b, "%-12s %12.0f %12.0f %12.0f %7.1f%%\n",
 			row.Stage, row.NsPerRead, row.MinNsPerRead, row.MaxNsPerRead, 100*row.NsPerRead/total)
 	}
-	fmt.Fprintf(&b, "%.1f allocs/read, %.0f B/read over %d reads (median and range of %d rounds)",
+	fmt.Fprintf(&b, "%.1f allocs/read, %.0f B/read over %d reads (median and range of %d rounds)\n",
 		r.AllocsPerRead, r.BytesPerRead, r.Reads, mapPathRounds)
+	fmt.Fprintf(&b, "%d traced sides, %d matrix fills: %.3f fills per side",
+		r.TraceSides, r.TraceFills, float64(r.TraceFills)/float64(max(r.TraceSides, 1)))
 	return b.String()
 }
 
@@ -113,7 +120,8 @@ func MapPathBench(w *Workload, workers int) (MapPathReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	a.Run(reads, workers) // warm caches and the extender's pools
+	_, warm := a.Run(reads, workers) // warm caches and the extender's pools
+	rep.TraceSides, rep.TraceFills = warm.TraceSides, warm.TraceFills
 
 	stages := [...]string{"map/seed", "map/extend", "map/rest", "map/total"}
 	var perRead [len(stages)][]float64

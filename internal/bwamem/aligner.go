@@ -184,6 +184,9 @@ type Aligner struct {
 	// shared Aligner, which allocates per call.
 	trace   *align.TraceWorkspace
 	scratch *mapScratch
+	// fillEverySide makes traceSide fill the matrices even where the
+	// gapless certificate holds. Only tests set it, for the differential.
+	fillEverySide bool
 }
 
 // New assembles an aligner over a single reference sequence with an
@@ -379,8 +382,11 @@ type mapScratch struct {
 	seeds   []chain.Seed // chainSeeds' buffer
 	jobs    []align.Job
 	results []align.ExtendResult
-	rev     []byte // arena of reversed left-extension windows
+	rev     []byte // arena of reversed left-extension windows and reverse strands
 	als     []Alignment
+	// The session's traced extension sides, and those of them that filled
+	// matrices (the rest the gapless certificate answered).
+	traceSides, traceFills int
 }
 
 // batchScratch returns the session's scratch, or a fresh one on a shared
@@ -401,6 +407,16 @@ func (s *mapScratch) reversed(b []byte) []byte {
 		s.rev = append(s.rev, b[i])
 	}
 	return s.rev[lo:len(s.rev):len(s.rev)]
+}
+
+// revComp is reversed with every base complemented: the reverse strand of
+// b, in the arena.
+func (s *mapScratch) revComp(b []byte) []byte {
+	rc := s.reversed(b)
+	for i, c := range rc {
+		rc[i] = genome.Complement(c)
+	}
+	return rc
 }
 
 // candidatesBatch takes the reads through the three phases of the map
@@ -462,7 +478,7 @@ func (a *Aligner) plan(s *mapScratch, ri int, allowFilter bool) {
 	for _, rev := range []bool{false, true} {
 		q := read
 		if rev {
-			q = genome.RevComp(read)
+			q = s.revComp(read)
 		}
 		var seeds []chain.Seed
 		if isDual {
@@ -796,14 +812,26 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 }
 
 // traceSide traces one extension side from its endpoint (len(t), len(q)),
-// which the extender scored score from the start score h0, filling the
-// matrices only inside the band that score allows (Scoring.PathBand) when
-// that is narrower than TraceBand. Every path to the endpoint scoring at
-// least score lies in that band, and so does every optimal prefix to a
-// cell on such a path; so wherever Traceback can step, H, E and F hold
-// their TraceBand-fill values, the cells it compares them with hold no
-// more than theirs, and each step resolves the same way: same CIGAR.
+// which the extender scored score from the start score h0. It asks before
+// it fills: a score only the diagonal can reach (Scoring.Gapless) is
+// len(q) M with no matrix. Otherwise it fills the matrices only inside the
+// band that score allows (Scoring.PathBand) when that is narrower than
+// TraceBand. Every path to the endpoint scoring at least score lies in
+// that band, and so does every optimal prefix to a cell on such a path; so
+// wherever Traceback can step, H, E and F hold their TraceBand-fill
+// values, the cells it compares them with hold no more than theirs, and
+// each step resolves the same way: same CIGAR.
 func (a *Aligner) traceSide(q, t []byte, h0, score int) (align.Cigar, error) {
+	gapless := a.Scoring.Gapless(h0, len(q), len(t), score) && !a.fillEverySide
+	if s := a.scratch; s != nil {
+		s.traceSides++
+		if !gapless {
+			s.traceFills++
+		}
+	}
+	if gapless {
+		return align.Cigar{{Op: align.OpMatch, Len: len(q)}}, nil
+	}
 	w := a.Opts.TraceBand
 	if g := a.Scoring.PathBand(h0, len(q), len(t), score); g >= 0 && (w < 0 || g < w) {
 		w = g

@@ -168,6 +168,13 @@ func TestSAMRecordsValid(t *testing.T) {
 	if stats.SeedingNs <= 0 || stats.ExtensionNs <= 0 {
 		t.Fatalf("stage times not recorded: %+v", stats)
 	}
+	// The traceback counts are the reads', not the run's: the same from
+	// one worker as from all of them.
+	_, one := a.Run(toPipelineReads(reads), 1)
+	if stats.TraceSides == 0 || stats.TraceFills == 0 || stats.TraceFills >= stats.TraceSides ||
+		one.TraceSides != stats.TraceSides || one.TraceFills != stats.TraceFills {
+		t.Fatalf("traced sides %d, fills %d; from one worker %d, %d", stats.TraceSides, stats.TraceFills, one.TraceSides, one.TraceFills)
+	}
 }
 
 func TestCigarScoreConsistency(t *testing.T) {

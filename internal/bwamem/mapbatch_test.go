@@ -503,7 +503,8 @@ func batchCorpora(t *testing.T) []batchCorpus {
 // the SAM bytes that Map returns and that the replaced per-read path
 // (referenceAlignRead) returns, and each pass over the corpus moves every
 // core.Stats counter — check verdicts and prefilter tallies — by the same
-// amount.
+// amount. Map with the gapless certificate off (every traced side filled)
+// returns the same Alignment, CIGAR included.
 func TestMapBatchEqualsMap(t *testing.T) {
 	for _, c := range batchCorpora(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -516,7 +517,8 @@ func TestMapBatchEqualsMap(t *testing.T) {
 			snapshot := func() [2]core.StatsSnapshot {
 				return [2]core.StatsSnapshot{c.stats.Snapshot(), c.a.Stats.Snapshot()}
 			}
-			one := c.a.NewMapper()
+			one, filler := c.a.NewMapper(), c.a.NewMapper()
+			filler.cp.fillEverySide = true
 			var wantAl []Alignment
 			var wantSAM []string
 			rescued, unmapped := 0, 0
@@ -524,6 +526,9 @@ func TestMapBatchEqualsMap(t *testing.T) {
 				rec, al := one.Map(r.Name, r.Seq, r.Qual)
 				if ref := referenceAlignRead(c.a, r.Seq); !reflect.DeepEqual(al, ref) {
 					t.Fatalf("read %d (%s): Map %+v, per-read reference %+v", i, r.Name, al, ref)
+				}
+				if _, filled := filler.Map(r.Name, r.Seq, r.Qual); !reflect.DeepEqual(filled, al) {
+					t.Fatalf("read %d (%s): Map %+v, with every side filled %+v", i, r.Name, al, filled)
 				}
 				wantAl, wantSAM = append(wantAl, al), append(wantSAM, rec.String())
 				rescued += al.RescueRounds
@@ -533,6 +538,10 @@ func TestMapBatchEqualsMap(t *testing.T) {
 			}
 			if strings.HasPrefix(c.name, "prefilter") && rescued == 0 {
 				t.Fatal("corpus forced no rescue rounds")
+			}
+			if sides, fills := one.cp.scratch.traceSides, one.cp.scratch.traceFills; fills == 0 || fills == sides ||
+				filler.cp.scratch.traceFills != sides {
+				t.Fatalf("%d of %d traced sides filled (%d with the certificate off): both paths must run", fills, sides, filler.cp.scratch.traceFills)
 			}
 			if unmapped < len(c.reads)/8 {
 				t.Fatalf("only %d of %d reads unmapped: the odd reads are missing", unmapped, len(c.reads))

@@ -121,10 +121,15 @@ func (ie *InstrumentedExtender) Jobs() []ExtJob {
 
 // Stats aggregates one pipeline run (the Figure 17 breakdown source).
 type Stats struct {
-	Reads       int
-	Mapped      int
-	Extensions  int64
-	SeedingNs   int64 // seeding + chaining
+	Reads      int
+	Mapped     int
+	Extensions int64
+	// TraceSides counts the extension sides traced for the winning
+	// candidates, TraceFills those of them that filled DP matrices; the
+	// gapless certificate (align.Scoring.Gapless) answered the rest.
+	TraceSides  int64
+	TraceFills  int64
+	SeedingNs   int64 // Seeder calls; chaining is in RestNs
 	ExtensionNs int64 // extender calls
 	RestNs      int64 // everything else (candidate resolution, traceback, SAM)
 	TotalNs     int64 // wall-clock across workers (sum of per-block times)
@@ -145,7 +150,7 @@ func (a *Aligner) Run(reads []Read, workers int) ([]sam.Record, Stats) {
 	recs := make([]sam.Record, len(reads))
 	var stats Stats
 	stats.Reads = len(reads)
-	var mapped, extensions, seedNs, extNs, restNs, totalNs atomic.Int64
+	var mapped, extensions, traceSides, traceFills, seedNs, extNs, restNs, totalNs atomic.Int64
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -156,6 +161,10 @@ func (a *Aligner) Run(reads []Read, workers int) ([]sam.Record, Stats) {
 			// Per-worker mapping session whose seeder and extender carry
 			// timing probes, built once, not once per block.
 			m, probe := a.newTimedMapper()
+			defer func() {
+				traceSides.Add(int64(m.cp.scratch.traceSides))
+				traceFills.Add(int64(m.cp.scratch.traceFills))
+			}()
 			for {
 				lo := int(next.Add(runBlock)) - runBlock
 				if lo >= len(reads) {
@@ -183,6 +192,8 @@ func (a *Aligner) Run(reads []Read, workers int) ([]sam.Record, Stats) {
 	wg.Wait()
 	stats.Mapped = int(mapped.Load())
 	stats.Extensions = extensions.Load()
+	stats.TraceSides = traceSides.Load()
+	stats.TraceFills = traceFills.Load()
 	stats.SeedingNs = seedNs.Load()
 	stats.ExtensionNs = extNs.Load()
 	stats.RestNs = restNs.Load()

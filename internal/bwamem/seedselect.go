@@ -9,6 +9,8 @@
 package bwamem
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"seedex/internal/fmindex"
@@ -47,12 +49,8 @@ func selectMEMs(mems []fmindex.MEM, sel SeedSelection) []fmindex.MEM {
 		return mems
 	}
 	ms := append([]fmindex.MEM(nil), mems...)
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.QBeg+a.Len != b.QBeg+b.Len {
-			return a.QBeg+a.Len < b.QBeg+b.Len
-		}
-		return a.QBeg < b.QBeg
+	slices.SortFunc(ms, func(a, b fmindex.MEM) int {
+		return cmp.Or((a.QBeg+a.Len)-(b.QBeg+b.Len), a.QBeg-b.QBeg)
 	})
 	// Weighted-interval DP over query spans: value = (coverage, -occ)
 	// lexicographic. dp[i] is the best over the first i MEMs; take[i]

@@ -3,7 +3,10 @@
 // "Seeding threads perform seeding and chaining").
 package chain
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Seed is one exact match between query and reference. Strand handling is
 // the caller's: seeds from the reverse-complement query carry Rev.
@@ -76,15 +79,14 @@ func Build(seeds []Seed, cfg Config) []Chain {
 		return nil
 	}
 	sorted := append([]Seed(nil), seeds...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
+	slices.SortFunc(sorted, func(a, b Seed) int {
 		if a.Rev != b.Rev {
-			return !a.Rev
+			if b.Rev {
+				return -1
+			}
+			return 1
 		}
-		if a.RBeg != b.RBeg {
-			return a.RBeg < b.RBeg
-		}
-		return a.QBeg < b.QBeg
+		return cmp.Or(a.RBeg-b.RBeg, a.QBeg-b.QBeg)
 	})
 	var chains []Chain
 	for _, s := range sorted {
@@ -123,7 +125,7 @@ func Build(seeds []Seed, cfg Config) []Chain {
 	for i := range chains {
 		chains[i].Weight = weight(chains[i].Seeds)
 	}
-	sort.SliceStable(chains, func(i, j int) bool { return chains[i].Weight > chains[j].Weight })
+	slices.SortStableFunc(chains, func(a, b Chain) int { return b.Weight - a.Weight })
 	// Filter.
 	out := chains[:0]
 	best := chains[0].Weight
@@ -149,7 +151,7 @@ func weight(seeds []Seed) int {
 	for i, s := range seeds {
 		ivs[i] = iv{s.QBeg, s.QEnd()}
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].a < ivs[j].a })
+	slices.SortFunc(ivs, func(x, y iv) int { return x.a - y.a })
 	w, end := 0, -1
 	for _, v := range ivs {
 		if v.a > end {

@@ -3,6 +3,7 @@ package fmindex
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -15,6 +16,10 @@ const occRate = 64
 // 5 shifted) used by the FMD index to keep the forward and
 // reverse-complement halves from matching across their junction.
 const sigma = 6
+
+// jumpMax is the longest k-mer the jump table indexes: 4^8 intervals,
+// 512 KB, what the served index's memory bound leaves room for.
+const jumpMax = 8
 
 // Separator is the text-space code of the never-matching sequence
 // separator (the same value genome.N uses, which is also never matched).
@@ -35,6 +40,12 @@ type Index struct {
 	rows     int32
 	sentinel int32 // the row whose BWT symbol is the sentinel
 	occ      []occBlock
+	// jump[code] is the interval of the jumpK-mer whose bases, first base
+	// most significant, spell code: where a backward search stands after
+	// its first jumpK steps. jumpK is min(jumpMax, floor(log4 len(text))),
+	// so a tiny index carries a tiny table.
+	jump  []Interval
+	jumpK int
 }
 
 // occBlock covers BWT rows [64k, 64k+64): n[a] counts base a in rows
@@ -109,6 +120,27 @@ func (ix *Index) deriveFromSA() {
 	ix.c = [sigma + 1]int32{}
 	for a := 1; a <= sigma; a++ {
 		ix.c[a] = ix.c[a-1] + cnt[a-1]
+	}
+	ix.fillJump()
+}
+
+// fillJump derives the jump table level by level, in place: the intervals
+// of the (l+1)-mers aP are one Backward step from those of the l-mers P,
+// which occupy the table's first 4^l entries. Base 0 overwrites its
+// sources, so it goes last.
+func (ix *Index) fillJump() {
+	ix.jumpK = 0
+	for n := len(ix.text); n >= 4 && ix.jumpK < jumpMax; n /= 4 {
+		ix.jumpK++
+	}
+	ix.jump = make([]Interval, 1<<(2*ix.jumpK))
+	ix.jump[0] = Interval{0, ix.rows}
+	for l := 0; l < ix.jumpK; l++ {
+		for a := 3; a >= 0; a-- {
+			for code := 0; code < 1<<(2*l); code++ {
+				ix.jump[a<<(2*l)|code] = ix.Backward(ix.jump[code], byte(a))
+			}
+		}
 	}
 }
 
@@ -193,62 +225,94 @@ func (ix *Index) Count(p []byte) Interval {
 // Locate returns the text positions of an interval (at most max; pass
 // max <= 0 for all), in ascending order.
 func (ix *Index) Locate(iv Interval, max int) []int {
-	var out []int
-	for r := iv.Lo; r < iv.Hi; r++ {
-		if r == 0 {
-			continue // the sentinel row: the empty suffix
-		}
-		out = append(out, int(ix.sa[r-1]))
+	// Row 0 is the sentinel's, the empty suffix; row r > 0 is ix.sa[r-1].
+	lo := iv.Lo
+	if lo == 0 {
+		lo = 1
 	}
-	sort.Ints(out)
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out
+	return ix.LocateRaw(Interval{lo - 1, iv.Hi - 1}, max)
 }
 
 // LongestMatch returns the length of the longest prefix of q that occurs
 // in the text, together with its SA interval over ix.sa (not
 // sentinel-augmented). Zero length means q[0] does not occur.
 func (ix *Index) LongestMatch(q []byte) (int, Interval) {
-	n := len(ix.sa)
-	if n == 0 || len(q) == 0 {
+	return ix.longestMatchIn(q, Interval{0, int32(len(ix.sa))})
+}
+
+// longestMatchIn is LongestMatch searching only the rows of in, a raw
+// interval that must hold every suffix sharing the longest prefix with q:
+// the interval of any prefix of q that occurs does (the whole array is the
+// empty prefix's). The insertion point of q, the two neighbours that
+// bound the longest match and the match's own interval all lie inside it.
+func (ix *Index) longestMatchIn(q []byte, in Interval) (int, Interval) {
+	if smemProbe != nil {
+		smemProbe.longestMatches++
+		if in.Size() == len(ix.sa) {
+			smemProbe.wholeArray++
+		}
+	}
+	if in.Size() <= 0 || len(q) == 0 {
+		return 0, Interval{}
+	}
+	rows := ix.sa[in.Lo:in.Hi]
+	if len(rows) == 1 {
+		if l := lcpLen(q, ix.text, rows[0]); l > 0 {
+			return l, in
+		}
 		return 0, Interval{}
 	}
 	// Insertion point of q among the suffixes.
-	pos := sort.Search(n, func(i int) bool {
-		return compareSuffix(q, ix.text, ix.sa[i]) <= 0
+	pos := sort.Search(len(rows), func(i int) bool {
+		return compareSuffix(q, ix.text, rows[i]) <= 0
 	})
 	best := 0
-	if pos < n {
-		if l := lcpLen(q, ix.text, ix.sa[pos]); l > best {
-			best = l
-		}
+	if pos < len(rows) {
+		best = lcpLen(q, ix.text, rows[pos])
 	}
 	if pos > 0 {
-		if l := lcpLen(q, ix.text, ix.sa[pos-1]); l > best {
-			best = l
-		}
+		best = max(best, lcpLen(q, ix.text, rows[pos-1]))
 	}
 	if best == 0 {
 		return 0, Interval{}
 	}
 	p := q[:best]
-	lo := sort.Search(n, func(i int) bool { return compareSuffix(p, ix.text, ix.sa[i]) <= 0 })
-	hi := sort.Search(n, func(i int) bool { return compareSuffix(p, ix.text, ix.sa[i]) < 0 })
-	return best, Interval{int32(lo), int32(hi)}
+	lo := sort.Search(len(rows), func(i int) bool { return compareSuffix(p, ix.text, rows[i]) <= 0 })
+	hi := sort.Search(len(rows), func(i int) bool { return compareSuffix(p, ix.text, rows[i]) < 0 })
+	return best, Interval{in.Lo + int32(lo), in.Lo + int32(hi)}
 }
 
 // LocateRaw returns the text positions of a raw (non-augmented) interval
-// from LongestMatch.
+// from LongestMatch (at most max, the smallest; max <= 0 for all), in
+// ascending order. A capped call keeps only max positions at a time, so a
+// low-complexity seed costs its cap, not its occurrence count.
 func (ix *Index) LocateRaw(iv Interval, max int) []int {
-	var out []int
-	for r := iv.Lo; r < iv.Hi; r++ {
-		out = append(out, int(ix.sa[r]))
+	n := iv.Size()
+	if n <= 0 {
+		return nil
 	}
-	sort.Ints(out)
-	if max > 0 && len(out) > max {
-		out = out[:max]
+	rows := ix.sa[iv.Lo:iv.Hi]
+	if max <= 0 || n <= max {
+		out := make([]int, n)
+		for i, p := range rows {
+			out[i] = int(p)
+		}
+		if n > 1 {
+			sort.Ints(out)
+		}
+		return out
+	}
+	out := make([]int, 0, max) // ascending throughout
+	for _, p := range rows {
+		v := int(p)
+		if len(out) == max {
+			if v > out[max-1] {
+				continue
+			}
+			out = out[:max-1]
+		}
+		i, _ := slices.BinarySearch(out, v)
+		out = slices.Insert(out, i, v)
 	}
 	return out
 }

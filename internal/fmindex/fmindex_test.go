@@ -3,6 +3,7 @@ package fmindex
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,51 @@ func TestCountAndLocateAgainstBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocateBounded: a capped Locate / LocateRaw returns what collecting
+// every row, sorting and truncating returns, from one allocation of the
+// cap's size — on a homopolymer, whose seeds occur once per base and whose
+// suffix array lists them in descending order, and on a random text.
+func TestLocateBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	homopolymer := make([]byte, 20_000)
+	mixed := append(randSeq(rng, 5000), make([]byte, 3000)...)
+	for _, text := range [][]byte{homopolymer, mixed, randSeq(rng, 400)} {
+		ix, err := New(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range [][]byte{nil, {0}, make([]byte, 19), make([]byte, 2990), text[:min(3, len(text))], {3, 3, 3, 3, 3, 3, 3, 3}} {
+			iv := ix.Count(p)
+			var all []int
+			for r := max(iv.Lo, 1); r < iv.Hi; r++ {
+				all = append(all, int(ix.sa[r-1]))
+			}
+			sort.Ints(all)
+			raw := Interval{max(iv.Lo, 1) - 1, iv.Hi - 1}
+			for _, limit := range []int{0, 1, 2, 50, len(all) - 1, len(all), len(all) + 1} {
+				want := all
+				if limit > 0 && len(want) > limit {
+					want = want[:limit]
+				}
+				for name, got := range map[string][]int{"Locate": ix.Locate(iv, limit), "LocateRaw": ix.LocateRaw(raw, limit)} {
+					if !slices.Equal(got, want) {
+						t.Fatalf("text %d, pattern length %d, %d occurrences: %s(max %d) returns %d positions %v..., want %d %v...",
+							len(text), len(p), len(all), name, limit, len(got), got[:min(3, len(got))], len(want), want[:min(3, len(want))])
+					}
+					if limit > 0 && cap(got) > max(limit, 1) {
+						t.Fatalf("%s(max %d) over %d occurrences returns capacity %d", name, limit, len(all), cap(got))
+					}
+				}
+			}
+			if len(all) > 50 {
+				if allocs := testing.AllocsPerRun(10, func() { ix.LocateRaw(raw, 50) }); allocs > 1 {
+					t.Fatalf("LocateRaw(max 50) over %d occurrences allocates %.0f times, want 1", len(all), allocs)
+				}
+			}
+		}
 	}
 }
 

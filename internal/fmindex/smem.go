@@ -35,7 +35,7 @@ func DefaultSMEMConfig() SMEMConfig { return SMEMConfig{MinLen: 19, MaxOcc: 50} 
 // containment filter — and whose length reaches MinLen. Evaluating end(s)
 // at every base costs three suffix-array binary searches per base to
 // report a handful of seeds, so the sweep skips the starts that cannot
-// emit, resting on three facts (proofs in DESIGN.md §6j):
+// emit, resting on five facts (proofs in DESIGN.md §6j):
 //
 //	(a) end(s) is non-decreasing in s: dropping the first base of a
 //	    match leaves a match.
@@ -44,17 +44,24 @@ func DefaultSMEMConfig() SMEMConfig { return SMEMConfig{MinLen: 19, MaxOcc: 50} 
 //	    q[s:s+MinLen) does not occur are skipped with no bookkeeping.
 //	(c) Occurrence of q[a:b) is monotone in a: if q[p:b) is absent, so is
 //	    q[a:b) for every a <= p.
+//	(d) The interval of the window q[s:s+MinLen) holds every suffix that
+//	    shares at least MinLen bases with q[s:], so the longest match from
+//	    s and its interval are found inside it.
+//	(e) A jump-table entry is the interval a backward search holds after
+//	    the last k bases of its pattern, so a window starts from there.
 //
 // Per maximal run of unambiguous bases: the window at s is tested by
 // backward search from its right end; if q[p:s+MinLen) is the first empty
 // interval, no window starting in [s,p] occurs (c) and the sweep resumes
-// at p+1 (b). If the window occurs, one LongestMatch gives the exact
-// length and interval, emitted when its end is a new maximum. The next
-// start follows from a backward search leftwards from q[end]: with
-// q[p:end+1) the first empty interval, every start in (s,p] has
-// end(·) <= end by (c) and >= end by (a), so it is contained — resume at
-// p+1. In non-matching sequence (the whole wrong strand) that is about
-// one LF step per base. A MinLen below 1 behaves as 1.
+// at p+1 (b). If the window occurs, one longest-match search inside its
+// interval (d) — a single comparison when that is one row, the common
+// case — gives the exact length and interval, emitted when its end is a
+// new maximum. The next start follows from a backward search leftwards
+// from q[end]: with q[p:end+1) the first empty interval, every start in
+// (s,p] has end(·) <= end by (c) and >= end by (a), so it is contained —
+// resume at p+1. In non-matching sequence (the whole wrong strand) that is
+// a step or two past the table's k (e) per window. A MinLen below 1
+// behaves as 1.
 func (ix *Index) SMEMs(q []byte, cfg SMEMConfig) []MEM {
 	minLen := max(cfg.MinLen, 1)
 	var mems []MEM
@@ -71,14 +78,14 @@ func (ix *Index) SMEMs(q []byte, cfg SMEMConfig) []MEM {
 			limit++
 		}
 		for s+minLen <= limit {
-			if p := ix.firstAbsent(q, s, s+minLen); p >= s {
+			p, win := ix.firstAbsent(q, s, s+minLen)
+			if p >= s {
 				s = p + 1
 				continue
 			}
-			if longestMatchProbe != nil {
-				longestMatchProbe()
-			}
-			l, iv := ix.LongestMatch(q[s:limit])
+			// A non-empty pattern's interval starts past the sentinel's
+			// row 0: row r of it is ix.sa[r-1].
+			l, iv := ix.longestMatchIn(q[s:limit], Interval{win.Lo - 1, win.Hi - 1})
 			end := s + l
 			if end > bestEnd {
 				bestEnd = end
@@ -92,7 +99,8 @@ func (ix *Index) SMEMs(q []byte, cfg SMEMConfig) []MEM {
 			if end == limit {
 				break // every later start of the run ends here too
 			}
-			s = ix.firstAbsent(q, s+1, end+1) + 1
+			p, _ = ix.firstAbsent(q, s+1, end+1)
+			s = p + 1
 		}
 		s = limit
 	}
@@ -101,18 +109,41 @@ func (ix *Index) SMEMs(q []byte, cfg SMEMConfig) []MEM {
 
 // firstAbsent backward-searches q[lo:hi) from its right end and returns
 // the largest p in [lo,hi) for which q[p:hi) does not occur in the text,
-// or lo-1 when all of q[lo:hi) occurs. Bases must be codes 0..3.
-func (ix *Index) firstAbsent(q []byte, lo, hi int) int {
-	iv := Interval{0, ix.rows}
-	for p := hi - 1; p >= lo; p-- {
-		iv = ix.Backward(iv, q[p])
-		if iv.Size() <= 0 {
-			return p
+// or lo-1 and the interval of q[lo:hi) when all of it occurs. The search
+// starts from the jump-table entry of the last jumpK bases when the
+// pattern has that many and they occur; when they do not, p lies among
+// them and the search from the empty pattern finds it. Bases must be
+// codes 0..3.
+func (ix *Index) firstAbsent(q []byte, lo, hi int) (int, Interval) {
+	iv, p := Interval{0, ix.rows}, hi-1
+	if k := ix.jumpK; hi-lo >= k {
+		code := 0
+		for _, b := range q[hi-k : hi] {
+			code = code<<2 | int(b)
+		}
+		if jv := ix.jump[code]; jv.Size() > 0 {
+			iv, p = jv, hi-k-1
 		}
 	}
-	return lo - 1
+	from := p
+	for p >= lo {
+		if iv = ix.Backward(iv, q[p]); iv.Size() <= 0 {
+			break
+		}
+		p--
+	}
+	if smemProbe != nil {
+		smemProbe.lfSteps += from - p
+		if p >= lo {
+			smemProbe.lfSteps++ // the step that emptied the interval
+		}
+	}
+	return p, iv
 }
 
-// longestMatchProbe, when set, is called before each LongestMatch the
-// sweep issues. Only tests set it (export_test.go), to count them.
-var longestMatchProbe func()
+// smemProbe, when set, counts the sweep's work: Backward steps, longest-
+// match searches, and those of them that searched the whole suffix array.
+// Only tests set it.
+var smemProbe *smemCounts
+
+type smemCounts struct{ lfSteps, longestMatches, wholeArray int }

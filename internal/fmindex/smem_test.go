@@ -52,6 +52,39 @@ func (ix *Index) smemsReference(q []byte, cfg SMEMConfig) []MEM {
 	return mems
 }
 
+// firstAbsentReference is firstAbsent as it was before the jump table:
+// every pattern searched from the empty one, a step per base.
+func (ix *Index) firstAbsentReference(q []byte, lo, hi int) (int, Interval) {
+	iv := Interval{0, ix.rows}
+	for p := hi - 1; p >= lo; p-- {
+		iv = ix.Backward(iv, q[p])
+		if iv.Size() <= 0 {
+			return p, iv
+		}
+	}
+	return lo - 1, iv
+}
+
+// checkFirstAbsent compares the two on random stretches of q's
+// unambiguous runs: the same p — a smaller one would still sweep to the
+// same MEMs, over more windows — and, when the stretch occurs, the same
+// interval.
+func checkFirstAbsent(t *testing.T, rng *rand.Rand, ix *Index, q []byte) {
+	t.Helper()
+	for try := 0; try < 8 && len(q) > 0; try++ {
+		lo := rng.Intn(len(q))
+		hi := lo
+		for max := lo + 1 + rng.Intn(40); hi < len(q) && hi < max && q[hi] <= 3; {
+			hi++
+		}
+		gotP, gotIv := ix.firstAbsent(q, lo, hi)
+		wantP, wantIv := ix.firstAbsentReference(q, lo, hi)
+		if gotP != wantP || (gotP < lo && gotIv != wantIv) {
+			t.Fatalf("firstAbsent(%v, %d, %d) = %d %v, step by step %d %v", q, lo, hi, gotP, gotIv, wantP, wantIv)
+		}
+	}
+}
+
 type namedSeq struct {
 	name string
 	seq  []byte
@@ -59,7 +92,12 @@ type namedSeq struct {
 
 // sweepTexts are the index shapes the identity test runs over: plain
 // random, repeat-planted (so seeds have many occurrences and one match is
-// a proper extension of another), and multi-contig with Separator padding.
+// a proper extension of another), multi-contig with Separator padding,
+// and the shapes the jump table turns on: a text long enough for the
+// table's full k (so MinLen 1 and 5 are below it), one over three letters
+// (every k-mer holding the fourth is absent), one whose contigs are
+// shorter than k (the separators break most k-mers), and texts too short
+// to have a table at all.
 func sweepTexts(rng *rand.Rand) []namedSeq {
 	random := randSeq(rng, 2000)
 	repeats := randSeq(rng, 3000)
@@ -78,13 +116,26 @@ func sweepTexts(rng *rand.Rand) []namedSeq {
 		}
 	}
 	copy(contigs[40:], contigs[len(contigs)-200:len(contigs)-100]) // shared between contigs
-	return []namedSeq{{"random", random}, {"repeats", repeats}, {"contigs", contigs}}
+	threeLetter := randSeq(rng, 2500)
+	for i, b := range threeLetter {
+		threeLetter[i] = b % 3
+	}
+	var crumbs []byte
+	for len(crumbs) < 1500 {
+		crumbs = append(append(crumbs, randSeq(rng, 1+rng.Intn(2*jumpMax))...), Separator)
+	}
+	return []namedSeq{
+		{"random", random}, {"repeats", repeats}, {"contigs", contigs},
+		{"full-k", randSeq(rng, 1<<(2*jumpMax)+500)}, {"three-letter", threeLetter}, {"crumbs", crumbs},
+		{"tiny", randSeq(rng, 3)}, {"short", randSeq(rng, jumpMax-1)}, {"one-base", []byte{2}},
+	}
 }
 
 // sweepQueries draws the query kinds of the identity test from text.
 func sweepQueries(rng *rand.Rand, text []byte) []namedSeq {
 	window := func(n int) []byte {
-		beg := rng.Intn(len(text) - n)
+		n = min(n, len(text))
+		beg := rng.Intn(len(text) - n + 1)
 		return append([]byte(nil), text[beg:beg+n]...)
 	}
 	planted := window(150) // may span a separator run on the contig text
@@ -99,6 +150,13 @@ func sweepQueries(rng *rand.Rand, text []byte) []namedSeq {
 		ambiguous[rng.Intn(len(ambiguous))] = 4 + byte(rng.Intn(3))
 	}
 	ambiguous[len(ambiguous)-1] = genome.N
+	// Runs of unambiguous bases a base or two longer than a window, so an
+	// ambiguous base sits right behind a window's last k bases, or inside
+	// where the next window's would be.
+	fenced := window(150)
+	for p := rng.Intn(8); p < len(fenced); p += 4 + rng.Intn(20) {
+		fenced[p] = genome.N
+	}
 	return []namedSeq{
 		{"planted", planted},
 		{"mutated", mutated},
@@ -106,6 +164,7 @@ func sweepQueries(rng *rand.Rand, text []byte) []namedSeq {
 		{"revcomp", genome.RevComp(mutated)},
 		{"random", randSeq(rng, 150)},
 		{"ambiguous", ambiguous},
+		{"fenced", fenced},
 		{"short", window(4)},
 		{"empty", nil},
 	}
@@ -120,10 +179,16 @@ func TestSMEMsSweepIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for round := 0; round < 25; round++ {
+		checkJumpIdentity(t, ix)
+		rounds := 25
+		if len(text.seq) > 10000 {
+			rounds = 5 // the reference sweep pays per base
+		}
+		for round := 0; round < rounds; round++ {
 			for _, query := range sweepQueries(rng, text.seq) {
 				q := query.seq
-				for _, minLen := range []int{0, 1, 5, 19, 25, len(q) + 1} {
+				checkFirstAbsent(t, rng, ix, q)
+				for _, minLen := range []int{0, 1, 5, jumpMax, 19, 25, len(q) + 1} {
 					for _, maxOcc := range []int{1, 50} {
 						cfg := SMEMConfig{MinLen: minLen, MaxOcc: maxOcc}
 						got, want := ix.SMEMs(q, cfg), ix.smemsReference(q, cfg)
@@ -137,6 +202,28 @@ func TestSMEMsSweepIdentity(t *testing.T) {
 	}
 }
 
+// checkJumpIdentity holds the jump table to the step-by-step search: the
+// entry of every k-mer is the interval Count finds for it, and k is what
+// the text's length allows.
+func checkJumpIdentity(t *testing.T, ix *Index) {
+	t.Helper()
+	k := ix.jumpK
+	if len(ix.jump) != 1<<(2*k) || k > jumpMax || 1<<(2*k) > max(len(ix.text), 1) ||
+		(k < jumpMax && 1<<(2*(k+1)) <= len(ix.text)) {
+		t.Fatalf("text length %d: k = %d with %d entries", len(ix.text), k, len(ix.jump))
+	}
+	kmer := make([]byte, k)
+	for code, got := range ix.jump {
+		for i := range kmer {
+			kmer[i] = byte(code>>(2*(k-1-i))) & 3
+		}
+		want := ix.Count(kmer)
+		if got != want && (got.Size() > 0 || want.Size() > 0) {
+			t.Fatalf("text length %d: jump[%v] = %v, Count says %v", len(ix.text), kmer, got, want)
+		}
+	}
+}
+
 // FuzzSMEMsSweepIdentity is the same identity over raw bytes: text bytes
 // fold onto codes 0..4 (Separator included), query bytes onto 0..7 so
 // ambiguous codes appear.
@@ -145,6 +232,9 @@ func FuzzSMEMsSweepIdentity(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 4, 0, 1, 2, 3, 0, 1}, []byte{0, 1, 2, 3, 7, 0, 1}, uint8(0), uint8(1))
 	f.Add([]byte{}, []byte{1, 2}, uint8(1), uint8(0))
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 2}, []byte{2, 2, 2, 1, 2, 2, 2, 2, 2}, uint8(2), uint8(50))
+	// k = 2 over a text with no 3 and a separator through its k-mers; the
+	// query's windows end in an absent k-mer, and in one next to a 7.
+	f.Add([]byte{0, 1, 2, 0, 1, 4, 2, 1, 0, 0, 1, 2, 2, 4, 1, 0, 2, 1}, []byte{0, 1, 2, 3, 1, 0, 0, 1, 7, 2, 1, 0}, uint8(3), uint8(4))
 	f.Fuzz(func(t *testing.T, rawText, rawQuery []byte, minLen, maxOcc uint8) {
 		if len(rawText) > 4096 || len(rawQuery) > 512 {
 			return
@@ -161,6 +251,8 @@ func FuzzSMEMsSweepIdentity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkJumpIdentity(t, ix)
+		checkFirstAbsent(t, rand.New(rand.NewSource(int64(minLen))), ix, q)
 		cfg := SMEMConfig{MinLen: int(minLen % 32), MaxOcc: int(maxOcc)}
 		got, want := ix.SMEMs(q, cfg), ix.smemsReference(q, cfg)
 		if !reflect.DeepEqual(got, want) {
@@ -169,9 +261,13 @@ func FuzzSMEMsSweepIdentity(f *testing.F) {
 	})
 }
 
-// TestSMEMsLongestMatchCalls pins the point of the skip-ahead on the
-// repository benchmark's map_reads shape: the sweep pays for a suffix-array
-// LongestMatch roughly once per emitted seed, not once per base.
+// TestSMEMsLongestMatchCalls pins the point of the sweep on the
+// repository benchmark's map_reads shape, in counts that repeat exactly:
+// a longest-match search roughly once per emitted seed, not once per base,
+// each inside its window's interval, never over the whole suffix array;
+// and a window's backward search starting from the jump table, so a strand
+// costs a few dozen LF steps (101.7 when every window started from the
+// empty pattern).
 func TestSMEMsLongestMatchCalls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 500 kbp index")
@@ -184,9 +280,8 @@ func TestSMEMsLongestMatchCalls(t *testing.T) {
 	}
 	rc := readsim.RealisticConfig(400)
 	rc.ReadLen = 150
-	calls := 0
-	longestMatchProbe = func() { calls++ }
-	defer func() { longestMatchProbe = nil }()
+	smemProbe = &smemCounts{}
+	defer func() { smemProbe = nil }()
 	cfg := DefaultSMEMConfig()
 	strands, seeds := 0, 0
 	for _, r := range readsim.Simulate(ref, rc, rng) {
@@ -195,13 +290,19 @@ func TestSMEMsLongestMatchCalls(t *testing.T) {
 			strands++
 		}
 	}
-	perStrand := float64(calls) / float64(strands)
-	t.Logf("%d strands: %.2f LongestMatch calls and %.2f seeds per strand (the per-base sweep: 150)",
-		strands, perStrand, float64(seeds)/float64(strands))
+	per := func(n int) float64 { return float64(n) / float64(strands) }
+	t.Logf("%d strands: %.2f longest-match searches (the per-base sweep: 150), %.2f LF steps and %.2f seeds per strand",
+		strands, per(smemProbe.longestMatches), per(smemProbe.lfSteps), per(seeds))
 	if seeds == 0 {
 		t.Fatal("no seeds on a workload drawn from the reference")
 	}
-	if perStrand > 4 {
-		t.Fatalf("%.2f LongestMatch calls per strand, want <= 4", perStrand)
+	if per(smemProbe.longestMatches) > 4 {
+		t.Fatalf("%.2f longest-match searches per strand, want <= 4", per(smemProbe.longestMatches))
+	}
+	if smemProbe.wholeArray != 0 {
+		t.Fatalf("%d longest-match searches ran over the whole suffix array, want none", smemProbe.wholeArray)
+	}
+	if per(smemProbe.lfSteps) > 40 {
+		t.Fatalf("%.2f LF steps per strand, want <= 40", per(smemProbe.lfSteps))
 	}
 }
