@@ -95,6 +95,11 @@ func TestServeBadFlags(t *testing.T) {
 	if err := run([]string{"-ref", "/nonexistent/ref.fa"}, &stderr, nil); err == nil {
 		t.Fatal("missing reference accepted")
 	}
+	for _, flag := range []string{"-prefilter", "-prefilter-threshold"} {
+		if err := run([]string{flag}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
+		}
+	}
 }
 
 // TestServeChaosFlag boots the daemon with -chaos: extensions serve

@@ -59,8 +59,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	refPath := fs.String("ref", "", "reference FASTA; enables the /v1/map endpoint")
 	indexPath := fs.String("index", "", "index file for -ref: loaded if it exists, otherwise built and saved")
 	indexStore := fs.String("index-store", "", "serve /v1/map from this checksummed container index (built by seedex-index): memory-mapped read-only, hot-reloadable via SIGHUP or POST /admin/reload, with rollback on a bad file")
-	prefilter := fs.Bool("prefilter", false, "screen chains with the bit-parallel pre-alignment filter before extension (mappings stay bit-identical; needs -ref)")
-	prefilterTh := fs.Float64("prefilter-threshold", 0, "prefilter edit threshold as a fraction of read length (0 = default)")
 	maxJobs := fs.Int("max-jobs", 4096, "maximum jobs or reads per request")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
 	chaos := fs.Float64("chaos", 0, "serve through the simulated FPGA platform with every fault class injecting at this rate (0 = software extender, no device)")
@@ -69,7 +67,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	routePolicy := fs.String("route-policy", "least-loaded", "routing policy for -shards > 1: least-loaded | occupancy | hash")
 	traceSample := fs.Int("trace-sample", 0, "record pipeline spans for 1 in N requests and export them at /debug/traces (0 disables head sampling)")
 	traceSlow := fs.Int("trace-slow", 64, "always retain the K slowest requests at /debug/traces/slow, regardless of sampling")
-	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed a steal/reroute/rescue/reload/fault keep the full trace at /debug/journeys")
+	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed a steal/reroute/reload/fault keep the full trace at /debug/journeys")
 	traceTailBudget := fs.Duration("trace-tail-budget", 100*time.Millisecond, "latency budget for the tail-retention verdict (and the default SLO latency objective)")
 	traceTailKeep := fs.Int("trace-tail-keep", 256, "retained journeys in the tail ring (oldest evicted first)")
 	sloLatency := fs.Duration("slo-latency", 0, "latency threshold of the extend-latency SLO objective (0 = the tail budget)")
@@ -155,14 +153,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		if *prefilter {
-			a.Opts.Prefilter = true
-			a.Opts.PrefilterThreshold = *prefilterTh
-			a.Stats = core.NewStats()
-		}
 		aligner = a
-	} else if *prefilter && *indexStore == "" {
-		return fmt.Errorf("-prefilter needs the mapping pipeline; set -ref or -index-store")
 	}
 
 	tracer := obs.New(obs.Config{
@@ -184,7 +175,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	// from the first swap. The initial open is strict: a bad container at
 	// startup is an operator error and refuses to serve.
 	var store *refstore.Store
-	var mapStats *core.Stats
 	if *indexStore != "" {
 		st, err := refstore.Open(*indexStore, refstore.Options{
 			Trace: tracer,
@@ -197,7 +187,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		}
 		store = st
 		defer store.Close()
-		mapStats = core.NewStats()
 	}
 
 	flushIv := *flush
@@ -228,16 +217,9 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		scfg.NewExtender = func(i int) align.Extender { return exts[i] }
 	}
 	if store != nil {
-		opts := bwamem.Options{Prefilter: *prefilter, PrefilterThreshold: *prefilterTh}
 		scfg.RefStore = store
-		scfg.MapOpts = opts
-		scfg.MapStats = mapStats
 		scfg.NewAligner = func(r *bwamem.Reference, ix *fmindex.Index) *bwamem.Aligner {
-			a := bwamem.NewWithIndex(r, ix, ext)
-			a.Opts.Prefilter = opts.Prefilter
-			a.Opts.PrefilterThreshold = opts.PrefilterThreshold
-			a.Stats = mapStats
-			return a
+			return bwamem.NewWithIndex(r, ix, ext)
 		}
 	}
 	s := server.New(scfg)
@@ -337,19 +319,9 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		logger.Info(fmt.Sprintf("/v1/map serving from index store %s (hot reload via SIGHUP or POST /admin/reload)", st.Path),
 			"generation", st.Generation, "contigs", st.Contigs, "mmap_bytes", st.MappedBytes,
 			"load_ms", st.LoadMs, "warmup_ms", st.WarmupMs)
-		if *prefilter {
-			logger.Info("prefilter tier on over the index store (mappings bit-identical to filter-off)")
-		}
 	}
 	if aligner != nil {
 		logger.Info(fmt.Sprintf("/v1/map enabled (%d contigs)", len(aligner.Contigs.Names)))
-		if aligner.Opts.Prefilter {
-			th := aligner.Opts.PrefilterThreshold
-			if th <= 0 {
-				th = bwamem.DefaultPrefilterThreshold
-			}
-			logger.Info(fmt.Sprintf("prefilter tier on (threshold=%g of read length; mappings bit-identical to filter-off)", th))
-		}
 	}
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -389,13 +361,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		} else {
 			logger.Info(fmt.Sprint(se.Stats))
 		}
-	}
-	if aligner != nil && aligner.Stats != nil {
-		psn := aligner.Stats.Snapshot()
-		logger.Info(fmt.Sprintf("prefilter summary: enabled=%v pass=%d reject=%d rescued=%d false-pass=%d",
-			aligner.Opts.Prefilter, psn.PrefilterPass, psn.PrefilterReject, psn.PrefilterRescued, psn.PrefilterFalsePass))
-	} else if aligner != nil {
-		logger.Info("prefilter summary: enabled=false")
 	}
 	if store != nil {
 		st := store.Status()

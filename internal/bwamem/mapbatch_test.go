@@ -19,9 +19,9 @@ import (
 
 // candidates is the batch of one, for the tests that look at a read's
 // ranked candidates.
-func (a *Aligner) candidates(read []byte) ([]candidate, int, filterTally) {
-	plans, _ := a.candidatesBatch(a.batchScratch(), []Read{{Seq: read}}, true)
-	return plans[0].cands, plans[0].ext, plans[0].tally
+func (a *Aligner) candidates(read []byte) ([]candidate, int) {
+	plans, _ := a.candidatesBatch(a.batchScratch(), []Read{{Seq: read}})
+	return plans[0].cands, plans[0].ext
 }
 
 // ---- the per-read map path as it was before reads were pooled ----
@@ -34,25 +34,15 @@ func (a *Aligner) candidates(read []byte) ([]candidate, int, filterTally) {
 // submatrix.
 
 func referenceAlignRead(a *Aligner, read []byte) Alignment {
-	cands, ext, tally := referenceCandidates(a, read, true)
-	var al Alignment
+	cands, ext := referenceCandidates(a, read)
 	if len(cands) == 0 {
-		al = Alignment{Extensions: ext}
-	} else {
-		best := cands[0]
-		sub := competingScore(cands, best, len(read))
-		al = referenceFinish(a, read, best, sub, ext)
-		tally.countFalsePasses(cands, sub, len(read))
+		return Alignment{Extensions: ext}
 	}
-	al.PrefilterPass = tally.pass
-	al.PrefilterReject = tally.reject
-	al.PrefilterRescued = tally.rescued
-	al.RescueRounds = tally.rounds
-	return al
+	best := cands[0]
+	return referenceFinish(a, read, best, competingScore(cands, best, len(read)), ext)
 }
 
-func referenceCandidates(a *Aligner, read []byte, allowFilter bool) ([]candidate, int, filterTally) {
-	var tally filterTally
+func referenceCandidates(a *Aligner, read []byte) ([]candidate, int) {
 	var cands []candidate
 	ext := 0
 	var dualSeeds []chain.Seed
@@ -61,12 +51,7 @@ func referenceCandidates(a *Aligner, read []byte, allowFilter bool) ([]candidate
 		dualSeeds = ds.SeedsBoth(read)
 	}
 	be, isBatch := a.Extender.(align.BatchExtender)
-	var fc *filterCtx
-	if allowFilter {
-		fc = a.newFilterCtx(read)
-	}
 	var work []chainWork
-	var rej []rejChain
 	ord := 0
 	for _, rev := range []bool{false, true} {
 		q := read
@@ -92,14 +77,6 @@ func referenceCandidates(a *Aligner, read []byte, allowFilter bool) ([]candidate
 				break
 			}
 			ord++
-			if fc != nil {
-				if ub, rejected := fc.screen(q, c); rejected {
-					rej = append(rej, rejChain{q: q, c: c, ord: ord, ub: ub})
-					tally.reject++
-					continue
-				}
-				tally.pass++
-			}
 			if isBatch {
 				work = append(work, chainWork{q: q, c: c, ord: ord})
 				continue
@@ -118,53 +95,7 @@ func referenceCandidates(a *Aligner, read []byte, allowFilter bool) ([]candidate
 	}
 	cands = a.dropCrossContig(cands)
 	sortCandidates(cands)
-
-	for len(rej) > 0 {
-		floorBest, floorSub := -1, -1
-		if len(cands) > 0 {
-			floorBest = cands[0].score
-			floorSub = competingScore(cands, cands[0], len(read))
-		}
-		var rescue []rejChain
-		keep := rej[:0]
-		for _, r := range rej {
-			if floorBest < 0 || r.ub >= floorBest || r.ub > floorSub {
-				rescue = append(rescue, r)
-			} else {
-				keep = append(keep, r)
-			}
-		}
-		rej = keep
-		if len(rescue) == 0 {
-			break
-		}
-		tally.rescued += len(rescue)
-		tally.rounds++
-		var rcands []candidate
-		if isBatch {
-			rwork := make([]chainWork, len(rescue))
-			for i, r := range rescue {
-				rwork[i] = chainWork{q: r.q, c: r.c, ord: r.ord}
-			}
-			var n int
-			rcands, n = referenceAlignChainsBatch(a, rwork, be)
-			ext += n
-		} else {
-			for _, r := range rescue {
-				cand, n := referenceAlignChain(a, r.q, r.c)
-				ext += n
-				cand.weight = r.c.Weight
-				cand.ord = r.ord
-				rcands = append(rcands, cand)
-			}
-		}
-		for i := range rcands {
-			rcands[i].rescued = true
-		}
-		cands = append(cands, a.dropCrossContig(rcands)...)
-		sortCandidates(cands)
-	}
-	return cands, ext, tally
+	return cands, ext
 }
 
 func referenceChainSeeds(a *Aligner, c chain.Chain) []chain.Seed {
@@ -480,48 +411,84 @@ func batchCorpora(t *testing.T) []batchCorpus {
 	dual.a.Seeder = FMDSeeder{Index: fmd, Cfg: fmindex.DefaultSMEMConfig()}
 	out = append(out, batchCorpus{"strict/fmd", dual.a, toReads(dual), stats})
 
-	// Prefilter on over the decoy-heavy repeat genome: chains get rejected
-	// and the rescue rounds run, per read, inside the batch; with the
-	// reject-all filter every chain of every read is extended by a rescue.
+	// The repeat-and-decoy genome: reads with a distant full-score copy and
+	// heavy chains in decoy windows, with the degenerate shapes that are
+	// not all unmapped (an N-run inside a real read, a read of the repeat
+	// unit alone, 40 bp of the reference's head and tail, a reverse
+	// complement) between them.
+	se, stats = seedex(false)
 	ref, sim := repeatWorld(t, 240, 21)
-	for _, rejectEverything := range []bool{false, true} {
-		se, _ := seedex(false)
-		a := newTestAligner(t, ref, se, true)
-		name := "prefilter/shd"
-		if rejectEverything {
-			a.Filter = rejectAll{}
-			name = "prefilter/reject-all"
-		}
-		out = append(out, batchCorpus{name, a, interleave(toPipelineReads(sim), odd, 7), se.Stats})
+	a, err := New("chrSim", ref, se)
+	if err != nil {
+		t.Fatal(err)
 	}
+	nRun := append([]byte(nil), ref[5_000:5_101]...)
+	for i := 30; i < 70; i++ {
+		nRun[i] = genome.N
+	}
+	shapes := []Read{
+		{Name: "nRun", Seq: nRun},
+		{Name: "motifOnly", Seq: ref[3_000:3_064]},
+		{Name: "head", Seq: ref[:40]},
+		{Name: "tail", Seq: ref[len(ref)-40:]},
+		{Name: "revComp", Seq: genome.RevComp(ref[12_500:12_601])},
+	}
+	reads := interleave(interleave(toPipelineReads(sim), shapes, 13), odd, 7)
+	out = append(out, batchCorpus{"strict/repeat-decoy", a, reads, stats})
 	return out
+}
+
+// repeatWorld builds a genome with a long exact repeat (reads inside it
+// have a distant competing copy at full score) plus short decoy windows —
+// exact copies of repeat stretches scattered through unique background.
+// A read with a sequencing error seeds from its error-split SMEM
+// segments; a segment's exact copy inside a decoy window grows a heavy
+// chain there whose full extension can only reach a mediocre score.
+// (Pure-SMEM seeding never produces such chains from sub-maximal matches —
+// the decoys must contain whole segments — hence the window tiling.)
+func repeatWorld(tb testing.TB, nReads int, seed int64) ([]byte, []readsim.Read) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	unit := genome.Simulate(genome.SimConfig{Length: 4_000}, rng)
+	bg := genome.Simulate(genome.SimConfig{Length: 18_000}, rng)
+	bgPos := 0
+	take := func(n int) []byte { s := bg[bgPos : bgPos+n]; bgPos += n; return s }
+	var ref []byte
+	ref = append(ref, take(2_000)...)
+	ref = append(ref, unit...)
+	ref = append(ref, take(2_000)...)
+	// Decoy windows tile the unit densely enough that any >=51 bp SMEM
+	// segment of an in-repeat read is wholly contained in one of them.
+	for w := 0; w+240 <= len(unit); w += 100 {
+		ref = append(ref, unit[w:w+240]...)
+		ref = append(ref, take(300)...)
+	}
+	ref = append(ref, unit...)
+	ref = append(ref, take(2_000)...)
+	cfg := readsim.DefaultConfig(nReads)
+	cfg.ErrRate = 0.012 // most reads carry 1-2 errors, splitting their SMEMs
+	reads := readsim.Simulate(ref, cfg, rng)
+	return ref, reads
 }
 
 // TestMapBatchEqualsMap: a read maps the same whatever batch it rides in.
 // Over every corpus, MapBatch in batches of 1, 3, 16 and 64 returns, read
-// for read, the Alignment (Extensions and prefilter tallies included) and
-// the SAM bytes that Map returns and that the replaced per-read path
-// (referenceAlignRead) returns, and each pass over the corpus moves every
-// core.Stats counter — check verdicts and prefilter tallies — by the same
-// amount. Map with the gapless certificate off (every traced side filled)
-// returns the same Alignment, CIGAR included.
+// for read, the Alignment (Extensions included) and the SAM bytes that Map
+// returns and that the replaced per-read path (referenceAlignRead)
+// returns, and each pass over the corpus moves every core.Stats check
+// counter by the same amount. Map with the gapless certificate off (every
+// traced side filled) returns the same Alignment, CIGAR included.
 func TestMapBatchEqualsMap(t *testing.T) {
 	for _, c := range batchCorpora(t) {
 		t.Run(c.name, func(t *testing.T) {
-			if c.a.Stats == nil {
-				c.a.Stats = core.NewStats() // prefilter off: stays zero
-			}
 			if c.stats == nil {
 				c.stats = core.NewStats() // no checks: stays zero
-			}
-			snapshot := func() [2]core.StatsSnapshot {
-				return [2]core.StatsSnapshot{c.stats.Snapshot(), c.a.Stats.Snapshot()}
 			}
 			one, filler := c.a.NewMapper(), c.a.NewMapper()
 			filler.cp.fillEverySide = true
 			var wantAl []Alignment
 			var wantSAM []string
-			rescued, unmapped := 0, 0
+			unmapped := 0
 			for i, r := range c.reads {
 				rec, al := one.Map(r.Name, r.Seq, r.Qual)
 				if ref := referenceAlignRead(c.a, r.Seq); !reflect.DeepEqual(al, ref) {
@@ -531,13 +498,9 @@ func TestMapBatchEqualsMap(t *testing.T) {
 					t.Fatalf("read %d (%s): Map %+v, with every side filled %+v", i, r.Name, al, filled)
 				}
 				wantAl, wantSAM = append(wantAl, al), append(wantSAM, rec.String())
-				rescued += al.RescueRounds
 				if !al.Mapped {
 					unmapped++
 				}
-			}
-			if strings.HasPrefix(c.name, "prefilter") && rescued == 0 {
-				t.Fatal("corpus forced no rescue rounds")
 			}
 			if sides, fills := one.cp.scratch.traceSides, one.cp.scratch.traceFills; fills == 0 || fills == sides ||
 				filler.cp.scratch.traceFills != sides {
@@ -548,18 +511,18 @@ func TestMapBatchEqualsMap(t *testing.T) {
 			}
 			// The reference's extender calls counted too; a second per-read
 			// pass measures what one pass moves.
-			mid := snapshot()
+			mid := c.stats.Snapshot()
 			for _, r := range c.reads {
 				one.Map(r.Name, r.Seq, r.Qual)
 			}
-			perPass := statsDelta(mid, snapshot())
-			if perPass[0].Total == 0 && strings.HasPrefix(c.name, "strict") {
+			perPass := statsDelta(mid, c.stats.Snapshot())
+			if perPass.Total == 0 && strings.HasPrefix(c.name, "strict") {
 				t.Fatal("the extender's checks are not counted in the compared stats")
 			}
 
 			for _, size := range []int{1, 3, 16, 64} {
 				m := c.a.NewMapper()
-				from := snapshot()
+				from := c.stats.Snapshot()
 				for lo := 0; lo < len(c.reads); lo += size {
 					hi := min(lo+size, len(c.reads))
 					recs, als, bt := m.MapBatch(c.reads[lo:hi])
@@ -578,7 +541,7 @@ func TestMapBatchEqualsMap(t *testing.T) {
 						t.Fatalf("batch [%d,%d): stage times out of order: %+v", lo, hi, bt)
 					}
 				}
-				if got := statsDelta(from, snapshot()); got != perPass {
+				if got := statsDelta(from, c.stats.Snapshot()); got != perPass {
 					t.Fatalf("batch size %d moved the stats by\n %+v\nper-read mapping by\n %+v", size, got, perPass)
 				}
 			}
@@ -587,18 +550,16 @@ func TestMapBatchEqualsMap(t *testing.T) {
 }
 
 // statsDelta is to - from, counter by counter.
-func statsDelta(from, to [2]core.StatsSnapshot) [2]core.StatsSnapshot {
-	for k := range to {
-		d, f := reflect.ValueOf(&to[k]).Elem(), reflect.ValueOf(from[k])
-		for i := 0; i < d.NumField(); i++ {
-			if d.Field(i).Kind() == reflect.Array {
-				for o := 0; o < d.Field(i).Len(); o++ {
-					d.Field(i).Index(o).SetInt(d.Field(i).Index(o).Int() - f.Field(i).Index(o).Int())
-				}
-				continue
+func statsDelta(from, to core.StatsSnapshot) core.StatsSnapshot {
+	d, f := reflect.ValueOf(&to).Elem(), reflect.ValueOf(from)
+	for i := 0; i < d.NumField(); i++ {
+		if d.Field(i).Kind() == reflect.Array {
+			for o := 0; o < d.Field(i).Len(); o++ {
+				d.Field(i).Index(o).SetInt(d.Field(i).Index(o).Int() - f.Field(i).Index(o).Int())
 			}
-			d.Field(i).SetInt(d.Field(i).Int() - f.Field(i).Int())
+			continue
 		}
+		d.Field(i).SetInt(d.Field(i).Int() - f.Field(i).Int())
 	}
 	return to
 }
@@ -616,8 +577,6 @@ func TestMapBatchConcurrentMappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Opts.Prefilter = true
-	a.Stats = core.NewStats()
 	var got [2][]string
 	var wg sync.WaitGroup
 	for w := range got {

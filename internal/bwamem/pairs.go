@@ -52,11 +52,8 @@ const pairCandLimit = 5
 
 // AlignPair aligns both ends and selects the best joint placement.
 func (a *Aligner) AlignPair(p ReadPair, ins InsertStats) (Alignment, Alignment, bool) {
-	// The paired path bypasses the prefilter tier: the joint objective can
-	// promote candidates below the single-end Score/SubScore floors the
-	// rescue pass guards, so filtering here could change pairing choices.
 	// Both ends go through the map phases as one batch of two.
-	plans, _ := a.candidatesBatch(a.batchScratch(), []Read{{Seq: p.Seq1}, {Seq: p.Seq2}}, false)
+	plans, _ := a.candidatesBatch(a.batchScratch(), []Read{{Seq: p.Seq1}, {Seq: p.Seq2}})
 	c1, e1 := plans[0].cands, plans[0].ext
 	c2, e2 := plans[1].cands, plans[1].ext
 	if len(c1) > pairCandLimit {

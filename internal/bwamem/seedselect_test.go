@@ -67,6 +67,14 @@ func TestSelectMEMsOrderAndCoverage(t *testing.T) {
 	}
 }
 
+// sameMapping compares every Alignment field the mapping output depends
+// on — everything except the Extensions cost counter.
+func sameMapping(a, b Alignment) bool {
+	return a.Mapped == b.Mapped && a.RName == b.RName && a.Pos == b.Pos &&
+		a.Rev == b.Rev && a.Score == b.Score && a.SubScore == b.SubScore &&
+		a.MapQ == b.MapQ && a.Cigar.String() == b.Cigar.String()
+}
+
 // TestSeedSelectionPipelineEquivalence: with the default budget, typical
 // workloads (whose reads stay under it) must map identically with the
 // pass disabled — selection only engages on repeat-dense reads.

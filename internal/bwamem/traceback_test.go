@@ -114,7 +114,7 @@ func TestTraceSubmatrixIdentity(t *testing.T) {
 			for _, w := range traceWorld(t, tc.ext, tc.traceBand, 2000) {
 				var wins []winner
 				for _, read := range w.reads {
-					if cands, _, _ := w.a.candidates(read); len(cands) > 0 {
+					if cands, _ := w.a.candidates(read); len(cands) > 0 {
 						wins = append(wins, winner{read, cands[0]})
 					}
 				}
@@ -180,7 +180,7 @@ func TestMapperEqualsAlignRead(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("read %d: Mapper.Map %+v, AlignRead %+v", i, got, want)
 					}
-					if cands, _, _ := w.a.candidates(read); len(cands) > 0 && !got.Mapped {
+					if cands, _ := w.a.candidates(read); len(cands) > 0 && !got.Mapped {
 						t.Fatalf("read %d has %d candidates but came back unmapped", i, len(cands))
 					}
 				}

@@ -43,24 +43,6 @@ type Stats struct {
 	// HostOnly counts extensions served entirely by the host full-band
 	// kernel because the breaker was open or the retry budget ran out.
 	HostOnly atomic.Int64
-
-	// Pre-alignment filter counters, recorded by the bwamem pipeline when
-	// the prefilter tier is enabled. They stay zero otherwise.
-
-	// PrefilterPass counts extension candidates (chains) the bit-parallel
-	// filter let through to the banded kernels.
-	PrefilterPass atomic.Int64
-	// PrefilterReject counts candidates the filter turned away before
-	// extension.
-	PrefilterReject atomic.Int64
-	// PrefilterRescued counts rejected candidates later extended anyway
-	// because their certified score bound could still have influenced the
-	// final mapping (the rescue rule that keeps filtering bit-safe).
-	PrefilterRescued atomic.Int64
-	// PrefilterFalsePass counts candidates that passed the filter yet
-	// contributed nothing to the final mapping — the work a sharper
-	// filter would also have saved (the filter's miss rate).
-	PrefilterFalsePass atomic.Int64
 }
 
 // NewStats returns an empty Stats.
@@ -116,12 +98,6 @@ type StatsSnapshot struct {
 	DeviceRetries int64 `json:"device_retries"`
 	BreakerTrips  int64 `json:"breaker_trips"`
 	HostOnly      int64 `json:"host_only"`
-
-	// Pre-alignment filter counters (see the live Stats fields).
-	PrefilterPass      int64 `json:"prefilter_pass"`
-	PrefilterReject    int64 `json:"prefilter_reject"`
-	PrefilterRescued   int64 `json:"prefilter_rescued"`
-	PrefilterFalsePass int64 `json:"prefilter_false_pass"`
 }
 
 // Snapshot reads the counters into a plain struct. Counters are read
@@ -140,10 +116,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	out.DeviceRetries = s.DeviceRetries.Load()
 	out.BreakerTrips = s.BreakerTrips.Load()
 	out.HostOnly = s.HostOnly.Load()
-	out.PrefilterPass = s.PrefilterPass.Load()
-	out.PrefilterReject = s.PrefilterReject.Load()
-	out.PrefilterRescued = s.PrefilterRescued.Load()
-	out.PrefilterFalsePass = s.PrefilterFalsePass.Load()
 	return out
 }
 
@@ -177,7 +149,7 @@ func (sn StatsSnapshot) ThresholdOnlyRate() float64 {
 
 // String renders a one-line summary.
 func (sn StatsSnapshot) String() string {
-	if sn.Total == 0 && sn.HostOnly == 0 && sn.PrefilterPass == 0 && sn.PrefilterReject == 0 {
+	if sn.Total == 0 && sn.HostOnly == 0 {
 		return "seedex: no extensions"
 	}
 	s := fmt.Sprintf("seedex: %d extensions, %.2f%% passed (%.2f%% threshold-only), %d reruns",
@@ -185,10 +157,6 @@ func (sn StatsSnapshot) String() string {
 	if sn.DeviceFaults > 0 || sn.DeviceRetries > 0 || sn.BreakerTrips > 0 || sn.HostOnly > 0 {
 		s += fmt.Sprintf("; faults: %d detected, %d retries, %d breaker trips, %d host-only",
 			sn.DeviceFaults, sn.DeviceRetries, sn.BreakerTrips, sn.HostOnly)
-	}
-	if sn.PrefilterPass > 0 || sn.PrefilterReject > 0 {
-		s += fmt.Sprintf("; prefilter: %d pass, %d reject (%d rescued, %d false-pass)",
-			sn.PrefilterPass, sn.PrefilterReject, sn.PrefilterRescued, sn.PrefilterFalsePass)
 	}
 	return s
 }

@@ -39,14 +39,10 @@ func argNames(k Kind) (string, string) {
 		return "attempt", "batch"
 	case KindRetry:
 		return "attempt", ""
-	case KindPrefilter:
-		return "pass", "reject"
 	case KindIndexReload:
 		return "generation", "ok"
 	case KindSteal:
 		return "victim", "thief"
-	case KindRescue:
-		return "rescued", "rounds"
 	case KindMapStage:
 		return "stage", "reads"
 	}

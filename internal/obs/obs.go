@@ -59,18 +59,12 @@ const (
 	KindDevice
 	// KindRetry covers one retry backoff wait between device attempts.
 	KindRetry
-	// KindPrefilter is an instant span carrying one read's pre-alignment
-	// filter activity (v1 = chains passed, v2 = chains rejected).
-	KindPrefilter
 	// KindIndexReload covers one reference-index reload attempt, from
 	// trigger to publish or rollback (v1 = generation, v2 = ok).
 	KindIndexReload
 	// KindSteal is an instant span marking that a job's batch was stolen
 	// and executed on a thief shard (v1 = victim shard, v2 = thief shard).
 	KindSteal
-	// KindRescue is an instant span carrying one read's prefilter rescue
-	// fixpoint activity (v1 = chains rescued, v2 = rescue rounds).
-	KindRescue
 	// KindMapStage covers one stage of a /v1/map batch, shared by every
 	// read in it (v1 = stage, a MapStage* value; v2 = reads in the batch).
 	// The four stages tile the batch's KindKernel span.
@@ -80,16 +74,15 @@ const (
 
 var kindNames = [numKinds]string{
 	"request", "queue_wait", "batch_flush", "kernel", "check", "host_rerun",
-	"device", "retry_backoff", "prefilter", "index_reload", "steal", "rescue",
-	"map_stage",
+	"device", "retry_backoff", "index_reload", "steal", "map_stage",
 }
 
 // Stage values for KindMapStage spans (v1): the map path's dataflow.
 const (
-	MapStagePlan        = iota // seed, chain, prefilter screen — per read
+	MapStagePlan        = iota // seed, chain — per read
 	MapStageExtendLeft         // the batch's pooled left extensions
 	MapStageExtendRight        // the batch's pooled right extensions
-	MapStageResolve            // rescue rounds, traceback, SAM — per read
+	MapStageResolve            // cross-contig drop, ranking, traceback, SAM — per read
 )
 
 var mapStageNames = [...]string{"plan", "extend_left", "extend_right", "resolve"}

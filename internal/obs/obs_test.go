@@ -63,6 +63,32 @@ func TestSpanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKindNames: every span kind has its own export name and its own
+// argument names. Kinds are an iota, so deleting one renumbers those after
+// it; a kind left without a name or an argNames case shows here.
+func TestKindNames(t *testing.T) {
+	names := map[string]Kind{}
+	args := map[[2]string]Kind{}
+	for k := Kind(0); k < numKinds; k++ {
+		name := k.String()
+		if name == "" {
+			t.Fatalf("kind %d has no name", k)
+		}
+		if prev, dup := names[name]; dup {
+			t.Fatalf("kinds %d and %d are both %q", prev, k, name)
+		}
+		names[name] = k
+		n1, n2 := argNames(k)
+		if n1 == "v1" && n2 == "v2" {
+			t.Fatalf("kind %s has no argNames case", name)
+		}
+		if prev, dup := args[[2]string{n1, n2}]; dup {
+			t.Fatalf("kinds %s and %s share the arg names %q, %q", prev, name, n1, n2)
+		}
+		args[[2]string{n1, n2}] = k
+	}
+}
+
 func TestHeadSampling(t *testing.T) {
 	tr := New(Config{SampleEvery: 10})
 	sampled := 0

@@ -10,12 +10,11 @@ import (
 // Tail-based trace retention. Head sampling (Config.SampleEvery) keeps a
 // statistical baseline, but 1/N sampling misses exactly the rare,
 // cross-cutting events that matter operationally: a work steal, a
-// failover reroute, a prefilter rescue fixpoint, an index reload in
-// flight, a breaker trip. Tail retention closes that gap: every request
-// records its spans into a reusable per-request journey buffer, and a
-// verdict at completion keeps the full journey when the request breached
-// its latency budget, failed (429/500/503/504/413), or crossed one of
-// the flagged lifecycle events. Kept journeys land in a bounded ring for
+// failover reroute, an index reload in flight, a breaker trip. Tail
+// retention closes that gap: every request records its spans into a
+// reusable per-request journey buffer, and a verdict at completion keeps
+// the full journey when the request breached its latency budget, failed
+// (429/500/503/504/413), or crossed one of the flagged lifecycle events. Kept journeys land in a bounded ring for
 // /debug/journeys, flight-recorder dumps, and stitched timeline views.
 //
 // The hot path stays zero-allocation: journey buffers come from a
@@ -37,21 +36,18 @@ const (
 	EvSteal Event = 1 << iota
 	// EvReroute: admission failed over from the picked shard to a peer.
 	EvReroute
-	// EvRescue: the prefilter rescue fixpoint loop re-admitted chains.
-	EvRescue
 	// EvReloadOverlap: the request overlapped a reference-index reload
 	// (generation swap observed mid-request, or a reload was in flight).
 	EvReloadOverlap
 	// EvFault: a device fault, retry exhaustion, or open breaker forced
 	// host-side containment for one of the request's batches.
 	EvFault
-
-	numEvents = 5
 )
 
-var eventNames = [numEvents]string{
-	"steal", "reroute", "rescue", "reload-overlap", "fault",
-}
+// eventNames names the events in bit order, one per Event constant.
+var eventNames = [...]string{"steal", "reroute", "reload-overlap", "fault"}
+
+const numEvents = len(eventNames)
 
 // Names expands the event bit set for exports.
 func (e Event) Names() []string {

@@ -100,14 +100,18 @@ func TestTailVerdictEvents(t *testing.T) {
 	}
 }
 
-// TestEventNames covers the bit-set expansion.
+// TestEventNames covers the bit-set expansion, and that the names cover
+// exactly the Event constants.
 func TestEventNames(t *testing.T) {
 	if names := Event(0).Names(); names != nil {
 		t.Fatalf("zero event names = %v, want nil", names)
 	}
-	all := EvSteal | EvReroute | EvRescue | EvReloadOverlap | EvFault
+	if Event(1)<<numEvents != EvFault<<1 {
+		t.Fatalf("%d event names for the bits up to EvFault = %#x", numEvents, EvFault)
+	}
+	all := EvSteal | EvReroute | EvReloadOverlap | EvFault
 	names := all.Names()
-	want := []string{"steal", "reroute", "rescue", "reload-overlap", "fault"}
+	want := []string{"steal", "reroute", "reload-overlap", "fault"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v, want %v", names, want)
 	}

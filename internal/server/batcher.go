@@ -167,7 +167,7 @@ func newBatcher[T any](cfg BatcherConfig, met *Metrics, hooks shardHooks[T], num
 // stealPoll bounds how long an idle worker waits on its own (empty)
 // dispatch channel before re-scanning peers for stealable batches. It is
 // the straggler-drain latency floor, deliberately coarse next to the
-// microsecond flush intervals: stealing is a rescue path, not the common
+// microsecond flush intervals: stealing is a recovery path, not the common
 // one.
 const stealPoll = time.Millisecond
 

@@ -603,8 +603,6 @@ type metricsConfigEcho struct {
 	Shards      int     `json:"shards"`
 	RoutePolicy string  `json:"route_policy"`
 	MapEnabled  bool    `json:"map_enabled"`
-	Prefilter   bool    `json:"prefilter"`
-	PrefilterTh float64 `json:"prefilter_threshold,omitempty"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -633,8 +631,6 @@ func (s *Server) buildMetricsBody() metricsBody {
 			Shards:      len(s.shards),
 			RoutePolicy: s.router.policy.Name(),
 			MapEnabled:  s.mapEnabled(),
-			Prefilter:   s.prefilterOn(),
-			PrefilterTh: s.prefilterThreshold(),
 		},
 	}
 	cluster := clusterBody{Shards: len(s.shards), Policy: s.router.policy.Name()}
@@ -870,13 +866,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]string{
 		"shards":          strconv.Itoa(len(s.shards)),
 		"shards_degraded": strconv.Itoa(degraded),
-	}
-	if s.mapEnabled() {
-		if s.prefilterOn() {
-			body["prefilter"] = "on"
-		} else {
-			body["prefilter"] = "off"
-		}
 	}
 	// Index lifecycle: a degraded-reload store (last reload rolled back)
 	// still serves exact results from the previous generation, so like

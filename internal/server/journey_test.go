@@ -210,15 +210,11 @@ func TestJourneyReloadStitching(t *testing.T) {
 	t.Cleanup(store.Close)
 
 	gate := newGatedExtender(core.New(20)) // unarmed: the warmup request flows freely
-	stats := &core.Stats{}
 	tracer := obs.New(obs.Config{SampleEvery: 1, Tail: obs.TailConfig{Enabled: true, Budget: 5 * time.Second, Keep: 64}})
 	_, ts := newTestServer(t, Config{
 		RefStore: store,
-		MapStats: stats,
 		NewAligner: func(ref *bwamem.Reference, ix *fmindex.Index) *bwamem.Aligner {
-			a := bwamem.NewWithIndex(ref, ix, gate)
-			a.Stats = stats
-			return a
+			return bwamem.NewWithIndex(ref, ix, gate)
 		},
 		MapBatch: BatcherConfig{MaxBatch: 1, FlushInterval: FlushOpportunistic, Workers: 1},
 		Trace:    tracer,

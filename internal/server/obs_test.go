@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -16,13 +15,10 @@ import (
 	"time"
 
 	"seedex/internal/align"
-	"seedex/internal/bwamem"
 	"seedex/internal/core"
 	"seedex/internal/driver"
 	"seedex/internal/faults"
-	"seedex/internal/genome"
 	"seedex/internal/obs"
-	"seedex/internal/readsim"
 )
 
 // --- Request-id plumbing ---------------------------------------------------
@@ -385,8 +381,6 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		"seedex_jobs_accepted_total", "seedex_jobs_completed_total",
 		"seedex_check_total", "seedex_device_faults_total", "seedex_breaker_trips_total",
-		"seedex_prefilter_pass_total", "seedex_prefilter_reject_total",
-		"seedex_prefilter_rescued_total", "seedex_prefilter_false_pass_total",
 		"seedex_request_latency_seconds", "seedex_queue_wait_seconds", "seedex_batch_occupancy",
 		"seedex_request_latency_quantile_seconds",
 		"seedex_codec_seconds_total", "seedex_codec_requests_total",
@@ -466,82 +460,6 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 	if second.samples["seedex_jobs_completed_total"] <= first.samples["seedex_jobs_completed_total"] {
 		t.Error("completed counter did not advance across scrapes")
-	}
-}
-
-// TestPrometheusPrefilterFamilies drives a prefilter-enabled /v1/map
-// server and checks the tier's whole reporting surface: live
-// seedex_prefilter_* counters in the scrape, the enablement echo in the
-// /metrics config block, and the on/off field in /healthz.
-func TestPrometheusPrefilterFamilies(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	ref := genome.Simulate(genome.SimConfig{Length: 30_000}, rng)
-	reads := readsim.Simulate(ref, readsim.DefaultConfig(25), rng)
-	se := core.New(20)
-	a, err := bwamem.New("chrT", ref, se)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Opts.Prefilter = true
-	a.Stats = core.NewStats()
-	_, ts := newTestServer(t, Config{Extender: se, Aligner: a})
-
-	req := MapRequest{}
-	for _, r := range reads {
-		req.Reads = append(req.Reads, MapRead{Name: r.ID, Seq: genome.Decode(r.Seq), Qual: string(r.Qual)})
-	}
-	resp := postJSON(t, ts.URL+"/v1/map", req)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	sc := scrapeProm(t, ts.URL)
-	if sc.samples["seedex_prefilter_pass_total"] <= 0 {
-		t.Fatalf("prefilter pass counter not live: %v", sc.samples["seedex_prefilter_pass_total"])
-	}
-	for _, fam := range []string{
-		"seedex_prefilter_pass_total", "seedex_prefilter_reject_total",
-		"seedex_prefilter_rescued_total", "seedex_prefilter_false_pass_total",
-	} {
-		if typ := sc.types[fam]; typ != "counter" {
-			t.Errorf("family %s has type %q, want counter", fam, typ)
-		}
-	}
-
-	var met struct {
-		Config struct {
-			Prefilter   bool    `json:"prefilter"`
-			PrefilterTh float64 `json:"prefilter_threshold"`
-		} `json:"config"`
-		Checks *struct {
-			PrefilterPass int64 `json:"prefilter_pass"`
-		} `json:"checks"`
-	}
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	if !met.Config.Prefilter || met.Config.PrefilterTh <= 0 {
-		t.Fatalf("config echo misses prefilter state: %+v", met.Config)
-	}
-	if met.Checks == nil || met.Checks.PrefilterPass <= 0 {
-		t.Fatalf("checks block misses prefilter counters: %+v", met.Checks)
-	}
-
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	var hz map[string]string
-	if err := json.NewDecoder(hresp.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
-	}
-	if hz["prefilter"] != "on" {
-		t.Fatalf("healthz prefilter = %q, want on", hz["prefilter"])
 	}
 }
 

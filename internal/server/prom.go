@@ -78,10 +78,6 @@ func (s *Server) collectProm(p *obs.Prom) {
 			p.Counter("seedex_check_outcome_total", "Check outcomes by verdict.", float64(n),
 				"outcome", core.Outcome(o).String())
 		}
-		p.Counter("seedex_prefilter_pass_total", "Chains the pre-alignment filter let through to extension.", float64(snap.PrefilterPass))
-		p.Counter("seedex_prefilter_reject_total", "Chains the pre-alignment filter turned away.", float64(snap.PrefilterReject))
-		p.Counter("seedex_prefilter_rescued_total", "Rejected chains extended anyway to keep mappings bit-identical.", float64(snap.PrefilterRescued))
-		p.Counter("seedex_prefilter_false_pass_total", "Passed chains that contributed nothing to the final mapping.", float64(snap.PrefilterFalsePass))
 		p.Counter("seedex_device_faults_total", "Device responses that failed integrity validation.", float64(snap.DeviceFaults))
 		p.Counter("seedex_device_retries_total", "Device batch attempts retried.", float64(snap.DeviceRetries))
 		p.Counter("seedex_breaker_trips_total", "Circuit breaker closed->open transitions.", float64(snap.BreakerTrips))

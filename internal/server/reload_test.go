@@ -70,13 +70,9 @@ func newRefStoreFixture(t *testing.T, seed int64) *refStoreFixture {
 // newStoreServer builds a server mapping from the generation store.
 func newStoreServer(t *testing.T, store *refstore.Store, cfg Config) (*Server, string) {
 	t.Helper()
-	stats := &core.Stats{}
 	cfg.RefStore = store
-	cfg.MapStats = stats
 	cfg.NewAligner = func(ref *bwamem.Reference, ix *fmindex.Index) *bwamem.Aligner {
-		a := bwamem.NewWithIndex(ref, ix, core.New(20))
-		a.Stats = stats
-		return a
+		return bwamem.NewWithIndex(ref, ix, core.New(20))
 	}
 	s, ts := newTestServer(t, cfg)
 	return s, ts.URL

@@ -37,14 +37,11 @@ type Config struct {
 	// reference and index (the embedder wires the extender, options and
 	// shared stats sink). Required when RefStore is set.
 	NewAligner func(ref *bwamem.Reference, ix *fmindex.Index) *bwamem.Aligner
-	// MapOpts echoes the aligner options NewAligner applies, so the
-	// health and metrics surfaces can report the mapping configuration
-	// without a fixed aligner instance to inspect. Ignored when Aligner
-	// is set.
-	MapOpts bwamem.Options
-	// MapStats, when non-nil, is the shared check-statistics sink the
-	// RefStore aligners record into (so prefilter counters survive
-	// generation swaps). Ignored when Aligner is set.
+	// MapStats is read by nothing.
+	//
+	// Deprecated: it carried the removed pre-alignment filter tier's
+	// counters; it stays only because the frozen benchmark/layers.go still
+	// sets it.
 	MapStats *core.Stats
 	// Shards splits the service into that many independent shard units —
 	// each its own micro-batcher, worker pool, extender (see NewExtender)
@@ -94,7 +91,7 @@ type Config struct {
 	// job endpoints one pointer compare per instrumentation site. Tail
 	// retention (obs.Config.Tail) additionally keeps the full journey of
 	// every request that breaches its budget, fails, or crosses a steal,
-	// reroute, rescue, reload overlap or fault.
+	// reroute, reload overlap or fault.
 	Trace *obs.Tracer
 	// Build identifies the binary for seedex_build_info (stamped from
 	// -ldflags in cmd/seedex-serve; defaults dev/unknown).
@@ -220,13 +217,6 @@ func New(cfg Config) *Server {
 	}
 	linkPeers(extGroup, s.shards, extPipe)
 	linkPeers(mapGroup, s.shards, mapPipe)
-	// The mapping aligner's stats (prefilter counters) join the same
-	// snapshot, unless it shares an extender's.
-	if cfg.Aligner != nil {
-		addStats(cfg.Aligner.Stats)
-	} else {
-		addStats(cfg.MapStats)
-	}
 	rt, err := newRouter(s.shards, cfg.RoutePolicy)
 	if err != nil {
 		panic(err)
@@ -315,34 +305,6 @@ func queueTotals[T any](s *Server, pipe func(*shard) *batcher[T]) (depth, capaci
 // or Config.RefStore was set).
 func (s *Server) mapEnabled() bool { return s.cfg.Aligner != nil || s.cfg.RefStore != nil }
 
-// mapOpts returns the mapping options the pipeline runs under: the
-// fixed aligner's when one is set, the configured echo for the
-// generation-store path.
-func (s *Server) mapOpts() bwamem.Options {
-	if s.cfg.Aligner != nil {
-		return s.cfg.Aligner.Opts
-	}
-	return s.cfg.MapOpts
-}
-
-// prefilterOn reports whether the mapping pipeline screens chains with
-// the pre-alignment filter tier.
-func (s *Server) prefilterOn() bool {
-	return s.mapEnabled() && s.mapOpts().Prefilter
-}
-
-// prefilterThreshold returns the active edit-threshold fraction (0 when
-// the tier is off).
-func (s *Server) prefilterThreshold() float64 {
-	if !s.prefilterOn() {
-		return 0
-	}
-	if th := s.mapOpts().PrefilterThreshold; th > 0 {
-		return th
-	}
-	return bwamem.DefaultPrefilterThreshold
-}
-
 // checksSnapshot merges the check statistics of every distinct stats
 // source across the shards (shards sharing one extender share one
 // source). ok is false when no shard keeps statistics.
@@ -364,10 +326,6 @@ func (s *Server) checksSnapshot() (core.StatsSnapshot, bool) {
 		out.DeviceRetries += snap.DeviceRetries
 		out.BreakerTrips += snap.BreakerTrips
 		out.HostOnly += snap.HostOnly
-		out.PrefilterPass += snap.PrefilterPass
-		out.PrefilterReject += snap.PrefilterReject
-		out.PrefilterRescued += snap.PrefilterRescued
-		out.PrefilterFalsePass += snap.PrefilterFalsePass
 	}
 	return out, true
 }
@@ -674,15 +632,6 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 				for st := obs.MapStagePlan; st <= obs.MapStageResolve; st++ {
 					j.tr.Span(obs.KindMapStage, stages[st], stages[st+1].Sub(stages[st]), int64(st), int64(len(live)))
 				}
-			}
-			if al.PrefilterPass+al.PrefilterReject > 0 {
-				j.tr.Span(obs.KindPrefilter, bt.End, 0,
-					int64(al.PrefilterPass), int64(al.PrefilterReject))
-			}
-			if al.RescueRounds > 0 {
-				j.tr.Mark(obs.EvRescue)
-				j.tr.Span(obs.KindRescue, bt.End, 0,
-					int64(al.PrefilterRescued), int64(al.RescueRounds))
 			}
 			// One buffer, one rendering at a time: each is copied out before
 			// the next overwrites it.

@@ -24,11 +24,6 @@ type SLOConfig struct {
 	// AvailabilityTarget is the promised fraction of requests answered
 	// without a 429/500/503/504 (default 0.999).
 	AvailabilityTarget float64
-	// RescueTarget is the promised fraction of prefilter-screened chains
-	// NOT entering the rescue loop (default 0.95 — a rescue-rate
-	// ceiling of 5%; a climbing rescue rate means the filter threshold
-	// no longer matches the traffic).
-	RescueTarget float64
 	// Interval is the background sampling cadence (default 10s; < 0
 	// disables the sampler).
 	Interval time.Duration
@@ -49,13 +44,10 @@ func (c SLOConfig) withDefaults(tailBudget time.Duration) SLOConfig {
 	if c.AvailabilityTarget <= 0 || c.AvailabilityTarget >= 1 {
 		c.AvailabilityTarget = 0.999
 	}
-	if c.RescueTarget <= 0 || c.RescueTarget >= 1 {
-		c.RescueTarget = 0.95
-	}
 	return c
 }
 
-// newSLO wires the three declared objectives to the server's existing
+// newSLO wires the two declared objectives to the server's existing
 // counters. Every source reads cumulative totals, so the engine costs
 // the hot paths nothing: sampling is a counter sweep on a 10s cadence.
 func (s *Server) newSLO() *obs.SLO {
@@ -93,19 +85,6 @@ func (s *Server) newSLO() *obs.SLO {
 				total := s.met.Requests.Load()
 				bad := s.met.Failed.Load()
 				return total - bad, total
-			},
-		},
-		{
-			Name:   "rescue-rate",
-			Help:   "Prefilter-screened chains that did not need the rescue loop.",
-			Target: cfg.RescueTarget,
-			Source: func() (int64, int64) {
-				snap, ok := s.checksSnapshot()
-				if !ok {
-					return 0, 0
-				}
-				screened := snap.PrefilterPass + snap.PrefilterReject
-				return screened - snap.PrefilterRescued, screened
 			},
 		},
 	}

@@ -116,7 +116,7 @@ python3 - "$OUT/slo.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 names = {o["name"] for o in doc["objectives"]}
-need = {"extend-latency-p99", "availability", "rescue-rate"}
+need = {"extend-latency-p99", "availability"}
 if not need <= names:
     raise SystemExit(f"FAIL: /debug/slo objectives {sorted(names)}, want {sorted(need)}")
 windows = {w["window"] for o in doc["objectives"] for w in o["windows"]}
