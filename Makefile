@@ -58,7 +58,7 @@ chaos:
 		$(GO) test -race ./internal/faults/...
 	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) SEEDEX_CHAOS_SNAPSHOT=$(CHAOS_SNAPSHOT) \
 		$(GO) test -race -run 'Chaos|Integrity|Corrupted|Adversarial|Wire|Sanity|Validate|Corruption|Rollback' \
-		./internal/driver/... ./internal/server/... ./internal/core/... ./internal/refstore/... ./internal/fmindex/...
+		./internal/driver/... ./internal/server/... ./internal/core/... ./internal/refstore/...
 
 # Bounded-time fuzzing: every fuzz target in the tree (discovered with
 # go test -list, so a new target is covered without editing this file —

@@ -6,6 +6,12 @@
 // Usage:
 //
 //	seedex-align -ref genome.fa -reads reads.fq -extender seedex -band 20 > out.sam
+//	seedex-align -ref genome.fa -reads reads.fq -index genome.rix > out.sam
+//
+// -index names a reference index container, the one format
+// seedex-index build writes and seedex-serve -index-store serves: it is
+// loaded when the file exists (and refused when its contigs are not the
+// FASTA's), otherwise built from -ref and published atomically there.
 package main
 
 import (

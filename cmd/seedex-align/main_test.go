@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"seedex/internal/fastx"
 	"seedex/internal/genome"
 	"seedex/internal/readsim"
+	"seedex/internal/refstore"
 )
 
 // writeWorld writes a FASTA reference and FASTQ reads into dir.
@@ -122,32 +124,80 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIIndexRoundTrip holds -index to the one container format: the
+// file it saves is a valid container, a container published the way
+// seedex-index build does it loads, SAM is byte-identical without an
+// index, building one and loading one, and an index of another FASTA is
+// refused.
 func TestCLIIndexRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	refPath, readsPath := writeWorld(t, dir, 30)
-	idxPath := filepath.Join(dir, "ref.sdx")
+	idxPath := filepath.Join(dir, "ref.rix")
+	align := func(stderr *bytes.Buffer, extra ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		stderr.Reset()
+		args := append([]string{"-ref", refPath, "-reads", readsPath, "-extender", "fullband"}, extra...)
+		if err := run(args, &out, stderr); err != nil {
+			t.Fatalf("%v: %v (%s)", extra, err, stderr)
+		}
+		return out.String()
+	}
 
-	var first, second, stderr bytes.Buffer
-	// First run builds and saves the index.
-	if err := run([]string{"-ref", refPath, "-reads", readsPath, "-index", idxPath, "-extender", "fullband"}, &first, &stderr); err != nil {
-		t.Fatalf("%v (%s)", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "built and saved index") {
+	var stderr bytes.Buffer
+	plain := align(&stderr)
+	if built := align(&stderr, "-index", idxPath); !strings.Contains(stderr.String(), "built and saved index") {
 		t.Fatalf("index not built: %s", stderr.String())
+	} else if built != plain {
+		t.Fatal("SAM differs between no-index and build-and-save runs")
 	}
-	if _, err := os.Stat(idxPath); err != nil {
-		t.Fatal(err)
+	if _, err := refstore.Verify(idxPath); err != nil {
+		t.Fatalf("saved index is not a valid container: %v", err)
 	}
-	// Second run loads it and must produce identical SAM.
-	stderr.Reset()
-	if err := run([]string{"-ref", refPath, "-reads", readsPath, "-index", idxPath, "-extender", "fullband"}, &second, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stderr.String(), "loaded index") {
+	if loaded := align(&stderr, "-index", idxPath); !strings.Contains(stderr.String(), "loaded index") {
 		t.Fatalf("index not loaded: %s", stderr.String())
+	} else if loaded != plain {
+		t.Fatal("SAM differs between no-index and loaded-index runs")
 	}
-	if first.String() != second.String() {
-		t.Fatal("SAM differs between built and loaded index runs")
+
+	// A container published the way seedex-index build publishes it.
+	rf, err := os.Open(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := fastx.ReadFasta(rf)
+	rf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, ix, err := bwamem.BuildIndex([]bwamem.Contig{{Name: recs[0].Name, Seq: genome.Encode(string(recs[0].Seq))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := filepath.Join(dir, "built.rix")
+	if _, err := refstore.WriteFile(built, ref, ix); err != nil {
+		t.Fatal(err)
+	}
+	if loaded := align(&stderr, "-index", built); !strings.Contains(stderr.String(), "loaded index") {
+		t.Fatalf("published container not loaded: %s", stderr.String())
+	} else if loaded != plain {
+		t.Fatal("SAM differs between no-index and published-container runs")
+	}
+
+	// An index of one FASTA with -ref naming another: the SAM header would
+	// come from one and the records from the other, so it is refused.
+	otherPath := filepath.Join(dir, "other.fa")
+	if err := os.WriteFile(otherPath, []byte(">other_contig\n"+string(recs[0].Seq)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-ref", otherPath, "-reads", readsPath, "-index", idxPath}, io.Discard, &stderr)
+	if err == nil {
+		t.Fatal("index of another FASTA accepted")
+	}
+	for _, want := range []string{idxPath, otherPath, "chrT", "other_contig"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("mismatch error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"seedex/internal/fastx"
 	"seedex/internal/fmindex"
 	"seedex/internal/genome"
+	"seedex/internal/refstore"
 	"seedex/internal/sam"
 )
 
@@ -26,7 +28,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	extName := fs.String("extender", "seedex", "extension engine: seedex | fullband | banded")
 	band := fs.Int("band", 20, "one-sided band (SeedEx and banded engines)")
 	seeder := fs.String("seeder", "fm", "seeding engine: fm (suffix-array SMEM) | fmd (bidirectional SMEM) | ert (radix tree)")
-	indexPath := fs.String("index", "", "index file: loaded if it exists, otherwise built from -ref and saved")
+	indexPath := fs.String("index", "", "index container (the format seedex-index build writes): loaded if it exists, otherwise built from -ref and published")
 	workers := fs.Int("workers", 0, "alignment workers (0 = GOMAXPROCS)")
 	statsOut := fs.Bool("stats", true, "print check statistics to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -50,11 +52,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("no sequences in %s", *refPath)
 	}
 	contigs := make([]bwamem.Contig, len(refs))
-	names := make([]string, len(refs))
-	lengths := make([]int, len(refs))
 	for i, r := range refs {
 		contigs[i] = bwamem.Contig{Name: r.Name, Seq: genome.Encode(string(r.Seq))}
-		names[i], lengths[i] = r.Name, len(r.Seq)
 	}
 
 	qf, err := os.Open(*readsPath)
@@ -75,39 +74,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var a *bwamem.Aligner
 	if *indexPath != "" {
-		if f, ferr := os.Open(*indexPath); ferr == nil {
-			ref, ix, lerr := bwamem.LoadIndex(f)
-			f.Close()
-			if lerr != nil {
-				return fmt.Errorf("loading %s: %w", *indexPath, lerr)
-			}
-			fmt.Fprintf(stderr, "loaded index %s (%d contigs)\n", *indexPath, len(ref.Names))
-			a = bwamem.NewWithIndex(ref, ix, ext)
-		} else {
-			ref, ix, berr := bwamem.BuildIndex(contigs)
-			if berr != nil {
-				return berr
-			}
-			f, cerr := os.Create(*indexPath)
-			if cerr != nil {
-				return cerr
-			}
-			if serr := bwamem.SaveIndex(f, ref, ix); serr != nil {
-				f.Close()
-				return serr
-			}
-			if cerr := f.Close(); cerr != nil {
-				return cerr
-			}
-			fmt.Fprintf(stderr, "built and saved index %s\n", *indexPath)
-			a = bwamem.NewWithIndex(ref, ix, ext)
-		}
-	} else {
-		var err error
-		a, err = bwamem.NewMulti(contigs, ext)
+		ref, ix, release, err := loadOrBuildIndex(*indexPath, *refPath, contigs, stderr)
 		if err != nil {
 			return err
 		}
+		defer release()
+		a = bwamem.NewWithIndex(ref, ix, ext)
+	} else if a, err = bwamem.NewMulti(contigs, ext); err != nil {
+		return err
 	}
 	if *extName == "banded" {
 		a.Opts.TraceBand = *band
@@ -127,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	w := bufio.NewWriter(stdout)
-	fmt.Fprint(w, sam.HeaderMulti(names, lengths, "seedex-align"))
+	fmt.Fprint(w, sam.HeaderMulti(a.Contigs.Names, a.Contigs.Lengths, "seedex-align"))
 
 	if *reads2Path != "" {
 		qf2, err := os.Open(*reads2Path)
@@ -185,6 +159,54 @@ func run(args []string, stdout, stderr io.Writer) error {
 			float64(stats.SeedingNs)/1e6, float64(stats.ExtensionNs)/1e6, float64(stats.RestNs)/1e6)
 		if se != nil {
 			fmt.Fprintln(stderr, se.Stats)
+		}
+	}
+	return nil
+}
+
+// loadOrBuildIndex loads the container at indexPath when it exists,
+// refusing one whose contig table differs from the FASTA's, and otherwise
+// builds the index from contigs and publishes it there atomically. A
+// loaded index stays mapped until release is called.
+func loadOrBuildIndex(indexPath, refPath string, contigs []bwamem.Contig, stderr io.Writer) (*bwamem.Reference, *fmindex.Index, func(), error) {
+	if _, err := os.Stat(indexPath); errors.Is(err, os.ErrNotExist) {
+		ref, ix, err := bwamem.BuildIndex(contigs)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if _, err := refstore.WriteFile(indexPath, ref, ix); err != nil {
+			return nil, nil, nil, fmt.Errorf("saving %s: %w", indexPath, err)
+		}
+		fmt.Fprintf(stderr, "built and saved index %s\n", indexPath)
+		return ref, ix, func() {}, nil
+	}
+	store, err := refstore.Open(indexPath, refstore.Options{})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("loading %s: %w", indexPath, err)
+	}
+	g := store.Acquire()
+	release := func() {
+		g.Release()
+		store.Close()
+	}
+	if err := sameContigs(g.Ref(), contigs); err != nil {
+		release()
+		return nil, nil, nil, fmt.Errorf("index %s was not built from %s: %w", indexPath, refPath, err)
+	}
+	fmt.Fprintf(stderr, "loaded index %s (%d contigs)\n", indexPath, len(g.Ref().Names))
+	return g.Ref(), g.Index(), release, nil
+}
+
+// sameContigs reports the first contig whose name or length differs
+// between an index's contig table and the FASTA's records.
+func sameContigs(ref *bwamem.Reference, contigs []bwamem.Contig) error {
+	if len(ref.Names) != len(contigs) {
+		return fmt.Errorf("it holds %d contigs, the FASTA %d", len(ref.Names), len(contigs))
+	}
+	for i, c := range contigs {
+		if ref.Names[i] != c.Name || ref.Lengths[i] != len(c.Seq) {
+			return fmt.Errorf("contig %d is %s (%d bp) in the index, %s (%d bp) in the FASTA",
+				i+1, ref.Names[i], ref.Lengths[i], c.Name, len(c.Seq))
 		}
 	}
 	return nil

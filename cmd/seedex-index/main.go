@@ -1,5 +1,6 @@
 // Command seedex-index builds and checks the checksummed container
-// indexes that seedex-serve memory-maps behind /v1/map.
+// indexes that seedex-serve memory-maps behind /v1/map and
+// seedex-align -index loads.
 //
 // Usage:
 //

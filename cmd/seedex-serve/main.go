@@ -6,7 +6,8 @@
 // Usage:
 //
 //	seedex-serve -addr :8844 -extender seedex -band 20
-//	seedex-serve -addr :8844 -ref genome.fa            # enables /v1/map
+//	seedex-index build -ref genome.fa -out genome.rix
+//	seedex-serve -addr :8844 -index-store genome.rix   # enables /v1/map
 //	seedex-serve -addr :8844 -shards 4 -route-policy hash
 //
 // With -shards N the service runs N independent shard units — each its
@@ -16,9 +17,10 @@
 // bounded work stealing between shards.
 //
 // Endpoints: POST /v1/extend, POST /v1/extend/stream (NDJSON),
-// POST /v1/map (with -ref), GET /metrics, GET /healthz. SIGINT/SIGTERM
-// trigger a graceful drain: in-flight and queued work completes, new work
-// is refused with 503.
+// POST /v1/map and POST /admin/reload (with -index-store), GET /metrics,
+// GET /healthz. SIGINT/SIGTERM trigger a graceful drain: in-flight and
+// queued work completes, new work is refused with 503; SIGHUP reloads the
+// index store.
 package main
 
 import (

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
 	"strings"
 	"syscall"
 	"testing"
@@ -92,10 +91,8 @@ func TestServeBadFlags(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("error %q does not name the bad extender", err)
 	}
-	if err := run([]string{"-ref", "/nonexistent/ref.fa"}, &stderr, nil); err == nil {
-		t.Fatal("missing reference accepted")
-	}
-	for _, flag := range []string{"-prefilter", "-prefilter-threshold"} {
+	// Retired flags: /v1/map is served from -index-store alone.
+	for _, flag := range []string{"-prefilter", "-prefilter-threshold", "-ref", "-index"} {
 		if err := run([]string{flag}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
 		}
@@ -184,72 +181,6 @@ func TestServeChaosFlag(t *testing.T) {
 		if err := run(args, &stderr, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("%v: want a band range error, got %v", args, err)
 		}
-	}
-}
-
-// TestServeMapFlow boots with a tiny on-disk reference and exercises
-// /v1/map end to end.
-func TestServeMapFlow(t *testing.T) {
-	ref := t.TempDir() + "/ref.fa"
-	rng := rand.New(rand.NewSource(7))
-	var sb strings.Builder
-	for i := 0; i < 900; i++ {
-		sb.WriteByte("ACGT"[rng.Intn(4)])
-	}
-	seq := sb.String()
-	if err := os.WriteFile(ref, []byte(">chr1\n"+seq+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var stderr bytes.Buffer
-	ready := make(chan string, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-ref", ref}, &stderr, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-errc:
-		t.Fatalf("run exited before ready: %v\nstderr: %s", err, stderr.String())
-	case <-time.After(10 * time.Second):
-		t.Fatal("server never became ready")
-	}
-
-	read := seq[100:250]
-	body := fmt.Sprintf(`{"reads":[{"name":"r1","seq":%q}]}`, read)
-	resp, err := http.Post("http://"+addr+"/v1/map", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /v1/map: %v", err)
-	}
-	var out struct {
-		Results []struct {
-			Mapped bool `json:"mapped"`
-			RName  string
-			Pos    int
-		} `json:"results"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decoding response: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(out.Results) != 1 {
-		t.Fatalf("map: status %d, %d results", resp.StatusCode, len(out.Results))
-	}
-	if !out.Results[0].Mapped || out.Results[0].RName != "chr1" || out.Results[0].Pos != 101 {
-		t.Errorf("mapping = %+v, want mapped at chr1:101", out.Results[0])
-	}
-
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("run returned error: %v\nstderr: %s", err, stderr.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not exit after SIGTERM")
 	}
 }
 
@@ -370,9 +301,6 @@ func TestServeIndexStore(t *testing.T) {
 	}
 
 	// Flag validation.
-	if err := run([]string{"-ref", "/tmp/x.fa", "-index-store", store}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("-ref with -index-store accepted: %v", err)
-	}
 	if err := run([]string{"-index-store", "/nonexistent/ref.rix"}, &stderr, nil); err == nil {
 		t.Fatal("missing index store accepted")
 	}

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -20,10 +19,8 @@ import (
 	"seedex/internal/bwamem"
 	"seedex/internal/core"
 	"seedex/internal/driver"
-	"seedex/internal/fastx"
 	"seedex/internal/faults"
 	"seedex/internal/fmindex"
-	"seedex/internal/genome"
 	"seedex/internal/obs"
 	"seedex/internal/refstore"
 	"seedex/internal/server"
@@ -56,9 +53,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	flush := fs.Duration("flush", 200*time.Microsecond, "flush a micro-batch this long after its first job arrives (0 = never wait: each batch takes whatever is queued)")
 	queueCap := fs.Int("queue", 1024, "admission queue bound; overflow answers 429")
 	workers := fs.Int("workers", 0, "batch workers (0 = GOMAXPROCS)")
-	refPath := fs.String("ref", "", "reference FASTA; enables the /v1/map endpoint")
-	indexPath := fs.String("index", "", "index file for -ref: loaded if it exists, otherwise built and saved")
-	indexStore := fs.String("index-store", "", "serve /v1/map from this checksummed container index (built by seedex-index): memory-mapped read-only, hot-reloadable via SIGHUP or POST /admin/reload, with rollback on a bad file")
+	indexStore := fs.String("index-store", "", "enable /v1/map, served from this checksummed container index (built by seedex-index): memory-mapped read-only, hot-reloadable via SIGHUP or POST /admin/reload, with rollback on a bad file")
 	maxJobs := fs.Int("max-jobs", 4096, "maximum jobs or reads per request")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
 	chaos := fs.Float64("chaos", 0, "serve through the simulated FPGA platform with every fault class injecting at this rate (0 = software extender, no device)")
@@ -144,18 +139,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		return fmt.Errorf("unknown mode %q (valid: strict, paper)", *mode)
 	}
 
-	var aligner *bwamem.Aligner
-	if *refPath != "" {
-		if *indexStore != "" {
-			return fmt.Errorf("-ref and -index-store are mutually exclusive: the store container carries the reference")
-		}
-		a, err := loadAligner(*refPath, *indexPath, ext, logger)
-		if err != nil {
-			return err
-		}
-		aligner = a
-	}
-
 	tracer := obs.New(obs.Config{
 		SampleEvery: *traceSample,
 		SlowK:       *traceSlow,
@@ -197,7 +180,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	}
 	scfg := server.Config{
 		Extender:    ext,
-		Aligner:     aligner,
 		Shards:      *shards,
 		RoutePolicy: *routePolicy,
 		Batch: server.BatcherConfig{
@@ -320,9 +302,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			"generation", st.Generation, "contigs", st.Contigs, "mmap_bytes", st.MappedBytes,
 			"load_ms", st.LoadMs, "warmup_ms", st.WarmupMs)
 	}
-	if aligner != nil {
-		logger.Info(fmt.Sprintf("/v1/map enabled (%d contigs)", len(aligner.Contigs.Names)))
-	}
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -381,54 +360,4 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			prefix, h.Breaker, h.Injected.Total(), h.Detected, h.Retries, h.Trips, h.HostOnly))
 	}
 	return nil
-}
-
-// loadAligner assembles the mapping pipeline behind /v1/map, loading or
-// building the index the same way seedex-align does.
-func loadAligner(refPath, indexPath string, ext align.Extender, logger *slog.Logger) (*bwamem.Aligner, error) {
-	rf, err := os.Open(refPath)
-	if err != nil {
-		return nil, err
-	}
-	refs, err := fastx.ReadFasta(rf)
-	rf.Close()
-	if err != nil {
-		return nil, err
-	}
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("no sequences in %s", refPath)
-	}
-	contigs := make([]bwamem.Contig, len(refs))
-	for i, r := range refs {
-		contigs[i] = bwamem.Contig{Name: r.Name, Seq: genome.Encode(string(r.Seq))}
-	}
-	if indexPath != "" {
-		if f, ferr := os.Open(indexPath); ferr == nil {
-			ref, ix, lerr := bwamem.LoadIndex(f)
-			f.Close()
-			if lerr != nil {
-				return nil, fmt.Errorf("loading %s: %w", indexPath, lerr)
-			}
-			logger.Info(fmt.Sprintf("loaded index %s (%d contigs)", indexPath, len(ref.Names)))
-			return bwamem.NewWithIndex(ref, ix, ext), nil
-		}
-		ref, ix, berr := bwamem.BuildIndex(contigs)
-		if berr != nil {
-			return nil, berr
-		}
-		f, cerr := os.Create(indexPath)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if serr := bwamem.SaveIndex(f, ref, ix); serr != nil {
-			f.Close()
-			return nil, serr
-		}
-		if cerr := f.Close(); cerr != nil {
-			return nil, cerr
-		}
-		logger.Info(fmt.Sprintf("built and saved index %s", indexPath))
-		return bwamem.NewWithIndex(ref, ix, ext), nil
-	}
-	return bwamem.NewMulti(contigs, ext)
 }

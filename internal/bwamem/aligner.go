@@ -171,14 +171,30 @@ func New(refName string, ref []byte, ext align.Extender) (*Aligner, error) {
 // concatenated into one indexed coordinate space with non-matching
 // padding between them.
 func NewMulti(contigs []Contig, ext align.Extender) (*Aligner, error) {
-	r, err := BuildReference(contigs)
+	r, ix, err := BuildIndex(contigs)
 	if err != nil {
 		return nil, err
 	}
+	return NewWithIndex(r, ix, ext), nil
+}
+
+// BuildIndex constructs the reference and FM index for contigs: the
+// expensive step the refstore container persists.
+func BuildIndex(contigs []Contig) (*Reference, *fmindex.Index, error) {
+	r, err := BuildReference(contigs)
+	if err != nil {
+		return nil, nil, err
+	}
 	ix, err := fmindex.New(r.Cat)
 	if err != nil {
-		return nil, fmt.Errorf("bwamem: %w", err)
+		return nil, nil, fmt.Errorf("bwamem: %w", err)
 	}
+	return r, ix, nil
+}
+
+// NewWithIndex assembles an aligner from a prebuilt reference and FM
+// index (as BuildIndex returns or a refstore generation holds).
+func NewWithIndex(r *Reference, ix *fmindex.Index, ext align.Extender) *Aligner {
 	return &Aligner{
 		RefName:  r.Names[0],
 		Ref:      r.Cat,
@@ -188,7 +204,7 @@ func NewMulti(contigs []Contig, ext align.Extender) (*Aligner, error) {
 		Scoring:  align.DefaultScoring(),
 		Opts:     DefaultOptions(),
 		ChainCfg: chain.DefaultConfig(),
-	}, nil
+	}
 }
 
 // Alignment is the aligner's internal result for one read.

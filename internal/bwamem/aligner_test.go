@@ -240,3 +240,62 @@ func TestInstrumentedExtender(t *testing.T) {
 		t.Fatalf("job shape %+v", ie.Jobs()[0])
 	}
 }
+
+func TestResolveSideBranches(t *testing.T) {
+	// Zero-length side: pass-through.
+	s, clip, qa, ta := resolveSide(align.ExtendResult{}, 0, 42, 5)
+	if s != 42 || clip != 0 || qa != 0 || ta != 0 {
+		t.Fatalf("zero side: %d %d %d %d", s, clip, qa, ta)
+	}
+	// Global within clip penalty of local: prefer to-end.
+	s, clip, qa, ta = resolveSide(align.ExtendResult{Local: 50, LocalQ: 8, LocalT: 8, Global: 47, GlobalT: 12}, 10, 40, 5)
+	if s != 47 || clip != 0 || qa != 10 || ta != 12 {
+		t.Fatalf("global preferred: %d %d %d %d", s, clip, qa, ta)
+	}
+	// Local wins by more than the clip penalty: soft clip.
+	s, clip, qa, ta = resolveSide(align.ExtendResult{Local: 60, LocalQ: 6, LocalT: 7, Global: 40, GlobalT: 12}, 10, 40, 5)
+	if s != 60 || clip != 4 || qa != 6 || ta != 7 {
+		t.Fatalf("local preferred: %d %d %d %d", s, clip, qa, ta)
+	}
+	// Nothing extends: clip the whole side, keep the incoming score.
+	s, clip, qa, ta = resolveSide(align.ExtendResult{}, 10, 40, 5)
+	if s != 40 || clip != 10 || qa != 0 || ta != 0 {
+		t.Fatalf("dead side: %d %d %d %d", s, clip, qa, ta)
+	}
+}
+
+func TestMapqBranches(t *testing.T) {
+	if q := mapq(0, 0, 50, 100); q != 0 {
+		t.Fatalf("zero best: %d", q)
+	}
+	if q := mapq(100, 0, 60, 100); q != 60 {
+		t.Fatalf("unique full-coverage: %d", q)
+	}
+	if q := mapq(100, 100, 60, 100); q != 0 {
+		t.Fatalf("tied competitor: %d", q)
+	}
+	if q := mapq(100, 120, 60, 100); q != 0 {
+		t.Fatalf("better competitor must clamp to 0: %d", q)
+	}
+	// Thin seed coverage damps quality.
+	full := mapq(100, 50, 60, 100)
+	thin := mapq(100, 50, 20, 100)
+	if thin >= full {
+		t.Fatalf("thin coverage not damped: %d vs %d", thin, full)
+	}
+}
+
+func TestNewMultiErrors(t *testing.T) {
+	if _, err := NewMulti(nil, core.FullBand{Scoring: align.DefaultScoring()}); err == nil {
+		t.Fatal("no contigs must error")
+	}
+}
+
+func TestInstrumentedExtenderNs(t *testing.T) {
+	ie := &InstrumentedExtender{Inner: core.FullBand{Scoring: align.DefaultScoring()}}
+	q := []byte{0, 1, 2, 3, 0, 1, 2, 3}
+	ie.Extend(q, q, 10)
+	if ie.Ns() <= 0 {
+		t.Fatal("no time recorded")
+	}
+}

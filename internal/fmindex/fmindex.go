@@ -72,19 +72,50 @@ func Sanitize(seq []byte) int {
 // New builds the index. Text must contain only codes 0..3 plus the
 // separator code 4.
 func New(text []byte) (*Index, error) {
-	for i, c := range text {
-		if c > Separator {
-			return nil, fmt.Errorf("fmindex: unsanitized base %d at %d", c, i)
-		}
+	if err := checkText(text); err != nil {
+		return nil, err
 	}
 	ix := &Index{text: text, sa: BuildSA(text)}
 	ix.deriveFromSA()
 	return ix, nil
 }
 
+// FromParts assembles an index over caller-provided text and suffix
+// array storage — typically slices aliasing a read-only memory-mapped
+// index file, so every shard and worker shares one physical copy of the
+// big sections. Both slices are validated and must not be modified
+// afterwards; the derived search structures (BWT, occurrence
+// checkpoints) are rebuilt on the heap.
+func FromParts(text []byte, sa []int32) (*Index, error) {
+	if len(sa) != len(text) {
+		return nil, fmt.Errorf("fmindex: suffix array length %d != text length %d", len(sa), len(text))
+	}
+	if err := checkText(text); err != nil {
+		return nil, err
+	}
+	for i, p := range sa {
+		if p < 0 || int(p) >= len(text) {
+			return nil, fmt.Errorf("fmindex: corrupt suffix array at %d", i)
+		}
+	}
+	ix := &Index{text: text, sa: sa}
+	ix.deriveFromSA()
+	return ix, nil
+}
+
+// checkText rejects codes above the separator.
+func checkText(text []byte) error {
+	for i, c := range text {
+		if c > Separator {
+			return fmt.Errorf("fmindex: unsanitized base %d at %d", c, i)
+		}
+	}
+	return nil
+}
+
 // deriveFromSA reconstructs the BWT's occurrence table and the
-// cumulative counts from text+sa (used by New and by index
-// deserialization) in one pass over the suffix array.
+// cumulative counts from text+sa (used by New and FromParts) in one
+// pass over the suffix array.
 func (ix *Index) deriveFromSA() {
 	text := ix.text
 	n := len(text)

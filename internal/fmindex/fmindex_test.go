@@ -281,3 +281,36 @@ func TestMaxOccCap(t *testing.T) {
 		}
 	}
 }
+
+func TestFromParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	text := randSeq(rng, 600)
+	ix, err := New(append([]byte(nil), text...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromParts(ix.Text(), ix.SA())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for probe := 0; probe < 20; probe++ {
+		beg := rng.Intn(len(text) - 8)
+		p := text[beg : beg+1+rng.Intn(7)]
+		if ix.Count(p) != back.Count(p) {
+			t.Fatal("Count differs for FromParts index")
+		}
+	}
+	if _, err := FromParts(text[:10], ix.SA()); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	badSA := append([]int32(nil), ix.SA()...)
+	badSA[7] = int32(len(text)) + 3
+	if _, err := FromParts(ix.Text(), badSA); err == nil {
+		t.Fatal("out-of-range suffix array entry accepted")
+	}
+	badText := append([]byte(nil), ix.Text()...)
+	badText[3] = Separator + 1
+	if _, err := FromParts(badText, ix.SA()); err == nil {
+		t.Fatal("unsanitized text accepted")
+	}
+}

@@ -1,6 +1,7 @@
-// Package refstore is the crash-safe lifecycle layer for the reference
-// index behind /v1/map: a checksummed on-disk container built once by
-// cmd/seedex-index, published atomically, memory-mapped read-only so
+// Package refstore owns the one on-disk reference index format and is the
+// crash-safe lifecycle layer for the index behind /v1/map: a checksummed
+// container built once (by cmd/seedex-index, or by seedex-align -index
+// on first use), published atomically, memory-mapped read-only so
 // every shard and mapping worker shares one physical copy, and swapped
 // under traffic through refcounted generations with rollback when a
 // reload hits a corrupt, truncated or vanished file.
@@ -13,6 +14,7 @@ package refstore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -52,6 +54,11 @@ const (
 )
 
 var formatMagic = [8]byte{'S', 'E', 'D', 'X', 'R', 'I', 'X', '2'}
+
+// castagnoli is the CRC32-C table every checksummed field uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // Info describes a validated container file.
 type Info struct {
@@ -97,7 +104,7 @@ func checkSection(data []byte, name string, s section) ([]byte, error) {
 		return nil, fmt.Errorf("refstore: %s section [%d, %d) exceeds file size %d", name, s.off, s.off+s.n, size)
 	}
 	b := data[s.off : s.off+s.n]
-	if got := fmindex.Checksum(b); got != s.crc {
+	if got := checksum(b); got != s.crc {
 		return nil, fmt.Errorf("refstore: %s section checksum mismatch (got %#x, want %#x)", name, got, s.crc)
 	}
 	return b, nil
@@ -171,10 +178,10 @@ func Encode(w io.Writer, r *bwamem.Reference, ix *fmindex.Index, buildTime time.
 	text := ix.Text()
 	sa := ix.SA()
 
-	contigSec := section{off: headerBytes, n: uint64(len(contigs)), crc: fmindex.Checksum(contigs)}
+	contigSec := section{off: headerBytes, n: uint64(len(contigs)), crc: checksum(contigs)}
 	textOff := contigSec.off + contigSec.n
 	textOff += uint64(pad(int(textOff)))
-	textSec := section{off: textOff, n: uint64(len(text)), crc: fmindex.Checksum(text)}
+	textSec := section{off: textOff, n: uint64(len(text)), crc: checksum(text)}
 	saOff := textSec.off + textSec.n
 	saOff += uint64(pad(int(saOff)))
 	saSec := section{off: saOff, n: 4 * uint64(len(sa))}
@@ -183,8 +190,6 @@ func Encode(w io.Writer, r *bwamem.Reference, ix *fmindex.Index, buildTime time.
 	// Stream the suffix array once for its checksum, once for the write.
 	const chunkEntries = 1 << 18
 	chunk := make([]byte, 0, 4*chunkEntries)
-	saCRC := uint32(0)
-	crcInit := false
 	forEachSAChunk := func(fn func([]byte) error) error {
 		for beg := 0; beg < len(sa); beg += chunkEntries {
 			end := min(beg+chunkEntries, len(sa))
@@ -199,15 +204,9 @@ func Encode(w io.Writer, r *bwamem.Reference, ix *fmindex.Index, buildTime time.
 		return nil
 	}
 	forEachSAChunk(func(b []byte) error {
-		if !crcInit {
-			saCRC = fmindex.Checksum(b)
-			crcInit = true
-		} else {
-			saCRC = fmindex.ChecksumUpdate(saCRC, b)
-		}
+		saSec.crc = crc32.Update(saSec.crc, castagnoli, b)
 		return nil
 	})
-	saSec.crc = saCRC
 
 	hdr := make([]byte, headerBytes)
 	copy(hdr, formatMagic[:])
@@ -218,7 +217,7 @@ func Encode(w io.Writer, r *bwamem.Reference, ix *fmindex.Index, buildTime time.
 	putSection(hdr, 32, contigSec)
 	putSection(hdr, 52, textSec)
 	putSection(hdr, 72, saSec)
-	binary.LittleEndian.PutUint32(hdr[92:], fmindex.Checksum(hdr[:92]))
+	binary.LittleEndian.PutUint32(hdr[92:], checksum(hdr[:92]))
 
 	var padding [sectionAlign]byte
 	for _, b := range [][]byte{hdr, contigs, padding[:pad(int(contigSec.off+contigSec.n))], text, padding[:pad(int(textSec.off+textSec.n))]} {
@@ -299,7 +298,7 @@ func Decode(data []byte) (*bwamem.Reference, *fmindex.Index, Info, error) {
 	if hb := binary.LittleEndian.Uint32(hdr[12:]); hb != headerBytes {
 		return fail(fmt.Errorf("refstore: unexpected header size %d", hb))
 	}
-	if got, want := fmindex.Checksum(hdr[:92]), binary.LittleEndian.Uint32(hdr[92:]); got != want {
+	if got, want := checksum(hdr[:92]), binary.LittleEndian.Uint32(hdr[92:]); got != want {
 		return fail(fmt.Errorf("refstore: header checksum mismatch (got %#x, want %#x)", got, want))
 	}
 	if size := binary.LittleEndian.Uint64(hdr[16:]); size != uint64(len(data)) {

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"testing"
 	"time"
-
-	"seedex/internal/fmindex"
 )
 
 // FuzzDecode feeds untrusted bytes to the container validator. The
@@ -35,7 +33,7 @@ func FuzzDecode(f *testing.F) {
 	binary.LittleEndian.PutUint64(hostile[52:], uint64(headerBytes)) // text off
 	binary.LittleEndian.PutUint64(hostile[60:], uint64(maxTextLen))  // text len: 8 GiB
 	binary.LittleEndian.PutUint64(hostile[80:], uint64(4*int64(maxTextLen)))
-	binary.LittleEndian.PutUint32(hostile[92:], fmindex.Checksum(hostile[:92]))
+	binary.LittleEndian.PutUint32(hostile[92:], checksum(hostile[:92]))
 	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

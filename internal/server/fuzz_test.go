@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"seedex/internal/bwamem"
 	"seedex/internal/core"
 	"seedex/internal/genome"
 )
@@ -63,18 +62,14 @@ func FuzzWireDecode(f *testing.F) {
 		return out
 	}
 	before := programGoroutines()
-	a, err := bwamem.New("chrF", genome.Simulate(genome.SimConfig{Length: 2_000}, rand.New(rand.NewSource(4))), core.New(20))
-	if err != nil {
-		f.Fatal(err)
-	}
-	s := New(Config{
+	store := openRefStore(f, genome.Simulate(genome.SimConfig{Length: 2_000}, rand.New(rand.NewSource(4))))
+	s := New(storeConfig(store, Config{
 		Extender:          core.New(20),
-		Aligner:           a,
 		Batch:             BatcherConfig{MaxBatch: 8, FlushInterval: FlushOpportunistic, Workers: 2},
 		MaxJobsPerRequest: 8,
 		MaxSeqLen:         64,
 		MaxBodyBytes:      1 << 10,
-	})
+	}))
 	f.Cleanup(func() {
 		s.Close()
 		// Everything the server and the fuzzed requests started must wind

@@ -36,19 +36,14 @@ func newRefStoreFixture(t *testing.T, seed int64) *refStoreFixture {
 	rng := rand.New(rand.NewSource(seed))
 	refSeq := genome.Simulate(genome.SimConfig{Length: 30_000}, rng)
 	reads := readsim.Simulate(refSeq, readsim.DefaultConfig(24), rng)
+	path := writeRefStore(t, refSeq)
 
-	ref, ix, err := bwamem.BuildIndex([]bwamem.Contig{{Name: "chrT", Seq: refSeq}})
+	// Expected mappings from a plain in-process aligner over the same
+	// reference: the store-served results must be bit-identical.
+	a, err := bwamem.New("chrT", refSeq, core.New(20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ref.rix")
-	if _, err := refstore.WriteFile(path, ref, ix); err != nil {
-		t.Fatal(err)
-	}
-
-	// Expected mappings from a plain fixed-aligner pipeline over the
-	// same index: the store-served results must be bit-identical.
-	a := bwamem.NewWithIndex(ref, ix, core.New(20))
 	fx := &refStoreFixture{path: path}
 	pr := make([]bwamem.Read, len(reads))
 	for i, r := range reads {
@@ -67,14 +62,47 @@ func newRefStoreFixture(t *testing.T, seed int64) *refStoreFixture {
 	return fx
 }
 
-// newStoreServer builds a server mapping from the generation store.
-func newStoreServer(t *testing.T, store *refstore.Store, cfg Config) (*Server, string) {
-	t.Helper()
+// writeRefStore publishes seq as the one-contig container chrT and
+// returns its path.
+func writeRefStore(tb testing.TB, seq []byte) string {
+	tb.Helper()
+	ref, ix, err := bwamem.BuildIndex([]bwamem.Contig{{Name: "chrT", Seq: seq}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "ref.rix")
+	if _, err := refstore.WriteFile(path, ref, ix); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// openRefStore serves seq from a generation store with the default
+// options, closed when tb ends.
+func openRefStore(tb testing.TB, seq []byte) *refstore.Store {
+	tb.Helper()
+	store, err := refstore.Open(writeRefStore(tb, seq), refstore.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(store.Close)
+	return store
+}
+
+// storeConfig serves cfg's /v1/map from store, mapping with the strict
+// SeedEx engine.
+func storeConfig(store *refstore.Store, cfg Config) Config {
 	cfg.RefStore = store
 	cfg.NewAligner = func(ref *bwamem.Reference, ix *fmindex.Index) *bwamem.Aligner {
 		return bwamem.NewWithIndex(ref, ix, core.New(20))
 	}
-	s, ts := newTestServer(t, cfg)
+	return cfg
+}
+
+// newStoreServer builds a server mapping from the generation store.
+func newStoreServer(t *testing.T, store *refstore.Store, cfg Config) (*Server, string) {
+	t.Helper()
+	s, ts := newTestServer(t, storeConfig(store, cfg))
 	return s, ts.URL
 }
 

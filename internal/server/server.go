@@ -24,11 +24,9 @@ type Config struct {
 	// speculate-check-rerun workflow and their responses carry the rerun
 	// flag; any other extender runs its plain batch path.
 	Extender align.Extender
-	// Aligner, when non-nil, enables /v1/map (full read mapping).
-	Aligner *bwamem.Aligner
-	// RefStore, when non-nil, serves /v1/map from the crash-safe
-	// generation store instead of a fixed Aligner: map workers follow
-	// the store's current generation (mmap-backed, hot-reloadable via
+	// RefStore, when non-nil, enables /v1/map (full read mapping) from
+	// the crash-safe generation store: map workers follow the store's
+	// current generation (mmap-backed, hot-reloadable via
 	// POST /admin/reload or the store's own triggers), rebuilding their
 	// mapping session when a reload publishes a new generation.
 	// In-flight batches drain on the generation they acquired.
@@ -161,7 +159,7 @@ type Server struct {
 }
 
 // New builds the shard pool, the routing tier and the HTTP mux. The
-// caller owns cfg.Extender / cfg.NewExtender's engines (and cfg.Aligner);
+// caller owns cfg.Extender / cfg.NewExtender's engines (and cfg.RefStore);
 // the server owns everything it starts. New panics on an unknown
 // cfg.RoutePolicy — check names from flags against RoutingPolicies.
 func New(cfg Config) *Server {
@@ -238,7 +236,7 @@ func New(cfg Config) *Server {
 //
 //	POST /v1/extend         JSON batch of extension jobs
 //	POST /v1/extend/stream  NDJSON job stream, results in input order
-//	POST /v1/map            JSON batch of reads -> SAM records (with -ref)
+//	POST /v1/map            JSON batch of reads -> SAM records (with RefStore)
 //	GET  /metrics           operational counters + check + fault statistics
 //	GET  /healthz           ok / degraded / draining
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -301,9 +299,9 @@ func queueTotals[T any](s *Server, pipe func(*shard) *batcher[T]) (depth, capaci
 	return depth, capacity
 }
 
-// mapEnabled reports whether the mapping pipeline exists (Config.Aligner
-// or Config.RefStore was set).
-func (s *Server) mapEnabled() bool { return s.cfg.Aligner != nil || s.cfg.RefStore != nil }
+// mapEnabled reports whether the mapping pipeline exists (Config.RefStore
+// was set).
+func (s *Server) mapEnabled() bool { return s.cfg.RefStore != nil }
 
 // checksSnapshot merges the check statistics of every distinct stats
 // source across the shards (shards sharing one extender share one
@@ -564,8 +562,7 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 // packed batches). Sampled jobs record the batch's interval as their
 // kernel span and its four stage intervals — plan, extend left, extend
 // right, resolve — as map_stage spans: timestamps taken once per batch.
-// With a RefStore configured, the worker follows the generation store:
-// each batch acquires a refcounted handle on the current generation
+// The worker follows the generation store: each batch acquires a refcounted handle on the current generation
 // (held for the batch, so a concurrent reload cannot unmap the memory
 // the batch is reading) and rebuilds its mapper session only when the
 // generation actually changed. Old generations drain batch-by-batch —
@@ -573,36 +570,30 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 	var m *bwamem.Mapper
 	store := s.cfg.RefStore
-	if store == nil {
-		m = s.cfg.Aligner.NewMapper()
-	}
 	var genID uint64
 	live := make([]mapJob, 0, s.cfg.MapBatch.MaxBatch)
 	reads := make([]bwamem.Read, 0, s.cfg.MapBatch.MaxBatch)
 	var text []byte // one rendered CIGAR or SAM line at a time
 	return func(batch []mapJob) {
 		now := time.Now()
-		reloadOverlap := false
-		if store != nil {
-			g := store.Acquire()
-			if g == nil {
-				// The store closed under us (shutdown): resolve the batch
-				// as expired so every pending completes.
-				for _, j := range batch {
-					expireJob(s, j)
-				}
-				return
+		g := store.Acquire()
+		if g == nil {
+			// The store closed under us (shutdown): resolve the batch as
+			// expired so every pending completes.
+			for _, j := range batch {
+				expireJob(s, j)
 			}
-			defer g.Release()
-			// A reload in flight right now, or a generation swap observed
-			// since this worker's last batch, tail-flags the batch's
-			// requests as overlapping an index reload.
-			reloadOverlap = store.Reloading()
-			if m == nil || g.ID() != genID {
-				reloadOverlap = reloadOverlap || m != nil
-				m = s.cfg.NewAligner(g.Ref(), g.Index()).NewMapper()
-				genID = g.ID()
-			}
+			return
+		}
+		defer g.Release()
+		// A reload in flight right now, or a generation swap observed since
+		// this worker's last batch, tail-flags the batch's requests as
+		// overlapping an index reload.
+		reloadOverlap := store.Reloading()
+		if m == nil || g.ID() != genID {
+			reloadOverlap = reloadOverlap || m != nil
+			m = s.cfg.NewAligner(g.Ref(), g.Index()).NewMapper()
+			genID = g.ID()
 		}
 		live = pickup(s, sh, batch, live[:0], now)
 		if len(live) == 0 {

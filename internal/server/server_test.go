@@ -15,11 +15,10 @@ import (
 	"time"
 
 	"seedex/internal/align"
-	"seedex/internal/bwamem"
 	"seedex/internal/core"
 	"seedex/internal/genome"
 	"seedex/internal/obs"
-	"seedex/internal/readsim"
+	"seedex/internal/refstore"
 )
 
 // testProblems builds n extension problems: a query plus a mutated target
@@ -324,41 +323,17 @@ func TestExtendStream(t *testing.T) {
 }
 
 // TestMapEndpoint proves /v1/map serves exactly the records the batch
-// pipeline produces for the same reads.
+// pipeline produces for the same reads, over two shards.
 func TestMapEndpoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ref := genome.Simulate(genome.SimConfig{Length: 30_000}, rng)
-	reads := readsim.Simulate(ref, readsim.DefaultConfig(30), rng)
-	se := core.New(20)
-	a, err := bwamem.New("chrT", ref, se)
+	fx := newRefStoreFixture(t, 11)
+	store, err := refstore.Open(fx.path, refstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := make([]bwamem.Read, len(reads))
-	req := MapRequest{}
-	for i, r := range reads {
-		pr[i] = bwamem.Read{Name: r.ID, Seq: r.Seq, Qual: r.Qual}
-		req.Reads = append(req.Reads, MapRead{Name: r.ID, Seq: genome.Decode(r.Seq), Qual: string(r.Qual)})
-	}
-	want, _ := a.Run(pr, 0)
-
-	_, ts := newTestServer(t, Config{Extender: se, Aligner: a})
-	resp := postJSON(t, ts.URL+"/v1/map", req)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var out MapResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	t.Cleanup(store.Close)
+	_, url := newStoreServer(t, store, Config{Shards: 2})
+	if err := fx.checkMap(t, url); err != nil {
 		t.Fatal(err)
-	}
-	if len(out.Results) != len(reads) {
-		t.Fatalf("got %d results for %d reads", len(out.Results), len(reads))
-	}
-	for i, r := range out.Results {
-		if r.Sam != want[i].String() {
-			t.Fatalf("read %d: served SAM differs:\n  served:   %s\n  pipeline: %s", i, r.Sam, want[i].String())
-		}
 	}
 }
 
@@ -488,12 +463,8 @@ func TestBodyTooLarge(t *testing.T) {
 
 // TestBadInput pins the 400 surface.
 func TestBadInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a, err := bwamem.New("chrT", genome.Simulate(genome.SimConfig{Length: 2_000}, rng), core.New(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{MaxSeqLen: 100, Aligner: a})
+	store := openRefStore(t, genome.Simulate(genome.SimConfig{Length: 2_000}, rand.New(rand.NewSource(12))))
+	_, ts := newTestServer(t, storeConfig(store, Config{MaxSeqLen: 100}))
 	read := func(name, qual string) MapRequest {
 		return MapRequest{Reads: []MapRead{{Name: "ok", Seq: "ACGT"}, {Name: name, Seq: "ACGT", Qual: qual}}}
 	}
@@ -535,7 +506,7 @@ func TestBadInput(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("boundary name and quality: status %d, want 200", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/extend", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(ts.URL+"/v1/extend", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,18 +271,14 @@ func checkScan(t *testing.T, body []byte, maxSeqLen int) {
 // wireServer is the tiny-limits server FuzzWireDecode drives, for holding
 // the handlers' verdicts to the oracle's.
 func wireServer(tb testing.TB) *Server {
-	a, err := bwamem.New("chrF", genome.Simulate(genome.SimConfig{Length: 2_000}, rand.New(rand.NewSource(4))), core.New(20))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s := New(Config{
+	store := openRefStore(tb, genome.Simulate(genome.SimConfig{Length: 2_000}, rand.New(rand.NewSource(4))))
+	s := New(storeConfig(store, Config{
 		Extender:          core.New(20),
-		Aligner:           a,
 		Batch:             BatcherConfig{MaxBatch: 8, FlushInterval: FlushOpportunistic, Workers: 2},
 		MaxJobsPerRequest: 8,
 		MaxSeqLen:         64,
 		MaxBodyBytes:      1 << 10,
-	})
+	}))
 	tb.Cleanup(s.Close)
 	return s
 }
@@ -547,8 +543,8 @@ func TestMapReplyFields(t *testing.T) {
 		reads = append(reads, bwamem.Read{Name: r.ID, Seq: r.Seq, Qual: r.Qual})
 		req.Reads = append(req.Reads, MapRead{Name: r.ID, Seq: genome.Decode(r.Seq), Qual: string(r.Qual)})
 	}
-	_, ts := newTestServer(t, Config{Extender: se, Aligner: a})
-	resp := postJSON(t, ts.URL+"/v1/map", req)
+	_, url := newStoreServer(t, openRefStore(t, ref), Config{Extender: se})
+	resp := postJSON(t, url+"/v1/map", req)
 	defer resp.Body.Close()
 	var out MapResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || len(out.Results) != len(reads) {

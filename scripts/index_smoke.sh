@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Reference index lifecycle smoke test: build a checksummed container
-# with seedex-index, serve /v1/map from it through a read-only memory
+# with seedex-index, map a read from it with seedex-align -index, serve
+# /v1/map from it through a read-only memory
 # mapping, hot-reload under live traffic, then corrupt a publish and
 # prove the server rolls back to the serving generation (degraded
 # healthz, exact mappings throughout). Artifacts (index info, metrics
@@ -11,8 +12,9 @@ OUT="${OUT:-index-smoke}"
 ADDR="${ADDR:-127.0.0.1:18846}"
 mkdir -p "$OUT"
 
-echo "== building seedex-index and seedex-serve =="
+echo "== building seedex-index, seedex-align and seedex-serve =="
 go build -o "$OUT/seedex-index" ./cmd/seedex-index
+go build -o "$OUT/seedex-align" ./cmd/seedex-align
 go build -o "$OUT/seedex-serve" ./cmd/seedex-serve
 
 echo "== building a reference container =="
@@ -26,10 +28,18 @@ with open(sys.argv[1], "w") as f:
         f.write(seq[i:i+70] + "\n")
 with open(sys.argv[1] + ".read", "w") as f:
     f.write(seq[500:650])
+with open(sys.argv[1] + ".fq", "w") as f:
+    f.write("@smoke\n" + seq[500:650] + "\n+\n" + "I" * 150 + "\n")
 EOF
 "$OUT/seedex-index" build -ref "$OUT/ref.fa" -out "$OUT/ref.rix"
 "$OUT/seedex-index" verify "$OUT/ref.rix"
 "$OUT/seedex-index" info "$OUT/ref.rix" >"$OUT/index-info.json"
+
+echo "== seedex-align -index loads the same container =="
+"$OUT/seedex-align" -ref "$OUT/ref.fa" -reads "$OUT/ref.fa.fq" -index "$OUT/ref.rix" \
+  >"$OUT/align.sam" 2>"$OUT/align.log"
+grep -q 'loaded index' "$OUT/align.log" || { echo "FAIL: seedex-align did not load the container" >&2; cat "$OUT/align.log" >&2; exit 1; }
+grep -q $'^smoke\t0\tchrS\t501\t' "$OUT/align.sam" || { echo "FAIL: read did not map at chrS:501" >&2; cat "$OUT/align.sam" >&2; exit 1; }
 
 echo "== starting server on $ADDR from the index store =="
 "$OUT/seedex-serve" -addr "$ADDR" -index-store "$OUT/ref.rix" -flush 1ms \
