@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race flake portable chaos fuzz loc benchmark-test obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression bin
+.PHONY: check vet build test race flake portable chaos fuzz loc benchmark-test sam-identity obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression bin
 
 check: vet build test race portable
 
@@ -87,6 +87,13 @@ loc:
 # benchmark freezes.
 benchmark-test:
 	$(GO) test -C benchmark .
+
+# End-to-end exactness: seedex-align's strict SeedEx SAM must be
+# byte-identical to its full-band SAM on a 4000-read corpus with the
+# default error profile and on an error-heavy one. Artifacts land in
+# sam-identity/ (override OUT).
+sam-identity:
+	bash scripts/sam_identity.sh
 
 # Observability smoke: boot seedex-serve with tracing and pprof enabled,
 # drive traffic, then assert the Prometheus scrape and both trace export

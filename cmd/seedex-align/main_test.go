@@ -201,13 +201,11 @@ func TestCLIIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCLIPairedEnd(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(9))
-	ref := genome.Simulate(genome.SimConfig{Length: 50_000}, rng)
-	pairs, _ := bwamem.SimulatePairs(ref, 40, 101, 350, 40, 0.002, rng)
-
-	refPath := filepath.Join(dir, "ref.fa")
+// writePairWorld writes ref as a FASTA and the mates of pairs as two
+// FASTQ files into dir.
+func writePairWorld(t *testing.T, dir string, ref []byte, pairs []bwamem.ReadPair) (refPath, r1, r2 string) {
+	t.Helper()
+	refPath = filepath.Join(dir, "ref.fa")
 	rf, _ := os.Create(refPath)
 	if err := fastx.WriteFasta(rf, []fastx.FastaRecord{{Name: "chrT", Seq: []byte(genome.Decode(ref))}}); err != nil {
 		t.Fatal(err)
@@ -234,8 +232,15 @@ func TestCLIPairedEnd(t *testing.T) {
 		f.Close()
 		return p
 	}
-	r1 := write("r1.fq", false)
-	r2 := write("r2.fq", true)
+	return refPath, write("r1.fq", false), write("r2.fq", true)
+}
+
+func TestCLIPairedEnd(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(9))
+	ref := genome.Simulate(genome.SimConfig{Length: 50_000}, rng)
+	pairs, _ := bwamem.SimulatePairs(ref, 40, 101, 350, 40, 0.002, rng)
+	refPath, r1, r2 := writePairWorld(t, dir, ref, pairs)
 
 	var out, stderr bytes.Buffer
 	if err := run([]string{"-ref", refPath, "-reads", r1, "-reads2", r2, "-extender", "seedex"}, &out, &stderr); err != nil {
@@ -266,5 +271,33 @@ func TestCLIPairedEnd(t *testing.T) {
 	}
 	if proper < body*8/10 {
 		t.Fatalf("only %d/%d proper-pair records", proper, body)
+	}
+}
+
+// TestPairedSAMIdentity is the paired-end half of make sam-identity:
+// mates generated as TestCLIPairedEnd generates them, at its error rate
+// and an error-heavy one, map to byte-identical SAM under strict SeedEx
+// and under the full band.
+func TestPairedSAMIdentity(t *testing.T) {
+	for _, errRate := range []float64{0.002, 0.01} {
+		dir := t.TempDir()
+		rng := rand.New(rand.NewSource(32))
+		ref := genome.Simulate(genome.SimConfig{Length: 100_000}, rng)
+		pairs, _ := bwamem.SimulatePairs(ref, 300, 150, 350, 40, errRate, rng)
+		refPath, r1, r2 := writePairWorld(t, dir, ref, pairs)
+		var sams [2]string
+		for i, ext := range []string{"seedex", "fullband"} {
+			var out, stderr bytes.Buffer
+			if err := run([]string{"-ref", refPath, "-reads", r1, "-reads2", r2, "-extender", ext}, &out, &stderr); err != nil {
+				t.Fatalf("%s: %v (%s)", ext, err, stderr.String())
+			}
+			sams[i] = out.String()
+		}
+		if sams[0] != sams[1] {
+			t.Fatalf("error rate %v: seedex and fullband paired-end SAM differ", errRate)
+		}
+		if n := strings.Count(sams[0], "\n"); n < 2*len(pairs) {
+			t.Fatalf("error rate %v: %d SAM lines for %d pairs", errRate, n, len(pairs))
+		}
 	}
 }

@@ -90,7 +90,8 @@ func TestBenchExtendJSON(t *testing.T) {
 	}
 	for _, want := range []string{"full/seed", "full/workspace", "banded/seed",
 		"banded/workspace", "checked/pooled", "checked/workspace",
-		"banded/batch", "full/batch", "checked/batch/paper", "checked/batch/strict"} {
+		"banded/batch", "full/batch", "checked/batch/paper", "checked/batch/strict",
+		"checked/batch/paper+rerun", "checked/batch/strict+rerun"} {
 		if !seen[want] {
 			t.Fatalf("kernel %q missing from report (have %v)", want, seen)
 		}
@@ -180,8 +181,9 @@ func TestBenchMapJSON(t *testing.T) {
 				Stage     string  `json:"stage"`
 				NsPerRead float64 `json:"ns_per_read"`
 			} `json:"rows"`
-			AllocsPerRead float64 `json:"allocs_per_read"`
-			BytesPerRead  float64 `json:"bytes_per_read"`
+			AllocsPerRead  float64 `json:"allocs_per_read"`
+			BytesPerRead   float64 `json:"bytes_per_read"`
+			CertifiedShare float64 `json:"certified_share"`
 		} `json:"runs"`
 	}
 	if err := json.Unmarshal(data, &hist); err != nil {
@@ -196,6 +198,9 @@ func TestBenchMapJSON(t *testing.T) {
 	}
 	if last.AllocsPerRead <= 0 || last.BytesPerRead <= 0 {
 		t.Fatalf("allocation columns = %v allocs, %v B per read", last.AllocsPerRead, last.BytesPerRead)
+	}
+	if last.CertifiedShare <= 0 || last.CertifiedShare >= 1 {
+		t.Fatalf("certified share = %v, want a share of the extensions", last.CertifiedShare)
 	}
 	var stages []string
 	for _, row := range last.Rows {

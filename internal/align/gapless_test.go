@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +79,90 @@ func TestTraceGaplessCertificate(t *testing.T) {
 	if certified < 1000 || filled < 1000 {
 		t.Fatal("the corpus does not exercise both sides of the ceiling")
 	}
+}
+
+// checkGaplessExtend holds GaplessExtend to the full-band reference: a
+// certified result has ExtendRef's five fields. Reports whether it
+// certified.
+func checkGaplessExtend(t *testing.T, q, tg []byte, h0 int, sc Scoring) bool {
+	t.Helper()
+	got, ok := GaplessExtend(q, tg, h0, sc)
+	if !ok {
+		if got != (ExtendResult{}) {
+			t.Fatalf("refused with a non-zero result %+v", got)
+		}
+		return false
+	}
+	if want := ExtendRef(q, tg, h0, sc); !sameResult(got, want) {
+		t.Fatalf("certified %+v, full band %+v\nq=%v t=%v h0=%d %+v", got, want, q, tg, h0, sc)
+	}
+	return true
+}
+
+// TestGaplessExtend runs checkGaplessExtend over extension windows shaped
+// like the mapper's (the target runs past the query) under every scoring
+// of the band identity test: gaplessCase pairs with a tail, and
+// extensionCase problems.
+func TestGaplessExtend(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	certified, refused := 0, 0
+	for k := 0; k < 4000; k++ {
+		sc := traceBandScorings[k%len(traceBandScorings)]
+		q, tg, h0 := gaplessCase(rng)
+		if k%2 == 1 {
+			q, tg, h0 = extensionCase(rng)
+		} else {
+			tg = append(tg, randSeq(rng, rng.Intn(30))...)
+		}
+		if checkGaplessExtend(t, q, tg, h0, sc) {
+			certified++
+		} else {
+			refused++
+		}
+	}
+	t.Logf("%d certified, %d left to the kernels", certified, refused)
+	if certified < 500 || refused < 500 {
+		t.Fatal("the corpus does not exercise both sides of the ceiling")
+	}
+}
+
+// FuzzGaplessCertificate is checkGaplessExtend over raw bytes: two
+// sequences folded onto codes 0..7, the target at least the query's
+// length, a start score and a scoring folded onto small penalties (0
+// included). The seeds are harvest-shaped: a read's tail against its
+// reference window, with none, one and two substitutions.
+func FuzzGaplessCertificate(f *testing.F) {
+	codes := func(s string) []byte {
+		b := []byte(s)
+		for i, c := range b {
+			b[i] = byte(strings.IndexByte("ACGT", c))
+		}
+		return b
+	}
+	read := codes("ACGTTGCAAGCTTAGGCTACCGATCGATTGCACGTAGCTAGGCTAACGT")
+	ref := append(append([]byte(nil), read...), codes("TTGACCAGTACGATTTACGACCGTA")...)
+	one := append([]byte(nil), read...)
+	one[17] ^= 1
+	two := append([]byte(nil), one...)
+	two[40] ^= 2
+	f.Add(read, ref, uint8(51), uint8(1), uint8(4), uint8(6), uint8(1))
+	f.Add(one, ref, uint8(30), uint8(1), uint8(4), uint8(6), uint8(1))
+	f.Add(two, ref, uint8(12), uint8(1), uint8(4), uint8(6), uint8(2))
+	f.Add([]byte{4, 1, 2}, []byte{4, 1, 2, 3}, uint8(5), uint8(1), uint8(1), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, rawQ, rawT []byte, h0, match, mismatch, gapOpen, gapExtend uint8) {
+		n := min(len(rawQ), 200)
+		q, tg := make([]byte, n), make([]byte, max(n, min(len(rawT), 260)))
+		for i := range q {
+			q[i] = rawQ[i] & 7
+		}
+		for i := range tg {
+			if i < len(rawT) {
+				tg[i] = rawT[i] & 7
+			}
+		}
+		sc := Scoring{Match: int(match % 3), Mismatch: int(mismatch % 6), GapOpen: int(gapOpen % 8), GapExtend: int(gapExtend % 3)}
+		checkGaplessExtend(t, q, tg, int(h0%100), sc)
+	})
 }
 
 // FuzzTraceGaplessCertificate is checkGapless over raw bytes: two

@@ -114,3 +114,43 @@ func (s Scoring) PathBand(h0, qlen, tlen, score int) int {
 func (s Scoring) Gapless(h0, qlen, tlen, score int) bool {
 	return qlen == tlen && score > h0+(qlen-1)*s.Match-2*(s.GapOpen+s.GapExtend)
 }
+
+// GaplessExtend answers an extension without a matrix when the main
+// diagonal provably holds every optimum. A path with a gap takes at most
+// len(query) diagonal steps and pays at least one open and one extension,
+// so it scores at most
+//
+//	h0 + len(query)*Match - GapOpen - GapExtend;
+//
+// when the diagonal's total clears that ceiling and every prefix of it
+// stays alive (above 0), the diagonal owns every cell that reaches its
+// best prefix and the right-edge cell (len(query), len(query)), so the
+// score fields are its own: Local is the best prefix at the first cell
+// reaching it, Global the total at GlobalT = len(query) (DESIGN.md §4).
+// It needs len(target) >= len(query), for that right-edge cell to exist.
+// Rows and Cells count the diagonal's cells. ok is false, with a zero
+// result, whenever the certificate does not hold: the caller runs a
+// kernel.
+func GaplessExtend(query, target []byte, h0 int, sc Scoring) (res ExtendResult, ok bool) {
+	n := len(query)
+	if h0 <= 0 || n == 0 || len(target) < n ||
+		sc.Match < 0 || sc.Mismatch < 0 || sc.GapOpen < 0 || sc.GapExtend < 0 {
+		return ExtendResult{}, false
+	}
+	// The deficit h0 + k*Match - score of the first k steps never shrinks,
+	// so the walk stops as soon as it reaches the ceiling's margin.
+	margin := sc.GapOpen + sc.GapExtend
+	score := h0
+	for k := 1; k <= n; k++ {
+		score += sc.Sub(target[k-1], query[k-1])
+		if score <= 0 || h0+k*sc.Match-score >= margin {
+			return ExtendResult{}, false
+		}
+		if score > res.Local {
+			res.Local, res.LocalT, res.LocalQ = score, k, k
+		}
+	}
+	res.Global, res.GlobalT = score, n
+	res.Rows, res.Cells = n, int64(n)
+	return res, true
+}

@@ -37,9 +37,12 @@ func Workload100(refLen, nReads int, seed int64) (*Workload, error) {
 type ExtendKernelResult struct {
 	// Kernel names the code path: full/seed, full/workspace, banded/seed,
 	// banded/workspace, checked/pooled, checked/workspace (scalar strict
-	// checks), banded/batch, full/batch, and checked/batch/paper,
-	// checked/batch/strict (core.Checker.CheckBatch — packed speculation
-	// plus per-job checks, no reruns: the path the server runs).
+	// checks), banded/batch, full/batch, checked/batch/paper and
+	// checked/batch/strict (core.Checker.CheckBatch — the certificate,
+	// packed speculation and per-job checks, no reruns), and
+	// checked/batch/paper+rerun and checked/batch/strict+rerun
+	// (core.Checker.ExtendBatchInto — the same plus the reruns of the
+	// failed checks: the path /v1/extend runs).
 	Kernel string `json:"kernel"`
 	// NsPerOp is wall time per extension.
 	NsPerOp float64 `json:"ns_per_op"`
@@ -150,9 +153,9 @@ func ReadExtendHistory(path string) (ExtendHistory, error) {
 // String renders a human-readable summary table.
 func (r ExtendBenchReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %12s %14s %10s\n", "kernel", "ns/op", "cells/s", "allocs/op")
+	fmt.Fprintf(&b, "%-26s %12s %14s %10s\n", "kernel", "ns/op", "cells/s", "allocs/op")
 	for _, k := range r.Kernels {
-		fmt.Fprintf(&b, "%-22s %12.0f %14.3e %10.2f\n", k.Kernel, k.NsPerOp, k.CellsPerSec, k.AllocsPerOp)
+		fmt.Fprintf(&b, "%-26s %12.0f %14.3e %10.2f\n", k.Kernel, k.NsPerOp, k.CellsPerSec, k.AllocsPerOp)
 	}
 	fmt.Fprintf(&b, "full-band workspace vs seed kernel: %.2fx cells/s\n", r.SpeedupFull)
 	fmt.Fprintf(&b, "banded    workspace vs seed kernel: %.2fx cells/s\n", r.SpeedupBanded)
@@ -326,7 +329,8 @@ func ExtendBench(w *Workload, band, rounds int) ExtendBenchReport {
 		}),
 	)
 	// The checked batch path per mode: what one served job costs before
-	// its (possible) host rerun.
+	// its (possible) host rerun, then with the reruns — what /v1/extend
+	// runs per batch.
 	reqs := make([]core.Request, extendBatchSize)
 	var resps []core.Response
 	for _, mode := range []struct {
@@ -336,18 +340,26 @@ func ExtendBench(w *Workload, band, rounds int) ExtendBenchReport {
 		mcfg := ccfg
 		mcfg.Mode = mode.mode
 		bchk := core.NewChecker(mcfg)
-		rep.Kernels = append(rep.Kernels,
-			measureBatch("checked/batch/"+mode.name, probs, rounds, func(jobs []align.Job) int64 {
-				for i, j := range jobs {
-					reqs[i] = core.Request{Q: j.Q, T: j.T, H0: j.H0}
-				}
-				resps, _ = bchk.CheckBatch(reqs[:len(jobs)], resps)
-				var cells int64
-				for i := range resps {
-					cells += resps[i].Res.Cells
-				}
-				return cells
-			}))
+		for _, path := range []struct {
+			suffix string
+			run    func([]core.Request)
+		}{
+			{"", func(r []core.Request) { resps, _ = bchk.CheckBatch(r, resps) }},
+			{"+rerun", func(r []core.Request) { resps = bchk.ExtendBatchInto(r, resps) }},
+		} {
+			rep.Kernels = append(rep.Kernels,
+				measureBatch("checked/batch/"+mode.name+path.suffix, probs, rounds, func(jobs []align.Job) int64 {
+					for i, j := range jobs {
+						reqs[i] = core.Request{Q: j.Q, T: j.T, H0: j.H0}
+					}
+					path.run(reqs[:len(jobs)])
+					var cells int64
+					for i := range resps {
+						cells += resps[i].Res.Cells
+					}
+					return cells
+				}))
+		}
 	}
 	byName := map[string]ExtendKernelResult{}
 	for _, k := range rep.Kernels {

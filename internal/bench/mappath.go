@@ -52,6 +52,14 @@ type MapPathReport struct {
 	// that repeat exactly per workload (absent from entries older than PR 27).
 	TraceSides int64 `json:"trace_sides,omitempty"`
 	TraceFills int64 `json:"trace_fills,omitempty"`
+	// CertifiedShare is the share of one pass's extensions the gapless
+	// certificate answered without a matrix; RerunCells the DP cells that
+	// pass's reruns swept, RerunFullCells the cells of the same reruns'
+	// full matrices (core.Stats). All three repeat exactly per workload
+	// (absent from entries older than PR 32).
+	CertifiedShare float64 `json:"certified_share,omitempty"`
+	RerunCells     int64   `json:"rerun_cells,omitempty"`
+	RerunFullCells int64   `json:"rerun_full_band_cells,omitempty"`
 }
 
 // mapPathHistory is the BENCH_map.json schema: an append-only array of
@@ -96,8 +104,10 @@ func (r MapPathReport) String() string {
 	}
 	fmt.Fprintf(&b, "%.1f allocs/read, %.0f B/read over %d reads (median and range of %d rounds)\n",
 		r.AllocsPerRead, r.BytesPerRead, r.Reads, mapPathRounds)
-	fmt.Fprintf(&b, "%d traced sides, %d matrix fills: %.3f fills per side",
+	fmt.Fprintf(&b, "%d traced sides, %d matrix fills: %.3f fills per side\n",
 		r.TraceSides, r.TraceFills, float64(r.TraceFills)/float64(max(r.TraceSides, 1)))
+	fmt.Fprintf(&b, "%.1f%% of extensions certified gapless; reruns swept %d of their %d full-band cells (%.2f)",
+		100*r.CertifiedShare, r.RerunCells, r.RerunFullCells, float64(r.RerunCells)/float64(max(r.RerunFullCells, 1)))
 	return b.String()
 }
 
@@ -116,12 +126,16 @@ func MapPathBench(w *Workload, workers int) (MapPathReport, error) {
 		return rep, errors.New("bench: map-path benchmark needs reads")
 	}
 	rep.ReadLen = len(reads[0].Seq)
-	a, err := bwamem.New("chrSim", w.Ref, core.New(mapPathBand))
+	se := core.New(mapPathBand)
+	a, err := bwamem.New("chrSim", w.Ref, se)
 	if err != nil {
 		return rep, err
 	}
 	_, warm := a.Run(reads, workers) // warm caches and the extender's pools
 	rep.TraceSides, rep.TraceFills = warm.TraceSides, warm.TraceFills
+	st := se.Stats
+	rep.CertifiedShare = float64(st.Certified.Load()) / float64(max(st.Total.Load(), 1))
+	rep.RerunCells, rep.RerunFullCells = st.RerunCells.Load(), st.RerunFullCells.Load()
 
 	stages := [...]string{"map/seed", "map/extend", "map/rest", "map/total"}
 	var perRead [len(stages)][]float64

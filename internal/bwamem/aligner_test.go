@@ -299,3 +299,47 @@ func TestInstrumentedExtenderNs(t *testing.T) {
 		t.Fatal("no time recorded")
 	}
 }
+
+// TestMapperServesResolve: a Mapper's extension session is told that the
+// mapper is its consumer, directly and through an InstrumentedExtender's
+// session, so it skips the reruns resolveSide cannot see (PassResolve); a
+// shared aligner's extender keeps the five-field promise and never does.
+// Either way the mappings are the full band's.
+func TestMapperServesResolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	ref := genome.Simulate(genome.SimConfig{Length: 60_000, RepeatFraction: 0.05}, rng)
+	cfg := readsim.RealisticConfig(400)
+	cfg.ReadLen = 150
+	reads := toPipelineReads(readsim.Simulate(ref, cfg, rng))
+	full, err := New("chrSim", ref, core.FullBand{Scoring: align.DefaultScoring()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := full.Run(reads, 1)
+	for _, wrap := range []bool{false, true} {
+		se := core.New(20)
+		var ext align.Extender = se
+		if wrap {
+			ext = &InstrumentedExtender{Inner: se}
+		}
+		a, err := New("chrSim", ref, ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reads {
+			a.AlignRead(r.Seq)
+		}
+		if n := se.Stats.OutcomeCount(core.PassResolve); n != 0 {
+			t.Fatalf("instrumented=%v: the shared aligner recorded %d pass-resolve outcomes", wrap, n)
+		}
+		got, _ := a.Run(reads, 1)
+		for i := range got {
+			if got[i].String() != want[i].String() {
+				t.Fatalf("instrumented=%v, read %d:\n got  %s\n want %s", wrap, i, got[i].String(), want[i].String())
+			}
+		}
+		if se.Stats.OutcomeCount(core.PassResolve) == 0 {
+			t.Fatalf("instrumented=%v: the mapper's session skipped no rerun: %v", wrap, se.Stats)
+		}
+	}
+}

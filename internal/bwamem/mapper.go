@@ -21,16 +21,28 @@ type Mapper struct {
 	recs        []sam.Record
 }
 
+// mapConsumer is an extension session that can be told its results feed
+// only resolveSide under the given clip penalty, so it need keep exact
+// only what resolveSide reads (core.Checker.ServeMapper). Sessions that
+// wrap another forward it.
+type mapConsumer interface {
+	ServeMapper(clipPenalty int)
+}
+
 // NewMapper returns a mapping session over this aligner. The session
 // shares the parent's index, options and aggregate statistics (the SeedEx
 // extender's atomic counters), but owns its extension, batch and
-// traceback scratch.
+// traceback scratch. The extension session it mints has one consumer,
+// resolveSide, and is told so (mapConsumer).
 func (a *Aligner) NewMapper() *Mapper {
 	cp := *a
 	cp.trace = &align.TraceWorkspace{}
 	cp.scratch = &mapScratch{}
 	if se, ok := a.Extender.(align.SessionExtender); ok {
 		cp.Extender = se.Session()
+		if mc, ok := cp.Extender.(mapConsumer); ok {
+			mc.ServeMapper(a.Opts.ClipPenalty)
+		}
 	}
 	return &Mapper{cp: cp}
 }

@@ -106,6 +106,15 @@ func (s *instrumentedSession) ExtendJobs(jobs []align.Job, dst []align.ExtendRes
 
 var _ align.BatchExtender = (*instrumentedSession)(nil)
 
+// ServeMapper forwards the mapper's statement to the inner session.
+func (s *instrumentedSession) ServeMapper(clipPenalty int) {
+	if mc, ok := s.inner.(mapConsumer); ok {
+		mc.ServeMapper(clipPenalty)
+	}
+}
+
+var _ mapConsumer = (*instrumentedSession)(nil)
+
 // Ns returns the accumulated extension CPU time.
 func (ie *InstrumentedExtender) Ns() int64 { return ie.ns.Load() }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -28,9 +29,10 @@ type Response struct {
 	// RerunNs is this job's share of the host rerun time that followed its
 	// batch's speculate-and-check interval (see BatchInfo): positive exactly
 	// when the engine reran the job, zero otherwise. A batch's failed
-	// checks rerun together as one packed full-band batch, so the share is
-	// an equal split of that one interval — the shares of a batch sum to
-	// it exactly, and no single job's rerun has a time of its own.
+	// checks rerun together in one interval (packed runs, each inside the
+	// band its jobs' scores allow), so the share is an equal split of that
+	// interval — the shares of a batch sum to it exactly, and no single
+	// job's rerun has a time of its own.
 	RerunNs int64
 }
 
@@ -43,7 +45,8 @@ type Response struct {
 type Checker struct {
 	Config Config
 	// Fallback performs host reruns; nil selects the workspace-backed
-	// full-band kernel with Config.Scoring.
+	// kernels with Config.Scoring: full band for Rerun and Extend, and on
+	// the batch paths packed runs inside the band each job's scores allow.
 	Fallback align.Extender
 	// Stats, when non-nil, aggregates check outcomes (atomic counters, so
 	// many Checkers may share one Stats).
@@ -52,19 +55,32 @@ type Checker struct {
 	ews *align.Workspace
 	ems *editmachine.Workspace
 
+	// mapper is set by ServeMapper: the session's results feed only
+	// resolveSide, with end-clipping penalty clipPen.
+	mapper  bool
+	clipPen int
+
 	// Batch scratch (grow-only): per-job banded results, boundaries and
-	// reports for checkJobs, the Job slice ExtendBatchInto builds from its
-	// Requests, and the failed subset of a batch with its positions and
-	// full-band results for rerunFailed.
-	bjobs []align.Job
-	bres  []align.ExtendResult
-	bbds  []align.BandBoundary
-	breps []Report
-	rjobs []align.Job
-	ridx  []int
-	rres  []align.ExtendResult
-	full  fullBandSession // the nil-Fallback rerun extender, on ews
-	last  BatchInfo
+	// reports for checkJobs, the jobs it hands the kernel (kjobs, their
+	// positions kidx, their results kres and boundaries kbds), the Job
+	// slice ExtendBatchInto builds from its Requests, and the failed
+	// subset of a batch with its sort keys, positions and rerun results
+	// for rerunFailed.
+	bjobs     []align.Job
+	bres      []align.ExtendResult
+	bbds      []align.BandBoundary
+	breps     []Report
+	kjobs     []align.Job
+	kidx      []int
+	kres      []align.ExtendResult
+	kbds      []align.BandBoundary
+	certified int // jobs of the last checkJobs the gapless certificate answered
+	rkeys     []uint64
+	rjobs     []align.Job
+	ridx      []int
+	rres      []align.ExtendResult
+	full      fullBandSession // the Rerun extender when Fallback is nil, on ews
+	last      BatchInfo
 }
 
 // NewChecker returns a Checker for cfg with pre-created workspaces.
@@ -112,23 +128,94 @@ func (c *Checker) Rerun(query, target []byte, h0 int) align.ExtendResult {
 	return c.fallback().Extend(query, target, h0)
 }
 
-// rerunFailed reruns the jobs whose report did not pass, all of them as
-// one batch through the fallback (for the default fallback one packed
-// full-band kernel invocation: the failures of a batch fill lanes together
-// like its speculation did). It returns the failed jobs' positions in
-// ascending order and their results, both aliasing checker scratch.
+// ServeMapper states that every result of this session feeds only
+// BWA-MEM's end decision (bwamem.resolveSide) under end-clipping penalty
+// clipPenalty; bwamem's NewMapper calls it on the session it mints. From
+// then on the batch paths (ExtendJobs, ExtendBatchInto, CheckBatch) keep
+// exact only what that decision reads, not all five fields: a failed
+// check whose banded result already resolves as a full-band one would is
+// not rerun (outcome PassResolve), and the other failures rerun inside
+// the narrower band the decision needs (rerunBand). A negative penalty is
+// treated as 0, which is sound for it.
+func (c *Checker) ServeMapper(clipPenalty int) {
+	c.mapper, c.clipPen = true, max(clipPenalty, 0)
+}
+
+// rerunBand is the band a rerun of job needs given its banded result res,
+// which holds lower bounds on both optima: every path that reaches an
+// optimum the consumer reads scores at least s, so it has total gap
+// length at most Scoring.PathBand(s) and a rerun inside that band
+// returns the full-band values (DESIGN.md §4). For the five fields s is
+// the lower of the banded Global and Local (Global, unless a row-0
+// right-edge cell wins, which takes Mismatch > GapOpen+GapExtend); for a
+// mapper it may rise to Local - clipPen, below which resolveSide never
+// reads Global. A band of max(n, m) or more is the full band; so is the
+// answer when gaps are free.
+func (c *Checker) rerunBand(j align.Job, res align.ExtendResult) int {
+	n, m := len(j.Q), len(j.T)
+	s := min(res.Global, res.Local)
+	if c.mapper {
+		s = max(s, res.Local-c.clipPen)
+	}
+	b := c.Config.Scoring.PathBand(j.H0, n, m, max(s, 1))
+	if full := max(n, m); b < 0 || b > full {
+		return full
+	}
+	return b
+}
+
+// rerunGroup is how many failed jobs share one rerun sweep: the native
+// tier's sixteen lanes.
+const rerunGroup = 16
+
+// rerunFailed reruns the jobs whose report did not pass, after checkJobs
+// left their banded results in c.bres. Through a set Fallback they go as
+// one batch; by default each reruns inside its rerunBand: the failures
+// are sorted by that band and every run of up to rerunGroup of them is
+// swept as one packed batch at the run's largest band (a wider band than
+// a job needs returns the same values). It returns the failed jobs'
+// positions, in rerun order (ascending band, then position), and their
+// results, both aliasing checker scratch.
 func (c *Checker) rerunFailed(jobs []align.Job, reps []Report) ([]int, []align.ExtendResult) {
-	c.rjobs, c.ridx = c.rjobs[:0], c.ridx[:0]
+	c.rkeys = c.rkeys[:0]
 	for i := range reps {
 		if !reps[i].Pass {
-			c.rjobs = append(c.rjobs, jobs[i])
-			c.ridx = append(c.ridx, i)
+			band := 0
+			if c.Fallback == nil {
+				band = c.rerunBand(jobs[i], c.bres[i])
+			}
+			c.rkeys = append(c.rkeys, uint64(band)<<32|uint64(i))
 		}
 	}
-	if len(c.ridx) == 0 {
+	if len(c.rkeys) == 0 {
 		return nil, nil
 	}
-	c.rres = align.ExtendJobs(c.fallback(), c.rjobs, c.rres[:0])
+	slices.Sort(c.rkeys)
+	c.rjobs, c.ridx = c.rjobs[:0], c.ridx[:0]
+	for _, key := range c.rkeys {
+		i := int(uint32(key))
+		c.rjobs = append(c.rjobs, jobs[i])
+		c.ridx = append(c.ridx, i)
+	}
+	if c.Fallback != nil {
+		c.rres = align.ExtendJobs(c.Fallback, c.rjobs, c.rres[:0])
+		return c.ridx, c.rres
+	}
+	c.rres = slices.Grow(c.rres[:0], len(c.rjobs))[:len(c.rjobs)]
+	for lo := 0; lo < len(c.rjobs); lo += rerunGroup {
+		hi := min(lo+rerunGroup, len(c.rjobs))
+		band := int(c.rkeys[hi-1] >> 32)
+		align.ExtendBandedBatchWS(c.ews, c.rjobs[lo:hi], c.Config.Scoring, band, c.rres[lo:hi], nil)
+	}
+	if c.Stats != nil {
+		var swept, full int64
+		for k, j := range c.rjobs {
+			swept += c.rres[k].Cells
+			full += int64(len(j.Q)) * int64(len(j.T))
+		}
+		c.Stats.RerunCells.Add(swept)
+		c.Stats.RerunFullCells.Add(full)
+	}
 	return c.ridx, c.rres
 }
 
@@ -150,36 +237,58 @@ func (c *Checker) ExtendBatch(reqs []Request) []Response {
 	return c.ExtendBatchInto(reqs, nil)
 }
 
-// checkJobs is the batched speculate-and-check core: one packed banded
-// extension over all jobs (the SWAR kernels fill lanes across jobs, the
-// software analogue of the accelerator's systolic batch), then the
-// optimality checks per job. Results land in c.bres, boundaries in
-// c.bbds, reports in the returned slice (aliasing c.breps; everything is
-// valid until the next batch call on this Checker). No stats, no reruns —
-// each entry point layers its own policy on top.
+// checkJobs is the batched speculate-and-check core. The gapless
+// certificate (align.GaplessExtend) answers the jobs whose diagonal
+// provably wins, whenever check gives the certified result a
+// threshold-only pass: that is the report the banded result gets too,
+// since the band holds the diagonal and the threshold rungs read no
+// boundary. The remaining jobs run as one packed banded extension (the
+// SWAR kernels fill lanes across jobs, the software analogue of the
+// accelerator's systolic batch), then the optimality checks per job; for
+// a mapper (ServeMapper), a failure whose rerunBand is within the band
+// already resolves exactly and passes as PassResolve. Results land in
+// c.bres, boundaries in c.bbds, reports in the returned slice (aliasing
+// c.breps; everything is valid until the next batch call on this
+// Checker). No stats, no reruns — each entry point layers its own policy
+// on top.
 func (c *Checker) checkJobs(jobs []align.Job) []Report {
 	c.init()
-	if cap(c.bres) < len(jobs) {
-		c.bres = make([]align.ExtendResult, len(jobs))
-		c.bbds = make([]align.BandBoundary, len(jobs))
-		c.breps = make([]Report, len(jobs))
+	c.bres = slices.Grow(c.bres[:0], len(jobs))[:len(jobs)]
+	c.bbds = slices.Grow(c.bbds[:0], len(jobs))[:len(jobs)]
+	c.breps = slices.Grow(c.breps[:0], len(jobs))[:len(jobs)]
+	c.kjobs, c.kidx = c.kjobs[:0], c.kidx[:0]
+	for i, j := range jobs {
+		if res, ok := align.GaplessExtend(j.Q, j.T, j.H0, c.Config.Scoring); ok {
+			if rep := check(c.ems, j.Q, j.T, j.H0, res, align.BandBoundary{}, c.Config); rep.ThresholdOnlyPass {
+				c.bres[i], c.bbds[i], c.breps[i] = res, align.BandBoundary{}, rep
+				continue
+			}
+		}
+		c.kjobs = append(c.kjobs, j)
+		c.kidx = append(c.kidx, i)
 	}
-	c.bres = c.bres[:len(jobs)]
-	c.bbds = c.bbds[:len(jobs)]
-	c.breps = c.breps[:len(jobs)]
-	align.ExtendBandedBatchWS(c.ews, jobs, c.Config.Scoring, c.Config.Band, c.bres, c.bbds)
-	for i := range jobs {
-		c.breps[i] = check(c.ems, jobs[i].Q, jobs[i].T, jobs[i].H0, c.bres[i], c.bbds[i], c.Config)
+	c.certified = len(jobs) - len(c.kjobs)
+	c.kres = slices.Grow(c.kres[:0], len(c.kjobs))[:len(c.kjobs)]
+	c.kbds = slices.Grow(c.kbds[:0], len(c.kjobs))[:len(c.kjobs)]
+	align.ExtendBandedBatchWS(c.ews, c.kjobs, c.Config.Scoring, c.Config.Band, c.kres, c.kbds)
+	for k, i := range c.kidx {
+		j := &jobs[i]
+		c.bres[i], c.bbds[i] = c.kres[k], c.kbds[k]
+		rep := check(c.ems, j.Q, j.T, j.H0, c.bres[i], c.bbds[i], c.Config)
+		if !rep.Pass && c.mapper && c.rerunBand(*j, c.bres[i]) <= c.Config.Band {
+			rep.Outcome, rep.Pass = PassResolve, true
+		}
+		c.breps[i] = rep
 	}
 	return c.breps
 }
 
 // ExtendBatchInto is ExtendBatch reusing dst's backing array when it is
 // large enough — the allocation-free form for long-lived workers. The
-// speculative banded extensions of the whole batch run as one packed
-// kernel invocation, timed as the batch's LastBatch interval; the failed
-// checks then rerun as one packed full-band batch, whose interval is
-// split evenly over their RerunNs.
+// certificate and the speculative banded extensions of the whole batch
+// (one packed kernel invocation) and the checks are timed as the batch's
+// LastBatch interval; the failed checks then rerun together (see
+// rerunFailed), and that one interval is split evenly over their RerunNs.
 func (c *Checker) ExtendBatchInto(reqs []Request, dst []Response) []Response {
 	t0 := time.Now()
 	dst, reps := c.CheckBatch(reqs, dst)
@@ -209,6 +318,7 @@ func (c *Checker) recordAll(reps []Report) {
 	if c.Stats == nil {
 		return
 	}
+	c.Stats.Certified.Add(int64(c.certified))
 	for i := range reps {
 		c.Stats.record(reps[i])
 	}

@@ -3,9 +3,9 @@
 // run on a narrow-band kernel; three optimality checks then prove, or fail
 // to prove, that no alignment path outside the band could have beaten the
 // narrow-band result. Extensions whose optimality cannot be proven are
-// rerun with the full band on the host, so the overall system is exactly
-// as accurate as a full-band aligner while almost all work runs on the
-// cheap narrow-band machine.
+// rerun on the host inside a band that provably holds the full-band
+// optimum, so the overall system is exactly as accurate as a full-band
+// aligner while almost all work runs on the cheap narrow-band machine.
 //
 // The three checks, in workflow order (Figure 6 of the paper):
 //
@@ -30,6 +30,14 @@
 // is bit-identical to a full-band run. See DESIGN.md §4 for why the extra
 // conditions are needed, and why strict mode's region bound is a closed
 // form (belowBound) that needs no sweep.
+//
+// The batch paths of Checker do only the DP their consumer reads, by
+// three exact shortcuts (DESIGN.md §4, "why it is exact"): the gapless
+// certificate answers, without a matrix, the jobs whose main diagonal
+// provably wins; a failed check reruns inside the band its banded scores
+// allow (Scoring.PathBand), not over the full band; and a session serving
+// the mapper (Checker.ServeMapper) skips the reruns whose banded result
+// already resolves the mapper's end decision exactly (PassResolve).
 package core
 
 import (
@@ -146,6 +154,14 @@ const (
 	// FailGlobal (ModeStrict only): the local result is proven optimal
 	// but the global (right-edge) endpoint could not be proven. Rerun.
 	FailGlobal
+	// PassResolve (mapper sessions only, see Checker.ServeMapper): the
+	// checks failed, but the banded result's own scores bound every path
+	// that could change what bwamem.resolveSide reads inside the band, so
+	// the mapper's end decision is the full-band one. No rerun.
+	PassResolve
+
+	// outcomeEnd is one past the last outcome; it sizes the counters.
+	outcomeEnd
 )
 
 // String renders the outcome for reports.
@@ -167,6 +183,8 @@ func (o Outcome) String() string {
 		return "fail-edit"
 	case FailGlobal:
 		return "fail-global"
+	case PassResolve:
+		return "pass-resolve"
 	}
 	return fmt.Sprintf("outcome(%d)", int(o))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -250,6 +251,26 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 	if Outcome(99).String() != "outcome(99)" {
 		t.Fatal("unknown outcome formatting")
+	}
+}
+
+// TestOutcomeNames: every outcome the counters hold has a name of its
+// own, so /metrics and the Prometheus families label each one apart —
+// an outcome added without one would render as the outcome(%d) fallback.
+func TestOutcomeNames(t *testing.T) {
+	seen := map[string]Outcome{}
+	for o := Outcome(0); int(o) < numOutcomes; o++ {
+		name := o.String()
+		if name == fmt.Sprintf("outcome(%d)", int(o)) {
+			t.Errorf("outcome %d has no name", int(o))
+		}
+		if prev, ok := seen[name]; ok {
+			t.Errorf("outcomes %d and %d share the name %q", int(prev), int(o), name)
+		}
+		seen[name] = o
+	}
+	if _, ok := seen["pass-resolve"]; !ok {
+		t.Fatalf("pass-resolve is outside the %d counters", numOutcomes)
 	}
 }
 

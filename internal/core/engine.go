@@ -24,8 +24,9 @@ type BatchEngine interface {
 // BatchInfo is the per-batch half of an engine's timing report (the
 // per-job half is Response.RerunNs). Start and Dur bracket the batch's
 // speculate-and-check interval; Rerun is the one interval right after it
-// in which the engine reran the batch's failed checks together (zero when
-// none failed), and the rerun jobs' RerunNs are its equal shares. The
+// in which the engine reran the batch's failed checks together (a Checker
+// sweeps each inside the band its scores allow; zero when none failed),
+// and the rerun jobs' RerunNs are its equal shares. The
 // device driver overlaps its reruns with device time and records them
 // under Key, so its interval is the whole round trip and its Rerun and
 // RerunNs stay zero. Key is the device batch key (see obs.BatchTraceID),

@@ -11,8 +11,9 @@ import (
 // against BWA-MEM over 787M reads, reproduced here as a tested invariant.
 type SeedEx struct {
 	Config Config
-	// Fallback performs the host rerun; nil selects the full-band
-	// software kernel with Config.Scoring.
+	// Fallback performs the host rerun; nil selects the software kernels
+	// with Config.Scoring (full band per job; on the batch path, inside the
+	// band each job's scores allow — see Checker).
 	Fallback align.Extender
 	// Stats, when non-nil, aggregates check outcomes.
 	Stats *Stats

@@ -6,8 +6,8 @@ import (
 )
 
 // numOutcomes sizes the per-outcome counter array; Outcome values are the
-// dense indices 0..FailGlobal.
-const numOutcomes = int(FailGlobal) + 1
+// dense indices below outcomeEnd, so a new outcome cannot land outside it.
+const numOutcomes = int(outcomeEnd)
 
 // Stats aggregates check outcomes across extensions. Every counter is an
 // independent atomic, so concurrent recorders (FPGA driver threads,
@@ -25,6 +25,20 @@ type Stats struct {
 	// outcomes[o] counts reports with Outcome o; dense array, no map and
 	// no lock on the record path.
 	outcomes [numOutcomes]atomic.Int64
+
+	// Work the batch paths skipped, which Snapshot leaves out: Snapshot
+	// holds what every path records alike for a job, while only the batch
+	// paths certify, and how much a rerun sweeps depends on the batch it
+	// rode in. seedex-bench -fig map reads them.
+
+	// Certified counts extensions the gapless certificate
+	// (align.GaplessExtend) answered without the banded kernel; each is
+	// also recorded with its outcome.
+	Certified atomic.Int64
+	// RerunCells counts the DP cells the default fallback's reruns swept,
+	// RerunFullCells the cells of the same jobs' full matrices (n·m each).
+	RerunCells     atomic.Int64
+	RerunFullCells atomic.Int64
 
 	// Degraded-mode containment counters, recorded by the FPGA driver's
 	// fault-tolerance layer (integrity validation, retry, circuit

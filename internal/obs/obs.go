@@ -51,8 +51,8 @@ const (
 	KindKernel
 	// KindCheck is an instant span carrying one job's check outcome.
 	KindCheck
-	// KindRerun covers the host full-band rerun of a batch's failed checks:
-	// one pooled interval, recorded on every job that was rerun in it.
+	// KindRerun covers the host rerun of a batch's failed checks: one
+	// pooled interval, recorded on every job that was rerun in it.
 	KindRerun
 	// KindDevice covers one device batch attempt (DMA + batch_start ..
 	// batch_done + retrieval).

@@ -47,7 +47,7 @@ type ExtendResult struct {
 	GlobalT int   `json:"global_t"`
 	Cells   int64 `json:"cells"`
 	// Rerun reports that the banded result could not be proven optimal and
-	// the response came from the full-band rerun (checked engines only).
+	// the response came from the host rerun (checked engines only).
 	Rerun bool `json:"rerun,omitempty"`
 }
 

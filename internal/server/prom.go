@@ -72,7 +72,7 @@ func (s *Server) collectProm(p *obs.Prom) {
 	if snap, ok := s.checksSnapshot(); ok {
 		p.Counter("seedex_check_total", "Extensions through the check workflow.", float64(snap.Total))
 		p.Counter("seedex_check_passed_total", "Extensions proven optimal.", float64(snap.Passed))
-		p.Counter("seedex_check_reruns_total", "Extensions rerun with the full band.", float64(snap.Reruns))
+		p.Counter("seedex_check_reruns_total", "Extensions rerun on the host.", float64(snap.Reruns))
 		p.Counter("seedex_check_threshold_only_total", "Extensions proven optimal by thresholding alone.", float64(snap.ThresholdOnly))
 		for o, n := range snap.Outcomes {
 			p.Counter("seedex_check_outcome_total", "Check outcomes by verdict.", float64(n),
