@@ -101,10 +101,11 @@ sam-identity:
 obs-smoke:
 	bash scripts/obs_smoke.sh
 
-# Flight-recorder smoke: boot seedex-serve under chaos fault injection
-# with the recorder armed, trip the breaker, then assert the automatic
-# breaker-trip dump (with fault-carrying journeys) and a SIGQUIT dump
-# both land. Artifacts land in flight-smoke/ (override OUT).
+# Flight-recorder smoke: serve a seedex-index container with the recorder
+# armed, publish a truncated one and reload, then assert the automatic
+# reload-rollback dump (with its manifest and retained journeys) and a
+# SIGQUIT dump both land while the server keeps serving. Artifacts land in
+# flight-smoke/ (override OUT).
 flight-smoke:
 	bash scripts/flight_smoke.sh
 

@@ -346,35 +346,24 @@ func BenchmarkTable3SystolicCore(b *testing.B) {
 	}
 }
 
-// BenchmarkSMEMSeeding compares the two SMEM passes: the serving
-// skip-ahead sweep (backward-search window tests, one suffix-array
-// LongestMatch per emitted seed) and Li's bidirectional FMD algorithm
-// (BWA's procedure).
+// BenchmarkSMEMSeeding measures the serving SMEM pass: the skip-ahead
+// sweep (backward-search window tests, one suffix-array LongestMatch per
+// emitted seed).
 func BenchmarkSMEMSeeding(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	ref := genome.Simulate(genome.SimConfig{Length: 200_000}, rng)
 	reads := readsim.Simulate(ref, readsim.DefaultConfig(200), rng)
 	san := append([]byte(nil), ref...)
 	fmindex.Sanitize(san)
-	saIx, err := fmindex.New(san)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fmdIx, err := fmindex.NewFMD(append([]byte(nil), san...))
+	ix, err := fmindex.New(san)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := fmindex.DefaultSMEMConfig()
-	b.Run("skip-ahead", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			saIx.SMEMs(reads[i%len(reads)].Seq, cfg)
-		}
-	})
-	b.Run("fmd-bidirectional", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fmdIx.SMEMsBi(reads[i%len(reads)].Seq, cfg)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.SMEMs(reads[i%len(reads)].Seq, cfg)
+	}
 }
 
 // BenchmarkCheckedGlobalFill measures the §VII-D long-read gap-filling

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"seedex/internal/align"
 	"seedex/internal/bwamem"
+	"seedex/internal/core"
+	"seedex/internal/ert"
 	"seedex/internal/fastx"
 	"seedex/internal/genome"
 	"seedex/internal/readsim"
@@ -97,6 +100,33 @@ func TestCLIERTSeeder(t *testing.T) {
 	}
 }
 
+// TestERTSeederPipeline: the radix-tree seeder recovers the simulated
+// origin of nearly every read through the full pipeline.
+func TestERTSeederPipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	ref := genome.Simulate(genome.SimConfig{Length: 40_000, RepeatFraction: 0.05}, rng)
+	reads := readsim.Simulate(ref, readsim.DefaultConfig(120), rng)
+	a, err := bwamem.New("chrSim", ref, core.FullBand{Scoring: align.DefaultScoring()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Seeder = ertSeeder{Index: ert.Build(a.Ref, ert.K), Cfg: ert.DefaultConfig()}
+	correct, mapped := 0, 0
+	for _, r := range reads {
+		al := a.AlignRead(r.Seq)
+		if !al.Mapped {
+			continue
+		}
+		mapped++
+		if d := al.Pos - r.TruePos; d >= -12 && d <= 12 && al.Rev == r.RevComp {
+			correct++
+		}
+	}
+	if mapped < len(reads)*90/100 || correct < mapped*90/100 {
+		t.Fatalf("ERT seeding: mapped %d/%d correct %d", mapped, len(reads), correct)
+	}
+}
+
 func TestCLIErrors(t *testing.T) {
 	var out, stderr bytes.Buffer
 	if err := run(nil, &out, &stderr); err == nil {
@@ -116,8 +146,17 @@ func TestCLIErrors(t *testing.T) {
 			t.Fatalf("unknown-extender error %q does not name %q", err, want)
 		}
 	}
-	if err := run([]string{"-ref", refPath, "-reads", readsPath, "-seeder", "bogus"}, &out, &stderr); err == nil {
-		t.Fatal("unknown seeder must error")
+	// fmd, the retired bidirectional seeder, is as unknown as a typo.
+	for _, name := range []string{"bogus", "fmd"} {
+		err := run([]string{"-ref", refPath, "-reads", readsPath, "-seeder", name}, &out, &stderr)
+		if err == nil {
+			t.Fatalf("unknown seeder %q accepted", name)
+		}
+		for _, want := range []string{`"` + name + `"`, "valid: fm, ert"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("unknown-seeder error %q does not name %q", err, want)
+			}
+		}
 	}
 	if err := run([]string{"-ref", refPath, "-reads", readsPath, "-band", "-3"}, &out, &stderr); err == nil || !strings.Contains(err.Error(), "band -3") {
 		t.Fatalf("negative -band must error naming the band, got %v", err)

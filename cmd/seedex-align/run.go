@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"seedex/internal/bwamem"
+	"seedex/internal/chain"
 	"seedex/internal/core"
 	"seedex/internal/ert"
 	"seedex/internal/fastx"
@@ -17,6 +18,16 @@ import (
 	"seedex/internal/refstore"
 	"seedex/internal/sam"
 )
+
+// ertSeeder seeds with the radix-tree model of the paper's seeding
+// accelerator (-seeder ert).
+type ertSeeder struct {
+	Index *ert.Index
+	Cfg   ert.Config
+}
+
+// Seeds implements bwamem.Seeder.
+func (s ertSeeder) Seeds(q []byte) []chain.Seed { return s.Index.Seeds(q, s.Cfg) }
 
 // run is the testable CLI body; main wires it to os streams.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -27,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	reads2Path := fs.String("reads2", "", "mate FASTQ (enables paired-end mode)")
 	extName := fs.String("extender", "seedex", "extension engine: seedex | fullband | banded")
 	band := fs.Int("band", 20, "one-sided band (SeedEx and banded engines)")
-	seeder := fs.String("seeder", "fm", "seeding engine: fm (suffix-array SMEM) | fmd (bidirectional SMEM) | ert (radix tree)")
+	seeder := fs.String("seeder", "fm", "seeding engine: fm (suffix-array SMEM) | ert (radix tree)")
 	indexPath := fs.String("index", "", "index container (the format seedex-index build writes): loaded if it exists, otherwise built from -ref and published")
 	workers := fs.Int("workers", 0, "alignment workers (0 = GOMAXPROCS)")
 	statsOut := fs.Bool("stats", true, "print check statistics to stderr")
@@ -88,16 +99,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	switch *seeder {
 	case "fm":
-	case "fmd":
-		fmd, err := fmindex.NewFMD(append([]byte(nil), a.Ref...))
-		if err != nil {
-			return err
-		}
-		a.Seeder = bwamem.FMDSeeder{Index: fmd, Cfg: fmindex.DefaultSMEMConfig()}
 	case "ert":
-		a.Seeder = bwamem.ERTSeeder{Index: ert.Build(a.Ref, ert.K), Cfg: ert.DefaultConfig()}
+		a.Seeder = ertSeeder{Index: ert.Build(a.Ref, ert.K), Cfg: ert.DefaultConfig()}
 	default:
-		return fmt.Errorf("unknown seeder %q", *seeder)
+		return fmt.Errorf("unknown seeder %q (valid: fm, ert)", *seeder)
 	}
 
 	w := bufio.NewWriter(stdout)

@@ -91,96 +91,17 @@ func TestServeBadFlags(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("error %q does not name the bad extender", err)
 	}
-	// Retired flags: /v1/map is served from -index-store alone.
-	for _, flag := range []string{"-prefilter", "-prefilter-threshold", "-ref", "-index"} {
+	// Retired flags: /v1/map is served from -index-store alone, the daemon
+	// serves the software engines only, and the router has one policy.
+	for _, flag := range []string{"-prefilter", "-prefilter-threshold", "-ref", "-index",
+		"-chaos", "-chaos-seed", "-route-policy"} {
 		if err := run([]string{flag}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
 		}
 	}
-}
-
-// TestServeChaosFlag boots the daemon with -chaos: extensions serve
-// through the fault-injected device engine, /metrics exposes the faults
-// section, and the drain summary reports the chaos counters.
-func TestServeChaosFlag(t *testing.T) {
-	var stderr bytes.Buffer
-	ready := make(chan string, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-chaos", "0.1", "-chaos-seed", "3", "-flush", "1ms"}, &stderr, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-errc:
-		t.Fatalf("run exited before ready: %v\nstderr: %s", err, stderr.String())
-	case <-time.After(10 * time.Second):
-		t.Fatal("server never became ready")
-	}
-	base := "http://" + addr
-
-	var jobs strings.Builder
-	jobs.WriteString(`{"jobs":[`)
-	for i := 0; i < 64; i++ {
-		if i > 0 {
-			jobs.WriteByte(',')
-		}
-		jobs.WriteString(`{"query":"ACGTACGTACGTACGTACGT","target":"ACGTACGTACGTACGTACGTAA","h0":30}`)
-	}
-	jobs.WriteString(`]}`)
-	resp, err := http.Post(base+"/v1/extend", "application/json", strings.NewReader(jobs.String()))
-	if err != nil {
-		t.Fatalf("POST /v1/extend: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("extend under chaos: status %d", resp.StatusCode)
-	}
-
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	var met struct {
-		Faults *struct {
-			Breaker string `json:"breaker"`
-		} `json:"faults"`
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatalf("decoding metrics: %v", err)
-	}
-	mresp.Body.Close()
-	if met.Faults == nil || met.Faults.Breaker == "" {
-		t.Fatalf("chaos server /metrics has no faults section")
-	}
-
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("run returned error: %v\nstderr: %s", err, stderr.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not exit after SIGTERM")
-	}
-	if log := stderr.String(); !strings.Contains(log, "chaos summary") || !strings.Contains(log, "chaos enabled") {
-		t.Errorf("stderr missing chaos reporting:\n%s", log)
-	}
-
-	// Flag validation: -chaos needs the device engine, which is strict-only.
-	if err := run([]string{"-chaos", "0.1", "-extender", "fullband"}, &stderr, nil); err == nil {
-		t.Fatal("-chaos with a software extender accepted")
-	}
-	if err := run([]string{"-chaos", "0.1", "-mode", "paper"}, &stderr, nil); err == nil {
-		t.Fatal("-chaos with paper mode accepted")
-	}
-	// A band below 1 is rejected on both engine paths before the listener binds.
-	for _, args := range [][]string{{"-band", "0"}, {"-band", "-5", "-chaos", "0.1"}} {
-		if err := run(args, &stderr, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("%v: want a band range error, got %v", args, err)
-		}
+	// A band below 1 is rejected before the listener binds.
+	if err := run([]string{"-band", "0"}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("-band 0: want a band range error, got %v", err)
 	}
 }
 
@@ -307,21 +228,17 @@ func TestServeIndexStore(t *testing.T) {
 }
 
 // TestServeSharded boots the daemon with a 2-shard pool, checks the
-// cluster surfaces (metrics + banner), and validates the routing flags.
+// cluster surfaces (metrics + banner), and validates the shard count.
 func TestServeSharded(t *testing.T) {
 	var stderr bytes.Buffer
 	if err := run([]string{"-shards", "0"}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Fatalf("zero shards accepted: %v", err)
 	}
-	if err := run([]string{"-shards", "2", "-route-policy", "bogus"}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("unknown policy accepted: %v", err)
-	}
 
 	ready := make(chan string, 1)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-band", "16", "-flush", "1ms",
-			"-shards", "2", "-route-policy", "hash"}, &stderr, ready)
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-band", "16", "-flush", "1ms", "-shards", "2"}, &stderr, ready)
 	}()
 	var addr string
 	select {
@@ -346,8 +263,7 @@ func TestServeSharded(t *testing.T) {
 	}
 	var met struct {
 		Cluster *struct {
-			Shards int    `json:"shards"`
-			Policy string `json:"route_policy"`
+			Shards int `json:"shards"`
 		} `json:"cluster"`
 		Shards []struct {
 			ID int `json:"id"`
@@ -357,7 +273,7 @@ func TestServeSharded(t *testing.T) {
 		t.Fatalf("decoding /metrics: %v", err)
 	}
 	mresp.Body.Close()
-	if met.Cluster == nil || met.Cluster.Shards != 2 || met.Cluster.Policy != "hash" {
+	if met.Cluster == nil || met.Cluster.Shards != 2 {
 		t.Fatalf("cluster section: %+v", met.Cluster)
 	}
 	if len(met.Shards) != 2 {
@@ -376,7 +292,7 @@ func TestServeSharded(t *testing.T) {
 		t.Fatalf("run did not exit after SIGTERM\nstderr: %s", stderr.String())
 	}
 	log := stderr.String()
-	for _, want := range []string{"2 shards behind the hash routing policy", "shard 0:", "shard 1:"} {
+	for _, want := range []string{"2 shards behind the least-loaded router", "shard 0:", "shard 1:"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("stderr missing %q:\n%s", want, log)
 		}

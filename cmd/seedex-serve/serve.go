@@ -10,16 +10,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
 	"seedex/internal/align"
 	"seedex/internal/bwamem"
 	"seedex/internal/core"
-	"seedex/internal/driver"
-	"seedex/internal/faults"
 	"seedex/internal/fmindex"
 	"seedex/internal/obs"
 	"seedex/internal/refstore"
@@ -56,10 +52,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	indexStore := fs.String("index-store", "", "enable /v1/map, served from this checksummed container index (built by seedex-index): memory-mapped read-only, hot-reloadable via SIGHUP or POST /admin/reload, with rollback on a bad file")
 	maxJobs := fs.Int("max-jobs", 4096, "maximum jobs or reads per request")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
-	chaos := fs.Float64("chaos", 0, "serve through the simulated FPGA platform with every fault class injecting at this rate (0 = software extender, no device)")
-	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for -chaos fault draws")
-	shards := fs.Int("shards", 1, "serving shards: each gets its own extension engine, micro-batcher and worker pool behind the routing tier (1 = the unsharded pipeline)")
-	routePolicy := fs.String("route-policy", "least-loaded", "routing policy for -shards > 1: least-loaded | occupancy | hash")
+	shards := fs.Int("shards", 1, "serving shards: each gets its own extension engine, micro-batcher and worker pool behind the routing tier, which sends each request to the shard with the fewest jobs in flight (1 = the unsharded pipeline)")
 	traceSample := fs.Int("trace-sample", 0, "record pipeline spans for 1 in N requests and export them at /debug/traces (0 disables head sampling)")
 	traceSlow := fs.Int("trace-slow", 64, "always retain the K slowest requests at /debug/traces/slow, regardless of sampling")
 	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed a steal/reroute/reload/fault keep the full trace at /debug/journeys")
@@ -67,9 +60,9 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	traceTailKeep := fs.Int("trace-tail-keep", 256, "retained journeys in the tail ring (oldest evicted first)")
 	sloLatency := fs.Duration("slo-latency", 0, "latency threshold of the extend-latency SLO objective (0 = the tail budget)")
 	sloInterval := fs.Duration("slo-interval", 10*time.Second, "SLO burn-rate sampling cadence (<0 disables the background sampler)")
-	flightDir := fs.String("flight-dir", "", "write crash/degradation flight-recorder tarballs here (SIGQUIT, breaker trips, reload rollbacks, SLO fast burn; empty disables the recorder)")
+	flightDir := fs.String("flight-dir", "", "write crash/degradation flight-recorder tarballs here (SIGQUIT, reload rollbacks, SLO fast burn; empty disables the recorder)")
 	flightMinIv := fs.Duration("flight-min-interval", 30*time.Second, "debounce between automatic flight dumps (SIGQUIT bypasses it)")
-	flightPoll := fs.Duration("flight-poll", 2*time.Second, "degradation watcher cadence: how often breaker trips, reload rollbacks and the SLO fast-burn flag are checked for an automatic dump")
+	flightPoll := fs.Duration("flight-poll", 2*time.Second, "degradation watcher cadence: how often reload rollbacks and the SLO fast-burn flag are checked for an automatic dump")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof profiling handlers on this separate address (empty disables them)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -83,10 +76,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
 	}
-	// server.New panics on an unknown policy; flag input is validated here.
-	if !slices.Contains(server.RoutingPolicies(), *routePolicy) {
-		return fmt.Errorf("unknown -route-policy %q (valid: %s)", *routePolicy, strings.Join(server.RoutingPolicies(), ", "))
-	}
 
 	if err := core.ValidateBand(*band); err != nil {
 		return err
@@ -94,36 +83,18 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 
 	// Every shard gets its own extension engine, built eagerly so flag
 	// errors surface before the listener binds and so the exit summary can
-	// walk the per-shard engines. Under -chaos each shard's fault draws
-	// decorrelate via seed+i while staying deterministic.
+	// walk the per-shard statistics.
 	exts := make([]align.Extender, *shards)
 	var ses []*core.SeedEx
-	var engines []*driver.Engine
 	for i := range exts {
-		if *chaos > 0 {
-			// Chaos drills run against the device-backed engine: results stay
-			// exact (integrity validation + host containment), while /metrics
-			// and /healthz expose the injected faults and breaker state.
-			if *extName != "seedex" {
-				return fmt.Errorf("-chaos requires the seedex extender (device engine), not %q", *extName)
-			}
-			dcfg := driver.DefaultConfig()
-			dcfg.Band = *band
-			dcfg.Faults = faults.Uniform(*chaosSeed+int64(i), *chaos)
-			dcfg.DeviceTimeout = 10 * time.Millisecond
-			eng := driver.NewEngine(dcfg)
-			engines = append(engines, eng)
-			exts[i] = eng
-		} else {
-			e, err := core.NamedExtender(*extName, *band)
-			if err != nil {
-				return err
-			}
-			if se, ok := e.(*core.SeedEx); ok {
-				ses = append(ses, se)
-			}
-			exts[i] = e
+		e, err := core.NamedExtender(*extName, *band)
+		if err != nil {
+			return err
 		}
+		if se, ok := e.(*core.SeedEx); ok {
+			ses = append(ses, se)
+		}
+		exts[i] = e
 	}
 	ext := exts[0]
 	switch *mode {
@@ -131,9 +102,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	case "paper":
 		for _, se := range ses {
 			se.Config.Mode = core.ModePaper
-		}
-		if len(engines) > 0 {
-			return fmt.Errorf("-chaos runs the device engine, which is strict-mode only")
 		}
 	default:
 		return fmt.Errorf("unknown mode %q (valid: strict, paper)", *mode)
@@ -148,11 +116,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			Keep:    *traceTailKeep,
 		},
 	})
-	for _, eng := range engines {
-		// Device-level spans (batch attempts, retry backoffs, host reruns)
-		// record under the batch key, always retained when tracing is on.
-		eng.Device().Trace = tracer
-	}
 
 	// The generation store opens after the tracer so reload spans record
 	// from the first swap. The initial open is strict: a bad container at
@@ -179,9 +142,8 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		flushIv = server.FlushOpportunistic
 	}
 	scfg := server.Config{
-		Extender:    ext,
-		Shards:      *shards,
-		RoutePolicy: *routePolicy,
+		Extender: ext,
+		Shards:   *shards,
 		Batch: server.BatcherConfig{
 			MaxBatch:      *maxBatch,
 			FlushInterval: flushIv,
@@ -277,8 +239,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		"flush", flush.String(), "queue", *queueCap)
 	logger.Info("packed kernel back end chosen by CPUID (none: the portable SWAR tiers)", "kernel_native", align.NativeISA())
 	if *shards > 1 {
-		logger.Info(fmt.Sprintf("%d shards behind the %s routing policy (per-shard engines, breakers and queues)",
-			*shards, *routePolicy))
+		logger.Info(fmt.Sprintf("%d shards behind the least-loaded router (per-shard engines and queues)", *shards))
 	}
 	if tracer != nil && *traceSample > 0 {
 		logger.Info(fmt.Sprintf("tracing 1/%d requests (exports at /debug/traces, slowest %d at /debug/traces/slow)",
@@ -289,12 +250,8 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			"budget", traceTailBudget.String(), "keep", *traceTailKeep)
 	}
 	if s.FlightRecorder() != nil {
-		logger.Info("flight recorder armed (SIGQUIT, breaker trips, reload rollbacks, SLO fast burn)",
+		logger.Info("flight recorder armed (SIGQUIT, reload rollbacks, SLO fast burn)",
 			"dir", *flightDir, "min_interval", flightMinIv.String())
-	}
-	if len(engines) > 0 {
-		logger.Info(fmt.Sprintf("chaos enabled (rate=%g seed=%d): device-backed engine with fault injection",
-			*chaos, *chaosSeed))
 	}
 	if store != nil {
 		st := store.Status()
@@ -348,16 +305,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	}
 	if fr := s.FlightRecorder(); fr != nil && fr.Dumps() > 0 {
 		logger.Info(fmt.Sprintf("flight recorder summary: %d dumps, last %s", fr.Dumps(), fr.LastPath()))
-	}
-	for i, eng := range engines {
-		prefix := ""
-		if len(engines) > 1 {
-			prefix = fmt.Sprintf("shard %d: ", i)
-		}
-		logger.Info(prefix + fmt.Sprint(eng.Device().Stats))
-		h := eng.Health()
-		logger.Info(fmt.Sprintf("%schaos summary: breaker=%s injected=%d detected=%d retries=%d trips=%d host-only=%d",
-			prefix, h.Breaker, h.Injected.Total(), h.Detected, h.Retries, h.Trips, h.HostOnly))
 	}
 	return nil
 }

@@ -20,7 +20,6 @@ import (
 	"seedex/internal/align"
 	"seedex/internal/chain"
 	"seedex/internal/core"
-	"seedex/internal/ert"
 	"seedex/internal/fmindex"
 	"seedex/internal/genome"
 	"seedex/internal/sam"
@@ -52,61 +51,13 @@ func (s FMSeeder) Seeds(q []byte) []chain.Seed {
 	return out
 }
 
-// ERTSeeder seeds with the radix-tree accelerator model.
-type ERTSeeder struct {
-	Index *ert.Index
-	Cfg   ert.Config
-}
-
-// Seeds implements Seeder.
-func (s ERTSeeder) Seeds(q []byte) []chain.Seed { return s.Index.Seeds(q, s.Cfg) }
-
-// DualSeeder is an optional Seeder upgrade: one pass over the forward
-// read yields seeds for both strands (the FMD index works this way, like
-// BWA itself). Seeds carry Rev and use coordinates in the respective
-// strand's query space.
+// DualSeeder is implemented by nothing: the aligner seeds each strand
+// through Seeder.Seeds.
+//
+// Deprecated: it named the removed bidirectional FMD seeder's both-strands
+// pass; it stays only because the frozen benchmark/layers.go still names it.
 type DualSeeder interface {
 	SeedsBoth(read []byte) []chain.Seed
-}
-
-// FMDSeeder seeds with Li's bidirectional SMEM algorithm over the FMD
-// index: a single search finds supermaximal matches against both genome
-// strands at once, BWA-MEM's actual seeding procedure.
-type FMDSeeder struct {
-	Index *fmindex.FMD
-	Cfg   fmindex.SMEMConfig
-	// Select prunes repeat-dense MEM sets (see seedselect.go).
-	Select SeedSelection
-}
-
-var _ DualSeeder = FMDSeeder{}
-
-// Seeds implements Seeder for the forward strand only (prefer SeedsBoth).
-func (s FMDSeeder) Seeds(q []byte) []chain.Seed {
-	var out []chain.Seed
-	for _, m := range selectMEMs(s.Index.SMEMsBi(q, s.Cfg), s.Select) {
-		for _, p := range m.Positions {
-			out = append(out, chain.Seed{QBeg: m.QBeg, RBeg: p, Len: m.Len})
-		}
-	}
-	return out
-}
-
-// SeedsBoth implements DualSeeder: forward hits become forward seeds;
-// reverse-strand hits are mirrored into the reverse-complement read's
-// coordinate space.
-func (s FMDSeeder) SeedsBoth(read []byte) []chain.Seed {
-	var out []chain.Seed
-	n := len(read)
-	for _, m := range selectMEMs(s.Index.SMEMsBi(read, s.Cfg), s.Select) {
-		for _, p := range m.Positions {
-			out = append(out, chain.Seed{QBeg: m.QBeg, RBeg: p, Len: m.Len})
-		}
-		for _, p := range m.RCPositions {
-			out = append(out, chain.Seed{QBeg: n - (m.QBeg + m.Len), RBeg: p, Len: m.Len, Rev: true})
-		}
-	}
-	return out
 }
 
 // Options tunes the aligner.
@@ -392,29 +343,15 @@ func (a *Aligner) plan(s *mapScratch, ri int) {
 	p := &s.plans[ri]
 	read := p.read
 	p.wlo = len(s.work)
-	var dualSeeds []chain.Seed
-	ds, isDual := a.Seeder.(DualSeeder)
-	if isDual {
-		dualSeeds = ds.SeedsBoth(read)
-	}
 	ord := 0
 	for _, rev := range []bool{false, true} {
 		q := read
 		if rev {
 			q = s.revComp(read)
 		}
-		var seeds []chain.Seed
-		if isDual {
-			for _, sd := range dualSeeds {
-				if sd.Rev == rev {
-					seeds = append(seeds, sd)
-				}
-			}
-		} else {
-			seeds = a.Seeder.Seeds(q)
-			for i := range seeds {
-				seeds[i].Rev = rev
-			}
+		seeds := a.Seeder.Seeds(q)
+		for i := range seeds {
+			seeds[i].Rev = rev
 		}
 		chains := chain.Build(seeds, a.ChainCfg)
 		for ci, c := range chains {

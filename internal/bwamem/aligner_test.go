@@ -6,7 +6,6 @@ import (
 
 	"seedex/internal/align"
 	"seedex/internal/core"
-	"seedex/internal/ert"
 	"seedex/internal/genome"
 	"seedex/internal/readsim"
 )
@@ -121,33 +120,6 @@ func TestBandedPipelineDiffers(t *testing.T) {
 		t.Fatal("w=1 banded pipeline produced zero differences; Figure 13's effect is absent")
 	}
 	t.Logf("w=1 banded pipeline: %d/%d SAM entries differ", diffs, len(reads))
-}
-
-func TestERTSeederPipeline(t *testing.T) {
-	ref, reads := simWorld(t, 40_000, 120, 4)
-	a, err := New("chrSim", ref, core.FullBand{Scoring: align.DefaultScoring()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Seeder = ERTSeeder{Index: ert.Build(a.Ref, ert.K), Cfg: ert.DefaultConfig()}
-	correct, mapped := 0, 0
-	for _, r := range reads {
-		al := a.AlignRead(r.Seq)
-		if !al.Mapped {
-			continue
-		}
-		mapped++
-		d := al.Pos - r.TruePos
-		if d < 0 {
-			d = -d
-		}
-		if d <= 12 && al.Rev == r.RevComp {
-			correct++
-		}
-	}
-	if mapped < len(reads)*90/100 || correct < mapped*90/100 {
-		t.Fatalf("ERT seeding: mapped %d/%d correct %d", mapped, len(reads), correct)
-	}
 }
 
 func TestSAMRecordsValid(t *testing.T) {

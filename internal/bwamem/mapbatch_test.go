@@ -12,7 +12,6 @@ import (
 	"seedex/internal/align"
 	"seedex/internal/chain"
 	"seedex/internal/core"
-	"seedex/internal/fmindex"
 	"seedex/internal/genome"
 	"seedex/internal/readsim"
 )
@@ -45,11 +44,6 @@ func referenceAlignRead(a *Aligner, read []byte) Alignment {
 func referenceCandidates(a *Aligner, read []byte) ([]candidate, int) {
 	var cands []candidate
 	ext := 0
-	var dualSeeds []chain.Seed
-	ds, isDual := a.Seeder.(DualSeeder)
-	if isDual {
-		dualSeeds = ds.SeedsBoth(read)
-	}
 	be, isBatch := a.Extender.(align.BatchExtender)
 	var work []chainWork
 	ord := 0
@@ -58,18 +52,9 @@ func referenceCandidates(a *Aligner, read []byte) ([]candidate, int) {
 		if rev {
 			q = genome.RevComp(read)
 		}
-		var seeds []chain.Seed
-		if isDual {
-			for _, s := range dualSeeds {
-				if s.Rev == rev {
-					seeds = append(seeds, s)
-				}
-			}
-		} else {
-			seeds = a.Seeder.Seeds(q)
-			for i := range seeds {
-				seeds[i].Rev = rev
-			}
+		seeds := a.Seeder.Seeds(q)
+		for i := range seeds {
+			seeds[i].Rev = rev
 		}
 		chains := chain.Build(seeds, a.ChainCfg)
 		for ci, c := range chains {
@@ -401,22 +386,12 @@ func batchCorpora(t *testing.T) []batchCorpus {
 		}
 	}
 
-	// The bidirectional (dual) seeder over the strict extender.
-	se, stats := seedex(false)
-	dual := traceWorld(t, se, -1, 240)[0]
-	fmd, err := fmindex.NewFMD(append([]byte(nil), dual.a.Ref...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dual.a.Seeder = FMDSeeder{Index: fmd, Cfg: fmindex.DefaultSMEMConfig()}
-	out = append(out, batchCorpus{"strict/fmd", dual.a, toReads(dual), stats})
-
 	// The repeat-and-decoy genome: reads with a distant full-score copy and
 	// heavy chains in decoy windows, with the degenerate shapes that are
 	// not all unmapped (an N-run inside a real read, a read of the repeat
 	// unit alone, 40 bp of the reference's head and tail, a reverse
 	// complement) between them.
-	se, stats = seedex(false)
+	se, stats := seedex(false)
 	ref, sim := repeatWorld(t, 240, 21)
 	a, err := New("chrSim", ref, se)
 	if err != nil {

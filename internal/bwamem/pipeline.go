@@ -216,7 +216,7 @@ func (a *Aligner) Run(reads []Read, workers int) ([]sam.Record, Stats) {
 func (a *Aligner) newTimedMapper() (*Mapper, *stageProbe) {
 	probe := &stageProbe{}
 	m := a.NewMapper()
-	m.cp.Seeder = wrapSeeder(a.Seeder, probe)
+	m.cp.Seeder = &timedSeeder{a.Seeder, probe}
 	m.cp.Extender = &timedExtenderProbe{inner: m.cp.Extender, probe: probe}
 	return m, probe
 }
@@ -235,27 +235,6 @@ func (ts *timedSeeder) Seeds(q []byte) []chain.Seed {
 	s := ts.inner.Seeds(q)
 	ts.probe.seedNs += time.Since(start).Nanoseconds()
 	return s
-}
-
-// timedDualSeeder preserves the DualSeeder upgrade through the timing
-// wrapper.
-type timedDualSeeder struct {
-	timedSeeder
-	dual DualSeeder
-}
-
-func (ts *timedDualSeeder) SeedsBoth(read []byte) []chain.Seed {
-	start := time.Now()
-	s := ts.dual.SeedsBoth(read)
-	ts.probe.seedNs += time.Since(start).Nanoseconds()
-	return s
-}
-
-func wrapSeeder(inner Seeder, probe *stageProbe) Seeder {
-	if d, ok := inner.(DualSeeder); ok {
-		return &timedDualSeeder{timedSeeder{inner, probe}, d}
-	}
-	return &timedSeeder{inner, probe}
 }
 
 type timedExtenderProbe struct {

@@ -6,7 +6,6 @@ import (
 
 	"seedex/internal/align"
 	"seedex/internal/core"
-	"seedex/internal/fmindex"
 	"seedex/internal/genome"
 	"seedex/internal/readsim"
 )
@@ -52,8 +51,7 @@ func TestBuildReferenceErrors(t *testing.T) {
 }
 
 // TestMultiContigAlignment: reads simulated from three chromosomes map
-// back to the right contig at the right in-contig position, under both
-// the suffix-array and the FMD seeders, with identical SAM.
+// back to the right contig at the right in-contig position.
 func TestMultiContigAlignment(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var contigs []Contig
@@ -104,23 +102,6 @@ func TestMultiContigAlignment(t *testing.T) {
 	}
 	if correct < stats.Mapped*90/100 {
 		t.Fatalf("correct contig+pos for %d/%d mapped reads", correct, stats.Mapped)
-	}
-
-	// FMD seeder must agree byte for byte on the multi-contig space too.
-	fmd, err := fmindex.NewFMD(append([]byte(nil), a.Ref...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMulti(contigs, core.New(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Seeder = FMDSeeder{Index: fmd, Cfg: fmindex.DefaultSMEMConfig()}
-	recs2, _ := b.Run(reads, 0)
-	for i := range recs {
-		if recs[i].String() != recs2[i].String() {
-			t.Fatalf("read %d: FMD-seeded multi-contig SAM differs:\n %s\n %s", i, recs2[i], recs[i])
-		}
 	}
 }
 

@@ -91,7 +91,7 @@ type Config struct {
 }
 
 // Uniform enables every fault class at the same rate — the standard chaos
-// preset behind the -chaos flags.
+// preset of the fault-injection drills.
 func Uniform(seed int64, rate float64) Config {
 	return Config{
 		Seed:    seed,

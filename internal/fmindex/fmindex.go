@@ -13,8 +13,7 @@ const occRate = 64
 
 // alphabet size including the sentinel (code 0 internally; bases are
 // shifted up by one) and the sequence separator (code 4 in text space,
-// 5 shifted) used by the FMD index to keep the forward and
-// reverse-complement halves from matching across their junction.
+// 5 shifted) that pads between contigs so no match crosses a junction.
 const sigma = 6
 
 // jumpMax is the longest k-mer the jump table indexes: 4^8 intervals,
@@ -205,20 +204,6 @@ func (ix *Index) occAt(b byte, i int32) int32 {
 		n -= ix.occAt(base, i)
 	}
 	return n
-}
-
-// bwtAt returns the BWT symbol of a row.
-func (ix *Index) bwtAt(row int32) byte {
-	blk := &ix.occ[row/occRate]
-	for a, m := range blk.mask {
-		if m>>(uint(row)%occRate)&1 != 0 {
-			return byte(a) + 1
-		}
-	}
-	if row == ix.sentinel {
-		return 0
-	}
-	return Separator + 1
 }
 
 // Interval is a half-open SA interval [Lo, Hi) in the sentinel-augmented

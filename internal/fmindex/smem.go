@@ -3,13 +3,8 @@ package fmindex
 // MEM is a maximal exact match between a query and the indexed text.
 type MEM struct {
 	QBeg, Len int   // query span [QBeg, QBeg+Len)
-	Positions []int // forward-strand text positions of the occurrences (capped)
-	// RCPositions are reverse-strand hits (filled by the bidirectional
-	// FMD search only): text positions where the reverse complement of
-	// the matched query segment occurs.
-	RCPositions []int
-	// Occ is the total occurrence count before capping — forward-only
-	// for the suffix-array search, both strands for the FMD search.
+	Positions []int // text positions of the occurrences (capped)
+	// Occ is the total occurrence count before capping.
 	Occ int
 }
 

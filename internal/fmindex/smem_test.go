@@ -11,7 +11,7 @@ import (
 
 // smemsReference is the per-base sweep SMEMs served with before the
 // skip-ahead: the longest match from every query position, filtered by
-// containment. It is the oracle SMEMs (and through it SMEMsBi) is held to.
+// containment. It is the oracle SMEMs is held to.
 func (ix *Index) smemsReference(q []byte, cfg SMEMConfig) []MEM {
 	var mems []MEM
 	bestEnd := -1 // furthest match end seen so far; containment filter

@@ -43,10 +43,10 @@ func verifyExtend(t *testing.T, url string, jobs []ExtendJob) {
 }
 
 // TestShardedMixedPolicyRace hammers a 4-shard cluster with concurrent
-// clients under every registered routing policy (run with -race). Every
-// result must be bit-identical to the full-band kernel regardless of
-// which shard computed it, and the shard accounting must balance when
-// the dust settles.
+// clients under the least-loaded router (run with -race). Every result
+// must be bit-identical to the full-band kernel regardless of which shard
+// computed it, and the shard accounting must balance when the dust
+// settles.
 func TestShardedMixedPolicyRace(t *testing.T) {
 	const (
 		shards     = 4
@@ -54,47 +54,44 @@ func TestShardedMixedPolicyRace(t *testing.T) {
 		reqsPer    = 5
 		jobsPerReq = 16
 	)
-	for _, policy := range RoutingPolicies() {
-		t.Run(policy, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{
-				Shards:      shards,
-				RoutePolicy: policy,
-				NewExtender: func(int) align.Extender { return core.New(20) },
-				Batch:       BatcherConfig{MaxBatch: 16, FlushInterval: 200 * time.Microsecond, Workers: 2},
-			})
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for r := 0; r < reqsPer; r++ {
-						verifyExtend(t, ts.URL, testProblems(jobsPerReq, 90, int64(1000+c*reqsPer+r)))
-					}
-				}(c)
-			}
-			wg.Wait()
-
-			// Accounting: every admitted job was computed (nothing had a
-			// deadline), nothing is left in flight, and the routing tier
-			// made exactly one decision per request.
-			var accepted, completed, routed, rerouted int64
-			for _, snap := range s.ShardSnapshots() {
-				accepted += snap.Accepted
-				completed += snap.Completed
-				routed += snap.Routed
-				rerouted += snap.Rerouted
-				if snap.InFlight != 0 {
-					t.Errorf("shard %d still reports %d in flight", snap.ID, snap.InFlight)
-				}
-			}
-			if want := int64(clients * reqsPer * jobsPerReq); accepted != want || completed != want {
-				t.Errorf("accepted=%d completed=%d, want %d each (rerouted=%d)", accepted, completed, want, rerouted)
-			}
-			if want := int64(clients * reqsPer); routed != want {
-				t.Errorf("routed=%d decisions, want %d (one per request)", routed, want)
-			}
+	t.Run("least-loaded", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{
+			Shards:      shards,
+			NewExtender: func(int) align.Extender { return core.New(20) },
+			Batch:       BatcherConfig{MaxBatch: 16, FlushInterval: 200 * time.Microsecond, Workers: 2},
 		})
-	}
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for r := 0; r < reqsPer; r++ {
+					verifyExtend(t, ts.URL, testProblems(jobsPerReq, 90, int64(1000+c*reqsPer+r)))
+				}
+			}(c)
+		}
+		wg.Wait()
+
+		// Accounting: every admitted job was computed (nothing had a
+		// deadline), nothing is left in flight, and the routing tier
+		// made exactly one decision per request.
+		var accepted, completed, routed, rerouted int64
+		for _, snap := range s.ShardSnapshots() {
+			accepted += snap.Accepted
+			completed += snap.Completed
+			routed += snap.Routed
+			rerouted += snap.Rerouted
+			if snap.InFlight != 0 {
+				t.Errorf("shard %d still reports %d in flight", snap.ID, snap.InFlight)
+			}
+		}
+		if want := int64(clients * reqsPer * jobsPerReq); accepted != want || completed != want {
+			t.Errorf("accepted=%d completed=%d, want %d each (rerouted=%d)", accepted, completed, want, rerouted)
+		}
+		if want := int64(clients * reqsPer); routed != want {
+			t.Errorf("routed=%d decisions, want %d (one per request)", routed, want)
+		}
+	})
 }
 
 // containmentSeed honors the CI chaos matrix: SEEDEX_CHAOS_SEED pins the

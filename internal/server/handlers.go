@@ -286,16 +286,12 @@ func wireResult(r core.Response) ExtendResult {
 type batchBody[P, R any] struct {
 	noun string
 	pipe func(*shard) *batcher[job[P, R]]
-	// scan parses wb.body into items that alias wb, and leaves in
-	// wb.routeRegion what the request's routing key hashes: all its items
-	// share one routing decision, keyed by the first.
+	// scan parses wb.body into items that alias wb.
 	scan        func(wb *wireBuf) (items []P, deadlineMs int, err error)
 	validate    func(item *P, maxSeqLen int) error
 	appendReply func(dst []byte, res []R) []byte
 }
 
-// The extend endpoint routes by job 0's target; the map endpoint by read
-// 0's sequence, which stands in for the region it will map to.
 var (
 	extendBody = batchBody[core.Request, ExtendResult]{"job", extPipe, (*wireBuf).scanExtend, validateJob, appendExtendReply}
 	mapBody    = batchBody[mapRead, MapResult]{"read", mapPipe, (*wireBuf).scanMap, validateRead, appendMapReply}
@@ -354,9 +350,9 @@ func serveBatch[P, R any](rq *request, r *http.Request, body *batchBody[P, R]) *
 	}
 
 	p := newPending[R](n)
-	// A full shard queue fails individual items over to peers inside
-	// submit.
-	sh := s.router.pick(routeKey(wb.routeRegion))
+	// All the request's items share one routing decision; a full shard
+	// queue fails individual items over to peers inside submit.
+	sh := s.router.pick()
 	for i := 0; i < n; i++ {
 		j := job[P, R]{ctx: ctx, req: items[i], out: p, slot: i, tr: rq.tr, enq: time.Now()}
 		if err := submit(s.router, body.pipe, sh, j); err != nil {
@@ -487,7 +483,7 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			req, target, err := scanLine(frame)
+			req, err := scanLine(frame)
 			if err != nil {
 				fail(http.StatusBadRequest, "line %d: %v", i, err)
 				return
@@ -500,9 +496,8 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 			p := newPending[ExtendResult](1)
 			job := extJob{ctx: ctx, req: req, out: p, tr: rq.tr, enq: time.Now()}
 			// Streamed jobs route individually: a long stream spreads over
-			// the pool under load-based policies, and sticks to its region's
-			// shard under consistent hashing.
-			if err := s.router.submitWaitExt(ctx, routeKey(target), job); err != nil {
+			// the pool.
+			if err := s.router.submitWaitExt(ctx, job); err != nil {
 				status, _ := s.admitStatus(err)
 				fail(status, "%v", err)
 				return
@@ -574,13 +569,12 @@ type metricsBody struct {
 // decision and steal counters summed over shards (the per-shard split is
 // in the shards array).
 type clusterBody struct {
-	Shards   int    `json:"shards"`
-	Policy   string `json:"route_policy"`
-	Degraded int    `json:"shards_degraded"`
-	Routed   int64  `json:"routed"`
-	Rerouted int64  `json:"rerouted"`
-	Avoided  int64  `json:"avoided"`
-	Steals   int64  `json:"batches_stolen"`
+	Shards   int   `json:"shards"`
+	Degraded int   `json:"shards_degraded"`
+	Routed   int64 `json:"routed"`
+	Rerouted int64 `json:"rerouted"`
+	Avoided  int64 `json:"avoided"`
+	Steals   int64 `json:"batches_stolen"`
 }
 
 type checksBody struct {
@@ -596,13 +590,12 @@ type queueBody struct {
 }
 
 type metricsConfigEcho struct {
-	MaxBatch    int     `json:"max_batch"`
-	FlushUs     float64 `json:"flush_us"`
-	Workers     int     `json:"workers"`
-	QueueCap    int     `json:"queue_cap"`
-	Shards      int     `json:"shards"`
-	RoutePolicy string  `json:"route_policy"`
-	MapEnabled  bool    `json:"map_enabled"`
+	MaxBatch   int     `json:"max_batch"`
+	FlushUs    float64 `json:"flush_us"`
+	Workers    int     `json:"workers"`
+	QueueCap   int     `json:"queue_cap"`
+	Shards     int     `json:"shards"`
+	MapEnabled bool    `json:"map_enabled"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -624,16 +617,15 @@ func (s *Server) buildMetricsBody() metricsBody {
 		Build:           s.cfg.Build,
 		Shards:          s.ShardSnapshots(),
 		Config: metricsConfigEcho{
-			MaxBatch:    s.cfg.Batch.MaxBatch,
-			FlushUs:     float64(s.cfg.Batch.FlushInterval.Nanoseconds()) / 1e3,
-			Workers:     s.cfg.Batch.Workers,
-			QueueCap:    s.cfg.Batch.QueueCap,
-			Shards:      len(s.shards),
-			RoutePolicy: s.router.policy.Name(),
-			MapEnabled:  s.mapEnabled(),
+			MaxBatch:   s.cfg.Batch.MaxBatch,
+			FlushUs:    float64(s.cfg.Batch.FlushInterval.Nanoseconds()) / 1e3,
+			Workers:    s.cfg.Batch.Workers,
+			QueueCap:   s.cfg.Batch.QueueCap,
+			Shards:     len(s.shards),
+			MapEnabled: s.mapEnabled(),
 		},
 	}
-	cluster := clusterBody{Shards: len(s.shards), Policy: s.router.policy.Name()}
+	cluster := clusterBody{Shards: len(s.shards)}
 	for _, snap := range body.Shards {
 		if snap.Degraded {
 			cluster.Degraded++
@@ -652,10 +644,10 @@ func (s *Server) buildMetricsBody() metricsBody {
 			Outcomes:          snap.OutcomeCounts(),
 		}
 	}
-	if s.cfg.Health != nil {
+	if s.health != nil {
 		// All shards share one health source (shared extender); the
 		// per-engine view of a multi-engine cluster is in the shards array.
-		h := s.cfg.Health()
+		h := s.health()
 		body.Faults = &h
 	}
 	if s.mapEnabled() {

@@ -78,9 +78,9 @@ func (g *gatedExtender) Extend(q, t []byte, h0 int) align.ExtendResult {
 
 // TestJourneyStealStitching forces a cross-shard work steal and asserts
 // the stolen request's tail-retained journey shows it: two shards with
-// one worker each, both requests hash to the same shard, and the first
-// blocks that shard's worker mid-kernel — the second request's batch can
-// only complete by a peer steal. The retained journey must carry the
+// one worker each, the router aimed at shard 0 for both requests, and the
+// first blocks that shard's worker mid-kernel — the second request's batch
+// can only complete by a peer steal. The retained journey must carry the
 // steal event, a steal span naming victim and thief, and the router's
 // steal accounting must agree.
 func TestJourneyStealStitching(t *testing.T) {
@@ -89,11 +89,11 @@ func TestJourneyStealStitching(t *testing.T) {
 	tracer := obs.New(obs.Config{SampleEvery: 1, Tail: obs.TailConfig{Enabled: true, Budget: 5 * time.Second, Keep: 64}})
 	s, ts := newTestServer(t, Config{
 		Shards:      2,
-		RoutePolicy: "hash",
 		NewExtender: func(int) align.Extender { return gate },
 		Batch:       BatcherConfig{MaxBatch: 1, FlushInterval: FlushOpportunistic, Workers: 1},
 		Trace:       tracer,
 	})
+	s.router.aim = func() *shard { return s.shards[0] }
 
 	job := ExtendJob{Query: strings.Repeat("ACGT", 15), Target: strings.Repeat("ACGT", 15), H0: 30}
 	post := func(rid string, done chan<- int) {
@@ -112,9 +112,9 @@ func TestJourneyStealStitching(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("gated kernel never entered")
 	}
-	// Request B hashes to the same shard (identical target region), so
-	// its assembled batch sits on a shard whose worker is pinned: only a
-	// peer steal can complete it while A blocks.
+	// Request B is aimed at the same shard, so its assembled batch sits on
+	// a shard whose worker is pinned: only a peer steal can complete it
+	// while A blocks.
 	doneB := make(chan int, 1)
 	go post("00000000000000bb", doneB)
 	select {

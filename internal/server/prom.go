@@ -89,15 +89,15 @@ func (s *Server) collectProm(p *obs.Prom) {
 			degradedShards++
 		}
 	}
-	if s.cfg.Health != nil || degradedShards > 0 {
+	if s.health != nil || degradedShards > 0 {
 		degraded := 0.0
 		if degradedShards > 0 {
 			degraded = 1
 		}
 		p.Gauge("seedex_degraded", "1 while a breaker keeps any shard's device out of the path.", degraded)
 	}
-	if s.cfg.Health != nil {
-		h := s.cfg.Health()
+	if s.health != nil {
+		h := s.health()
 		for _, state := range []string{"closed", "open", "half-open"} {
 			v := 0.0
 			if h.Breaker == state {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,107 +14,36 @@ import (
 	"seedex/internal/faults"
 )
 
-// --- Policy unit tests -------------------------------------------------------
+// --- Routing decision --------------------------------------------------------
 
+// TestLeastLoadedPicksMinInflight: the router picks the shard with the
+// fewest in-flight jobs, passes over a degraded one, and falls back to the
+// whole pool when every shard is degraded.
 func TestLeastLoadedPicksMinInflight(t *testing.T) {
-	cands := []ShardLoad{
-		{ID: 0, InFlight: 7},
-		{ID: 1, InFlight: 2},
-		{ID: 2, InFlight: 5},
+	var deg [3]atomic.Bool
+	rt := &router{}
+	for i, load := range []int64{7, 2, 5} {
+		sh := &shard{id: i, sm: &shardMetrics{}}
+		d := &deg[i]
+		sh.health = func() faults.Health { return faults.Health{Degraded: d.Load()} }
+		sh.inflight.Store(load)
+		rt.shards = append(rt.shards, sh)
 	}
-	if got := (leastLoaded{}).Pick(0, cands); got != 1 {
-		t.Fatalf("least-loaded picked index %d, want 1", got)
+	if got := rt.pick(); got.id != 1 {
+		t.Fatalf("picked shard %d, want 1 (least loaded)", got.id)
 	}
-}
-
-func TestOccupancyPrefersFullestPartialBatch(t *testing.T) {
-	// Shard 1's forming batch (depth 60 of 64) is closest to flushing
-	// full; shard 2's depth is an exact MaxBatch multiple — whole batches
-	// waiting, nothing to top off.
-	cands := []ShardLoad{
-		{ID: 0, InFlight: 1, QueueDepth: 10, MaxBatch: 64},
-		{ID: 1, InFlight: 9, QueueDepth: 60, MaxBatch: 64},
-		{ID: 2, InFlight: 3, QueueDepth: 128, MaxBatch: 64},
+	deg[1].Store(true)
+	if got := rt.pick(); got.id != 2 {
+		t.Fatalf("with shard 1 degraded picked shard %d, want 2", got.id)
 	}
-	if got := (occupancyAware{}).Pick(0, cands); got != 1 {
-		t.Fatalf("occupancy picked index %d, want 1", got)
+	if rt.shards[1].sm.avoided.Load() != 1 {
+		t.Fatal("the degraded shard's avoided counter did not move")
 	}
-	// With every queue empty it degrades to least-loaded.
-	for i := range cands {
-		cands[i].QueueDepth = 0
+	deg[0].Store(true)
+	deg[2].Store(true)
+	if got := rt.pick(); got.id != 1 {
+		t.Fatalf("with every shard degraded picked shard %d, want 1 (least loaded of all)", got.id)
 	}
-	if got := (occupancyAware{}).Pick(0, cands); got != 0 {
-		t.Fatalf("occupancy on empty queues picked index %d, want 0 (least loaded)", got)
-	}
-}
-
-func TestHashRingDeterministicAndConsistent(t *testing.T) {
-	const shards = 4
-	ring := newHashRing(shards).(*hashRing)
-	full := make([]ShardLoad, shards)
-	for i := range full {
-		full[i] = ShardLoad{ID: i}
-	}
-
-	// Same key, same shard — every time.
-	keys := make([]uint64, 0, 512)
-	owner := map[uint64]int{}
-	for i := 0; i < 512; i++ {
-		key := routeKey("region-" + strconv.Itoa(i) + "-ACGTACGTACGT")
-		keys = append(keys, key)
-		owner[key] = full[ring.Pick(key, full)].ID
-		if again := full[ring.Pick(key, full)].ID; again != owner[key] {
-			t.Fatalf("key %x routed to %d then %d", key, owner[key], again)
-		}
-	}
-
-	// Every shard owns a slice of the keyspace.
-	counts := map[int]int{}
-	for _, k := range keys {
-		counts[owner[k]]++
-	}
-	for s := 0; s < shards; s++ {
-		if counts[s] == 0 {
-			t.Fatalf("shard %d owns no keys: %v", s, counts)
-		}
-	}
-
-	// Consistency: dropping shard 2 from the candidate set remaps ONLY
-	// shard 2's keys; everyone else's assignment is untouched.
-	reduced := make([]ShardLoad, 0, shards-1)
-	for i := 0; i < shards; i++ {
-		if i != 2 {
-			reduced = append(reduced, ShardLoad{ID: i})
-		}
-	}
-	for _, k := range keys {
-		got := reduced[ring.Pick(k, reduced)].ID
-		if owner[k] != 2 && got != owner[k] {
-			t.Fatalf("key %x moved %d -> %d although shard 2 left", k, owner[k], got)
-		}
-		if owner[k] == 2 && got == 2 {
-			t.Fatalf("key %x still on the removed shard", k)
-		}
-	}
-}
-
-func TestRouteKeyRegionAffinity(t *testing.T) {
-	a := routeKey("ACGTACGTACGTACGTACGT")
-	if b := routeKey("ACGTACGTACGTACGTACGT"); a != b {
-		t.Fatal("routeKey is not deterministic")
-	}
-	if c := routeKey("TGCATGCATGCATGCATGCA"); a == c {
-		t.Fatal("distinct regions collided (suspicious for these inputs)")
-	}
-}
-
-func TestUnknownRoutePolicyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with an unknown route policy did not panic")
-		}
-	}()
-	New(Config{Extender: core.New(20), Shards: 2, RoutePolicy: "no-such-policy"})
 }
 
 // --- Router + shard integration ---------------------------------------------
@@ -153,10 +81,7 @@ func TestRouterFailoverOnFullQueue(t *testing.T) {
 	sh0 := gatedShard(0, nil, entered, gate, processed) // no steal group: keep its backlog put
 	sh1 := gatedShard(1, nil, nil, gate, processed)
 	defer func() { close(gate); sh0.ext.Close(); sh1.ext.Close() }()
-	rt, err := newRouter([]*shard{sh0, sh1}, "least-loaded")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := &router{shards: []*shard{sh0, sh1}}
 
 	job := func(tag int) extJob {
 		p := newPending[ExtendResult](64)
@@ -337,7 +262,7 @@ func TestRouterAvoidsDegradedShard(t *testing.T) {
 	}
 	// ...and with shard 0 loaded, the next decision lands on shard 1.
 	s.shards[0].inflight.Add(1000)
-	if sh := s.router.pick(0); sh != s.shards[1] {
+	if sh := s.router.pick(); sh != s.shards[1] {
 		t.Fatalf("pick with shard 0 loaded chose shard %d, want 1", sh.id)
 	}
 	s.shards[0].inflight.Add(-1000)

@@ -44,16 +44,10 @@ type Config struct {
 	// Shards splits the service into that many independent shard units —
 	// each its own micro-batcher, worker pool, extender (see NewExtender)
 	// and, for engine-backed extenders, circuit breaker — behind the
-	// routing tier. Default 1, which preserves the unsharded pipeline
-	// (same worker loop, same one-FlushInterval latency bound).
+	// routing tier, which sends each request to the healthy shard with the
+	// fewest in-flight jobs. Default 1, which preserves the unsharded
+	// pipeline (same worker loop, same one-FlushInterval latency bound).
 	Shards int
-	// RoutePolicy names the routing policy for Shards > 1:
-	// "least-loaded" (default; fewest in-flight jobs), "occupancy"
-	// (prefer the shard about to flush a non-full batch), or "hash"
-	// (consistent hashing by reference region). See RegisterRoutingPolicy
-	// for custom policies. New panics on an unknown name — validate
-	// user-supplied names against RoutingPolicies first.
-	RoutePolicy string
 	// NewExtender, when non-nil, builds shard i's extender, so every
 	// shard gets its own engine (and so its own breaker and fault
 	// domain). When nil, all shards share Extender — safe because
@@ -78,11 +72,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// Health, when non-nil, feeds the fault-tolerance status into /metrics
-	// and /healthz (breaker state, fault/retry/degradation counters). It is
-	// picked up automatically when Extender exposes a
-	// `Health() faults.Health` method (the FPGA driver engine does).
-	Health func() faults.Health
 	// Trace, when non-nil, records pipeline spans (admission, queue wait,
 	// batch flush, kernel tier, check outcome, host rerun) for sampled
 	// requests and exports them at /debug/traces. A nil tracer costs the
@@ -109,9 +98,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.RoutePolicy == "" {
-		c.RoutePolicy = "least-loaded"
 	}
 	if c.MapBatch.MaxBatch <= 0 {
 		c.MapBatch.MaxBatch = 16
@@ -140,12 +126,17 @@ func (c Config) withDefaults() Config {
 // packed extension kernels plus the HTTP surface. Create with New, expose
 // via Handler, stop with StartDrain + Close.
 type Server struct {
-	cfg      Config
-	met      *Metrics
-	shards   []*shard
-	router   *router
-	stats    []*core.Stats // distinct check-statistics sources across shards
-	trace    *obs.Tracer   // nil when tracing is disabled
+	cfg    Config
+	met    *Metrics
+	shards []*shard
+	router *router
+	stats  []*core.Stats // distinct check-statistics sources across shards
+	// health is the fault-tolerance view (breaker state, fault, retry and
+	// degradation counters) /metrics and /healthz report for the whole
+	// server: the shared extender's, when every shard runs cfg.Extender
+	// and it has one; nil otherwise.
+	health   func() faults.Health
+	trace    *obs.Tracer // nil when tracing is disabled
 	reg      *obs.Registry
 	mux      *http.ServeMux
 	draining atomic.Bool
@@ -160,8 +151,7 @@ type Server struct {
 
 // New builds the shard pool, the routing tier and the HTTP mux. The
 // caller owns cfg.Extender / cfg.NewExtender's engines (and cfg.RefStore);
-// the server owns everything it starts. New panics on an unknown
-// cfg.RoutePolicy — check names from flags against RoutingPolicies.
+// the server owns everything it starts.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	// Resolve the batcher defaults up front: the worker factories read the
@@ -197,9 +187,6 @@ func New(cfg Config) *Server {
 			ext = cfg.NewExtender(i)
 		}
 		sh := &shard{id: i, engine: resolveEngine(ext), sm: &shardMetrics{}}
-		if cfg.Health != nil {
-			sh.health = cfg.Health
-		}
 		addStats(sh.stats)
 		sh.ext = newBatcher(cfg.Batch, s.met, shardHooks[extJob]{sh.sm, extGroup, i}, align.NumShapeBins, sh.binOf,
 			func() func([]extJob) { return s.extWorker(sh) })
@@ -209,17 +196,13 @@ func New(cfg Config) *Server {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if cfg.Health == nil && cfg.NewExtender == nil {
+	if cfg.NewExtender == nil {
 		// Every shard shares cfg.Extender, so its health is the server's.
-		s.cfg.Health = s.shards[0].health
+		s.health = s.shards[0].health
 	}
 	linkPeers(extGroup, s.shards, extPipe)
 	linkPeers(mapGroup, s.shards, mapPipe)
-	rt, err := newRouter(s.shards, cfg.RoutePolicy)
-	if err != nil {
-		panic(err)
-	}
-	s.router = rt
+	s.router = &router{shards: s.shards}
 	s.cfg.Build = s.cfg.Build.WithDefaults()
 	s.slo = s.newSLO()
 	s.slo.Start()

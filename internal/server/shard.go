@@ -16,7 +16,7 @@ type shard struct {
 	sm     *shardMetrics
 
 	// inflight counts jobs admitted to this shard and not yet delivered
-	// or expired — the least-loaded policy's signal.
+	// or expired — what the router balances on.
 	inflight atomic.Int64
 }
 
@@ -59,7 +59,7 @@ type shardMetrics struct {
 	queueWait hist         // ns from admission to worker pickup
 
 	// Router decisions.
-	routed   atomic.Int64 // requests the policy routed here
+	routed   atomic.Int64 // requests the router sent here
 	avoided  atomic.Int64 // routing decisions that skipped this degraded shard
 	rerouted atomic.Int64 // jobs landed here after another shard's queue refused them
 

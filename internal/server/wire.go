@@ -35,9 +35,6 @@ type wireBuf struct {
 	sc    scanner // its arena and stack outlive a scan; held here so a scan allocates nothing
 	jobs  []core.Request
 	reads []mapRead
-	// routeRegion is the ASCII of the first item's reference-side sequence
-	// (job 0's target, read 0's seq): what the request's routing key hashes.
-	routeRegion []byte
 }
 
 // maxPooledWire keeps one huge request from pinning its buffers in the pool.
@@ -234,12 +231,11 @@ func (sc *scanner) room(n int) {
 	}
 }
 
-// seq consumes a string as a base sequence: codes holds genome.Encode of
-// the decoded string, in the arena; ascii is the decoded string itself.
-// Up to the first quote the loop is one table look-up per byte; if what it
+// seq consumes a string as a base sequence and returns genome.Encode of
+// the decoded string, in the arena. Up to the first quote the loop is one table look-up per byte; if what it
 // translated turns out not to be a plain string, the string is read again
 // through text.
-func (sc *scanner) seq() (codes, ascii []byte, err error) {
+func (sc *scanner) seq() ([]byte, error) {
 	src := sc.buf[sc.pos+1:]
 	if end := bytes.IndexByte(src, '"'); end >= 0 {
 		src = src[:end]
@@ -254,18 +250,19 @@ func (sc *scanner) seq() (codes, ascii []byte, err error) {
 		if flags < seqSlow {
 			sc.pos += end + 2
 			sc.arena = sc.arena[:len(sc.arena)+end]
-			return dst[:end:end], src, nil
+			return dst[:end:end], nil
 		}
 	}
-	if ascii, err = sc.text(); err != nil {
-		return nil, nil, err
+	ascii, err := sc.text()
+	if err != nil {
+		return nil, err
 	}
 	sc.room(len(ascii))
 	start := len(sc.arena)
 	for _, c := range ascii {
 		sc.arena = append(sc.arena, genome.EncodeByte(c))
 	}
-	return sc.arena[start:len(sc.arena):len(sc.arena)], ascii, nil
+	return sc.arena[start:len(sc.arena):len(sc.arena)], nil
 }
 
 func hexVal(c byte) int {
@@ -522,18 +519,17 @@ func (sc *scanner) skipKey() error {
 	return sc.expect(':', "after object key")
 }
 
-// scanJob consumes one ExtendJob value (cursor on its first byte) onto j —
-// fields the object does not name keep what j held — and returns the ASCII
-// of its target when the object named one.
-func (sc *scanner) scanJob(j *core.Request) (target []byte, err error) {
+// scanJob consumes one ExtendJob value (cursor on its first byte) onto j;
+// fields the object does not name keep what j held.
+func (sc *scanner) scanJob(j *core.Request) error {
 	if done, err := sc.openItem("a job"); done {
-		return nil, err
+		return err
 	}
 	for first := true; ; first = false {
 		key, done, err := sc.nextKey(first)
 		if err != nil || done {
 			sc.depth--
-			return target, err
+			return err
 		}
 		field := fieldOf(key, "query", "target", "h0")
 		switch c := sc.peek(); {
@@ -546,21 +542,20 @@ func (sc *scanner) scanJob(j *core.Request) (target []byte, err error) {
 		case c != '"':
 			err = sc.mismatch(string(key), "a string")
 		case field == 0:
-			j.Q, _, err = sc.seq()
+			j.Q, err = sc.seq()
 		default:
-			j.T, target, err = sc.seq()
+			j.T, err = sc.seq()
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 }
 
-// scanRead consumes one MapRead value onto rd, and returns the ASCII of its
-// seq when the object named one.
-func (sc *scanner) scanRead(rd *mapRead) (seq []byte, err error) {
+// scanRead consumes one MapRead value onto rd.
+func (sc *scanner) scanRead(rd *mapRead) error {
 	if done, err := sc.openItem("a read"); done {
-		return nil, err
+		return err
 	}
 	for first := true; ; first = false {
 		key, done, err := sc.nextKey(first)
@@ -569,7 +564,7 @@ func (sc *scanner) scanRead(rd *mapRead) (seq []byte, err error) {
 			if len(rd.qual) == 0 {
 				rd.qual = nil // absent, to the mapper
 			}
-			return seq, err
+			return err
 		}
 		field := fieldOf(key, "name", "seq", "qual")
 		switch c := sc.peek(); {
@@ -582,12 +577,12 @@ func (sc *scanner) scanRead(rd *mapRead) (seq []byte, err error) {
 		case field == 0:
 			rd.name, err = sc.text()
 		case field == 1:
-			rd.seq, seq, err = sc.seq()
+			rd.seq, err = sc.seq()
 		default:
 			rd.qual, err = sc.text()
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 }
@@ -611,23 +606,23 @@ func (sc *scanner) openItem(what string) (done bool, err error) {
 // listKey of items and deadline_ms — into items[:0]. A repeated list key
 // decodes onto the elements the earlier one left, as encoding/json reuses
 // the slice it is filling; elements this request has not written start
-// zeroed. region is what elem returned for the element at index 0.
-func scanBatch[P any](sc *scanner, items []P, listKey string, elem func(*scanner, *P) ([]byte, error)) (out []P, deadlineMs int, region []byte, err error) {
+// zeroed.
+func scanBatch[P any](sc *scanner, items []P, listKey string, elem func(*scanner, *P) error) (out []P, deadlineMs int, err error) {
 	items = items[:0]
 	switch sc.peek() {
 	case 'n':
-		return items, 0, nil, sc.null()
+		return items, 0, sc.null()
 	case '{':
 		sc.pos++
 	default:
-		return nil, 0, nil, sc.mismatch("the body", "an object")
+		return nil, 0, sc.mismatch("the body", "an object")
 	}
 	sc.depth = 1
 	written := 0 // elements of items[:cap] this request has decoded onto
 	for first := true; ; first = false {
 		key, done, err := sc.nextKey(first)
 		if err != nil || done {
-			return items, deadlineMs, region, err
+			return items, deadlineMs, err
 		}
 		field := fieldOf(key, listKey, "deadline_ms")
 		switch c := sc.peek(); {
@@ -657,14 +652,8 @@ func scanBatch[P any](sc *scanner, items []P, listKey string, elem func(*scanner
 					var zero P
 					items = append(items, zero)
 					written = n + 1
-					if n == 0 {
-						region = nil
-					}
 				}
-				var r []byte
-				if r, err = elem(sc, &items[n]); n == 0 && r != nil {
-					region = r
-				}
+				err = elem(sc, &items[n])
 			}
 			sc.depth--
 			if len(items) == 0 {
@@ -672,30 +661,30 @@ func scanBatch[P any](sc *scanner, items []P, listKey string, elem func(*scanner
 			}
 		}
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 	}
 }
 
 // scanExtend scans wb.body as an ExtendRequest into wb.jobs.
 func (wb *wireBuf) scanExtend() (jobs []core.Request, deadlineMs int, err error) {
-	wb.jobs, deadlineMs, wb.routeRegion, err = scanBatch(wb.scanner(), wb.jobs, "jobs", (*scanner).scanJob)
+	wb.jobs, deadlineMs, err = scanBatch(wb.scanner(), wb.jobs, "jobs", (*scanner).scanJob)
 	return wb.jobs, deadlineMs, err
 }
 
 // scanMap scans wb.body as a MapRequest into wb.reads.
 func (wb *wireBuf) scanMap() (reads []mapRead, deadlineMs int, err error) {
-	wb.reads, deadlineMs, wb.routeRegion, err = scanBatch(wb.scanner(), wb.reads, "reads", (*scanner).scanRead)
+	wb.reads, deadlineMs, err = scanBatch(wb.scanner(), wb.reads, "reads", (*scanner).scanRead)
 	return wb.reads, deadlineMs, err
 }
 
 // scanLine scans one framed value of a stream as an ExtendJob. Each streamed
 // job owns its pending, so each gets an arena of its own that lives as long
-// as the job does; target may alias frame.
-func scanLine(frame []byte) (req core.Request, target []byte, err error) {
+// as the job does.
+func scanLine(frame []byte) (req core.Request, err error) {
 	sc := scanner{buf: frame, arena: make([]byte, 0, len(frame))}
-	target, err = sc.scanJob(&req)
-	return req, target, err
+	err = sc.scanJob(&req)
+	return req, err
 }
 
 // frameValue reads the next top-level JSON value of a stream into buf, the

@@ -178,7 +178,7 @@ func wireStream(body []byte, maxSeqLen int) (out streamOutcome) {
 			}
 			return out
 		}
-		req, _, err := scanLine(frame)
+		req, err := scanLine(frame)
 		if err != nil {
 			out.fail = fmt.Sprintf("line %d: ", i)
 			return out
@@ -206,7 +206,7 @@ func sameJobs(a, b []core.Request) error {
 }
 
 // checkScan holds the three scanners to the library on one body: same
-// accept/reject, and on accept the same items, deadline and routing region.
+// accept/reject, and on accept the same items and deadline.
 func checkScan(t *testing.T, body []byte, maxSeqLen int) {
 	t.Helper()
 	wb := getWire()
@@ -230,9 +230,6 @@ func checkScan(t *testing.T, body []byte, maxSeqLen int) {
 		if deadline != eq.DeadlineMs {
 			t.Fatalf("extend %q: deadline_ms %d, oracle %d", body, deadline, eq.DeadlineMs)
 		}
-		if len(jobs) > 0 && string(wb.routeRegion) != eq.Jobs[0].Target {
-			t.Fatalf("extend %q: routes by %q, oracle %q", body, wb.routeRegion, eq.Jobs[0].Target)
-		}
 	}
 
 	var mq MapRequest
@@ -253,9 +250,6 @@ func checkScan(t *testing.T, body []byte, maxSeqLen int) {
 		}
 		if deadline != mq.DeadlineMs {
 			t.Fatalf("map %q: deadline_ms %d, oracle %d", body, deadline, mq.DeadlineMs)
-		}
-		if len(reads) > 0 && string(wb.routeRegion) != mq.Reads[0].Seq {
-			t.Fatalf("map %q: routes by %q, oracle %q", body, wb.routeRegion, mq.Reads[0].Seq)
 		}
 	}
 
