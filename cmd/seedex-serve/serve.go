@@ -53,11 +53,11 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	maxJobs := fs.Int("max-jobs", 4096, "maximum jobs or reads per request")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
 	shards := fs.Int("shards", 1, "serving shards: each gets its own extension engine, micro-batcher and worker pool behind the routing tier, which sends each request to the shard with the fewest jobs in flight (1 = the unsharded pipeline)")
-	traceSample := fs.Int("trace-sample", 0, "record pipeline spans for 1 in N requests and export them at /debug/traces (0 disables head sampling)")
-	traceSlow := fs.Int("trace-slow", 64, "always retain the K slowest requests at /debug/traces/slow, regardless of sampling")
-	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed a steal/reroute/reload/fault keep the full trace at /debug/journeys")
+	traceSample := fs.Int("trace-sample", 0, "keep the journey of 1 in N requests (the sampled rule), at /debug/journeys and /debug/traces (0 disables head sampling)")
+	traceSlow := fs.Int("trace-slow", 64, "keep the K slowest requests so far regardless of sampling (the slow rule; root spans at /debug/traces/slow, full journeys when recorded)")
+	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed a steal/reroute/reload/fault are kept at /debug/journeys and /debug/traces")
 	traceTailBudget := fs.Duration("trace-tail-budget", 100*time.Millisecond, "latency budget for the tail-retention verdict (and the default SLO latency objective)")
-	traceTailKeep := fs.Int("trace-tail-keep", 256, "retained journeys in the tail ring (oldest evicted first)")
+	traceTailKeep := fs.Int("trace-tail-keep", 256, "journeys kept beside the slow top-K, bounding /debug/journeys and /debug/traces (oldest head-sampled evicted first, then oldest)")
 	sloLatency := fs.Duration("slo-latency", 0, "latency threshold of the extend-latency SLO objective (0 = the tail budget)")
 	sloInterval := fs.Duration("slo-interval", 10*time.Second, "SLO burn-rate sampling cadence (<0 disables the background sampler)")
 	flightDir := fs.String("flight-dir", "", "write crash/degradation flight-recorder tarballs here (SIGQUIT, reload rollbacks, SLO fast burn; empty disables the recorder)")
@@ -117,13 +117,11 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		},
 	})
 
-	// The generation store opens after the tracer so reload spans record
-	// from the first swap. The initial open is strict: a bad container at
-	// startup is an operator error and refuses to serve.
+	// The initial open of the generation store is strict: a bad container
+	// at startup is an operator error and refuses to serve.
 	var store *refstore.Store
 	if *indexStore != "" {
 		st, err := refstore.Open(*indexStore, refstore.Options{
-			Trace: tracer,
 			Logf: func(format string, a ...any) {
 				logger.Info(fmt.Sprintf(format, a...))
 			},
@@ -242,7 +240,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		logger.Info(fmt.Sprintf("%d shards behind the least-loaded router (per-shard engines and queues)", *shards))
 	}
 	if tracer != nil && *traceSample > 0 {
-		logger.Info(fmt.Sprintf("tracing 1/%d requests (exports at /debug/traces, slowest %d at /debug/traces/slow)",
+		logger.Info(fmt.Sprintf("tracing 1/%d requests (journeys at /debug/journeys and /debug/traces, slowest %d at /debug/traces/slow)",
 			*traceSample, *traceSlow))
 	}
 	if tracer.TailEnabled() {

@@ -26,16 +26,13 @@ type BatchEngine interface {
 // speculate-and-check interval; Rerun is the one interval right after it
 // in which the engine reran the batch's failed checks together (a Checker
 // sweeps each inside the band its scores allow; zero when none failed),
-// and the rerun jobs' RerunNs are its equal shares. The
-// device driver overlaps its reruns with device time and records them
-// under Key, so its interval is the whole round trip and its Rerun and
-// RerunNs stay zero. Key is the device batch key (see obs.BatchTraceID),
-// 0 for host engines.
+// and the rerun jobs' RerunNs are its equal shares. The device driver
+// overlaps its reruns with device time, so its interval is the whole
+// round trip and its Rerun and RerunNs stay zero.
 type BatchInfo struct {
 	Start time.Time
 	Dur   time.Duration
 	Rerun time.Duration
-	Key   int64
 }
 
 // extenderEngine adapts any align.Extender to the BatchEngine contract:

@@ -71,7 +71,7 @@ func TestBatchEngineConformance(t *testing.T) {
 		ext    align.Extender
 		want   []align.ExtendResult
 		differ bool // want is expected to differ from naive somewhere
-		device bool // reruns overlap device time: RerunNs stays zero, Key is set
+		device bool // reruns overlap device time: RerunNs stays zero
 	}{
 		{"checker-strict", core.New(band), naive, false, false},
 		{"checker-paper", paperSeedEx, paper, true, false},
@@ -95,7 +95,6 @@ func TestBatchEngineConformance(t *testing.T) {
 			dst := make([]core.Response, batch)
 			reqs := make([]core.Request, 0, batch)
 			differs, reruns := 0, 0
-			var lastKey int64
 			for lo := 0; lo < len(corpus); lo += batch {
 				hi := min(lo+batch, len(corpus))
 				reqs = reqs[:0]
@@ -111,10 +110,6 @@ func TestBatchEngineConformance(t *testing.T) {
 				if bi.Start.IsZero() || bi.Dur <= 0 {
 					t.Fatalf("batch at %d: empty kernel interval %+v", lo, bi)
 				}
-				if tc.device != (bi.Key > lastKey) {
-					t.Fatalf("batch at %d: batch key %d after %d (device engine: %v)", lo, bi.Key, lastKey, tc.device)
-				}
-				lastKey = bi.Key
 				for k, r := range out {
 					i := lo + k
 					if r.Tag != reqs[k].Tag {

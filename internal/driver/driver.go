@@ -38,7 +38,6 @@ import (
 	"seedex/internal/faults"
 	"seedex/internal/fpga"
 	"seedex/internal/hw"
-	"seedex/internal/obs"
 )
 
 // Request is one seed extension offered to the accelerator. Responses
@@ -144,12 +143,6 @@ type Device struct {
 	// Stats from the device's check workflow and the fault-containment
 	// layer.
 	Stats *core.Stats
-	// Trace, when non-nil, records device-level spans (batch attempts,
-	// retry backoffs, host reruns) into the observability tracer. Batch
-	// spans are always retained (they are low-rate), keyed by the batch
-	// sequence so a Chrome export shows the device timeline alongside
-	// request spans.
-	Trace *obs.Tracer
 	// BatchesRun counts batches the device completed (failed attempts and
 	// host-only batches are not counted).
 	BatchesRun int64
@@ -318,13 +311,10 @@ func (s *session) process(ctx context.Context, key int64, reqs []Request, dst []
 	if len(reqs) == 0 {
 		return ctx.Err()
 	}
-	ref := d.Trace.Batch(key)
 	if !d.brk.Allow() {
 		// Degraded mode: the breaker holds the device out of the path.
 		d.Stats.HostOnly.Add(int64(len(reqs)))
-		t0 := time.Now()
 		s.hostAll(reqs, dst)
-		ref.Span(obs.KindRerun, t0, time.Since(t0), int64(core.OutcomeUnknown), int64(len(reqs)))
 		return ctx.Err()
 	}
 	// Functional mirror of the silicon (untimed, see Device.compute);
@@ -344,9 +334,7 @@ func (s *session) process(ctx context.Context, key int64, reqs []Request, dst []
 		s.wire = stampWire(s.resps, s.wire)
 		applyPlan(plan, s.wire)
 		s.wire = applyDrops(plan, s.wire)
-		t0 := time.Now()
 		err := d.transact(ctx, inBytes, len(reqs), s.jobs, plan)
-		ref.Span(obs.KindDevice, t0, time.Since(t0), int64(attempt), int64(len(reqs)))
 		if err == nil {
 			ok = true
 			break
@@ -362,20 +350,16 @@ func (s *session) process(ctx context.Context, key int64, reqs []Request, dst []
 		if attempt+1 >= d.cfg.MaxAttempts || !d.brk.Allow() {
 			break
 		}
-		b0 := time.Now()
 		if err := sleepCtx(ctx, d.cfg.RetryBackoff<<attempt); err != nil {
 			return err
 		}
-		ref.Span(obs.KindRetry, b0, time.Since(b0), int64(attempt), 0)
 	}
 	if !ok {
 		// Retry budget exhausted (or the breaker tripped mid-retry): the
 		// batch degrades into exactly the host full-band rerun the paper
 		// budgets for.
 		d.Stats.HostOnly.Add(int64(len(reqs)))
-		t0 := time.Now()
 		s.hostAll(reqs, dst)
-		ref.Span(obs.KindRerun, t0, time.Since(t0), int64(core.OutcomeUnknown), int64(len(reqs)))
 		return ctx.Err()
 	}
 
@@ -392,9 +376,7 @@ func (s *session) process(ctx context.Context, key int64, reqs []Request, dst []
 	}
 	for i := range dst {
 		if dst[i].Rerun {
-			r0 := time.Now()
 			dst[i].Res = s.chk.Rerun(reqs[i].Q, reqs[i].T, reqs[i].H0)
-			ref.Span(obs.KindRerun, r0, time.Since(r0), int64(dst[i].Outcome), 1)
 			d.HostReruns.Add(1)
 			if d.busy.Load() != 0 {
 				d.OverlappedReruns.Add(1)

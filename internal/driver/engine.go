@@ -68,8 +68,7 @@ type engineSession struct {
 }
 
 // LastBatch implements core.BatchEngine: the whole round trip of the most
-// recent ExtendBatchInto call and its device batch key, through which the
-// serving tier links its kernel spans to the device-layer trace.
+// recent ExtendBatchInto call.
 func (es *engineSession) LastBatch() core.BatchInfo { return es.last }
 
 func (es *engineSession) Extend(query, target []byte, h0 int) align.ExtendResult {
@@ -119,7 +118,7 @@ func (es *engineSession) ExtendBatchInto(reqs []Request, dst []Response) []Respo
 	key := es.dev.seq.Add(1)
 	t0 := time.Now()
 	es.s.process(context.Background(), key, reqs, dst)
-	es.last = core.BatchInfo{Start: t0, Dur: time.Since(t0), Key: key}
+	es.last = core.BatchInfo{Start: t0, Dur: time.Since(t0)}
 	return dst
 }
 

@@ -13,11 +13,11 @@ import (
 //
 //   - Chrome trace_event JSON ("X" complete events): load the document
 //     into chrome://tracing or https://ui.perfetto.dev. Spans lane by
-//     ring shard (tid), so one request's spans share a row.
+//     trace id (tid), so one request's spans share a row.
 //   - NDJSON: one span object per line, for jq/scripted analysis.
 //
 // Kind-specific v1/v2 values export under readable names (kernel tier,
-// check outcome, batch size, attempt), matching the paper's pipeline
+// check outcome, batch size, map stage), matching the paper's pipeline
 // stages so a trace reads like Figure 12's timeline.
 
 // argNames returns the export names of a span's v1/v2 (empty = omit).
@@ -35,12 +35,6 @@ func argNames(k Kind) (string, string) {
 		return "outcome", "pass"
 	case KindRerun:
 		return "outcome", ""
-	case KindDevice:
-		return "attempt", "batch"
-	case KindRetry:
-		return "attempt", ""
-	case KindIndexReload:
-		return "generation", "ok"
 	case KindSteal:
 		return "victim", "thief"
 	case KindMapStage:
@@ -59,8 +53,7 @@ func argValue(k Kind, which int, v int64) string {
 		return `"` + MapStageName(v) + `"`
 	case (k == KindCheck || k == KindRerun) && which == 1:
 		return `"` + core.Outcome(v).String() + `"`
-	case k == KindCheck && which == 2, k == KindFlush && which == 2,
-		k == KindIndexReload && which == 2:
+	case k == KindCheck && which == 2, k == KindFlush && which == 2:
 		if v != 0 {
 			return "true"
 		}
@@ -102,10 +95,16 @@ func WriteChromeTrace(w io.Writer, epochWall int64, spans []SpanData) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"epoch_wall_ns\":%d},\"traceEvents\":[", epochWall)
 	fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"seedex"}}`)
+	lanes := map[uint64]int{}
 	for _, s := range spans {
+		lane, ok := lanes[s.Trace]
+		if !ok {
+			lane = len(lanes) + 1
+			lanes[s.Trace] = lane
+		}
 		// ts/dur are microseconds (float) per the trace_event spec.
 		fmt.Fprintf(bw, ",\n{\"name\":%q,\"cat\":\"pipeline\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{",
-			s.Kind.String(), s.Shard, float64(s.Start)/1e3, float64(s.Dur)/1e3)
+			s.Kind.String(), lane, float64(s.Start)/1e3, float64(s.Dur)/1e3)
 		writeArgs(bw, s)
 		bw.WriteString("}}")
 	}

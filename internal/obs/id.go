@@ -97,3 +97,13 @@ func hashID(s string) uint64 {
 	}
 	return h
 }
+
+// mix64 is SplitMix64's finalizer: the id stream and the client-id hash.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}

@@ -11,18 +11,17 @@ import (
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	ref := tr.Sample(42)
 	if ref.Sampled() {
 		t.Fatal("nil tracer sampled a request")
 	}
 	ref.Span(KindKernel, time.Now(), time.Millisecond, 0, 0)
 	tr.RequestDone(ref, 42, time.Now(), time.Millisecond, 1, 200)
-	tr.Batch(7).Span(KindDevice, time.Now(), time.Millisecond, 1, 8)
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer snapshot = %v", got)
+	}
+	if got := tr.Journeys(); got != nil {
+		t.Fatalf("nil tracer journeys = %v", got)
 	}
 	if got := tr.SlowSnapshot(); got != nil {
 		t.Fatalf("nil tracer slow snapshot = %v", got)
@@ -36,7 +35,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 }
 
 func TestSpanRoundTrip(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, RingSpans: 64, Shards: 2})
+	tr := New(Config{SampleEvery: 1})
 	ref := tr.Sample(99)
 	if !ref.Sampled() {
 		t.Fatal("SampleEvery=1 must sample every request")
@@ -46,9 +45,10 @@ func TestSpanRoundTrip(t *testing.T) {
 	ref.Span(KindCheck, start.Add(3*time.Millisecond), 0, 2, 1)
 	tr.RequestDone(ref, 99, start, 5*time.Millisecond, 4, 200)
 
-	spans := tr.TraceSpans(99)
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
+	jd, ok := tr.Journey(99)
+	spans := jd.Spans
+	if !ok || len(spans) != 3 {
+		t.Fatalf("got %d spans (kept %v), want 3: %+v", len(spans), ok, spans)
 	}
 	byKind := map[Kind]SpanData{}
 	for _, s := range spans {
@@ -105,21 +105,33 @@ func TestHeadSampling(t *testing.T) {
 	}
 }
 
+// TestRingOverwrite: the kept store is bounded, and head picks overwrite
+// the oldest head picks. Durations fall, so the one-entry slow top-K
+// holds the first request and every later one is kept only as sampled.
 func TestRingOverwrite(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, RingSpans: 8, Shards: 1})
-	ref := tr.Sample(1)
+	tr := New(Config{SampleEvery: 1, SlowK: 1, Tail: TailConfig{Keep: 8}})
+	base := time.Now()
 	for i := 0; i < 100; i++ {
-		ref.Span(KindKernel, time.Now(), time.Duration(i), int64(i), 0)
+		ref := tr.Sample(uint64(i + 1))
+		ref.Span(KindKernel, base, time.Duration(100-i), int64(i), 0)
+		tr.RequestDone(ref, uint64(i+1), base.Add(time.Duration(i)), time.Duration(100-i), 1, 200)
 	}
-	spans := tr.Snapshot()
-	if len(spans) != 8 {
-		t.Fatalf("ring of 8 held %d spans", len(spans))
+	js := tr.Journeys()
+	if len(js) != 9 {
+		t.Fatalf("store of 8 plus a slow top-1 held %d journeys", len(js))
 	}
-	// The survivors are the last 8 recorded.
-	for _, s := range spans {
-		if s.V1 < 92 {
-			t.Fatalf("old span survived overwrite: %+v", s)
+	// The survivors are the last 8 recorded, then the slowest.
+	for i, jd := range js {
+		want := uint64(100 - i)
+		if i == 8 {
+			want = 1
 		}
+		if jd.Trace != want {
+			t.Fatalf("journeys[%d] is trace %d, want %d", i, jd.Trace, want)
+		}
+	}
+	if n := len(tr.Snapshot()); n != 2*9 {
+		t.Fatalf("snapshot holds %d spans, want 18 (kernel + request per journey)", n)
 	}
 }
 
@@ -249,16 +261,19 @@ func TestChromeTraceExportIsValidJSON(t *testing.T) {
 func TestNDJSONExport(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	ref := tr.Sample(5)
-	ref.Span(KindRerun, time.Now(), time.Millisecond, 3, 1)
+	start := time.Now()
+	ref.Span(KindRerun, start.Add(time.Millisecond), time.Millisecond, 3, 1)
+	tr.RequestDone(ref, 5, start, 3*time.Millisecond, 1, 200)
 	var buf bytes.Buffer
 	_, epochWall := tr.Epoch()
 	if err := WriteNDJSON(&buf, epochWall, tr.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines", len(lines))
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want 2 (request, host_rerun)", len(lines))
 	}
+	lines = lines[1:]
 	var obj map[string]any
 	if err := json.Unmarshal([]byte(lines[0]), &obj); err != nil {
 		t.Fatalf("invalid NDJSON line: %v\n%s", err, lines[0])
@@ -272,18 +287,21 @@ func TestNDJSONExport(t *testing.T) {
 }
 
 // TestConcurrentRecordAndSnapshot drives many writers against live
-// snapshot readers; under -race this proves the seqlock ring is clean.
+// readers of every export; under -race this proves the journey buffers,
+// the pool and the kept store are clean.
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, RingSpans: 256, Shards: 4})
+	tr := New(Config{SampleEvery: 2, Tail: TailConfig{Enabled: true, Budget: time.Microsecond, Keep: 64}})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ref := tr.Sample(uint64(w + 1))
-			for i := 0; i < 5000; i++ {
+			for i := 0; i < 2000; i++ {
+				id := uint64(w*10000 + i + 1)
+				ref := tr.Sample(id)
 				ref.Span(Kind(i%int(numKinds)), time.Now(), time.Duration(i), int64(i), int64(w))
-				tr.RequestDone(ref, uint64(w+1), time.Now(), time.Duration(i), 1, 200)
+				ref.Mark(Event(1 << (i % numEvents)))
+				tr.RequestDone(ref, id, time.Now(), time.Duration(i), 1, 200)
 			}
 		}(w)
 	}
@@ -292,7 +310,9 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	for {
 		tr.Snapshot()
 		tr.SlowSnapshot()
-		tr.TraceSpans(1)
+		tr.Journeys()
+		tr.Journey(1)
+		tr.TraceStats()
 		select {
 		case <-done:
 			if tr.TraceStats().SpansTotal == 0 {
@@ -316,13 +336,17 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanEnabled measures the recording cost of one span.
+// BenchmarkSpanEnabled measures the recording cost of one span into a
+// journey buffer.
 func BenchmarkSpanEnabled(b *testing.B) {
 	tr := New(Config{SampleEvery: 1})
 	ref := tr.Sample(1)
 	start := time.Now()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		if i%len(ref.j.slots) == 0 {
+			ref.j.n.Store(0) // reuse the buffer: time the record, not the overflow drop
+		}
 		ref.Span(KindKernel, start, time.Millisecond, 0, 0)
 	}
 }

@@ -8,50 +8,21 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// Prometheus text exposition (format version 0.0.4), built as a small
-// pull registry: subsystems register collector funcs that emit metric
-// families through a Prom writer at scrape time, adapting the repo's
-// existing atomic counters and power-of-two histograms without imposing
-// any instrumentation types on the hot paths.
-
-// Collector emits one subsystem's metrics into a scrape.
-type Collector func(p *Prom)
-
-// Registry holds the scrape's collectors.
-type Registry struct {
-	mu         sync.Mutex
-	collectors []Collector
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register appends one collector (scraped in registration order).
-func (r *Registry) Register(c Collector) {
-	r.mu.Lock()
-	r.collectors = append(r.collectors, c)
-	r.mu.Unlock()
-}
+// Prometheus text exposition (format version 0.0.4): a collector func
+// emits metric families through a Prom writer at scrape time, adapting the
+// repo's existing atomic counters and power-of-two histograms without
+// imposing any instrumentation types on the hot paths.
 
 // ContentType is the scrape response Content-Type.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WriteText runs every collector and renders the exposition text.
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	cs := append([]Collector(nil), r.collectors...)
-	r.mu.Unlock()
+// WriteText runs collect and renders the exposition text.
+func WriteText(w io.Writer, collect func(*Prom)) error {
 	p := &Prom{w: bufio.NewWriter(w), seen: map[string]bool{}}
-	for _, c := range cs {
-		c(p)
-	}
-	if err := p.w.Flush(); err != nil {
-		return err
-	}
-	return p.err
+	collect(p)
+	return p.w.Flush()
 }
 
 // Prom is the writer handed to collectors: each method emits one sample
@@ -59,7 +30,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 type Prom struct {
 	w    *bufio.Writer
 	seen map[string]bool
-	err  error
 }
 
 func (p *Prom) header(name, help, typ string) {

@@ -175,10 +175,8 @@ func TestSLOCollect(t *testing.T) {
 	src.add(100, 0)
 	s.Tick()
 
-	reg := NewRegistry()
-	reg.Register(func(p *Prom) { s.Collect(p) })
 	var sb strings.Builder
-	reg.WriteText(&sb)
+	WriteText(&sb, s.Collect)
 	text := sb.String()
 	for _, want := range []string{
 		`seedex_slo_target{objective="avail"} 0.999`,

@@ -1,21 +1,36 @@
 package obs
 
 import (
+	"container/heap"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Tail-based trace retention. Head sampling (Config.SampleEvery) keeps a
-// statistical baseline, but 1/N sampling misses exactly the rare,
-// cross-cutting events that matter operationally: a work steal, a
-// failover reroute, an index reload in flight, a breaker trip. Tail
-// retention closes that gap: every request records its spans into a
-// reusable per-request journey buffer, and a verdict at completion keeps
-// the full journey when the request breached its latency budget, failed
-// (429/500/503/504/413), or crossed one of the flagged lifecycle events. Kept journeys land in a bounded ring for
-// /debug/journeys, flight-recorder dumps, and stitched timeline views.
+// Journeys and the retention verdict. Every recorded request writes its
+// spans into its own reusable journey buffer — the only place a span is
+// ever written — and one verdict at completion decides whether a copy is
+// kept. Its rules:
+//
+//   - sampled: the request was the 1-in-SampleEvery head pick, a
+//     statistical baseline;
+//   - latency-budget: it breached the tail latency budget;
+//   - status: it failed (413/429/500/503/504);
+//   - event: it crossed one of the flagged lifecycle events (a work steal,
+//     a failover reroute, an index reload in flight, a device fault) —
+//     the rare, cross-cutting requests 1/N sampling misses;
+//   - slow: it is among the SlowK slowest requests so far. Every request
+//     competes; one without a journey buffer keeps its root span alone,
+//     so the slow top-K holds the K slowest regardless of sampling.
+//
+// Kept journeys are immutable copies held in one store of Tail.Keep
+// journeys plus the slow top-K; a journey kept by several rules names
+// them all and is held once. A full store makes room by evicting its
+// oldest journey kept only as sampled, or else its oldest journey — but a
+// journey kept only as sampled never evicts one a tail rule kept: it is
+// then not stored. The store and the slow top-K back /debug/journeys,
+// /debug/traces and the flight-recorder dumps.
 //
 // The hot path stays zero-allocation: journey buffers come from a
 // sync.Pool checked out on the handler goroutine at admission; workers
@@ -63,10 +78,35 @@ func (e Event) Names() []string {
 	return out
 }
 
-// TailConfig tunes tail-based retention (Config.Tail).
+// rule is one verdict rule; a kept journey carries the set that kept it.
+type rule uint8
+
+const (
+	ruleSampled rule = 1 << iota
+	ruleBudget
+	ruleStatus
+	ruleEvent
+	ruleSlow
+)
+
+// ruleNames names the rules in bit order, as JourneyData.Verdict lists them.
+var ruleNames = [...]string{"sampled", "latency-budget", "status", "event", "slow"}
+
+func (r rule) names() []string {
+	var out []string
+	for i, name := range ruleNames {
+		if r&(1<<i) != 0 {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// TailConfig tunes tail-based retention (Config.Tail), the journey
+// buffers and the kept-journey store.
 type TailConfig struct {
-	// Enabled turns tail retention on: every request gets a journey
-	// buffer and a completion verdict.
+	// Enabled turns tail retention on: every request gets a journey buffer
+	// (otherwise only head picks do) and a completion verdict.
 	Enabled bool
 	// Budget is the per-request latency budget; a request slower than
 	// this is kept regardless of status or events (default 100ms).
@@ -74,7 +114,8 @@ type TailConfig struct {
 	// MaxSpans is each journey buffer's span capacity; spans beyond it
 	// are dropped and counted (default 256).
 	MaxSpans int
-	// Keep is the capacity of the kept-journeys ring (default 256).
+	// Keep bounds the kept-journey store (default 256); the slow top-K is
+	// held beside it.
 	Keep int
 }
 
@@ -101,7 +142,9 @@ type jslot struct {
 
 // journey is one request's reusable span buffer.
 type journey struct {
+	t        *Tracer
 	id       uint64
+	head     bool          // the request is the head-sampling pick
 	n        atomic.Int32  // claimed slots (may exceed len(slots) under overflow)
 	events   atomic.Uint32 // Event bit set
 	detached atomic.Bool   // in-flight writers at completion: do not recycle
@@ -109,10 +152,10 @@ type journey struct {
 }
 
 // record claims a slot and publishes one span. Zero-allocation.
-func (j *journey) record(t *Tracer, sd SpanData) {
+func (j *journey) record(sd SpanData) {
 	i := int(j.n.Add(1)) - 1
 	if i >= len(j.slots) {
-		t.tail.spanDrops.Add(1)
+		j.t.spanDrops.Add(1)
 		return
 	}
 	j.slots[i].sd = sd
@@ -133,25 +176,38 @@ func (j *journey) mark(e Event) {
 	}
 }
 
-// reset prepares a recycled buffer for the next checkout. Only called on
-// buffers with no in-flight writers (not detached).
-func (j *journey) reset() {
-	n := int(j.n.Load())
-	if n > len(j.slots) {
-		n = len(j.slots)
+// spans copies the published spans, start-ordered.
+func (j *journey) spans() []SpanData {
+	n := min(int(j.n.Load()), len(j.slots))
+	out := make([]SpanData, 0, n)
+	for i := 0; i < n; i++ {
+		if j.slots[i].ok.Load() { // acquire: pairs with record's release store
+			out = append(out, j.slots[i].sd)
+		}
 	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Start < out[b].Start })
+	return out
+}
+
+// recycle returns a buffer with no in-flight writers to the pool.
+func (j *journey) recycle() {
+	if j.detached.Load() {
+		return
+	}
+	n := min(int(j.n.Load()), len(j.slots))
 	for i := 0; i < n; i++ {
 		j.slots[i].ok.Store(false)
 		j.slots[i].sd = SpanData{}
 	}
 	j.n.Store(0)
 	j.events.Store(0)
-	j.detached.Store(false)
-	j.id = 0
+	j.id, j.head = 0, false
+	j.t.pool.Put(j)
 }
 
 // JourneyData is one kept journey: the request verdict plus a copy of
-// every span the request recorded, start-ordered.
+// every span the request recorded, start-ordered (the root span alone
+// for a request kept only as slow without a journey buffer).
 type JourneyData struct {
 	Trace   uint64     `json:"-"`
 	TraceID string     `json:"trace"`
@@ -162,150 +218,210 @@ type JourneyData struct {
 	Events  []string   `json:"events,omitempty"`
 	Verdict []string   `json:"verdict"`
 	Spans   []SpanData `json:"spans"`
+
+	rules   rule // Verdict as a bit set
+	inStore bool // held by the store (guarded by Tracer.mu)
 }
 
-// tailState is the tracer's tail-retention machinery.
-type tailState struct {
-	cfg  TailConfig
-	pool sync.Pool
-
-	started   atomic.Int64 // journeys checked out
-	kept      atomic.Int64 // journeys retained by the verdict
-	spanDrops atomic.Int64 // spans dropped on full journey buffers
-
-	mu   sync.Mutex
-	ring []JourneyData // kept journeys, ring of cfg.Keep
-	pos  int
-}
-
-func newTailState(cfg TailConfig) *tailState {
-	ts := &tailState{cfg: cfg.withDefaults()}
-	ts.pool.New = func() any {
-		return &journey{slots: make([]jslot, ts.cfg.MaxSpans)}
-	}
-	return ts
-}
-
-// checkout hands a journey buffer to one request. Runs on the handler
-// goroutine at admission; a pool miss allocates there, never on the
-// batch-worker hot path.
-func (ts *tailState) checkout(id uint64) *journey {
-	j := ts.pool.Get().(*journey)
-	j.id = id
-	ts.started.Add(1)
-	return j
-}
-
-// finish runs the retention verdict for one completed request and either
-// keeps the journey (copying its published spans) or recycles the
-// buffer. start is the root span's offset from the tracer epoch.
-func (ts *tailState) finish(j *journey, start time.Duration, dur time.Duration, jobs, status int64) {
-	events := Event(j.events.Load())
-	var verdict []string
-	if dur > ts.cfg.Budget {
-		verdict = append(verdict, "latency-budget")
-	}
-	switch status {
-	case 413, 429, 500, 503, 504:
-		verdict = append(verdict, "status")
-	}
-	if events != 0 {
-		verdict = append(verdict, "event")
-	}
-	if len(verdict) == 0 {
-		if !j.detached.Load() {
-			j.reset()
-			ts.pool.Put(j)
-		}
+// RequestDone closes one request: it records the root span (v1 = the
+// request's job count, v2 its HTTP status), runs the verdict, keeps a
+// copy when any rule holds, and recycles the journey buffer.
+func (t *Tracer) RequestDone(ref Ref, id uint64, start time.Time, dur time.Duration, v1, v2 int64) {
+	if t == nil {
 		return
 	}
-
-	n := int(j.n.Load())
-	if n > len(j.slots) {
-		n = len(j.slots)
-	}
-	spans := make([]SpanData, 0, n)
-	for i := 0; i < n; i++ {
-		if j.slots[i].ok.Load() { // acquire: pairs with record's release store
-			spans = append(spans, j.slots[i].sd)
+	root := SpanData{Trace: id, Kind: KindRequest, Start: int64(start.Sub(t.epoch)), Dur: int64(dur), V1: v1, V2: v2}
+	var rules rule
+	var events Event
+	j := ref.j
+	if j != nil {
+		j.record(root)
+		events = Event(j.events.Load())
+		if j.head {
+			rules |= ruleSampled
+		}
+		if dur > t.cfg.Tail.Budget {
+			rules |= ruleBudget
+		}
+		switch v2 {
+		case 413, 429, 500, 503, 504:
+			rules |= ruleStatus
+		}
+		if events != 0 {
+			rules |= ruleEvent
 		}
 	}
-	sort.Slice(spans, func(a, b int) bool { return spans[a].Start < spans[b].Start })
-	jd := JourneyData{
-		Trace:   j.id,
-		TraceID: FormatID(j.id),
-		Start:   int64(start),
-		Dur:     int64(dur),
-		Jobs:    jobs,
-		Status:  status,
-		Events:  events.Names(),
-		Verdict: verdict,
-		Spans:   spans,
+	// The slow rule is settled under the lock; this read only skips the
+	// copy for the requests that cannot enter the top-K.
+	maybeSlow := root.Dur > t.slowMin.Load()
+	if rules != 0 || maybeSlow {
+		jd := &JourneyData{
+			Trace: id, TraceID: FormatID(id),
+			Start: root.Start, Dur: root.Dur, Jobs: v1, Status: v2,
+			Events: events.Names(), rules: rules,
+		}
+		if j != nil {
+			jd.Spans = j.spans()
+		} else {
+			jd.Spans = []SpanData{root}
+		}
+		t.keep(jd, maybeSlow)
 	}
-	ts.kept.Add(1)
-	ts.mu.Lock()
-	if len(ts.ring) < ts.cfg.Keep {
-		ts.ring = append(ts.ring, jd)
-	} else {
-		ts.ring[ts.pos] = jd
-	}
-	ts.pos = (ts.pos + 1) % ts.cfg.Keep
-	ts.mu.Unlock()
-
-	if !j.detached.Load() {
-		j.reset()
-		ts.pool.Put(j)
+	if j != nil {
+		j.recycle()
 	}
 }
 
-func (ts *tailState) retainedLen() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.ring)
+// keep retains jd when a rule still holds for it: the slow top-K first,
+// then the store. jd is unreachable to readers until the lock drops, so
+// its verdict is final here.
+func (t *Tracer) keep(jd *JourneyData, maybeSlow bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if maybeSlow && (len(t.slow) < t.cfg.SlowK || jd.Dur > t.slow[0].Dur) {
+		jd.rules |= ruleSlow
+		if len(t.slow) < t.cfg.SlowK {
+			heap.Push(&t.slow, jd)
+		} else {
+			t.slow[0] = jd
+			heap.Fix(&t.slow, 0)
+		}
+		if len(t.slow) == t.cfg.SlowK {
+			t.slowMin.Store(t.slow[0].Dur)
+		}
+	}
+	stored := jd.rules&^ruleSlow != 0 && t.storeJourney(jd)
+	if !stored && jd.rules&ruleSlow == 0 {
+		return
+	}
+	jd.Verdict = jd.rules.names()
+	t.kept.Add(1)
+	t.spans.Add(int64(len(jd.Spans)))
 }
 
-// snapshot copies the kept journeys, newest first.
-func (ts *tailState) snapshot() []JourneyData {
-	ts.mu.Lock()
-	out := append([]JourneyData(nil), ts.ring...)
-	ts.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Start > out[j].Start })
+// storeJourney adds jd to the store, evicting when it is full (in the
+// order described above), and reports whether jd was stored.
+func (t *Tracer) storeJourney(jd *JourneyData) bool {
+	if len(t.store) == t.cfg.Tail.Keep {
+		victim := slices.IndexFunc(t.store, sampledOnly)
+		if victim < 0 {
+			if sampledOnly(jd) {
+				return false
+			}
+			victim = 0
+		}
+		t.store[victim].inStore = false
+		t.store = slices.Delete(t.store, victim, victim+1)
+	}
+	jd.inStore = true
+	t.store = append(t.store, jd)
+	return true
+}
+
+func sampledOnly(jd *JourneyData) bool { return jd.rules&^ruleSlow == ruleSampled }
+
+// retained lists every kept journey once: the store, oldest first, then
+// the slow entries it does not hold. Callers hold t.mu.
+func (t *Tracer) retained() []*JourneyData {
+	out := append([]*JourneyData(nil), t.store...)
+	for _, jd := range t.slow {
+		if !jd.inStore {
+			out = append(out, jd)
+		}
+	}
 	return out
 }
 
+// slowHeap is the slow top-K: a min-heap by duration, so its root is the
+// entry a slower request replaces.
+type slowHeap []*JourneyData
+
+func (h slowHeap) Len() int           { return len(h) }
+func (h slowHeap) Less(a, b int) bool { return h[a].Dur < h[b].Dur }
+func (h slowHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
+func (h *slowHeap) Push(x any)        { *h = append(*h, x.(*JourneyData)) }
+func (h *slowHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
 // TailEnabled reports whether tail retention is on.
-func (t *Tracer) TailEnabled() bool { return t != nil && t.tail != nil }
+func (t *Tracer) TailEnabled() bool { return t != nil && t.cfg.Tail.Enabled }
 
 // TailBudget returns the tail latency budget (0 when tail is off).
 func (t *Tracer) TailBudget() time.Duration {
-	if t == nil || t.tail == nil {
+	if !t.TailEnabled() {
 		return 0
 	}
-	return t.tail.cfg.Budget
+	return t.cfg.Tail.Budget
 }
 
-// Journeys returns the kept journeys, newest first (nil when tail
-// retention is off).
+// Journeys returns every retained journey, newest first.
 func (t *Tracer) Journeys() []JourneyData {
-	if t == nil || t.tail == nil {
+	if t == nil {
 		return nil
 	}
-	return t.tail.snapshot()
+	t.mu.Lock()
+	kept := t.retained()
+	out := make([]JourneyData, len(kept))
+	for i, jd := range kept {
+		out[i] = *jd
+	}
+	t.mu.Unlock()
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Start > out[b].Start })
+	return out
 }
 
-// Journey returns the kept journey for one trace id, if retained.
+// Journey returns the newest retained journey of one trace id, so a
+// client that retries under the same request id sees its latest attempt.
 func (t *Tracer) Journey(id uint64) (JourneyData, bool) {
-	if t == nil || t.tail == nil {
+	if t == nil {
 		return JourneyData{}, false
 	}
-	t.tail.mu.Lock()
-	defer t.tail.mu.Unlock()
-	for i := len(t.tail.ring) - 1; i >= 0; i-- {
-		if t.tail.ring[i].Trace == id {
-			return t.tail.ring[i], true
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var newest *JourneyData
+	for _, jd := range t.retained() {
+		if jd.Trace == id && (newest == nil || jd.Start >= newest.Start) {
+			newest = jd
 		}
 	}
-	return JourneyData{}, false
+	if newest == nil {
+		return JourneyData{}, false
+	}
+	return *newest, true
+}
+
+// Snapshot returns the spans of every retained journey, start-ordered.
+func (t *Tracer) Snapshot() []SpanData {
+	if t == nil {
+		return nil
+	}
+	var out []SpanData
+	t.mu.Lock()
+	for _, jd := range t.retained() {
+		out = append(out, jd.Spans...)
+	}
+	t.mu.Unlock()
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Start < out[b].Start })
+	return out
+}
+
+// SlowSnapshot returns the root spans of the slow top-K, slowest first.
+func (t *Tracer) SlowSnapshot() []SpanData {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	out := make([]SpanData, len(t.slow))
+	for i, jd := range t.slow {
+		out[i] = SpanData{Trace: jd.Trace, Kind: KindRequest, Start: jd.Start, Dur: jd.Dur, V1: jd.Jobs, V2: jd.Status}
+	}
+	t.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].Dur > out[b].Dur })
+	return out
 }
 
 // Attribution decomposes one request's wall-clock budget across pipeline
@@ -348,11 +464,11 @@ func stageOf(k Kind) (int, bool) {
 		return stageQueue, true
 	case KindFlush:
 		return stageBatchWait, true
-	case KindKernel, KindDevice:
+	case KindKernel:
 		return stageKernel, true
 	case KindCheck:
 		return stageCheck, true
-	case KindRerun, KindRetry:
+	case KindRerun:
 		return stageRerun, true
 	}
 	return 0, false

@@ -1,13 +1,32 @@
 package obs
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
+// tailTracer is a tail-only tracer whose one-entry slow top-K is already
+// held by a request slower than any a test sends, so only the tail rules
+// keep the test's requests. The filler (trace id 0) is itself kept
+// by its budget breach; tailKept leaves it out.
 func tailTracer(cfg TailConfig) *Tracer {
 	cfg.Enabled = true
-	return New(Config{Tail: cfg})
+	tr := New(Config{SlowK: 1, Tail: cfg})
+	tr.RequestDone(tr.Sample(0), 0, time.Now(), time.Hour, 0, 200)
+	return tr
+}
+
+// tailKept is the retained journeys but tailTracer's filler.
+func tailKept(tr *Tracer) []JourneyData {
+	var out []JourneyData
+	for _, jd := range tr.Journeys() {
+		if jd.Trace != 0 {
+			out = append(out, jd)
+		}
+	}
+	return out
 }
 
 // TestTailVerdictLatency keeps a journey only when the request breached
@@ -23,7 +42,7 @@ func TestTailVerdictLatency(t *testing.T) {
 	}
 	ref.Span(KindQueueWait, base, time.Millisecond, 1, 0)
 	tr.RequestDone(ref, 1, base, 5*time.Millisecond, 1, 200)
-	if got := len(tr.Journeys()); got != 0 {
+	if got := len(tailKept(tr)); got != 0 {
 		t.Fatalf("fast clean request retained: %d journeys", got)
 	}
 
@@ -31,7 +50,7 @@ func TestTailVerdictLatency(t *testing.T) {
 	ref = tr.Sample(2)
 	ref.Span(KindQueueWait, base, time.Millisecond, 1, 0)
 	tr.RequestDone(ref, 2, base, 50*time.Millisecond, 1, 200)
-	js := tr.Journeys()
+	js := tailKept(tr)
 	if len(js) != 1 {
 		t.Fatalf("slow request journeys = %d, want 1", len(js))
 	}
@@ -67,10 +86,10 @@ func TestTailVerdictStatus(t *testing.T) {
 			want++
 		}
 	}
-	if got := len(tr.Journeys()); got != want {
+	if got := len(tailKept(tr)); got != want {
 		t.Fatalf("retained %d journeys, want %d", got, want)
 	}
-	for _, j := range tr.Journeys() {
+	for _, j := range tailKept(tr) {
 		if len(j.Verdict) != 1 || j.Verdict[0] != "status" {
 			t.Fatalf("verdict = %v for status %d, want [status]", j.Verdict, j.Status)
 		}
@@ -87,7 +106,7 @@ func TestTailVerdictEvents(t *testing.T) {
 	ref.Mark(EvReloadOverlap)
 	ref.Mark(EvSteal) // idempotent
 	tr.RequestDone(ref, 7, base, time.Millisecond, 1, 200)
-	js := tr.Journeys()
+	js := tailKept(tr)
 	if len(js) != 1 {
 		t.Fatalf("journeys = %d, want 1", len(js))
 	}
@@ -132,7 +151,7 @@ func TestTailSpanOverflow(t *testing.T) {
 		ref.Span(KindQueueWait, base, time.Millisecond, int64(i), 0)
 	}
 	tr.RequestDone(ref, 9, base, time.Second, 1, 200)
-	js := tr.Journeys()
+	js := tailKept(tr)
 	if len(js) != 1 {
 		t.Fatalf("journeys = %d, want 1", len(js))
 	}
@@ -148,14 +167,16 @@ func TestTailSpanOverflow(t *testing.T) {
 	}
 }
 
-// TestTailRingEviction bounds the kept ring at Keep journeys.
+// TestTailRingEviction bounds the kept store at Keep journeys. Each
+// request is the slowest yet, so the one-entry slow top-K always holds
+// the newest, which the store holds too.
 func TestTailRingEviction(t *testing.T) {
-	tr := tailTracer(TailConfig{Budget: time.Nanosecond, Keep: 3})
+	tr := New(Config{SlowK: 1, Tail: TailConfig{Enabled: true, Budget: time.Nanosecond, Keep: 3}})
 	base := time.Now()
 	for i := 0; i < 10; i++ {
 		id := uint64(1000 + i)
 		ref := tr.Sample(id)
-		tr.RequestDone(ref, id, base.Add(time.Duration(i)*time.Millisecond), time.Second, 1, 200)
+		tr.RequestDone(ref, id, base.Add(time.Duration(i)*time.Millisecond), time.Second+time.Duration(i), 1, 200)
 	}
 	js := tr.Journeys()
 	if len(js) != 3 {
@@ -182,7 +203,7 @@ func TestTailDetachedNotRecycled(t *testing.T) {
 	leaked := ref.j
 	ref.Detach()
 	tr.RequestDone(ref, 11, base, time.Second, 1, 504)
-	if len(tr.Journeys()) != 1 {
+	if len(tailKept(tr)) != 1 {
 		t.Fatal("detached journey was not retained")
 	}
 	// The pool must not hand the detached buffer back.
@@ -193,7 +214,7 @@ func TestTailDetachedNotRecycled(t *testing.T) {
 		}
 	}
 	// A straggler write on the detached buffer must not appear anywhere.
-	leaked.record(tr, SpanData{Trace: 11, Kind: KindKernel})
+	leaked.record(SpanData{Trace: 11, Kind: KindKernel})
 }
 
 // TestTailJourneyLookup finds one retained journey by trace id.
@@ -214,8 +235,8 @@ func TestTailJourneyLookup(t *testing.T) {
 	}
 }
 
-// TestTailWithHeadSampling: head-sampled spans land in both the shared
-// rings and the journey; unsampled requests still get a journey.
+// TestTailWithHeadSampling: under tail retention every request gets a
+// journey, and the head picks among them carry the sampled rule.
 func TestTailWithHeadSampling(t *testing.T) {
 	tr := New(Config{SampleEvery: 2, Tail: TailConfig{Enabled: true, Budget: time.Nanosecond}})
 	base := time.Now()
@@ -228,28 +249,21 @@ func TestTailWithHeadSampling(t *testing.T) {
 		ref.Span(KindQueueWait, base, time.Millisecond, 1, 0)
 		tr.RequestDone(ref, id, base, time.Second, 1, 200)
 	}
-	if got := len(tr.Journeys()); got != 4 {
-		t.Fatalf("journeys = %d, want 4 (every request)", got)
+	js := tr.Journeys()
+	if len(js) != 4 {
+		t.Fatalf("journeys = %d, want 4 (every request)", len(js))
 	}
 	if st := tr.TraceStats(); st.SampledTotal != 2 {
 		t.Fatalf("head-sampled = %d, want 2 (1 in 2)", st.SampledTotal)
 	}
-}
-
-// TestBatchTraceIDStitch: a kernel span's positive link resolves to the
-// trace id the device layer records under.
-func TestBatchTraceIDStitch(t *testing.T) {
-	tr := New(Config{SampleEvery: 1})
-	base := time.Now()
-	key := int64(42)
-	bref := tr.Batch(key)
-	bref.Span(KindDevice, base, time.Millisecond, 1, 0)
-	dev := tr.TraceSpans(BatchTraceID(key))
-	if len(dev) != 1 || dev[0].Kind != KindDevice {
-		t.Fatalf("device spans under BatchTraceID = %+v", dev)
+	sampled := 0
+	for _, jd := range js {
+		if len(jd.Verdict) > 0 && jd.Verdict[0] == "sampled" {
+			sampled++
+		}
 	}
-	if BatchTraceID(2) == BatchTraceID(3) {
-		t.Fatal("distinct batch keys map to one trace id")
+	if sampled != 2 {
+		t.Fatalf("%d journeys name the sampled rule, want 2", sampled)
 	}
 }
 
@@ -318,5 +332,149 @@ func TestAttributeEmptyAndDegenerate(t *testing.T) {
 	a := Attribute([]SpanData{{Kind: KindCheck, Start: 5, Dur: 0}})
 	if a.TotalNs != 0 {
 		t.Fatalf("degenerate attribution = %+v", a)
+	}
+}
+
+// TestJourneyNewestAfterWrap: once the kept store has wrapped, a trace id
+// kept twice (a client retrying under the same request id) resolves to
+// its newest journey, not to whichever copy sits at the higher index.
+func TestJourneyNewestAfterWrap(t *testing.T) {
+	tr := New(Config{Tail: TailConfig{Enabled: true, Budget: time.Nanosecond, Keep: 3}})
+	base := time.Now()
+	const x, a, y = 0x10, 0xa, 0x20
+	for i, req := range []struct {
+		id     uint64
+		status int64
+	}{{x, 200}, {a, 429}, {y, 200}, {a, 200}} {
+		tr.RequestDone(tr.Sample(req.id), req.id, base.Add(time.Duration(i)*time.Millisecond), time.Second, 1, req.status)
+	}
+	jd, ok := tr.Journey(a)
+	if !ok || jd.Status != 200 {
+		t.Fatalf("Journey(a) = status %d (kept %v), want the retry's 200", jd.Status, ok)
+	}
+}
+
+// TestRetentionRules drives one request per verdict rule through a
+// tracer whose one-entry slow top-K starts out held by a filler request
+// (trace id 1): slower than the request for every rule but slow, faster
+// for slow. Each rule alone keeps its request and names itself; slow
+// keeps the full journey with tail retention on and the root span alone
+// with it off, and Journey finds either. Then the rules meet in one
+// store: a journey kept by several is held once with each span once, and
+// head picks never evict what a tail rule kept.
+func TestRetentionRules(t *testing.T) {
+	tail := func(budget time.Duration) TailConfig { return TailConfig{Enabled: true, Budget: budget} }
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		filler time.Duration // the filler's duration; the request runs 10ms
+		status int64
+		event  Event
+		spans  []Kind // what the kept journey holds
+	}{
+		{"sampled", Config{SampleEvery: 1}, time.Hour, 200, 0, []Kind{KindQueueWait, KindRequest}},
+		{"slow/tail-off", Config{SampleEvery: 1 << 30}, time.Nanosecond, 200, 0, []Kind{KindRequest}},
+		{"slow/tail-on", Config{Tail: tail(time.Hour)}, time.Nanosecond, 200, 0, []Kind{KindQueueWait, KindRequest}},
+		{"latency-budget", Config{Tail: tail(time.Millisecond)}, time.Hour, 200, 0, []Kind{KindQueueWait, KindRequest}},
+		{"status", Config{Tail: tail(2 * time.Hour)}, time.Hour, 503, 0, []Kind{KindQueueWait, KindRequest}},
+		{"event", Config{Tail: tail(2 * time.Hour)}, time.Hour, 200, EvReroute, []Kind{KindQueueWait, KindRequest}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.SlowK = 1
+			tr := New(cfg)
+			base := time.Now()
+			tr.RequestDone(tr.Sample(1), 1, base, tc.filler, 0, 200)
+			ref := tr.Sample(2)
+			ref.Span(KindQueueWait, base.Add(time.Millisecond), time.Millisecond, 1, 0)
+			ref.Mark(tc.event)
+			tr.RequestDone(ref, 2, base.Add(time.Millisecond), 10*time.Millisecond, 1, tc.status)
+
+			// Journey finds the request whatever kept it (slow alone included).
+			jd, ok := tr.Journey(2)
+			if !ok {
+				t.Fatal("request not retained")
+			}
+			rule, _, _ := strings.Cut(tc.name, "/")
+			if len(jd.Verdict) != 1 || jd.Verdict[0] != rule {
+				t.Fatalf("verdict %v, want [%s]", jd.Verdict, rule)
+			}
+			var kinds []Kind
+			for _, sd := range jd.Spans {
+				kinds = append(kinds, sd.Kind)
+			}
+			if !slices.Equal(kinds, tc.spans) {
+				t.Fatalf("kept spans %v, want %v", kinds, tc.spans)
+			}
+			if slow := tr.SlowSnapshot(); rule == "slow" && (len(slow) != 1 || slow[0].Trace != 2) {
+				t.Fatalf("slow top-1 holds %+v, want trace 2", slow)
+			}
+		})
+	}
+	t.Run("stored-once", retentionStoredOnce)
+	t.Run("sampled-never-evicts", retentionSampledNeverEvicts)
+}
+
+// retentionStoredOnce: a head-sampled request under tail retention that
+// three rules keep records each span once, names every rule, and is held
+// once although both the store and the slow top-K keep it.
+func retentionStoredOnce(t *testing.T) {
+	tr := New(Config{SampleEvery: 1, Tail: TailConfig{Enabled: true, Budget: time.Millisecond}})
+	base := time.Now()
+	ref := tr.Sample(5)
+	for i := 0; i < 3; i++ {
+		ref.Span(KindQueueWait, base.Add(time.Duration(i)), time.Millisecond, int64(i), 0)
+	}
+	tr.RequestDone(ref, 5, base, 10*time.Millisecond, 3, 200)
+
+	js := tr.Journeys()
+	if len(js) != 1 {
+		t.Fatalf("%d journeys retained, want 1", len(js))
+	}
+	if want := []string{"sampled", "latency-budget", "slow"}; !slices.Equal(js[0].Verdict, want) {
+		t.Fatalf("verdict %v, want %v", js[0].Verdict, want)
+	}
+	if n := len(tr.Snapshot()); n != 4 {
+		t.Fatalf("/debug/traces would export %d spans, want 4 (3 queue waits + request)", n)
+	}
+	if st := tr.TraceStats(); st.SpansTotal != 4 || st.TailRetained != 1 || st.SlowRetained != 1 {
+		t.Fatalf("stats %+v, want 4 spans copied once into 1 journey", st)
+	}
+}
+
+// retentionSampledNeverEvicts: in a full store the oldest journey kept
+// only as sampled makes room, and a journey kept only as sampled never
+// evicts one a tail rule kept.
+func retentionSampledNeverEvicts(t *testing.T) {
+	tr := New(Config{SampleEvery: 1, SlowK: 1, Tail: TailConfig{Enabled: true, Budget: time.Millisecond, Keep: 3}})
+	base := time.Now()
+	// Trace 1 is the slowest and breaches the budget; the rest are kept
+	// only as sampled, except trace 6, a second budget breach.
+	durs := []time.Duration{time.Hour, time.Microsecond, time.Microsecond, time.Microsecond, time.Microsecond, 10 * time.Millisecond}
+	stored := [][]uint64{{1}, {1, 2}, {1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}}
+	for i, d := range durs {
+		id := uint64(i + 1)
+		tr.RequestDone(tr.Sample(id), id, base.Add(time.Duration(i)), d, 1, 200)
+		var got []uint64
+		for _, jd := range tr.Journeys() {
+			got = append(got, jd.Trace)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, stored[i]) {
+			t.Fatalf("after trace %d the store holds %v, want %v", id, got, stored[i])
+		}
+	}
+
+	// A store full of verdict-kept journeys refuses a head pick.
+	tr = New(Config{SampleEvery: 1, SlowK: 1, Tail: TailConfig{Enabled: true, Budget: time.Millisecond, Keep: 2}})
+	for i, d := range []time.Duration{time.Hour, 10 * time.Millisecond, time.Microsecond} {
+		id := uint64(i + 1)
+		tr.RequestDone(tr.Sample(id), id, base.Add(time.Duration(i)), d, 1, 200)
+	}
+	if _, ok := tr.Journey(3); ok {
+		t.Fatal("a head pick evicted a budget-kept journey")
+	}
+	if len(tr.Journeys()) != 2 {
+		t.Fatalf("%d journeys retained, want the 2 budget-kept", len(tr.Journeys()))
 	}
 }

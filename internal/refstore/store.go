@@ -10,7 +10,6 @@ import (
 	"seedex/internal/bwamem"
 	"seedex/internal/faults"
 	"seedex/internal/fmindex"
-	"seedex/internal/obs"
 )
 
 // Generation lifecycle. The store serves exactly one generation at a
@@ -38,8 +37,6 @@ type Options struct {
 	// Chaos injects index-file faults into reload attempts (never the
 	// initial open), keyed by a deterministic per-attempt draw.
 	Chaos *faults.IndexInjector
-	// Trace records KindIndexReload spans for reload outcomes.
-	Trace *obs.Tracer
 	// Logf receives one line per lifecycle event (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -228,7 +225,6 @@ func (s *Store) Reload() (uint64, error) {
 	backoff := s.opts.RetryBackoff
 	var lastErr error
 	for try := 0; try < s.opts.MaxAttempts; try++ {
-		start := time.Now()
 		gen, err := s.loadAttempt()
 		if err == nil {
 			gen.refs.Store(1)
@@ -236,7 +232,6 @@ func (s *Store) Reload() (uint64, error) {
 			s.reloads.Add(1)
 			s.degraded.Store(false)
 			s.setLastErr(nil)
-			s.span(start, gen.id, true)
 			s.logf("refstore: generation %d live (was %d, load %s, warmup %s)",
 				gen.id, old.id, gen.load.Round(time.Millisecond), gen.warmup.Round(time.Millisecond))
 			old.retired.Store(true)
@@ -256,7 +251,6 @@ func (s *Store) Reload() (uint64, error) {
 	s.rollbacks.Add(1)
 	s.degraded.Store(true)
 	s.setLastErr(lastErr)
-	s.span(time.Now(), cur.id, false)
 	err := fmt.Errorf("refstore: reload rolled back after %d attempts, still serving generation %d: %w",
 		s.opts.MaxAttempts, cur.id, lastErr)
 	s.logf("%v", err)
@@ -424,19 +418,6 @@ func (s *Store) setLastErr(err error) {
 		s.lastErr = err.Error()
 	}
 	s.lastErrMu.Unlock()
-}
-
-func (s *Store) span(start time.Time, gen uint64, ok bool) {
-	if s.opts.Trace == nil {
-		return
-	}
-	okv := int64(0)
-	if ok {
-		okv = 1
-	}
-	// Batch refs are always retained, so every reload outcome lands in
-	// the trace ring regardless of request sampling.
-	s.opts.Trace.Batch(int64(gen)).Span(obs.KindIndexReload, start, time.Since(start), int64(gen), okv)
 }
 
 func (s *Store) logf(format string, args ...any) {

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -601,7 +600,7 @@ type metricsConfigEcho struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", obs.ContentType)
-		s.reg.WriteText(w)
+		obs.WriteText(w, s.collectProm)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.buildMetricsBody())
@@ -665,97 +664,43 @@ func (s *Server) buildMetricsBody() metricsBody {
 	return body
 }
 
-// handleTraces exports the span rings: Chrome trace_event JSON by default
-// (load into chrome://tracing or Perfetto), NDJSON with ?format=ndjson,
-// optionally filtered to one request with ?trace=<request id>. A single
-// trace view is stitched: the head-sampled ring spans merge with the
-// tail-retained journey (when kept) and with the device-layer spans
-// linked from its kernel spans, so the timeline follows the request
-// through router pick, batcher, steal, kernel tier and checker/rerun
-// coherently. ?trace=<id>&format=journey returns a JSON document with
-// the per-stage budget attribution (fractions of total).
+// handleTraces exports the spans of every retained journey: Chrome
+// trace_event JSON by default (load into chrome://tracing or Perfetto),
+// NDJSON with ?format=ndjson, optionally narrowed to one request's newest
+// retained journey with ?trace=<request id> — its timeline follows the
+// request through router pick, batcher, steal, kernel tier and
+// checker/rerun. ?trace=<id>&format=journey returns a JSON document with
+// the verdict and the per-stage budget attribution (fractions of total).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.trace == nil {
-		s.writeError(w, http.StatusNotFound, "", "tracing disabled: restart with a positive trace sample rate")
+		s.writeError(w, http.StatusNotFound, "", "tracing disabled: restart with a positive trace sample rate or -trace-tail")
 		return
 	}
-	var spans []obs.SpanData
-	if tid := r.URL.Query().Get("trace"); tid != "" {
-		id, _ := obs.RequestID(tid)
-		spans = s.trace.TraceSpans(id)
-		jd, kept := s.trace.Journey(id)
-		if kept {
-			spans = mergeSpans(spans, jd.Spans)
-		}
-		spans = s.stitchLinked(spans)
-		if r.URL.Query().Get("format") == "journey" {
-			doc := struct {
-				Trace       string          `json:"trace"`
-				Events      []string        `json:"events,omitempty"`
-				Verdict     []string        `json:"verdict,omitempty"`
-				Attribution obs.Attribution `json:"attribution"`
-				Spans       []obs.SpanData  `json:"spans"`
-			}{Trace: obs.FormatID(id), Attribution: obs.Attribute(spans), Spans: spans}
-			if kept {
-				doc.Events, doc.Verdict = jd.Events, jd.Verdict
-			}
-			writeJSON(w, http.StatusOK, doc)
-			return
-		}
-	} else {
-		spans = s.trace.Snapshot()
+	tid := r.URL.Query().Get("trace")
+	if tid == "" {
+		s.writeTraceExport(w, r, s.trace.Snapshot())
+		return
 	}
-	s.writeTraceExport(w, r, spans)
+	id, _ := obs.RequestID(tid)
+	jd, _ := s.trace.Journey(id)
+	if r.URL.Query().Get("format") == "journey" {
+		writeJSON(w, http.StatusOK, struct {
+			Trace       string          `json:"trace"`
+			Events      []string        `json:"events,omitempty"`
+			Verdict     []string        `json:"verdict,omitempty"`
+			Attribution obs.Attribution `json:"attribution"`
+			Spans       []obs.SpanData  `json:"spans"`
+		}{obs.FormatID(id), jd.Events, jd.Verdict, obs.Attribute(jd.Spans), jd.Spans})
+		return
+	}
+	s.writeTraceExport(w, r, jd.Spans)
 }
 
-// mergeSpans unions two span sets, dropping duplicates (a head-sampled
-// request records the same span into the ring and its journey buffer).
-func mergeSpans(a, b []obs.SpanData) []obs.SpanData {
-	type key struct {
-		k          obs.Kind
-		start, dur int64
-		v1, v2     int64
-	}
-	seen := make(map[key]bool, len(a))
-	out := a
-	for _, sd := range a {
-		seen[key{sd.Kind, sd.Start, sd.Dur, sd.V1, sd.V2}] = true
-	}
-	for _, sd := range b {
-		k := key{sd.Kind, sd.Start, sd.Dur, sd.V1, sd.V2}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, sd)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// stitchLinked pulls in the device-layer spans each kernel span links to
-// (positive links are device batch keys; negative links name index
-// generations and have no separate trace to fetch).
-func (s *Server) stitchLinked(spans []obs.SpanData) []obs.SpanData {
-	seen := map[int64]bool{}
-	out := spans
-	for _, sd := range spans {
-		if sd.Kind != obs.KindKernel || sd.Link <= 0 || seen[sd.Link] {
-			continue
-		}
-		seen[sd.Link] = true
-		out = append(out, s.trace.TraceSpans(obs.BatchTraceID(sd.Link))...)
-	}
-	if len(out) > len(spans) {
-		sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	}
-	return out
-}
-
-// handleJourneys lists the tail-retained request journeys (newest
-// first), or one journey with ?trace=<id>.
+// handleJourneys lists the retained request journeys (newest first), or
+// the newest one of a trace with ?trace=<id>.
 func (s *Server) handleJourneys(w http.ResponseWriter, r *http.Request) {
-	if !s.trace.TailEnabled() {
-		s.writeError(w, http.StatusNotFound, "", "tail retention disabled: restart with -trace-tail")
+	if s.trace == nil {
+		s.writeError(w, http.StatusNotFound, "", "tracing disabled: restart with a positive trace sample rate or -trace-tail")
 		return
 	}
 	if tid := r.URL.Query().Get("trace"); tid != "" {
@@ -768,10 +713,11 @@ func (s *Server) handleJourneys(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, jd)
 		return
 	}
+	js := s.trace.Journeys()
 	writeJSON(w, http.StatusOK, struct {
 		Retained int               `json:"retained"`
 		Journeys []obs.JourneyData `json:"journeys"`
-	}{Retained: s.trace.TraceStats().TailRetained, Journeys: s.trace.Journeys()})
+	}{Retained: len(js), Journeys: js})
 }
 
 // handleSLO reports the burn-rate engine's full state. A tick runs
@@ -782,11 +728,11 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.slo.Snapshot())
 }
 
-// handleTracesSlow exports the always-retained top-K slowest request
-// spans, slowest first — the tail survives even aggressive sampling.
+// handleTracesSlow exports the root spans of the slow top-K, slowest
+// first — the tail survives even aggressive sampling.
 func (s *Server) handleTracesSlow(w http.ResponseWriter, r *http.Request) {
 	if s.trace == nil {
-		s.writeError(w, http.StatusNotFound, "", "tracing disabled: restart with a positive trace sample rate")
+		s.writeError(w, http.StatusNotFound, "", "tracing disabled: restart with a positive trace sample rate or -trace-tail")
 		return
 	}
 	s.writeTraceExport(w, r, s.trace.SlowSnapshot())

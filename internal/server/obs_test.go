@@ -193,7 +193,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("chrome export missing tier/outcome args (tier=%v outcome=%v)", sawTier, sawOutcome)
 	}
 
-	// The slow ring retained the request too.
+	// The slow top-K retained the request too.
 	slow, err := http.Get(ts.URL + "/debug/traces/slow?format=ndjson")
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +217,11 @@ func TestTracesDisabled(t *testing.T) {
 	}
 }
 
-// TestTraceLiveReads races span recording against trace exports; under
-// -race this proves the export path is clean against live writers.
+// TestTraceLiveReads races span recording against trace and journey
+// exports; under -race this proves the export path is clean against live
+// writers and a kept store that evicts under them.
 func TestTraceLiveReads(t *testing.T) {
-	tracer := obs.New(obs.Config{SampleEvery: 1, RingSpans: 128})
+	tracer := obs.New(obs.Config{SampleEvery: 2, Tail: obs.TailConfig{Enabled: true, Budget: time.Microsecond, Keep: 16}})
 	_, ts := newTestServer(t, Config{
 		Batch: BatcherConfig{MaxBatch: 8, FlushInterval: 100 * time.Microsecond, Workers: 2},
 		Trace: tracer,
@@ -241,7 +242,7 @@ func TestTraceLiveReads(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		for _, path := range []string{"/debug/traces", "/debug/traces/slow", "/debug/traces?format=ndjson"} {
+		for _, path := range []string{"/debug/traces", "/debug/traces/slow", "/debug/traces?format=ndjson", "/debug/journeys"} {
 			resp, err := http.Get(ts.URL + path)
 			if err != nil {
 				t.Fatal(err)
@@ -521,8 +522,8 @@ func TestPrometheusShardedFamilies(t *testing.T) {
 // processing a full batch performs zero allocations per batch — with
 // tracing disabled, with every job head-sampled, with tail sampling
 // checking out a journey per request, and with both modes combined
-// (span recording is atomic stores into preallocated rings and
-// journey buffers). It holds for every kind of engine behind the
+// (span recording is atomic stores into a preallocated journey buffer).
+// It holds for every kind of engine behind the
 // core.BatchEngine contract: the worker adds nothing to what a bare
 // session of the engine allocates for the same batch, which is zero for
 // the software engines (the device row's allocations are its fpga latency

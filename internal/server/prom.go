@@ -208,12 +208,12 @@ func (s *Server) collectProm(p *obs.Prom) {
 		ts := s.trace.TraceStats()
 		p.Gauge("seedex_trace_sample_every", "Head-sampling ratio (1 in N requests).", float64(ts.SampleEvery))
 		p.Counter("seedex_trace_sampled_requests_total", "Requests selected by head sampling.", float64(ts.SampledTotal))
-		p.Counter("seedex_trace_spans_total", "Spans recorded into the rings.", float64(ts.SpansTotal))
-		p.Gauge("seedex_trace_slow_retained", "Requests retained in the slow-trace ring.", float64(ts.SlowRetained))
+		p.Counter("seedex_trace_spans_total", "Spans copied into retained journeys.", float64(ts.SpansTotal))
+		p.Gauge("seedex_trace_slow_retained", "Requests held in the slow top-K.", float64(ts.SlowRetained))
 		if ts.TailEnabled {
-			p.Counter("seedex_trace_tail_started_total", "Requests that recorded into a tail journey buffer.", float64(ts.TailStarted))
-			p.Counter("seedex_trace_tail_retained_total", "Journeys the tail verdict kept.", float64(ts.TailKept))
-			p.Gauge("seedex_trace_tail_retained", "Journeys currently in the retention ring.", float64(ts.TailRetained))
+			p.Counter("seedex_trace_tail_started_total", "Requests that recorded into a journey buffer.", float64(ts.TailStarted))
+			p.Counter("seedex_trace_tail_retained_total", "Journeys the verdict kept.", float64(ts.TailKept))
+			p.Gauge("seedex_trace_tail_retained", "Journeys currently retained (kept store plus slow top-K).", float64(ts.TailRetained))
 			p.Counter("seedex_trace_tail_span_drops_total", "Spans dropped by full journey buffers.", float64(ts.TailSpanDrops))
 		}
 	}
@@ -232,7 +232,6 @@ func (s *Server) collectProm(p *obs.Prom) {
 	p.Gauge("seedex_build_info", "Build identity (constant 1; version/commit/go in labels).", 1,
 		"version", b.Version, "commit", b.Commit, "go", b.GoVersion())
 	p.Gauge("seedex_process_uptime_seconds", "Seconds since the server started.", uptime)
-	p.Gauge("seedex_uptime_seconds", "Seconds since the server started (legacy alias of seedex_process_uptime_seconds).", uptime)
 }
 
 func boolGauge(b bool) float64 {

@@ -73,12 +73,14 @@ type Config struct {
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
 	// Trace, when non-nil, records pipeline spans (admission, queue wait,
-	// batch flush, kernel tier, check outcome, host rerun) for sampled
-	// requests and exports them at /debug/traces. A nil tracer costs the
-	// job endpoints one pointer compare per instrumentation site. Tail
-	// retention (obs.Config.Tail) additionally keeps the full journey of
-	// every request that breaches its budget, fails, or crosses a steal,
-	// reroute, reload overlap or fault.
+	// batch flush, kernel tier, check outcome, host rerun) into the journey
+	// of each recorded request: the head-sampled one in SampleEvery, and
+	// every request under tail retention (obs.Config.Tail). One verdict at
+	// completion keeps the head picks, the SlowK slowest requests, and the
+	// journeys that breached the budget, failed, or crossed a steal,
+	// reroute, reload overlap or fault; they export at /debug/journeys and
+	// /debug/traces. A nil tracer costs the job endpoints one pointer
+	// compare per instrumentation site.
 	Trace *obs.Tracer
 	// Build identifies the binary for seedex_build_info (stamped from
 	// -ldflags in cmd/seedex-serve; defaults dev/unknown).
@@ -137,7 +139,6 @@ type Server struct {
 	// and it has one; nil otherwise.
 	health   func() faults.Health
 	trace    *obs.Tracer // nil when tracing is disabled
-	reg      *obs.Registry
 	mux      *http.ServeMux
 	draining atomic.Bool
 	started  time.Time
@@ -161,7 +162,7 @@ func New(cfg Config) *Server {
 	if cfg.RefStore != nil && cfg.NewAligner == nil {
 		panic("server: Config.RefStore requires Config.NewAligner")
 	}
-	s := &Server{cfg: cfg, met: &Metrics{}, trace: cfg.Trace, reg: obs.NewRegistry(), mux: http.NewServeMux(), started: time.Now()}
+	s := &Server{cfg: cfg, met: &Metrics{}, trace: cfg.Trace, mux: http.NewServeMux(), started: time.Now()}
 	// Steal groups link the per-shard batchers once all exist; with one
 	// shard they stay nil and the worker loops match the unsharded server.
 	var extGroup *stealGroup[extJob]
@@ -210,7 +211,6 @@ func New(cfg Config) *Server {
 	if s.flight != nil {
 		s.startFlightWatcher()
 	}
-	s.reg.Register(s.collectProm)
 	s.routes()
 	return s
 }
@@ -511,9 +511,7 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 		for k, j := range live {
 			r := resp[k]
 			if j.tr.Sampled() {
-				// The link stitches the request timeline to the device-layer
-				// trace of the batch (obs.BatchTraceID); 0 for host engines.
-				j.tr.SpanLink(obs.KindKernel, bi.Start, bi.Dur, sh.tier(reqs[k]), int64(len(live)), bi.Key)
+				j.tr.Span(obs.KindKernel, bi.Start, bi.Dur, sh.tier(reqs[k]), int64(len(live)))
 				pass := int64(0)
 				if !r.Rerun {
 					pass = 1
@@ -599,9 +597,8 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 			// reads sit side by side in the batch and share its Ref.
 			if j.tr.Sampled() && (k == 0 || live[k-1].tr != j.tr) {
 				// The map kernel span links the index generation it computed
-				// against (negated, so generation links can never collide with
-				// the positive device batch keys the stitcher resolves), and one
-				// timeline shows a request straddling a swap.
+				// against (negated), so one timeline shows a request
+				// straddling a swap.
 				j.tr.SpanLink(obs.KindKernel, bt.Start, bt.End.Sub(bt.Start), obs.TierUnknown, int64(len(live)), -int64(genID))
 				for st := obs.MapStagePlan; st <= obs.MapStageResolve; st++ {
 					j.tr.Span(obs.KindMapStage, stages[st], stages[st+1].Sub(stages[st]), int64(st), int64(len(live)))

@@ -118,9 +118,9 @@ func (s *Server) FlightDumpForce(reason string) (string, error) {
 }
 
 // flightSources assembles the dump contents: trigger metadata, the full
-// metrics document, the SLO engine state, every tail-retained journey,
-// and the head-sampled + slowest-request span rings as NDJSON. The
-// recorder appends goroutine and heap profiles on its own.
+// metrics document, the SLO engine state, every retained journey, their
+// spans and the slow top-K's root spans as NDJSON. The recorder appends
+// goroutine and heap profiles on its own.
 func (s *Server) flightSources(reason string) []obs.FlightSource {
 	srcs := []obs.FlightSource{
 		jsonSource("meta.json", func() any {
@@ -139,12 +139,10 @@ func (s *Server) flightSources(reason string) []obs.FlightSource {
 			return s.slo.Snapshot()
 		}),
 	}
-	if s.trace.TailEnabled() {
-		srcs = append(srcs, jsonSource("journeys.json", func() any { return s.trace.Journeys() }))
-	}
 	if s.trace != nil {
 		_, epochWall := s.trace.Epoch()
 		srcs = append(srcs,
+			jsonSource("journeys.json", func() any { return s.trace.Journeys() }),
 			obs.FlightSource{Name: "traces.ndjson", Write: func(w io.Writer) error {
 				return obs.WriteNDJSON(w, epochWall, s.trace.Snapshot())
 			}},

@@ -4,7 +4,7 @@
 # traffic, then assert the Prometheus exposition, both trace export
 # formats, the journey/SLO endpoints and a SIGQUIT flight dump are live
 # and well-formed. Artifacts (metrics scrape, Chrome trace, NDJSON
-# spans, slow ring, SLO state, journeys, flight tarball) land in OUT
+# spans, slow top-K, SLO state, journeys, flight tarball) land in OUT
 # (default obs-smoke/) for CI upload.
 set -euo pipefail
 
@@ -46,11 +46,17 @@ BODY='{"jobs":[
   {"query":"ACGTACGTACGTTCGTACGTACGAACGTACGT","target":"ACGTACGTACGTACGTACGTACGTACGTACGT","h0":20},
   {"query":"TTTTACGTACGTACGTACGTACGTACGTACGT","target":"ACGTACGTACGTACGTACGTACGTACGTACGT","h0":20}
 ]}'
+# smoke-1 carries one job: a request's jobs in one batch legitimately
+# share their flush, kernel and check spans' fields, so only in a one-job
+# trace does a repeated span mean a span written twice.
+ONE_JOB='{"jobs":[{"query":"ACGTACGTACGTTCGTACGTACGAACGTACGT","target":"ACGTACGTACGTACGTACGTACGTACGTACGT","h0":20}]}'
 for i in $(seq 1 20); do
+  body="$BODY"
+  [ "$i" = 1 ] && body="$ONE_JOB"
   curl -fsS -X POST "http://$ADDR/v1/extend" \
     -H 'Content-Type: application/json' \
     -H "X-Request-Id: smoke-$i" \
-    -d "$BODY" >/dev/null
+    -d "$body" >/dev/null
 done
 
 echo "== scraping =="
@@ -59,6 +65,9 @@ curl -fsS "http://$ADDR/metrics" >"$OUT/metrics.json"
 curl -fsS "http://$ADDR/debug/traces" >"$OUT/traces-chrome.json"
 curl -fsS "http://$ADDR/debug/traces?format=ndjson" >"$OUT/traces.ndjson"
 curl -fsS "http://$ADDR/debug/traces/slow?format=ndjson" >"$OUT/traces-slow.ndjson"
+curl -fsS "http://$ADDR/debug/traces?trace=smoke-1&format=ndjson" >"$OUT/trace-smoke-1.ndjson"
+SLOWEST="$(python3 -c "import json,sys; print(json.loads(open(sys.argv[1]).readline())['trace'])" "$OUT/traces-slow.ndjson")"
+curl -fsS "http://$ADDR/debug/traces?trace=$SLOWEST&format=ndjson" >"$OUT/trace-slowest.ndjson"
 curl -fsS "http://$ADDR/debug/journeys" >"$OUT/journeys.json"
 curl -fsS "http://$ADDR/debug/slo" >"$OUT/slo.json"
 curl -fsS "http://$DEBUG_ADDR/debug/pprof/" >"$OUT/pprof-index.html"
@@ -97,7 +106,26 @@ missing = need - kinds
 if missing:
     raise SystemExit(f"FAIL: NDJSON trace missing spans: {sorted(missing)} (got {sorted(kinds)})")
 EOF
-[ -s "$OUT/traces-slow.ndjson" ] || fail "slow-trace ring is empty"
+[ -s "$OUT/traces-slow.ndjson" ] || fail "slow top-K is empty"
+# A span is written to one place, so one request's trace holds each span
+# once; and with tail retention on, the slowest request's trace id
+# resolves to its full journey, not just the root span the slow export
+# shows.
+python3 - "$OUT/trace-smoke-1.ndjson" "$OUT/trace-slowest.ndjson" <<'EOF'
+import json, sys
+def spans(path):
+    return [json.loads(line) for line in open(path) if line.strip()]
+one = spans(sys.argv[1])
+if not one:
+    raise SystemExit("FAIL: /debug/traces?trace=smoke-1 is empty")
+keys = [json.dumps({k: v for k, v in s.items() if k != "wall_ns"}, sort_keys=True) for s in one]
+dups = len(keys) - len(set(keys))
+if dups:
+    raise SystemExit(f"FAIL: /debug/traces?trace=smoke-1 repeats {dups} of its {len(keys)} spans")
+slowest = spans(sys.argv[2])
+if len(slowest) < 2:
+    raise SystemExit(f"FAIL: the slowest request's trace resolves to {len(slowest)} span(s), want its full journey")
+EOF
 grep -q 'pprof' "$OUT/pprof-index.html" || fail "pprof index not served on debug address"
 
 # Tail retention kept full journeys (the 1µs budget guarantees every
