@@ -280,14 +280,8 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		debugServer.Close()
 	}
 	s.Close()
-	snap := s.Metrics().Snapshot(0, 0)
-	logger.Info(fmt.Sprintf("served %d requests, %d jobs in %d batches (mean occupancy %.1f)",
-		snap.Requests, snap.Completed, snap.Batches, snap.MeanOccupancy))
-	if *shards > 1 {
-		for _, sh := range s.ShardSnapshots() {
-			logger.Info(fmt.Sprintf("shard %d: %d jobs in %d batches, routed=%d rerouted=%d stolen-from-peers=%d",
-				sh.ID, sh.Completed, sh.Batches, sh.Routed, sh.Rerouted, sh.Steals))
-		}
+	for _, line := range s.Summary() {
+		logger.Info(line)
 	}
 	for i, se := range ses {
 		if len(ses) > 1 {

@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the serving stack: span
-// tracing over the speculate-check-rerun pipeline, Prometheus text
-// exposition over the existing atomic counters and power-of-two
-// histograms, and request-id generation for end-to-end correlation.
+// tracing over the speculate-check-rerun pipeline, the SLO burn-rate
+// engine, the flight recorder, and request-id generation for end-to-end
+// correlation. The server's metric table (internal/server/metrics.go)
+// renders the metrics, these included, in both /metrics formats.
 //
 // The tracer is built so the extend hot path pays nothing when tracing is
 // off and almost nothing when it is on:

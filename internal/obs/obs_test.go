@@ -181,40 +181,6 @@ func TestRequestIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPow2Buckets(t *testing.T) {
-	counts := make([]int64, 12)
-	counts[3] = 5  // values 4..7
-	counts[5] = 2  // values 16..31
-	counts[10] = 1 // values 512..1023
-	bs := Pow2Buckets(counts, 1)
-	if len(bs) != 8 {
-		t.Fatalf("got %d buckets, want 8 (trimmed to [3,10])", len(bs))
-	}
-	if bs[0].LE != 7 || bs[0].Cum != 5 {
-		t.Fatalf("first bucket %+v", bs[0])
-	}
-	last := bs[len(bs)-1]
-	if last.LE != 1023 || last.Cum != 8 {
-		t.Fatalf("last bucket %+v", last)
-	}
-	for i := 1; i < len(bs); i++ {
-		if bs[i].LE <= bs[i-1].LE || bs[i].Cum < bs[i-1].Cum {
-			t.Fatalf("buckets not monotone at %d: %+v then %+v", i, bs[i-1], bs[i])
-		}
-	}
-	if got := Pow2Buckets(make([]int64, 8), 1); got != nil {
-		t.Fatalf("empty histogram yields %v", got)
-	}
-	// Scaling applies to the bounds (the comparand repeats the runtime
-	// float product — a constant literal would fold exactly and differ by
-	// one ulp).
-	ns := Pow2Buckets(counts, 1e-9)
-	scale := 1e-9
-	if want := float64(7) * scale; ns[0].LE != want {
-		t.Fatalf("scaled le %v, want %v", ns[0].LE, want)
-	}
-}
-
 func TestChromeTraceExportIsValidJSON(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	ref := tr.Sample(7)

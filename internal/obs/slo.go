@@ -273,36 +273,3 @@ func burnOver(ss []sloSample, now time.Time, w time.Duration, target float64) Wi
 	wb.Burn = bad / budget
 	return wb
 }
-
-// Collect writes the seedex_slo_* Prometheus families.
-func (s *SLO) Collect(p *Prom) {
-	if s == nil {
-		return
-	}
-	snap := s.Snapshot()
-	for _, o := range snap.Objectives {
-		p.Gauge("seedex_slo_target", "Declared objective target (good/total fraction).",
-			o.Target, "objective", o.Name)
-		p.Counter("seedex_slo_good_total", "Cumulative good events per objective.",
-			float64(o.Good), "objective", o.Name)
-		p.Counter("seedex_slo_events_total", "Cumulative total events per objective.",
-			float64(o.Total), "objective", o.Name)
-		for _, w := range o.Windows {
-			p.Gauge("seedex_slo_burn_rate", "Error-budget burn rate per objective and trailing window.",
-				w.Burn, "objective", o.Name, "window", w.Window)
-		}
-		p.Gauge("seedex_slo_alert", "Alert state per objective and severity (1 = firing).",
-			boolVal(o.FastBurn), "objective", o.Name, "severity", "page")
-		p.Gauge("seedex_slo_alert", "Alert state per objective and severity (1 = firing).",
-			boolVal(o.SlowBurn), "objective", o.Name, "severity", "ticket")
-	}
-	p.Gauge("seedex_slo_degraded", "1 when any objective has a fast- or slow-burn alert firing.",
-		boolVal(snap.Degraded))
-}
-
-func boolVal(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}

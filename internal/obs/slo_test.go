@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,32 +166,6 @@ func TestSLOSampleEviction(t *testing.T) {
 }
 
 // TestSLOCollect renders the Prometheus families.
-func TestSLOCollect(t *testing.T) {
-	clk := newFakeClock()
-	src := &counterSource{}
-	s := newTestSLO(0.999, src, clk)
-	clk.advance(10 * time.Second)
-	src.add(100, 0)
-	s.Tick()
-
-	var sb strings.Builder
-	WriteText(&sb, s.Collect)
-	text := sb.String()
-	for _, want := range []string{
-		`seedex_slo_target{objective="avail"} 0.999`,
-		`seedex_slo_good_total{objective="avail"} 100`,
-		`seedex_slo_events_total{objective="avail"} 100`,
-		`seedex_slo_burn_rate{objective="avail",window="5m"}`,
-		`seedex_slo_alert{objective="avail",severity="page"} 0`,
-		`seedex_slo_alert{objective="avail",severity="ticket"} 0`,
-		`seedex_slo_degraded 0`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
-	}
-}
-
 // TestSLOCloseIdempotent: Close is safe twice and on nil.
 func TestSLOCloseIdempotent(t *testing.T) {
 	var nilSLO *SLO

@@ -92,7 +92,6 @@ func linkPeers[T any](g *stealGroup[T], shards []*shard, pipe func(*shard) *batc
 // each shard runs one for extension jobs and one for mapping jobs.
 type batcher[T any] struct {
 	cfg BatcherConfig
-	met *Metrics
 
 	mu     sync.RWMutex // guards closed vs. the in-channel close
 	closed bool
@@ -112,11 +111,11 @@ type batcher[T any] struct {
 	closeOnce     sync.Once
 }
 
-// shardHooks bind a batcher to its shard of a sharded server: dispatches
-// are mirrored into the shard's counters, and with a non-nil steal group
-// the workers drain backlogged peers when their own queue is empty. The
-// zero value is a standalone batcher, whose worker loop is the unsharded
-// server's.
+// shardHooks bind a batcher to its shard: dispatches are recorded in the
+// shard's counters, and with a non-nil steal group the workers drain
+// backlogged peers when their own queue is empty. The zero value is a
+// standalone batcher that records nothing, whose worker loop is the
+// unsharded server's.
 type shardHooks[T any] struct {
 	sm    *shardMetrics
 	group *stealGroup[T]
@@ -130,14 +129,13 @@ type shardHooks[T any] struct {
 // numBins bins, and the collector packs batches bin-first, so jobs of like
 // kernel shape share a batch (and therefore SWAR lane groups) even when
 // they arrived interleaved with other shapes. A nil binOf means one bin.
-func newBatcher[T any](cfg BatcherConfig, met *Metrics, hooks shardHooks[T], numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
+func newBatcher[T any](cfg BatcherConfig, hooks shardHooks[T], numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
 	cfg = cfg.withDefaults()
 	if binOf == nil {
 		numBins, binOf = 1, func(T) int { return 0 }
 	}
 	b := &batcher[T]{
 		cfg:        cfg,
-		met:        met,
 		shardHooks: hooks,
 		in:         make(chan T, cfg.QueueCap),
 		batches:    make(chan []T, cfg.Workers),
@@ -250,10 +248,10 @@ func (b *batcher[T]) trySteal(proc func([]T)) bool {
 			return false
 		}
 		if b.sm != nil {
-			b.sm.steals.Add(1)
+			b.sm.n[smSteals].Add(1)
 		}
 		if v.sm != nil {
-			v.sm.stolen.Add(1)
+			v.sm.n[smStolen].Add(1)
 		}
 		proc(batch)
 		// The backing array belongs to the victim's free list.
@@ -439,18 +437,14 @@ func (b *batcher[T]) collect(numBins int) {
 	}
 }
 
-// dispatch hands one assembled batch to the worker pool and records the
-// occupancy metrics.
+// dispatch hands one assembled batch to the worker pool and records it in
+// the shard's batch and occupancy counters.
 func (b *batcher[T]) dispatch(batch []T) {
 	if len(batch) == 0 {
 		return
 	}
-	if b.met != nil {
-		b.met.Batches.Add(1)
-		b.met.Occupancy.observe(int64(len(batch)))
-	}
 	if b.sm != nil {
-		b.sm.batches.Add(1)
+		b.sm.n[smBatches].Add(1)
 		b.sm.occupancy.observe(int64(len(batch)))
 	}
 	b.batches <- batch

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"seedex/internal/align"
+	"seedex/internal/core"
 	"seedex/internal/driver"
 	"seedex/internal/faults"
 	"seedex/internal/genome"
@@ -78,7 +79,10 @@ func TestServerBreakerVisibility(t *testing.T) {
 		}
 	}
 
-	var met metricsBody
+	var met struct {
+		Faults *faults.Health      `json:"faults"`
+		Checks *core.StatsSnapshot `json:"checks"`
+	}
 	if code := getJSON(t, ts.URL+"/metrics", &met); code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}

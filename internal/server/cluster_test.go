@@ -76,13 +76,13 @@ func TestShardedMixedPolicyRace(t *testing.T) {
 		// deadline), nothing is left in flight, and the routing tier
 		// made exactly one decision per request.
 		var accepted, completed, routed, rerouted int64
-		for _, snap := range s.ShardSnapshots() {
-			accepted += snap.Accepted
-			completed += snap.Completed
-			routed += snap.Routed
-			rerouted += snap.Rerouted
-			if snap.InFlight != 0 {
-				t.Errorf("shard %d still reports %d in flight", snap.ID, snap.InFlight)
+		for _, snap := range s.scrape().shards {
+			accepted += snap.n[smAccepted]
+			completed += snap.n[smCompleted]
+			routed += snap.n[smRouted]
+			rerouted += snap.n[smRerouted]
+			if snap.inflight != 0 {
+				t.Errorf("shard %d still reports %d in flight", snap.id, snap.inflight)
 			}
 		}
 		if want := int64(clients * reqsPer * jobsPerReq); accepted != want || completed != want {
@@ -155,22 +155,22 @@ func TestShardChaosContainment(t *testing.T) {
 
 	// Phase 2: the trip is contained. Shard 1's breaker stays closed,
 	// the router avoids shard 0, and served results stay exact.
-	before := s.ShardSnapshots()
+	before := s.scrape().shards
 	drive(2, 4, 5000)
-	after := s.ShardSnapshots()
-	if s.shards[1].degraded() || after[1].Breaker != "closed" {
+	after := s.scrape().shards
+	if s.shards[1].degraded() || after[1].health.Breaker != "closed" {
 		t.Fatalf("healthy shard caught the neighbor's trip: %+v", after[1])
 	}
-	if got := after[0].Accepted - before[0].Accepted; got != 0 && !s.shards[0].degraded() {
+	if got := after[0].n[smAccepted] - before[0].n[smAccepted]; got != 0 && !s.shards[0].degraded() {
 		// Shard 0 may have recovered mid-phase via half-open probes (its
 		// injector still fails everything, so it re-trips); only a still-
 		// degraded shard must see no admissions.
 		t.Logf("shard 0 admitted %d during phase 2 (breaker cycling)", got)
 	}
-	if after[0].Avoided == before[0].Avoided {
+	if after[0].n[smAvoided] == before[0].n[smAvoided] {
 		t.Fatal("router never avoided the degraded shard")
 	}
-	if after[1].Accepted == before[1].Accepted {
+	if after[1].n[smAccepted] == before[1].n[smAccepted] {
 		t.Fatal("healthy shard served nothing while its peer was down")
 	}
 

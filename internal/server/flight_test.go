@@ -30,6 +30,20 @@ func waitFlightDump(t *testing.T, dir, reason string) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
+	var meta struct {
+		Reason string `json:"reason"`
+	}
+	if err := json.Unmarshal(flightEntry(t, path, "meta.json"), &meta); err != nil {
+		t.Fatal(err)
+	}
+	if meta.Reason != reason {
+		t.Fatalf("%s records reason %q, want %q", path, meta.Reason, reason)
+	}
+}
+
+// flightEntry reads one file out of a flight tarball.
+func flightEntry(t *testing.T, path, name string) []byte {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -42,25 +56,16 @@ func waitFlightDump(t *testing.T, dir, reason string) {
 	tr := tar.NewReader(zr)
 	for {
 		h, err := tr.Next()
-		if err == io.EOF {
-			t.Fatalf("%s has no meta.json", path)
-		}
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s has no %s (%v)", path, name, err)
 		}
-		if h.Name != "meta.json" {
-			continue
+		if h.Name == name {
+			data, err := io.ReadAll(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
 		}
-		var meta struct {
-			Reason string `json:"reason"`
-		}
-		if err := json.NewDecoder(tr).Decode(&meta); err != nil {
-			t.Fatal(err)
-		}
-		if meta.Reason != reason {
-			t.Fatalf("%s records reason %q, want %q", path, meta.Reason, reason)
-		}
-		return
 	}
 }
 

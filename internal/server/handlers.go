@@ -15,9 +15,7 @@ import (
 	"io"
 
 	"seedex/internal/core"
-	"seedex/internal/faults"
 	"seedex/internal/obs"
-	"seedex/internal/refstore"
 )
 
 // ExtendJob is one extension problem in the request JSON: align query
@@ -150,15 +148,25 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request) request {
 	return rq
 }
 
-// done accounts the finished request: the statuses the availability SLO
-// counts as failed serving (client errors like 400/413 are the caller's
-// fault and don't burn the availability budget; 413 still tail-retains),
-// then the tracer's verdict.
+// done accounts the finished request, once, from the status it came to:
+// its outcome counter (bad input, rejected, draining), whether the
+// availability SLO counts it as failed serving (client errors like 400/413
+// are the caller's fault and don't burn the availability budget; 413 still
+// tail-retains), then the tracer's verdict.
 func (rq *request) done() {
+	m := rq.s.met
+	switch rq.status {
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		m.BadInput.Add(1)
+	case http.StatusTooManyRequests:
+		m.Rejected.Add(1)
+	case http.StatusServiceUnavailable:
+		m.Draining.Add(1)
+	}
 	switch rq.status {
 	case http.StatusTooManyRequests, http.StatusInternalServerError,
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		rq.s.met.Failed.Add(1)
+		m.Failed.Add(1)
 	}
 	rq.s.trace.RequestDone(rq.tr, rq.rid, rq.start, time.Since(rq.start), rq.n, int64(rq.status))
 }
@@ -174,20 +182,16 @@ func (rq *request) refuseDraining() bool {
 	if !rq.s.draining.Load() {
 		return false
 	}
-	rq.s.met.Draining.Add(1)
 	rq.fail(http.StatusServiceUnavailable, "server is draining")
 	return true
 }
 
-// admitStatus maps a submit error onto its HTTP status and message, and
-// counts it.
-func (s *Server) admitStatus(err error) (int, string) {
+// admitStatus maps a submit error onto its HTTP status and message.
+func admitStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		s.met.Rejected.Add(1)
 		return http.StatusTooManyRequests, "admission queue full, retry later"
 	case errors.Is(err, ErrDraining):
-		s.met.Draining.Add(1)
 		return http.StatusServiceUnavailable, "server is draining"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Only a stream's flow-controlled submit waits long enough to see
@@ -216,7 +220,6 @@ func (rq *request) readBody(r *http.Request, wb *wireBuf) bool {
 	if err == nil {
 		return true
 	}
-	rq.s.met.BadInput.Add(1)
 	if st := bodyStatus(err); st == http.StatusRequestEntityTooLarge {
 		rq.fail(st, "request body larger than %d bytes", rq.s.cfg.MaxBodyBytes)
 	} else {
@@ -318,7 +321,6 @@ func serveBatch[P, R any](rq *request, r *http.Request, body *batchBody[P, R]) *
 	// reject refuses the body; nothing aliases wb yet.
 	reject := func(format string, args ...any) {
 		putWire(wb)
-		s.met.BadInput.Add(1)
 		rq.fail(http.StatusBadRequest, format, args...)
 	}
 	scanStart := time.Now()
@@ -363,11 +365,10 @@ func serveBatch[P, R any](rq *request, r *http.Request, body *batchBody[P, R]) *
 				p.abandon(i, n)
 				<-p.done
 			}
-			status, msg := s.admitStatus(err)
+			status, msg := admitStatus(err)
 			rq.fail(status, "%s", msg)
 			return nil
 		}
-		s.met.Accepted.Add(1)
 	}
 	select {
 	case <-p.done:
@@ -388,7 +389,7 @@ func serveBatch[P, R any](rq *request, r *http.Request, body *batchBody[P, R]) *
 		return nil
 	}
 	ready := time.Now()
-	s.met.observeLatency(ready.Sub(rq.start))
+	s.met.Latency.observe(ready.Sub(rq.start).Nanoseconds())
 	wb.out = body.appendReply(wb.out[:0], p.res)
 	s.met.EncodeNs.Add(time.Since(ready).Nanoseconds())
 	return wb
@@ -488,7 +489,6 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if err := validateJob(&req, s.cfg.MaxSeqLen); err != nil {
-				s.met.BadInput.Add(1)
 				fail(http.StatusBadRequest, "line %d: %v", i, err)
 				return
 			}
@@ -497,11 +497,10 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 			// Streamed jobs route individually: a long stream spreads over
 			// the pool.
 			if err := s.router.submitWaitExt(ctx, job); err != nil {
-				status, _ := s.admitStatus(err)
+				status, _ := admitStatus(err)
 				fail(status, "%v", err)
 				return
 			}
-			s.met.Accepted.Add(1)
 			select {
 			case window <- p:
 			case <-ctx.Done():
@@ -548,120 +547,16 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// metricsBody is the /metrics document: the operational counters plus the
-// SeedEx check statistics (shared StatsSnapshot path with the CLI).
-type metricsBody struct {
-	MetricsSnapshot
-	UptimeSec float64           `json:"uptime_sec"`
-	Build     obs.BuildInfo     `json:"build"`
-	Checks    *checksBody       `json:"checks,omitempty"`
-	Faults    *faults.Health    `json:"faults,omitempty"`
-	MapQueue  *queueBody        `json:"map_queue,omitempty"`
-	Index     *refstore.Status  `json:"index,omitempty"`
-	Cluster   *clusterBody      `json:"cluster,omitempty"`
-	Shards    []ShardSnapshot   `json:"shards,omitempty"`
-	Trace     *obs.Stats        `json:"trace,omitempty"`
-	Config    metricsConfigEcho `json:"config"`
-}
-
-// clusterBody summarizes the routing tier: shard pool shape plus the
-// decision and steal counters summed over shards (the per-shard split is
-// in the shards array).
-type clusterBody struct {
-	Shards   int   `json:"shards"`
-	Degraded int   `json:"shards_degraded"`
-	Routed   int64 `json:"routed"`
-	Rerouted int64 `json:"rerouted"`
-	Avoided  int64 `json:"avoided"`
-	Steals   int64 `json:"batches_stolen"`
-}
-
-type checksBody struct {
-	core.StatsSnapshot
-	PassRate          float64          `json:"pass_rate"`
-	ThresholdOnlyRate float64          `json:"threshold_only_rate"`
-	Outcomes          map[string]int64 `json:"outcomes"`
-}
-
-type queueBody struct {
-	Depth int `json:"depth"`
-	Cap   int `json:"cap"`
-}
-
-type metricsConfigEcho struct {
-	MaxBatch   int     `json:"max_batch"`
-	FlushUs    float64 `json:"flush_us"`
-	Workers    int     `json:"workers"`
-	QueueCap   int     `json:"queue_cap"`
-	Shards     int     `json:"shards"`
-	MapEnabled bool    `json:"map_enabled"`
-}
-
+// handleMetrics renders one scrape of the metric rows: the JSON document,
+// or the Prometheus text exposition with ?format=prometheus.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	c := s.scrape()
 	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", obs.ContentType)
-		obs.WriteText(w, s.collectProm)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		c.writeProm(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.buildMetricsBody())
-}
-
-// buildMetricsBody assembles the /metrics JSON document (shared with the
-// flight recorder's metrics.json).
-func (s *Server) buildMetricsBody() metricsBody {
-	extDepth, extCap := queueTotals(s, extPipe)
-	body := metricsBody{
-		MetricsSnapshot: s.met.Snapshot(extDepth, extCap),
-		UptimeSec:       time.Since(s.started).Seconds(),
-		Build:           s.cfg.Build,
-		Shards:          s.ShardSnapshots(),
-		Config: metricsConfigEcho{
-			MaxBatch:   s.cfg.Batch.MaxBatch,
-			FlushUs:    float64(s.cfg.Batch.FlushInterval.Nanoseconds()) / 1e3,
-			Workers:    s.cfg.Batch.Workers,
-			QueueCap:   s.cfg.Batch.QueueCap,
-			Shards:     len(s.shards),
-			MapEnabled: s.mapEnabled(),
-		},
-	}
-	cluster := clusterBody{Shards: len(s.shards)}
-	for _, snap := range body.Shards {
-		if snap.Degraded {
-			cluster.Degraded++
-		}
-		cluster.Routed += snap.Routed
-		cluster.Rerouted += snap.Rerouted
-		cluster.Avoided += snap.Avoided
-		cluster.Steals += snap.Steals
-	}
-	body.Cluster = &cluster
-	if snap, ok := s.checksSnapshot(); ok {
-		body.Checks = &checksBody{
-			StatsSnapshot:     snap,
-			PassRate:          snap.PassRate(),
-			ThresholdOnlyRate: snap.ThresholdOnlyRate(),
-			Outcomes:          snap.OutcomeCounts(),
-		}
-	}
-	if s.health != nil {
-		// All shards share one health source (shared extender); the
-		// per-engine view of a multi-engine cluster is in the shards array.
-		h := s.health()
-		body.Faults = &h
-	}
-	if s.mapEnabled() {
-		depth, capacity := queueTotals(s, mapPipe)
-		body.MapQueue = &queueBody{Depth: depth, Cap: capacity}
-	}
-	if s.cfg.RefStore != nil {
-		st := s.cfg.RefStore.Status()
-		body.Index = &st
-	}
-	if s.trace != nil {
-		ts := s.trace.TraceStats()
-		body.Trace = &ts
-	}
-	return body
+	writeJSON(w, http.StatusOK, c.doc())
 }
 
 // handleTraces exports the spans of every retained journey: Chrome
@@ -783,66 +678,48 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // traffic around them, and even an all-degraded pool still serves exact
 // results — slower, never wrong, so the LB must not evict it). The shard
 // tally and per-shard breaker states ride along for operators; every
-// value is a string so minimal clients can decode the body uniformly.
+// value is a string so minimal clients can decode the body uniformly. It
+// reads the same scrape /metrics renders.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	degraded := 0
-	breakers := make([]string, 0, len(s.shards))
-	for _, sh := range s.shards {
-		if sh.health == nil {
-			continue
-		}
-		h := sh.health()
-		if h.Degraded {
-			degraded++
-		}
-		breakers = append(breakers, h.Breaker)
-	}
-	body := map[string]string{
-		"shards":          strconv.Itoa(len(s.shards)),
-		"shards_degraded": strconv.Itoa(degraded),
-	}
+	c := s.scrape()
+	body := map[string]string{"status": "ok", "slo": "ok", "shards": strconv.Itoa(len(c.shards)), "shards_degraded": strconv.Itoa(c.degraded)}
 	// Index lifecycle: a degraded-reload store (last reload rolled back)
 	// still serves exact results from the previous generation, so like
 	// breaker degradation it answers 200 — the LB must not evict it, but
 	// operators see the state and the rollback counters.
-	indexDegraded := false
-	if s.cfg.RefStore != nil {
-		st := s.cfg.RefStore.Status()
+	if st := c.index; st != nil {
 		body["index_generation"] = strconv.FormatUint(st.Generation, 10)
 		body["index_reloads"] = strconv.FormatInt(st.Reloads, 10)
 		body["index_reload_failures"] = strconv.FormatInt(st.ReloadFailures, 10)
 		body["index_rollbacks"] = strconv.FormatInt(st.Rollbacks, 10)
+		body["index_state"] = "ok"
 		if st.DegradedReload {
-			body["index_state"] = "degraded-reload"
-			indexDegraded = true
-		} else {
-			body["index_state"] = "ok"
+			body["index_state"], body["status"] = "degraded-reload", "degraded"
 		}
 	}
 	// The SLO burn-rate engine rides along as a note, not a status flip:
 	// burning error budget is an alerting concern, and the endpoints are
 	// still serving — the LB keeps the instance in rotation.
-	if s.slo.Snapshot().Degraded {
+	if c.slo.Degraded {
 		body["slo"] = "degraded-slo"
-	} else {
-		body["slo"] = "ok"
 	}
-	if degraded > 0 || indexDegraded {
-		body["status"] = "degraded"
-		if degraded > 0 {
-			if len(s.shards) == 1 {
-				body["breaker"] = breakers[0]
-			} else {
-				body["breakers"] = strings.Join(breakers, ",")
+	if c.degraded > 0 {
+		var breakers []string
+		for _, ss := range c.shards {
+			if ss.health != nil {
+				breakers = append(breakers, ss.health.Breaker)
 			}
 		}
-		writeJSON(w, http.StatusOK, body)
-		return
+		body["status"] = "degraded"
+		if len(c.shards) == 1 {
+			body["breaker"] = breakers[0]
+		} else {
+			body["breakers"] = strings.Join(breakers, ",")
+		}
 	}
-	body["status"] = "ok"
 	writeJSON(w, http.StatusOK, body)
 }

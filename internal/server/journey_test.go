@@ -175,8 +175,8 @@ func TestJourneyStealStitching(t *testing.T) {
 	}
 
 	// The router's accounting saw the same steal.
-	snaps := s.ShardSnapshots()
-	if snaps[0].Steals+snaps[1].Steals == 0 {
+	snaps := s.scrape().shards
+	if snaps[0].n[smSteals]+snaps[1].n[smSteals] == 0 {
 		t.Fatal("journey shows a steal the shard counters never recorded")
 	}
 

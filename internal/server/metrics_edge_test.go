@@ -2,7 +2,9 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
+	"time"
 )
 
 // Edge-of-domain regression tests for the power-of-two histogram
@@ -91,6 +93,85 @@ func TestQuantileTornSnapshot(t *testing.T) {
 	}
 	if got := s.Quantile(0.5); got != 7 {
 		t.Errorf("torn snapshot Quantile(0.5) = %g, want 7", got)
+	}
+}
+
+// TestPow2Buckets: the Prometheus form of a power-of-two histogram is
+// cumulative buckets trimmed to the non-empty range, with the exact
+// inclusive upper bound 2^i - 1 of each bucket, scaled, then +Inf, sum
+// and count.
+func TestPow2Buckets(t *testing.T) {
+	var s histSnapshot
+	s.Counts[3] = 5  // values 4..7
+	s.Counts[5] = 2  // values 16..31
+	s.Counts[10] = 1 // values 512..1023
+	s.N, s.Sum = 8, 600
+	all := s.promSeries(1)
+	if len(all) != 8+3 {
+		t.Fatalf("got %d samples, want 8 buckets (trimmed to [3,10]) + 3", len(all))
+	}
+	bs, tail := all[:8], all[8:]
+	le := func(x series) float64 {
+		v, err := strconv.ParseFloat(x.labels[1], 64)
+		if err != nil || x.suffix != "_bucket" || x.labels[0] != "le" {
+			t.Fatalf("not a bucket: %+v", x)
+		}
+		return v
+	}
+	if le(bs[0]) != 7 || bs[0].v != 5 {
+		t.Fatalf("first bucket %+v", bs[0])
+	}
+	if last := bs[len(bs)-1]; le(last) != 1023 || last.v != 8 {
+		t.Fatalf("last bucket %+v", last)
+	}
+	for i := 1; i < len(bs); i++ {
+		if le(bs[i]) <= le(bs[i-1]) || bs[i].v < bs[i-1].v {
+			t.Fatalf("buckets not monotone at %d: %+v then %+v", i, bs[i-1], bs[i])
+		}
+	}
+	if tail[0].labels[1] != "+Inf" || tail[0].v != 8 || tail[1].suffix != "_sum" || tail[1].v != 600 || tail[2].suffix != "_count" || tail[2].v != 8 {
+		t.Fatalf("+Inf, sum and count %+v", tail)
+	}
+	if got := (histSnapshot{}).promSeries(1); len(got) != 3 {
+		t.Fatalf("empty histogram yields %+v, want +Inf, sum and count only", got)
+	}
+	// Scaling applies to the bounds and the sum (the comparand repeats the
+	// runtime float product — a constant literal would fold exactly and
+	// differ by one ulp).
+	scale := 1e-9
+	if ns, want := s.promSeries(scale), formatVal(float64(7)*scale); ns[0].labels[1] != want || ns[9].v != 600*scale {
+		t.Fatalf("scaled le %v, want %v (sum %v)", ns[0].labels[1], want, ns[9].v)
+	}
+	// The JSON buckets carry the same bounds.
+	if js := s.Buckets(); len(js) != 3 || js[0] != (BucketCount{Lo: 4, Hi: 7, Count: 5}) || js[2] != (BucketCount{Lo: 512, Hi: 1023, Count: 1}) {
+		t.Fatalf("JSON buckets %+v", js)
+	}
+}
+
+// TestSLOCollect: the seedex_slo_* families render the burn-rate engine's
+// snapshot, one series per objective (and window, and severity).
+func TestSLOCollect(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
+	s, ts := newTestServer(t, Config{SLO: SLOConfig{Interval: -1, AvailabilityTarget: 0.999, Now: func() time.Time { return now }}})
+	resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: testProblems(2, 60, 3)})
+	resp.Body.Close()
+	now = now.Add(10 * time.Second)
+	s.slo.Tick()
+	sc := scrapeProm(t, ts.URL)
+	for series, want := range map[string]float64{
+		`seedex_slo_target{objective="availability"}`:                      0.999,
+		`seedex_slo_good_total{objective="availability"}`:                  1,
+		`seedex_slo_events_total{objective="availability"}`:                1,
+		`seedex_slo_burn_rate{objective="availability",window="5m"}`:       0,
+		`seedex_slo_alert{objective="availability",severity="page"}`:       0,
+		`seedex_slo_alert{objective="availability",severity="ticket"}`:     0,
+		`seedex_slo_events_total{objective="extend-latency-p99"}`:          1,
+		`seedex_slo_alert{objective="extend-latency-p99",severity="page"}`: 0,
+		`seedex_slo_degraded`: 0,
+	} {
+		if got, ok := sc.samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
 	}
 }
 

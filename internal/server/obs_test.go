@@ -264,8 +264,9 @@ func TestTraceLiveReads(t *testing.T) {
 // --- Prometheus exposition -------------------------------------------------
 
 // promScrape fetches /metrics?format=prometheus and parses it strictly:
-// every sample belongs to a declared family, histogram buckets are
-// le-monotone and cum-monotone, and values parse.
+// every family has one HELP and one TYPE line and its samples form one
+// contiguous group, every sample belongs to a declared family, histogram
+// buckets are le-monotone and cum-monotone, and values parse.
 type promScrape struct {
 	types   map[string]string  // family -> counter|gauge|histogram
 	samples map[string]float64 // full series (name+labels) -> value
@@ -283,6 +284,8 @@ func scrapeProm(t *testing.T, url string) promScrape {
 	}
 	sc := promScrape{types: map[string]string{}, samples: map[string]float64{}}
 	helped := map[string]bool{}
+	// The family whose group is open, and the families whose group ended.
+	current, ended := "", map[string]bool{}
 	// Histogram bucket monotonicity is tracked per family as lines stream.
 	lastLE := map[string]float64{}
 	lastCum := map[string]float64{}
@@ -295,6 +298,9 @@ func scrapeProm(t *testing.T, url string) promScrape {
 		}
 		if strings.HasPrefix(line, "# HELP ") {
 			f := strings.Fields(line)
+			if helped[f[2]] {
+				t.Fatalf("second HELP line for %s", f[2])
+			}
 			helped[f[2]] = true
 			continue
 		}
@@ -302,6 +308,9 @@ func scrapeProm(t *testing.T, url string) promScrape {
 			f := strings.Fields(line)
 			if !helped[f[2]] {
 				t.Fatalf("TYPE before HELP for %s", f[2])
+			}
+			if sc.types[f[2]] != "" {
+				t.Fatalf("second TYPE line for %s", f[2])
 			}
 			if f[3] != "counter" && f[3] != "gauge" && f[3] != "histogram" {
 				t.Fatalf("unknown type %q", f[3])
@@ -322,6 +331,12 @@ func scrapeProm(t *testing.T, url string) promScrape {
 		}
 		if sc.types[family] == "" {
 			t.Fatalf("sample %q has no TYPE declaration", line)
+		}
+		if family != current {
+			if ended[family] {
+				t.Fatalf("family %s is split into several groups (sample %q)", family, line)
+			}
+			ended[current], current = true, family
 		}
 		val, err := strconv.ParseFloat(valStr, 64)
 		if err != nil && valStr != "+Inf" && valStr != "NaN" {
@@ -467,7 +482,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 // TestPrometheusShardedFamilies extends the round trip to the shard pool
 // and routing tier: a 2-shard device-backed server must expose the
 // per-shard job/occupancy/breaker families and the router counters, all
-// shard-labelled, alongside (never instead of) the aggregates.
+// shard-labelled, alongside the server-wide aggregates summed from them.
 func TestPrometheusShardedFamilies(t *testing.T) {
 	engs := []*driver.Engine{chaosEngine(faults.Config{}), chaosEngine(faults.Config{})}
 	_, ts := newTestServer(t, Config{
@@ -485,6 +500,11 @@ func TestPrometheusShardedFamilies(t *testing.T) {
 	}
 	if got := scrape.samples["seedex_shards_degraded"]; got != 0 {
 		t.Errorf("seedex_shards_degraded = %v, want 0", got)
+	}
+	// Every shard has a health source, so the server-wide degraded gauge is
+	// exported (and 0) while all of them are healthy.
+	if got, ok := scrape.samples["seedex_degraded"]; !ok || got != 0 {
+		t.Errorf("seedex_degraded = %v (present %v), want 0", got, ok)
 	}
 	for _, family := range []string{
 		"seedex_shard_jobs_accepted_total", "seedex_shard_jobs_completed_total",
@@ -507,8 +527,7 @@ func TestPrometheusShardedFamilies(t *testing.T) {
 			t.Errorf("shard %s closed-breaker series = %v, want 1", sh, v)
 		}
 	}
-	// Aggregates survive sharding: shard-labelled accepted jobs sum to the
-	// server-wide counter.
+	// The server-wide counter is the sum of the shard-labelled ones.
 	sum := scrape.samples[`seedex_shard_jobs_accepted_total{shard="0"}`] +
 		scrape.samples[`seedex_shard_jobs_accepted_total{shard="1"}`]
 	if total := scrape.samples["seedex_jobs_accepted_total"]; sum != total {

@@ -36,7 +36,7 @@ func (r *router) pick() *shard {
 	} else if sh = leastLoaded(r.shards, true); sh == nil {
 		sh = leastLoaded(r.shards, false)
 	}
-	sh.sm.routed.Add(1)
+	sh.sm.n[smRouted].Add(1)
 	return sh
 }
 
@@ -48,7 +48,7 @@ func leastLoaded(shards []*shard, skipDegraded bool) *shard {
 	var bestLoad int64
 	for _, sh := range shards {
 		if skipDegraded && sh.degraded() {
-			sh.sm.avoided.Add(1)
+			sh.sm.n[smAvoided].Add(1)
 			continue
 		}
 		if load := sh.inflight.Load(); best == nil || load < bestLoad {
@@ -77,17 +77,17 @@ func submit[P, R any](r *router, pipe func(*shard) *batcher[job[P, R]], sh *shar
 	if !errors.Is(err, ErrQueueFull) || len(r.shards) == 1 {
 		return err
 	}
-	sh.sm.rejected.Add(1)
+	sh.sm.n[smRejected].Add(1)
 	for _, alt := range r.failoverOrder(sh) {
 		j.sh = alt
 		switch aerr := pipe(alt).Submit(j); {
 		case aerr == nil:
 			alt.admit()
-			alt.sm.rerouted.Add(1)
+			alt.sm.n[smRerouted].Add(1)
 			j.tr.Mark(obs.EvReroute)
 			return nil
 		case errors.Is(aerr, ErrQueueFull):
-			alt.sm.rejected.Add(1)
+			alt.sm.n[smRejected].Add(1)
 		default:
 			return aerr
 		}

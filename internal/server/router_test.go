@@ -36,7 +36,7 @@ func TestLeastLoadedPicksMinInflight(t *testing.T) {
 	if got := rt.pick(); got.id != 2 {
 		t.Fatalf("with shard 1 degraded picked shard %d, want 2", got.id)
 	}
-	if rt.shards[1].sm.avoided.Load() != 1 {
+	if rt.shards[1].sm.n[smAvoided].Load() != 1 {
 		t.Fatal("the degraded shard's avoided counter did not move")
 	}
 	deg[0].Store(true)
@@ -67,7 +67,7 @@ func gatedShard(id int, group *stealGroup[extJob], entered chan<- int, gate chan
 	}
 	sh.ext = newBatcher(BatcherConfig{
 		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 2, Workers: 1,
-	}, nil, shardHooks[extJob]{sh.sm, group, id}, 1, nil, work)
+	}, shardHooks[extJob]{sh.sm, group, id}, 1, nil, work)
 	return sh
 }
 
@@ -115,15 +115,15 @@ func TestRouterFailoverOnFullQueue(t *testing.T) {
 	if err := submit(rt, extPipe, sh0, job(1)); err != nil {
 		t.Fatalf("submit with a free peer returned %v", err)
 	}
-	if got := sh1.sm.rerouted.Load(); got != 1 {
+	if got := sh1.sm.n[smRerouted].Load(); got != 1 {
 		t.Fatalf("shard 1 rerouted counter = %d, want 1", got)
 	}
-	if sh0.sm.rejected.Load() == 0 {
+	if sh0.sm.n[smRejected].Load() == 0 {
 		t.Fatal("shard 0 never counted its refusal")
 	}
-	if sh1.inflight.Load() != 1 || sh1.sm.accepted.Load() != 1 {
+	if sh1.inflight.Load() != 1 || sh1.sm.n[smAccepted].Load() != 1 {
 		t.Fatalf("failover did not admit on shard 1: inflight=%d accepted=%d",
-			sh1.inflight.Load(), sh1.sm.accepted.Load())
+			sh1.inflight.Load(), sh1.sm.n[smAccepted].Load())
 	}
 }
 
@@ -141,7 +141,7 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 	victim := &shard{id: 0, sm: &shardMetrics{}}
 	victim.ext = newBatcher(BatcherConfig{
 		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 4, Workers: 1,
-	}, nil, shardHooks[extJob]{victim.sm, group, 0}, 1, nil, func() func([]extJob) {
+	}, shardHooks[extJob]{victim.sm, group, 0}, 1, nil, func() func([]extJob) {
 		return func(batch []extJob) {
 			entered <- batch[0].req.Tag
 			<-gate
@@ -150,7 +150,7 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 	thief := &shard{id: 1, sm: &shardMetrics{}}
 	thief.ext = newBatcher(BatcherConfig{
 		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 4, Workers: 1,
-	}, nil, shardHooks[extJob]{thief.sm, group, 1}, 1, nil, func() func([]extJob) {
+	}, shardHooks[extJob]{thief.sm, group, 1}, 1, nil, func() func([]extJob) {
 		return func(batch []extJob) {
 			processed <- batch[0].req.Tag
 		}
@@ -188,10 +188,10 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("idle peer never stole the straggler's batch")
 	}
-	if thief.sm.steals.Load() == 0 {
+	if thief.sm.n[smSteals].Load() == 0 {
 		t.Fatal("thief's steals counter did not move")
 	}
-	if victim.sm.stolen.Load() == 0 {
+	if victim.sm.n[smStolen].Load() == 0 {
 		t.Fatal("victim's stolen counter did not move")
 	}
 }
@@ -238,16 +238,16 @@ func TestRouterAvoidsDegradedShard(t *testing.T) {
 	}
 
 	deg[1].Store(true)
-	before := s.ShardSnapshots()
+	before := s.scrape().shards
 	drive(10)
-	after := s.ShardSnapshots()
-	if got := after[1].Accepted - before[1].Accepted; got != 0 {
+	after := s.scrape().shards
+	if got := after[1].n[smAccepted] - before[1].n[smAccepted]; got != 0 {
 		t.Fatalf("degraded shard 1 still admitted %d jobs", got)
 	}
-	if after[1].Avoided == before[1].Avoided {
+	if after[1].n[smAvoided] == before[1].n[smAvoided] {
 		t.Fatal("avoided counter did not move while shard 1 was degraded")
 	}
-	if got := after[0].Accepted - before[0].Accepted; got != 40 {
+	if got := after[0].n[smAccepted] - before[0].n[smAccepted]; got != 40 {
 		t.Fatalf("healthy shard 0 admitted %d jobs, want 40", got)
 	}
 
@@ -256,8 +256,8 @@ func TestRouterAvoidsDegradedShard(t *testing.T) {
 	// not receipt)...
 	deg[1].Store(false)
 	drive(10)
-	final := s.ShardSnapshots()
-	if final[1].Avoided != after[1].Avoided {
+	final := s.scrape().shards
+	if final[1].n[smAvoided] != after[1].n[smAvoided] {
 		t.Fatal("router still avoiding shard 1 after recovery")
 	}
 	// ...and with shard 0 loaded, the next decision lands on shard 1.

@@ -128,17 +128,12 @@ func (c Config) withDefaults() Config {
 // packed extension kernels plus the HTTP surface. Create with New, expose
 // via Handler, stop with StartDrain + Close.
 type Server struct {
-	cfg    Config
-	met    *Metrics
-	shards []*shard
-	router *router
-	stats  []*core.Stats // distinct check-statistics sources across shards
-	// health is the fault-tolerance view (breaker state, fault, retry and
-	// degradation counters) /metrics and /healthz report for the whole
-	// server: the shared extender's, when every shard runs cfg.Extender
-	// and it has one; nil otherwise.
-	health   func() faults.Health
-	trace    *obs.Tracer // nil when tracing is disabled
+	cfg      Config
+	met      *Metrics
+	shards   []*shard
+	router   *router
+	stats    []*core.Stats // distinct check-statistics sources across shards
+	trace    *obs.Tracer   // nil when tracing is disabled
 	mux      *http.ServeMux
 	draining atomic.Bool
 	started  time.Time
@@ -173,8 +168,8 @@ func New(cfg Config) *Server {
 			mapGroup = &stealGroup[mapJob]{}
 		}
 	}
-	// Distinct check-statistics sources merge into one snapshot: shards
-	// sharing an extender share one source.
+	// The check rows of /metrics sum the distinct statistics sources:
+	// shards sharing an extender share one source.
 	seenStats := make(map[*core.Stats]bool)
 	addStats := func(st *core.Stats) {
 		if st != nil && !seenStats[st] {
@@ -189,17 +184,13 @@ func New(cfg Config) *Server {
 		}
 		sh := &shard{id: i, engine: resolveEngine(ext), sm: &shardMetrics{}}
 		addStats(sh.stats)
-		sh.ext = newBatcher(cfg.Batch, s.met, shardHooks[extJob]{sh.sm, extGroup, i}, align.NumShapeBins, sh.binOf,
+		sh.ext = newBatcher(cfg.Batch, shardHooks[extJob]{sh.sm, extGroup, i}, align.NumShapeBins, sh.binOf,
 			func() func([]extJob) { return s.extWorker(sh) })
 		if s.mapEnabled() {
-			sh.maps = newBatcher(cfg.MapBatch, s.met, shardHooks[mapJob]{sh.sm, mapGroup, i}, 1, nil,
+			sh.maps = newBatcher(cfg.MapBatch, shardHooks[mapJob]{sh.sm, mapGroup, i}, 1, nil,
 				func() func([]mapJob) { return s.mapWorker(sh) })
 		}
 		s.shards = append(s.shards, sh)
-	}
-	if cfg.NewExtender == nil {
-		// Every shard shares cfg.Extender, so its health is the server's.
-		s.health = s.shards[0].health
 	}
 	linkPeers(extGroup, s.shards, extPipe)
 	linkPeers(mapGroup, s.shards, mapPipe)
@@ -256,60 +247,9 @@ func (s *Server) Close() {
 	}
 }
 
-// Metrics exposes the live counters (shared with the /metrics endpoint).
-// They aggregate over all shards; ShardSnapshots has the per-shard view.
-func (s *Server) Metrics() *Metrics { return s.met }
-
-// ShardSnapshots reads every shard's counters (the /metrics "shards"
-// section).
-func (s *Server) ShardSnapshots() []ShardSnapshot {
-	out := make([]ShardSnapshot, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.snapshot()
-	}
-	return out
-}
-
-// queueTotals sums queue depth and capacity across the shards' batchers
-// of one pipe — the aggregate the pre-sharding /metrics reported.
-func queueTotals[T any](s *Server, pipe func(*shard) *batcher[T]) (depth, capacity int) {
-	for _, sh := range s.shards {
-		if b := pipe(sh); b != nil {
-			depth += b.QueueDepth()
-			capacity += b.QueueCap()
-		}
-	}
-	return depth, capacity
-}
-
 // mapEnabled reports whether the mapping pipeline exists (Config.RefStore
 // was set).
 func (s *Server) mapEnabled() bool { return s.cfg.RefStore != nil }
-
-// checksSnapshot merges the check statistics of every distinct stats
-// source across the shards (shards sharing one extender share one
-// source). ok is false when no shard keeps statistics.
-func (s *Server) checksSnapshot() (core.StatsSnapshot, bool) {
-	if len(s.stats) == 0 {
-		return core.StatsSnapshot{}, false
-	}
-	out := s.stats[0].Snapshot()
-	for _, st := range s.stats[1:] {
-		snap := st.Snapshot()
-		out.Total += snap.Total
-		out.Passed += snap.Passed
-		out.Reruns += snap.Reruns
-		out.ThresholdOnly += snap.ThresholdOnly
-		for i := range out.Outcomes {
-			out.Outcomes[i] += snap.Outcomes[i]
-		}
-		out.DeviceFaults += snap.DeviceFaults
-		out.DeviceRetries += snap.DeviceRetries
-		out.BreakerTrips += snap.BreakerTrips
-		out.HostOnly += snap.HostOnly
-	}
-	return out, true
-}
 
 // engine is everything a shard needs from its extender, resolved once by
 // resolveEngine so nothing downstream asks what kind of extender it is.
@@ -432,8 +372,7 @@ type mapRead struct {
 // expireJob completes j without compute: its client is gone (deadline or
 // disconnect), or the pipeline shut down under it. The job still resolves
 // so its request's pending does.
-func expireJob[P, R any](s *Server, j job[P, R]) {
-	s.met.Expired.Add(1)
+func expireJob[P, R any](j job[P, R]) {
 	j.sh.settleExpired()
 	j.out.expire(j.slot)
 }
@@ -443,14 +382,13 @@ func expireJob[P, R any](s *Server, j job[P, R]) {
 // returned (appended to live). A batch whose jobs were admitted by another
 // shard arrived by work stealing: the event is flagged and where the batch
 // really ran recorded (v1 = victim shard, v2 = thief shard).
-func pickup[P, R any](s *Server, sh *shard, batch, live []job[P, R], now time.Time) []job[P, R] {
+func pickup[P, R any](sh *shard, batch, live []job[P, R], now time.Time) []job[P, R] {
 	for _, j := range batch {
 		wait := now.Sub(j.enq)
-		s.met.QueueWait.observe(wait.Nanoseconds())
 		j.sh.sm.queueWait.observe(wait.Nanoseconds())
 		j.tr.Span(obs.KindQueueWait, j.enq, wait, int64(len(batch)), 0)
 		if j.ctx.Err() != nil {
-			expireJob(s, j)
+			expireJob(j)
 			continue
 		}
 		live = append(live, j)
@@ -483,7 +421,7 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 	resp := make([]core.Response, max)
 	return func(batch []extJob) {
 		now := time.Now()
-		live = pickup(s, sh, batch, live[:0], now)
+		live = pickup(sh, batch, live[:0], now)
 		if len(live) == 0 {
 			return
 		}
@@ -533,7 +471,6 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 			j.sh.settleDone()
 			j.out.deliver(j.slot, wireResult(r))
 		}
-		s.met.Completed.Add(int64(len(live)))
 	}
 }
 
@@ -562,7 +499,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 			// The store closed under us (shutdown): resolve the batch as
 			// expired so every pending completes.
 			for _, j := range batch {
-				expireJob(s, j)
+				expireJob(j)
 			}
 			return
 		}
@@ -576,7 +513,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 			m = s.cfg.NewAligner(g.Ref(), g.Index()).NewMapper()
 			genID = g.ID()
 		}
-		live = pickup(s, sh, batch, live[:0], now)
+		live = pickup(sh, batch, live[:0], now)
 		if len(live) == 0 {
 			return
 		}
@@ -622,6 +559,5 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 				Sam:    string(text),
 			})
 		}
-		s.met.Completed.Add(int64(len(live)))
 	}
 }

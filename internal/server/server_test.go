@@ -122,14 +122,15 @@ func TestExtendCoalescing(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	snap := s.Metrics().Snapshot(0, 0)
-	if snap.Batches >= n {
-		t.Fatalf("%d single-job requests produced %d batches; no coalescing happened", n, snap.Batches)
+	c := s.scrape()
+	batches, occ := c.total[smBatches], c.occupancy.Mean()
+	if batches >= n {
+		t.Fatalf("%d single-job requests produced %d batches; no coalescing happened", n, batches)
 	}
-	if snap.MeanOccupancy <= 1 {
-		t.Fatalf("mean occupancy %.2f, want > 1", snap.MeanOccupancy)
+	if occ <= 1 {
+		t.Fatalf("mean occupancy %.2f, want > 1", occ)
 	}
-	t.Logf("%d requests -> %d batches (mean occupancy %.1f)", n, snap.Batches, snap.MeanOccupancy)
+	t.Logf("%d requests -> %d batches (mean occupancy %.1f)", n, batches, occ)
 }
 
 // TestGracefulShutdown proves the drain contract: a request in flight
@@ -155,7 +156,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// Wait until the request has passed admission before starting the
 	// drain, so it is genuinely in flight.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().Accepted.Load() == 0 {
+	for s.scrape().total[smAccepted] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request never passed admission")
 		}
@@ -172,8 +173,8 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("in-flight request: status %d, want 200", code)
 	}
 	s.Close()
-	m := s.Metrics()
-	if acc, done := m.Accepted.Load(), m.Completed.Load()+m.Expired.Load(); acc != done {
+	c := s.scrape()
+	if acc, done := c.total[smAccepted], c.total[smCompleted]+c.total[smExpired]; acc != done {
 		t.Fatalf("accepted %d jobs but resolved %d after Close", acc, done)
 	}
 	// healthz reflects the drain.
@@ -207,7 +208,7 @@ func TestStreamStatusAccounting(t *testing.T) {
 	}
 	assertFailed := func(rid string, failed int64) {
 		t.Helper()
-		if got := s.Metrics().Failed.Load(); got != failed {
+		if got := s.met.Failed.Load(); got != failed {
 			t.Fatalf("requests_failed = %d, want %d", got, failed)
 		}
 		id, _ := obs.RequestID(rid)
@@ -236,6 +237,43 @@ func TestStreamStatusAccounting(t *testing.T) {
 		t.Fatalf("stream while draining: status %d, want 503", resp.StatusCode)
 	}
 	assertFailed("a2", 2)
+}
+
+// TestRequestOutcomeCounters: every refused request moves its outcome
+// counter exactly once, whichever endpoint refused it and at which step —
+// a stream line that fails to frame or scan, or overruns the body cap, is
+// bad input just like a malformed or oversized batch.
+func TestRequestOutcomeCounters(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxBodyBytes: 1 << 10})
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	post("/v1/extend/stream", `{"query":"ACGT","target":"AC`)                   // cannot frame: 400
+	post("/v1/extend/stream", `{"query":1}`+"\n")                               // cannot scan: 400
+	post("/v1/extend/stream", `{"query":"`+strings.Repeat("A", 2048)+`"}`+"\n") // over the cap: 413
+	post("/v1/extend", "{not json")                                             // 400
+	post("/v1/extend", `{"jobs":[{"query":"`+strings.Repeat("A", 2048)+`"}]}`)  // 413
+	s.StartDrain()
+	post("/v1/extend/stream", "") // 503
+	post("/v1/extend", "{}")      // 503
+
+	var got struct {
+		BadInput int64 `json:"requests_bad_input"`
+		Rejected int64 `json:"jobs_rejected"`
+		Draining int64 `json:"jobs_rejected_draining"`
+		Failed   int64 `json:"requests_failed"`
+		Requests int64 `json:"requests"`
+	}
+	getJSON(t, ts.URL+"/metrics", &got)
+	if got.BadInput != 5 || got.Rejected != 0 || got.Draining != 2 || got.Failed != 2 || got.Requests != 7 {
+		t.Fatalf("outcome counters %+v, want 5 bad input, 0 rejected, 2 draining, 2 failed of 7 requests", got)
+	}
 }
 
 // TestBackpressure429 overloads a deliberately tiny server and checks the
@@ -278,7 +316,7 @@ func TestBackpressure429(t *testing.T) {
 	if ok == 0 || rejected == 0 {
 		t.Fatalf("want both successes and rejections, got %d ok / %d rejected", ok, rejected)
 	}
-	if s.Metrics().Rejected.Load() == 0 {
+	if s.met.Rejected.Load() == 0 {
 		t.Fatal("rejection counter not incremented")
 	}
 }

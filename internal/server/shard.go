@@ -29,89 +29,45 @@ func (sh *shard) degraded() bool {
 // admit records one job entering the shard.
 func (sh *shard) admit() {
 	sh.inflight.Add(1)
-	sh.sm.accepted.Add(1)
+	sh.sm.n[smAccepted].Add(1)
 }
 
 // settleExpired records one admitted job leaving the shard without
 // compute (deadline passed in queue).
 func (sh *shard) settleExpired() {
 	sh.inflight.Add(-1)
-	sh.sm.expired.Add(1)
+	sh.sm.n[smExpired].Add(1)
 }
 
 // settleDone records one admitted job leaving the shard with a computed
 // result.
 func (sh *shard) settleDone() {
 	sh.inflight.Add(-1)
-	sh.sm.completed.Add(1)
+	sh.sm.n[smCompleted].Add(1)
 }
 
-// shardMetrics are one shard's own counters, recorded alongside (never
-// instead of) the server-wide Metrics: the aggregate families keep their
-// pre-sharding meaning, and the per-shard view rides on top.
+// shardCount indexes a shard's counters.
+type shardCount int
+
+const (
+	smAccepted  shardCount = iota // jobs admitted to this shard's queue
+	smCompleted                   // jobs computed by (or stolen from) this shard
+	smRejected                    // submits this shard's full queue refused
+	smExpired                     // admitted jobs that expired before compute
+	smBatches                     // batches this shard's collector dispatched
+	smRouted                      // requests the router sent here
+	smAvoided                     // routing decisions that skipped this degraded shard
+	smRerouted                    // jobs landed here after another shard's queue refused them
+	smSteals                      // batches this shard's workers took from peers
+	smStolen                      // batches peers took from this shard
+	numShardCounts
+)
+
+// shardMetrics are the job-level counters, kept only per shard: each job
+// and batch is recorded once, by the shard that admitted it, and the
+// server-wide values are sums taken at scrape time.
 type shardMetrics struct {
-	accepted  atomic.Int64 // jobs admitted to this shard's queue
-	completed atomic.Int64 // jobs computed by (or stolen from) this shard
-	rejected  atomic.Int64 // submits this shard's full queue refused
-	expired   atomic.Int64 // admitted jobs that expired before compute
-	batches   atomic.Int64 // batches this shard's collector dispatched
-	occupancy hist         // jobs per dispatched batch
-	queueWait hist         // ns from admission to worker pickup
-
-	// Router decisions.
-	routed   atomic.Int64 // requests the router sent here
-	avoided  atomic.Int64 // routing decisions that skipped this degraded shard
-	rerouted atomic.Int64 // jobs landed here after another shard's queue refused them
-
-	// Work stealing.
-	steals atomic.Int64 // batches this shard's workers took from peers
-	stolen atomic.Int64 // batches peers took from this shard
-}
-
-// ShardSnapshot is one shard's slice of the /metrics document.
-type ShardSnapshot struct {
-	ID            int     `json:"id"`
-	Accepted      int64   `json:"jobs_accepted"`
-	Completed     int64   `json:"jobs_completed"`
-	Rejected      int64   `json:"jobs_rejected"`
-	Expired       int64   `json:"jobs_expired"`
-	Batches       int64   `json:"batches"`
-	MeanOccupancy float64 `json:"batch_occupancy_mean"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCap      int     `json:"queue_cap"`
-	InFlight      int64   `json:"inflight"`
-	Routed        int64   `json:"routed"`
-	Avoided       int64   `json:"avoided"`
-	Rerouted      int64   `json:"rerouted"`
-	Steals        int64   `json:"batches_stolen_from_peers"`
-	Stolen        int64   `json:"batches_stolen_by_peers"`
-	Degraded      bool    `json:"degraded"`
-	Breaker       string  `json:"breaker,omitempty"`
-}
-
-func (sh *shard) snapshot() ShardSnapshot {
-	occ := sh.sm.occupancy.snapshot()
-	out := ShardSnapshot{
-		ID:            sh.id,
-		Accepted:      sh.sm.accepted.Load(),
-		Completed:     sh.sm.completed.Load(),
-		Rejected:      sh.sm.rejected.Load(),
-		Expired:       sh.sm.expired.Load(),
-		Batches:       sh.sm.batches.Load(),
-		MeanOccupancy: occ.Mean(),
-		QueueDepth:    sh.ext.QueueDepth(),
-		QueueCap:      sh.ext.QueueCap(),
-		InFlight:      sh.inflight.Load(),
-		Routed:        sh.sm.routed.Load(),
-		Avoided:       sh.sm.avoided.Load(),
-		Rerouted:      sh.sm.rerouted.Load(),
-		Steals:        sh.sm.steals.Load(),
-		Stolen:        sh.sm.stolen.Load(),
-	}
-	if sh.health != nil {
-		h := sh.health()
-		out.Degraded = h.Degraded
-		out.Breaker = h.Breaker
-	}
-	return out
+	n         [numShardCounts]atomic.Int64
+	occupancy hist // jobs per dispatched batch
+	queueWait hist // ns from admission to worker pickup
 }

@@ -136,7 +136,10 @@ func TestMapOutcomeMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var met struct {
-		Checks checksBody `json:"checks"`
+		Checks struct {
+			core.StatsSnapshot
+			Outcomes map[string]int64 `json:"outcomes"`
+		} `json:"checks"`
 	}
 	err = json.NewDecoder(mresp.Body).Decode(&met)
 	mresp.Body.Close()

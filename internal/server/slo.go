@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"seedex/internal/core"
 	"seedex/internal/obs"
 )
 
@@ -67,9 +68,6 @@ func (s *Server) newSLO() *obs.SLO {
 				lat := s.met.Latency.snapshot()
 				var good int64
 				for i, c := range lat.Counts {
-					if c == 0 {
-						continue
-					}
 					if _, hi := bucketBounds(i); int64(hi) <= budgetNs {
 						good += c
 					}
@@ -90,9 +88,6 @@ func (s *Server) newSLO() *obs.SLO {
 	}
 	return obs.NewSLO(obs.SLOConfig{Interval: cfg.Interval, Now: cfg.Now}, objs...)
 }
-
-// SLO exposes the burn-rate engine (the /debug/slo source).
-func (s *Server) SLO() *obs.SLO { return s.slo }
 
 // FlightRecorder exposes the crash/degradation dump recorder, nil when
 // Config.Flight.Dir is empty.
@@ -133,7 +128,7 @@ func (s *Server) flightSources(reason string) []obs.FlightSource {
 				"uptime_sec": time.Since(s.started).Seconds(),
 			}
 		}),
-		jsonSource("metrics.json", func() any { return s.buildMetricsBody() }),
+		jsonSource("metrics.json", func() any { return s.scrape().doc() }),
 		jsonSource("slo.json", func() any {
 			s.slo.Tick()
 			return s.slo.Snapshot()
@@ -163,12 +158,12 @@ func jsonSource(name string, v func() any) obs.FlightSource {
 	}}
 }
 
-// startFlightWatcher launches the degradation watcher: a FlightPoll
-// cadence (default 2s) sweep of the breaker-trip counter, the index
-// rollback counter, and the SLO fast-burn flag. Any of them advancing
-// (or the fast-burn flag rising) triggers an automatic flight dump named
-// for the trigger; the recorder's MinInterval debounce keeps a flapping
-// breaker from filling the disk.
+// startFlightWatcher launches the degradation watcher: every FlightPoll
+// (default 2s) it takes a scrape and compares it with the last one. The
+// breaker-trip or index rollback counter advancing, or the SLO fast-burn
+// flag rising, triggers an automatic flight dump named for the trigger;
+// the recorder's MinInterval debounce keeps a flapping breaker from
+// filling the disk.
 func (s *Server) startFlightWatcher() {
 	poll := s.cfg.FlightPoll
 	if poll <= 0 {
@@ -176,39 +171,35 @@ func (s *Server) startFlightWatcher() {
 	}
 	s.flightStop = make(chan struct{})
 	s.flightDone = make(chan struct{})
-	var lastTrips, lastRollbacks int64
-	if snap, ok := s.checksSnapshot(); ok {
-		lastTrips = snap.BreakerTrips
+	trips := checkCount(func(st *core.StatsSnapshot) int64 { return st.BreakerTrips })
+	rollbacks := func(c *scrape) int64 {
+		if c.index == nil {
+			return 0
+		}
+		return c.index.Rollbacks
 	}
-	if s.cfg.RefStore != nil {
-		lastRollbacks = s.cfg.RefStore.Status().Rollbacks
-	}
+	last := s.scrape()
 	go func() {
 		defer close(s.flightDone)
 		tick := time.NewTicker(poll)
 		defer tick.Stop()
-		fastBurn := false
 		for {
 			select {
 			case <-s.flightStop:
 				return
 			case <-tick.C:
 			}
-			if snap, ok := s.checksSnapshot(); ok && snap.BreakerTrips > lastTrips {
-				lastTrips = snap.BreakerTrips
+			c := s.scrape()
+			if trips(c) > trips(last) {
 				s.FlightDump("breaker-trip")
 			}
-			if s.cfg.RefStore != nil {
-				if rb := s.cfg.RefStore.Status().Rollbacks; rb > lastRollbacks {
-					lastRollbacks = rb
-					s.FlightDump("reload-rollback")
-				}
+			if rollbacks(c) > rollbacks(last) {
+				s.FlightDump("reload-rollback")
 			}
-			now := s.slo.Snapshot().FastBurn
-			if now && !fastBurn {
+			if c.slo.FastBurn && !last.slo.FastBurn {
 				s.FlightDump("slo-fast-burn")
 			}
-			fastBurn = now
+			last = c
 		}
 	}()
 }

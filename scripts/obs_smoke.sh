@@ -90,6 +90,41 @@ grep -q "^seedex_build_info{.*version=\"$VERSION\"" "$OUT/metrics.prom" \
   || fail "seedex_build_info not carrying the ldflags-stamped version $VERSION"
 grep -q '^# TYPE seedex_request_latency_seconds histogram' "$OUT/metrics.prom" \
   || fail "latency histogram TYPE line missing"
+# The text format's grouping rule: each family has one HELP and one TYPE
+# line, and its samples form one contiguous group.
+python3 - "$OUT/metrics.prom" <<'EOF'
+import sys
+types, helps, ended, current = {}, set(), set(), None
+for line in open(sys.argv[1]):
+    line = line.rstrip("\n")
+    if not line:
+        continue
+    if line.startswith("# HELP "):
+        fam = line.split()[2]
+        if fam in helps:
+            raise SystemExit(f"FAIL: second HELP line for {fam}")
+        helps.add(fam)
+        continue
+    if line.startswith("# TYPE "):
+        fam, typ = line.split()[2:4]
+        if fam in types or fam not in helps:
+            raise SystemExit(f"FAIL: TYPE line for {fam} repeated or without HELP")
+        types[fam] = typ
+        continue
+    fam = line.split("{")[0].split(" ")[0]
+    for suf in ("_bucket", "_sum", "_count"):
+        if fam.endswith(suf) and types.get(fam[: -len(suf)]) == "histogram":
+            fam = fam[: -len(suf)]
+    if fam not in types:
+        raise SystemExit(f"FAIL: sample {line!r} has no TYPE line")
+    if fam != current:
+        if fam in ended:
+            raise SystemExit(f"FAIL: family {fam} is split into several groups")
+        if current:
+            ended.add(current)
+        current = fam
+print(f"{len(types)} families, each one group")
+EOF
 
 # Trace exports are valid JSON and cover the pipeline stages.
 python3 -c "import json,sys; json.load(open('$OUT/traces-chrome.json'))" \
