@@ -250,6 +250,46 @@ func BenchmarkFig16bEditMachine(b *testing.B) {
 	})
 }
 
+// BenchmarkPaperEditCheck times paper mode's edit check on the 150 bp
+// jobs that reach it: the whole-region sweep it used to read against the
+// goal-directed sweep that stops once score_ed >= score_nb is decided
+// (editmachine.CornerReachesWS). cells/op is the region cells computed.
+func BenchmarkPaperEditCheck(b *testing.B) {
+	w := workload150(b)
+	cfg := core.Config{Band: 20, Scoring: w.Scoring, Kind: core.SemiGlobal, Mode: core.ModePaper}
+	type edit struct {
+		q, t      []byte
+		s1, local int
+	}
+	var jobs []edit
+	for _, p := range w.Problems {
+		if res, rep := core.Check(p.Q, p.T, p.H0, cfg); rep.EditRan {
+			jobs = append(jobs, edit{p.Q, p.T, rep.Th.S1, res.Local})
+		}
+	}
+	if len(jobs) == 0 {
+		b.Fatal("no job reaches the edit check")
+	}
+	ws, rx := editmachine.NewWorkspace(), editmachine.CanonicalRelaxed
+	for _, sweep := range []struct {
+		name string
+		run  func(edit) int64
+	}{
+		{"whole", func(j edit) int64 { return editmachine.SweepCornerWS(ws, j.q, j.t, cfg.Band, j.s1, rx).Cells }},
+		{"goal", func(j edit) int64 {
+			return editmachine.CornerReachesWS(ws, j.q, j.t, cfg.Band, j.s1, j.local, rx).Cells
+		}},
+	} {
+		b.Run(sweep.name, func(b *testing.B) {
+			var cells int64
+			for i := 0; i < b.N; i++ {
+				cells += sweep.run(jobs[i%len(jobs)])
+			}
+			b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+		})
+	}
+}
+
 // BenchmarkFig16cThroughput runs the FPGA system simulation behind the
 // iso-area throughput comparison of Figure 16c.
 func BenchmarkFig16cThroughput(b *testing.B) {

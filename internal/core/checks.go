@@ -200,7 +200,7 @@ type Report struct {
 	ELive     bool // a live boundary crossing existed
 	ERan      bool // workflow reached the E-score check
 	EditRan   bool // workflow reached the edit-distance check (ModeStrict: its closed form, no sweep)
-	ScoreEd   int  // bound that check compared (valid only when EditRan): score_ed in ModePaper, belowBound in ModeStrict
+	ScoreEd   int  // bound that check compared (valid only when EditRan): in ModeStrict belowBound; in ModePaper, on FailEdit only, the region score >= ScoreNB the edit machine stopped at
 	// ThresholdOnlyPass is true when thresholding alone proved optimality
 	// (the "Thresholding" series of Figure 14).
 	ThresholdOnlyPass bool
@@ -263,13 +263,12 @@ func check(ems *editmachine.Workspace, query, target []byte, h0 int, res align.E
 
 	rep.EditRan = true
 	if cfg.Mode == ModePaper {
-		sw := editmachine.SweepCornerWS(ems, query, target, w, rep.Th.S1, editmachine.CanonicalRelaxed)
-		if !sw.Empty {
-			rep.ScoreEd = sw.Score
-			if sw.Score >= res.Local {
-				rep.Outcome = FailEdit
-				return rep
-			}
+		// Only score_ed >= score_nb is read, so the sweep stops once that is
+		// decided (editmachine.CornerReachesWS).
+		r := editmachine.CornerReachesWS(ems, query, target, w, rep.Th.S1, res.Local, editmachine.CanonicalRelaxed)
+		if r.Reached {
+			rep.Outcome, rep.ScoreEd = FailEdit, r.Score
+			return rep
 		}
 		rep.Outcome, rep.Pass = PassChecks, true
 		return rep

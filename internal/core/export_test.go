@@ -12,4 +12,7 @@ var (
 	CorruptedCase   = corruptedCase
 	FuzzBand        = fuzzBand
 	BelowBound      = belowBound
+
+	CheckPaperSweepRef = checkPaperSweepRef
+	SamePaperVerdict   = samePaperVerdict
 )

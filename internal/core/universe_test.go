@@ -83,6 +83,8 @@ type shortcutHarness struct {
 	every []Report // no job passes: rerunFailed reruns them all
 
 	jobs, certified, reruns, waived, mapperReruns int
+	// editPass and editFail count the paper-mode edit checks by verdict.
+	editPass, editFail int
 }
 
 // check asserts, on one batch of jobs at band w with full-band results
@@ -96,7 +98,9 @@ type shortcutHarness struct {
 //	      has ref's five fields;
 //	(iii) for a mapper with clip penalty 0 or 5, a PassResolve job's banded
 //	      result, and every job rerun at the mapper's rerunBand, resolve as
-//	      ref resolves.
+//	      ref resolves;
+//	(iv)  paper mode's goal-directed edit check gives every banded job the
+//	      verdict of the whole-region sweep (checkPaperSweepRef).
 func (h *shortcutHarness) check(t *testing.T, jobs []align.Job, ref []align.ExtendResult, sc align.Scoring, w int) {
 	t.Helper()
 	if h.ws == nil {
@@ -120,12 +124,22 @@ func (h *shortcutHarness) check(t *testing.T, jobs []align.Job, ref []align.Exte
 		if !reps[i].Pass {
 			h.reruns++
 		}
+		wantPaper := check(c.ems, j.Q, j.T, j.H0, h.bres[i], h.bbds[i], paper)
+		if ref := checkPaperSweepRef(c.ems, j.Q, j.T, j.H0, h.bres[i], h.bbds[i], paper); !samePaperVerdict(wantPaper, ref) {
+			t.Fatalf("w=%d q=%v t=%v h0=%d %+v: paper report %+v, whole-sweep reference %+v",
+				w, j.Q, j.T, j.H0, sc, wantPaper, ref)
+		}
+		switch wantPaper.Outcome {
+		case PassChecks:
+			h.editPass++
+		case FailEdit:
+			h.editFail++
+		}
 		cert, ok := align.GaplessExtend(j.Q, j.T, j.H0, sc)
 		if !ok {
 			continue
 		}
 		h.certified++
-		wantPaper := check(c.ems, j.Q, j.T, j.H0, h.bres[i], h.bbds[i], paper)
 		gotPaper := check(c.ems, j.Q, j.T, j.H0, cert, align.BandBoundary{}, paper)
 		if !sameResult(cert, ref[i]) || !want.ThresholdOnlyPass || gotPaper != wantPaper {
 			t.Fatalf("w=%d q=%v t=%v h0=%d %+v: certified %+v (strict %v, paper %v; banded paper %v), full band %+v",
@@ -190,9 +204,9 @@ func TestShortcutsUniverse(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d jobs: %d certified, %d strict failures rerun; as a mapper %d waived, %d rerun",
-		h.jobs, h.certified, h.reruns, h.waived, h.mapperReruns)
-	if h.certified == 0 || h.reruns == 0 || h.waived == 0 || h.mapperReruns == 0 {
+	t.Logf("%d jobs: %d certified, %d strict failures rerun; as a mapper %d waived, %d rerun; paper edit checks %d passed, %d failed",
+		h.jobs, h.certified, h.reruns, h.waived, h.mapperReruns, h.editPass, h.editFail)
+	if h.certified == 0 || h.reruns == 0 || h.waived == 0 || h.mapperReruns == 0 || h.editPass == 0 || h.editFail == 0 {
 		t.Fatal("the universe does not exercise every statement")
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"seedex/internal/align"
 )
 
-// Workspace owns the sweep's single DP row so that repeated sweeps on one
-// goroutine are allocation-free. The row only grows; it is never shrunk or
+// Workspace owns the sweep's single DP row, and CornerReachesWS's
+// column-indexed copy of the query, so that repeated sweeps on one
+// goroutine are allocation-free. Both only grow; they are never shrunk or
 // freed. One Workspace serves one goroutine.
 type Workspace struct {
-	row []int
+	row  []int
+	qcol []byte
 }
 
 // NewWorkspace returns an empty Workspace; the row is sized lazily.
@@ -26,6 +28,13 @@ func (ws *Workspace) rowBuf(n int) []int {
 		row[j] = negInf
 	}
 	return row
+}
+
+// columns returns the query indexed by DP column: qcol[j] = query[j−1],
+// and qcol[0] is a pad no column-0 cell reads.
+func (ws *Workspace) columns(query []byte) []byte {
+	ws.qcol = append(append(ws.qcol[:0], 0), query...)
+	return ws.qcol
 }
 
 // wsPool backs the drop-in SweepCorner/SweepExact wrappers. Long-lived

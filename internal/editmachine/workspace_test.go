@@ -66,6 +66,12 @@ func TestSweepZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("SweepCornerWS allocates %.1f allocs/op, want 0", n)
 	}
+	CornerReachesWS(ws, q, tg, 10, 40, 60, rx) // warm the query copy
+	if n := testing.AllocsPerRun(200, func() {
+		CornerReachesWS(ws, q, tg, 10, 40, 60, rx)
+	}); n != 0 {
+		t.Fatalf("CornerReachesWS allocates %.1f allocs/op, want 0", n)
+	}
 	SweepExact(q, tg, 10, 40, boundary, sc, rx) // warm the pool
 	if n := testing.AllocsPerRun(200, func() {
 		SweepExact(q, tg, 10, 40, boundary, sc, rx)
