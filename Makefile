@@ -34,9 +34,12 @@ race:
 
 # The serving core's tests under the race detector, COUNT times over: the
 # loop that shows a test failing one run in twenty (ROADMAP's soak item).
+# One race run of the package takes ~8 s on a 2-vCPU box, so the test
+# binary's timeout scales with COUNT (30 s a run) where go test's fixed
+# 10-minute default would cut COUNT=100 short.
 COUNT ?= 20
 flake:
-	$(GO) test -race -count=$(COUNT) ./internal/server
+	$(GO) test -race -count=$(COUNT) -timeout $$(($(COUNT) * 30))s ./internal/server
 
 # The build without the native kernel. internal/align picks its packed
 # back end by CPUID on amd64 and has only the pure-Go SWAR ladder
@@ -50,14 +53,15 @@ portable:
 	$(GO) test -tags purego ./internal/align ./internal/core ./internal/server ./internal/bwamem
 
 # Fault-injection equivalence drill: the chaos and integrity tests under
-# the race detector. Pin the fault draws with CHAOS_SEED (default: the
-# tests' built-in seed matrix) and capture the end-of-run fault counters
-# with CHAOS_SNAPSHOT=path.json.
+# the race detector, the server's device-engine tests among them
+# (TestServerChaosEquivalence, TestDeviceBatchCoalescedRequests). Pin the
+# fault draws with CHAOS_SEED (default: the tests' built-in seed matrix)
+# and capture the end-of-run fault counters with CHAOS_SNAPSHOT=path.json.
 chaos:
 	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) SEEDEX_CHAOS_SNAPSHOT=$(CHAOS_SNAPSHOT) \
 		$(GO) test -race ./internal/faults/...
 	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) SEEDEX_CHAOS_SNAPSHOT=$(CHAOS_SNAPSHOT) \
-		$(GO) test -race -run 'Chaos|Integrity|Corrupted|Adversarial|Wire|Sanity|Validate|Corruption|Rollback' \
+		$(GO) test -race -run 'Chaos|DeviceBatch|Integrity|Corrupted|Adversarial|Wire|Sanity|Validate|Corruption|Rollback' \
 		./internal/driver/... ./internal/server/... ./internal/core/... ./internal/refstore/...
 
 # Bounded-time fuzzing: every fuzz target in the tree (discovered with

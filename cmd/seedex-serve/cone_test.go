@@ -15,6 +15,9 @@ import (
 // them, the daemon never serves through them. The walk follows the
 // module's imports from this package with go/parser, test files left out
 // and build constraints ignored, so it sees every build's cone at once.
+// The server itself keeps no fault-tolerance view (breakers and fault
+// counters belong to the engines), so it does not import internal/faults
+// either; the index store still does, for its fault injector.
 func TestServeDependencyCone(t *testing.T) {
 	const module = "seedex/"
 	root := filepath.Join("..", "..")
@@ -37,6 +40,9 @@ func TestServeDependencyCone(t *testing.T) {
 			for _, imp := range f.Imports {
 				path, _ := strconv.Unquote(imp.Path.Value)
 				dep, ok := strings.CutPrefix(path, module)
+				if pkg == "internal/server" && dep == "internal/faults" {
+					t.Errorf("internal/server imports internal/faults (%s)", name)
+				}
 				if _, seen := importer[dep]; ok && !seen {
 					importer[dep] = pkg
 					queue = append(queue, dep)

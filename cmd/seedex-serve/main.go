@@ -8,13 +8,6 @@
 //	seedex-serve -addr :8844 -extender seedex -band 20
 //	seedex-index build -ref genome.fa -out genome.rix
 //	seedex-serve -addr :8844 -index-store genome.rix   # enables /v1/map
-//	seedex-serve -addr :8844 -shards 4
-//
-// With -shards N the service runs N independent shard units — each its
-// own extension engine, micro-batcher and worker pool — behind a routing
-// tier that sends each request to the shard with the fewest jobs in
-// flight, fails a full queue over to a peer, and lets idle shards steal
-// queued batches.
 //
 // Endpoints: POST /v1/extend, POST /v1/extend/stream (NDJSON),
 // POST /v1/map and POST /admin/reload (with -index-store), GET /metrics,

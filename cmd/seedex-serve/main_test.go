@@ -92,9 +92,9 @@ func TestServeBadFlags(t *testing.T) {
 		t.Errorf("error %q does not name the bad extender", err)
 	}
 	// Retired flags: /v1/map is served from -index-store alone, the daemon
-	// serves the software engines only, and the router has one policy.
+	// serves the software engines only, through one pipeline.
 	for _, flag := range []string{"-prefilter", "-prefilter-threshold", "-ref", "-index",
-		"-chaos", "-chaos-seed", "-route-policy"} {
+		"-chaos", "-chaos-seed", "-route-policy", "-shards"} {
 		if err := run([]string{flag}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
 		}
@@ -224,77 +224,5 @@ func TestServeIndexStore(t *testing.T) {
 	// Flag validation.
 	if err := run([]string{"-index-store", "/nonexistent/ref.rix"}, &stderr, nil); err == nil {
 		t.Fatal("missing index store accepted")
-	}
-}
-
-// TestServeSharded boots the daemon with a 2-shard pool, checks the
-// cluster surfaces (metrics + banner), and validates the shard count.
-func TestServeSharded(t *testing.T) {
-	var stderr bytes.Buffer
-	if err := run([]string{"-shards", "0"}, &stderr, nil); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("zero shards accepted: %v", err)
-	}
-
-	ready := make(chan string, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-band", "16", "-flush", "1ms", "-shards", "2"}, &stderr, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-errc:
-		t.Fatalf("run exited before ready: %v\nstderr: %s", err, stderr.String())
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never became ready")
-	}
-	base := "http://" + addr
-
-	body := `{"jobs":[{"query":"ACGTACGTACGT","target":"ACGTACGTACGTAA","h0":30}]}`
-	resp, err := http.Post(base+"/v1/extend", "application/json", strings.NewReader(body))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/extend: %v status=%v", err, resp)
-	}
-	resp.Body.Close()
-
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	var met struct {
-		Cluster *struct {
-			Shards int `json:"shards"`
-		} `json:"cluster"`
-		Shards []struct {
-			ID int `json:"id"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatalf("decoding /metrics: %v", err)
-	}
-	mresp.Body.Close()
-	if met.Cluster == nil || met.Cluster.Shards != 2 {
-		t.Fatalf("cluster section: %+v", met.Cluster)
-	}
-	if len(met.Shards) != 2 {
-		t.Fatalf("per-shard metrics: %d entries, want 2", len(met.Shards))
-	}
-
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatalf("sending SIGTERM: %v", err)
-	}
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("run returned error after SIGTERM: %v\nstderr: %s", err, stderr.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("run did not exit after SIGTERM\nstderr: %s", stderr.String())
-	}
-	log := stderr.String()
-	for _, want := range []string{"2 shards behind the least-loaded router", "shard 0:", "shard 1:"} {
-		if !strings.Contains(log, want) {
-			t.Errorf("stderr missing %q:\n%s", want, log)
-		}
 	}
 }

@@ -52,10 +52,9 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	indexStore := fs.String("index-store", "", "enable /v1/map, served from this checksummed container index (built by seedex-index): memory-mapped read-only, hot-reloadable via SIGHUP or POST /admin/reload, with rollback on a bad file")
 	maxJobs := fs.Int("max-jobs", 4096, "maximum jobs or reads per request")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
-	shards := fs.Int("shards", 1, "serving shards: each gets its own extension engine, micro-batcher and worker pool behind the routing tier, which sends each request to the shard with the fewest jobs in flight (1 = the unsharded pipeline)")
 	traceSample := fs.Int("trace-sample", 0, "keep the journey of 1 in N requests (the sampled rule), at /debug/journeys and /debug/traces (0 disables head sampling)")
 	traceSlow := fs.Int("trace-slow", 64, "keep the K slowest requests so far regardless of sampling (the slow rule; root spans at /debug/traces/slow, full journeys when recorded)")
-	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed a steal/reroute/reload/fault are kept at /debug/journeys and /debug/traces")
+	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed an index reload or a device fault are kept at /debug/journeys and /debug/traces")
 	traceTailBudget := fs.Duration("trace-tail-budget", 100*time.Millisecond, "latency budget for the tail-retention verdict (and the default SLO latency objective)")
 	traceTailKeep := fs.Int("trace-tail-keep", 256, "journeys kept beside the slow top-K, bounding /debug/journeys and /debug/traces (oldest head-sampled evicted first, then oldest)")
 	sloLatency := fs.Duration("slo-latency", 0, "latency threshold of the extend-latency SLO objective (0 = the tail budget)")
@@ -73,34 +72,21 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	logger := obs.NewLogger(stderr, "seedex-serve")
 	build := obs.BuildInfo{Version: version, Commit: commit}.WithDefaults()
 
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
-	}
-
 	if err := core.ValidateBand(*band); err != nil {
 		return err
 	}
 
-	// Every shard gets its own extension engine, built eagerly so flag
-	// errors surface before the listener binds and so the exit summary can
-	// walk the per-shard statistics.
-	exts := make([]align.Extender, *shards)
-	var ses []*core.SeedEx
-	for i := range exts {
-		e, err := core.NamedExtender(*extName, *band)
-		if err != nil {
-			return err
-		}
-		if se, ok := e.(*core.SeedEx); ok {
-			ses = append(ses, se)
-		}
-		exts[i] = e
+	// The engine is built before the listener binds, so flag errors
+	// surface first.
+	ext, err := core.NamedExtender(*extName, *band)
+	if err != nil {
+		return err
 	}
-	ext := exts[0]
+	se, _ := ext.(*core.SeedEx)
 	switch *mode {
 	case "strict":
 	case "paper":
-		for _, se := range ses {
+		if se != nil {
 			se.Config.Mode = core.ModePaper
 		}
 	default:
@@ -141,7 +127,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	}
 	scfg := server.Config{
 		Extender: ext,
-		Shards:   *shards,
 		Batch: server.BatcherConfig{
 			MaxBatch:      *maxBatch,
 			FlushInterval: flushIv,
@@ -154,9 +139,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		SLO:               server.SLOConfig{LatencyBudget: *sloLatency, Interval: *sloInterval},
 		Flight:            obs.FlightConfig{Dir: *flightDir, MinInterval: *flightMinIv},
 		FlightPoll:        *flightPoll,
-	}
-	if *shards > 1 {
-		scfg.NewExtender = func(i int) align.Extender { return exts[i] }
 	}
 	if store != nil {
 		scfg.RefStore = store
@@ -236,9 +218,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		"extender", *extName, "band", *band, "batch", *maxBatch,
 		"flush", flush.String(), "queue", *queueCap)
 	logger.Info("packed kernel back end chosen by CPUID (none: the portable SWAR tiers)", "kernel_native", align.NativeISA())
-	if *shards > 1 {
-		logger.Info(fmt.Sprintf("%d shards behind the least-loaded router (per-shard engines and queues)", *shards))
-	}
 	if tracer != nil && *traceSample > 0 {
 		logger.Info(fmt.Sprintf("tracing 1/%d requests (journeys at /debug/journeys and /debug/traces, slowest %d at /debug/traces/slow)",
 			*traceSample, *traceSlow))
@@ -280,15 +259,9 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		debugServer.Close()
 	}
 	s.Close()
-	for _, line := range s.Summary() {
-		logger.Info(line)
-	}
-	for i, se := range ses {
-		if len(ses) > 1 {
-			logger.Info(fmt.Sprintf("shard %d: %v", i, se.Stats))
-		} else {
-			logger.Info(fmt.Sprint(se.Stats))
-		}
+	logger.Info(s.Summary())
+	if se != nil {
+		logger.Info(fmt.Sprint(se.Stats))
 	}
 	if store != nil {
 		st := store.Status()

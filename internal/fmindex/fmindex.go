@@ -81,8 +81,8 @@ func New(text []byte) (*Index, error) {
 
 // FromParts assembles an index over caller-provided text and suffix
 // array storage — typically slices aliasing a read-only memory-mapped
-// index file, so every shard and worker shares one physical copy of the
-// big sections. Both slices are validated and must not be modified
+// index file, so every worker shares one physical copy of the big
+// sections. Both slices are validated and must not be modified
 // afterwards; the derived search structures (BWT, occurrence
 // checkpoints) are rebuilt on the heap.
 func FromParts(text []byte, sa []int32) (*Index, error) {

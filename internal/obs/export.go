@@ -35,8 +35,6 @@ func argNames(k Kind) (string, string) {
 		return "outcome", "pass"
 	case KindRerun:
 		return "outcome", ""
-	case KindSteal:
-		return "victim", "thief"
 	case KindMapStage:
 		return "stage", "reads"
 	}

@@ -16,13 +16,13 @@ import (
 	"time"
 )
 
-// Flight recorder: on SIGQUIT, breaker trip, reload rollback, or a
-// fast-burn SLO alert, dump the tail-retained journeys, a metrics
-// snapshot, SLO state, and goroutine/heap profiles into one timestamped
-// tar.gz under the flight directory. Dumps are written to a temp file
+// Flight recorder: on SIGQUIT, reload rollback, or a fast-burn SLO
+// alert, dump the tail-retained journeys, a metrics snapshot, SLO state,
+// and goroutine/heap profiles into one timestamped tar.gz under the
+// flight directory. Dumps are written to a temp file
 // and renamed into place, so a crash mid-dump never leaves a partial
 // tarball with the final name. A debounce window stops a flapping
-// breaker from filling the disk; Force (the SIGQUIT path) bypasses it.
+// trigger from filling the disk; Force (the SIGQUIT path) bypasses it.
 
 // ErrFlightThrottled reports a dump suppressed by the debounce window.
 var ErrFlightThrottled = errors.New("flight recorder: dump throttled")
@@ -90,8 +90,8 @@ func (f *FlightRecorder) LastPath() string {
 	return ""
 }
 
-// Dump writes one debounced dump (automatic triggers: breaker trip,
-// rollback, fast burn). Returns ErrFlightThrottled inside the debounce
+// Dump writes one debounced dump (automatic triggers: reload rollback,
+// fast burn). Returns ErrFlightThrottled inside the debounce
 // window.
 func (f *FlightRecorder) Dump(reason string, srcs []FlightSource) (string, error) {
 	return f.dump(reason, srcs, false)

@@ -52,9 +52,6 @@ const (
 	// KindRerun covers the host rerun of a batch's failed checks: one
 	// pooled interval, recorded on every job that was rerun in it.
 	KindRerun
-	// KindSteal is an instant span marking that a job's batch was stolen
-	// and executed on a thief shard (v1 = victim shard, v2 = thief shard).
-	KindSteal
 	// KindMapStage covers one stage of a /v1/map batch, shared by every
 	// read in it (v1 = stage, a MapStage* value; v2 = reads in the batch).
 	// The four stages tile the batch's KindKernel span.
@@ -64,7 +61,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"request", "queue_wait", "batch_flush", "kernel", "check", "host_rerun",
-	"steal", "map_stage",
+	"map_stage",
 }
 
 // Stage values for KindMapStage spans (v1): the map path's dataflow.

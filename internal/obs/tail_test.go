@@ -102,9 +102,9 @@ func TestTailVerdictEvents(t *testing.T) {
 	tr := tailTracer(TailConfig{Budget: time.Hour})
 	base := time.Now()
 	ref := tr.Sample(7)
-	ref.Mark(EvSteal)
+	ref.Mark(EvFault)
 	ref.Mark(EvReloadOverlap)
-	ref.Mark(EvSteal) // idempotent
+	ref.Mark(EvFault) // idempotent
 	tr.RequestDone(ref, 7, base, time.Millisecond, 1, 200)
 	js := tailKept(tr)
 	if len(js) != 1 {
@@ -114,8 +114,8 @@ func TestTailVerdictEvents(t *testing.T) {
 	if len(j.Verdict) != 1 || j.Verdict[0] != "event" {
 		t.Fatalf("verdict = %v, want [event]", j.Verdict)
 	}
-	if len(j.Events) != 2 || j.Events[0] != "steal" || j.Events[1] != "reload-overlap" {
-		t.Fatalf("events = %v, want [steal reload-overlap]", j.Events)
+	if len(j.Events) != 2 || j.Events[0] != "reload-overlap" || j.Events[1] != "fault" {
+		t.Fatalf("events = %v, want [reload-overlap fault]", j.Events)
 	}
 }
 
@@ -128,9 +128,9 @@ func TestEventNames(t *testing.T) {
 	if Event(1)<<numEvents != EvFault<<1 {
 		t.Fatalf("%d event names for the bits up to EvFault = %#x", numEvents, EvFault)
 	}
-	all := EvSteal | EvReroute | EvReloadOverlap | EvFault
+	all := EvReloadOverlap | EvFault
 	names := all.Names()
-	want := []string{"steal", "reroute", "reload-overlap", "fault"}
+	want := []string{"reload-overlap", "fault"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v, want %v", names, want)
 	}
@@ -377,7 +377,7 @@ func TestRetentionRules(t *testing.T) {
 		{"slow/tail-on", Config{Tail: tail(time.Hour)}, time.Nanosecond, 200, 0, []Kind{KindQueueWait, KindRequest}},
 		{"latency-budget", Config{Tail: tail(time.Millisecond)}, time.Hour, 200, 0, []Kind{KindQueueWait, KindRequest}},
 		{"status", Config{Tail: tail(2 * time.Hour)}, time.Hour, 503, 0, []Kind{KindQueueWait, KindRequest}},
-		{"event", Config{Tail: tail(2 * time.Hour)}, time.Hour, 200, EvReroute, []Kind{KindQueueWait, KindRequest}},
+		{"event", Config{Tail: tail(2 * time.Hour)}, time.Hour, 200, EvFault, []Kind{KindQueueWait, KindRequest}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

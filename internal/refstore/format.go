@@ -2,7 +2,7 @@
 // crash-safe lifecycle layer for the index behind /v1/map: a checksummed
 // container built once (by cmd/seedex-index, or by seedex-align -index
 // on first use), published atomically, memory-mapped read-only so
-// every shard and mapping worker shares one physical copy, and swapped
+// every mapping worker shares one physical copy, and swapped
 // under traffic through refcounted generations with rollback when a
 // reload hits a corrupt, truncated or vanished file.
 //

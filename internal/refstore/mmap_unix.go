@@ -11,7 +11,7 @@ import (
 const mmapSupported = true
 
 // mmapFile maps size bytes of f read-only and shared, so every
-// generation holder — all shards, all workers — pages against one
+// generation holder — every worker — pages against one
 // physical copy of the index.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)

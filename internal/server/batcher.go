@@ -9,10 +9,10 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -62,34 +62,10 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	return c
 }
 
-// stealGroup links the batchers of peer shards so an idle shard's workers
-// can drain a straggler's already-assembled batches — SaLoBa's workload
-// balancing applied one level up, to whole batches across engines instead
-// of lanes within a batch. The peer slice is published once, after every
-// shard's batcher exists; until then workers see nil and never steal.
-type stealGroup[T any] struct {
-	peers atomic.Pointer[[]*batcher[T]]
-}
-
-func (g *stealGroup[T]) set(peers []*batcher[T]) { g.peers.Store(&peers) }
-
-// linkPeers publishes the shards' batchers of one pipe to their steal
-// group (nil: a single shard, nothing to link).
-func linkPeers[T any](g *stealGroup[T], shards []*shard, pipe func(*shard) *batcher[T]) {
-	if g == nil {
-		return
-	}
-	peers := make([]*batcher[T], len(shards))
-	for i, sh := range shards {
-		peers[i] = pipe(sh)
-	}
-	g.set(peers)
-}
-
 // batcher coalesces individually submitted jobs into micro-batches: a
 // collector goroutine assembles batches (size- or deadline-triggered) and
 // a worker pool executes them. One batcher instance serves one job type —
-// each shard runs one for extension jobs and one for mapping jobs.
+// the server runs one for extension jobs and one for mapping jobs.
 type batcher[T any] struct {
 	cfg BatcherConfig
 
@@ -104,22 +80,12 @@ type batcher[T any] struct {
 	// without one runs a single bin.
 	binOf func(T) int
 
-	shardHooks[T]
+	// met records admissions, dispatched batches and their occupancy.
+	met *Metrics
 
 	collectorDone sync.WaitGroup
 	workersDone   sync.WaitGroup
 	closeOnce     sync.Once
-}
-
-// shardHooks bind a batcher to its shard: dispatches are recorded in the
-// shard's counters, and with a non-nil steal group the workers drain
-// backlogged peers when their own queue is empty. The zero value is a
-// standalone batcher that records nothing, whose worker loop is the
-// unsharded server's.
-type shardHooks[T any] struct {
-	sm    *shardMetrics
-	group *stealGroup[T]
-	self  int
 }
 
 // newBatcher starts the collector and worker pool. work is called once per
@@ -129,18 +95,18 @@ type shardHooks[T any] struct {
 // numBins bins, and the collector packs batches bin-first, so jobs of like
 // kernel shape share a batch (and therefore SWAR lane groups) even when
 // they arrived interleaved with other shapes. A nil binOf means one bin.
-func newBatcher[T any](cfg BatcherConfig, hooks shardHooks[T], numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
+func newBatcher[T any](cfg BatcherConfig, met *Metrics, numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
 	cfg = cfg.withDefaults()
 	if binOf == nil {
 		numBins, binOf = 1, func(T) int { return 0 }
 	}
 	b := &batcher[T]{
-		cfg:        cfg,
-		shardHooks: hooks,
-		in:         make(chan T, cfg.QueueCap),
-		batches:    make(chan []T, cfg.Workers),
-		free:       make(chan []T, cfg.Workers*2+numBins),
-		binOf:      binOf,
+		cfg:     cfg,
+		met:     met,
+		in:      make(chan T, cfg.QueueCap),
+		batches: make(chan []T, cfg.Workers),
+		free:    make(chan []T, cfg.Workers*2+numBins),
+		binOf:   binOf,
 	}
 	b.collectorDone.Add(1)
 	go b.collect(numBins)
@@ -149,120 +115,13 @@ func newBatcher[T any](cfg BatcherConfig, hooks shardHooks[T], numBins int, binO
 		go func() {
 			defer b.workersDone.Done()
 			proc := work()
-			if b.group == nil {
-				// Unsharded (or single-shard) path: no steal poll.
-				for batch := range b.batches {
-					b.runBatch(proc, batch)
-				}
-				return
+			for batch := range b.batches {
+				proc(batch)
+				b.putBatch(batch[:0])
 			}
-			b.stealLoop(proc)
 		}()
 	}
 	return b
-}
-
-// stealPoll bounds how long an idle worker waits on its own (empty)
-// dispatch channel before re-scanning peers for stealable batches. It is
-// the straggler-drain latency floor, deliberately coarse next to the
-// microsecond flush intervals: stealing is a recovery path, not the common
-// one.
-const stealPoll = time.Millisecond
-
-// stealLoop is the worker body under work stealing. Own work always wins;
-// only with an empty dispatch channel does the worker look at peers, and
-// then it takes at most one already-assembled batch per scan from the
-// most backlogged peer, processing it with this worker's own session. The
-// results are bit-identical wherever the batch runs, so stealing moves
-// latency, never answers.
-func (b *batcher[T]) stealLoop(proc func([]T)) {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for {
-		// Fast path: the shard's own assembled batches.
-		select {
-		case batch, ok := <-b.batches:
-			if !ok {
-				return
-			}
-			b.runBatch(proc, batch)
-			continue
-		default:
-		}
-		if b.trySteal(proc) {
-			continue
-		}
-		// Idle: block on the own channel, waking periodically so a peer
-		// backlog that formed meanwhile is noticed.
-		timer.Reset(stealPoll)
-		select {
-		case batch, ok := <-b.batches:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			if !ok {
-				return
-			}
-			b.runBatch(proc, batch)
-		case <-timer.C:
-		}
-	}
-}
-
-// runBatch processes one of b's assembled batches and recycles its
-// backing array into b's free list.
-func (b *batcher[T]) runBatch(proc func([]T), batch []T) {
-	proc(batch)
-	b.putBatch(batch[:0])
-}
-
-// trySteal drains at most one assembled batch from the most backlogged
-// peer. Non-blocking throughout: a peer whose backlog vanished between
-// the scan and the receive simply yields nothing, and a closed peer
-// channel reads as empty.
-func (b *batcher[T]) trySteal(proc func([]T)) bool {
-	peersp := b.group.peers.Load()
-	if peersp == nil {
-		return false
-	}
-	peers := *peersp
-	victim, backlog := -1, 0
-	for i, p := range peers {
-		if i == b.self || p == nil {
-			continue
-		}
-		if d := len(p.batches); d > backlog {
-			victim, backlog = i, d
-		}
-	}
-	if victim < 0 {
-		return false
-	}
-	v := peers[victim]
-	select {
-	case batch, ok := <-v.batches:
-		if !ok {
-			return false
-		}
-		if b.sm != nil {
-			b.sm.n[smSteals].Add(1)
-		}
-		if v.sm != nil {
-			v.sm.n[smStolen].Add(1)
-		}
-		proc(batch)
-		// The backing array belongs to the victim's free list.
-		select {
-		case v.free <- batch[:0]:
-		default:
-		}
-		return true
-	default:
-		return false
-	}
 }
 
 // Submit offers one job to the admission queue without blocking: the
@@ -275,9 +134,30 @@ func (b *batcher[T]) Submit(job T) error {
 	}
 	select {
 	case b.in <- job:
+		b.met.jobs[nAccepted].Add(1)
 		return nil
 	default:
 		return ErrQueueFull
+	}
+}
+
+// SubmitWait is Submit with flow control, for streaming clients: a full
+// queue blocks the caller until the collector makes room or ctx ends,
+// instead of failing. It holds the read lock while it waits, so Close
+// cannot close the queue under it; the collector keeps draining the
+// queue until Close takes the lock, so the wait always ends.
+func (b *batcher[T]) SubmitWait(ctx context.Context, job T) error {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if b.closed {
+		return ErrDraining
+	}
+	select {
+	case b.in <- job:
+		b.met.jobs[nAccepted].Add(1)
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -438,15 +318,13 @@ func (b *batcher[T]) collect(numBins int) {
 }
 
 // dispatch hands one assembled batch to the worker pool and records it in
-// the shard's batch and occupancy counters.
+// the batch and occupancy counters.
 func (b *batcher[T]) dispatch(batch []T) {
 	if len(batch) == 0 {
 		return
 	}
-	if b.sm != nil {
-		b.sm.n[smBatches].Add(1)
-		b.sm.occupancy.observe(int64(len(batch)))
-	}
+	b.met.jobs[nBatches].Add(1)
+	b.met.occupancy.observe(int64(len(batch)))
 	b.batches <- batch
 }
 

@@ -15,8 +15,8 @@ import (
 func TestBatcherBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	var processed atomic.Int64
-	sm := &shardMetrics{}
-	b := newBatcher(BatcherConfig{MaxBatch: 2, FlushInterval: 50 * time.Microsecond, QueueCap: 2, Workers: 1}, shardHooks[int]{sm: sm}, 1, nil,
+	met := &Metrics{}
+	b := newBatcher(BatcherConfig{MaxBatch: 2, FlushInterval: 50 * time.Microsecond, QueueCap: 2, Workers: 1}, met, 1, nil,
 		func() func([]int) {
 			return func(batch []int) {
 				<-release
@@ -51,7 +51,7 @@ func TestBatcherBackpressure(t *testing.T) {
 	if err := b.Submit(1); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit after Close = %v, want ErrDraining", err)
 	}
-	if sm.n[smBatches].Load() == 0 {
+	if met.jobs[nBatches].Load() == 0 {
 		t.Fatal("no batches recorded")
 	}
 }
@@ -61,7 +61,7 @@ func TestBatcherBackpressure(t *testing.T) {
 // well before the (long) flush interval.
 func TestBatcherSizeTrigger(t *testing.T) {
 	done := make(chan int, 16)
-	b := newBatcher(BatcherConfig{MaxBatch: 8, FlushInterval: time.Hour, QueueCap: 64, Workers: 1}, shardHooks[int]{}, 1, nil,
+	b := newBatcher(BatcherConfig{MaxBatch: 8, FlushInterval: time.Hour, QueueCap: 64, Workers: 1}, &Metrics{}, 1, nil,
 		func() func([]int) {
 			return func(batch []int) { done <- len(batch) }
 		})
@@ -85,7 +85,7 @@ func TestBatcherSizeTrigger(t *testing.T) {
 // job flushes immediately with both triggers effectively off.
 func TestBatcherOpportunistic(t *testing.T) {
 	done := make(chan int, 1)
-	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: FlushOpportunistic, QueueCap: 64, Workers: 1}, shardHooks[int]{}, 1, nil,
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: FlushOpportunistic, QueueCap: 64, Workers: 1}, &Metrics{}, 1, nil,
 		func() func([]int) {
 			return func(batch []int) { done <- len(batch) }
 		})
@@ -126,7 +126,7 @@ func TestFlushSentinel(t *testing.T) {
 // interval, not after MaxBatch.
 func TestBatcherDeadlineTrigger(t *testing.T) {
 	done := make(chan int, 1)
-	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, shardHooks[int]{}, 1, nil,
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, &Metrics{}, 1, nil,
 		func() func([]int) {
 			return func(batch []int) { done <- len(batch) }
 		})
@@ -149,7 +149,7 @@ func TestBatcherDeadlineTrigger(t *testing.T) {
 // homogeneous batch even when other bins hold pending work.
 func TestBinnedBatcherHomogeneousFlush(t *testing.T) {
 	done := make(chan []int, 4)
-	b := newBatcher(BatcherConfig{MaxBatch: 8, FlushInterval: time.Hour, QueueCap: 64, Workers: 1}, shardHooks[int]{},
+	b := newBatcher(BatcherConfig{MaxBatch: 8, FlushInterval: time.Hour, QueueCap: 64, Workers: 1}, &Metrics{},
 		4, func(j int) int { return j % 4 },
 		func() func([]int) {
 			return func(batch []int) { done <- append([]int(nil), batch...) }
@@ -189,7 +189,7 @@ func TestBinnedBatcherHomogeneousFlush(t *testing.T) {
 // FlushInterval just because its bin is cold.
 func TestBinnedBatcherDeadlineFlushAll(t *testing.T) {
 	done := make(chan []int, 4)
-	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, shardHooks[int]{},
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, &Metrics{},
 		4, func(j int) int { return j % 4 },
 		func() func([]int) {
 			return func(batch []int) { done <- append([]int(nil), batch...) }
@@ -224,7 +224,7 @@ func TestBinnedBatcherMixedRace(t *testing.T) {
 	const producers, perProducer, bins = 8, 200, 16
 	var got [producers * perProducer]atomic.Int32
 	var processed atomic.Int64
-	b := newBatcher(BatcherConfig{MaxBatch: 16, FlushInterval: 100 * time.Microsecond, QueueCap: 4096, Workers: 4}, shardHooks[int]{},
+	b := newBatcher(BatcherConfig{MaxBatch: 16, FlushInterval: 100 * time.Microsecond, QueueCap: 4096, Workers: 4}, &Metrics{},
 		bins, func(j int) int { return j % bins },
 		func() func([]int) {
 			return func(batch []int) {
@@ -273,7 +273,7 @@ func TestBinnedBatcherMixedRace(t *testing.T) {
 // what it drained.
 func TestBinnedBatcherOpportunistic(t *testing.T) {
 	done := make(chan []int, 4)
-	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: FlushOpportunistic, QueueCap: 64, Workers: 1}, shardHooks[int]{},
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: FlushOpportunistic, QueueCap: 64, Workers: 1}, &Metrics{},
 		4, func(j int) int { return j % 4 },
 		func() func([]int) {
 			return func(batch []int) { done <- append([]int(nil), batch...) }

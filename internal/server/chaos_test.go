@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"os"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -45,63 +47,78 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
-// TestServerBreakerVisibility drives the whole degradation story through
-// the HTTP surface: a device-backed server under sustained core failures
-// keeps serving exact results, trips its breaker into host-only mode —
-// observable in /metrics (faults section) and /healthz (degraded, still
-// 200) — and once the fault clears, half-open probing restores the
-// device and health returns to ok.
-func TestServerBreakerVisibility(t *testing.T) {
-	eng := chaosEngine(faults.Config{Seed: 5, CoreFail: 1})
-	s, ts := newTestServer(t, Config{
-		Extender: eng,
-		Batch:    BatcherConfig{MaxBatch: 32, FlushInterval: time.Millisecond, Workers: 2},
-	})
-
-	// Phase 1: every device attempt core-fails. Results must still match
-	// the full-band kernel (host containment), and the breaker must trip.
-	jobs := testProblems(96, 120, 6)
-	resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: jobs})
+// verifyExtend posts one batch of jobs and asserts every served result is
+// bit-identical to the scalar full-band reference.
+func verifyExtend(t *testing.T, url string, jobs []ExtendJob) {
+	t.Helper()
+	resp := postJSON(t, url+"/v1/extend", ExtendRequest{Jobs: jobs})
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("extend under chaos: status %d", resp.StatusCode)
+	if resp.StatusCode != 200 {
+		t.Errorf("extend status %d", resp.StatusCode)
+		return
 	}
 	var out ExtendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return
 	}
 	sc := align.DefaultScoring()
 	for i, j := range jobs {
 		want := align.Extend(genome.Encode(j.Query), genome.Encode(j.Target), j.H0, sc)
 		got := out.Results[i]
-		if got.Local != want.Local || got.Global != want.Global {
-			t.Fatalf("job %d under chaos: served %+v, kernel %+v", i, got, want)
+		if got.Local != want.Local || got.LocalT != want.LocalT || got.LocalQ != want.LocalQ ||
+			got.Global != want.Global || got.GlobalT != want.GlobalT {
+			t.Errorf("job %d: served %+v, kernel %+v", i, got, want)
+			return
 		}
 	}
+}
 
+// containmentSeed honors the CI chaos matrix: SEEDEX_CHAOS_SEED pins the
+// fault-injection seed, otherwise a fixed default runs.
+func containmentSeed(t *testing.T) int64 {
+	if v := os.Getenv("SEEDEX_CHAOS_SEED"); v != "" {
+		s, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatalf("SEEDEX_CHAOS_SEED=%q: %v", v, err)
+		}
+		return s
+	}
+	return 11
+}
+
+// TestServerBreakerVisibility drives a device engine's degradation
+// through the HTTP surface: under sustained core failures the server
+// keeps serving exact results (host containment), the engine's breaker
+// trips and its trip and host-only counters reach /metrics through the
+// engine's check statistics, and once the fault clears half-open probing
+// restores the device. The breaker is the engine's; the server keeps no
+// view of its own, so /healthz stays "ok" throughout.
+func TestServerBreakerVisibility(t *testing.T) {
+	eng := chaosEngine(faults.Config{Seed: 5, CoreFail: 1})
+	_, ts := newTestServer(t, Config{
+		Extender: eng,
+		Batch:    BatcherConfig{MaxBatch: 32, FlushInterval: time.Millisecond, Workers: 2},
+	})
+
+	// Phase 1: every device attempt core-fails. Results must still match
+	// the full-band kernel, and the breaker must trip.
+	verifyExtend(t, ts.URL, testProblems(96, 120, 6))
+	if t.Failed() {
+		t.FailNow()
+	}
 	var met struct {
-		Faults *faults.Health      `json:"faults"`
 		Checks *core.StatsSnapshot `json:"checks"`
 	}
 	if code := getJSON(t, ts.URL+"/metrics", &met); code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	if met.Faults == nil {
-		t.Fatal("/metrics has no faults section for a device-backed server")
+	if met.Checks == nil || met.Checks.BreakerTrips == 0 || met.Checks.HostOnly == 0 {
+		t.Fatalf("breaker trips and host-only extensions not visible in /metrics: %+v", met.Checks)
 	}
-	if met.Faults.Trips == 0 || met.Faults.HostOnly == 0 {
-		t.Fatalf("breaker not visible in /metrics: %+v", met.Faults)
-	}
-	if met.Checks == nil || met.Checks.HostOnly == 0 {
-		t.Fatalf("check stats not picked up from the engine: %+v", met.Checks)
-	}
-
 	var health map[string]string
-	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK {
-		t.Fatalf("degraded healthz must stay 200 (traffic is still served), got %d", code)
-	}
-	if health["status"] != "degraded" {
-		t.Fatalf("healthz status %q, want degraded", health["status"])
+	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || health["status"] != "ok" {
+		t.Fatalf("healthz under a tripped engine breaker: %d %v, want 200 ok", code, health)
 	}
 
 	// Phase 2: clear the fault, wait out the cooldown, push probe traffic.
@@ -109,8 +126,7 @@ func TestServerBreakerVisibility(t *testing.T) {
 	time.Sleep(35 * time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		r2 := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: testProblems(64, 100, 7)})
-		r2.Body.Close()
+		verifyExtend(t, ts.URL, testProblems(64, 100, 7))
 		if eng.Device().Breaker().State() == faults.Closed {
 			break
 		}
@@ -118,15 +134,6 @@ func TestServerBreakerVisibility(t *testing.T) {
 			t.Fatalf("breaker never closed after recovery: %v", eng.Device().Breaker().State())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || health["status"] != "ok" {
-		t.Fatalf("recovered healthz: %d %q", code, health["status"])
-	}
-
-	// Draining outranks everything: 503 so the LB pulls the instance.
-	s.StartDrain()
-	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusServiceUnavailable || health["status"] != "draining" {
-		t.Fatalf("draining healthz: %d %q", code, health["status"])
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"seedex/internal/faults"
 	"seedex/internal/obs"
 	"seedex/internal/refstore"
 )
@@ -70,31 +69,13 @@ func flightEntry(t *testing.T, path, name string) []byte {
 }
 
 // TestFlightWatcherTriggers: with the recorder armed, the degradation
-// watcher dumps on its own when one of its counters moves — a device
-// engine's breaker trip, an index reload that rolled back.
+// watcher dumps on its own when one of its counters moves — an index
+// reload that rolled back.
 func TestFlightWatcherTriggers(t *testing.T) {
 	flight := func(t *testing.T) (Config, string) {
 		dir := t.TempDir()
 		return Config{Flight: obs.FlightConfig{Dir: dir, MinInterval: time.Millisecond}, FlightPoll: 5 * time.Millisecond}, dir
 	}
-
-	t.Run("breaker-trip", func(t *testing.T) {
-		cfg, dir := flight(t)
-		eng := chaosEngine(faults.Uniform(containmentSeed(t), 0.9))
-		cfg.Extender = eng
-		cfg.Batch = BatcherConfig{MaxBatch: 32, FlushInterval: time.Millisecond, Workers: 2}
-		_, ts := newTestServer(t, cfg)
-		deadline := time.Now().Add(10 * time.Second)
-		for round := int64(0); eng.Health().Trips == 0; round++ {
-			if time.Now().After(deadline) {
-				t.Fatal("breaker never tripped at fault rate 0.9")
-			}
-			resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: testProblems(32, 100, 9000+round)})
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		waitFlightDump(t, dir, "breaker-trip")
-	})
 
 	t.Run("reload-rollback", func(t *testing.T) {
 		cfg, dir := flight(t)

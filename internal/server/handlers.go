@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -287,7 +286,7 @@ func wireResult(r core.Response) ExtendResult {
 // item ("job", "read") in the error strings.
 type batchBody[P, R any] struct {
 	noun string
-	pipe func(*shard) *batcher[job[P, R]]
+	pipe func(*Server) *batcher[job[P, R]]
 	// scan parses wb.body into items that alias wb.
 	scan        func(wb *wireBuf) (items []P, deadlineMs int, err error)
 	validate    func(item *P, maxSeqLen int) error
@@ -295,18 +294,22 @@ type batchBody[P, R any] struct {
 }
 
 var (
-	extendBody = batchBody[core.Request, ExtendResult]{"job", extPipe, (*wireBuf).scanExtend, validateJob, appendExtendReply}
-	mapBody    = batchBody[mapRead, MapResult]{"read", mapPipe, (*wireBuf).scanMap, validateRead, appendMapReply}
+	extendBody = batchBody[core.Request, ExtendResult]{"job", (*Server).extPipe, (*wireBuf).scanExtend, validateJob, appendExtendReply}
+	mapBody    = batchBody[mapRead, MapResult]{"read", (*Server).mapPipe, (*wireBuf).scanMap, validateRead, appendMapReply}
 )
+
+// extPipe and mapPipe select the batcher of a batch endpoint.
+func (s *Server) extPipe() *batcher[extJob] { return s.ext }
+func (s *Server) mapPipe() *batcher[mapJob] { return s.maps }
 
 // serveBatch is the lifecycle of one JSON batch request on either
 // endpoint: drain check, bounded read and scan, count and shape validation,
-// deadline context, one routing decision and the submit loop, then wait
-// for the request's own items — which may have coalesced with other
-// requests' into shared batches — and reply. The queued items alias the
-// request's pooled wireBuf, so it is recycled only on the paths where none
-// of them can still be in flight. A request that got as far as a result
-// returns the wireBuf with the reply rendered in out, for finish to send;
+// deadline context and the submit loop, then wait for the request's own
+// items — which may have coalesced with other requests' into shared
+// batches — and reply. The queued items alias the request's pooled
+// wireBuf, so it is recycled only on the paths where none of them can
+// still be in flight. A request that got as far as a result returns the
+// wireBuf with the reply rendered in out, for finish to send;
 // every other path has answered already and returns nil.
 func serveBatch[P, R any](rq *request, r *http.Request, body *batchBody[P, R]) *wireBuf {
 	s, noun := rq.s, body.noun
@@ -351,12 +354,10 @@ func serveBatch[P, R any](rq *request, r *http.Request, body *batchBody[P, R]) *
 	}
 
 	p := newPending[R](n)
-	// All the request's items share one routing decision; a full shard
-	// queue fails individual items over to peers inside submit.
-	sh := s.router.pick()
+	pipe := body.pipe(s)
 	for i := 0; i < n; i++ {
 		j := job[P, R]{ctx: ctx, req: items[i], out: p, slot: i, tr: rq.tr, enq: time.Now()}
-		if err := submit(s.router, body.pipe, sh, j); err != nil {
+		if err := pipe.Submit(j); err != nil {
 			// Refuse the request as a whole: partial results are never
 			// served. Items already in flight still write into p, so wait
 			// them out; abandon closes done itself if they all landed
@@ -494,9 +495,9 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 			}
 			p := newPending[ExtendResult](1)
 			job := extJob{ctx: ctx, req: req, out: p, tr: rq.tr, enq: time.Now()}
-			// Streamed jobs route individually: a long stream spreads over
-			// the pool.
-			if err := s.router.submitWaitExt(ctx, job); err != nil {
+			// A full queue blocks the reader, not the stream: backpressure
+			// for a pipelined producer.
+			if err := s.ext.SubmitWait(ctx, job); err != nil {
 				status, _ := admitStatus(err)
 				fail(status, "%v", err)
 				return
@@ -563,9 +564,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // trace_event JSON by default (load into chrome://tracing or Perfetto),
 // NDJSON with ?format=ndjson, optionally narrowed to one request's newest
 // retained journey with ?trace=<request id> — its timeline follows the
-// request through router pick, batcher, steal, kernel tier and
-// checker/rerun. ?trace=<id>&format=journey returns a JSON document with
-// the verdict and the per-stage budget attribution (fractions of total).
+// request through admission, batcher, kernel tier and checker/rerun.
+// ?trace=<id>&format=journey returns a JSON document with the verdict and
+// the per-stage budget attribution (fractions of total).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.trace == nil {
 		s.writeError(w, http.StatusNotFound, "", "tracing disabled: restart with a positive trace sample rate or -trace-tail")
@@ -671,26 +672,23 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reloadBody{OK: true, Generation: gen})
 }
 
-// handleHealthz reports the cluster's load-balancer view: "draining"
-// answers 503 (admission is closed on every shard — nothing can serve;
-// take the instance out of rotation), while "degraded" answers 200 (one
-// or more shards fell back to host-only full-band mode; the router sends
-// traffic around them, and even an all-degraded pool still serves exact
-// results — slower, never wrong, so the LB must not evict it). The shard
-// tally and per-shard breaker states ride along for operators; every
-// value is a string so minimal clients can decode the body uniformly. It
-// reads the same scrape /metrics renders.
+// handleHealthz reports the load-balancer view: "draining" answers 503
+// (admission is closed — take the instance out of rotation); otherwise
+// 200, "ok" or, while the index store serves its previous generation
+// after a rolled-back reload, "degraded". Every value is a string so
+// minimal clients can decode the body uniformly. It reads the same scrape
+// /metrics renders.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	c := s.scrape()
-	body := map[string]string{"status": "ok", "slo": "ok", "shards": strconv.Itoa(len(c.shards)), "shards_degraded": strconv.Itoa(c.degraded)}
+	body := map[string]string{"status": "ok", "slo": "ok"}
 	// Index lifecycle: a degraded-reload store (last reload rolled back)
-	// still serves exact results from the previous generation, so like
-	// breaker degradation it answers 200 — the LB must not evict it, but
-	// operators see the state and the rollback counters.
+	// still serves exact results from the previous generation, so it
+	// answers 200 — the LB must not evict it, but operators see the state
+	// and the rollback counters.
 	if st := c.index; st != nil {
 		body["index_generation"] = strconv.FormatUint(st.Generation, 10)
 		body["index_reloads"] = strconv.FormatInt(st.Reloads, 10)
@@ -706,20 +704,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// still serving — the LB keeps the instance in rotation.
 	if c.slo.Degraded {
 		body["slo"] = "degraded-slo"
-	}
-	if c.degraded > 0 {
-		var breakers []string
-		for _, ss := range c.shards {
-			if ss.health != nil {
-				breakers = append(breakers, ss.health.Breaker)
-			}
-		}
-		body["status"] = "degraded"
-		if len(c.shards) == 1 {
-			body["breaker"] = breakers[0]
-		} else {
-			body["breakers"] = strings.Join(breakers, ",")
-		}
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +20,7 @@ import (
 	"seedex/internal/refstore"
 )
 
-// --- Journey stitching across shards and generations ------------------------
+// --- Journey stitching across generations -----------------------------------
 
 // postTraced posts a JSON body with a client-supplied request id, so the
 // trace id is known to the test in advance.
@@ -55,8 +54,8 @@ func hasString(ss []string, want string) bool {
 
 // gatedExtender blocks exactly one extension call — the one that claims
 // the armed gate — until released, pinning a worker mid-kernel so a test
-// can stage a work steal or an index reload under a live request
-// deterministically.
+// can stage an index reload under a live request, or back a queue up
+// behind it, deterministically.
 type gatedExtender struct {
 	inner   align.Extender
 	armed   atomic.Bool
@@ -74,124 +73,6 @@ func (g *gatedExtender) Extend(q, t []byte, h0 int) align.ExtendResult {
 		<-g.release
 	}
 	return g.inner.Extend(q, t, h0)
-}
-
-// TestJourneyStealStitching forces a cross-shard work steal and asserts
-// the stolen request's tail-retained journey shows it: two shards with
-// one worker each, the router aimed at shard 0 for both requests, and the
-// first blocks that shard's worker mid-kernel — the second request's batch
-// can only complete by a peer steal. The retained journey must carry the
-// steal event, a steal span naming victim and thief, and the router's
-// steal accounting must agree.
-func TestJourneyStealStitching(t *testing.T) {
-	gate := newGatedExtender(core.New(20))
-	gate.armed.Store(true)
-	tracer := obs.New(obs.Config{SampleEvery: 1, Tail: obs.TailConfig{Enabled: true, Budget: 5 * time.Second, Keep: 64}})
-	s, ts := newTestServer(t, Config{
-		Shards:      2,
-		NewExtender: func(int) align.Extender { return gate },
-		Batch:       BatcherConfig{MaxBatch: 1, FlushInterval: FlushOpportunistic, Workers: 1},
-		Trace:       tracer,
-	})
-	s.router.aim = func() *shard { return s.shards[0] }
-
-	job := ExtendJob{Query: strings.Repeat("ACGT", 15), Target: strings.Repeat("ACGT", 15), H0: 30}
-	post := func(rid string, done chan<- int) {
-		resp := postTraced(t, ts.URL+"/v1/extend", rid, ExtendRequest{Jobs: []ExtendJob{job}})
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}
-
-	// Request A claims the gate: its home shard's only worker blocks
-	// inside the kernel.
-	doneA := make(chan int, 1)
-	go post("00000000000000aa", doneA)
-	select {
-	case <-gate.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("gated kernel never entered")
-	}
-	// Request B is aimed at the same shard, so its assembled batch sits on
-	// a shard whose worker is pinned: only a peer steal can complete it
-	// while A blocks.
-	doneB := make(chan int, 1)
-	go post("00000000000000bb", doneB)
-	select {
-	case code := <-doneB:
-		if code != http.StatusOK {
-			t.Fatalf("stolen request answered %d", code)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("second request never completed: no peer stole the stranded batch")
-	}
-	close(gate.release)
-	if code := <-doneA; code != http.StatusOK {
-		t.Fatalf("gated request answered %d", code)
-	}
-
-	// One of the two journeys crossed shards (normally B; A if the peer
-	// won the race for A's batch before its home worker did).
-	var stolen obs.JourneyData
-	found := false
-	for _, jd := range tracer.Journeys() {
-		if hasString(jd.Events, "steal") {
-			stolen, found = jd, true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("no retained journey carries the steal event (retained %d)", len(tracer.Journeys()))
-	}
-	if !hasString(stolen.Verdict, "event") {
-		t.Fatalf("stolen journey verdict %v lacks the event reason", stolen.Verdict)
-	}
-
-	// The journey holds the full cross-shard timeline: the root request
-	// span, the admitting shard's queue wait, and a steal span whose
-	// victim and thief differ.
-	sawRoot, sawQueue := false, false
-	var steal *obs.SpanData
-	for i, sd := range stolen.Spans {
-		switch sd.Kind {
-		case obs.KindRequest:
-			sawRoot = true
-		case obs.KindQueueWait:
-			sawQueue = true
-		case obs.KindSteal:
-			steal = &stolen.Spans[i]
-		}
-	}
-	if !sawRoot || !sawQueue || steal == nil {
-		t.Fatalf("journey spans incomplete: root=%v queue=%v steal=%v", sawRoot, sawQueue, steal != nil)
-	}
-	if steal.V1 == steal.V2 {
-		t.Fatalf("steal span victim=thief=%d: the journey does not cross shards", steal.V1)
-	}
-	for _, shard := range []int64{steal.V1, steal.V2} {
-		if shard != 0 && shard != 1 {
-			t.Fatalf("steal span names shard %d outside the pool", shard)
-		}
-	}
-
-	// The router's accounting saw the same steal.
-	snaps := s.scrape().shards
-	if snaps[0].n[smSteals]+snaps[1].n[smSteals] == 0 {
-		t.Fatal("journey shows a steal the shard counters never recorded")
-	}
-
-	// The journey endpoint serves the same record by trace id.
-	var doc struct {
-		Trace   string   `json:"trace"`
-		Events  []string `json:"events"`
-		Verdict []string `json:"verdict"`
-	}
-	if code := getJSON(t, ts.URL+"/debug/journeys?trace="+stolen.TraceID, &doc); code != http.StatusOK {
-		t.Fatalf("journey lookup answered %d", code)
-	}
-	if doc.Trace != stolen.TraceID || !hasString(doc.Events, "steal") {
-		t.Fatalf("journey endpoint returned %+v for trace %s", doc, stolen.TraceID)
-	}
 }
 
 // TestJourneyReloadStitching drives one mapping request across an index
@@ -285,6 +166,18 @@ func TestJourneyReloadStitching(t *testing.T) {
 	}
 	if !gens[-1] || !gens[-2] {
 		t.Fatalf("kernel generation links %v, want both -1 and -2 (request straddles the swap)", gens)
+	}
+
+	// The journey endpoint serves the same record by trace id.
+	var jdoc struct {
+		Trace  string   `json:"trace"`
+		Events []string `json:"events"`
+	}
+	if code := getJSON(t, ts.URL+"/debug/journeys?trace="+rid, &jdoc); code != http.StatusOK {
+		t.Fatalf("journey lookup answered %d", code)
+	}
+	if jdoc.Trace != jd.TraceID || !hasString(jdoc.Events, "reload-overlap") {
+		t.Fatalf("journey endpoint returned %+v for trace %s", jdoc, jd.TraceID)
 	}
 
 	// The stitched journey view attributes the whole budget: stage

@@ -12,7 +12,6 @@ import (
 
 	"seedex/internal/align"
 	"seedex/internal/core"
-	"seedex/internal/faults"
 	"seedex/internal/obs"
 	"seedex/internal/refstore"
 )
@@ -61,15 +60,6 @@ func (h *hist) snapshot() histSnapshot {
 	out.Sum = h.sum.Load()
 	out.N = h.n.Load()
 	return out
-}
-
-// add merges o into s (the per-shard histograms sum to the server's).
-func (s *histSnapshot) add(o histSnapshot) {
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += o.Sum
-	s.N += o.N
 }
 
 // Mean returns the average observed value.
@@ -166,16 +156,15 @@ func (s histSnapshot) promSeries(scale float64) []series {
 		series{suffix: "_sum", v: float64(s.Sum) * scale}, series{suffix: "_count", v: float64(s.N)})
 }
 
-// Metrics holds the request-level counters. Every field is an independent
-// atomic, so the handlers never share a lock with the /metrics scraper.
-// Job-level counters live per shard (shardMetrics); the server-wide job
-// values are their sums, taken at scrape time.
+// Metrics holds the server's counters. Every field is an independent
+// atomic, so the handlers, batchers and workers never share a lock with
+// the /metrics scraper.
 type Metrics struct {
 	Requests atomic.Int64 // HTTP requests served on the job endpoints
 	// Request outcomes, counted once per request from its final status
 	// (request.done).
 	BadInput atomic.Int64 // answered 400 or 413
-	Rejected atomic.Int64 // answered 429: every shard queue was full
+	Rejected atomic.Int64 // answered 429: the admission queue was full
 	Draining atomic.Int64 // answered 503: the server is draining
 	Failed   atomic.Int64 // answered 429/500/503/504 (SLO availability)
 
@@ -186,12 +175,28 @@ type Metrics struct {
 	DecodeNs      atomic.Int64
 	EncodeNs      atomic.Int64
 	CodecRequests atomic.Int64 // bodies scanned
+
+	// Job-level counters, each job and batch recorded once: admissions and
+	// batches by the batchers, completions and expiries by the workers.
+	jobs      [numJobCounts]atomic.Int64
+	occupancy hist // jobs per dispatched batch
+	queueWait hist // ns from admission to worker pickup
 }
+
+// jobCount indexes the job-level counters.
+type jobCount int
+
+const (
+	nAccepted  jobCount = iota // jobs admitted to a batching queue
+	nCompleted                 // jobs computed
+	nExpired                   // admitted jobs that expired before compute
+	nBatches                   // batches the collectors dispatched
+	numJobCounts
+)
 
 // scrape is every live value the metric rows read, loaded once per
 // /metrics request, flight dump or shutdown summary, so the two formats
-// and the server-wide sums agree with the per-shard values they derive
-// from.
+// agree.
 type scrape struct {
 	s      *Server
 	uptime float64
@@ -200,28 +205,15 @@ type scrape struct {
 	decodeNs, encodeNs, codecRequests              int64
 	latency                                        histSnapshot
 
-	shards               []shardScrape
-	total                [numShardCounts]int64 // sums over shards
-	occupancy, queueWait histSnapshot          // sums over shards
+	jobs                 [numJobCounts]int64
+	occupancy, queueWait histSnapshot
 	extDepth, extCap     int
 	mapDepth, mapCap     int
-	withHealth, degraded int                  // shards with a health source; of them, degraded
-	health               *faults.Health       // the shared extender's (breaker state, fault counters), if any
-	checks               []core.StatsSnapshot // one per distinct stats source
+	checks               *core.StatsSnapshot // the engine's, if it is checked
 	kernel               align.KernelTelemetry
 	index                *refstore.Status
 	trace                *obs.Stats
 	slo                  obs.SLOSnapshot
-}
-
-// shardScrape is one shard's slice of a scrape.
-type shardScrape struct {
-	id                   int
-	n                    [numShardCounts]int64
-	occupancy, queueWait histSnapshot
-	depth, cap           int
-	inflight             int64
-	health               *faults.Health
 }
 
 func (s *Server) scrape() *scrape {
@@ -231,41 +223,21 @@ func (s *Server) scrape() *scrape {
 		requests: m.Requests.Load(), badInput: m.BadInput.Load(), rejected: m.Rejected.Load(),
 		draining: m.Draining.Load(), failed: m.Failed.Load(),
 		decodeNs: m.DecodeNs.Load(), encodeNs: m.EncodeNs.Load(), codecRequests: m.CodecRequests.Load(),
-		latency: m.Latency.snapshot(),
-		kernel:  align.KernelSnapshot(),
-		slo:     s.slo.Snapshot(),
+		latency:   m.Latency.snapshot(),
+		occupancy: m.occupancy.snapshot(), queueWait: m.queueWait.snapshot(),
+		extDepth: s.ext.QueueDepth(), extCap: s.ext.QueueCap(),
+		kernel: align.KernelSnapshot(),
+		slo:    s.slo.Snapshot(),
 	}
-	for _, sh := range s.shards {
-		ss := shardScrape{id: sh.id, occupancy: sh.sm.occupancy.snapshot(), queueWait: sh.sm.queueWait.snapshot(),
-			depth: sh.ext.QueueDepth(), cap: sh.ext.QueueCap(), inflight: sh.inflight.Load()}
-		for i := range ss.n {
-			ss.n[i] = sh.sm.n[i].Load()
-			c.total[i] += ss.n[i]
-		}
-		c.occupancy.add(ss.occupancy)
-		c.queueWait.add(ss.queueWait)
-		c.extDepth += ss.depth
-		c.extCap += ss.cap
-		if sh.maps != nil {
-			c.mapDepth += sh.maps.QueueDepth()
-			c.mapCap += sh.maps.QueueCap()
-		}
-		if sh.health != nil {
-			h := sh.health()
-			ss.health = &h
-			c.withHealth++
-			if h.Degraded {
-				c.degraded++
-			}
-		}
-		c.shards = append(c.shards, ss)
+	for i := range c.jobs {
+		c.jobs[i] = m.jobs[i].Load()
 	}
-	for _, st := range s.stats {
-		c.checks = append(c.checks, st.Snapshot())
+	if s.maps != nil {
+		c.mapDepth, c.mapCap = s.maps.QueueDepth(), s.maps.QueueCap()
 	}
-	if s.cfg.NewExtender == nil {
-		// Every shard shares cfg.Extender, so its health is the server's.
-		c.health = c.shards[0].health
+	if s.stats != nil {
+		st := s.stats.Snapshot()
+		c.checks = &st
 	}
 	if s.cfg.RefStore != nil {
 		st := s.cfg.RefStore.Status()
@@ -279,22 +251,18 @@ func (s *Server) scrape() *scrape {
 }
 
 // row declares one exported metric, once: its Prometheus family and the
-// JSON key it fills. Exactly one of v, shard and series is set, and it
-// fixes the row's scope.
+// JSON key it fills. Exactly one of v and series is set.
 type row struct {
 	name, typ, help string // Prometheus family; name "" renders JSON only
-	// key is the JSON key path ("" renders Prometheus only); for a shard
-	// row it is the key inside shards[i].
-	key string
+	key             string // JSON key path ("" renders Prometheus only)
 	// scale converts the value read (in JSON units) to the Prometheus
 	// unit; 0 means 1.
 	scale float64
 	// on, when set, gates the whole family on the server's configuration.
 	on func(*scrape) bool
 
-	v      func(*scrape) float64      // server-wide: one value
-	shard  func(*shardScrape) float64 // per shard: {shard="i"} and shards[i].<key>
-	series func(*scrape) []series     // labelled: each series names its own JSON key
+	v      func(*scrape) float64  // one value
+	series func(*scrape) []series // labelled: each series names its own JSON key
 }
 
 // series is one sample of a row.
@@ -319,34 +287,18 @@ func (r *row) samples(c *scrape) []series {
 		return nil
 	case r.v != nil:
 		return []series{{v: r.v(c), key: r.key}}
-	case r.shard != nil:
-		out := make([]series, len(c.shards))
-		for i := range c.shards {
-			out[i] = series{labels: []string{"shard", strconv.Itoa(c.shards[i].id)}, v: r.shard(&c.shards[i])}
-		}
-		return out
 	}
 	return r.series(c)
 }
 
-// total, shardN and checkCount read one counter: summed over shards, of
-// one shard, summed over stats sources.
-func total(i shardCount) func(*scrape) float64 {
-	return func(c *scrape) float64 { return float64(c.total[i]) }
-}
-
-func shardN(i shardCount) func(*shardScrape) float64 {
-	return func(ss *shardScrape) float64 { return float64(ss.n[i]) }
+// total and checkCount read one counter: a job counter, a check
+// statistic.
+func total(i jobCount) func(*scrape) float64 {
+	return func(c *scrape) float64 { return float64(c.jobs[i]) }
 }
 
 func checkCount(f func(*core.StatsSnapshot) int64) func(*scrape) float64 {
-	return func(c *scrape) float64 {
-		var n int64
-		for i := range c.checks {
-			n += f(&c.checks[i])
-		}
-		return float64(n)
-	}
+	return func(c *scrape) float64 { return float64(f(c.checks)) }
 }
 
 // quantiles is the p50/p90/p99 series of one histogram, in JSON units
@@ -389,20 +341,6 @@ func perTier(skipScalar bool, f func(k *align.KernelTelemetry, tier int) float64
 	}
 }
 
-// perHealthShard is a family over the shards with a health source,
-// labelled by shard.
-func perHealthShard(f func(h *faults.Health) []series) func(*scrape) []series {
-	return func(c *scrape) []series {
-		var out []series
-		for _, ss := range c.shards {
-			if ss.health != nil {
-				out = append(out, prefixed("shard", strconv.Itoa(ss.id), f(ss.health))...)
-			}
-		}
-		return out
-	}
-}
-
 // perObjective is an SLO family labelled by objective.
 func perObjective(f func(o *obs.ObjectiveStatus) []series) func(*scrape) []series {
 	return func(c *scrape) []series {
@@ -433,8 +371,6 @@ func oneHot(key string, states []string, cur string) []series {
 	return out
 }
 
-var breakerStates = []string{"closed", "open", "half-open"}
-
 func boolGauge(b bool) float64 {
 	if b {
 		return 1
@@ -455,14 +391,14 @@ var metricRows = []row{
 	{name: "seedex_requests_total", typ: counter, help: "HTTP requests served on the job endpoints.", key: "requests", v: func(c *scrape) float64 { return float64(c.requests) }},
 	{name: "seedex_requests_bad_input_total", typ: counter, help: "Requests refused with 400 or 413.", key: "requests_bad_input", v: func(c *scrape) float64 { return float64(c.badInput) }},
 	{name: "seedex_requests_failed_total", typ: counter, help: "Requests answered 429/500/503/504 (burns the availability budget).", key: "requests_failed", v: func(c *scrape) float64 { return float64(c.failed) }},
-	{name: "seedex_jobs_rejected_total", typ: counter, help: "Requests refused with 429 (every shard queue full).", key: "jobs_rejected", v: func(c *scrape) float64 { return float64(c.rejected) }},
+	{name: "seedex_jobs_rejected_total", typ: counter, help: "Requests refused with 429 (admission queue full).", key: "jobs_rejected", v: func(c *scrape) float64 { return float64(c.rejected) }},
 	{name: "seedex_jobs_rejected_draining_total", typ: counter, help: "Requests refused with 503 (draining).", key: "jobs_rejected_draining", v: func(c *scrape) float64 { return float64(c.draining) }},
 
-	// Jobs and batches: sums of the per-shard counters.
-	{name: "seedex_jobs_accepted_total", typ: counter, help: "Jobs admitted to the batching queue.", key: "jobs_accepted", v: total(smAccepted)},
-	{name: "seedex_jobs_expired_total", typ: counter, help: "Jobs whose deadline passed before compute.", key: "jobs_expired", v: total(smExpired)},
-	{name: "seedex_jobs_completed_total", typ: counter, help: "Jobs fully computed.", key: "jobs_completed", v: total(smCompleted)},
-	{name: "seedex_batches_total", typ: counter, help: "Micro-batches dispatched to workers.", key: "batches", v: total(smBatches)},
+	// Jobs and batches.
+	{name: "seedex_jobs_accepted_total", typ: counter, help: "Jobs admitted to the batching queue.", key: "jobs_accepted", v: total(nAccepted)},
+	{name: "seedex_jobs_expired_total", typ: counter, help: "Jobs whose deadline passed before compute.", key: "jobs_expired", v: total(nExpired)},
+	{name: "seedex_jobs_completed_total", typ: counter, help: "Jobs fully computed.", key: "jobs_completed", v: total(nCompleted)},
+	{name: "seedex_batches_total", typ: counter, help: "Micro-batches dispatched to workers.", key: "batches", v: total(nBatches)},
 	{key: "batch_occupancy_mean", v: func(c *scrape) float64 { return c.occupancy.Mean() }},
 	{name: "seedex_queue_depth", typ: gauge, help: "Jobs waiting in the admission queue.", series: perQueue("queue_depth", "map_queue.depth", func(c *scrape) (int, int) { return c.extDepth, c.mapDepth })},
 	{name: "seedex_queue_cap", typ: gauge, help: "Admission queue capacity.", series: perQueue("queue_cap", "map_queue.cap", func(c *scrape) (int, int) { return c.extCap, c.mapCap })},
@@ -481,16 +417,16 @@ var metricRows = []row{
 	{name: "seedex_batch_occupancy", typ: histogram, help: "Jobs per dispatched micro-batch.", series: func(c *scrape) []series { return c.occupancy.promSeries(1) }},
 	{name: "seedex_batch_occupancy_quantile", typ: gauge, help: "Interpolated batch-occupancy quantiles.", series: quantiles(func(c *scrape) histSnapshot { return c.occupancy }, 1, "batch_occupancy", "")},
 
-	// Check workflow outcomes and degraded-mode containment counters,
-	// summed over every distinct stats source in the shard pool.
+	// Check workflow outcomes and the engine's degraded-mode containment
+	// counters.
 	{name: "seedex_check_total", typ: counter, help: "Extensions through the check workflow.", key: "checks.total", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.Total })},
 	{name: "seedex_check_passed_total", typ: counter, help: "Extensions proven optimal.", key: "checks.passed", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.Passed })},
 	{name: "seedex_check_reruns_total", typ: counter, help: "Extensions rerun on the host.", key: "checks.reruns", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.Reruns })},
 	{name: "seedex_check_threshold_only_total", typ: counter, help: "Extensions proven optimal by thresholding alone.", key: "checks.threshold_only", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.ThresholdOnly })},
 	{name: "seedex_check_outcome_total", typ: counter, help: "Check outcomes by verdict.", on: hasChecks, series: func(c *scrape) []series {
 		var out []series
-		for o := range c.checks[0].Outcomes {
-			x := series{labels: []string{"outcome", core.Outcome(o).String()}, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.Outcomes[o] })(c)}
+		for o := range c.checks.Outcomes {
+			x := series{labels: []string{"outcome", core.Outcome(o).String()}, v: float64(c.checks.Outcomes[o])}
 			if x.v > 0 { // the JSON map names the outcomes seen
 				x.key = "checks.outcomes." + core.Outcome(o).String()
 			}
@@ -502,33 +438,6 @@ var metricRows = []row{
 	{name: "seedex_device_retries_total", typ: counter, help: "Device batch attempts retried.", key: "checks.device_retries", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.DeviceRetries })},
 	{name: "seedex_breaker_trips_total", typ: counter, help: "Circuit breaker closed->open transitions.", key: "checks.breaker_trips", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.BreakerTrips })},
 	{name: "seedex_host_only_total", typ: counter, help: "Extensions served entirely by the host full-band kernel.", key: "checks.host_only", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.HostOnly })},
-	{name: "seedex_degraded", typ: gauge, help: "1 while a breaker keeps any shard's device out of the path.", on: func(c *scrape) bool { return c.withHealth > 0 }, v: func(c *scrape) float64 { return boolGauge(c.degraded > 0) }},
-	{name: "seedex_breaker_state", typ: gauge, help: "Breaker state (exactly one series is 1).", on: func(c *scrape) bool { return c.health != nil }, series: func(c *scrape) []series { return oneHot("state", breakerStates, c.health.Breaker) }},
-
-	// Shard pool and routing tier: the per-shard split of the job counters,
-	// the router's decision and steal counters, and their sums.
-	{name: "seedex_shards", typ: gauge, help: "Shard units in the serving pool.", key: "cluster.shards", v: func(c *scrape) float64 { return float64(len(c.shards)) }},
-	{name: "seedex_shards_degraded", typ: gauge, help: "Shards currently in host-only (degraded) mode.", key: "cluster.shards_degraded", v: func(c *scrape) float64 { return float64(c.degraded) }},
-	{key: "cluster.routed", v: total(smRouted)},
-	{key: "cluster.rerouted", v: total(smRerouted)},
-	{key: "cluster.avoided", v: total(smAvoided)},
-	{key: "cluster.batches_stolen", v: total(smSteals)},
-	{name: "seedex_shard_jobs_accepted_total", typ: counter, help: "Jobs admitted to this shard's queue.", key: "jobs_accepted", shard: shardN(smAccepted)},
-	{name: "seedex_shard_jobs_completed_total", typ: counter, help: "Jobs computed for this shard.", key: "jobs_completed", shard: shardN(smCompleted)},
-	{name: "seedex_shard_jobs_rejected_total", typ: counter, help: "Submits refused by this shard's full queue.", key: "jobs_rejected", shard: shardN(smRejected)},
-	{name: "seedex_shard_jobs_expired_total", typ: counter, help: "Admitted jobs that expired before compute.", key: "jobs_expired", shard: shardN(smExpired)},
-	{name: "seedex_shard_batches_total", typ: counter, help: "Micro-batches dispatched by this shard's collector.", key: "batches", shard: shardN(smBatches)},
-	{name: "seedex_shard_batch_occupancy_mean", typ: gauge, help: "Mean jobs per dispatched batch on this shard.", key: "batch_occupancy_mean", shard: func(ss *shardScrape) float64 { return ss.occupancy.Mean() }},
-	{name: "seedex_shard_queue_depth", typ: gauge, help: "Jobs waiting in this shard's admission queue.", key: "queue_depth", shard: func(ss *shardScrape) float64 { return float64(ss.depth) }},
-	{key: "queue_cap", shard: func(ss *shardScrape) float64 { return float64(ss.cap) }},
-	{name: "seedex_shard_inflight", typ: gauge, help: "Admitted-but-unfinished jobs on this shard.", key: "inflight", shard: func(ss *shardScrape) float64 { return float64(ss.inflight) }},
-	{name: "seedex_router_routed_total", typ: counter, help: "Routing decisions that picked this shard.", key: "routed", shard: shardN(smRouted)},
-	{name: "seedex_router_avoided_total", typ: counter, help: "Routing decisions that skipped this shard while degraded.", key: "avoided", shard: shardN(smAvoided)},
-	{name: "seedex_router_rerouted_total", typ: counter, help: "Jobs failed over to this shard after another queue refused them.", key: "rerouted", shard: shardN(smRerouted)},
-	{name: "seedex_router_steals_total", typ: counter, help: "Batches this shard's workers stole from peers.", key: "batches_stolen_from_peers", shard: shardN(smSteals)},
-	{name: "seedex_router_stolen_total", typ: counter, help: "Batches peers stole from this shard.", key: "batches_stolen_by_peers", shard: shardN(smStolen)},
-	{name: "seedex_shard_degraded", typ: gauge, help: "1 while this shard is in host-only mode.", series: perHealthShard(func(h *faults.Health) []series { return one(boolGauge(h.Degraded)) })},
-	{name: "seedex_shard_breaker_state", typ: gauge, help: "This shard's breaker state (exactly one series is 1).", series: perHealthShard(func(h *faults.Health) []series { return oneHot("state", breakerStates, h.Breaker) })},
 
 	// Kernel-level telemetry: tier mix, demotions, lane occupancy and sweep
 	// throughput of the packed batch kernels.
@@ -636,34 +545,19 @@ func formatVal(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // doc renders the rows as the /metrics JSON document. Beside them sit the
 // fields that are not metrics: build identity, the config echo, the
-// occupancy buckets, the shards' breaker states, the pass rates, and the
-// status documents of the shared breaker, the index store and the tracer.
+// occupancy buckets, the pass rates, and the status documents of the index
+// store and the tracer.
 func (c *scrape) doc() map[string]any {
 	cfg := c.s.cfg
 	doc := map[string]any{
 		"build":                cfg.Build,
 		"batch_occupancy_hist": c.occupancy.Buckets(),
 		"config": map[string]any{"max_batch": cfg.Batch.MaxBatch, "flush_us": float64(cfg.Batch.FlushInterval.Nanoseconds()) / 1e3,
-			"workers": cfg.Batch.Workers, "queue_cap": cfg.Batch.QueueCap, "shards": len(c.shards), "map_enabled": c.s.mapEnabled()},
+			"workers": cfg.Batch.Workers, "queue_cap": cfg.Batch.QueueCap, "map_enabled": c.s.mapEnabled()},
 	}
-	shards := make([]map[string]any, len(c.shards))
-	for i, ss := range c.shards {
-		shards[i] = map[string]any{"id": ss.id, "degraded": ss.health != nil && ss.health.Degraded}
-		if ss.health != nil {
-			shards[i]["breaker"] = ss.health.Breaker
-		}
-	}
-	doc["shards"] = shards
 	flat := map[string]float64{}
 	for i := range metricRows {
-		r := &metricRows[i]
-		if r.shard != nil {
-			for i := range c.shards {
-				shards[i][r.key] = r.shard(&c.shards[i])
-			}
-			continue
-		}
-		for _, x := range r.samples(c) {
+		for _, x := range metricRows[i].samples(c) {
 			if x.key != "" {
 				flat[x.key] = x.v
 			}
@@ -675,9 +569,6 @@ func (c *scrape) doc() map[string]any {
 			"pass_rate":           ratio(flat["checks.passed"], flat["checks.total"]),
 			"threshold_only_rate": ratio(flat["checks.threshold_only"], flat["checks.total"]),
 		}
-	}
-	if c.health != nil {
-		doc["faults"] = c.health
 	}
 	if c.index != nil {
 		doc["index"] = c.index
@@ -707,17 +598,9 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-// Summary is the shutdown report: requests, jobs and batches served, then
-// one line per shard when there are several.
-func (s *Server) Summary() []string {
+// Summary is the shutdown report: requests, jobs and batches served.
+func (s *Server) Summary() string {
 	c := s.scrape()
-	out := []string{fmt.Sprintf("served %d requests, %d jobs in %d batches (mean occupancy %.1f)",
-		c.requests, c.total[smCompleted], c.total[smBatches], c.occupancy.Mean())}
-	if len(c.shards) > 1 {
-		for _, ss := range c.shards {
-			out = append(out, fmt.Sprintf("shard %d: %d jobs in %d batches, routed=%d rerouted=%d stolen-from-peers=%d",
-				ss.id, ss.n[smCompleted], ss.n[smBatches], ss.n[smRouted], ss.n[smRerouted], ss.n[smSteals]))
-		}
-	}
-	return out
+	return fmt.Sprintf("served %d requests, %d jobs in %d batches (mean occupancy %.1f)",
+		c.requests, c.jobs[nCompleted], c.jobs[nBatches], c.occupancy.Mean())
 }

@@ -17,7 +17,6 @@ import (
 	"seedex/internal/align"
 	"seedex/internal/core"
 	"seedex/internal/driver"
-	"seedex/internal/faults"
 	"seedex/internal/obs"
 )
 
@@ -479,62 +478,6 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrometheusShardedFamilies extends the round trip to the shard pool
-// and routing tier: a 2-shard device-backed server must expose the
-// per-shard job/occupancy/breaker families and the router counters, all
-// shard-labelled, alongside the server-wide aggregates summed from them.
-func TestPrometheusShardedFamilies(t *testing.T) {
-	engs := []*driver.Engine{chaosEngine(faults.Config{}), chaosEngine(faults.Config{})}
-	_, ts := newTestServer(t, Config{
-		Shards:      2,
-		NewExtender: func(i int) align.Extender { return engs[i] },
-		Batch:       BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Workers: 1},
-	})
-	resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: testProblems(32, 100, 17)})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	scrape := scrapeProm(t, ts.URL)
-	if got := scrape.samples["seedex_shards"]; got != 2 {
-		t.Errorf("seedex_shards = %v, want 2", got)
-	}
-	if got := scrape.samples["seedex_shards_degraded"]; got != 0 {
-		t.Errorf("seedex_shards_degraded = %v, want 0", got)
-	}
-	// Every shard has a health source, so the server-wide degraded gauge is
-	// exported (and 0) while all of them are healthy.
-	if got, ok := scrape.samples["seedex_degraded"]; !ok || got != 0 {
-		t.Errorf("seedex_degraded = %v (present %v), want 0", got, ok)
-	}
-	for _, family := range []string{
-		"seedex_shard_jobs_accepted_total", "seedex_shard_jobs_completed_total",
-		"seedex_shard_batches_total", "seedex_shard_batch_occupancy_mean",
-		"seedex_shard_queue_depth", "seedex_shard_inflight",
-		"seedex_router_routed_total", "seedex_router_avoided_total",
-		"seedex_router_rerouted_total", "seedex_router_steals_total",
-		"seedex_shard_degraded",
-	} {
-		for _, sh := range []string{"0", "1"} {
-			if _, ok := scrape.samples[family+`{shard="`+sh+`"}`]; !ok {
-				t.Errorf("scrape missing %s{shard=%q}", family, sh)
-			}
-		}
-	}
-	// Each device-backed shard exposes its own breaker-state series, one
-	// per state, exactly one of them 1 (closed, here).
-	for _, sh := range []string{"0", "1"} {
-		if v := scrape.samples[`seedex_shard_breaker_state{shard="`+sh+`",state="closed"}`]; v != 1 {
-			t.Errorf("shard %s closed-breaker series = %v, want 1", sh, v)
-		}
-	}
-	// The server-wide counter is the sum of the shard-labelled ones.
-	sum := scrape.samples[`seedex_shard_jobs_accepted_total{shard="0"}`] +
-		scrape.samples[`seedex_shard_jobs_accepted_total{shard="1"}`]
-	if total := scrape.samples["seedex_jobs_accepted_total"]; sum != total {
-		t.Errorf("per-shard accepted sums to %v, aggregate says %v", sum, total)
-	}
-}
-
 // --- Hot-path allocation guard ---------------------------------------------
 
 // TestExtWorkerZeroAlloc pins the serving hot path: one warmed-up worker
@@ -596,7 +539,7 @@ func TestExtWorkerZeroAlloc(t *testing.T) {
 						Trace:    tc.tracer,
 					})
 					defer s.Close()
-					worker := s.extWorker(s.shards[0])
+					worker := s.extWorker()
 					// A pending that never completes: remaining stays far above
 					// zero, so deliver never closes done and the batch can be
 					// replayed indefinitely.
@@ -610,7 +553,6 @@ func TestExtWorkerZeroAlloc(t *testing.T) {
 							req:  reqs[i],
 							out:  p,
 							slot: i,
-							sh:   s.shards[0],
 							tr:   ref,
 							enq:  time.Now(),
 						}
@@ -647,7 +589,7 @@ func BenchmarkExtWorker(b *testing.B) {
 				Trace:    tc.tracer,
 			})
 			defer s.Close()
-			worker := s.extWorker(s.shards[0])
+			worker := s.extWorker()
 			probs := testProblems(16, 100, 17)
 			p := &pending[ExtendResult]{res: make([]ExtendResult, len(probs)), done: make(chan struct{})}
 			p.remaining.Store(1 << 30)
@@ -659,7 +601,6 @@ func BenchmarkExtWorker(b *testing.B) {
 					req:  core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0},
 					out:  p,
 					slot: i,
-					sh:   s.shards[0],
 					tr:   ref,
 					enq:  time.Now(),
 				}

@@ -10,7 +10,6 @@ import (
 	"seedex/internal/align"
 	"seedex/internal/bwamem"
 	"seedex/internal/core"
-	"seedex/internal/faults"
 	"seedex/internal/fmindex"
 	"seedex/internal/obs"
 	"seedex/internal/refstore"
@@ -41,19 +40,6 @@ type Config struct {
 	// counters; it stays only because the frozen benchmark/layers.go still
 	// sets it.
 	MapStats *core.Stats
-	// Shards splits the service into that many independent shard units —
-	// each its own micro-batcher, worker pool, extender (see NewExtender)
-	// and, for engine-backed extenders, circuit breaker — behind the
-	// routing tier, which sends each request to the healthy shard with the
-	// fewest in-flight jobs. Default 1, which preserves the unsharded
-	// pipeline (same worker loop, same one-FlushInterval latency bound).
-	Shards int
-	// NewExtender, when non-nil, builds shard i's extender, so every
-	// shard gets its own engine (and so its own breaker and fault
-	// domain). When nil, all shards share Extender — safe because
-	// sessions are per-worker either way, but then all shards share one
-	// health/breaker view too.
-	NewExtender func(shard int) align.Extender
 	// Batch tunes the extension micro-batcher; see BatcherConfig for the
 	// defaults (flush at 64 jobs or 200µs).
 	Batch BatcherConfig
@@ -77,8 +63,8 @@ type Config struct {
 	// of each recorded request: the head-sampled one in SampleEvery, and
 	// every request under tail retention (obs.Config.Tail). One verdict at
 	// completion keeps the head picks, the SlowK slowest requests, and the
-	// journeys that breached the budget, failed, or crossed a steal,
-	// reroute, reload overlap or fault; they export at /debug/journeys and
+	// journeys that breached the budget, failed, or crossed a reload
+	// overlap or a device fault; they export at /debug/journeys and
 	// /debug/traces. A nil tracer costs the job endpoints one pointer
 	// compare per instrumentation site.
 	Trace *obs.Tracer
@@ -90,17 +76,13 @@ type Config struct {
 	SLO SLOConfig
 	// Flight configures the flight recorder; an empty Dir disables it.
 	// With a recorder configured the server also starts a watcher that
-	// dumps automatically on breaker trips, reload rollbacks and
-	// fast-burn SLO alerts.
+	// dumps automatically on reload rollbacks and fast-burn SLO alerts.
 	Flight obs.FlightConfig
 	// FlightPoll is the watcher's trigger-polling cadence (default 2s).
 	FlightPoll time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.MapBatch.MaxBatch <= 0 {
 		c.MapBatch.MaxBatch = 16
 	}
@@ -124,16 +106,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the alignment service: micro-batching pipelines over the
-// packed extension kernels plus the HTTP surface. Create with New, expose
-// via Handler, stop with StartDrain + Close.
+// Server is the alignment service: one extension pipeline and, with a
+// reference, one mapping pipeline over the packed extension kernels, plus
+// the HTTP surface. Create with New, expose via Handler, stop with
+// StartDrain + Close.
 type Server struct {
 	cfg      Config
 	met      *Metrics
-	shards   []*shard
-	router   *router
-	stats    []*core.Stats // distinct check-statistics sources across shards
-	trace    *obs.Tracer   // nil when tracing is disabled
+	engine   // cfg.Extender, resolved (see resolveEngine)
+	ext      *batcher[extJob]
+	maps     *batcher[mapJob] // nil without a RefStore
+	trace    *obs.Tracer      // nil when tracing is disabled
 	mux      *http.ServeMux
 	draining atomic.Bool
 	started  time.Time
@@ -145,9 +128,9 @@ type Server struct {
 	closeOnce  sync.Once
 }
 
-// New builds the shard pool, the routing tier and the HTTP mux. The
-// caller owns cfg.Extender / cfg.NewExtender's engines (and cfg.RefStore);
-// the server owns everything it starts.
+// New builds the pipelines and the HTTP mux. The caller owns
+// cfg.Extender's engine (and cfg.RefStore); the server owns everything it
+// starts.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	// Resolve the batcher defaults up front: the worker factories read the
@@ -157,44 +140,12 @@ func New(cfg Config) *Server {
 	if cfg.RefStore != nil && cfg.NewAligner == nil {
 		panic("server: Config.RefStore requires Config.NewAligner")
 	}
-	s := &Server{cfg: cfg, met: &Metrics{}, trace: cfg.Trace, mux: http.NewServeMux(), started: time.Now()}
-	// Steal groups link the per-shard batchers once all exist; with one
-	// shard they stay nil and the worker loops match the unsharded server.
-	var extGroup *stealGroup[extJob]
-	var mapGroup *stealGroup[mapJob]
-	if cfg.Shards > 1 {
-		extGroup = &stealGroup[extJob]{}
-		if s.mapEnabled() {
-			mapGroup = &stealGroup[mapJob]{}
-		}
+	s := &Server{cfg: cfg, met: &Metrics{}, engine: resolveEngine(cfg.Extender), trace: cfg.Trace,
+		mux: http.NewServeMux(), started: time.Now()}
+	s.ext = newBatcher(cfg.Batch, s.met, align.NumShapeBins, s.binOf, s.extWorker)
+	if s.mapEnabled() {
+		s.maps = newBatcher(cfg.MapBatch, s.met, 1, nil, s.mapWorker)
 	}
-	// The check rows of /metrics sum the distinct statistics sources:
-	// shards sharing an extender share one source.
-	seenStats := make(map[*core.Stats]bool)
-	addStats := func(st *core.Stats) {
-		if st != nil && !seenStats[st] {
-			seenStats[st] = true
-			s.stats = append(s.stats, st)
-		}
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		ext := cfg.Extender
-		if cfg.NewExtender != nil {
-			ext = cfg.NewExtender(i)
-		}
-		sh := &shard{id: i, engine: resolveEngine(ext), sm: &shardMetrics{}}
-		addStats(sh.stats)
-		sh.ext = newBatcher(cfg.Batch, shardHooks[extJob]{sh.sm, extGroup, i}, align.NumShapeBins, sh.binOf,
-			func() func([]extJob) { return s.extWorker(sh) })
-		if s.mapEnabled() {
-			sh.maps = newBatcher(cfg.MapBatch, shardHooks[mapJob]{sh.sm, mapGroup, i}, 1, nil,
-				func() func([]mapJob) { return s.mapWorker(sh) })
-		}
-		s.shards = append(s.shards, sh)
-	}
-	linkPeers(extGroup, s.shards, extPipe)
-	linkPeers(mapGroup, s.shards, mapPipe)
-	s.router = &router{shards: s.shards}
 	s.cfg.Build = s.cfg.Build.WithDefaults()
 	s.slo = s.newSLO()
 	s.slo.Start()
@@ -233,17 +184,9 @@ func (s *Server) Close() {
 			<-s.flightDone
 		}
 	})
-	// Closing shard by shard is safe under work stealing: a peer still
-	// draining may steal from a closing shard (helping it finish), and a
-	// closing shard's workers finish any stolen batch before exiting on
-	// their own closed channel.
-	for _, sh := range s.shards {
-		sh.ext.Close()
-	}
-	for _, sh := range s.shards {
-		if sh.maps != nil {
-			sh.maps.Close()
-		}
+	s.ext.Close()
+	if s.maps != nil {
+		s.maps.Close()
 	}
 }
 
@@ -251,8 +194,8 @@ func (s *Server) Close() {
 // was set).
 func (s *Server) mapEnabled() bool { return s.cfg.RefStore != nil }
 
-// engine is everything a shard needs from its extender, resolved once by
-// resolveEngine so nothing downstream asks what kind of extender it is.
+// engine is everything the server needs from its extender, resolved once
+// by resolveEngine so nothing downstream asks what kind of extender it is.
 type engine struct {
 	// session mints one worker's batch engine (per-worker scratch).
 	session func() core.BatchEngine
@@ -265,11 +208,8 @@ type engine struct {
 	// tier names the host SWAR tier a job's kernel span reports;
 	// obs.TierUnknown when the sweep does not run on the host tiers.
 	tier func(core.Request) int64
-	// stats and health are the engine's check statistics and
-	// fault-tolerance view; either may be nil (plain software extenders
-	// have no breaker).
-	stats  *core.Stats
-	health func() faults.Health
+	// stats is the engine's check statistics; nil for unchecked extenders.
+	stats *core.Stats
 }
 
 // resolveEngine is the one place the server inspects an extender's
@@ -291,9 +231,6 @@ func resolveEngine(ext align.Extender) engine {
 	case interface{ CheckStats() *core.Stats }:
 		// Device-backed extenders (the FPGA driver engine).
 		e.stats = x.CheckStats()
-	}
-	if h, ok := ext.(interface{ Health() faults.Health }); ok {
-		e.health = h.Health
 	}
 	return e
 }
@@ -343,15 +280,12 @@ func (p *pending[R]) abandon(submitted, total int) {
 }
 
 // job is one unit of work queued for micro-batching: the payload req of
-// its endpoint plus the head every pipeline stage shares. sh is the shard
-// that admitted the job (set on submit): its accounting follows the job
-// even when a peer's worker steals the batch.
+// its endpoint plus the head every pipeline stage shares.
 type job[P, R any] struct {
 	ctx  context.Context
 	req  P
 	out  *pending[R]
-	slot int // the job's index in out
-	sh   *shard
+	slot int     // the job's index in out
 	tr   obs.Ref // sampled trace handle (zero: not sampled)
 	enq  time.Time
 }
@@ -372,56 +306,45 @@ type mapRead struct {
 // expireJob completes j without compute: its client is gone (deadline or
 // disconnect), or the pipeline shut down under it. The job still resolves
 // so its request's pending does.
-func expireJob[P, R any](j job[P, R]) {
-	j.sh.settleExpired()
+func expireJob[P, R any](met *Metrics, j job[P, R]) {
+	met.jobs[nExpired].Add(1)
 	j.out.expire(j.slot)
 }
 
 // pickup is the shared head of both batch workers: every job's queue wait
 // is observed, expired jobs resolve without compute, and the rest are
-// returned (appended to live). A batch whose jobs were admitted by another
-// shard arrived by work stealing: the event is flagged and where the batch
-// really ran recorded (v1 = victim shard, v2 = thief shard).
-func pickup[P, R any](sh *shard, batch, live []job[P, R], now time.Time) []job[P, R] {
+// returned (appended to live).
+func pickup[P, R any](met *Metrics, batch, live []job[P, R], now time.Time) []job[P, R] {
 	for _, j := range batch {
 		wait := now.Sub(j.enq)
-		j.sh.sm.queueWait.observe(wait.Nanoseconds())
+		met.queueWait.observe(wait.Nanoseconds())
 		j.tr.Span(obs.KindQueueWait, j.enq, wait, int64(len(batch)), 0)
 		if j.ctx.Err() != nil {
-			expireJob(j)
+			expireJob(met, j)
 			continue
 		}
 		live = append(live, j)
 	}
-	if len(live) > 0 && live[0].sh.id != sh.id {
-		for _, j := range live {
-			j.tr.Mark(obs.EvSteal)
-			j.tr.Span(obs.KindSteal, now, 0, int64(j.sh.id), int64(sh.id))
-		}
-	}
 	return live
 }
 
-// extWorker returns one extension worker's batch processor for sh. The
-// worker owns a session of the shard's engine (its scratch memory lives as
-// long as the worker), so a batch runs allocation-free through whatever
-// the engine is — software checker, device driver or plain extender —
-// behind the one core.BatchEngine call. Stolen peer batches run through
-// this worker's session too — the kernels are deterministic, so where a
-// batch runs never shows in its results — while each job's admission
-// accounting stays with the shard that admitted it (j.sh). With tracing
-// enabled, sampled jobs record queue-wait, flush, kernel, check and rerun
-// spans from the engine's timing report; with it disabled every span site
-// is a single nil compare.
-func (s *Server) extWorker(sh *shard) func([]extJob) {
-	eng := sh.session()
+// extWorker returns one extension worker's batch processor. The worker
+// owns a session of the engine (its scratch memory lives as long as the
+// worker), so a batch runs allocation-free through whatever the engine
+// is — software checker, device driver or plain extender — behind the one
+// core.BatchEngine call. With tracing enabled, sampled jobs record
+// queue-wait, flush, kernel, check and rerun spans from the engine's
+// timing report; with it disabled every span site is a single nil
+// compare.
+func (s *Server) extWorker() func([]extJob) {
+	eng := s.session()
 	max := s.cfg.Batch.MaxBatch
 	live := make([]extJob, 0, max)
 	reqs := make([]core.Request, 0, max)
 	resp := make([]core.Response, max)
 	return func(batch []extJob) {
 		now := time.Now()
-		live = pickup(sh, batch, live[:0], now)
+		live = pickup(s.met, batch, live[:0], now)
 		if len(live) == 0 {
 			return
 		}
@@ -449,7 +372,7 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 		for k, j := range live {
 			r := resp[k]
 			if j.tr.Sampled() {
-				j.tr.Span(obs.KindKernel, bi.Start, bi.Dur, sh.tier(reqs[k]), int64(len(live)))
+				j.tr.Span(obs.KindKernel, bi.Start, bi.Dur, s.tier(reqs[k]), int64(len(live)))
 				pass := int64(0)
 				if !r.Rerun {
 					pass = 1
@@ -468,13 +391,13 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 			if r.Rerun && r.Outcome == core.OutcomeUnknown {
 				j.tr.Mark(obs.EvFault)
 			}
-			j.sh.settleDone()
+			s.met.jobs[nCompleted].Add(1)
 			j.out.deliver(j.slot, wireResult(r))
 		}
 	}
 }
 
-// mapWorker returns one mapping worker's batch processor for sh: a
+// mapWorker returns one mapping worker's batch processor: a
 // reentrant bwamem.Mapper session that maps the batch's live reads as one
 // pooled batch (MapBatch: the reads' extensions share the extender's
 // packed batches). Sampled jobs record the batch's interval as their
@@ -485,7 +408,7 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 // the batch is reading) and rebuilds its mapper session only when the
 // generation actually changed. Old generations drain batch-by-batch —
 // a reload storm never stalls or fails a single read.
-func (s *Server) mapWorker(sh *shard) func([]mapJob) {
+func (s *Server) mapWorker() func([]mapJob) {
 	var m *bwamem.Mapper
 	store := s.cfg.RefStore
 	var genID uint64
@@ -499,7 +422,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 			// The store closed under us (shutdown): resolve the batch as
 			// expired so every pending completes.
 			for _, j := range batch {
-				expireJob(j)
+				expireJob(s.met, j)
 			}
 			return
 		}
@@ -513,7 +436,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 			m = s.cfg.NewAligner(g.Ref(), g.Index()).NewMapper()
 			genID = g.ID()
 		}
-		live = pickup(sh, batch, live[:0], now)
+		live = pickup(s.met, batch, live[:0], now)
 		if len(live) == 0 {
 			return
 		}
@@ -546,7 +469,7 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 			text = al.Cigar.AppendTo(text[:0])
 			cigar := string(text)
 			text = rec.AppendTo(text[:0])
-			j.sh.settleDone()
+			s.met.jobs[nCompleted].Add(1)
 			j.out.deliver(j.slot, MapResult{
 				Name:   rec.QName,
 				Mapped: al.Mapped,

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,7 +105,8 @@ func TestExtendMatchesKernel(t *testing.T) {
 
 // TestExtendCoalescing pins the tentpole behaviour: N concurrent
 // single-job requests share device batches — far fewer batches than jobs,
-// mean occupancy above one.
+// mean occupancy above one — and each still gets its own job's exact
+// result, with every admitted job accounted as completed.
 func TestExtendCoalescing(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Batch: BatcherConfig{MaxBatch: 64, FlushInterval: 20 * time.Millisecond, Workers: 2},
@@ -114,16 +118,15 @@ func TestExtendCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: jobs[i : i+1]})
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d", i, resp.StatusCode)
-			}
+			verifyExtend(t, ts.URL, jobs[i:i+1])
 		}(i)
 	}
 	wg.Wait()
 	c := s.scrape()
-	batches, occ := c.total[smBatches], c.occupancy.Mean()
+	if c.jobs[nAccepted] != n || c.jobs[nCompleted] != n {
+		t.Fatalf("accepted=%d completed=%d, want %d each", c.jobs[nAccepted], c.jobs[nCompleted], n)
+	}
+	batches, occ := c.jobs[nBatches], c.occupancy.Mean()
 	if batches >= n {
 		t.Fatalf("%d single-job requests produced %d batches; no coalescing happened", n, batches)
 	}
@@ -156,7 +159,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// Wait until the request has passed admission before starting the
 	// drain, so it is genuinely in flight.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.scrape().total[smAccepted] == 0 {
+	for s.scrape().jobs[nAccepted] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request never passed admission")
 		}
@@ -174,7 +177,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	s.Close()
 	c := s.scrape()
-	if acc, done := c.total[smAccepted], c.total[smCompleted]+c.total[smExpired]; acc != done {
+	if acc, done := c.jobs[nAccepted], c.jobs[nCompleted]+c.jobs[nExpired]; acc != done {
 		t.Fatalf("accepted %d jobs but resolved %d after Close", acc, done)
 	}
 	// healthz reflects the drain.
@@ -218,10 +221,10 @@ func TestStreamStatusAccounting(t *testing.T) {
 		}
 	}
 
-	// Admission closes under an open stream: the shard's pipeline is gone
-	// but the server is not draining yet, so the handler is past its drain
-	// check when submit refuses the job.
-	s.shards[0].ext.Close()
+	// Admission closes under an open stream: the extension pipeline is
+	// gone but the server is not draining yet, so the handler is past its
+	// drain check when submit refuses the job.
+	s.ext.Close()
 	resp := post("a1")
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -360,8 +363,201 @@ func TestExtendStream(t *testing.T) {
 	}
 }
 
+// TestStreamBackpressure pins the stream's flow control on the one
+// extension queue: a full queue blocks the stream reader in one admit
+// until the pipeline moves, the admit ends with its context, and Close
+// during a blocked admit neither deadlocks nor loses an admitted job.
+func TestStreamBackpressure(t *testing.T) {
+	// A queue of one behind a single pinned worker holds four jobs — the
+	// pinned worker's batch, the one waiting on the dispatch channel, the
+	// collector's blocked dispatch and the queued one — so the fifth job
+	// already waits for admission.
+	tight := BatcherConfig{MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 1, Workers: 1}
+	const capacity = 4
+	streamBody := func(jobs []ExtendJob) *bytes.Buffer {
+		var in bytes.Buffer
+		enc := json.NewEncoder(&in)
+		for _, j := range jobs {
+			enc.Encode(j)
+		}
+		return &in
+	}
+	// waitFull waits until the gated worker has stalled a full pipeline:
+	// nothing moves until the gate opens.
+	waitFull := func(t *testing.T, s *Server, gate *gatedExtender) {
+		t.Helper()
+		select {
+		case <-gate.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("gated kernel never entered")
+		}
+		for deadline := time.Now().Add(10 * time.Second); s.met.jobs[nAccepted].Load() < capacity; {
+			if time.Now().After(deadline) {
+				t.Fatalf("pipeline took %d jobs behind the pinned worker, want %d", s.met.jobs[nAccepted].Load(), capacity)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	t.Run("in-order", func(t *testing.T) {
+		gate := newGatedExtender(core.New(20))
+		gate.armed.Store(true)
+		s, ts := newTestServer(t, Config{Extender: gate, Batch: tight})
+		release := sync.OnceFunc(func() { close(gate.release) })
+		t.Cleanup(release) // before the server's Close, also on a failure
+		jobs := testProblems(24, 90, 31)
+		type reply struct {
+			resp *http.Response
+			err  error
+		}
+		replies := make(chan reply, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/extend/stream", "application/x-ndjson", streamBody(jobs))
+			replies <- reply{resp, err}
+		}()
+		waitFull(t, s, gate)
+		release()
+		var r reply
+		select {
+		case r = <-replies:
+		case <-time.After(20 * time.Second):
+			t.Fatal("stream never answered after the gate opened")
+		}
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		defer r.resp.Body.Close()
+		body, err := io.ReadAll(r.resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.resp.StatusCode != http.StatusOK || bytes.Contains(body, []byte(`"error"`)) {
+			t.Fatalf("stream: status %d body %q", r.resp.StatusCode, body)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+		if len(lines) != len(jobs) {
+			t.Fatalf("stream returned %d lines for %d jobs", len(lines), len(jobs))
+		}
+		sc := align.DefaultScoring()
+		for i, j := range jobs {
+			var got ExtendResult
+			if err := json.Unmarshal(lines[i], &got); err != nil {
+				t.Fatalf("line %d: %v", i, err)
+			}
+			want := align.Extend(genome.Encode(j.Query), genome.Encode(j.Target), j.H0, sc)
+			if got.Local != want.Local || got.LocalT != want.LocalT || got.Global != want.Global || got.GlobalT != want.GlobalT {
+				t.Fatalf("line %d: served %+v, kernel %+v", i, got, want)
+			}
+		}
+		if s.met.Rejected.Load() != 0 {
+			t.Fatal("a flow-controlled stream was refused with 429")
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		gate := newGatedExtender(core.New(20))
+		gate.armed.Store(true)
+		s, _ := newTestServer(t, Config{Extender: gate, Batch: tight})
+		t.Cleanup(func() { close(gate.release) }) // before the server's Close
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest("POST", "/v1/extend/stream", streamBody(testProblems(24, 90, 32))).WithContext(ctx)
+		returned := make(chan struct{})
+		go func() {
+			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+			close(returned)
+		}()
+		waitFull(t, s, gate)
+		// A second admit on the same full queue, under the same context.
+		admit := make(chan error, 1)
+		go func() {
+			admit <- s.ext.SubmitWait(ctx, extJob{ctx: ctx, out: newPending[ExtendResult](1), enq: time.Now()})
+		}()
+		cancel()
+		select {
+		case <-returned:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a cancelled stream blocked in admission is still being served")
+		}
+		select {
+		case err := <-admit:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("admit on a full queue with its context cancelled = %v, want context.Canceled", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("an admit on a full queue outlived its context")
+		}
+	})
+
+	t.Run("close-during-admit", func(t *testing.T) {
+		gate := make(chan struct{})
+		var processed atomic.Int64
+		b := newBatcher(tight, &Metrics{}, 1, nil, func() func([]int) {
+			return func(batch []int) {
+				<-gate
+				processed.Add(int64(len(batch)))
+			}
+		})
+		// Fill the pipeline to its capacity, so nothing moves until the
+		// gate opens.
+		accepted := 0
+		for deadline := time.Now().Add(10 * time.Second); accepted < capacity; {
+			if b.Submit(accepted) == nil {
+				accepted++
+			} else if time.Now().After(deadline) {
+				t.Fatalf("pipeline took %d jobs, want %d", accepted, capacity)
+			} else {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		const waiters = 3
+		admits := make(chan error, waiters)
+		for i := 0; i < waiters; i++ {
+			go func() { admits <- b.SubmitWait(context.Background(), -1) }()
+		}
+		// A blocked admit holds the read lock: wait until one does.
+		for deadline := time.Now().Add(10 * time.Second); b.mu.TryLock(); {
+			b.mu.Unlock()
+			if len(admits) > 0 || time.Now().After(deadline) {
+				t.Fatalf("no admit blocked on the full queue (%d returned)", len(admits))
+			}
+			time.Sleep(time.Millisecond)
+		}
+		closed := make(chan struct{})
+		go func() {
+			b.Close()
+			close(closed)
+		}()
+		time.Sleep(10 * time.Millisecond) // let Close queue up behind the admits
+		close(gate)
+		for i := 0; i < waiters; i++ {
+			select {
+			case err := <-admits:
+				switch {
+				case err == nil:
+					accepted++
+				case !errors.Is(err, ErrDraining):
+					t.Fatalf("blocked admit returned %v, want nil or ErrDraining", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("an admit blocked across Close never returned")
+			}
+		}
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close deadlocked behind a blocked admit")
+		}
+		if got := processed.Load(); got != int64(accepted) {
+			t.Fatalf("drained %d jobs, admitted %d", got, accepted)
+		}
+		if err := b.SubmitWait(context.Background(), 0); !errors.Is(err, ErrDraining) {
+			t.Fatalf("SubmitWait after Close = %v, want ErrDraining", err)
+		}
+	})
+}
+
 // TestMapEndpoint proves /v1/map serves exactly the records the batch
-// pipeline produces for the same reads, over two shards.
+// pipeline produces for the same reads.
 func TestMapEndpoint(t *testing.T) {
 	fx := newRefStoreFixture(t, 11)
 	store, err := refstore.Open(fx.path, refstore.Options{})
@@ -369,7 +565,7 @@ func TestMapEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
-	_, url := newStoreServer(t, store, Config{Shards: 2})
+	_, url := newStoreServer(t, store, Config{})
 	if err := fx.checkMap(t, url); err != nil {
 		t.Fatal(err)
 	}
@@ -552,6 +748,36 @@ func TestBadInput(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: status %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestHealthzStates walks /healthz through the states of the one
+// pipeline, with the exact body of each: ok; an SLO burning its error
+// budget, a note on a 200 (the endpoints still serve); and draining, a
+// 503 with nothing else to say. The degraded-reload state is
+// TestReloadRollbackDegradedHealthz's.
+func TestHealthzStates(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
+	s, ts := newTestServer(t, Config{SLO: SLOConfig{Interval: -1, LatencyBudget: time.Nanosecond, Now: func() time.Time { return now }}})
+	check := func(wantCode int, want map[string]string) {
+		t.Helper()
+		var body map[string]string
+		if code := getJSON(t, ts.URL+"/healthz", &body); code != wantCode || !maps.Equal(body, want) {
+			t.Fatalf("healthz = %d %v, want %d %v", code, body, wantCode, want)
+		}
+	}
+	check(http.StatusOK, map[string]string{"status": "ok", "slo": "ok"})
+
+	// Every request breaches a 1 ns budget, so one served request between
+	// two samples burns the latency objective at 100x.
+	s.slo.Tick()
+	resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: testProblems(2, 60, 5)})
+	resp.Body.Close()
+	now = now.Add(10 * time.Second)
+	s.slo.Tick()
+	check(http.StatusOK, map[string]string{"status": "ok", "slo": "degraded-slo"})
+
+	s.StartDrain()
+	check(http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 }
 
 // TestMetricsEndpoint checks the /metrics document exposes the check

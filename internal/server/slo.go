@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"seedex/internal/core"
 	"seedex/internal/obs"
 )
 
@@ -160,10 +159,9 @@ func jsonSource(name string, v func() any) obs.FlightSource {
 
 // startFlightWatcher launches the degradation watcher: every FlightPoll
 // (default 2s) it takes a scrape and compares it with the last one. The
-// breaker-trip or index rollback counter advancing, or the SLO fast-burn
-// flag rising, triggers an automatic flight dump named for the trigger;
-// the recorder's MinInterval debounce keeps a flapping breaker from
-// filling the disk.
+// index rollback counter advancing, or the SLO fast-burn flag rising,
+// triggers an automatic flight dump named for the trigger; the recorder's
+// MinInterval debounce keeps a flapping trigger from filling the disk.
 func (s *Server) startFlightWatcher() {
 	poll := s.cfg.FlightPoll
 	if poll <= 0 {
@@ -171,7 +169,6 @@ func (s *Server) startFlightWatcher() {
 	}
 	s.flightStop = make(chan struct{})
 	s.flightDone = make(chan struct{})
-	trips := checkCount(func(st *core.StatsSnapshot) int64 { return st.BreakerTrips })
 	rollbacks := func(c *scrape) int64 {
 		if c.index == nil {
 			return 0
@@ -190,9 +187,6 @@ func (s *Server) startFlightWatcher() {
 			case <-tick.C:
 			}
 			c := s.scrape()
-			if trips(c) > trips(last) {
-				s.FlightDump("breaker-trip")
-			}
 			if rollbacks(c) > rollbacks(last) {
 				s.FlightDump("reload-rollback")
 			}

@@ -15,8 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"seedex/internal/align"
-	"seedex/internal/driver"
 	"seedex/internal/faults"
 	"seedex/internal/genome"
 	"seedex/internal/obs"
@@ -51,9 +49,8 @@ func TestMetricsSurface(t *testing.T) {
 				resp.Body.Close()
 			}
 		}},
-		{"two-device-shards", func(t *testing.T) (Config, func(*testing.T, string)) {
-			engs := []*driver.Engine{chaosEngine(faults.Config{}), chaosEngine(faults.Config{})}
-			return Config{Shards: 2, NewExtender: func(i int) align.Extender { return engs[i] }}, nil
+		{"device", func(t *testing.T) (Config, func(*testing.T, string)) {
+			return Config{Extender: chaosEngine(faults.Config{})}, nil
 		}},
 	} {
 		cfg, extra := c.setup(t)

@@ -716,7 +716,7 @@ func TestArenaNotRecycledInFlight(t *testing.T) {
 
 	// The worker is still held: these scan, queue and wait.
 	const later = 6
-	accepted := s.scrape().total[smAccepted]
+	accepted := s.scrape().jobs[nAccepted]
 	var wg sync.WaitGroup
 	for i := 0; i < later; i++ {
 		wg.Add(1)
@@ -725,7 +725,7 @@ func TestArenaNotRecycledInFlight(t *testing.T) {
 			verifyExtend(t, ts.URL, jobsOf("C"))
 		}()
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.scrape().total[smAccepted] < accepted+4*later; {
+	for deadline := time.Now().Add(5 * time.Second); s.scrape().jobs[nAccepted] < accepted+4*later; {
 		if time.Now().After(deadline) {
 			t.Fatal("later requests never queued")
 		}
