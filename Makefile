@@ -53,15 +53,18 @@ portable:
 	$(GO) test -tags purego ./internal/align ./internal/core ./internal/server ./internal/bwamem
 
 # Fault-injection equivalence drill: the chaos and integrity tests under
-# the race detector, the server's device-engine tests among them
-# (TestServerChaosEquivalence, TestDeviceBatchCoalescedRequests). Pin the
-# fault draws with CHAOS_SEED (default: the tests' built-in seed matrix)
-# and capture the end-of-run fault counters with CHAOS_SNAPSHOT=path.json.
+# the race detector — the simulated device's (internal/driver), core's
+# adversarial corpus, and the index store's, the latter also through the
+# server (TestMapReloadChaosStorm, TestTailChaosRollbackRetention,
+# TestReloadRollbackDegradedHealthz) beside the server's Wire* tests. Pin
+# the fault draws with CHAOS_SEED (default: the tests' built-in seed
+# matrix) and capture the device's end-of-run fault counters with
+# CHAOS_SNAPSHOT=path.json.
 chaos:
 	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) SEEDEX_CHAOS_SNAPSHOT=$(CHAOS_SNAPSHOT) \
 		$(GO) test -race ./internal/faults/...
 	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) SEEDEX_CHAOS_SNAPSHOT=$(CHAOS_SNAPSHOT) \
-		$(GO) test -race -run 'Chaos|DeviceBatch|Integrity|Corrupted|Adversarial|Wire|Sanity|Validate|Corruption|Rollback' \
+		$(GO) test -race -run 'Chaos|Integrity|Corrupted|Adversarial|Wire|Sanity|Validate|Corruption|Rollback' \
 		./internal/driver/... ./internal/server/... ./internal/core/... ./internal/refstore/...
 
 # Bounded-time fuzzing: every fuzz target in the tree (discovered with

@@ -15,9 +15,11 @@ import (
 // them, the daemon never serves through them. The walk follows the
 // module's imports from this package with go/parser, test files left out
 // and build constraints ignored, so it sees every build's cone at once.
-// The server itself keeps no fault-tolerance view (breakers and fault
-// counters belong to the engines), so it does not import internal/faults
-// either; the index store still does, for its fault injector.
+// The server itself keeps no fault-tolerance view, so it does not import
+// internal/faults either (the index store still does, for its fault
+// injector; the server's tests may, for the reload drills). Nor does any
+// server file, its tests included, import internal/driver: the simulated
+// device is a standalone model, not an engine the server is tested with.
 func TestServeDependencyCone(t *testing.T) {
 	const module = "seedex/"
 	root := filepath.Join("..", "..")
@@ -52,6 +54,21 @@ func TestServeDependencyCone(t *testing.T) {
 	}
 	if _, ok := importer["internal/server"]; !ok {
 		t.Fatalf("the walk never reached internal/server: %v", importer)
+	}
+	serverFiles, err := filepath.Glob(filepath.Join(root, "internal", "server", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range serverFiles {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == module+"internal/driver" {
+				t.Errorf("internal/server imports internal/driver (%s)", name)
+			}
+		}
 	}
 	for _, banned := range []string{"internal/driver", "internal/fpga", "internal/hw", "internal/ert"} {
 		if _, ok := importer[banned]; !ok {

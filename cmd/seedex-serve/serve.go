@@ -54,7 +54,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
 	traceSample := fs.Int("trace-sample", 0, "keep the journey of 1 in N requests (the sampled rule), at /debug/journeys and /debug/traces (0 disables head sampling)")
 	traceSlow := fs.Int("trace-slow", 64, "keep the K slowest requests so far regardless of sampling (the slow rule; root spans at /debug/traces/slow, full journeys when recorded)")
-	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed an index reload or a device fault are kept at /debug/journeys and /debug/traces")
+	traceTail := fs.Bool("trace-tail", false, "tail-based retention: every request records its journey, and completions that breached the latency budget, failed, or crossed an index reload are kept at /debug/journeys and /debug/traces")
 	traceTailBudget := fs.Duration("trace-tail-budget", 100*time.Millisecond, "latency budget for the tail-retention verdict (and the default SLO latency objective)")
 	traceTailKeep := fs.Int("trace-tail-keep", 256, "journeys kept beside the slow top-K, bounding /debug/journeys and /debug/traces (oldest head-sampled evicted first, then oldest)")
 	sloLatency := fs.Duration("slo-latency", 0, "latency threshold of the extend-latency SLO objective (0 = the tail budget)")

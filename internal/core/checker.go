@@ -90,11 +90,6 @@ func NewChecker(cfg Config) *Checker {
 
 var _ align.Extender = (*Checker)(nil)
 
-// KernelScoring exposes the scoring scheme the batch kernels run under;
-// shape-binned schedulers (the server micro-batcher, the driver's batch
-// producer) duck-type this accessor to key jobs by align.ShapeBin.
-func (c *Checker) KernelScoring() align.Scoring { return c.Config.Scoring }
-
 func (c *Checker) init() {
 	if c.ews == nil {
 		c.ews = align.NewWorkspace()

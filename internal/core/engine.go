@@ -8,14 +8,13 @@ import (
 
 // BatchEngine is the one shape of work the host side hands out (paper
 // §V-B): a batch of independent extensions in, results plus "could not be
-// proven, rerun" flags out — whether a software checker, the device driver
-// or a plain extender ran it is invisible to whoever formed the batch. A
-// BatchEngine is a per-goroutine session owning its scratch.
+// proven, rerun" flags out — whether a software checker or a plain
+// extender ran it is invisible to whoever formed the batch. A BatchEngine
+// is a per-goroutine session owning its scratch.
 type BatchEngine interface {
 	// ExtendBatchInto extends every request and returns the responses in
 	// request order, reusing dst's backing array when it is large enough.
-	// Tags must be unique within reqs (the driver matches device responses
-	// to requests by Tag); each is echoed in its Response.
+	// Each request's Tag is echoed in its Response.
 	ExtendBatchInto(reqs []Request, dst []Response) []Response
 	// LastBatch describes the most recent ExtendBatchInto call.
 	LastBatch() BatchInfo
@@ -26,9 +25,7 @@ type BatchEngine interface {
 // speculate-and-check interval; Rerun is the one interval right after it
 // in which the engine reran the batch's failed checks together (a Checker
 // sweeps each inside the band its scores allow; zero when none failed),
-// and the rerun jobs' RerunNs are its equal shares. The device driver
-// overlaps its reruns with device time, so its interval is the whole
-// round trip and its Rerun and RerunNs stay zero.
+// and the rerun jobs' RerunNs are its equal shares.
 type BatchInfo struct {
 	Start time.Time
 	Dur   time.Duration
@@ -67,8 +64,7 @@ func (e *extenderEngine) ExtendBatchInto(reqs []Request, dst []Response) []Respo
 
 // EngineSession mints one worker's BatchEngine from ext: a session of ext
 // when it offers sessions, used directly when that already is a
-// BatchEngine (Checker, the driver's sessions) and through the adapter
-// otherwise.
+// BatchEngine (a Checker) and through the adapter otherwise.
 func EngineSession(ext align.Extender) BatchEngine {
 	if se, ok := ext.(align.SessionExtender); ok {
 		ext = se.Session()

@@ -24,6 +24,8 @@ func (s scalarOnly) Extend(q, t []byte, h0 int) align.ExtendResult { return s.in
 // jobs a software engine reran, and results equal to the naive full-band
 // kernel — except where an engine is inexact by design, and there the
 // differences must be exactly the expected set, not merely tolerated.
+// The device rows run the same corpus through the simulated device
+// (driver.Run) under each fault class, and hold it to the oracle terms.
 func TestBatchEngineConformance(t *testing.T) {
 	corpus := closedFormCorpus(t)
 	sc := align.DefaultScoring()
@@ -50,48 +52,26 @@ func TestBatchEngineConformance(t *testing.T) {
 		}
 	}
 
+	const batch = 64
 	paperSeedEx := core.New(band)
 	paperSeedEx.Config.Mode = core.ModePaper
-	device := func(f faults.Config) *driver.Engine {
-		cfg := driver.DefaultConfig()
-		cfg.Band = band
-		cfg.TimeScale = 0.02
-		cfg.DeviceTimeout = 5 * time.Millisecond
-		cfg.RetryBackoff = 20 * time.Microsecond
-		f.Seed, f.StallFor = 5, 20*time.Millisecond // stalls reliably pass the deadline
-		cfg.Faults = f
-		cfg.Breaker = faults.BreakerConfig{TripRatio: 2} // parked: the device stays in the path
-		return driver.NewEngine(cfg)
-	}
-	// Per-response classes at rate; the per-batch classes need more to fire
-	// within the corpus's handful of batches.
-	const rate, batchRate = 0.2, 0.5
 	for _, tc := range []struct {
 		name   string
 		ext    align.Extender
 		want   []align.ExtendResult
 		differ bool // want is expected to differ from naive somewhere
-		device bool // reruns overlap device time: RerunNs stays zero
 	}{
-		{"checker-strict", core.New(band), naive, false, false},
-		{"checker-paper", paperSeedEx, paper, true, false},
-		{"fullband-session", core.FullBand{Scoring: sc}, naive, false, false},
-		{"banded-session", core.Banded{Scoring: sc, Band: band}, banded, true, false},
-		{"scalar-adapter", scalarOnly{core.FullBand{Scoring: sc}}, naive, false, false},
-		{"device-clean", device(faults.Config{}), naive, false, true},
-		{"device-corrupt", device(faults.Config{Corrupt: rate}), naive, false, true},
-		{"device-flip", device(faults.Config{Flip: rate}), naive, false, true},
-		{"device-drop", device(faults.Config{Drop: rate}), naive, false, true},
-		{"device-reorder", device(faults.Config{Reorder: rate}), naive, false, true},
-		{"device-stall", device(faults.Config{Stall: batchRate}), naive, false, true},
-		{"device-corefail", device(faults.Config{CoreFail: batchRate}), naive, false, true},
+		{"checker-strict", core.New(band), naive, false},
+		{"checker-paper", paperSeedEx, paper, true},
+		{"fullband-session", core.FullBand{Scoring: sc}, naive, false},
+		{"banded-session", core.Banded{Scoring: sc, Band: band}, banded, true},
+		{"scalar-adapter", scalarOnly{core.FullBand{Scoring: sc}}, naive, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := core.EngineSession(tc.ext)
 			if out := eng.ExtendBatchInto(nil, nil); len(out) != 0 {
 				t.Fatalf("empty batch returned %d responses", len(out))
 			}
-			const batch = 64
 			dst := make([]core.Response, batch)
 			reqs := make([]core.Request, 0, batch)
 			differs, reruns := 0, 0
@@ -124,26 +104,71 @@ func TestBatchEngineConformance(t *testing.T) {
 					if r.Rerun {
 						reruns++
 					}
-					if !tc.device && (r.RerunNs > 0) != r.Rerun {
+					if (r.RerunNs > 0) != r.Rerun {
 						t.Fatalf("problem %d: rerun=%v but RerunNs=%d", i, r.Rerun, r.RerunNs)
-					}
-					if tc.device && r.RerunNs != 0 {
-						t.Fatalf("problem %d: device engine reported RerunNs=%d", i, r.RerunNs)
 					}
 				}
 			}
 			if tc.differ != (differs > 0) {
 				t.Fatalf("%d results differ from full-band; expected-difference set non-empty: %v", differs, tc.differ)
 			}
-			switch x := tc.ext.(type) {
-			case *core.SeedEx:
+			if x, ok := tc.ext.(*core.SeedEx); ok {
 				if reruns == 0 || x.Stats.Snapshot().Reruns != int64(reruns) {
 					t.Fatalf("%d responses flagged rerun, stats recorded %d", reruns, x.Stats.Snapshot().Reruns)
 				}
-			case *driver.Engine:
-				if f := x.Device().Injector().Counters().Total(); (f > 0) != (tc.name != "device-clean") {
-					t.Fatalf("%d faults injected", f)
+			}
+		})
+	}
+
+	// driver.Run places each response by its Tag, the request's index.
+	reqs := make([]core.Request, len(corpus))
+	for i, p := range corpus {
+		reqs[i] = core.Request{Q: p.q, T: p.t, H0: p.h0, Tag: i}
+	}
+	// Per-response classes at rate; the per-batch classes need more to fire
+	// within the corpus's handful of batches.
+	const rate, batchRate = 0.2, 0.5
+	for _, tc := range []struct {
+		name string
+		f    faults.Config
+	}{
+		{"device-clean", faults.Config{}},
+		{"device-corrupt", faults.Config{Corrupt: rate}},
+		{"device-flip", faults.Config{Flip: rate}},
+		{"device-drop", faults.Config{Drop: rate}},
+		{"device-reorder", faults.Config{Reorder: rate}},
+		{"device-stall", faults.Config{Stall: batchRate}},
+		{"device-corefail", faults.Config{CoreFail: batchRate}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := driver.DefaultConfig()
+			cfg.Band = band
+			cfg.BatchSize = batch
+			cfg.TimeScale = 0.02
+			cfg.DeviceTimeout = 5 * time.Millisecond
+			cfg.RetryBackoff = 20 * time.Microsecond
+			cfg.Faults = tc.f
+			cfg.Faults.Seed, cfg.Faults.StallFor = 5, 20*time.Millisecond // stalls reliably pass the deadline
+			cfg.Breaker = faults.BreakerConfig{TripRatio: 2}              // parked: the device stays in the path
+			dev := driver.NewDevice(cfg)
+			out := driver.Run(cfg, dev, reqs)
+			if len(out) != len(reqs) {
+				t.Fatalf("%d responses for %d requests", len(out), len(reqs))
+			}
+			for i, r := range out {
+				if r.Tag != i {
+					t.Fatalf("slot %d carries tag %d", i, r.Tag)
 				}
+				if !core.SameResult(r.Res, naive[i]) {
+					t.Fatalf("problem %d: %+v, want %+v (rerun=%v outcome=%v)", i, r.Res, naive[i], r.Rerun, r.Outcome)
+				}
+				// The device overlaps its host reruns with device time.
+				if r.RerunNs != 0 {
+					t.Fatalf("problem %d: device reported RerunNs=%d", i, r.RerunNs)
+				}
+			}
+			if f := dev.Injector().Counters().Total(); (f > 0) != (tc.name != "device-clean") {
+				t.Fatalf("%d faults injected", f)
 			}
 		})
 	}

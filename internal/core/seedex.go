@@ -31,9 +31,6 @@ func New(band int) *SeedEx {
 
 var _ align.Extender = (*SeedEx)(nil)
 
-// KernelScoring exposes the scoring scheme for shape-binned schedulers.
-func (s *SeedEx) KernelScoring() align.Scoring { return s.Config.Scoring }
-
 // Extend implements align.Extender.
 func (s *SeedEx) Extend(query, target []byte, h0 int) align.ExtendResult {
 	res, rep := Check(query, target, h0, s.Config)

@@ -39,24 +39,6 @@ type Stats struct {
 	// RerunFullCells the cells of the same jobs' full matrices (n·m each).
 	RerunCells     atomic.Int64
 	RerunFullCells atomic.Int64
-
-	// Degraded-mode containment counters, recorded by the FPGA driver's
-	// fault-tolerance layer (integrity validation, retry, circuit
-	// breaker). They stay zero on purely software paths.
-
-	// DeviceFaults counts device responses that failed integrity
-	// validation (bad count, unknown/duplicate ID, integrity-word
-	// mismatch, insane scores) and were contained into host reruns.
-	DeviceFaults atomic.Int64
-	// DeviceRetries counts device batch attempts retried after a
-	// per-batch deadline expiry or a whole-core failure.
-	DeviceRetries atomic.Int64
-	// BreakerTrips counts closed->open transitions of the device circuit
-	// breaker (entries into host-only degraded mode).
-	BreakerTrips atomic.Int64
-	// HostOnly counts extensions served entirely by the host full-band
-	// kernel because the breaker was open or the retry budget ran out.
-	HostOnly atomic.Int64
 }
 
 // NewStats returns an empty Stats.
@@ -106,12 +88,6 @@ type StatsSnapshot struct {
 	// Outcomes[o] counts reports with Outcome o (dense, indexed like the
 	// live counters); use OutcomeCounts for the named non-zero view.
 	Outcomes [numOutcomes]int64 `json:"-"`
-
-	// Degraded-mode containment counters (see the live Stats fields).
-	DeviceFaults  int64 `json:"device_faults"`
-	DeviceRetries int64 `json:"device_retries"`
-	BreakerTrips  int64 `json:"breaker_trips"`
-	HostOnly      int64 `json:"host_only"`
 }
 
 // Snapshot reads the counters into a plain struct. Counters are read
@@ -126,10 +102,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	for o := 0; o < numOutcomes; o++ {
 		out.Outcomes[o] = s.outcomes[o].Load()
 	}
-	out.DeviceFaults = s.DeviceFaults.Load()
-	out.DeviceRetries = s.DeviceRetries.Load()
-	out.BreakerTrips = s.BreakerTrips.Load()
-	out.HostOnly = s.HostOnly.Load()
 	return out
 }
 
@@ -163,16 +135,11 @@ func (sn StatsSnapshot) ThresholdOnlyRate() float64 {
 
 // String renders a one-line summary.
 func (sn StatsSnapshot) String() string {
-	if sn.Total == 0 && sn.HostOnly == 0 {
+	if sn.Total == 0 {
 		return "seedex: no extensions"
 	}
-	s := fmt.Sprintf("seedex: %d extensions, %.2f%% passed (%.2f%% threshold-only), %d reruns",
+	return fmt.Sprintf("seedex: %d extensions, %.2f%% passed (%.2f%% threshold-only), %d reruns",
 		sn.Total, 100*sn.PassRate(), 100*sn.ThresholdOnlyRate(), sn.Reruns)
-	if sn.DeviceFaults > 0 || sn.DeviceRetries > 0 || sn.BreakerTrips > 0 || sn.HostOnly > 0 {
-		s += fmt.Sprintf("; faults: %d detected, %d retries, %d breaker trips, %d host-only",
-			sn.DeviceFaults, sn.DeviceRetries, sn.BreakerTrips, sn.HostOnly)
-	}
-	return s
 }
 
 // String renders a one-line summary of the live counters.

@@ -84,12 +84,12 @@ func TestChaosBitEquivalence(t *testing.T) {
 			if inj.Corrupt == 0 || inj.Flip == 0 || inj.Drop == 0 || inj.Reorder == 0 {
 				t.Fatalf("some per-response classes never fired: %+v", inj)
 			}
-			det := dev.Stats.DeviceFaults.Load()
+			det := dev.DeviceFaults.Load()
 			if det == 0 {
 				t.Fatalf("injected %d faults but detected none", inj.Total())
 			}
 			t.Logf("seed %d: injected %+v, detected %d, retries %d, host-only %d, batches %d, %v",
-				seed, inj, det, dev.Stats.DeviceRetries.Load(), dev.Stats.HostOnly.Load(),
+				seed, inj, det, dev.DeviceRetries.Load(), dev.HostOnly.Load(),
 				dev.BatchesRun, elapsed)
 			writeChaosSnapshot(t, seed, dev)
 		})
@@ -155,10 +155,10 @@ func TestChaosEachClassAlone(t *testing.T) {
 			if dev.Injector().Counters().Total() == 0 {
 				t.Fatal("class never injected")
 			}
-			if tc.detects && dev.Stats.DeviceFaults.Load() == 0 {
+			if tc.detects && dev.DeviceFaults.Load() == 0 {
 				t.Fatal("class injected but nothing was detected")
 			}
-			if tc.retries && dev.Stats.DeviceRetries.Load() == 0 {
+			if tc.retries && dev.DeviceRetries.Load() == 0 {
 				t.Fatal("class injected but no attempt was retried")
 			}
 		})
@@ -183,8 +183,8 @@ func TestChaosReplayDeterminism(t *testing.T) {
 		reqs := makeRequests(400, 6)
 		resps := Run(cfg, dev, reqs)
 		assertFullBand(t, cfg, reqs, resps)
-		return dev.Injector().Counters(), dev.Stats.DeviceFaults.Load(),
-			dev.Stats.DeviceRetries.Load(), dev.BatchesRun
+		return dev.Injector().Counters(), dev.DeviceFaults.Load(),
+			dev.DeviceRetries.Load(), dev.BatchesRun
 	}
 	c1, d1, r1, b1 := run()
 	c2, d2, r2, b2 := run()
@@ -221,10 +221,10 @@ func TestChaosBreakerDegradeRecover(t *testing.T) {
 	reqs := makeRequests(400, 7)
 	resps := Run(cfg, dev, reqs)
 	assertFullBand(t, cfg, reqs, resps)
-	if trips := dev.Stats.BreakerTrips.Load(); trips == 0 {
+	if trips := dev.BreakerTrips.Load(); trips == 0 {
 		t.Fatal("sustained core failures never tripped the breaker")
 	}
-	if ho := dev.Stats.HostOnly.Load(); ho == 0 {
+	if ho := dev.HostOnly.Load(); ho == 0 {
 		t.Fatal("tripped breaker served no extensions host-only")
 	}
 	h := dev.Health()
@@ -290,60 +290,5 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if dev.BatchesRun >= int64(len(reqs)/cfg.BatchSize) {
 		t.Fatalf("cancelled run still processed all %d batches", dev.BatchesRun)
-	}
-}
-
-// TestEngineExtenderEquivalence: the Engine adapter serves the extender
-// interfaces through the full fault-tolerant platform and stays
-// bit-identical to the scalar reference under chaos.
-func TestEngineExtenderEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BatchSize = 16
-	cfg.TimeScale = 0.02
-	cfg.DeviceTimeout = 5 * time.Millisecond
-	cfg.RetryBackoff = 20 * time.Microsecond
-	cfg.Faults = faults.Uniform(33, 0.05)
-	cfg.Faults.StallFor = 20 * time.Millisecond
-	cfg.Breaker = faults.BreakerConfig{TripRatio: 2}
-	eng := NewEngine(cfg)
-
-	sess, ok := eng.Session().(align.BatchExtender)
-	if !ok {
-		t.Fatal("engine session is not a BatchExtender")
-	}
-	reqs := makeRequests(300, 10)
-	jobs := make([]align.Job, len(reqs))
-	for i, r := range reqs {
-		jobs[i] = align.Job{Q: r.Q, T: r.T, H0: r.H0}
-	}
-	var dst []align.ExtendResult
-	for lo := 0; lo < len(jobs); lo += 64 {
-		hi := lo + 64
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		dst = sess.ExtendJobs(jobs[lo:hi], dst[:0])
-		for i := range dst {
-			want := align.Extend(jobs[lo+i].Q, jobs[lo+i].T, jobs[lo+i].H0, cfg.Scoring)
-			if dst[i].Local != want.Local || dst[i].Global != want.Global ||
-				dst[i].LocalT != want.LocalT || dst[i].LocalQ != want.LocalQ {
-				t.Fatalf("job %d: %+v != full-band %+v", lo+i, dst[i], want)
-			}
-		}
-	}
-	// The scalar interface goes through the same path (Rows/Cells are cost
-	// metadata and legitimately differ between banded-proven and full-band
-	// results).
-	got := eng.Extend(reqs[0].Q, reqs[0].T, reqs[0].H0)
-	want := align.Extend(reqs[0].Q, reqs[0].T, reqs[0].H0, cfg.Scoring)
-	if got.Local != want.Local || got.Global != want.Global ||
-		got.LocalT != want.LocalT || got.LocalQ != want.LocalQ || got.GlobalT != want.GlobalT {
-		t.Fatalf("Extend: %+v != %+v", got, want)
-	}
-	if eng.Device().Injector().Counters().Total() == 0 {
-		t.Fatal("engine chaos run injected nothing")
-	}
-	if eng.CheckStats() != eng.Device().Stats {
-		t.Fatal("CheckStats does not expose the device stats")
 	}
 }

@@ -140,8 +140,7 @@ type Device struct {
 	// brk degrades the platform to host-only mode under sustained device
 	// misbehaviour.
 	brk *faults.Breaker
-	// Stats from the device's check workflow and the fault-containment
-	// layer.
+	// Stats from the device's check workflow.
 	Stats *core.Stats
 	// BatchesRun counts batches the device completed (failed attempts and
 	// host-only batches are not counted).
@@ -150,6 +149,19 @@ type Device struct {
 	// optimality checks failed or their device response failed
 	// validation.
 	HostReruns atomic.Int64
+	// DeviceFaults counts device responses that failed integrity
+	// validation (bad count, unknown/duplicate ID, integrity-word
+	// mismatch, insane scores) and were contained into host reruns.
+	DeviceFaults atomic.Int64
+	// DeviceRetries counts device batch attempts retried after a
+	// per-batch deadline expiry or a whole-core failure.
+	DeviceRetries atomic.Int64
+	// BreakerTrips counts closed->open transitions of the circuit breaker
+	// (entries into host-only degraded mode).
+	BreakerTrips atomic.Int64
+	// HostOnly counts extensions served entirely by the host full-band
+	// kernel because the breaker was open or the retry budget ran out.
+	HostOnly atomic.Int64
 	// OverlappedReruns counts host reruns that executed while the device
 	// was busy with another thread's batch — the latency-concealment
 	// overlap of §V-B made observable.
@@ -157,9 +169,6 @@ type Device struct {
 	// busy is 1 while a batch occupies the device (batch_start ..
 	// batch_done).
 	busy atomic.Int32
-	// seq keys dynamically formed batches (the Engine path) for the
-	// injector.
-	seq atomic.Int64
 }
 
 // NewDevice builds the simulated device.
@@ -180,17 +189,18 @@ func (d *Device) Injector() *faults.Injector { return d.inj }
 // Breaker exposes the degradation circuit breaker.
 func (d *Device) Breaker() *faults.Breaker { return d.brk }
 
-// Health snapshots the fault-tolerance status for /metrics and /healthz.
+// Health snapshots the device's fault-tolerance status: breaker state,
+// injected faults and the containment counters.
 func (d *Device) Health() faults.Health {
 	st := d.brk.State()
 	return faults.Health{
 		Breaker:  st.String(),
 		Degraded: st != faults.Closed,
 		Injected: d.inj.Counters(),
-		Detected: d.Stats.DeviceFaults.Load(),
-		Retries:  d.Stats.DeviceRetries.Load(),
-		Trips:    d.Stats.BreakerTrips.Load(),
-		HostOnly: d.Stats.HostOnly.Load(),
+		Detected: d.DeviceFaults.Load(),
+		Retries:  d.DeviceRetries.Load(),
+		Trips:    d.BreakerTrips.Load(),
+		HostOnly: d.HostOnly.Load(),
 	}
 }
 
@@ -313,7 +323,7 @@ func (s *session) process(ctx context.Context, key int64, reqs []Request, dst []
 	}
 	if !d.brk.Allow() {
 		// Degraded mode: the breaker holds the device out of the path.
-		d.Stats.HostOnly.Add(int64(len(reqs)))
+		d.HostOnly.Add(int64(len(reqs)))
 		s.hostAll(reqs, dst)
 		return ctx.Err()
 	}
@@ -343,9 +353,9 @@ func (s *session) process(ctx context.Context, key int64, reqs []Request, dst []
 			return ctx.Err()
 		}
 		// Batch-level failure: deadline expiry or whole-core failure.
-		d.Stats.DeviceRetries.Add(1)
+		d.DeviceRetries.Add(1)
 		if d.brk.Record(false) {
-			d.Stats.BreakerTrips.Add(1)
+			d.BreakerTrips.Add(1)
 		}
 		if attempt+1 >= d.cfg.MaxAttempts || !d.brk.Allow() {
 			break
@@ -358,7 +368,7 @@ func (s *session) process(ctx context.Context, key int64, reqs []Request, dst []
 		// Retry budget exhausted (or the breaker tripped mid-retry): the
 		// batch degrades into exactly the host full-band rerun the paper
 		// budgets for.
-		d.Stats.HostOnly.Add(int64(len(reqs)))
+		d.HostOnly.Add(int64(len(reqs)))
 		s.hostAll(reqs, dst)
 		return ctx.Err()
 	}
@@ -369,10 +379,10 @@ func (s *session) process(ctx context.Context, key int64, reqs []Request, dst []
 	// time; the checker's workspace makes each rerun allocation-free.
 	bad := s.validate(reqs, dst)
 	if bad > 0 {
-		d.Stats.DeviceFaults.Add(int64(bad))
+		d.DeviceFaults.Add(int64(bad))
 	}
 	if d.brk.Record(bad == 0) {
-		d.Stats.BreakerTrips.Add(1)
+		d.BreakerTrips.Add(1)
 	}
 	for i := range dst {
 		if dst[i].Rerun {

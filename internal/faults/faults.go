@@ -315,9 +315,9 @@ func (in *Injector) Counters() Counters {
 	}
 }
 
-// Health is the fault-tolerance status document shared by /metrics,
-// /healthz and the CLI summaries: breaker state, injected-fault counts
-// (zero when chaos is off) and the containment counters.
+// Health is a simulated device's fault-tolerance status, as the chaos
+// drills log and snapshot it: breaker state, injected-fault counts (zero
+// when chaos is off) and the containment counters.
 type Health struct {
 	// Breaker is "closed", "open" or "half-open".
 	Breaker string `json:"breaker"`

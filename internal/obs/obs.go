@@ -91,8 +91,8 @@ func (k Kind) String() string {
 }
 
 // Tier values for KindKernel spans (v1): the align package's tier ladder.
-// TierUnknown marks extenders whose tiering the server cannot see (device
-// engines, third-party extenders).
+// TierUnknown marks extenders whose tiering the server cannot see (the
+// unchecked extenders).
 const (
 	TierNative  = align.TierNative
 	TierSWAR8   = align.TierSWAR8

@@ -17,9 +17,8 @@ import (
 //     statistical baseline;
 //   - latency-budget: it breached the tail latency budget;
 //   - status: it failed (413/429/500/503/504);
-//   - event: it crossed one of the flagged lifecycle events (an index
-//     reload in flight, a device fault) — the rare, cross-cutting
-//     requests 1/N sampling misses;
+//   - event: it crossed a flagged lifecycle event (an index reload in
+//     flight) — the rare, cross-cutting requests 1/N sampling misses;
 //   - slow: it is among the SlowK slowest requests so far. Every request
 //     competes; one without a journey buffer keeps its root span alone,
 //     so the slow top-K holds the K slowest regardless of sampling.
@@ -49,13 +48,10 @@ const (
 	// EvReloadOverlap: the request overlapped a reference-index reload
 	// (generation swap observed mid-request, or a reload was in flight).
 	EvReloadOverlap Event = 1 << iota
-	// EvFault: a device fault, retry exhaustion, or open breaker forced
-	// host-side containment for one of the request's batches.
-	EvFault
 )
 
 // eventNames names the events in bit order, one per Event constant.
-var eventNames = [...]string{"reload-overlap", "fault"}
+var eventNames = [...]string{"reload-overlap"}
 
 const numEvents = len(eventNames)
 

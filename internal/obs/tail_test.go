@@ -102,9 +102,8 @@ func TestTailVerdictEvents(t *testing.T) {
 	tr := tailTracer(TailConfig{Budget: time.Hour})
 	base := time.Now()
 	ref := tr.Sample(7)
-	ref.Mark(EvFault)
 	ref.Mark(EvReloadOverlap)
-	ref.Mark(EvFault) // idempotent
+	ref.Mark(EvReloadOverlap) // idempotent
 	tr.RequestDone(ref, 7, base, time.Millisecond, 1, 200)
 	js := tailKept(tr)
 	if len(js) != 1 {
@@ -114,8 +113,8 @@ func TestTailVerdictEvents(t *testing.T) {
 	if len(j.Verdict) != 1 || j.Verdict[0] != "event" {
 		t.Fatalf("verdict = %v, want [event]", j.Verdict)
 	}
-	if len(j.Events) != 2 || j.Events[0] != "reload-overlap" || j.Events[1] != "fault" {
-		t.Fatalf("events = %v, want [reload-overlap fault]", j.Events)
+	if len(j.Events) != 1 || j.Events[0] != "reload-overlap" {
+		t.Fatalf("events = %v, want [reload-overlap]", j.Events)
 	}
 }
 
@@ -125,12 +124,11 @@ func TestEventNames(t *testing.T) {
 	if names := Event(0).Names(); names != nil {
 		t.Fatalf("zero event names = %v, want nil", names)
 	}
-	if Event(1)<<numEvents != EvFault<<1 {
-		t.Fatalf("%d event names for the bits up to EvFault = %#x", numEvents, EvFault)
+	if Event(1)<<numEvents != EvReloadOverlap<<1 {
+		t.Fatalf("%d event names for the bits up to EvReloadOverlap = %#x", numEvents, EvReloadOverlap)
 	}
-	all := EvReloadOverlap | EvFault
-	names := all.Names()
-	want := []string{"reload-overlap", "fault"}
+	names := EvReloadOverlap.Names()
+	want := []string{"reload-overlap"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v, want %v", names, want)
 	}
@@ -377,7 +375,7 @@ func TestRetentionRules(t *testing.T) {
 		{"slow/tail-on", Config{Tail: tail(time.Hour)}, time.Nanosecond, 200, 0, []Kind{KindQueueWait, KindRequest}},
 		{"latency-budget", Config{Tail: tail(time.Millisecond)}, time.Hour, 200, 0, []Kind{KindQueueWait, KindRequest}},
 		{"status", Config{Tail: tail(2 * time.Hour)}, time.Hour, 503, 0, []Kind{KindQueueWait, KindRequest}},
-		{"event", Config{Tail: tail(2 * time.Hour)}, time.Hour, 200, EvFault, []Kind{KindQueueWait, KindRequest}},
+		{"event", Config{Tail: tail(2 * time.Hour)}, time.Hour, 200, EvReloadOverlap, []Kind{KindQueueWait, KindRequest}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

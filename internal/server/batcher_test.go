@@ -186,10 +186,12 @@ func TestBinnedBatcherHomogeneousFlush(t *testing.T) {
 
 // TestBinnedBatcherDeadlineFlushAll proves the deadline trigger drains
 // every bin, concatenated in bin order: no job waits longer than one
-// FlushInterval just because its bin is cold.
+// FlushInterval just because its bin is cold. The interval is wide so the
+// five submits land inside it even when a loaded box preempts the
+// submitting goroutine.
 func TestBinnedBatcherDeadlineFlushAll(t *testing.T) {
 	done := make(chan []int, 4)
-	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 2 * time.Millisecond, QueueCap: 64, Workers: 1}, &Metrics{},
+	b := newBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 50 * time.Millisecond, QueueCap: 64, Workers: 1}, &Metrics{},
 		4, func(j int) int { return j % 4 },
 		func() func([]int) {
 			return func(batch []int) { done <- append([]int(nil), batch...) }

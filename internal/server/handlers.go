@@ -413,7 +413,7 @@ func (rq *request) finish(wb *wireBuf) {
 }
 
 // handleExtend runs one JSON batch of extension jobs through the
-// micro-batcher. Independent requests coalesce into shared device
+// micro-batcher. Independent requests coalesce into shared kernel
 // batches; each request waits only for its own jobs.
 func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 	rq := s.begin(w, r)

@@ -14,7 +14,6 @@ import (
 	"seedex/internal/align"
 	"seedex/internal/bwamem"
 	"seedex/internal/core"
-	"seedex/internal/faults"
 	"seedex/internal/fmindex"
 	"seedex/internal/obs"
 	"seedex/internal/refstore"
@@ -311,56 +310,11 @@ func TestJourneyMapStages(t *testing.T) {
 
 // --- Chaos retention (runs under `make chaos`) -------------------------------
 
-// TestTailChaosBreakerRetention is the acceptance drill for fault
-// retention: with every device attempt core-failing, the breaker trips,
-// and tail sampling must retain full journeys carrying the fault event —
-// the requests an operator needs are exactly the ones kept.
-func TestTailChaosBreakerRetention(t *testing.T) {
-	eng := chaosEngine(faults.Config{Seed: containmentSeed(t), CoreFail: 1})
-	tracer := obs.New(obs.Config{Tail: obs.TailConfig{Enabled: true, Keep: 128}})
-	_, ts := newTestServer(t, Config{
-		Extender: eng,
-		Batch:    BatcherConfig{MaxBatch: 32, FlushInterval: time.Millisecond, Workers: 2},
-		Trace:    tracer,
-	})
-
-	deadline := time.Now().Add(10 * time.Second)
-	for round := int64(0); eng.Health().Trips == 0; round++ {
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never tripped under sustained core failures")
-		}
-		resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: testProblems(32, 100, 7000+round)})
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-
-	faulted := 0
-	for _, jd := range tracer.Journeys() {
-		if hasString(jd.Events, "fault") {
-			faulted++
-			if !hasString(jd.Verdict, "event") {
-				t.Fatalf("faulted journey verdict %v lacks the event reason", jd.Verdict)
-			}
-		}
-	}
-	if faulted == 0 {
-		t.Fatalf("breaker tripped but no retained journey carries the fault event (%d retained)", len(tracer.Journeys()))
-	}
-
-	// The retention counters surface on the Prometheus scrape.
-	sc := scrapeProm(t, ts.URL)
-	if sc.samples["seedex_trace_tail_retained"] <= 0 {
-		t.Errorf("seedex_trace_tail_retained = %v with %d journeys held", sc.samples["seedex_trace_tail_retained"], faulted)
-	}
-	if sc.samples["seedex_trace_tail_retained_total"] <= 0 {
-		t.Error("seedex_trace_tail_retained_total not live after retention")
-	}
-}
-
-// TestTailChaosRollbackRetention covers the other acceptance trigger: a
-// reload of a corrupt index rolls back while mapping traffic flows, and
-// at least one in-flight request's journey is retained with the
-// reload-overlap event.
+// TestTailChaosRollbackRetention is the acceptance drill for event
+// retention: a reload of a corrupt index rolls back while mapping traffic
+// flows, and at least one in-flight request's journey is retained with
+// the reload-overlap event and the event verdict — the requests an
+// operator needs are exactly the ones kept.
 func TestTailChaosRollbackRetention(t *testing.T) {
 	fx := newRefStoreFixture(t, 33)
 	// Two retries with a wide backoff keep the store in its reloading
@@ -417,9 +371,21 @@ func TestTailChaosRollbackRetention(t *testing.T) {
 	for _, jd := range tracer.Journeys() {
 		if hasString(jd.Events, "reload-overlap") {
 			overlapped++
+			if !hasString(jd.Verdict, "event") {
+				t.Fatalf("overlapped journey verdict %v lacks the event reason", jd.Verdict)
+			}
 		}
 	}
 	if overlapped == 0 {
 		t.Fatalf("rollback left no retained journey with the reload-overlap event (%d retained)", len(tracer.Journeys()))
+	}
+
+	// The retention counters surface on the Prometheus scrape.
+	sc := scrapeProm(t, url)
+	if sc.samples["seedex_trace_tail_retained"] <= 0 {
+		t.Errorf("seedex_trace_tail_retained = %v with %d journeys held", sc.samples["seedex_trace_tail_retained"], overlapped)
+	}
+	if sc.samples["seedex_trace_tail_retained_total"] <= 0 {
+		t.Error("seedex_trace_tail_retained_total not live after retention")
 	}
 }

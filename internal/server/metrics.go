@@ -417,8 +417,7 @@ var metricRows = []row{
 	{name: "seedex_batch_occupancy", typ: histogram, help: "Jobs per dispatched micro-batch.", series: func(c *scrape) []series { return c.occupancy.promSeries(1) }},
 	{name: "seedex_batch_occupancy_quantile", typ: gauge, help: "Interpolated batch-occupancy quantiles.", series: quantiles(func(c *scrape) histSnapshot { return c.occupancy }, 1, "batch_occupancy", "")},
 
-	// Check workflow outcomes and the engine's degraded-mode containment
-	// counters.
+	// Check workflow outcomes.
 	{name: "seedex_check_total", typ: counter, help: "Extensions through the check workflow.", key: "checks.total", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.Total })},
 	{name: "seedex_check_passed_total", typ: counter, help: "Extensions proven optimal.", key: "checks.passed", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.Passed })},
 	{name: "seedex_check_reruns_total", typ: counter, help: "Extensions rerun on the host.", key: "checks.reruns", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.Reruns })},
@@ -434,10 +433,6 @@ var metricRows = []row{
 		}
 		return out
 	}},
-	{name: "seedex_device_faults_total", typ: counter, help: "Device responses that failed integrity validation.", key: "checks.device_faults", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.DeviceFaults })},
-	{name: "seedex_device_retries_total", typ: counter, help: "Device batch attempts retried.", key: "checks.device_retries", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.DeviceRetries })},
-	{name: "seedex_breaker_trips_total", typ: counter, help: "Circuit breaker closed->open transitions.", key: "checks.breaker_trips", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.BreakerTrips })},
-	{name: "seedex_host_only_total", typ: counter, help: "Extensions served entirely by the host full-band kernel.", key: "checks.host_only", on: hasChecks, v: checkCount(func(s *core.StatsSnapshot) int64 { return s.HostOnly })},
 
 	// Kernel-level telemetry: tier mix, demotions, lane occupancy and sweep
 	// throughput of the packed batch kernels.

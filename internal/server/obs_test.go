@@ -16,7 +16,6 @@ import (
 
 	"seedex/internal/align"
 	"seedex/internal/core"
-	"seedex/internal/driver"
 	"seedex/internal/obs"
 )
 
@@ -390,12 +389,11 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	drive()
 	first := scrapeProm(t, ts.URL)
 
-	// The exposition must surface the check outcomes, the fault/breaker
-	// counters, the histograms with quantile estimates, and the kernel
-	// telemetry.
+	// The exposition must surface the check outcomes, the histograms with
+	// quantile estimates, and the kernel telemetry.
 	for _, want := range []string{
 		"seedex_jobs_accepted_total", "seedex_jobs_completed_total",
-		"seedex_check_total", "seedex_device_faults_total", "seedex_breaker_trips_total",
+		"seedex_check_total",
 		"seedex_request_latency_seconds", "seedex_queue_wait_seconds", "seedex_batch_occupancy",
 		"seedex_request_latency_quantile_seconds",
 		"seedex_codec_seconds_total", "seedex_codec_requests_total",
@@ -485,40 +483,27 @@ func TestPrometheusRoundTrip(t *testing.T) {
 // tracing disabled, with every job head-sampled, with tail sampling
 // checking out a journey per request, and with both modes combined
 // (span recording is atomic stores into a preallocated journey buffer).
-// It holds for every kind of engine behind the
-// core.BatchEngine contract: the worker adds nothing to what a bare
-// session of the engine allocates for the same batch, which is zero for
-// the software engines (the device row's allocations are its fpga latency
-// model's).
+// It holds for both kinds of engine the server serves, the checker and a
+// plain extender: a bare session of either allocates nothing per batch,
+// and the worker adds nothing to it.
 func TestExtWorkerZeroAlloc(t *testing.T) {
-	// A device whose modeled latencies scale to zero wall time, so a batch
-	// costs its host work only.
-	dcfg := driver.DefaultConfig()
-	dcfg.TimeScale = 1e-12
 	probs := testProblems(16, 100, 16)
 	reqs := make([]core.Request, len(probs))
 	for i, j := range probs {
 		reqs[i] = core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0, Tag: i}
 	}
-	// ownAllocs is what a bare session of ext allocates per batch.
-	ownAllocs := func(ext align.Extender) float64 {
-		bare := core.EngineSession(ext)
-		dst := bare.ExtendBatchInto(reqs, nil)
-		return testing.AllocsPerRun(50, func() { dst = bare.ExtendBatchInto(reqs, dst[:0]) })
-	}
 	engines := []struct {
 		name string
 		ext  align.Extender
-		own  float64
 	}{
 		{name: "checker", ext: core.New(20)},
 		{name: "fullband", ext: core.FullBand{Scoring: align.DefaultScoring()}},
-		{name: "device", ext: driver.NewEngine(dcfg)},
 	}
-	for i := range engines {
-		engines[i].own = ownAllocs(engines[i].ext)
-		if engines[i].name != "device" && engines[i].own != 0 {
-			t.Fatalf("%s: a bare session allocates %v per batch, want 0", engines[i].name, engines[i].own)
+	for _, eng := range engines {
+		bare := core.EngineSession(eng.ext)
+		dst := bare.ExtendBatchInto(reqs, nil)
+		if avg := testing.AllocsPerRun(50, func() { dst = bare.ExtendBatchInto(reqs, dst[:0]) }); avg != 0 {
+			t.Fatalf("%s: a bare session allocates %v per batch, want 0", eng.name, avg)
 		}
 	}
 	for _, tc := range []struct {
@@ -560,8 +545,8 @@ func TestExtWorkerZeroAlloc(t *testing.T) {
 					for i := 0; i < 3; i++ { // warm up grow-only scratch
 						worker(batch)
 					}
-					if avg := testing.AllocsPerRun(50, func() { worker(batch) }); avg != eng.own {
-						t.Fatalf("%v allocs per batch, want the engine's own %v", avg, eng.own)
+					if avg := testing.AllocsPerRun(50, func() { worker(batch) }); avg != 0 {
+						t.Fatalf("%v allocs per batch, want 0", avg)
 					}
 				})
 			}

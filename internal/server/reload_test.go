@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -372,6 +373,19 @@ func TestPrometheusIndexFamilies(t *testing.T) {
 	if met.Index == nil || met.Index.Generation != 2 || met.Index.MappedBytes <= 0 {
 		t.Fatalf("metrics index section: %+v", met.Index)
 	}
+}
+
+// containmentSeed honors the CI chaos matrix: SEEDEX_CHAOS_SEED pins the
+// fault-injection seed, otherwise a fixed default runs.
+func containmentSeed(t *testing.T) int64 {
+	if v := os.Getenv("SEEDEX_CHAOS_SEED"); v != "" {
+		s, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatalf("SEEDEX_CHAOS_SEED=%q: %v", v, err)
+		}
+		return s
+	}
+	return 11
 }
 
 // TestMapReloadChaosStorm is the acceptance drill: a reload storm with

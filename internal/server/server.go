@@ -19,9 +19,9 @@ import (
 type Config struct {
 	// Extender drives /v1/extend and /v1/extend/stream. Required. Workers
 	// drive it through the core.BatchEngine contract (core.EngineSession):
-	// checked engines — *core.SeedEx, the driver's Engine — run the full
-	// speculate-check-rerun workflow and their responses carry the rerun
-	// flag; any other extender runs its plain batch path.
+	// *core.SeedEx runs the full speculate-check-rerun workflow and its
+	// responses carry the rerun flag; any other extender runs its plain
+	// batch path.
 	Extender align.Extender
 	// RefStore, when non-nil, enables /v1/map (full read mapping) from
 	// the crash-safe generation store: map workers follow the store's
@@ -64,7 +64,7 @@ type Config struct {
 	// every request under tail retention (obs.Config.Tail). One verdict at
 	// completion keeps the head picks, the SlowK slowest requests, and the
 	// journeys that breached the budget, failed, or crossed a reload
-	// overlap or a device fault; they export at /debug/journeys and
+	// overlap; they export at /debug/journeys and
 	// /debug/traces. A nil tracer costs the job endpoints one pointer
 	// compare per instrumentation site.
 	Trace *obs.Tracer
@@ -162,7 +162,7 @@ func New(cfg Config) *Server {
 //	POST /v1/extend         JSON batch of extension jobs
 //	POST /v1/extend/stream  NDJSON job stream, results in input order
 //	POST /v1/map            JSON batch of reads -> SAM records (with RefStore)
-//	GET  /metrics           operational counters + check + fault statistics
+//	GET  /metrics           operational counters + check statistics
 //	GET  /healthz           ok / degraded / draining
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -199,38 +199,32 @@ func (s *Server) mapEnabled() bool { return s.cfg.RefStore != nil }
 type engine struct {
 	// session mints one worker's batch engine (per-worker scratch).
 	session func() core.BatchEngine
-	// binOf keys a job by kernel shape when the extender's scoring is
-	// discoverable (nil otherwise): jobs of like SWAR tier and length
-	// class then coalesce into the same micro-batch, so the packed
-	// kernels see dense lane groups even under interleaved mixed-shape
-	// traffic (cross-batch scheduling, paper §V-B).
+	// binOf keys a job by kernel shape for a checked engine (nil
+	// otherwise): jobs of like SWAR tier and length class then coalesce
+	// into the same micro-batch, so the packed kernels see dense lane
+	// groups even under interleaved mixed-shape traffic (cross-batch
+	// scheduling, paper §V-B).
 	binOf func(extJob) int
 	// tier names the host SWAR tier a job's kernel span reports;
-	// obs.TierUnknown when the sweep does not run on the host tiers.
+	// obs.TierUnknown for unchecked extenders.
 	tier func(core.Request) int64
 	// stats is the engine's check statistics; nil for unchecked extenders.
 	stats *core.Stats
 }
 
 // resolveEngine is the one place the server inspects an extender's
-// concrete capabilities.
+// concrete type: a *core.SeedEx is a checked engine, anything else a
+// plain extender.
 func resolveEngine(ext align.Extender) engine {
 	e := engine{
 		session: func() core.BatchEngine { return core.EngineSession(ext) },
 		tier:    func(core.Request) int64 { return obs.TierUnknown },
 	}
-	if sp, ok := ext.(interface{ KernelScoring() align.Scoring }); ok {
-		sc := sp.KernelScoring()
-		e.binOf = func(j extJob) int { return align.ShapeBin(len(j.req.Q), len(j.req.T), j.req.H0, sc) }
-	}
-	switch x := ext.(type) {
-	case *core.SeedEx:
+	if x, ok := ext.(*core.SeedEx); ok {
 		sc := x.Config.Scoring
 		e.stats = x.Stats
+		e.binOf = func(j extJob) int { return align.ShapeBin(len(j.req.Q), len(j.req.T), j.req.H0, sc) }
 		e.tier = func(r core.Request) int64 { return int64(align.TierOf(len(r.Q), len(r.T), r.H0, sc)) }
-	case interface{ CheckStats() *core.Stats }:
-		// Device-backed extenders (the FPGA driver engine).
-		e.stats = x.CheckStats()
 	}
 	return e
 }
@@ -331,11 +325,10 @@ func pickup[P, R any](met *Metrics, batch, live []job[P, R], now time.Time) []jo
 // extWorker returns one extension worker's batch processor. The worker
 // owns a session of the engine (its scratch memory lives as long as the
 // worker), so a batch runs allocation-free through whatever the engine
-// is — software checker, device driver or plain extender — behind the one
-// core.BatchEngine call. With tracing enabled, sampled jobs record
-// queue-wait, flush, kernel, check and rerun spans from the engine's
-// timing report; with it disabled every span site is a single nil
-// compare.
+// is — checker or plain extender — behind the one core.BatchEngine call.
+// With tracing enabled, sampled jobs record queue-wait, flush, kernel,
+// check and rerun spans from the engine's timing report; with it disabled
+// every span site is a single nil compare.
 func (s *Server) extWorker() func([]extJob) {
 	eng := s.session()
 	max := s.cfg.Batch.MaxBatch
@@ -358,12 +351,8 @@ func (s *Server) extWorker() func([]extJob) {
 		fStart := batch[0].enq
 		fDur := now.Sub(fStart)
 		reqs = reqs[:0]
-		for k, j := range live {
+		for _, j := range live {
 			j.tr.Span(obs.KindFlush, fStart, fDur, int64(len(batch)), sized)
-			// Engines match responses to requests by Tag, which must be
-			// unique within the batch; a batch coalesces several requests,
-			// so the job's position in the batch is the Tag.
-			j.req.Tag = k
 			reqs = append(reqs, j.req)
 		}
 		resp = eng.ExtendBatchInto(reqs, resp[:0])
@@ -384,12 +373,6 @@ func (s *Server) extWorker() func([]extJob) {
 				// kernel interval: like the kernel span, the one pooled
 				// interval goes to every job that was in it.
 				j.tr.Span(obs.KindRerun, kEnd, bi.Rerun, int64(r.Outcome), 1)
-			}
-			// A rerun without a proven outcome means the driver contained
-			// a fault, exhausted retries, or served host-only behind an
-			// open breaker: tail-flag the journey.
-			if r.Rerun && r.Outcome == core.OutcomeUnknown {
-				j.tr.Mark(obs.EvFault)
 			}
 			s.met.jobs[nCompleted].Add(1)
 			j.out.deliver(j.slot, wireResult(r))

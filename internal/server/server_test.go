@@ -74,6 +74,46 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 	return resp
 }
 
+func getJSON(t *testing.T, url string, v any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode
+}
+
+// verifyExtend posts one batch of jobs and asserts every served result is
+// bit-identical to the scalar full-band reference.
+func verifyExtend(t *testing.T, url string, jobs []ExtendJob) {
+	t.Helper()
+	resp := postJSON(t, url+"/v1/extend", ExtendRequest{Jobs: jobs})
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Errorf("extend status %d", resp.StatusCode)
+		return
+	}
+	var out ExtendResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Error(err)
+		return
+	}
+	sc := align.DefaultScoring()
+	for i, j := range jobs {
+		want := align.Extend(genome.Encode(j.Query), genome.Encode(j.Target), j.H0, sc)
+		got := out.Results[i]
+		if got.Local != want.Local || got.LocalT != want.LocalT || got.LocalQ != want.LocalQ ||
+			got.Global != want.Global || got.GlobalT != want.GlobalT {
+			t.Errorf("job %d: served %+v, kernel %+v", i, got, want)
+			return
+		}
+	}
+}
+
 // TestExtendMatchesKernel proves the batched service returns exactly the
 // full-band kernel's results (the SeedEx strict-mode guarantee carried
 // through admission, coalescing and the worker pool).
@@ -584,7 +624,7 @@ func TestMapDisabled(t *testing.T) {
 // TestDeadline504 proves a request deadline shorter than the queue wait
 // returns 504 and the expired jobs are skipped, not computed.
 func TestDeadline504(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Batch: BatcherConfig{MaxBatch: 4, FlushInterval: time.Millisecond, QueueCap: 64, Workers: 1},
 	})
 	heavy := testProblems(32, 2000, 8)
@@ -594,7 +634,15 @@ func TestDeadline504(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: heavy})
 		resp.Body.Close()
 	}()
-	time.Sleep(20 * time.Millisecond) // the worker is now busy for a while
+	// Wait for the heavy jobs to be admitted, not for a fixed time: the
+	// worker is then busy with them for a while, and the next request's
+	// jobs queue behind them.
+	for deadline := time.Now().Add(5 * time.Second); s.scrape().jobs[nAccepted] < int64(len(heavy)); {
+		if time.Now().After(deadline) {
+			t.Fatal("heavy request never passed admission")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{Jobs: heavy[:4], DeadlineMs: 1})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {

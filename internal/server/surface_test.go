@@ -15,14 +15,13 @@ import (
 	"testing"
 	"time"
 
-	"seedex/internal/faults"
 	"seedex/internal/genome"
 	"seedex/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics_surface.golden from this run")
 
-// TestMetricsSurface pins the shape of /metrics in both formats on three
+// TestMetricsSurface pins the shape of /metrics in both formats on two
 // server configurations: every JSON key path, and every Prometheus family
 // with its TYPE and label keys. The golden file is the contract the frozen
 // benchmark and dashboards read; values are not part of it. On the traced
@@ -48,9 +47,6 @@ func TestMetricsSurface(t *testing.T) {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
-		}},
-		{"device", func(t *testing.T) (Config, func(*testing.T, string)) {
-			return Config{Extender: chaosEngine(faults.Config{})}, nil
 		}},
 	} {
 		cfg, extra := c.setup(t)
