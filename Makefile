@@ -52,20 +52,18 @@ portable:
 	GOARCH=arm64 $(GO) vet ./internal/align
 	$(GO) test -tags purego ./internal/align ./internal/core ./internal/server ./internal/bwamem
 
-# Fault-injection equivalence drill: the chaos and integrity tests under
-# the race detector — the simulated device's (internal/driver), core's
-# adversarial corpus, and the index store's, the latter also through the
-# server (TestMapReloadChaosStorm, TestTailChaosRollbackRetention,
-# TestReloadRollbackDegradedHealthz) beside the server's Wire* tests. Pin
-# the fault draws with CHAOS_SEED (default: the tests' built-in seed
-# matrix) and capture the device's end-of-run fault counters with
-# CHAOS_SNAPSHOT=path.json.
+# Containment drill under the race detector: core's adversarial corpus
+# and its fuzz targets' seeds (the rerun path is exact whatever the
+# input); the index store's reload storm, rollback, retry and corruption
+# tests; and the same store through the server (TestMapReloadChaosStorm,
+# TestTailChaosRollbackRetention, TestReloadRollbackDegradedHealthz)
+# beside the server's Wire* tests. The storms damage the published index
+# file from a seeded draw: pin it with CHAOS_SEED (default: the tests'
+# built-in seeds).
 chaos:
-	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) SEEDEX_CHAOS_SNAPSHOT=$(CHAOS_SNAPSHOT) \
-		$(GO) test -race ./internal/faults/...
-	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) SEEDEX_CHAOS_SNAPSHOT=$(CHAOS_SNAPSHOT) \
-		$(GO) test -race -run 'Chaos|Integrity|Corrupted|Adversarial|Wire|Sanity|Validate|Corruption|Rollback' \
-		./internal/driver/... ./internal/server/... ./internal/core/... ./internal/refstore/...
+	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -run 'Adversarial|^Fuzz' ./internal/core
+	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -run 'ChaosStorm|Rollback|OnRetry|Corruption|^FuzzDecode$$' ./internal/refstore
+	SEEDEX_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -run 'Wire|Rollback|ChaosStorm' ./internal/server
 
 # Bounded-time fuzzing: every fuzz target in the tree (discovered with
 # go test -list, so a new target is covered without editing this file —

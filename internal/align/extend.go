@@ -83,9 +83,9 @@ func ExtendJobs(ext Extender, jobs []Job, dst []ExtendResult) []ExtendResult {
 // SessionExtender is an Extender that can mint per-goroutine sessions: a
 // Session shares the parent's configuration and aggregate statistics but
 // owns its own scratch memory, so long-lived workers (pipeline goroutines,
-// FPGA driver threads) extend allocation-free without sharing mutable
-// state. Sessions must not be used concurrently; the parent Extender
-// remains safe for shared use.
+// the server's extension workers) extend allocation-free without sharing
+// mutable state. Sessions must not be used concurrently; the parent
+// Extender remains safe for shared use.
 type SessionExtender interface {
 	Extender
 	Session() Extender

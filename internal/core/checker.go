@@ -23,8 +23,8 @@ type Response struct {
 	Rerun bool // optimality was not proven; Res came from the fallback
 	// Outcome is the check verdict behind Rerun (informational — the
 	// observability layer exports it as the per-job span attribute).
-	// OutcomeUnknown marks responses whose verdict was not observable
-	// (device-faulted slots rebuilt by the host, host-only batches).
+	// OutcomeUnknown marks responses whose verdict was not observable:
+	// those of a plain extender behind EngineSession's adapter.
 	Outcome Outcome
 	// RerunNs is this job's share of the host rerun time that followed its
 	// batch's speculate-and-check interval (see BatchInfo): positive exactly
@@ -327,9 +327,10 @@ var _ BatchEngine = (*Checker)(nil)
 // CheckBatch speculatively extends every request as one packed batch and
 // runs the optimality checks, without host reruns: a failed response
 // carries the banded result with Rerun set, and the caller decides where
-// the rerun happens (the FPGA driver overlaps host reruns with device
-// compute). The returned reports alias checker scratch, valid until the
-// next batch call; stats are not recorded.
+// the rerun happens (ExtendBatchInto reruns them together right after;
+// seedex-bench and the repository benchmark's layer replay time this
+// half alone). The returned reports alias checker scratch, valid until
+// the next batch call; stats are not recorded.
 func (c *Checker) CheckBatch(reqs []Request, dst []Response) ([]Response, []Report) {
 	if cap(dst) < len(reqs) {
 		dst = make([]Response, len(reqs))

@@ -128,8 +128,9 @@ func MaxEScore(boundary align.BandBoundary, qlen int, sc align.Scoring) (int, bo
 type Outcome int
 
 // OutcomeUnknown marks a Response whose check verdict was not observable
-// by the consumer: device-faulted slots the host rebuilt, host-only
-// degraded batches. It is never recorded into Stats.
+// by the consumer: the responses of a plain extender behind
+// EngineSession's adapter, which runs no checks. It is never recorded
+// into Stats.
 const OutcomeUnknown Outcome = -1
 
 // Outcomes, in workflow order.

@@ -2,12 +2,9 @@ package core_test
 
 import (
 	"testing"
-	"time"
 
 	"seedex/internal/align"
 	"seedex/internal/core"
-	"seedex/internal/driver"
-	"seedex/internal/faults"
 )
 
 // scalarOnly hides every batch and session method of an extender: what
@@ -24,8 +21,6 @@ func (s scalarOnly) Extend(q, t []byte, h0 int) align.ExtendResult { return s.in
 // jobs a software engine reran, and results equal to the naive full-band
 // kernel — except where an engine is inexact by design, and there the
 // differences must be exactly the expected set, not merely tolerated.
-// The device rows run the same corpus through the simulated device
-// (driver.Run) under each fault class, and hold it to the oracle terms.
 func TestBatchEngineConformance(t *testing.T) {
 	corpus := closedFormCorpus(t)
 	sc := align.DefaultScoring()
@@ -116,59 +111,6 @@ func TestBatchEngineConformance(t *testing.T) {
 				if reruns == 0 || x.Stats.Snapshot().Reruns != int64(reruns) {
 					t.Fatalf("%d responses flagged rerun, stats recorded %d", reruns, x.Stats.Snapshot().Reruns)
 				}
-			}
-		})
-	}
-
-	// driver.Run places each response by its Tag, the request's index.
-	reqs := make([]core.Request, len(corpus))
-	for i, p := range corpus {
-		reqs[i] = core.Request{Q: p.q, T: p.t, H0: p.h0, Tag: i}
-	}
-	// Per-response classes at rate; the per-batch classes need more to fire
-	// within the corpus's handful of batches.
-	const rate, batchRate = 0.2, 0.5
-	for _, tc := range []struct {
-		name string
-		f    faults.Config
-	}{
-		{"device-clean", faults.Config{}},
-		{"device-corrupt", faults.Config{Corrupt: rate}},
-		{"device-flip", faults.Config{Flip: rate}},
-		{"device-drop", faults.Config{Drop: rate}},
-		{"device-reorder", faults.Config{Reorder: rate}},
-		{"device-stall", faults.Config{Stall: batchRate}},
-		{"device-corefail", faults.Config{CoreFail: batchRate}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := driver.DefaultConfig()
-			cfg.Band = band
-			cfg.BatchSize = batch
-			cfg.TimeScale = 0.02
-			cfg.DeviceTimeout = 5 * time.Millisecond
-			cfg.RetryBackoff = 20 * time.Microsecond
-			cfg.Faults = tc.f
-			cfg.Faults.Seed, cfg.Faults.StallFor = 5, 20*time.Millisecond // stalls reliably pass the deadline
-			cfg.Breaker = faults.BreakerConfig{TripRatio: 2}              // parked: the device stays in the path
-			dev := driver.NewDevice(cfg)
-			out := driver.Run(cfg, dev, reqs)
-			if len(out) != len(reqs) {
-				t.Fatalf("%d responses for %d requests", len(out), len(reqs))
-			}
-			for i, r := range out {
-				if r.Tag != i {
-					t.Fatalf("slot %d carries tag %d", i, r.Tag)
-				}
-				if !core.SameResult(r.Res, naive[i]) {
-					t.Fatalf("problem %d: %+v, want %+v (rerun=%v outcome=%v)", i, r.Res, naive[i], r.Rerun, r.Outcome)
-				}
-				// The device overlaps its host reruns with device time.
-				if r.RerunNs != 0 {
-					t.Fatalf("problem %d: device reported RerunNs=%d", i, r.RerunNs)
-				}
-			}
-			if f := dev.Injector().Counters().Total(); (f > 0) != (tc.name != "device-clean") {
-				t.Fatalf("%d faults injected", f)
 			}
 		})
 	}

@@ -2,8 +2,7 @@ package core
 
 // Internals shared with the external test package (closedform_test.go,
 // engine_test.go), which has to live outside package core to harvest real
-// extension problems through internal/bwamem, and to drive internal/driver,
-// without an import cycle.
+// extension problems through internal/bwamem without an import cycle.
 var (
 	SameResult      = sameResult
 	RealisticCase   = realisticCase

@@ -10,9 +10,9 @@ import (
 const numOutcomes = int(outcomeEnd)
 
 // Stats aggregates check outcomes across extensions. Every counter is an
-// independent atomic, so concurrent recorders (FPGA driver threads,
-// pipeline workers) never serialize on a shared lock — recording is a
-// handful of uncontended fetch-adds.
+// independent atomic, so concurrent recorders (the server's extension
+// workers, pipeline workers) never serialize on a shared lock — recording
+// is a handful of uncontended fetch-adds.
 type Stats struct {
 	Total atomic.Int64
 	// ThresholdOnly counts extensions proven optimal by thresholding

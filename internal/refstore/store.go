@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"seedex/internal/bwamem"
-	"seedex/internal/faults"
 	"seedex/internal/fmindex"
 )
 
@@ -34,9 +33,6 @@ type Options struct {
 	// RetryBackoff is the sleep before the second attempt, doubling per
 	// retry (default 25ms).
 	RetryBackoff time.Duration
-	// Chaos injects index-file faults into reload attempts (never the
-	// initial open), keyed by a deterministic per-attempt draw.
-	Chaos *faults.IndexInjector
 	// Logf receives one line per lifecycle event (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -128,7 +124,6 @@ type Store struct {
 	reloadMu sync.Mutex // serializes reload triggers, not reads
 	cur      atomic.Pointer[Generation]
 	nextID   atomic.Uint64
-	attempts atomic.Int64 // total load attempts (chaos draw key)
 
 	reloads   atomic.Int64 // successful reloads (excludes initial open)
 	failures  atomic.Int64 // failed load attempts
@@ -145,24 +140,23 @@ type Store struct {
 // Status is a point-in-time snapshot of the store for /healthz,
 // metrics, and operator tooling.
 type Status struct {
-	Path            string               `json:"path"`
-	Generation      uint64               `json:"generation"`
-	FileBytes       int64                `json:"file_bytes"`
-	MappedBytes     int64                `json:"mapped_bytes"`
-	Contigs         int                  `json:"contigs"`
-	LoadMs          float64              `json:"load_ms"`
-	WarmupMs        float64              `json:"warmup_ms"`
-	Reloads         int64                `json:"reloads"`
-	ReloadFailures  int64                `json:"reload_failures"`
-	Rollbacks       int64                `json:"rollbacks"`
-	DegradedReload  bool                 `json:"degraded_reload"`
-	LastReloadError string               `json:"last_reload_error,omitempty"`
-	ChaosInjected   faults.IndexCounters `json:"chaos_injected"`
+	Path            string  `json:"path"`
+	Generation      uint64  `json:"generation"`
+	FileBytes       int64   `json:"file_bytes"`
+	MappedBytes     int64   `json:"mapped_bytes"`
+	Contigs         int     `json:"contigs"`
+	LoadMs          float64 `json:"load_ms"`
+	WarmupMs        float64 `json:"warmup_ms"`
+	Reloads         int64   `json:"reloads"`
+	ReloadFailures  int64   `json:"reload_failures"`
+	Rollbacks       int64   `json:"rollbacks"`
+	DegradedReload  bool    `json:"degraded_reload"`
+	LastReloadError string  `json:"last_reload_error,omitempty"`
 }
 
 // Open loads the container at path and returns a serving Store. The
-// initial open is never subjected to chaos and does not retry: a bad
-// file at startup is an operator error, not a transient.
+// initial open does not retry: a bad file at startup is an operator
+// error, not a transient.
 //
 // Publication contract: the file at path must only ever be replaced by
 // rename (WriteFile does this), never rewritten in place — a live
@@ -225,7 +219,7 @@ func (s *Store) Reload() (uint64, error) {
 	backoff := s.opts.RetryBackoff
 	var lastErr error
 	for try := 0; try < s.opts.MaxAttempts; try++ {
-		gen, err := s.loadAttempt()
+		gen, err := s.loadFile(s.path)
 		if err == nil {
 			gen.refs.Store(1)
 			old := s.cur.Swap(gen)
@@ -255,49 +249,6 @@ func (s *Store) Reload() (uint64, error) {
 		s.opts.MaxAttempts, cur.id, lastErr)
 	s.logf("%v", err)
 	return cur.id, err
-}
-
-// loadAttempt is one chaos-subjected load. Corruption classes damage a
-// private in-memory copy of the file — the published file is never
-// touched — and the unlink class loads a path that does not exist.
-func (s *Store) loadAttempt() (*Generation, error) {
-	plan := s.opts.Chaos.ReloadPlan(s.attempts.Add(1))
-	switch {
-	case plan.Empty():
-		return s.loadFile(s.path)
-	case plan.Class == faults.IndexUnlink:
-		return s.loadFile(s.path + ".vanished")
-	default:
-		data, err := os.ReadFile(s.path)
-		if err != nil {
-			return nil, err
-		}
-		return s.loadBytes(corrupt(data, plan), 0)
-	}
-}
-
-// corrupt applies one fault plan to a private copy of the file image.
-func corrupt(data []byte, plan faults.IndexPlan) []byte {
-	if len(data) == 0 {
-		return data
-	}
-	switch plan.Class {
-	case faults.IndexTruncate:
-		cut := int(plan.Frac * float64(len(data)))
-		if cut >= len(data) {
-			cut = len(data) - 1
-		}
-		return data[:cut]
-	case faults.IndexBitFlip:
-		if len(data) > headerBytes {
-			pos := headerBytes + int(plan.Frac*float64(len(data)-headerBytes))
-			data[pos] ^= 1 << (plan.Bit % 8)
-		}
-	case faults.IndexHeaderMismatch:
-		pos := int(plan.Frac * float64(min(headerBytes, len(data))))
-		data[pos] ^= 0x5a
-	}
-	return data
 }
 
 // loadFile validates and assembles one generation from path, via mmap
@@ -371,7 +322,6 @@ func (s *Store) Status() Status {
 		ReloadFailures: s.failures.Load(),
 		Rollbacks:      s.rollbacks.Load(),
 		DegradedReload: s.degraded.Load(),
-		ChaosInjected:  s.opts.Chaos.Counters(),
 	}
 	s.lastErrMu.Lock()
 	st.LastReloadError = s.lastErr

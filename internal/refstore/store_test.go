@@ -1,7 +1,9 @@
 package refstore
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -10,11 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"seedex/internal/faults"
 	"seedex/internal/fmindex"
 )
 
-// chaosSeeds mirrors the driver suite: SEEDEX_CHAOS_SEED pins one seed
+// chaosSeeds picks the damage seeds: SEEDEX_CHAOS_SEED pins one seed
 // (the CI chaos matrix), otherwise a small fixed matrix runs.
 func chaosSeeds(t *testing.T) []int64 {
 	if v := os.Getenv("SEEDEX_CHAOS_SEED"); v != "" {
@@ -205,22 +206,115 @@ func TestStoreRollback(t *testing.T) {
 	}
 }
 
-// TestStoreReloadChaosStorm is the headline drill: a reload storm with
-// every index fault class injecting at a high rate, concurrent readers
-// querying the index throughout. Required invariants: no reader ever
-// observes a non-current generation's memory go away underneath it
-// (every query on an acquired handle succeeds and matches the
-// original), every failed reload rolls back, and the run replays
-// bit-identically from its seed.
+// TestStoreReloadRecoversOnRetry is the retry path: the first attempt
+// meets a truncated file, the publisher puts the good bytes back before
+// the second, and the trigger reloads without rolling back.
+func TestStoreReloadRecoversOnRetry(t *testing.T) {
+	dir := t.TempDir()
+	ref, ix, path := fixtureAt(t, dir, 16, 2000)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	republished := 0
+	s, err := Open(path, Options{
+		MaxAttempts:  2,
+		RetryBackoff: time.Millisecond,
+		Logf: func(f string, a ...any) {
+			if strings.Contains(fmt.Sprintf(f, a...), "attempt 1/2 failed") {
+				publish(t, path, good)
+				republished++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	publish(t, path, good[:len(good)/2])
+	gen, err := s.Reload()
+	if err != nil {
+		t.Fatalf("reload after a good republish failed: %v", err)
+	}
+	if gen != 2 || republished != 1 {
+		t.Fatalf("reload served generation %d after %d republishes, want 2 after 1", gen, republished)
+	}
+	st := s.Status()
+	if st.Reloads != 1 || st.ReloadFailures != 1 || st.Rollbacks != 0 || st.DegradedReload || st.LastReloadError != "" {
+		t.Fatalf("status after a recovered retry: %+v", st)
+	}
+	g := s.Acquire()
+	defer g.Release()
+	if !sameIndex(ix, g.Index()) || !sameReference(ref, g.Ref()) {
+		t.Fatal("the retried load diverged from the fixture")
+	}
+}
+
+// indexDamage is the damage done to the published index file before one
+// reload trigger: the file truncated, a bit flipped past the header, a
+// header byte clobbered, or the file removed (nil bytes).
+type indexDamage struct {
+	kind string
+	data []byte // the bytes to publish; nil removes the file
+}
+
+// drawIndexDamage draws the damage of each of n reload triggers on good
+// from seed: every kind once, intact among them, then a third of the
+// other triggers intact and the rest damaged, in a seeded order.
+func drawIndexDamage(seed int64, n int, good []byte) []indexDamage {
+	kinds := []string{"intact", "truncate", "bit-flip", "header", "remove"}
+	rng := rand.New(rand.NewSource(seed))
+	plan := make([]indexDamage, n)
+	for i := range plan {
+		switch {
+		case i < len(kinds):
+			plan[i].kind = kinds[i]
+		case rng.Intn(3) == 0:
+			plan[i].kind = "intact"
+		default:
+			plan[i].kind = kinds[1+rng.Intn(len(kinds)-1)]
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
+	for i := range plan {
+		data := append([]byte(nil), good...)
+		switch plan[i].kind {
+		case "truncate":
+			data = data[:rng.Intn(len(data))]
+		case "bit-flip":
+			// The suffix array, four bytes per text byte, is the last
+			// section and fills the back half of the file.
+			data[len(data)/2+rng.Intn(len(data)-len(data)/2)] ^= 1 << rng.Intn(8)
+		case "header":
+			data[rng.Intn(headerBytes)] ^= 0x5a
+		case "remove":
+			data = nil
+		}
+		plan[i].data = data
+	}
+	return plan
+}
+
+// TestStoreReloadChaosStorm is the headline drill: a reload storm in
+// which a seeded draw damages the published file before each trigger —
+// truncated, a bit flipped, the header clobbered or the file removed —
+// with concurrent readers querying the index throughout. Required
+// invariants: no reader ever observes a generation's memory go away
+// underneath it (every query on an acquired handle succeeds and matches
+// the original), every damaged file rolls back and every intact one
+// reloads, so the seed replays the same outcome sequence.
 func TestStoreReloadChaosStorm(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			path, _, ix := writeFixture(t, seed, 4000)
-			inj := faults.NewIndexInjector(faults.UniformIndex(seed, 0.35))
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			s, err := Open(path, Options{
 				MaxAttempts:  2,
 				RetryBackoff: 100 * time.Microsecond,
-				Chaos:        inj,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -265,11 +359,25 @@ func TestStoreReloadChaosStorm(t *testing.T) {
 			}
 
 			const storms = 30
+			plan := drawIndexDamage(seed, storms, good)
 			failed := 0
-			for i := 0; i < storms; i++ {
-				if _, err := s.Reload(); err != nil {
+			fired := map[string]int{}
+			for i, d := range plan {
+				if d.data == nil {
+					if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+						t.Fatal(err)
+					}
+				} else {
+					publish(t, path, d.data)
+				}
+				_, err := s.Reload()
+				if err != nil {
 					failed++
 				}
+				if (err == nil) != (d.kind == "intact") {
+					t.Errorf("trigger %d after damage %q: reload error %v", i, d.kind, err)
+				}
+				fired[d.kind]++
 			}
 			stop.Store(true)
 			wg.Wait()
@@ -287,8 +395,8 @@ func TestStoreReloadChaosStorm(t *testing.T) {
 			if st.Reloads+st.Rollbacks != storms {
 				t.Fatalf("reloads %d + rollbacks %d != %d triggers", st.Reloads, st.Rollbacks, storms)
 			}
-			if inj.Counters().Total() == 0 {
-				t.Fatal("chaos injector never fired at rate 0.35")
+			if len(fired) != 5 {
+				t.Fatalf("a damage kind never fired: %v", fired)
 			}
 			// The final state serves a valid generation either way.
 			g := s.Acquire()
@@ -300,13 +408,12 @@ func TestStoreReloadChaosStorm(t *testing.T) {
 			}
 			g.Release()
 
-			// Replay: the same seed draws the same fault sequence.
-			inj2 := faults.NewIndexInjector(faults.UniformIndex(seed, 0.35))
-			for att := int64(1); att <= s.attempts.Load(); att++ {
-				inj2.ReloadPlan(att)
-			}
-			if inj.Counters() != inj2.Counters() {
-				t.Fatalf("storm does not replay: %+v vs %+v", inj.Counters(), inj2.Counters())
+			// Replay: the damage, and so the outcome of every trigger, is
+			// a pure function of the seed.
+			for i, d := range drawIndexDamage(seed, storms, good) {
+				if d.kind != plan[i].kind || !bytes.Equal(d.data, plan[i].data) {
+					t.Fatalf("trigger %d: the damage draw does not replay from its seed", i)
+				}
 			}
 		})
 	}

@@ -16,7 +16,6 @@ import (
 
 	"seedex/internal/bwamem"
 	"seedex/internal/core"
-	"seedex/internal/faults"
 	"seedex/internal/fmindex"
 	"seedex/internal/genome"
 	"seedex/internal/readsim"
@@ -245,16 +244,8 @@ func TestReloadRollbackDegradedHealthz(t *testing.T) {
 	t.Cleanup(store.Close)
 	_, url := newStoreServer(t, store, Config{})
 
-	// Publish garbage over the index (write-aside + rename, as a broken
-	// publisher would).
-	bad := append([]byte{}, fx.refBytes[:len(fx.refBytes)/4]...)
-	tmp := fx.path + ".next"
-	if err := os.WriteFile(tmp, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, fx.path); err != nil {
-		t.Fatal(err)
-	}
+	// Publish garbage over the index, as a broken publisher would.
+	publishIndex(t, fx.path, fx.refBytes[:len(fx.refBytes)/4])
 
 	resp := postJSON(t, url+"/admin/reload", struct{}{})
 	var body reloadBody
@@ -283,12 +274,7 @@ func TestReloadRollbackDegradedHealthz(t *testing.T) {
 	}
 
 	// Republish the good bytes: reload recovers, healthz clears.
-	if err := os.WriteFile(tmp, fx.refBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, fx.path); err != nil {
-		t.Fatal(err)
-	}
+	publishIndex(t, fx.path, fx.refBytes)
 	resp = postJSON(t, url+"/admin/reload", struct{}{})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -375,8 +361,22 @@ func TestPrometheusIndexFamilies(t *testing.T) {
 	}
 }
 
+// publishIndex replaces the index file at path the way production does:
+// write-aside, then rename. The serving generation's mapping keeps the
+// inode it opened.
+func publishIndex(t *testing.T, path string, data []byte) {
+	t.Helper()
+	tmp := path + ".next"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // containmentSeed honors the CI chaos matrix: SEEDEX_CHAOS_SEED pins the
-// fault-injection seed, otherwise a fixed default runs.
+// damage seed, otherwise a fixed default runs.
 func containmentSeed(t *testing.T) int64 {
 	if v := os.Getenv("SEEDEX_CHAOS_SEED"); v != "" {
 		s, err := strconv.ParseInt(v, 10, 64)
@@ -388,20 +388,64 @@ func containmentSeed(t *testing.T) int64 {
 	return 11
 }
 
-// TestMapReloadChaosStorm is the acceptance drill: a reload storm with
-// every index fault class injecting, mapping clients running the whole
-// time. Invariants: zero failed /v1/map requests, every response
-// bit-identical to the fixed pipeline, every failed reload rolled back
-// (reloads + rollbacks = triggers), and the fault sequence replays from
-// its seed.
+// indexDamage is the damage done to the published index file before one
+// reload trigger: the file truncated, a bit flipped, a header byte
+// clobbered, or the file removed (nil bytes).
+type indexDamage struct {
+	kind string
+	data []byte // the bytes to publish; nil removes the file
+}
+
+// drawIndexDamage draws the damage of each of n reload triggers on good
+// from seed: every kind once, intact among them, then a third of the
+// other triggers intact and the rest damaged, in a seeded order.
+func drawIndexDamage(seed int64, n int, good []byte) []indexDamage {
+	kinds := []string{"intact", "truncate", "bit-flip", "header", "remove"}
+	rng := rand.New(rand.NewSource(seed))
+	plan := make([]indexDamage, n)
+	for i := range plan {
+		switch {
+		case i < len(kinds):
+			plan[i].kind = kinds[i]
+		case rng.Intn(3) == 0:
+			plan[i].kind = "intact"
+		default:
+			plan[i].kind = kinds[1+rng.Intn(len(kinds)-1)]
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
+	for i := range plan {
+		data := append([]byte(nil), good...)
+		switch plan[i].kind {
+		case "truncate":
+			data = data[:rng.Intn(len(data))]
+		case "bit-flip":
+			// The suffix array, four bytes per text byte, is the
+			// container's last section and fills the back half of it.
+			data[len(data)/2+rng.Intn(len(data)-len(data)/2)] ^= 1 << rng.Intn(8)
+		case "header":
+			data[rng.Intn(96)] ^= 0x5a // the container's 96-byte header
+		case "remove":
+			data = nil
+		}
+		plan[i].data = data
+	}
+	return plan
+}
+
+// TestMapReloadChaosStorm is the acceptance drill: a reload storm in
+// which a seeded draw damages the published index before each trigger,
+// mapping clients running the whole time. Invariants: zero failed
+// /v1/map requests, every response bit-identical to the fixed pipeline,
+// every damaged file rolled back (reloads + rollbacks = triggers,
+// rollbacks = HTTP 500s) and every intact one reloaded, so the seed
+// replays the same outcome sequence.
 func TestMapReloadChaosStorm(t *testing.T) {
 	seed := containmentSeed(t)
 	fx := newRefStoreFixture(t, seed)
-	inj := faults.NewIndexInjector(faults.UniformIndex(seed, 0.4))
 	store, err := refstore.Open(fx.path, refstore.Options{
 		MaxAttempts:  2,
 		RetryBackoff: 200 * time.Microsecond,
-		Chaos:        inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -430,17 +474,30 @@ func TestMapReloadChaosStorm(t *testing.T) {
 	}
 
 	const storms = 25
+	plan := drawIndexDamage(seed, storms, fx.refBytes)
 	failedReloads := 0
-	for i := 0; i < storms; i++ {
+	fired := map[string]int{}
+	for i, d := range plan {
+		if d.data == nil {
+			if err := os.Remove(fx.path); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+		} else {
+			publishIndex(t, fx.path, d.data)
+		}
 		resp := postJSON(t, url+"/admin/reload", struct{}{})
 		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-		case http.StatusInternalServerError:
-			failedReloads++
-		default:
-			t.Fatalf("reload %d: unexpected status %d", i, resp.StatusCode)
+		want := http.StatusInternalServerError
+		if d.kind == "intact" {
+			want = http.StatusOK
 		}
+		if resp.StatusCode != want {
+			t.Fatalf("reload %d after damage %q: status %d, want %d", i, d.kind, resp.StatusCode, want)
+		}
+		if resp.StatusCode != http.StatusOK {
+			failedReloads++
+		}
+		fired[d.kind]++
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -458,22 +515,18 @@ func TestMapReloadChaosStorm(t *testing.T) {
 	if int(st.Rollbacks) != failedReloads {
 		t.Fatalf("%d HTTP reload failures but %d rollbacks", failedReloads, st.Rollbacks)
 	}
-	if st.ChaosInjected.Total() == 0 {
-		t.Fatal("chaos injector never fired at rate 0.4")
+	if len(fired) != 5 {
+		t.Fatalf("a damage kind never fired: %v", fired)
 	}
 	// Whatever the storm left serving still answers bit-identically.
 	if err := fx.checkMap(t, url); err != nil {
 		t.Fatalf("map after storm: %v", err)
 	}
-	// Replay: the injected-fault sequence is a pure function of the seed
-	// and attempt count, so a rerun with SEEDEX_CHAOS_SEED reproduces it.
-	inj2 := faults.NewIndexInjector(faults.UniformIndex(seed, 0.4))
-	attempts := int64(0)
-	for inj2.Counters() != st.ChaosInjected {
-		attempts++
-		if attempts > 10_000 {
-			t.Fatal("storm chaos could not be replayed from its seed")
+	// Replay: the damage, and so the outcome of every trigger, is a pure
+	// function of the seed.
+	for i, d := range drawIndexDamage(seed, storms, fx.refBytes) {
+		if d.kind != plan[i].kind || !bytes.Equal(d.data, plan[i].data) {
+			t.Fatalf("trigger %d: the damage draw does not replay from its seed", i)
 		}
-		inj2.ReloadPlan(attempts)
 	}
 }
