@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race flake portable chaos fuzz loc benchmark-test sam-identity obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression bin
+.PHONY: check vet build test race flake portable chaos fuzz loc benchmark-test sam-identity figure-identity obs-smoke flight-smoke index-smoke bench bench-extend bench-map bench-regression bin
 
 check: vet build test race portable
 
@@ -99,6 +99,18 @@ benchmark-test:
 # sam-identity/ (override OUT).
 sam-identity:
 	bash scripts/sam_identity.sh
+
+# Seed supremacy for the figures: seedex-bench's Fig 16 and ablation
+# tables (Fig 16c and the FPGA ablations replay the harvested job order)
+# must be byte-identical at GOMAXPROCS 1 and 2 on one seed, since the
+# harvest maps with one worker. Artifacts land in figure-identity/.
+FIGOUT = figure-identity
+figure-identity:
+	@mkdir -p $(FIGOUT)
+	$(GO) build -o $(FIGOUT)/seedex-bench ./cmd/seedex-bench
+	GOMAXPROCS=1 $(FIGOUT)/seedex-bench -fig 16,ablations -reads 2000 -ref 300000 -seed 1 >$(FIGOUT)/gomaxprocs1.txt
+	GOMAXPROCS=2 $(FIGOUT)/seedex-bench -fig 16,ablations -reads 2000 -ref 300000 -seed 1 >$(FIGOUT)/gomaxprocs2.txt
+	cmp $(FIGOUT)/gomaxprocs1.txt $(FIGOUT)/gomaxprocs2.txt
 
 # Observability smoke: boot seedex-serve with tracing and pprof enabled,
 # drive traffic, then assert the Prometheus scrape and both trace export

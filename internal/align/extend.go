@@ -91,28 +91,13 @@ type SessionExtender interface {
 	Session() Extender
 }
 
-// Options controls optional kernel behaviour.
-type Options struct {
-	// DisableEarlyTerm turns off the exact dead-region trimming and
-	// dead-row break (useful for cycle accounting comparisons).
-	DisableEarlyTerm bool
-}
-
 // Extend runs the full-width (unbanded) extension kernel.
 // It is the host "full-band rerun" ground truth of the SeedEx workflow.
 // It draws scratch from the shared workspace pool; hot callers should hold
 // a Workspace and use ExtendWS instead.
 func Extend(query, target []byte, h0 int, sc Scoring) ExtendResult {
 	ws := GetWorkspace()
-	r, _ := extendCoreWS(ws, query, target, h0, sc, -1, Options{}, nil)
-	PutWorkspace(ws)
-	return r
-}
-
-// ExtendOpts is Extend with explicit Options.
-func ExtendOpts(query, target []byte, h0 int, sc Scoring, opts Options) ExtendResult {
-	ws := GetWorkspace()
-	r, _ := extendCoreWS(ws, query, target, h0, sc, -1, opts, nil)
+	r, _ := extendCoreWS(ws, query, target, h0, sc, -1, nil)
 	PutWorkspace(ws)
 	return r
 }
@@ -124,13 +109,8 @@ func ExtendOpts(query, target []byte, h0 int, sc Scoring, opts Options) ExtendRe
 // must outlive the pooled workspace); hot callers should hold a Workspace
 // and use ExtendBandedWS, whose boundary aliases workspace memory.
 func ExtendBanded(query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, BandBoundary) {
-	return ExtendBandedOpts(query, target, h0, sc, w, Options{})
-}
-
-// ExtendBandedOpts is ExtendBanded with explicit Options.
-func ExtendBandedOpts(query, target []byte, h0 int, sc Scoring, w int, opts Options) (ExtendResult, BandBoundary) {
 	ws := GetWorkspace()
-	r, bd := extendCoreWS(ws, query, target, h0, sc, w, opts, ws.boundaryBuf(len(query)))
+	r, bd := extendCoreWS(ws, query, target, h0, sc, w, ws.boundaryBuf(len(query)))
 	out := BandBoundary{E: append([]int(nil), bd.E...)}
 	PutWorkspace(ws)
 	return r, out
@@ -141,13 +121,13 @@ func ExtendBandedOpts(query, target []byte, h0 int, sc Scoring, w int, opts Opti
 // the workspace kernel against it bit-for-bit, and the benchmarks use it
 // as the perf baseline ("seed kernel").
 func ExtendRef(query, target []byte, h0 int, sc Scoring) ExtendResult {
-	r, _ := extendCoreRef(query, target, h0, sc, -1, Options{}, false)
+	r, _ := extendCoreRef(query, target, h0, sc, -1, false)
 	return r
 }
 
 // ExtendBandedRef is the reference counterpart of ExtendBanded.
 func ExtendBandedRef(query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, BandBoundary) {
-	return extendCoreRef(query, target, h0, sc, w, Options{}, true)
+	return extendCoreRef(query, target, h0, sc, w, true)
 }
 
 // extendCoreRef is the allocating row-streaming reference kernel. w < 0
@@ -155,7 +135,7 @@ func ExtendBandedRef(query, target []byte, h0 int, sc Scoring, w int) (ExtendRes
 // outgoing lower boundary E-scores are recorded. The workspace kernel
 // (extendCoreWS) mirrors this code and must stay bit-identical to it; it
 // also delegates here when a problem's score range could overflow int32.
-func extendCoreRef(query, target []byte, h0 int, sc Scoring, w int, opts Options, captureBoundary bool) (ExtendResult, BandBoundary) {
+func extendCoreRef(query, target []byte, h0 int, sc Scoring, w int, captureBoundary bool) (ExtendResult, BandBoundary) {
 	n, m := len(query), len(target)
 	res := ExtendResult{}
 	var boundary BandBoundary
@@ -238,16 +218,14 @@ func extendCoreRef(query, target []byte, h0 int, sc Scoring, w int, opts Options
 		f := 0
 		rowLive := col0 > 0
 		beg, end := jmin, jmax
-		if !opts.DisableEarlyTerm {
-			// Exact leading dead-region skip: cells whose diagonal, E and
-			// (implied) F inputs are all dead stay dead.
-			for beg <= jmax && hPrev == 0 && h[beg] == 0 && e[beg] == 0 {
-				hPrev = h[beg]
-				beg++
-			}
-			if beg > jmin {
-				hPrev = h[beg-1]
-			}
+		// Exact leading dead-region skip: cells whose diagonal, E and
+		// (implied) F inputs are all dead stay dead.
+		for beg <= jmax && hPrev == 0 && h[beg] == 0 && e[beg] == 0 {
+			hPrev = h[beg]
+			beg++
+		}
+		if beg > jmin {
+			hPrev = h[beg-1]
 		}
 		lastLive := beg - 1
 		for j := beg; j <= end; j++ {
@@ -304,7 +282,7 @@ func extendCoreRef(query, target []byte, h0 int, sc Scoring, w int, opts Options
 				}
 				e[j] = 0 // the below-band cell is not computed in-band
 			}
-			if !opts.DisableEarlyTerm && j-lastLive > 2 && hPrev == 0 && e[j] == 0 {
+			if j-lastLive > 2 && hPrev == 0 && e[j] == 0 {
 				// Exact trailing dead-region stop: no H, E or F liveness
 				// remains in this row and the cells above are dead, so the
 				// rest of the row (and its E outputs) stay dead. Clear any
@@ -328,16 +306,14 @@ func extendCoreRef(query, target []byte, h0 int, sc Scoring, w int, opts Options
 			}
 		}
 		res.Rows = i
-		if !opts.DisableEarlyTerm {
-			nextCol0 := h0 - sc.GapOpen - (i+1)*sc.GapExtend
-			if !rowLive && nextCol0 <= 0 {
-				break
-			}
-			if banded && i-w > 0 && !rowLive {
-				// Column 0 is outside the band from row w+1 on, so a fully
-				// dead in-band row cannot be revived.
-				break
-			}
+		nextCol0 := h0 - sc.GapOpen - (i+1)*sc.GapExtend
+		if !rowLive && nextCol0 <= 0 {
+			break
+		}
+		if banded && i-w > 0 && !rowLive {
+			// Column 0 is outside the band from row w+1 on, so a fully
+			// dead in-band row cannot be revived.
+			break
 		}
 	}
 	return res, boundary

@@ -217,7 +217,7 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 			if bds != nil {
 				bd = bds[i].E
 			}
-			results[i], _ = extendCoreWS(ws, jobs[i].Q, jobs[i].T, jobs[i].H0, sc, w, Options{}, bd)
+			results[i], _ = extendCoreWS(ws, jobs[i].Q, jobs[i].T, jobs[i].H0, sc, w, bd)
 			idx++
 			continue
 		}
@@ -252,7 +252,7 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 			}
 			if tier != tierNative && 4*(n+1)*(m+1) < envelope {
 				tally.demoted[tier]++
-				results[i], _ = extendCoreWS(ws, jobs[i].Q, jobs[i].T, jobs[i].H0, sc, w, Options{}, bd)
+				results[i], _ = extendCoreWS(ws, jobs[i].Q, jobs[i].T, jobs[i].H0, sc, w, bd)
 				continue
 			}
 			lanes[nl] = swarLane{q: jobs[i].Q, t: jobs[i].T, h0: jobs[i].H0, bd: bd, res: &results[i]}
@@ -265,7 +265,7 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 			// A single lane gains nothing from packing; run it scalar.
 			tally.solo++
 			l := &lanes[0]
-			*l.res, _ = extendCoreWS(ws, l.q, l.t, l.h0, sc, w, Options{}, l.bd)
+			*l.res, _ = extendCoreWS(ws, l.q, l.t, l.h0, sc, w, l.bd)
 		default:
 			tally.groups[tier]++
 			tally.lanes[tier] += int64(nl)

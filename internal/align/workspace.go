@@ -166,13 +166,7 @@ func PutWorkspace(ws *Workspace) { wsPool.Put(ws) }
 // it performs no allocations once ws has warmed to the workload's maximum
 // query length.
 func ExtendWS(ws *Workspace, query, target []byte, h0 int, sc Scoring) ExtendResult {
-	r, _ := extendCoreWS(ws, query, target, h0, sc, -1, Options{}, nil)
-	return r
-}
-
-// ExtendWSOpts is ExtendWS with explicit Options.
-func ExtendWSOpts(ws *Workspace, query, target []byte, h0 int, sc Scoring, opts Options) ExtendResult {
-	r, _ := extendCoreWS(ws, query, target, h0, sc, -1, opts, nil)
+	r, _ := extendCoreWS(ws, query, target, h0, sc, -1, nil)
 	return r
 }
 
@@ -180,12 +174,7 @@ func ExtendWSOpts(ws *Workspace, query, target []byte, h0 int, sc Scoring, opts 
 // returned BandBoundary.E aliases workspace memory and is valid only until
 // the next extension run on ws; copy it to retain it.
 func ExtendBandedWS(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, BandBoundary) {
-	return extendCoreWS(ws, query, target, h0, sc, w, Options{}, ws.boundaryBuf(len(query)))
-}
-
-// ExtendBandedWSOpts is ExtendBandedWS with explicit Options.
-func ExtendBandedWSOpts(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int, opts Options) (ExtendResult, BandBoundary) {
-	return extendCoreWS(ws, query, target, h0, sc, w, opts, ws.boundaryBuf(len(query)))
+	return extendCoreWS(ws, query, target, h0, sc, w, ws.boundaryBuf(len(query)))
 }
 
 // extendCoreWS is the workspace-backed row-streaming kernel: bit-identical
@@ -195,7 +184,7 @@ func ExtendBandedWSOpts(ws *Workspace, query, target []byte, h0 int, sc Scoring,
 // kernel. bd, when non-nil, is a pre-zeroed len(query)+1 buffer that
 // receives the band's lower-boundary E-scores (the batch path passes
 // arena slices here; the WS wrappers pass ws.boundaryBuf).
-func extendCoreWS(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int, opts Options, bd []int) (ExtendResult, BandBoundary) {
+func extendCoreWS(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int, bd []int) (ExtendResult, BandBoundary) {
 	n, m := len(query), len(target)
 	res := ExtendResult{}
 	boundary := BandBoundary{E: bd}
@@ -206,7 +195,7 @@ func extendCoreWS(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int
 		return res, boundary
 	}
 	if !int32Safe(n, m, h0, sc) {
-		r, bd := extendCoreRef(query, target, h0, sc, w, opts, captureBoundary)
+		r, bd := extendCoreRef(query, target, h0, sc, w, captureBoundary)
 		if captureBoundary {
 			copy(boundary.E, bd.E)
 			return r, boundary
@@ -298,16 +287,14 @@ func extendCoreWS(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int
 		var f int32
 		rowLive := col0 > 0
 		beg, end := jmin, jmax
-		if !opts.DisableEarlyTerm {
-			// Exact leading dead-region skip: cells whose diagonal, E and
-			// (implied) F inputs are all dead stay dead.
-			for beg <= jmax && hPrev == 0 && h[beg] == 0 && e[beg] == 0 {
-				hPrev = h[beg]
-				beg++
-			}
-			if beg > jmin {
-				hPrev = h[beg-1]
-			}
+		// Exact leading dead-region skip: cells whose diagonal, E and
+		// (implied) F inputs are all dead stay dead.
+		for beg <= jmax && hPrev == 0 && h[beg] == 0 && e[beg] == 0 {
+			hPrev = h[beg]
+			beg++
+		}
+		if beg > jmin {
+			hPrev = h[beg-1]
 		}
 		lastLive := beg - 1
 		j := beg
@@ -364,7 +351,7 @@ func extendCoreWS(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int
 				}
 				e[j] = 0 // the below-band cell is not computed in-band
 			}
-			if !opts.DisableEarlyTerm && j-lastLive > 2 && hPrev == 0 && e[j] == 0 {
+			if j-lastLive > 2 && hPrev == 0 && e[j] == 0 {
 				// Exact trailing dead-region stop: no H, E or F liveness
 				// remains in this row and the cells above are dead, so the
 				// rest of the row (and its E outputs) stay dead. Clear any
@@ -390,16 +377,14 @@ func extendCoreWS(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int
 		}
 		cells += int64(j - beg)
 		rows = i
-		if !opts.DisableEarlyTerm {
-			nextCol0 := hh0 - gapO - int32(i+1)*gapE
-			if !rowLive && nextCol0 <= 0 {
-				break
-			}
-			if banded && i-w > 0 && !rowLive {
-				// Column 0 is outside the band from row w+1 on, so a fully
-				// dead in-band row cannot be revived.
-				break
-			}
+		nextCol0 := hh0 - gapO - int32(i+1)*gapE
+		if !rowLive && nextCol0 <= 0 {
+			break
+		}
+		if banded && i-w > 0 && !rowLive {
+			// Column 0 is outside the band from row w+1 on, so a fully
+			// dead in-band row cannot be revived.
+			break
 		}
 	}
 	res.Local, res.LocalT, res.LocalQ = int(localBest), localI, localJ

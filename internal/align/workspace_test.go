@@ -46,8 +46,7 @@ func sameExtendResult(a, b ExtendResult) bool { return a == b }
 // TestWorkspaceKernelEquivalence pins the workspace kernel bit-for-bit
 // against the reference kernel: every result field (scores, positions,
 // rows, cell counts) and every boundary E-score must match, across random
-// problems, random scorings, all band widths, and both early-termination
-// settings.
+// problems, random scorings and all band widths.
 func TestWorkspaceKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ws := NewWorkspace()
@@ -59,17 +58,16 @@ func TestWorkspaceKernelEquivalence(t *testing.T) {
 			sc = wsRandScoring(rng)
 		}
 		w := bands[rng.Intn(len(bands))]
-		opts := Options{DisableEarlyTerm: iter%5 == 0}
 		if w < 0 {
-			want, _ := extendCoreRef(q, tg, h0, sc, -1, opts, false)
-			got := ExtendWSOpts(ws, q, tg, h0, sc, opts)
+			want, _ := extendCoreRef(q, tg, h0, sc, -1, false)
+			got := ExtendWS(ws, q, tg, h0, sc)
 			if !sameExtendResult(got, want) {
 				t.Fatalf("iter %d full: ws %+v != ref %+v (h0=%d sc=%+v)", iter, got, want, h0, sc)
 			}
 			continue
 		}
-		want, wantBd := extendCoreRef(q, tg, h0, sc, w, opts, true)
-		got, gotBd := ExtendBandedWSOpts(ws, q, tg, h0, sc, w, opts)
+		want, wantBd := extendCoreRef(q, tg, h0, sc, w, true)
+		got, gotBd := ExtendBandedWS(ws, q, tg, h0, sc, w)
 		if !sameExtendResult(got, want) {
 			t.Fatalf("iter %d w=%d: ws %+v != ref %+v (h0=%d sc=%+v)", iter, w, got, want, h0, sc)
 		}

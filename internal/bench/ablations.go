@@ -110,12 +110,3 @@ func AblationBandingStrategies(w *Workload, bands []int) *stats.Table {
 	}
 	return t
 }
-
-func workloadJobs(w *Workload) []fpga.Job {
-	reps := w.CheckOutcomes(20, core.ModePaper)
-	jobs := make([]fpga.Job, len(w.Problems))
-	for i, p := range w.Problems {
-		jobs[i] = fpga.Job{QLen: len(p.Q), TLen: len(p.T), NeedsEdit: reps[i].EditRan, Rerun: !reps[i].Pass}
-	}
-	return jobs
-}

@@ -4,6 +4,8 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -22,6 +24,27 @@ func smallWorkload(t *testing.T) *Workload {
 		t.Fatal("workload harvested no extension problems")
 	}
 	return w
+}
+
+// TestHarvestIgnoresGOMAXPROCS: the harvest maps with one worker, so the
+// problems, their order, and every figure that replays them depend on
+// the seed alone. Fig 16c and the BSW:edit ablation replay the job order
+// through the FPGA model, so a reordered harvest shows in their output.
+func TestHarvestIgnoresGOMAXPROCS(t *testing.T) {
+	build := func(procs int) (*Workload, string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		w := smallWorkload(t)
+		a, l, c := Fig16(w)
+		return w, a.String() + l.String() + c.String() + AblationBSWEditRatio(w).String()
+	}
+	w1, out1 := build(1)
+	w2, out2 := build(2)
+	if !reflect.DeepEqual(w1.Problems, w2.Problems) {
+		t.Fatalf("GOMAXPROCS 1 and 2 harvested different problems (%d vs %d)", len(w1.Problems), len(w2.Problems))
+	}
+	if out1 != out2 {
+		t.Fatalf("figure output differs between GOMAXPROCS 1 and 2:\n%s\n--\n%s", out1, out2)
+	}
 }
 
 func TestFig02(t *testing.T) {

@@ -128,11 +128,7 @@ func Fig16(w *Workload) (areaTab, ladderTab, thrTab *stats.Table) {
 	}
 
 	// (c): replay the extension shapes with check outcomes.
-	reps := w.CheckOutcomes(20, core.ModePaper)
-	jobs := make([]fpga.Job, len(w.Problems))
-	for i, p := range w.Problems {
-		jobs[i] = fpga.Job{QLen: len(p.Q), TLen: len(p.T), NeedsEdit: reps[i].EditRan, Rerun: !reps[i].Pass}
-	}
+	jobs := workloadJobs(w)
 	seRep := fpga.Simulate(fpga.DefaultSeedEx(), jobs)
 	fbRep := fpga.Simulate(fpga.FullBandBaseline(), jobs)
 	thrTab = &stats.Table{Header: []string{"config", "M ext/s", "BSW util %", "speedup"}}
@@ -151,36 +147,32 @@ type Fig17Config struct {
 // Fig17 reproduces Figure 17: normalized end-to-end time breakdown of the
 // aligner under software and accelerated configurations. Software rows
 // are measured; FPGA rows replace the measured stage time with the system
-// simulator's wall time (extension) and the seeding accelerator's
-// published 1.5 M reads/s rate (seeding), as DESIGN.md's substitution
-// table records.
+// simulator's wall time for the harvested job stream and its checker
+// outcomes (workloadJobs), floored at the host's driver share, and the
+// seeding accelerator's published 1.5 M reads/s rate (seeding), as
+// DESIGN.md's substitution table records.
 func Fig17(w *Workload, workers int) (*stats.Table, error) {
 	reads := w.PipelineReads()
-	run := func(ext align.Extender) (bwamem.Stats, []bwamem.ExtJob, error) {
-		ie := &bwamem.InstrumentedExtender{Inner: ext, KeepJobs: true}
-		a, err := bwamem.New("chrSim", w.Ref, ie)
+	run := func(ext align.Extender) (bwamem.Stats, error) {
+		a, err := bwamem.New("chrSim", w.Ref, ext)
 		if err != nil {
-			return bwamem.Stats{}, nil, err
+			return bwamem.Stats{}, err
 		}
 		_, st := a.Run(reads, workers)
-		return st, ie.Jobs(), nil
+		return st, nil
 	}
 
-	swFull, jobs, err := run(core.FullBand{Scoring: w.Scoring})
+	swFull, err := run(core.FullBand{Scoring: w.Scoring})
 	if err != nil {
 		return nil, err
 	}
-	swSeedEx5, _, err := run(core.New(2)) // "software SeedEx", w=5 PEs
+	swSeedEx5, err := run(core.New(2)) // "software SeedEx", w=5 PEs
 	if err != nil {
 		return nil, err
 	}
 
-	// FPGA extension wall time for the same job stream.
-	fjobs := make([]fpga.Job, len(jobs))
-	for i, j := range jobs {
-		fjobs[i] = fpga.Job{QLen: j.QLen, TLen: j.TLen, NeedsEdit: i%3 == 0, Rerun: i%50 == 0}
-	}
-	fpgaRep := fpga.Simulate(fpga.DefaultSeedEx(), fjobs)
+	// FPGA extension wall time for the harvested job stream.
+	fpgaRep := fpga.Simulate(fpga.DefaultSeedEx(), workloadJobs(w))
 	fpgaExtNs := int64(float64(fpgaRep.Cycles) * hw.ClockNs)
 	// Host still drives the FPGA (batching, DMA, rearrangement).
 	driverNs := swFull.ExtensionNs / 20

@@ -10,6 +10,7 @@ import (
 	"seedex/internal/align"
 	"seedex/internal/bwamem"
 	"seedex/internal/core"
+	"seedex/internal/fpga"
 	"seedex/internal/genome"
 	"seedex/internal/readsim"
 )
@@ -47,7 +48,9 @@ func (c *captureExtender) Extend(q, t []byte, h0 int) align.ExtendResult {
 // BuildWorkload simulates a genome of refLen with nReads 101 bp reads
 // (realistic error profile, including garbage tails) and harvests the
 // extension problems by running the aligner's seeding and extension
-// stages with the reference kernel.
+// stages with the reference kernel. The harvest maps with one worker, so
+// the problems' order (the order the FPGA replays take) depends on the
+// seed alone, not on GOMAXPROCS.
 func BuildWorkload(refLen, nReads int, seed int64) (*Workload, error) {
 	return BuildWorkloadCfg(refLen, readsim.RealisticConfig(nReads), seed)
 }
@@ -67,7 +70,7 @@ func BuildWorkloadCfg(refLen int, cfg readsim.Config, seed int64) (*Workload, er
 	for i, r := range reads {
 		pr[i] = bwamem.Read{Name: r.ID, Seq: r.Seq, Qual: r.Qual}
 	}
-	a.Run(pr, 0)
+	a.Run(pr, 1)
 	return &Workload{Ref: ref, Reads: reads, Problems: cap.prob, Scoring: cap.sc}, nil
 }
 
@@ -89,4 +92,17 @@ func (w *Workload) CheckOutcomes(band int, mode core.Mode) []core.Report {
 		_, out[i] = core.Check(p.Q, p.T, p.H0, cfg)
 	}
 	return out
+}
+
+// workloadJobs is the one job stream every FPGA replay takes (Fig 16c,
+// Fig 17 and the system ablations): the harvested problems in harvest
+// order, each with the checker's real paper-mode outcome at the paper's
+// band (w = 20, 41 PEs).
+func workloadJobs(w *Workload) []fpga.Job {
+	reps := w.CheckOutcomes(20, core.ModePaper)
+	jobs := make([]fpga.Job, len(w.Problems))
+	for i, p := range w.Problems {
+		jobs[i] = fpga.Job{QLen: len(p.Q), TLen: len(p.T), NeedsEdit: reps[i].EditRan, Rerun: !reps[i].Pass}
+	}
+	return jobs
 }

@@ -198,21 +198,6 @@ func TestUnmappableRead(t *testing.T) {
 	}
 }
 
-// TestInstrumentedExtender covers the job-recording wrapper used by the
-// FPGA replay model.
-func TestInstrumentedExtender(t *testing.T) {
-	ie := &InstrumentedExtender{Inner: core.FullBand{Scoring: align.DefaultScoring()}, KeepJobs: true}
-	q := []byte{0, 1, 2, 3}
-	ie.Extend(q, q, 10)
-	ie.Extend(q, q, 10)
-	if ie.Calls() != 2 || len(ie.Jobs()) != 2 {
-		t.Fatalf("calls %d jobs %d", ie.Calls(), len(ie.Jobs()))
-	}
-	if ie.Jobs()[0] != (ExtJob{4, 4}) {
-		t.Fatalf("job shape %+v", ie.Jobs()[0])
-	}
-}
-
 func TestResolveSideBranches(t *testing.T) {
 	// Zero-length side: pass-through.
 	s, clip, qa, ta := resolveSide(align.ExtendResult{}, 0, 42, 5)
@@ -263,20 +248,10 @@ func TestNewMultiErrors(t *testing.T) {
 	}
 }
 
-func TestInstrumentedExtenderNs(t *testing.T) {
-	ie := &InstrumentedExtender{Inner: core.FullBand{Scoring: align.DefaultScoring()}}
-	q := []byte{0, 1, 2, 3, 0, 1, 2, 3}
-	ie.Extend(q, q, 10)
-	if ie.Ns() <= 0 {
-		t.Fatal("no time recorded")
-	}
-}
-
 // TestMapperServesResolve: a Mapper's extension session is told that the
-// mapper is its consumer, directly and through an InstrumentedExtender's
-// session, so it skips the reruns resolveSide cannot see (PassResolve); a
-// shared aligner's extender keeps the five-field promise and never does.
-// Either way the mappings are the full band's.
+// mapper is its consumer, so it skips the reruns resolveSide cannot see
+// (PassResolve); a shared aligner's extender keeps the five-field promise
+// and never does. Either way the mappings are the full band's.
 func TestMapperServesResolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	ref := genome.Simulate(genome.SimConfig{Length: 60_000, RepeatFraction: 0.05}, rng)
@@ -288,30 +263,24 @@ func TestMapperServesResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := full.Run(reads, 1)
-	for _, wrap := range []bool{false, true} {
-		se := core.New(20)
-		var ext align.Extender = se
-		if wrap {
-			ext = &InstrumentedExtender{Inner: se}
+	se := core.New(20)
+	a, err := New("chrSim", ref, se)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		a.AlignRead(r.Seq)
+	}
+	if n := se.Stats.OutcomeCount(core.PassResolve); n != 0 {
+		t.Fatalf("the shared aligner recorded %d pass-resolve outcomes", n)
+	}
+	got, _ := a.Run(reads, 1)
+	for i := range got {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("read %d:\n got  %s\n want %s", i, got[i].String(), want[i].String())
 		}
-		a, err := New("chrSim", ref, ext)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range reads {
-			a.AlignRead(r.Seq)
-		}
-		if n := se.Stats.OutcomeCount(core.PassResolve); n != 0 {
-			t.Fatalf("instrumented=%v: the shared aligner recorded %d pass-resolve outcomes", wrap, n)
-		}
-		got, _ := a.Run(reads, 1)
-		for i := range got {
-			if got[i].String() != want[i].String() {
-				t.Fatalf("instrumented=%v, read %d:\n got  %s\n want %s", wrap, i, got[i].String(), want[i].String())
-			}
-		}
-		if se.Stats.OutcomeCount(core.PassResolve) == 0 {
-			t.Fatalf("instrumented=%v: the mapper's session skipped no rerun: %v", wrap, se.Stats)
-		}
+	}
+	if se.Stats.OutcomeCount(core.PassResolve) == 0 {
+		t.Fatalf("the mapper's session skipped no rerun: %v", se.Stats)
 	}
 }

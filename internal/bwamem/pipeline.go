@@ -18,116 +18,6 @@ type Read struct {
 	Qual []byte // ASCII qualities (may be nil)
 }
 
-// ExtJob records the shape of one extension dispatched to the extender;
-// the FPGA simulator replays these shapes for the Figure 17 model.
-type ExtJob struct {
-	QLen, TLen int
-}
-
-// InstrumentedExtender wraps an extender with time/work accounting, the
-// pipeline's analogue of the paper's FPGA-thread bookkeeping.
-type InstrumentedExtender struct {
-	Inner align.Extender
-	ns    atomic.Int64
-	calls atomic.Int64
-	mu    sync.Mutex
-	jobs  []ExtJob
-	// KeepJobs records job shapes for the FPGA replay model.
-	KeepJobs bool
-}
-
-var _ align.Extender = (*InstrumentedExtender)(nil)
-
-// Extend implements align.Extender.
-func (ie *InstrumentedExtender) Extend(q, t []byte, h0 int) align.ExtendResult {
-	start := time.Now()
-	res := ie.Inner.Extend(q, t, h0)
-	ie.record(start, []align.Job{{Q: q, T: t}})
-	return res
-}
-
-// record accounts one extender call: its wall time and the jobs it ran.
-func (ie *InstrumentedExtender) record(start time.Time, jobs []align.Job) {
-	ie.ns.Add(time.Since(start).Nanoseconds())
-	ie.calls.Add(int64(len(jobs)))
-	if ie.KeepJobs {
-		ie.mu.Lock()
-		for i := range jobs {
-			ie.jobs = append(ie.jobs, ExtJob{QLen: len(jobs[i].Q), TLen: len(jobs[i].T)})
-		}
-		ie.mu.Unlock()
-	}
-}
-
-// ExtendJobs implements align.BatchExtender, forwarding batches to the
-// inner extender while accounting each job into the shared counters.
-func (ie *InstrumentedExtender) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
-	start := time.Now()
-	dst = align.ExtendJobs(ie.Inner, jobs, dst)
-	ie.record(start, jobs)
-	return dst
-}
-
-var _ align.BatchExtender = (*InstrumentedExtender)(nil)
-
-// Session implements align.SessionExtender: the session extends through a
-// per-goroutine session of the inner extender (when it offers one) while
-// accounting into this wrapper's shared atomic counters.
-func (ie *InstrumentedExtender) Session() align.Extender {
-	inner := ie.Inner
-	if se, ok := inner.(align.SessionExtender); ok {
-		inner = se.Session()
-	}
-	return &instrumentedSession{parent: ie, inner: inner}
-}
-
-var _ align.SessionExtender = (*InstrumentedExtender)(nil)
-
-type instrumentedSession struct {
-	parent *InstrumentedExtender
-	inner  align.Extender
-}
-
-func (s *instrumentedSession) Extend(q, t []byte, h0 int) align.ExtendResult {
-	start := time.Now()
-	res := s.inner.Extend(q, t, h0)
-	s.parent.record(start, []align.Job{{Q: q, T: t}})
-	return res
-}
-
-// ExtendJobs forwards a batch through the session's inner extender,
-// accounting into the parent's shared counters.
-func (s *instrumentedSession) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
-	start := time.Now()
-	dst = align.ExtendJobs(s.inner, jobs, dst)
-	s.parent.record(start, jobs)
-	return dst
-}
-
-var _ align.BatchExtender = (*instrumentedSession)(nil)
-
-// ServeMapper forwards the mapper's statement to the inner session.
-func (s *instrumentedSession) ServeMapper(clipPenalty int) {
-	if mc, ok := s.inner.(mapConsumer); ok {
-		mc.ServeMapper(clipPenalty)
-	}
-}
-
-var _ mapConsumer = (*instrumentedSession)(nil)
-
-// Ns returns the accumulated extension CPU time.
-func (ie *InstrumentedExtender) Ns() int64 { return ie.ns.Load() }
-
-// Calls returns the number of extensions.
-func (ie *InstrumentedExtender) Calls() int64 { return ie.calls.Load() }
-
-// Jobs returns the recorded job shapes.
-func (ie *InstrumentedExtender) Jobs() []ExtJob {
-	ie.mu.Lock()
-	defer ie.mu.Unlock()
-	return append([]ExtJob(nil), ie.jobs...)
-}
-
 // Stats aggregates one pipeline run (the Figure 17 breakdown source).
 type Stats struct {
 	Reads      int

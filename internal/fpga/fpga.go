@@ -4,13 +4,15 @@
 // per-core arbiter, the shared edit machine of each SeedEx core, and 5:1
 // output coalescing. It measures end-to-end throughput, core utilization
 // and memory stalls for arbitrary workloads, and is the engine behind the
-// iso-area throughput comparison of Figure 16c.
+// iso-area throughput comparison of Figure 16c. A BSW core is held for
+// the systolic array's latency (systolic.Latency) per extension.
 package fpga
 
 import (
 	"fmt"
 
 	"seedex/internal/hw"
+	"seedex/internal/systolic"
 )
 
 // Config describes one FPGA image.
@@ -105,15 +107,6 @@ func (r Report) String() string {
 		r.Extensions, r.Cycles, r.ThroughputPerS/1e6, 100*r.BSWUtilization, r.MemStallCycles, 100*r.EditUtilization)
 }
 
-// serviceCycles is the BSW array service latency for one extension
-// (systolic model: progressive init + wavefront sweep + reduction).
-func (c Config) serviceCycles(q, t int) int64 {
-	if eff := q + c.SidedBand; eff < t {
-		t = eff
-	}
-	return int64(2*c.PEs() + q + t + 1)
-}
-
 // editCycles is the edit-machine service latency: the half-width array
 // sweeps the below-band region one row per cycle.
 func (c Config) editCycles(q, t int) int64 {
@@ -197,7 +190,7 @@ func simulateCluster(cfg Config, jobs []Job, rep *Report) int64 {
 			rep.MemStallCycles += fetchDone[k] - start
 			start = fetchDone[k]
 		}
-		svc := cfg.serviceCycles(j.QLen, j.TLen)
+		svc := int64(systolic.Latency(cfg.SidedBand, j.QLen, j.TLen))
 		finish := start + svc
 		coreFree[best] = finish
 		rep.BSWBusy += svc

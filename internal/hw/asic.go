@@ -1,6 +1,10 @@
 package hw
 
-import "fmt"
+import (
+	"fmt"
+
+	"seedex/internal/systolic"
+)
 
 // ASICComponent is one row of Table III (TSMC 28nm synthesis results in
 // the paper; reproduced here as the constants of the analytic model, with
@@ -74,9 +78,9 @@ type Comparator struct {
 
 // SeedExASICKernelThroughput derives the ASIC kernel throughput from the
 // structural model: 12 BSW cores at the ASIC clock, each with the systolic
-// service latency for an avgQ x avgT extension with 2w+1 PEs.
+// latency (systolic.Latency) of an avgQ x avgT extension on pes = 2w+1 PEs.
 func SeedExASICKernelThroughput(pes, avgQ, avgT int) (extPerSec float64, perMM2 float64) {
-	lat := 2*pes + avgQ + avgT + 1
+	lat := systolic.Latency((pes-1)/2, avgQ, avgT)
 	clock := 1e9 / ASICClockNs
 	extPerSec = 12 * clock / float64(lat)
 	area, _ := ASICTotals(SeedExASIC())

@@ -27,7 +27,9 @@ import (
 
 // Container format v2 ("SEDXRIX2"): a fixed self-checksummed header
 // addressing three sections — contig table, reference text, suffix
-// array — each 8-byte aligned and CRC32-C framed. The layout is
+// array — in that order, each CRC32-C framed and starting at the first
+// 8-byte boundary after the one before it (zero padding between them;
+// Decode accepts exactly this layout). The layout is
 // mmap-first: after validation the text and suffix array load zero-copy
 // as slices aliasing the mapped region.
 //
@@ -93,13 +95,10 @@ func getSection(hdr []byte, at int) section {
 	}
 }
 
-// checkSection validates one extent against the file: inside the body,
-// aligned, non-overflowing, and matching its checksum.
+// checkSection validates one extent against the file: inside it,
+// non-overflowing, and matching its checksum.
 func checkSection(data []byte, name string, s section) ([]byte, error) {
 	size := uint64(len(data))
-	if s.off < headerBytes || s.off%sectionAlign != 0 {
-		return nil, fmt.Errorf("refstore: %s section offset %d misplaced", name, s.off)
-	}
 	if s.n > size || s.off > size-s.n {
 		return nil, fmt.Errorf("refstore: %s section [%d, %d) exceeds file size %d", name, s.off, s.off+s.n, size)
 	}
@@ -108,6 +107,31 @@ func checkSection(data []byte, name string, s section) ([]byte, error) {
 		return nil, fmt.Errorf("refstore: %s section checksum mismatch (got %#x, want %#x)", name, got, s.crc)
 	}
 	return b, nil
+}
+
+// checkLayout requires exactly the layout Encode writes: the sections in
+// order after the header, each at the next 8-byte boundary, every
+// padding byte zero, and the file ending where the last section ends.
+// With the header and section checksums this leaves no byte of the file
+// unchecked. The sections must already lie inside data (checkSection).
+func checkLayout(data []byte, secs ...section) error {
+	at := uint64(headerBytes)
+	for _, s := range secs {
+		start := at + uint64(pad(int(at)))
+		if s.off != start {
+			return fmt.Errorf("refstore: section at offset %d, want %d", s.off, start)
+		}
+		for _, b := range data[at:start] {
+			if b != 0 {
+				return fmt.Errorf("refstore: nonzero padding byte before offset %d", start)
+			}
+		}
+		at = s.off + s.n
+	}
+	if at != uint64(len(data)) {
+		return fmt.Errorf("refstore: %d bytes after the last section", uint64(len(data))-at)
+	}
+	return nil
 }
 
 // encodeContigs renders the contig table section.
@@ -324,6 +348,9 @@ func Decode(data []byte) (*bwamem.Reference, *fmindex.Index, Info, error) {
 	}
 	saBytes, err := checkSection(data, "suffix-array", saSec)
 	if err != nil {
+		return fail(err)
+	}
+	if err := checkLayout(data, contigSec, textSec, saSec); err != nil {
 		return fail(err)
 	}
 

@@ -177,6 +177,21 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, _, _, err := Decode(append(bytes.Clone(good), 0)); err == nil {
 		t.Error("grown file accepted")
 	}
+
+	// No byte goes unchecked: every single-bit flip at every offset,
+	// the alignment padding between sections included, is rejected.
+	t.Run("every-bit", func(t *testing.T) {
+		bad := bytes.Clone(good)
+		for off := range bad {
+			for bit := 0; bit < 8; bit++ {
+				bad[off] ^= 1 << bit
+				if _, _, _, err := Decode(bad); err == nil {
+					t.Errorf("flip of bit %d at offset %d accepted", bit, off)
+				}
+				bad[off] ^= 1 << bit
+			}
+		}
+	})
 }
 
 func TestVerifyErrors(t *testing.T) {

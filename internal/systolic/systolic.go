@@ -74,8 +74,8 @@ func (c *Core) Extend(query, target []byte, h0 int) Run {
 	w := c.W
 	sc := c.Scoring
 	run := Run{Boundary: align.BandBoundary{E: make([]int, n+1)}}
-	run.Cycles = c.initCycles() + c.sweepCycles(n, m) + c.reduceCycles()
-	run.II = c.initiationInterval(n, m)
+	run.Cycles = Latency(w, n, m)
+	run.II = II(n, m)
 	if h0 <= 0 || n == 0 {
 		return run
 	}
@@ -234,32 +234,26 @@ func (c *Core) Extend(query, target []byte, h0 int) Run {
 	return run
 }
 
-// Timing model. The constants are centralized here so the throughput and
-// latency benches read from a single source of truth.
+// Timing model: the one source of BSW timing. The FPGA system simulator
+// (internal/fpga) and the ASIC throughput model (internal/hw) charge
+// these closed forms, so every hardware figure times an extension exactly
+// as Extend does.
 
-// initCycles models the progressive score initialization through the PE
-// score channels (one shift per PE, avoiding global wires).
-func (c *Core) initCycles() int { return c.PEs() }
-
-// sweepCycles is the wavefront march: one cycle per anti-diagonal that
-// intersects the band (the band leaves the matrix after n+W rows, so a
-// narrow core finishes early on long targets).
-func (c *Core) sweepCycles(n, m int) int {
-	if eff := n + c.W; eff < m {
-		m = eff
-	}
-	return n + m + 1
+// Latency is the end-to-end cycle count of one n×m extension on an array
+// with one-sided band w (2w+1 PEs):
+//   - progressive score initialization through the PE score channels, one
+//     shift per PE (avoiding global wires);
+//   - the wavefront march, one cycle per anti-diagonal that intersects
+//     the band (the band leaves the matrix after n+w rows, so a narrow
+//     core finishes early on long targets);
+//   - the drain of the lscore shift-register reduction, one shift per PE
+//     (the reduction otherwise overlaps accumulation).
+func Latency(w, n, m int) int {
+	pes := 2*w + 1
+	return pes + n + min(m, n+w) + 1 + pes
 }
 
-// reduceCycles models the lscore shift-register reduction; it overlaps
-// with accumulation, so only the final drain of the array is charged.
-func (c *Core) reduceCycles() int { return c.PEs() }
-
-// initiationInterval is the minimum cycle distance between consecutive
-// extensions: the input shift registers must stream one full pair.
-func (c *Core) initiationInterval(n, m int) int {
-	if m > n {
-		return m + 1
-	}
-	return n + 1
-}
+// II is the initiation interval: the minimum cycle distance between
+// consecutive extensions, since the input shift registers must stream
+// one full n×m pair.
+func II(n, m int) int { return max(n, m) + 1 }

@@ -128,6 +128,18 @@ func TestCycleModel(t *testing.T) {
 	if narrow.PEs() != 41 || full.PEs() != 101 {
 		t.Fatalf("PE counts: %d, %d", narrow.PEs(), full.PEs())
 	}
+	// The closed forms the FPGA and ASIC models charge are what Extend
+	// reports: 2·PEs + q + t′ + 1 with t′ = min(t, q+w), so the band clip
+	// binds only past Fig 18's 101 × 121 shape on 41 PEs.
+	if rn.Cycles != Latency(20, 101, 121) || rn.II != II(101, 121) {
+		t.Fatalf("Extend charged %d/%d cycles, closed forms %d/%d", rn.Cycles, rn.II, Latency(20, 101, 121), II(101, 121))
+	}
+	if got := Latency(20, 101, 121); got != 2*41+101+121+1 {
+		t.Fatalf("Latency(20, 101, 121) = %d, want %d", got, 2*41+101+121+1)
+	}
+	if got := Latency(20, 101, 200); got != 2*41+101+121+1 {
+		t.Fatalf("Latency(20, 101, 200) = %d: the band clip did not bind", got)
+	}
 }
 
 func TestUtilizationAccounting(t *testing.T) {
