@@ -42,11 +42,12 @@ flake:
 	$(GO) test -race -count=$(COUNT) -timeout $$(($(COUNT) * 30))s ./internal/server
 
 # The build without the native kernel. internal/align picks its packed
-# back end by CPUID on amd64 and has only the pure-Go SWAR ladder
-# elsewhere, so the tree must cross-compile (offline: no cgo, no deps; the
-# non-amd64 stubs are what this catches) and the portable ladder must keep
-# passing the kernel, checker, server and mapper tests on the amd64 host,
-# where the conventional purego tag forces it.
+# back end by CPUID on amd64 and has only the pure-Go SWAR ladder (the
+# 4-lane int16 tier, then scalar) elsewhere, so the tree must
+# cross-compile (offline: no cgo, no deps; the non-amd64 stubs are what
+# this catches) and the portable ladder must keep passing the kernel,
+# checker, server and mapper tests on the amd64 host, where the
+# conventional purego tag forces it.
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/align

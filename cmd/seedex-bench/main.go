@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	extendJSON := fs.String("extend-json", "BENCH_extend.json", "output path for the extension kernel benchmark (-fig extend)")
 	extendBand := fs.Int("extend-band", 21, "one-sided band for the checked paths of -fig extend")
 	extendRounds := fs.Int("extend-rounds", 3, "timing rounds per kernel for -fig extend")
-	extendReadLen := fs.Int("extend-readlen", 150, "read length for -fig extend: 150 (standard trajectory) or 100 (8-bit SWAR tier dominates)")
 	extendPR := fs.String("extend-pr", "dev", "label recorded with the appended -fig extend run (the PR it measures)")
 	mapJSON := fs.String("map-json", "BENCH_map.json", "output path for the map-path stage benchmark (-fig map)")
 	mapPR := fs.String("map-pr", "dev", "label recorded with the appended -fig map run (the PR it measures)")
@@ -170,13 +169,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, bench.Fig18())
 	}
 	if want["extend"] { // not part of 'all': it writes a file and takes timing-quality minutes
-		section(fmt.Sprintf("Extension kernel benchmark (%d bp workload)", *extendReadLen))
-		fmt.Fprintf(stderr, "building %d bp workload: %d bp reference, %d reads (seed %d)...\n", *extendReadLen, *refLen, *nReads, *seed)
-		build := bench.Workload150
-		if *extendReadLen == 100 {
-			build = bench.Workload100
-		}
-		wext, err := build(*refLen, *nReads, *seed)
+		section("Extension kernel benchmark (150 bp workload)")
+		fmt.Fprintf(stderr, "building 150 bp workload: %d bp reference, %d reads (seed %d)...\n", *refLen, *nReads, *seed)
+		wext, err := bench.Workload150(*refLen, *nReads, *seed)
 		if err != nil {
 			return err
 		}

@@ -217,7 +217,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		"version", build.Version, "commit", build.Commit, "go", build.GoVersion(),
 		"extender", *extName, "band", *band, "batch", *maxBatch,
 		"flush", flush.String(), "queue", *queueCap)
-	logger.Info("packed kernel back end chosen by CPUID (none: the portable SWAR tiers)", "kernel_native", align.NativeISA())
+	logger.Info("packed kernel back end chosen by CPUID (none: the portable SWAR ladder)", "kernel_native", align.NativeISA())
 	if tracer != nil && *traceSample > 0 {
 		logger.Info(fmt.Sprintf("tracing 1/%d requests (journeys at /debug/journeys and /debug/traces, slowest %d at /debug/traces/slow)",
 			*traceSample, *traceSlow))

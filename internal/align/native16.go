@@ -2,12 +2,12 @@ package align
 
 // Native 16-lane banded extension kernel: sixteen independent extension
 // problems in the sixteen int16 lanes of one 256-bit vector, swept in
-// lockstep exactly like the SWAR kernels (see swar8.go for the shared
+// lockstep exactly like the SWAR kernel (see swar16.go for the shared
 // commentary) but with the per-cell arithmetic done by native saturating
 // lane instructions instead of borrow-free bit tricks — SSW's form of the
 // inner loop, on inter-sequence lanes. It sits at the top of the tier
 // ladder wherever the host has the instructions (native16_amd64.go probes
-// CPUID once at start-up); everywhere else the pure-Go SWAR tiers run
+// CPUID once at start-up); everywhere else the pure-Go SWAR tier runs
 // unchanged, and both produce the same score fields and boundary E bit
 // for bit.
 //
@@ -127,7 +127,7 @@ func bandExtent(n, m, w int) (rows int, cells int64) {
 // (guaranteed by the tiering in swar.go): 1 <= len(lanes) <= 16, every
 // lane has len(q) >= 1 and h0 >= 1, a score ceiling h0 + n*Match and
 // penalties within swarCap16, and both lengths within native16MaxDim.
-// w < 0 selects full width. Results and boundaries as in extendSWAR8.
+// w < 0 selects full width. Results and boundaries as in extendSWAR16.
 func extendNative16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 	st := sweepState{
 		mm: splatVec16(sc.Match + sc.Mismatch),

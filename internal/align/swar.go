@@ -3,7 +3,7 @@ package align
 import "slices"
 
 // Inter-sequence batch extension: tiering and lane-packing orchestration
-// for the packed kernels (native16.go, swar8.go, swar16.go).
+// for the packed kernels (native16.go, swar16.go).
 //
 // A batch is bucketed by shape (sort by tier, then query length, then
 // target length, all descending within the tier) so that the problems
@@ -15,7 +15,6 @@ import "slices"
 //	           ceiling h0 + n*Match <= 32767 (and penalties <= 32767),
 //	           both lengths <= native16MaxDim. Everything below is the
 //	           portable path, reached only by what this tier cannot admit.
-//	8 × int8   score ceiling h0 + n*Match <= 127 (and penalties <= 127)
 //	4 × int16  score ceiling <= 32767 (and penalties <= 32767)
 //	scalar     the int32 workspace kernel (which itself delegates to the
 //	           int reference kernel when int32 could overflow)
@@ -42,7 +41,6 @@ type swarLane struct {
 // Batch tier ladder, in sort-key order (widest first).
 const (
 	tierNative = iota
-	tierSWAR8
 	tierSWAR16
 	tierScalar
 
@@ -57,7 +55,6 @@ var tiers = [numTiers]struct {
 	lanes int
 }{
 	tierNative: {"native16", 16},
-	tierSWAR8:  {"swar8", 8},
 	tierSWAR16: {"swar16", 4},
 	tierScalar: {"scalar", 1},
 }
@@ -85,14 +82,10 @@ func scoringFits(sc Scoring, cap int) bool {
 // a whole permits; individual jobs can only narrow it. The native tier has
 // the int16 ceiling, so it is open exactly when this is not tierScalar.
 func swarScoringTier(sc Scoring) int {
-	switch {
-	case scoringFits(sc, swarCap8):
-		return tierSWAR8
-	case scoringFits(sc, swarCap16):
+	if scoringFits(sc, swarCap16) {
 		return tierSWAR16
-	default:
-		return tierScalar
 	}
+	return tierScalar
 }
 
 // jobTier picks a job's lane tier from its score ceiling: h0 + n*Match
@@ -103,15 +96,12 @@ func swarScoringTier(sc Scoring) int {
 func jobTier(n, m, h0 int, sc Scoring, scTier int) int {
 	c := int64(h0) + int64(n)*int64(sc.Match)
 	switch {
-	case native16Live && scTier <= tierSWAR16 && c <= swarCap16 &&
-		n <= native16MaxDim && m <= native16MaxDim:
-		return tierNative
-	case scTier == tierSWAR8 && c <= swarCap8:
-		return tierSWAR8
-	case scTier <= tierSWAR16 && c <= swarCap16:
-		return tierSWAR16
-	default:
+	case scTier == tierScalar || c > swarCap16:
 		return tierScalar
+	case native16Live && n <= native16MaxDim && m <= native16MaxDim:
+		return tierNative
+	default:
+		return tierSWAR16
 	}
 }
 
@@ -269,12 +259,9 @@ func extendBatchChunk(ws *Workspace, jobs []Job, sc Scoring, w int, results []Ex
 		default:
 			tally.groups[tier]++
 			tally.lanes[tier] += int64(nl)
-			switch tier {
-			case tierNative:
+			if tier == tierNative {
 				extendNative16(ws, lanes[:nl], sc, w)
-			case tierSWAR8:
-				extendSWAR8(ws, lanes[:nl], sc, w)
-			default:
+			} else {
 				extendSWAR16(ws, lanes[:nl], sc, w)
 			}
 		}

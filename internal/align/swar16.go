@@ -2,12 +2,47 @@ package align
 
 import "math/bits"
 
-// 4-lane SWAR banded extension kernel: the 16-bit mirror of swar8.go for
-// problems whose score ceiling exceeds an int8 lane but fits 15 bits
-// (h0 + n*Match <= swarCap16). Same interleaved column records, same
-// striped qm packing (code in bits 0-2, edge flag one bit below the lane
-// top, valid flag in the lane top bit), lane stride 16 instead of 8. See
-// swar8.go for the full commentary; only the constants differ here.
+// 4-lane SWAR banded extension kernel.
+//
+// Four independent extension problems ride in the four 16-bit lanes of a
+// uint64. One interleaved column record (swarCol) per DP column holds the
+// H and E values of all four problems at that column plus the striped
+// query word, and a single row sweep advances all four DP matrices in
+// lockstep over a shared band schedule — the software mirror of the
+// paper's systolic array filling its cores from a batch. This is the
+// portable tier: it takes what the native tier (native16.go) cannot
+// admit, and every job where the host has no native tier.
+//
+// Layout invariants (enforced by the tiering in swar.go):
+//
+//   - Every value the kernel can produce fits in 15 bits: the score
+//     ceiling h0 + n*Match of every lane is <= swarCap16, and each penalty
+//     magnitude is <= swarCap16. The spare sixteenth bit per lane is what
+//     lets saturating subtract and max run borrow-free in a handful of
+//     bitwise ops (satsub16/max16 below) with no cross-lane carries:
+//     per-lane intermediates never exceed 0xFFFE.
+//   - Query base codes are compared directly against target base codes
+//     (XOR + per-lane zero test) instead of a query profile: with four
+//     different targets per row there is no shared profile row to gather.
+//     Codes 0..3 are real bases; past-the-end or ambiguous query positions
+//     get sentinel 5 and target positions sentinel 6, so a padded or
+//     ambiguous cell can never take the match path and its value only ever
+//     decays — padding stays harmless without per-cell branches.
+//   - The striped query word qm packs, per lane, the base code in bits
+//     0-2, the right-edge flag (j == lane query length) in bit 14, and the
+//     column-valid flag in bit 15. The lane comparison masks the XOR to
+//     the code field ((qm ^ tw) & swarCode16); colHi is qm & swarH16 and
+//     edgeHi is (qm << 1) & swarH16 — the <<1 bleeds each lane's valid bit
+//     into its neighbour's bit 0, which the & swarH16 discards.
+//   - Lanes whose query (column) or target (row) is exhausted keep
+//     sweeping dead padded cells; colHi/edgeHi/rowHi masks exclude them
+//     from every capture (local best, global edge, boundary E) and from
+//     the liveness word that drives the shared early exit.
+//
+// The kernel's score fields (Local/LocalT/LocalQ, Global/GlobalT) and the
+// boundary E-scores are bit-identical to extendCoreRef; Rows/Cells report
+// the full in-band sweep (the packed kernel has no per-lane early
+// termination), which no consumer of batch results reads for correctness.
 
 const (
 	swarL16    uint64 = 0x0001000100010001 // 1 in every 16-bit lane
@@ -19,25 +54,31 @@ const (
 	swarEdgeHi16 uint64 = 0x4000 // qm right-edge flag (per lane)
 )
 
-// swarCap16 is the largest value a 16-bit lane may hold.
+// swarCap16 is the largest value (score or penalty) a 16-bit lane may
+// hold.
 const swarCap16 = 32767
 
 func splat16(v int) uint64 { return uint64(v) * swarL16 }
 
-// satsub16 computes per-lane max(a-b, 0); lanes of a and b <= swarCap16.
+// satsub16 computes per-lane max(a-b, 0). Every lane of a and b must be
+// <= swarCap16: the forced high bit absorbs the borrow of lanes where
+// a < b, so borrows never cross lanes.
 func satsub16(a, b uint64) uint64 {
 	t := (a | swarH16) - b
 	u := t & swarH16
 	return t & (u - u>>15)
 }
 
-// max16 computes the per-lane maximum as b + max(a-b, 0).
+// max16 computes the per-lane maximum as b + max(a-b, 0); the sum cannot
+// carry because the result is again <= swarCap16.
 func max16(a, b uint64) uint64 { return b + satsub16(a, b) }
 
-// swarQM16 builds one lane's striped query halfword for column j.
+// swarQM16 builds one lane's striped query halfword for column j
+// (1-based): code | valid flag | edge flag, or the bare pad sentinel past
+// the end.
 func swarQM16(q []byte, n, j int) uint64 {
 	if j > n {
-		return 5
+		return 5 // query pad/ambiguity sentinel, no flags
 	}
 	c := uint64(5)
 	if b := q[j-1]; b < 4 {
@@ -50,8 +91,12 @@ func swarQM16(q []byte, n, j int) uint64 {
 	return c
 }
 
-// extendSWAR16 sweeps up to 4 lanes in lockstep; preconditions as in
-// extendSWAR8 with the swarCap16 tier test.
+// extendSWAR16 sweeps up to 4 lanes in lockstep. Preconditions
+// (guaranteed by the batch orchestration in swar.go): 1 <= len(lanes) <= 4,
+// every lane has len(q) >= 1 and h0 >= 1, every lane and the scoring
+// scheme pass the swarCap16 tier test. w < 0 selects full width. Results
+// are written through lanes[k].res; boundary E-scores into lanes[k].bd
+// (when non-nil: pre-zeroed, len(q)+1).
 func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 	nl := len(lanes)
 	var nk, mk [4]int
@@ -75,6 +120,8 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 	ws.preparePacked(nMax, mMax)
 	cols, tw := ws.pk.cols, ws.pk.tw
 
+	// Lane-transpose the sequences into the striped column records (E
+	// starts all-dead) and the target words.
 	for j := 1; j <= nMax; j++ {
 		var qv uint64
 		for k := 0; k < nl; k++ {
@@ -85,7 +132,7 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 	for i := 1; i <= mMax; i++ {
 		var tv uint64
 		for k := 0; k < nl; k++ {
-			c := uint64(6)
+			c := uint64(6) // target pad/ambiguity sentinel
 			if i <= mk[k] {
 				if b := lanes[k].t[i-1]; b < 4 {
 					c = uint64(b)
@@ -101,6 +148,8 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 	geW := splat16(sc.GapExtend)
 	oeW := splat16(sc.GapOpen + sc.GapExtend)
 
+	// Row 0: H(0, j) = max(h0 - GapOpen - j*GapExtend, 0), dead above the
+	// band. The satsub chain is the clamped recurrence of that formula.
 	var h0W uint64
 	for k := 0; k < nl; k++ {
 		h0W |= uint64(lanes[k].h0) << (16 * k)
@@ -119,6 +168,8 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 		cols[j].h = 0
 	}
 
+	// Row 0's right edge contributes each lane's initial global score
+	// (pure insertion of the whole query).
 	var gBest, gT [4]int
 	for k := 0; k < nl; k++ {
 		if g := int(cols[nk[k]].h>>(16*k)) & 0xffff; g > 0 {
@@ -160,22 +211,26 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 			}
 		}
 
-		col0W = satsub16(col0W, geW)
+		col0W = satsub16(col0W, geW) // col0(i) = max(h0 - GapOpen - i*GapExtend, 0)
 		var hDiag uint64
 		if jmin == 1 {
 			hDiag = cols[0].h
 			if !banded || i <= w {
 				cols[0].h = col0W
 			} else {
-				cols[0].h = 0
+				cols[0].h = 0 // column 0 is below the band: dead
 			}
 		} else {
 			hDiag = cols[jmin-1].h
 		}
 		if banded && jmax < nMax {
+			// The rightmost in-band column is new this row; its E input is
+			// out-of-band and dead.
 			cols[jmax].e = 0
 		}
 
+		// Lanes whose target is exhausted keep sweeping padded rows;
+		// rowHi/rowFull mask them out of captures and liveness.
 		var rowHi uint64
 		{
 			hi := uint64(0x8000)
@@ -190,7 +245,7 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 		twI := tw[i]
 		bj0 := -1
 		if banded && i > w {
-			bj0 = i - w
+			bj0 = i - w // the band's lower-boundary column this row (== jmin)
 		}
 		var f, live uint64
 		for j := jmin; j <= jmax; j++ {
@@ -198,10 +253,14 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 			hUp := col.h
 			ev := col.e
 			qm := col.qm
+			// eqm: 0x7fff in lanes whose query base matches the target base
+			// (the flag bits are masked out of the XOR with the codes).
 			x := (qm ^ twI) & swarCode16
 			nzb := (x + swarM15) | x
 			eqm := ^nzb & swarH16
 			eqm -= eqm >> 15
+			// nzm: 0x7fff in lanes whose diagonal is live (dead cells give no
+			// match extension — the kernels' no-local-restart rule).
 			u := (hDiag + swarM15) & swarH16
 			nzm := u - u>>15
 			mv := ((hDiag + maW) & eqm & nzm) | (satsub16(hDiag, miW) &^ eqm)
@@ -210,6 +269,8 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 
 			colHi := qm & swarH16
 			if gt := ((hv | swarH16) - bestW - swarL16) & colHi & rowHi; gt != 0 {
+				// Some lane strictly improved its local best (rare; first
+				// position in scan order wins, same as the scalar kernels).
 				fm := (gt >> 15) * 0xffff
 				bestW = (hv & fm) | (bestW &^ fm)
 				for g := gt; g != 0; g &= g - 1 {
@@ -224,6 +285,11 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 			live |= (hv | ne | f) & rowFull
 
 			if j == bj0 {
+				// E leaves the band through its lower boundary: record it
+				// for lanes that still have a real cell here. The in-band
+				// store is skipped entirely — the band's left edge moves
+				// right every row, so this column is never read again,
+				// which doubles as the scalar kernels' e[j] = 0 kill.
 				if cb := colHi & rowHi & capHi; cb != 0 {
 					for g := cb; g != 0; g &= g - 1 {
 						k := bits.TrailingZeros64(g) >> 4
@@ -235,6 +301,7 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 			}
 
 			if eh := (qm << 1) & swarH16 & rowHi; eh != 0 {
+				// Right-edge cells (query fully consumed): global scores.
 				for g := eh; g != 0; g &= g - 1 {
 					k := bits.TrailingZeros64(g) >> 4
 					if v := int(hv>>(16*k)) & 0xffff; v > gBest[k] {
@@ -245,6 +312,9 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 			hDiag = hUp
 		}
 
+		// Shared early exit, taken only when every still-active lane
+		// satisfies the scalar kernels' exact dead-row break: no in-band
+		// liveness and (column 0 out of band, or its next value dead too).
 		rowLiveW := live
 		if !banded || i <= w {
 			rowLiveW |= col0W & rowFull
@@ -259,6 +329,8 @@ func extendSWAR16(ws *Workspace, lanes []swarLane, sc Scoring, w int) {
 		}
 	}
 
+	// Scatter results. Rows/Cells are the deterministic full-sweep counts
+	// so batch composition can never change a result field.
 	for k := 0; k < nl; k++ {
 		r := lanes[k].res
 		rk := mk[k]

@@ -1,8 +1,8 @@
 package align
 
 // FuzzExtendSWAR drives the batch orchestration (and through it the
-// native 16-lane kernel where the host has it, the 8-lane and 4-lane
-// SWAR kernels, the tier ladder and lane demotion)
+// native 16-lane kernel where the host has it, the 4-lane SWAR kernel,
+// the tier ladder and lane demotion)
 // against the int reference kernel on fuzzer-chosen sequences, scoring,
 // band and h0 values. Every input runs on the live back end and, when
 // that is the native tier, again on the forced portable ladder, so the
@@ -22,7 +22,7 @@ func FuzzExtendSWAR(f *testing.F) {
 	f.Add([]byte{}, []byte{0, 1, 2, 3}, 10, 5, uint8(1), uint8(4), uint8(6), uint8(1))
 	f.Add([]byte{0, 1, 2}, []byte{}, 10, 5, uint8(1), uint8(4), uint8(6), uint8(1))
 	f.Add([]byte{0, 1, 2, 3, 0, 1}, []byte{1, 2}, 12, 100, uint8(1), uint8(4), uint8(6), uint8(1))
-	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3}, []byte{0, 0, 1, 1, 2, 3, 3}, swarCap8, 21, uint8(1), uint8(4), uint8(6), uint8(1))
+	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3}, []byte{0, 0, 1, 1, 2, 3, 3}, 127, 21, uint8(1), uint8(4), uint8(6), uint8(1))
 	f.Add([]byte{2, 2, 2, 2}, []byte{2, 2, 2, 2}, swarCap16, 3, uint8(2), uint8(3), uint8(5), uint8(2))
 	f.Add([]byte{0, 4, 1, 9, 2}, []byte{0, 4, 1, 9, 2}, 50, 2, uint8(1), uint8(4), uint8(6), uint8(1))
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3}, []byte{1, 2, 3, 1, 2, 3}, 1, 0, uint8(8), uint8(0), uint8(0), uint8(1))

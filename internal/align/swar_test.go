@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// batchCase builds a batch of jobs sized for the requested tier: tier8
-// keeps every score ceiling within an int8 lane, tier16 within int16,
-// mixed spans both plus scalar-tier outliers.
+// batchJobs builds a batch of jobs sized for the requested corpus: tier8
+// keeps every score ceiling within 127 (small ceilings, short queries),
+// tier16 well above it within int16, mixed spans both plus scalar-tier
+// outliers.
 func batchJobs(rng *rand.Rand, count int, tier string) []Job {
 	jobs := make([]Job, count)
 	for i := range jobs {
@@ -114,8 +115,8 @@ func TestBatchRandomScoring(t *testing.T) {
 
 // TestBatchEdgeCases covers the degenerate shapes that exercise lane
 // demotion and masking: empty query, empty target, band wider than the
-// target, h0 <= 0, ambiguous bases, single-job batches, and h0 at the
-// int8 tier boundary.
+// target, h0 <= 0, ambiguous bases, single-job batches, and h0 on both
+// sides of the score ceilings 127 and swarCap16.
 func TestBatchEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
 	q, tg := randSeq(rng, 30), randSeq(rng, 40)
@@ -132,9 +133,9 @@ func TestBatchEdgeCases(t *testing.T) {
 		{Q: q, T: tg[:1], H0: 12},
 		{Q: amb, T: tg, H0: 9},
 		{Q: q, T: amb, H0: 9},
-		{Q: q, T: tg, H0: swarCap8 - len(q)}, // exactly at the int8 ceiling
-		{Q: q, T: tg, H0: swarCap8},          // just past it: int16 tier
-		{Q: q, T: tg, H0: swarCap16},         // past int16: scalar tier
+		{Q: q, T: tg, H0: 127 - len(q)}, // score ceiling exactly 127
+		{Q: q, T: tg, H0: 127},          // just past it
+		{Q: q, T: tg, H0: swarCap16},    // past int16: scalar tier
 		{Q: q, T: tg, H0: 97},
 	}
 	for _, w := range []int{0, 3, 21, 100, 1000} { // incl. band wider than target
@@ -216,10 +217,10 @@ func BenchmarkBatchKernels(b *testing.B) {
 
 // TestBatch16LaneScoreCeiling pins the tier table's admission boundaries,
 // in every case with results bit-identical to the scalar reference. The
-// portable ladder (forced, so the expectations hold on any host): a job
-// exactly at the int8 score ceiling (h0 + n*Match = 127) still runs in the
-// 8-lane int8 tier whatever its shape, one point past it drops to the
-// 16-bit tier, past the int16 ceiling to scalar.
+// portable ladder (forced, so the expectations hold on any host): every
+// job up to the int16 score ceiling (h0 + n*Match = swarCap16) runs in
+// the 16-bit SWAR tier whatever its shape, small ceilings (the int8 range,
+// h0 + n*Match <= 127) included; past the int16 ceiling it runs scalar.
 // The native tier, where the host has it: everything up to the int16
 // ceiling and up to native16MaxDim in both lengths is in, one past either
 // falls through to the portable ladder.
@@ -243,7 +244,7 @@ func TestBatch16LaneScoreCeiling(t *testing.T) {
 		}
 		return jobs
 	}
-	atCap8 := swarCap8 - n*sc.Match
+	atCap8 := 127 - n*sc.Match
 	atCap16 := swarCap16 - n*sc.Match
 	for _, tc := range []struct {
 		name   string
@@ -253,18 +254,18 @@ func TestBatch16LaneScoreCeiling(t *testing.T) {
 		n, m   int
 		want   int
 	}{
-		{"at-int8-cap", false, sc, atCap8, n, 60, tierSWAR8},
+		{"at-int8-cap", false, sc, atCap8, n, 60, tierSWAR16},
 		{"over-int8-cap", false, sc, atCap8 + 1, n, 60, tierSWAR16},
 		{"at-int16-cap", false, sc, atCap16, n, 60, tierSWAR16},
 		{"over-int16-cap", false, sc, atCap16 + 1, n, 60, tierScalar},
-		{"at-int8-cap-long-target", false, sc, atCap8, n, 600, tierSWAR8},
+		{"at-int8-cap-long-target", false, sc, atCap8, n, 600, tierSWAR16},
 		{"native/small", true, sc, 1, n, 60, tierNative},
 		{"native/at-int16-cap", true, sc, atCap16, n, 60, tierNative},
 		{"native/over-int16-cap", true, sc, atCap16 + 1, n, 60, tierScalar},
 		{"native/at-max-query", true, flat, 40, native16MaxDim, 60, tierNative},
-		{"native/over-max-query", true, flat, 40, native16MaxDim + 1, 60, tierSWAR8},
+		{"native/over-max-query", true, flat, 40, native16MaxDim + 1, 60, tierSWAR16},
 		{"native/at-max-target", true, flat, 40, n, native16MaxDim, tierNative},
-		{"native/over-max-target", true, flat, 40, n, native16MaxDim + 1, tierSWAR8},
+		{"native/over-max-target", true, flat, 40, n, native16MaxDim + 1, tierSWAR16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.native {
@@ -289,6 +290,60 @@ func TestBatch16LaneScoreCeiling(t *testing.T) {
 				t.Fatalf("tier %s job counter advanced by %d, want >= %d",
 					TierName(tc.want), got, 2*len(jobs))
 			}
+		})
+	}
+}
+
+// TestShapeBin pins the scheduling key the server batcher groups
+// extension jobs by: tier-major, length class minor, the class set by the
+// longer of query and target with edges at 96, 160 and 256. Jobs within
+// the int16 ceiling land in the native bins 0-3 where the host has the
+// native tier and in the swar16 bins 4-7 on the portable ladder;
+// over-ceiling and degenerate jobs land in the scalar bins 8-11.
+func TestShapeBin(t *testing.T) {
+	if NumShapeBins != 12 {
+		t.Fatalf("NumShapeBins = %d, want 12 (3 tiers x 4 length classes)", NumShapeBins)
+	}
+	sc := DefaultScoring()
+	shapes := []struct{ n, m, class int }{
+		{1, 1, 0}, {96, 10, 0}, {10, 96, 0},
+		{97, 10, 1}, {10, 97, 1}, {160, 160, 1},
+		{161, 1, 2}, {1, 161, 2}, {256, 200, 2},
+		{257, 1, 3}, {1, 257, 3}, {300, 5000, 3},
+	}
+	check := func(t *testing.T, n, m, h0, first int) {
+		t.Helper()
+		got := ShapeBin(n, m, h0, sc)
+		if got < 0 || got >= NumShapeBins {
+			t.Fatalf("ShapeBin(n=%d m=%d h0=%d) = %d, outside [0, %d)", n, m, h0, got, NumShapeBins)
+		}
+		if got < first || got > first+3 {
+			t.Fatalf("ShapeBin(n=%d m=%d h0=%d) = %d, want a bin in [%d, %d]", n, m, h0, got, first, first+3)
+		}
+	}
+	for _, back := range []struct {
+		name     string
+		portable bool
+		first    int // the bins of a job within the int16 ceiling
+	}{
+		{"native", false, 0},
+		{"portable", true, 4},
+	} {
+		t.Run(back.name, func(t *testing.T) {
+			if back.portable {
+				forcePortable(t)
+			} else if !native16Live {
+				t.Skip("no native tier on this host or build")
+			}
+			for _, s := range shapes {
+				if got, want := ShapeBin(s.n, s.m, 10, sc), back.first+s.class; got != want {
+					t.Fatalf("ShapeBin(n=%d m=%d h0=10) = %d, want %d", s.n, s.m, got, want)
+				}
+				check(t, s.n, s.m, swarCap16-s.n*sc.Match, back.first)
+				check(t, s.n, s.m, swarCap16-s.n*sc.Match+1, 8)
+				check(t, s.n, s.m, 0, 8)
+			}
+			check(t, 0, 50, 10, 8)
 		})
 	}
 }

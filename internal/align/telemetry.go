@@ -86,7 +86,7 @@ func (k KernelTelemetry) LaneUtilization() float64 {
 	var lanes, capacity int64
 	for t := 0; t < numTiers; t++ {
 		lanes += k.Lanes[t]
-		capacity += k.Groups[t] * int64(LaneWidth(t))
+		capacity += k.Groups[t] * int64(tiers[t].lanes)
 	}
 	if capacity == 0 {
 		return 0
@@ -99,7 +99,7 @@ func (k KernelTelemetry) TierLaneUtilization(tier int) float64 {
 	if tier < 0 || tier >= numTiers || k.Groups[tier] == 0 {
 		return 0
 	}
-	return float64(k.Lanes[tier]) / float64(k.Groups[tier]*int64(LaneWidth(tier)))
+	return float64(k.Lanes[tier]) / float64(k.Groups[tier]*int64(tiers[tier].lanes))
 }
 
 // KernelSnapshot reads the live batch-kernel counters.
@@ -122,7 +122,6 @@ func KernelSnapshot() KernelTelemetry {
 // internal sort-key tiers.
 const (
 	TierNative = tierNative
-	TierSWAR8  = tierSWAR8
 	TierSWAR16 = tierSWAR16
 	TierScalar = tierScalar
 
@@ -137,15 +136,6 @@ func TierName(tier int) string {
 		return "unknown"
 	}
 	return tiers[tier].name
-}
-
-// LaneWidth reports the lane count of a tier's packed kernel (1 for the
-// scalar tier and outside the ladder).
-func LaneWidth(tier int) int {
-	if tier < 0 || tier >= numTiers {
-		return 1
-	}
-	return tiers[tier].lanes
 }
 
 // TierOf reports the batch tier the ladder assigns a job of query length

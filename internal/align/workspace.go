@@ -35,7 +35,7 @@ type Workspace struct {
 	boundArena []int
 }
 
-// swarCol is one DP column of the SWAR kernels as an interleaved record:
+// swarCol is one DP column of the SWAR kernel as an interleaved record:
 // the packed H word, the packed E word, and the striped query word qm
 // carrying, per lane, the query base code (bits 0-2), the right-edge flag
 // (j == lane query length) one bit below the lane top, and the
@@ -43,12 +43,12 @@ type Workspace struct {
 // entire inner-loop read set — operands and masks — in 24 contiguous
 // bytes, so the per-row sweep is one forward streaming pass instead of
 // five parallel array gathers (SSW's query-profile locality argument,
-// transposed to inter-sequence lanes). See swar8.go for the bit layout.
+// transposed to inter-sequence lanes). See swar16.go for the bit layout.
 type swarCol struct {
 	h, e, qm uint64
 }
 
-// packedScratch holds the lane-packed state of the SWAR kernels: the
+// packedScratch holds the lane-packed state of the SWAR kernel: the
 // interleaved column records (one per DP column) and the
 // lane-transposed target codes (one word per target row). The native
 // kernel's records (native16.go) live beside them; a process only ever

@@ -24,15 +24,6 @@ func Workload150(refLen, nReads int, seed int64) (*Workload, error) {
 	return BuildWorkloadCfg(refLen, cfg, seed)
 }
 
-// Workload100 builds a 100 bp extension workload: short enough that the
-// score ceiling of most extension problems fits the 8-bit SWAR tier, so
-// the packed batch kernels run mostly eight problems per word.
-func Workload100(refLen, nReads int, seed int64) (*Workload, error) {
-	cfg := readsim.RealisticConfig(nReads)
-	cfg.ReadLen = 100
-	return BuildWorkloadCfg(refLen, cfg, seed)
-}
-
 // ExtendKernelResult is one kernel's measurement over the workload.
 type ExtendKernelResult struct {
 	// Kernel names the code path: full/seed, full/workspace, banded/seed,

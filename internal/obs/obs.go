@@ -90,16 +90,10 @@ func (k Kind) String() string {
 	return "span"
 }
 
-// Tier values for KindKernel spans (v1): the align package's tier ladder.
-// TierUnknown marks extenders whose tiering the server cannot see (the
-// unchecked extenders).
-const (
-	TierNative  = align.TierNative
-	TierSWAR8   = align.TierSWAR8
-	TierSWAR16  = align.TierSWAR16
-	TierScalar  = align.TierScalar
-	TierUnknown = -1
-)
+// TierUnknown is the KindKernel span v1 of extenders whose tiering the
+// server cannot see (the unchecked extenders); every other v1 is one of
+// the align package's tiers (align.TierNative ...).
+const TierUnknown = -1
 
 // TierName renders a KindKernel span's v1 for exports.
 func TierName(v int64) string { return align.TierName(int(v)) }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"seedex/internal/align"
 )
 
 func TestNilTracerIsSafe(t *testing.T) {
@@ -41,7 +43,7 @@ func TestSpanRoundTrip(t *testing.T) {
 		t.Fatal("SampleEvery=1 must sample every request")
 	}
 	start := time.Now()
-	ref.Span(KindKernel, start, 3*time.Millisecond, TierSWAR8, 16)
+	ref.Span(KindKernel, start, 3*time.Millisecond, align.TierSWAR16, 16)
 	ref.Span(KindCheck, start.Add(3*time.Millisecond), 0, 2, 1)
 	tr.RequestDone(ref, 99, start, 5*time.Millisecond, 4, 200)
 
@@ -55,7 +57,7 @@ func TestSpanRoundTrip(t *testing.T) {
 		byKind[s.Kind] = s
 	}
 	k := byKind[KindKernel]
-	if k.Dur != int64(3*time.Millisecond) || k.V1 != TierSWAR8 || k.V2 != 16 {
+	if k.Dur != int64(3*time.Millisecond) || k.V1 != align.TierSWAR16 || k.V2 != 16 {
 		t.Fatalf("kernel span %+v", k)
 	}
 	if r := byKind[KindRequest]; r.V1 != 4 || r.V2 != 200 {
@@ -186,7 +188,7 @@ func TestChromeTraceExportIsValidJSON(t *testing.T) {
 	ref := tr.Sample(7)
 	start := time.Now()
 	ref.Span(KindQueueWait, start, time.Millisecond, 4, 0)
-	ref.Span(KindKernel, start.Add(time.Millisecond), 2*time.Millisecond, TierSWAR16, 8)
+	ref.Span(KindKernel, start.Add(time.Millisecond), 2*time.Millisecond, align.TierSWAR16, 8)
 	ref.Span(KindCheck, start.Add(3*time.Millisecond), 0, 2, 1)
 	tr.RequestDone(ref, 7, start, 4*time.Millisecond, 1, 200)
 

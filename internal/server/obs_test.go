@@ -177,7 +177,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	for _, e := range doc.TraceEvents {
 		if e.Name == "kernel" {
 			switch e.Args["tier"] {
-			case "native16", "swar8", "swar16", "scalar":
+			case "native16", "swar16", "scalar":
 				sawTier = true
 			}
 		}
@@ -409,10 +409,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	if _, ok := first.samples[`seedex_check_outcome_total{outcome="pass-s2"}`]; !ok {
 		t.Error("scrape missing seedex_check_outcome_total{outcome=\"pass-s2\"}")
 	}
-	// The per-tier kernel families carry one series per SWAR tier (scalar
+	// The per-tier kernel families carry one series per packed tier (scalar
 	// has no lanes or demotions, so it is skipped), labeled with the tier
 	// names the tracer uses.
-	for _, tier := range []string{"native16", "swar8", "swar16"} {
+	for _, tier := range []string{"native16", "swar16"} {
 		for _, family := range []string{
 			"seedex_kernel_demoted_total", "seedex_kernel_tier_lane_utilization",
 		} {
