@@ -143,8 +143,9 @@ bench: bench-map
 
 # Per-stage time of a mapped read (seed / extend / rest / total ns per
 # read, allocations per read) on the 150 bp workload, mapped through
-# Aligner.Run (blocks of reads pooled per worker): appends a run to
-# BENCH_map.json. Size and label it through MAPFLAGS, e.g.
+# one-worker Aligner.Run passes (blocks of 16 reads pooled) whose stage
+# times are the blocks' bwamem.BatchTimes, the daemon's map-stage clock:
+# appends a run to BENCH_map.json. Size and label it through MAPFLAGS, e.g.
 # MAPFLAGS='-ref 500000 -reads 2000 -map-pr pr14'.
 bench-map:
 	$(GO) run ./cmd/seedex-bench -fig map $(MAPFLAGS)

@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	refLen := fs.Int("ref", 200_000, "synthetic reference length (bp)")
 	nReads := fs.Int("reads", 1000, "simulated read count")
 	seed := fs.Int64("seed", 1, "workload RNG seed")
-	workers := fs.Int("workers", 0, "pipeline workers (0 = GOMAXPROCS)")
 	extendJSON := fs.String("extend-json", "BENCH_extend.json", "output path for the extension kernel benchmark (-fig extend)")
 	extendBand := fs.Int("extend-band", 21, "one-sided band for the checked paths of -fig extend")
 	extendRounds := fs.Int("extend-rounds", 3, "timing rounds per kernel for -fig extend")
@@ -154,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if all || want["17"] {
 		section("Figure 17: end-to-end time breakdown")
-		t, err := bench.Fig17(w, *workers)
+		t, err := bench.Fig17(w)
 		if err != nil {
 			return err
 		}
@@ -201,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rep, err := bench.MapPathBench(wmap, *workers)
+		rep, err := bench.MapPathBench(wmap)
 		if err != nil {
 			return err
 		}

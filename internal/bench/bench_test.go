@@ -144,7 +144,7 @@ func TestFig17(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Fig17(w, 2)
+	tab, err := Fig17(w)
 	if err != nil {
 		t.Fatal(err)
 	}

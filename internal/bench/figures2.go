@@ -141,25 +141,32 @@ func Fig16(w *Workload) (areaTab, ladderTab, thrTab *stats.Table) {
 type Fig17Config struct {
 	Name                string
 	SeedNs, ExtNs, Rest int64
-	TotalNs             int64
 }
 
 // Fig17 reproduces Figure 17: normalized end-to-end time breakdown of the
 // aligner under software and accelerated configurations. Software rows
-// are measured; FPGA rows replace the measured stage time with the system
-// simulator's wall time for the harvested job stream and its checker
-// outcomes (workloadJobs), floored at the host's driver share, and the
-// seeding accelerator's published 1.5 M reads/s rate (seeding), as
-// DESIGN.md's substitution table records.
-func Fig17(w *Workload, workers int) (*stats.Table, error) {
+// are measured: each stage's median over mapPathRounds one-worker
+// Aligner.Run passes, whose stage times are the blocks' bwamem.BatchTimes.
+// FPGA rows replace the measured stage time with the system simulator's
+// wall time for the harvested job stream and its checker outcomes
+// (workloadJobs), floored at the host's driver share, and the seeding
+// accelerator's published 1.5 M reads/s rate (seeding), as DESIGN.md's
+// substitution table records. The last column is the interquartile range
+// of the speedup over the passes, the two software configurations paired
+// by pass.
+func Fig17(w *Workload) (*stats.Table, error) {
 	reads := w.PipelineReads()
-	run := func(ext align.Extender) (bwamem.Stats, error) {
+	run := func(ext align.Extender) ([]bwamem.Stats, error) {
 		a, err := bwamem.New("chrSim", w.Ref, ext)
 		if err != nil {
-			return bwamem.Stats{}, err
+			return nil, err
 		}
-		_, st := a.Run(reads, workers)
-		return st, nil
+		return timeRounds(a, reads), nil
+	}
+	median := func(passes []bwamem.Stats) bwamem.Stats {
+		sorted := sortedStages(passes)
+		m := func(i int) int64 { return int64(sorted[i][mapPathRounds/2]) }
+		return bwamem.Stats{SeedingNs: m(0), ExtensionNs: m(1), RestNs: m(2)}
 	}
 
 	swFull, err := run(core.FullBand{Scoring: w.Scoring})
@@ -173,31 +180,39 @@ func Fig17(w *Workload, workers int) (*stats.Table, error) {
 
 	// FPGA extension wall time for the harvested job stream.
 	fpgaRep := fpga.Simulate(fpga.DefaultSeedEx(), workloadJobs(w))
-	fpgaExtNs := int64(float64(fpgaRep.Cycles) * hw.ClockNs)
-	// Host still drives the FPGA (batching, DMA, rearrangement).
-	driverNs := swFull.ExtensionNs / 20
-	if fpgaExtNs < driverNs {
-		fpgaExtNs = driverNs
-	}
+	fpgaSimNs := int64(float64(fpgaRep.Cycles) * hw.ClockNs)
 	// Seeding accelerator: 1.5 M reads/s shared seeding+extension rate.
 	accSeedNs := int64(float64(len(reads)) / 1.5e6 * 1e9)
-
-	cfgs := []Fig17Config{
-		{Name: "BWA-MEM (sw)", SeedNs: swFull.SeedingNs, ExtNs: swFull.ExtensionNs, Rest: swFull.RestNs},
-		{Name: "BWA-MEM + sw-SeedEx(w=5)", SeedNs: swSeedEx5.SeedingNs, ExtNs: swSeedEx5.ExtensionNs, Rest: swSeedEx5.RestNs},
-		{Name: "BWA-MEM + SeedEx FPGA", SeedNs: swFull.SeedingNs, ExtNs: fpgaExtNs, Rest: swFull.RestNs},
-		{Name: "BWA-MEM + Seeding + SeedEx FPGA", SeedNs: accSeedNs, ExtNs: fpgaExtNs, Rest: swFull.RestNs},
+	configs := func(full, sx bwamem.Stats) []Fig17Config {
+		// Host still drives the FPGA (batching, DMA, rearrangement).
+		fpgaExtNs := max(fpgaSimNs, full.ExtensionNs/20)
+		return []Fig17Config{
+			{Name: "BWA-MEM (sw)", SeedNs: full.SeedingNs, ExtNs: full.ExtensionNs, Rest: full.RestNs},
+			{Name: "BWA-MEM + sw-SeedEx(w=5)", SeedNs: sx.SeedingNs, ExtNs: sx.ExtensionNs, Rest: sx.RestNs},
+			{Name: "BWA-MEM + SeedEx FPGA", SeedNs: full.SeedingNs, ExtNs: fpgaExtNs, Rest: full.RestNs},
+			{Name: "BWA-MEM + Seeding + SeedEx FPGA", SeedNs: accSeedNs, ExtNs: fpgaExtNs, Rest: full.RestNs},
+		}
 	}
-	base := float64(swFull.SeedingNs + swFull.ExtensionNs + swFull.RestNs)
-	t := &stats.Table{Header: []string{"config", "seeding %", "extension %", "rest %", "total(norm)", "speedup"}}
-	for _, c := range cfgs {
-		tot := float64(c.SeedNs + c.ExtNs + c.Rest)
+	total := func(c Fig17Config) float64 { return float64(c.SeedNs + c.ExtNs + c.Rest) }
+
+	cfgs := configs(median(swFull), median(swSeedEx5))
+	speedups := make([][]float64, len(cfgs))
+	for r := range swFull {
+		pass := configs(swFull[r], swSeedEx5[r])
+		for i, c := range pass {
+			speedups[i] = append(speedups[i], total(pass[0])/total(c))
+		}
+	}
+	base := total(cfgs[0])
+	t := &stats.Table{Header: []string{"config", "seeding %", "extension %", "rest %", "total(norm)", "speedup", "speedup IQR"}}
+	for i, c := range cfgs {
 		t.Add(c.Name,
 			100*float64(c.SeedNs)/base,
 			100*float64(c.ExtNs)/base,
 			100*float64(c.Rest)/base,
-			tot/base,
-			base/tot)
+			total(c)/base,
+			base/total(c),
+			fmt.Sprintf("%.2f–%.2f", stats.Percentile(speedups[i], 25), stats.Percentile(speedups[i], 75)))
 	}
 	return t, nil
 }

@@ -18,15 +18,43 @@ import (
 const mapPathBand = 20
 
 // mapPathRounds is how many timed Aligner.Run passes a row's median and
-// range are taken over.
+// range (and Fig 17's medians and quartiles) are taken over.
 const mapPathRounds = 5
+
+// mapStages names Aligner.Run's stage times, in sortedStages' order.
+var mapStages = [...]string{"map/seed", "map/extend", "map/rest", "map/total"}
+
+// timeRounds times mapPathRounds one-worker Aligner.Run passes over reads.
+func timeRounds(a *bwamem.Aligner, reads []bwamem.Read) []bwamem.Stats {
+	passes := make([]bwamem.Stats, mapPathRounds)
+	for r := range passes {
+		_, passes[r] = a.Run(reads, 1)
+	}
+	return passes
+}
+
+// sortedStages is each stage's times (mapStages order) over the passes,
+// sorted ascending.
+func sortedStages(passes []bwamem.Stats) (sorted [len(mapStages)][]float64) {
+	for _, st := range passes {
+		for i, ns := range [...]int64{st.SeedingNs, st.ExtensionNs, st.RestNs, st.TotalNs} {
+			sorted[i] = append(sorted[i], float64(ns))
+		}
+	}
+	for i := range sorted {
+		sort.Float64s(sorted[i])
+	}
+	return sorted
+}
 
 // MapStageRow is one stage of a mapped read: the median over the timed
 // rounds, with the range the rounds spanned.
 type MapStageRow struct {
-	// Stage is map/seed (Seeder calls), map/extend (Extender calls),
-	// map/rest (candidate resolution, chaining, traceback, SAM) or
-	// map/total, from the bwamem.Stats stage counters.
+	// Stage is map/seed, map/extend, map/rest or map/total: the
+	// bwamem.Stats stage times, which sum the blocks' bwamem.BatchTimes
+	// (extend includes job building and the per-chain winners; rest is
+	// chaining, ranking, traceback and SAM). Older entries timed seed and
+	// extend with per-call probes, at the worker count they ran with.
 	Stage        string  `json:"stage"`
 	NsPerRead    float64 `json:"ns_per_read"`
 	MinNsPerRead float64 `json:"min_ns_per_read"`
@@ -111,9 +139,9 @@ func (r MapPathReport) String() string {
 	return b.String()
 }
 
-// MapPathBench times Aligner.Run over the workload's reads with the
-// strict SeedEx extender and splits a read into its stages.
-func MapPathBench(w *Workload, workers int) (MapPathReport, error) {
+// MapPathBench times one-worker Aligner.Run passes over the workload's
+// reads with the strict SeedEx extender and splits a read into its stages.
+func MapPathBench(w *Workload) (MapPathReport, error) {
 	reads := w.PipelineReads()
 	rep := MapPathReport{
 		Reads:      len(reads),
@@ -131,27 +159,21 @@ func MapPathBench(w *Workload, workers int) (MapPathReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	_, warm := a.Run(reads, workers) // warm caches and the extender's pools
+	_, warm := a.Run(reads, 1) // warm caches and the extender's pools
 	rep.TraceSides, rep.TraceFills = warm.TraceSides, warm.TraceFills
 	st := se.Stats
 	rep.CertifiedShare = float64(st.Certified.Load()) / float64(max(st.Total.Load(), 1))
 	rep.RerunCells, rep.RerunFullCells = st.RerunCells.Load(), st.RerunFullCells.Load()
 
-	stages := [...]string{"map/seed", "map/extend", "map/rest", "map/total"}
-	var perRead [len(stages)][]float64
-	for r := 0; r < mapPathRounds; r++ {
-		_, st := a.Run(reads, workers)
-		for i, ns := range [...]int64{st.SeedingNs, st.ExtensionNs, st.RestNs, st.TotalNs} {
-			perRead[i] = append(perRead[i], float64(ns)/float64(len(reads)))
-		}
-	}
-	for i, stage := range stages {
-		sort.Float64s(perRead[i])
+	sorted := sortedStages(timeRounds(a, reads))
+	n := float64(len(reads))
+	for i, stage := range mapStages {
+		ns := sorted[i]
 		rep.Rows = append(rep.Rows, MapStageRow{
 			Stage:        stage,
-			NsPerRead:    perRead[i][mapPathRounds/2],
-			MinNsPerRead: perRead[i][0],
-			MaxNsPerRead: perRead[i][mapPathRounds-1],
+			NsPerRead:    ns[mapPathRounds/2] / n,
+			MinNsPerRead: ns[0] / n,
+			MaxNsPerRead: ns[mapPathRounds-1] / n,
 		})
 	}
 

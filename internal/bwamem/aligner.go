@@ -25,7 +25,9 @@ import (
 	"seedex/internal/sam"
 )
 
-// Seeder produces exact-match seeds for one query strand.
+// Seeder produces exact-match seeds for one query strand. The returned
+// slice is the caller's: the aligner marks its strand in place and keeps
+// it until the batch's chaining.
 type Seeder interface {
 	Seeds(q []byte) []chain.Seed
 }
@@ -201,12 +203,14 @@ func (a *Aligner) AlignRead(read []byte) Alignment {
 }
 
 // BatchTimes are the stage boundaries of one map batch, shared by every
-// read in it: plan (seed, chain) runs Start..Planned, the pooled left
-// extensions Planned..LeftDone, the pooled right extensions
-// LeftDone..RightDone, and resolve (ranking, traceback, SAM)
-// RightDone..End. Mapper.MapBatch stamps End, after the records render.
+// read in it: seeding runs Start..Seeded, chaining Seeded..Planned, the
+// pooled left extensions Planned..LeftDone, the pooled right extensions
+// with the per-chain winners LeftDone..RightDone, and resolve (ranking,
+// traceback, SAM) RightDone..End. Mapper.MapBatch stamps End, after the
+// records render. They are the map path's only stage clock: Run's Stats,
+// the server's map_stage spans and the benchmarks read them.
 type BatchTimes struct {
-	Start, Planned, LeftDone, RightDone, End time.Time
+	Start, Seeded, Planned, LeftDone, RightDone, End time.Time
 }
 
 // alignBatch aligns the reads as one batch (see candidatesBatch). The
@@ -239,9 +243,16 @@ type chainWork struct {
 	lo, hi int
 }
 
-// readPlan is one read between the phases of a map batch: what plan left
-// for it (its range of the batch's work) and what extend and resolve made
-// of that.
+// strand is one strand of a read between seeding and chaining: the
+// strand-oriented query and its seeds.
+type strand struct {
+	q     []byte
+	seeds []chain.Seed
+}
+
+// readPlan is one read between the phases of a map batch: what chaining
+// left for it (its range of the batch's work) and what extend and resolve
+// made of that.
 type readPlan struct {
 	read     []byte
 	wlo, whi int         // this read's chains in the batch's work
@@ -255,6 +266,7 @@ type readPlan struct {
 // until the session's next batch.
 type mapScratch struct {
 	plans   []readPlan
+	strands []strand // both strands of every read, forward first
 	work    []chainWork
 	flat    []candidate  // one per extended seed, grouped by chain
 	cands   []candidate  // the per-chain winners of every read
@@ -299,23 +311,27 @@ func (s *mapScratch) revComp(b []byte) []byte {
 }
 
 // candidatesBatch takes the reads through the three phases of the map
-// path as one batch in the scratch s. Plan, per read: seed and chain both
-// strands into chains to extend. Extend, once for the batch: every seed
-// of every chain of every read contributes to one left-extension batch
-// and one right-extension batch, so the extender's SWAR lanes (or the
-// FPGA's cores, §V-B: "the FPGA processes all seeds in a chain") fill
-// across reads instead of from one read's two or three jobs. Resolve, per
-// read: its candidates sorted best-first after the cross-contig drop. A
-// read's candidates and extension count are those of a batch holding it
-// alone.
+// path as one batch in the scratch s. Plan: seed both strands of every
+// read, then chain each read's seeds into chains to extend. Extend, once for
+// the batch: every seed of every chain of every read contributes to one
+// left-extension batch and one right-extension batch, so the extender's
+// SWAR lanes (or the FPGA's cores, §V-B: "the FPGA processes all seeds in
+// a chain") fill across reads instead of from one read's two or three
+// jobs. Resolve, per read: its candidates sorted best-first after the
+// cross-contig drop. A read's candidates and extension count are those of
+// a batch holding it alone.
 func (a *Aligner) candidatesBatch(s *mapScratch, reads []Read) ([]readPlan, BatchTimes) {
 	var bt BatchTimes
 	bt.Start = time.Now()
 	s.plans = slices.Grow(s.plans[:0], len(reads))[:len(reads)]
-	s.work, s.rev = s.work[:0], s.rev[:0]
+	s.strands, s.work, s.rev = s.strands[:0], s.work[:0], s.rev[:0]
 	for ri, r := range reads {
 		s.plans[ri] = readPlan{read: r.Seq}
-		a.plan(s, ri)
+		a.seedRead(s, r.Seq)
+	}
+	bt.Seeded = time.Now()
+	for ri := range s.plans {
+		a.chainRead(s, ri)
 	}
 	bt.Planned = time.Now()
 	a.extendLeft(s, s.work)
@@ -337,13 +353,9 @@ func (a *Aligner) candidatesBatch(s *mapScratch, reads []Read) ([]readPlan, Batc
 	return s.plans, bt
 }
 
-// plan seeds and chains read ri on both strands and queues the chains to
-// extend on the batch's work.
-func (a *Aligner) plan(s *mapScratch, ri int) {
-	p := &s.plans[ri]
-	read := p.read
-	p.wlo = len(s.work)
-	ord := 0
+// seedRead seeds read on both strands, forward first, onto the batch's
+// strands.
+func (a *Aligner) seedRead(s *mapScratch, read []byte) {
 	for _, rev := range []bool{false, true} {
 		q := read
 		if rev {
@@ -353,13 +365,24 @@ func (a *Aligner) plan(s *mapScratch, ri int) {
 		for i := range seeds {
 			seeds[i].Rev = rev
 		}
-		chains := chain.Build(seeds, a.ChainCfg)
+		s.strands = append(s.strands, strand{q: q, seeds: seeds})
+	}
+}
+
+// chainRead chains read ri's two seeded strands and queues the chains to
+// extend on the batch's work.
+func (a *Aligner) chainRead(s *mapScratch, ri int) {
+	p := &s.plans[ri]
+	p.wlo = len(s.work)
+	ord := 0
+	for _, st := range s.strands[2*ri : 2*ri+2] {
+		chains := chain.Build(st.seeds, a.ChainCfg)
 		for ci, c := range chains {
 			if a.Opts.MaxChains > 0 && ci >= a.Opts.MaxChains {
 				break
 			}
 			ord++
-			s.work = append(s.work, chainWork{read: ri, q: q, c: c, ord: ord})
+			s.work = append(s.work, chainWork{read: ri, q: st.q, c: c, ord: ord})
 		}
 	}
 	p.whi = len(s.work)

@@ -128,7 +128,7 @@ func TestSAMRecordsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, stats := a.Run(toPipelineReads(reads), 0)
+	recs, stats := a.Run(toPipelineReads(reads), 2)
 	if stats.Reads != len(reads) || stats.Extensions == 0 {
 		t.Fatalf("stats: %+v", stats)
 	}
@@ -137,12 +137,17 @@ func TestSAMRecordsValid(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if stats.SeedingNs <= 0 || stats.ExtensionNs <= 0 {
-		t.Fatalf("stage times not recorded: %+v", stats)
-	}
 	// The traceback counts are the reads', not the run's: the same from
-	// one worker as from all of them.
+	// one worker as from two.
 	_, one := a.Run(toPipelineReads(reads), 1)
+	// The stage times are the blocks' BatchTimes intervals, which tile
+	// each block: they close on the total.
+	for _, st := range []Stats{stats, one} {
+		if st.SeedingNs <= 0 || st.ExtensionNs <= 0 || st.RestNs <= 0 ||
+			st.SeedingNs+st.ExtensionNs+st.RestNs != st.TotalNs {
+			t.Fatalf("stage times do not close on the total: %+v", st)
+		}
+	}
 	if stats.TraceSides == 0 || stats.TraceFills == 0 || stats.TraceFills >= stats.TraceSides ||
 		one.TraceSides != stats.TraceSides || one.TraceFills != stats.TraceFills {
 		t.Fatalf("traced sides %d, fills %d; from one worker %d, %d", stats.TraceSides, stats.TraceFills, one.TraceSides, one.TraceFills)

@@ -512,7 +512,7 @@ func TestMapBatchEqualsMap(t *testing.T) {
 							t.Fatalf("batch size %d, read %d: SAM differs\n batch: %s\n map:   %s", size, lo+k, got, wantSAM[lo+k])
 						}
 					}
-					if bt.Start.After(bt.Planned) || bt.Planned.After(bt.LeftDone) || bt.LeftDone.After(bt.RightDone) || bt.RightDone.After(bt.End) {
+					if bt.Start.After(bt.Seeded) || bt.Seeded.After(bt.Planned) || bt.Planned.After(bt.LeftDone) || bt.LeftDone.After(bt.RightDone) || bt.RightDone.After(bt.End) {
 						t.Fatalf("batch [%d,%d): stage times out of order: %+v", lo, hi, bt)
 					}
 				}

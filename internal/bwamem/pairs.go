@@ -2,8 +2,6 @@ package bwamem
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"seedex/internal/genome"
@@ -123,10 +121,11 @@ func (a *Aligner) EstimateInsert(pairs []ReadPair, sample int) InsertStats {
 		sample = len(pairs)
 	}
 	var sizes []float64
+	m := a.NewMapper()
 	for i := 0; i < sample; i++ {
 		p := pairs[i]
-		a1 := a.AlignRead(p.Seq1)
-		a2 := a.AlignRead(p.Seq2)
+		a1 := m.cp.AlignRead(p.Seq1)
+		a2 := m.cp.AlignRead(p.Seq2)
 		if !a1.Mapped || !a2.Mapped || a1.Rev == a2.Rev || a1.MapQ < 30 || a2.MapQ < 30 || a1.RName != a2.RName {
 			continue
 		}
@@ -159,41 +158,26 @@ func (a *Aligner) EstimateInsert(pairs []ReadPair, sample int) InsertStats {
 
 // RunPairs aligns all pairs (two SAM records each, in input order):
 // pass 1 estimates the insert distribution from a sample, pass 2 pairs
-// with it, mirroring BWA-MEM's per-batch insert bootstrapping.
+// with it, mirroring BWA-MEM's per-batch insert bootstrapping. Each worker
+// pairs on its own Mapper session, as Run's workers map.
 func (a *Aligner) RunPairs(pairs []ReadPair, workers int) ([]sam.Record, PairStats) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	st := PairStats{Pairs: len(pairs)}
 	st.Insert = a.EstimateInsert(pairs, 200)
 
 	recs := make([]sam.Record, 2*len(pairs))
 	var proper, exts atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				p := pairs[i]
-				a1, a2, ok := a.AlignPair(p, st.Insert)
-				if ok {
-					proper.Add(1)
-				}
-				exts.Add(int64(a1.Extensions + a2.Extensions))
-				r1 := ToSAM(p.Name, p.Seq1, orDefaultQual(p.Qual1, len(p.Seq1)), a.RefName, a1)
-				r2 := ToSAM(p.Name, p.Seq2, orDefaultQual(p.Qual2, len(p.Seq2)), a.RefName, a2)
-				decoratePair(&r1, &r2, a1, a2, ok)
-				recs[2*i], recs[2*i+1] = r1, r2
-			}
-		}()
-	}
-	wg.Wait()
+	a.eachBlock(len(pairs), 1, workers, func(m *Mapper, i, _ int) {
+		p := pairs[i]
+		a1, a2, ok := m.cp.AlignPair(p, st.Insert)
+		if ok {
+			proper.Add(1)
+		}
+		exts.Add(int64(a1.Extensions + a2.Extensions))
+		r1 := ToSAM(p.Name, p.Seq1, orDefaultQual(p.Qual1, len(p.Seq1)), a.RefName, a1)
+		r2 := ToSAM(p.Name, p.Seq2, orDefaultQual(p.Qual2, len(p.Seq2)), a.RefName, a2)
+		decoratePair(&r1, &r2, a1, a2, ok)
+		recs[2*i], recs[2*i+1] = r1, r2
+	})
 	st.ProperPairs = int(proper.Load())
 	st.Extensions = exts.Load()
 	return recs, st

@@ -54,7 +54,7 @@ const (
 	KindRerun
 	// KindMapStage covers one stage of a /v1/map batch, shared by every
 	// read in it (v1 = stage, a MapStage* value; v2 = reads in the batch).
-	// The four stages tile the batch's KindKernel span.
+	// The five stages tile the batch's KindKernel span.
 	KindMapStage
 	numKinds
 )
@@ -66,13 +66,14 @@ var kindNames = [numKinds]string{
 
 // Stage values for KindMapStage spans (v1): the map path's dataflow.
 const (
-	MapStagePlan        = iota // seed, chain — per read
+	MapStageSeed        = iota // both strands of every read
+	MapStageChain              // every read's seeds into chains to extend
 	MapStageExtendLeft         // the batch's pooled left extensions
-	MapStageExtendRight        // the batch's pooled right extensions
+	MapStageExtendRight        // the batch's pooled right extensions and per-chain winners
 	MapStageResolve            // cross-contig drop, ranking, traceback, SAM — per read
 )
 
-var mapStageNames = [...]string{"plan", "extend_left", "extend_right", "resolve"}
+var mapStageNames = [...]string{"seed", "chain", "extend_left", "extend_right", "resolve"}
 
 // MapStageName renders a KindMapStage span's v1 for exports.
 func MapStageName(v int64) string {

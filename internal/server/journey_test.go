@@ -214,8 +214,8 @@ func TestJourneyReloadStitching(t *testing.T) {
 // TestJourneyMapStages: a sampled /v1/map request's journey view shows the
 // map path's dataflow at batch granularity. Every read of the request
 // carries its batch's interval as the kernel span (live = reads in the
-// batch) and the four stage spans — plan, extend_left, extend_right,
-// resolve — which tile that interval end to end, and the stage
+// batch) and the five stage spans — seed, chain, extend_left,
+// extend_right, resolve — which tile that interval end to end, and the stage
 // attribution still sums to the request's total.
 func TestJourneyMapStages(t *testing.T) {
 	fx := newRefStoreFixture(t, 32)
@@ -266,7 +266,7 @@ func TestJourneyMapStages(t *testing.T) {
 	if len(kernels) == 0 {
 		t.Fatal("journey has no kernel span")
 	}
-	order := []string{"plan", "extend_left", "extend_right", "resolve"}
+	order := []string{"seed", "chain", "extend_left", "extend_right", "resolve"}
 	for _, sp := range doc.Spans {
 		if sp.Span != "map_stage" {
 			continue

@@ -384,8 +384,9 @@ func (s *Server) extWorker() func([]extJob) {
 // reentrant bwamem.Mapper session that maps the batch's live reads as one
 // pooled batch (MapBatch: the reads' extensions share the extender's
 // packed batches). Sampled jobs record the batch's interval as their
-// kernel span and its four stage intervals — plan, extend left, extend
-// right, resolve — as map_stage spans: timestamps taken once per batch.
+// kernel span and its five stage intervals — seed, chain, extend left,
+// extend right, resolve — as map_stage spans: the batch's
+// bwamem.BatchTimes, taken once per batch.
 // The worker follows the generation store: each batch acquires a refcounted handle on the current generation
 // (held for the batch, so a concurrent reload cannot unmap the memory
 // the batch is reading) and rebuilds its mapper session only when the
@@ -430,7 +431,7 @@ func (s *Server) mapWorker() func([]mapJob) {
 			reads = append(reads, bwamem.Read{Name: string(j.req.name), Seq: j.req.seq, Qual: j.req.qual})
 		}
 		recs, als, bt := m.MapBatch(reads)
-		stages := [...]time.Time{bt.Start, bt.Planned, bt.LeftDone, bt.RightDone, bt.End}
+		stages := [...]time.Time{bt.Start, bt.Seeded, bt.Planned, bt.LeftDone, bt.RightDone, bt.End}
 		for k, j := range live {
 			rec, al := recs[k], als[k]
 			if reloadOverlap {
@@ -443,7 +444,7 @@ func (s *Server) mapWorker() func([]mapJob) {
 				// against (negated), so one timeline shows a request
 				// straddling a swap.
 				j.tr.SpanLink(obs.KindKernel, bt.Start, bt.End.Sub(bt.Start), obs.TierUnknown, int64(len(live)), -int64(genID))
-				for st := obs.MapStagePlan; st <= obs.MapStageResolve; st++ {
+				for st := obs.MapStageSeed; st <= obs.MapStageResolve; st++ {
 					j.tr.Span(obs.KindMapStage, stages[st], stages[st+1].Sub(stages[st]), int64(st), int64(len(live)))
 				}
 			}
