@@ -146,7 +146,7 @@ bench: bench-map
 # one-worker Aligner.Run passes (blocks of 16 reads pooled) whose stage
 # times are the blocks' bwamem.BatchTimes, the daemon's map-stage clock:
 # appends a run to BENCH_map.json. Size and label it through MAPFLAGS, e.g.
-# MAPFLAGS='-ref 500000 -reads 2000 -map-pr pr14'.
+# MAPFLAGS='-ref 500000 -reads 2000 -pr pr14'.
 bench-map:
 	$(GO) run ./cmd/seedex-bench -fig map $(MAPFLAGS)
 

@@ -64,98 +64,6 @@ func workload150(b *testing.B) *bench.Workload {
 	return wl150
 }
 
-// BenchmarkExtend measures the extension hot path on the standard 150 bp
-// workload: the reference ("seed") kernels versus the workspace kernels
-// (reusable rows + query profile) and the full check workflow. Run with
-// -benchmem: the workspace paths must report 0 allocs/op.
-func BenchmarkExtend(b *testing.B) {
-	w := workload150(b)
-	probs := w.Problems
-	sc := w.Scoring
-	const band = 21
-	measure := func(b *testing.B, fn func(p bench.Problem) int64) {
-		b.Helper()
-		var cells int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cells += fn(probs[i%len(probs)])
-		}
-		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
-	}
-	b.Run("full/seed-kernel", func(b *testing.B) {
-		measure(b, func(p bench.Problem) int64 {
-			return align.ExtendRef(p.Q, p.T, p.H0, sc).Cells
-		})
-	})
-	b.Run("full/workspace", func(b *testing.B) {
-		ws := align.NewWorkspace()
-		measure(b, func(p bench.Problem) int64 {
-			return align.ExtendWS(ws, p.Q, p.T, p.H0, sc).Cells
-		})
-	})
-	b.Run("banded/seed-kernel", func(b *testing.B) {
-		measure(b, func(p bench.Problem) int64 {
-			r, _ := align.ExtendBandedRef(p.Q, p.T, p.H0, sc, band)
-			return r.Cells
-		})
-	})
-	b.Run("banded/workspace", func(b *testing.B) {
-		ws := align.NewWorkspace()
-		measure(b, func(p bench.Problem) int64 {
-			r, _ := align.ExtendBandedWS(ws, p.Q, p.T, p.H0, sc, band)
-			return r.Cells
-		})
-	})
-	b.Run("checked/workspace", func(b *testing.B) {
-		chk := core.NewChecker(core.Config{Band: band, Scoring: sc, Kind: core.SemiGlobal, Mode: core.ModeStrict})
-		measure(b, func(p bench.Problem) int64 {
-			r, _ := chk.Check(p.Q, p.T, p.H0)
-			return r.Cells
-		})
-	})
-	// Packed inter-sequence (SWAR) batch kernels: b.N still counts
-	// extensions, fed to the kernels in accelerator-batch-sized chunks.
-	measureBatch := func(b *testing.B, fn func(jobs []align.Job, res []align.ExtendResult)) {
-		b.Helper()
-		const chunk = 256
-		jobs := make([]align.Job, 0, chunk)
-		res := make([]align.ExtendResult, chunk)
-		var cells int64
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			jobs = jobs[:0]
-			for len(jobs) < chunk && done+len(jobs) < b.N {
-				p := probs[(done+len(jobs))%len(probs)]
-				jobs = append(jobs, align.Job{Q: p.Q, T: p.T, H0: p.H0})
-			}
-			fn(jobs, res[:len(jobs)])
-			for i := range jobs {
-				cells += res[i].Cells
-			}
-			done += len(jobs)
-		}
-		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
-	}
-	b.Run("banded/batch", func(b *testing.B) {
-		ws := align.NewWorkspace()
-		measureBatch(b, func(jobs []align.Job, res []align.ExtendResult) {
-			align.ExtendBandedBatchWS(ws, jobs, sc, band, res, nil)
-		})
-	})
-	b.Run("full/batch", func(b *testing.B) {
-		ws := align.NewWorkspace()
-		measureBatch(b, func(jobs []align.Job, res []align.ExtendResult) {
-			align.ExtendBatchFullWS(ws, jobs, sc, res)
-		})
-	})
-	b.Run("checked/batch", func(b *testing.B) {
-		chk := core.NewChecker(core.Config{Band: band, Scoring: sc, Kind: core.SemiGlobal, Mode: core.ModeStrict})
-		measureBatch(b, func(jobs []align.Job, res []align.ExtendResult) {
-			chk.ExtendJobs(jobs, res)
-		})
-	})
-}
-
 // BenchmarkFig02BandDistribution measures the used-band computation that
 // underlies Figure 2 (binary search for the minimal sufficient band).
 func BenchmarkFig02BandDistribution(b *testing.B) {

@@ -43,12 +43,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	refLen := fs.Int("ref", 200_000, "synthetic reference length (bp)")
 	nReads := fs.Int("reads", 1000, "simulated read count")
 	seed := fs.Int64("seed", 1, "workload RNG seed")
-	extendJSON := fs.String("extend-json", "BENCH_extend.json", "output path for the extension kernel benchmark (-fig extend)")
-	extendBand := fs.Int("extend-band", 21, "one-sided band for the checked paths of -fig extend")
-	extendRounds := fs.Int("extend-rounds", 3, "timing rounds per kernel for -fig extend")
-	extendPR := fs.String("extend-pr", "dev", "label recorded with the appended -fig extend run (the PR it measures)")
-	mapJSON := fs.String("map-json", "BENCH_map.json", "output path for the map-path stage benchmark (-fig map)")
-	mapPR := fs.String("map-pr", "dev", "label recorded with the appended -fig map run (the PR it measures)")
+	extendJSON := fs.String("extend-json", "BENCH_extend.json", "history file the extension kernel benchmark appends to (-fig extend)")
+	mapJSON := fs.String("map-json", "BENCH_map.json", "history file the map-path stage benchmark appends to (-fig map)")
+	pr := fs.String("pr", "dev", "label recorded with the run -fig extend or -fig map appends (the PR it measures)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -174,24 +171,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rep := bench.ExtendBench(wext, *extendBand, *extendRounds)
+		rep := bench.ExtendBench(wext)
 		fmt.Fprintln(stdout, rep)
 		// BENCH_extend.json is an append-only history: each invocation adds
 		// one labeled run, so the file carries the perf trajectory across
 		// PRs instead of only the most recent snapshot.
-		hist, err := bench.ReadExtendHistory(*extendJSON)
+		runs, err := bench.AppendRun(*extendJSON, *pr, rep)
 		if err != nil {
 			return err
 		}
-		hist.Runs = append(hist.Runs, bench.ExtendRun{PR: *extendPR, ExtendBenchReport: rep})
-		data, err := hist.JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*extendJSON, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote %s (%d runs)\n", *extendJSON, len(hist.Runs))
+		fmt.Fprintf(stderr, "wrote %s (%d runs)\n", *extendJSON, runs)
 	}
 	if want["map"] { // not part of 'all': it writes a file
 		section("Map path: per-stage time of a mapped read (150 bp workload, strict SeedEx)")
@@ -206,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintln(stdout, rep)
 		// BENCH_map.json is an append-only history like BENCH_extend.json.
-		runs, err := bench.AppendMapPathRun(*mapJSON, *mapPR, rep)
+		runs, err := bench.AppendRun(*mapJSON, *pr, rep)
 		if err != nil {
 			return err
 		}

@@ -45,7 +45,7 @@ func TestBenchExtendJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_extend.json")
 	var out, stderr bytes.Buffer
 	err := run([]string{"-fig", "extend", "-reads", "40", "-ref", "30000",
-		"-extend-rounds", "1", "-extend-json", path, "-extend-pr", "test-run"}, &out, &stderr)
+		"-extend-json", path, "-pr", "test-run"}, &out, &stderr)
 	if err != nil {
 		t.Fatalf("%v (%s)", err, stderr.String())
 	}
@@ -60,10 +60,13 @@ func TestBenchExtendJSON(t *testing.T) {
 			GoMaxProcs int    `json:"gomaxprocs"`
 			NumCPU     int    `json:"num_cpu"`
 			GoVersion  string `json:"go_version"`
+			Band       int    `json:"band"`
 			Kernels    []struct {
 				Kernel      string  `json:"kernel"`
 				NsPerOp     float64 `json:"ns_per_op"`
-				CellsPerSec float64 `json:"cells_per_sec"`
+				MinNsPerOp  float64 `json:"min_ns_per_op"`
+				MaxNsPerOp  float64 `json:"max_ns_per_op"`
+				CellsPerOp  float64 `json:"cells_per_op"`
 				AllocsPerOp float64 `json:"allocs_per_op"`
 			} `json:"kernels"`
 		} `json:"runs"`
@@ -78,23 +81,19 @@ func TestBenchExtendJSON(t *testing.T) {
 	if rep.PR != "test-run" {
 		t.Fatalf("run labeled %q, want test-run", rep.PR)
 	}
-	if rep.ReadLen != 150 {
-		t.Fatalf("read length %d, want 150", rep.ReadLen)
+	if rep.ReadLen != 150 || rep.Band != 21 {
+		t.Fatalf("read length %d, band %d; want 150, 21", rep.ReadLen, rep.Band)
 	}
-	seen := map[string]bool{}
+	var kernels []string
 	for _, k := range rep.Kernels {
-		seen[k.Kernel] = true
-		if k.NsPerOp <= 0 || k.CellsPerSec <= 0 {
-			t.Fatalf("kernel %s has empty measurements: %+v", k.Kernel, k)
+		kernels = append(kernels, k.Kernel)
+		if k.MinNsPerOp <= 0 || k.NsPerOp < k.MinNsPerOp || k.MaxNsPerOp < k.NsPerOp || k.CellsPerOp <= 0 {
+			t.Fatalf("kernel %s: want 0 < min <= median <= max ns/op and cells: %+v", k.Kernel, k)
 		}
 	}
-	for _, want := range []string{"full/seed", "full/workspace", "banded/seed",
-		"banded/workspace", "checked/pooled", "checked/workspace",
-		"banded/batch", "full/batch", "checked/batch/paper", "checked/batch/strict",
-		"checked/batch/paper+rerun", "checked/batch/strict+rerun"} {
-		if !seen[want] {
-			t.Fatalf("kernel %q missing from report (have %v)", want, seen)
-		}
+	if got := strings.Join(kernels, " "); got != "full/workspace banded/workspace checked/workspace "+
+		"banded/batch full/batch checked/batch/paper checked/batch/paper+rerun checked/batch/strict checked/batch/strict+rerun" {
+		t.Fatalf("kernels = %q", got)
 	}
 	if rep.GoMaxProcs <= 0 || rep.NumCPU <= 0 || rep.GoVersion == "" {
 		t.Fatalf("run entry lacks its environment stamp: gomaxprocs=%d num_cpu=%d go_version=%q",
@@ -103,7 +102,7 @@ func TestBenchExtendJSON(t *testing.T) {
 
 	// Append-only: a second run with a new label grows the history.
 	err = run([]string{"-fig", "extend", "-reads", "40", "-ref", "30000",
-		"-extend-rounds", "1", "-extend-json", path, "-extend-pr", "second"}, &out, &stderr)
+		"-extend-json", path, "-pr", "second"}, &out, &stderr)
 	if err != nil {
 		t.Fatalf("second run: %v (%s)", err, stderr.String())
 	}
@@ -120,45 +119,13 @@ func TestBenchExtendJSON(t *testing.T) {
 	}
 }
 
-// TestExtendHistoryLegacy converts a pre-history single-object file into
-// runs[0] labeled "legacy" on the first append.
-func TestExtendHistoryLegacy(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_extend.json")
-	legacy := `{"read_len": 150, "problems": 10, "band": 21, "kernels": [{"kernel": "banded/batch", "ns_per_op": 1, "cells_per_sec": 2, "allocs_per_op": 0}]}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, stderr bytes.Buffer
-	err := run([]string{"-fig", "extend", "-reads", "40", "-ref", "30000",
-		"-extend-rounds", "1", "-extend-json", path, "-extend-pr", "next"}, &out, &stderr)
-	if err != nil {
-		t.Fatalf("%v (%s)", err, stderr.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hist struct {
-		Runs []struct {
-			PR      string `json:"pr"`
-			ReadLen int    `json:"read_len"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &hist); err != nil {
-		t.Fatal(err)
-	}
-	if len(hist.Runs) != 2 || hist.Runs[0].PR != "legacy" || hist.Runs[1].PR != "next" {
-		t.Fatalf("legacy conversion: got %+v, want [legacy next]", hist.Runs)
-	}
-}
-
 // TestBenchMapJSON: -fig map appends one labeled run per invocation with
 // the four stage rows, and the stage times account for the total.
 func TestBenchMapJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_map.json")
 	for _, pr := range []string{"first", "second"} {
 		var out, stderr bytes.Buffer
-		err := run([]string{"-fig", "map", "-reads", "40", "-ref", "30000", "-map-json", path, "-map-pr", pr}, &out, &stderr)
+		err := run([]string{"-fig", "map", "-reads", "40", "-ref", "30000", "-map-json", path, "-pr", pr}, &out, &stderr)
 		if err != nil {
 			t.Fatalf("%v (%s)", err, stderr.String())
 		}

@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/parser"
 	"go/token"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -73,6 +78,21 @@ func TestFig03(t *testing.T) {
 	tab := Fig03(w, []int{5, 21, 41, 101}, 200)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig3 rows: %d", len(tab.Rows))
+	}
+	// Each median lies in its range, and the cells per extension are exact.
+	again := Fig03(w, []int{5, 21, 41, 101}, 200)
+	for i, row := range tab.Rows {
+		ns, _ := strconv.ParseFloat(row[1], 64)
+		var lo, hi float64
+		if _, err := fmt.Sscanf(row[2], "%f–%f", &lo, &hi); err != nil || ns < math.Floor(lo) || ns > math.Ceil(hi) {
+			t.Errorf("band %s: median %v ns/ext outside its range %q (%v)", row[0], ns, row[2], err)
+		}
+		if row[3] != again.Rows[i][3] {
+			t.Errorf("band %s: cells/ext %s, then %s", row[0], row[3], again.Rows[i][3])
+		}
+	}
+	if tab.Rows[0][4] != "1.00" {
+		t.Errorf("first band's rel-time = %s, want 1.00", tab.Rows[0][4])
 	}
 }
 
@@ -151,16 +171,97 @@ func TestFig17(t *testing.T) {
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig17 rows: %d", len(tab.Rows))
 	}
-	// The fully accelerated configuration must be the fastest.
+	// The fully accelerated configuration must be the fastest, and every
+	// speedup (the median of the rounds') lies inside its printed IQR.
 	speedup := make([]float64, len(tab.Rows))
 	for i, row := range tab.Rows {
 		if speedup[i], err = strconv.ParseFloat(row[5], 64); err != nil {
 			t.Fatalf("row %d speedup column malformed: %v", i, row)
 		}
+		var lo, hi float64
+		if _, err := fmt.Sscanf(row[6], "%f–%f", &lo, &hi); err != nil {
+			t.Fatalf("row %d IQR column malformed: %v (%v)", i, row, err)
+		}
+		if speedup[i] < lo || speedup[i] > hi {
+			t.Errorf("%s: speedup %s outside its IQR %s", row[0], row[5], row[6])
+		}
 	}
 	if all := speedup[3]; all <= 1 || all <= speedup[0] || all < speedup[2] {
 		t.Fatalf("seeding + SeedEx FPGA speedup %.2f must exceed 1, the software baseline (%.2f) and reach SeedEx FPGA alone (%.2f)",
 			all, speedup[0], speedup[2])
+	}
+}
+
+// TestExtendBenchWorkIsExact: every row's cells per extension is a pure
+// function of the workload, whatever the call or the processor count.
+func TestExtendBenchWorkIsExact(t *testing.T) {
+	w, err := Workload150(30_000, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := func(procs int) map[string]float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := map[string]float64{}
+		for _, k := range ExtendBench(w).Kernels {
+			if k.CellsPerOp <= 0 || k.NsPerOp < k.MinNsPerOp || k.NsPerOp > k.MaxNsPerOp {
+				t.Errorf("GOMAXPROCS %d: row %+v", procs, k)
+			}
+			out[k.Kernel] = k.CellsPerOp
+		}
+		return out
+	}
+	first := cells(1)
+	if len(first) != 9 {
+		t.Fatalf("rows = %v, want 9", first)
+	}
+	for _, procs := range []int{1, 2} {
+		if got := cells(procs); !reflect.DeepEqual(got, first) {
+			t.Errorf("GOMAXPROCS %d: cells per op %v, first call %v", procs, got, first)
+		}
+	}
+}
+
+// TestAppendRunKeepsHistory: appending a run to each committed history
+// leaves every existing entry's bytes as they were; only the comma after
+// the last old entry is added.
+func TestAppendRunKeepsHistory(t *testing.T) {
+	for name, rep := range map[string]any{
+		"BENCH_extend.json": ExtendBenchReport{Band: extendBand},
+		"BENCH_map.json":    MapPathReport{Rows: []MapStageRow{{Stage: "map/total"}}},
+	} {
+		old, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h struct{ Runs []json.RawMessage }
+		if err := json.Unmarshal(old, &h); err != nil || len(h.Runs) == 0 {
+			t.Fatalf("%s: %d runs (%v)", name, len(h.Runs), err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, err := AppendRun(path, "test", rep)
+		if err != nil || n != len(h.Runs)+1 {
+			t.Fatalf("%s: AppendRun = %d, %v; want %d runs", name, n, err, len(h.Runs)+1)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := h.Runs[len(h.Runs)-1]
+		end := bytes.LastIndex(old, last) + len(last)
+		if keep := string(old[:end]) + ","; !strings.HasPrefix(string(got), keep) {
+			t.Fatalf("%s: the append rewrote an existing entry", name)
+		}
+		var after struct {
+			Runs []struct {
+				PR string `json:"pr"`
+			} `json:"runs"`
+		}
+		if err := json.Unmarshal(got, &after); err != nil || len(after.Runs) != n || after.Runs[n-1].PR != "test" {
+			t.Fatalf("%s: appended history %+v (%v)", name, after.Runs, err)
+		}
 	}
 }
 

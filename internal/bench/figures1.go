@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"seedex/internal/align"
 	"seedex/internal/hw"
@@ -34,27 +33,29 @@ func Fig02(w *Workload) (*stats.Table, *stats.Histogram, *stats.Histogram) {
 }
 
 // Fig03 reproduces Figure 3: banded software-kernel execution time versus
-// band size (the early-termination saturation curve).
+// band size (the early-termination saturation curve): each band's median
+// ns per extension and its range over the timed rounds, the exact cells
+// per extension, and the median time relative to the first band's.
 func Fig03(w *Workload, bands []int, sample int) *stats.Table {
 	probs := w.Problems
 	if sample > 0 && len(probs) > sample {
 		probs = probs[:sample]
 	}
-	t := &stats.Table{Header: []string{"band(PEs)", "ns/ext", "cells/ext", "rel-time"}}
-	var base float64
-	for _, pes := range bands {
+	sweeps := make([]func() int64, len(bands))
+	rows := make([]func() []float64, len(bands))
+	for i, pes := range bands {
 		sided := (pes - 1) / 2
-		start := time.Now()
-		var cells int64
-		for _, p := range probs {
+		sweeps[i] = scalarSweep(probs, func(p Problem) int64 {
 			res, _ := align.ExtendBanded(p.Q, p.T, p.H0, w.Scoring, sided)
-			cells += res.Cells
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(len(probs))
-		if base == 0 {
-			base = ns
-		}
-		t.Add(pes, ns, cells/int64(len(probs)), ns/base)
+			return res.Cells
+		})
+		rows[i] = perOp(len(probs), sweeps[i])
+	}
+	ns := timeRounds(rows...)
+	t := &stats.Table{Header: []string{"band(PEs)", "ns/ext", "range", "cells/ext", "rel-time"}}
+	for i, pes := range bands {
+		t.Add(pes, median(ns[i]), fmt.Sprintf("%.0f–%.0f", ns[i][0], ns[i][rounds-1]),
+			float64(sweeps[i]())/float64(len(probs)), median(ns[i])/median(ns[0]))
 	}
 	return t
 }

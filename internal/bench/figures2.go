@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"seedex/internal/align"
 	"seedex/internal/bwamem"
 	"seedex/internal/core"
 	"seedex/internal/fpga"
@@ -137,82 +136,66 @@ func Fig16(w *Workload) (areaTab, ladderTab, thrTab *stats.Table) {
 	return
 }
 
-// Fig17Config names one end-to-end configuration of Figure 17.
-type Fig17Config struct {
-	Name                string
-	SeedNs, ExtNs, Rest int64
-}
-
 // Fig17 reproduces Figure 17: normalized end-to-end time breakdown of the
 // aligner under software and accelerated configurations. Software rows
-// are measured: each stage's median over mapPathRounds one-worker
-// Aligner.Run passes, whose stage times are the blocks' bwamem.BatchTimes.
+// are measured: each stage's median over the timed rounds of one-worker
+// Aligner.Run passes, whose stage times are the blocks' bwamem.BatchTimes;
+// a round runs both software configurations, so every round yields one
+// speedup per configuration.
 // FPGA rows replace the measured stage time with the system simulator's
 // wall time for the harvested job stream and its checker outcomes
 // (workloadJobs), floored at the host's driver share, and the seeding
 // accelerator's published 1.5 M reads/s rate (seeding), as DESIGN.md's
-// substitution table records. The last column is the interquartile range
-// of the speedup over the passes, the two software configurations paired
-// by pass.
+// substitution table records. The speedup is the median of the rounds'
+// speedups, beside its interquartile range.
 func Fig17(w *Workload) (*stats.Table, error) {
 	reads := w.PipelineReads()
-	run := func(ext align.Extender) ([]bwamem.Stats, error) {
-		a, err := bwamem.New("chrSim", w.Ref, ext)
-		if err != nil {
-			return nil, err
-		}
-		return timeRounds(a, reads), nil
-	}
-	median := func(passes []bwamem.Stats) bwamem.Stats {
-		sorted := sortedStages(passes)
-		m := func(i int) int64 { return int64(sorted[i][mapPathRounds/2]) }
-		return bwamem.Stats{SeedingNs: m(0), ExtensionNs: m(1), RestNs: m(2)}
-	}
-
-	swFull, err := run(core.FullBand{Scoring: w.Scoring})
+	swFull, err := bwamem.New("chrSim", w.Ref, core.FullBand{Scoring: w.Scoring})
 	if err != nil {
 		return nil, err
 	}
-	swSeedEx5, err := run(core.New(2)) // "software SeedEx", w=5 PEs
+	swSeedEx5, err := bwamem.New("chrSim", w.Ref, core.New(2)) // "software SeedEx", w=5 PEs
 	if err != nil {
 		return nil, err
 	}
 
 	// FPGA extension wall time for the harvested job stream.
 	fpgaRep := fpga.Simulate(fpga.DefaultSeedEx(), workloadJobs(w))
-	fpgaSimNs := int64(float64(fpgaRep.Cycles) * hw.ClockNs)
+	fpgaSimNs := float64(fpgaRep.Cycles) * hw.ClockNs
 	// Seeding accelerator: 1.5 M reads/s shared seeding+extension rate.
-	accSeedNs := int64(float64(len(reads)) / 1.5e6 * 1e9)
-	configs := func(full, sx bwamem.Stats) []Fig17Config {
+	accSeedNs := float64(len(reads)) / 1.5e6 * 1e9
+	names := []string{"BWA-MEM (sw)", "BWA-MEM + sw-SeedEx(w=5)", "BWA-MEM + SeedEx FPGA", "BWA-MEM + Seeding + SeedEx FPGA"}
+	// A round's measures: each configuration's seeding, extension and rest
+	// ns, then each configuration's speedup over the software baseline.
+	round := func() []float64 {
+		_, full := swFull.Run(reads, 1)
+		_, sx := swSeedEx5.Run(reads, 1)
 		// Host still drives the FPGA (batching, DMA, rearrangement).
-		fpgaExtNs := max(fpgaSimNs, full.ExtensionNs/20)
-		return []Fig17Config{
-			{Name: "BWA-MEM (sw)", SeedNs: full.SeedingNs, ExtNs: full.ExtensionNs, Rest: full.RestNs},
-			{Name: "BWA-MEM + sw-SeedEx(w=5)", SeedNs: sx.SeedingNs, ExtNs: sx.ExtensionNs, Rest: sx.RestNs},
-			{Name: "BWA-MEM + SeedEx FPGA", SeedNs: full.SeedingNs, ExtNs: fpgaExtNs, Rest: full.RestNs},
-			{Name: "BWA-MEM + Seeding + SeedEx FPGA", SeedNs: accSeedNs, ExtNs: fpgaExtNs, Rest: full.RestNs},
+		fpgaExtNs := max(fpgaSimNs, float64(full.ExtensionNs)/20)
+		m := []float64{
+			float64(full.SeedingNs), float64(full.ExtensionNs), float64(full.RestNs),
+			float64(sx.SeedingNs), float64(sx.ExtensionNs), float64(sx.RestNs),
+			float64(full.SeedingNs), fpgaExtNs, float64(full.RestNs),
+			accSeedNs, fpgaExtNs, float64(full.RestNs),
 		}
-	}
-	total := func(c Fig17Config) float64 { return float64(c.SeedNs + c.ExtNs + c.Rest) }
-
-	cfgs := configs(median(swFull), median(swSeedEx5))
-	speedups := make([][]float64, len(cfgs))
-	for r := range swFull {
-		pass := configs(swFull[r], swSeedEx5[r])
-		for i, c := range pass {
-			speedups[i] = append(speedups[i], total(pass[0])/total(c))
+		for i := range names {
+			m = append(m, (m[0]+m[1]+m[2])/(m[3*i]+m[3*i+1]+m[3*i+2]))
 		}
+		return m
 	}
-	base := total(cfgs[0])
+	s := timeRounds(round)
+	stage := func(i, j int) float64 { return median(s[3*i+j]) }
+	base := stage(0, 0) + stage(0, 1) + stage(0, 2)
 	t := &stats.Table{Header: []string{"config", "seeding %", "extension %", "rest %", "total(norm)", "speedup", "speedup IQR"}}
-	for i, c := range cfgs {
-		t.Add(c.Name,
-			100*float64(c.SeedNs)/base,
-			100*float64(c.ExtNs)/base,
-			100*float64(c.Rest)/base,
-			total(c)/base,
-			base/total(c),
-			fmt.Sprintf("%.2f–%.2f", stats.Percentile(speedups[i], 25), stats.Percentile(speedups[i], 75)))
+	for i, name := range names {
+		speedup := s[3*len(names)+i]
+		t.Add(name,
+			100*stage(i, 0)/base,
+			100*stage(i, 1)/base,
+			100*stage(i, 2)/base,
+			(stage(i, 0)+stage(i, 1)+stage(i, 2))/base,
+			median(speedup),
+			fmt.Sprintf("%.2f–%.2f", stats.Percentile(speedup, 25), stats.Percentile(speedup, 75)))
 	}
 	return t, nil
 }

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"strings"
 
 	"seedex/internal/bwamem"
@@ -17,35 +14,9 @@ import (
 // daemon's default, in ModeStrict.
 const mapPathBand = 20
 
-// mapPathRounds is how many timed Aligner.Run passes a row's median and
-// range (and Fig 17's medians and quartiles) are taken over.
-const mapPathRounds = 5
-
-// mapStages names Aligner.Run's stage times, in sortedStages' order.
+// mapStages names Aligner.Run's stage times, in the order MapPathBench
+// measures them.
 var mapStages = [...]string{"map/seed", "map/extend", "map/rest", "map/total"}
-
-// timeRounds times mapPathRounds one-worker Aligner.Run passes over reads.
-func timeRounds(a *bwamem.Aligner, reads []bwamem.Read) []bwamem.Stats {
-	passes := make([]bwamem.Stats, mapPathRounds)
-	for r := range passes {
-		_, passes[r] = a.Run(reads, 1)
-	}
-	return passes
-}
-
-// sortedStages is each stage's times (mapStages order) over the passes,
-// sorted ascending.
-func sortedStages(passes []bwamem.Stats) (sorted [len(mapStages)][]float64) {
-	for _, st := range passes {
-		for i, ns := range [...]int64{st.SeedingNs, st.ExtensionNs, st.RestNs, st.TotalNs} {
-			sorted[i] = append(sorted[i], float64(ns))
-		}
-	}
-	for i := range sorted {
-		sort.Float64s(sorted[i])
-	}
-	return sorted
-}
 
 // MapStageRow is one stage of a mapped read: the median over the timed
 // rounds, with the range the rounds spanned.
@@ -90,37 +61,6 @@ type MapPathReport struct {
 	RerunFullCells int64   `json:"rerun_full_band_cells,omitempty"`
 }
 
-// mapPathHistory is the BENCH_map.json schema: an append-only array of
-// labeled reports, oldest first, like BENCH_extend.json.
-type mapPathHistory struct {
-	Runs []mapPathRun `json:"runs"`
-}
-
-type mapPathRun struct {
-	PR string `json:"pr"`
-	MapPathReport
-}
-
-// AppendMapPathRun appends rep, labeled pr, to the history file at path (a
-// missing file is an empty history) and returns the number of runs it now
-// holds.
-func AppendMapPathRun(path, pr string, rep MapPathReport) (int, error) {
-	var h mapPathHistory
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if err := json.Unmarshal(data, &h); err != nil {
-			return 0, fmt.Errorf("bench: parsing map-path history %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return 0, err
-	}
-	h.Runs = append(h.Runs, mapPathRun{PR: pr, MapPathReport: rep})
-	if data, err = json.MarshalIndent(h, "", "  "); err != nil {
-		return 0, err
-	}
-	return len(h.Runs), os.WriteFile(path, data, 0o644)
-}
-
 // String renders a human-readable summary table.
 func (r MapPathReport) String() string {
 	var b strings.Builder
@@ -131,7 +71,7 @@ func (r MapPathReport) String() string {
 			row.Stage, row.NsPerRead, row.MinNsPerRead, row.MaxNsPerRead, 100*row.NsPerRead/total)
 	}
 	fmt.Fprintf(&b, "%.1f allocs/read, %.0f B/read over %d reads (median and range of %d rounds)\n",
-		r.AllocsPerRead, r.BytesPerRead, r.Reads, mapPathRounds)
+		r.AllocsPerRead, r.BytesPerRead, r.Reads, rounds)
 	fmt.Fprintf(&b, "%d traced sides, %d matrix fills: %.3f fills per side\n",
 		r.TraceSides, r.TraceFills, float64(r.TraceFills)/float64(max(r.TraceSides, 1)))
 	fmt.Fprintf(&b, "%.1f%% of extensions certified gapless; reruns swept %d of their %d full-band cells (%.2f)",
@@ -159,21 +99,25 @@ func MapPathBench(w *Workload) (MapPathReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	_, warm := a.Run(reads, 1) // warm caches and the extender's pools
-	rep.TraceSides, rep.TraceFills = warm.TraceSides, warm.TraceFills
+	// The extender's Stats accumulate over passes: read one pass's counts.
+	_, first := a.Run(reads, 1)
+	rep.TraceSides, rep.TraceFills = first.TraceSides, first.TraceFills
 	st := se.Stats
 	rep.CertifiedShare = float64(st.Certified.Load()) / float64(max(st.Total.Load(), 1))
 	rep.RerunCells, rep.RerunFullCells = st.RerunCells.Load(), st.RerunFullCells.Load()
 
-	sorted := sortedStages(timeRounds(a, reads))
+	stages := timeRounds(func() []float64 {
+		_, st := a.Run(reads, 1)
+		return []float64{float64(st.SeedingNs), float64(st.ExtensionNs), float64(st.RestNs), float64(st.TotalNs)}
+	})
 	n := float64(len(reads))
 	for i, stage := range mapStages {
-		ns := sorted[i]
+		ns := stages[i]
 		rep.Rows = append(rep.Rows, MapStageRow{
 			Stage:        stage,
-			NsPerRead:    ns[mapPathRounds/2] / n,
+			NsPerRead:    median(ns) / n,
 			MinNsPerRead: ns[0] / n,
-			MaxNsPerRead: ns[mapPathRounds-1] / n,
+			MaxNsPerRead: ns[rounds-1] / n,
 		})
 	}
 
